@@ -33,15 +33,14 @@ Metrics Measure(const cloud::ScenarioResult& result) {
   Metrics metrics;
   metrics.captured = result.records.size();
   metrics.google_ns =
-      analysis::ComputeRrTypeMix(result, cloud::Provider::kGoogle)["NS"];
-  metrics.amazon_tcp =
-      analysis::ComputeTransportMix(result, cloud::Provider::kAmazon).tcp;
-  metrics.facebook_tcp =
-      analysis::ComputeTransportMix(result, cloud::Provider::kFacebook).tcp;
+      analysis::ComputeRrTypeMixes(result)[cloud::Provider::kGoogle]["NS"];
+  auto transport = analysis::ComputeTransportMixes(result);
+  metrics.amazon_tcp = transport[cloud::Provider::kAmazon].tcp;
+  metrics.facebook_tcp = transport[cloud::Provider::kFacebook].tcp;
 
   // Hourly volume ratio over the week.
   std::map<std::uint64_t, std::uint64_t> hourly;
-  for (const auto& record : result.records) {
+  for (const auto& record : result.records.Flatten()) {
     ++hourly[record.time_us / (sim::kMicrosPerDay / 24)];
   }
   std::uint64_t peak = 0, trough = ~0ull;

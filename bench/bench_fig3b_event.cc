@@ -34,17 +34,6 @@ cloud::ScenarioConfig EventConfig() {
   return config;
 }
 
-/// Runs the config, falling back to a live simulation when a cached capture
-/// was loaded through a pre-robustness sidecar (its counters would read 0).
-cloud::ScenarioResult RunWithCounters(const cloud::ScenarioConfig& config) {
-  cloud::ScenarioResult result = analysis::LoadOrRun(config);
-  if (result.robustness.upstream_queries == 0 &&
-      !result.records.empty()) {
-    result = cloud::RunScenario(config);
-  }
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -62,9 +51,9 @@ int main() {
   faulted_config.fault_preset = cloud::FaultPreset::kNzEventLoss;
 
   cloud::ScenarioResult baseline = bench::WithSimulatePhase(
-      recorder, [&] { return RunWithCounters(baseline_config); });
+      recorder, [&] { return analysis::LoadOrRun(baseline_config); });
   cloud::ScenarioResult faulted = bench::WithSimulatePhase(
-      recorder, [&] { return RunWithCounters(faulted_config); });
+      recorder, [&] { return analysis::LoadOrRun(faulted_config); });
   recorder.AddQueries(baseline.records.size() + faulted.records.size());
 
   analysis::RetryAmplification amp = bench::WithScanPhase(recorder, [&] {

@@ -115,19 +115,6 @@ void BM_ColumnarEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnarEncode)->Arg(100000);
 
-void BM_RowWiseEncode(benchmark::State& state) {
-  auto records = MakeRecords(static_cast<std::size_t>(state.range(0)));
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    auto encoded = capture::EncodeRowWise(records);
-    bytes = encoded.size();
-    benchmark::DoNotOptimize(encoded);
-  }
-  state.counters["bytes_per_record"] =
-      static_cast<double>(bytes) / static_cast<double>(records.size());
-}
-BENCHMARK(BM_RowWiseEncode)->Arg(100000);
-
 void BM_ColumnarDecode(benchmark::State& state) {
   auto encoded =
       capture::EncodeColumnar(MakeRecords(static_cast<std::size_t>(state.range(0))));

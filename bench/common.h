@@ -29,7 +29,6 @@
 #include "base/thread_annotations.h"
 #include "analysis/experiments.h"
 #include "analysis/report.h"
-#include "capture/merge.h"
 #include "cloud/scenario.h"
 
 namespace clouddns::bench {
@@ -340,20 +339,22 @@ auto WithSimulatePhase(BenchRecorder& recorder, Fn&& fn) {
 }
 
 /// Runs an analysis callable and books its wall time split into the
-/// `scan` and `merge` phases — merge is the capture::MergeNanos delta
+/// `scan` and `merge` phases — merge is the base::Phase::kMerge delta
 /// (time flattening sharded captures), scan is everything else. With
 /// shard-wise analytics the merge share should be zero unless a consumer
 /// genuinely flattens.
 template <typename Fn>
 auto WithScanPhase(BenchRecorder& recorder, Fn&& fn) {
-  const std::uint64_t merge_start = capture::MergeNanos();
+  const std::uint64_t merge_start = base::PhaseNanos(base::Phase::kMerge);
   const auto start = std::chrono::steady_clock::now();
   auto book = [&] {
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
     const double merge =
-        static_cast<double>(capture::MergeNanos() - merge_start) * 1e-9;
+        static_cast<double>(base::PhaseNanos(base::Phase::kMerge) -
+                            merge_start) *
+        1e-9;
     recorder.AddPhaseSeconds("scan", wall > merge ? wall - merge : 0.0);
     recorder.AddPhaseSeconds("merge", merge);
   };
@@ -368,7 +369,7 @@ auto WithScanPhase(BenchRecorder& recorder, Fn&& fn) {
 }
 
 /// One measured point of the thread-scaling sweep. Phase split: `merge` is
-/// time inside the capture K-way/ladder merge (capture::MergeNanos delta —
+/// time inside the capture K-way/ladder merge (base::Phase::kMerge delta —
 /// zero when analytics scan shard-wise), `scan` is the rest of the analyze
 /// wall time.
 struct ScalingPoint {
@@ -459,7 +460,8 @@ void RunScalingSweep(const std::string& bench_name,
     for (int repeat = 0; repeat < 6; ++repeat) {
       std::string rendered;
       std::uint64_t queries = 0;
-      const std::uint64_t merge_start = capture::MergeNanos();
+      const std::uint64_t merge_start =
+          base::PhaseNanos(base::Phase::kMerge);
       const auto start = std::chrono::steady_clock::now();
       for (const auto& dataset : datasets) {
         rendered += analyze(dataset);
@@ -469,9 +471,10 @@ void RunScalingSweep(const std::string& bench_name,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
-      const double merge = static_cast<double>(capture::MergeNanos() -
-                                               merge_start) *
-                           1e-9;
+      const double merge =
+          static_cast<double>(base::PhaseNanos(base::Phase::kMerge) -
+                              merge_start) *
+          1e-9;
       if (baseline.empty()) {
         baseline = rendered;
       } else if (rendered != baseline) {

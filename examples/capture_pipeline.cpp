@@ -28,22 +28,32 @@ int main() {
   // Exports need the single time-ordered stream, so flatten explicitly
   // (merged once, memoized; analytics would scan the shards in place).
   const std::string raw_path = "/tmp/clouddns_example_raw.cdns";
-  capture::WriteCaptureFile(raw_path, week.records.Flatten());
+  if (auto status =
+          capture::WriteCaptureFileStatus(raw_path, week.records.Flatten());
+      !status.ok()) {
+    std::fprintf(stderr, "write failed: %s\n", status.ToString().c_str());
+    return 1;
+  }
   std::printf("wrote %zu records to %s\n", week.records.size(),
               raw_path.c_str());
 
   // Privacy boundary: anonymize before the trace leaves the operator.
   capture::Anonymizer anonymizer(/*key=*/0x5eed);
   const std::string anon_path = "/tmp/clouddns_example_anon.cdns";
-  capture::WriteCaptureFile(anon_path,
-                            anonymizer.AnonymizeCapture(week.records.Flatten()));
+  if (auto status = capture::WriteCaptureFileStatus(
+          anon_path, anonymizer.AnonymizeCapture(week.records.Flatten()));
+      !status.ok()) {
+    std::fprintf(stderr, "write failed: %s\n", status.ToString().c_str());
+    return 1;
+  }
   std::printf("anonymized copy at %s\n", anon_path.c_str());
 
   // --- analysis side (only the anonymized file + the mapped routing
   // table cross the boundary) --------------------------------------------
-  auto records = capture::ReadCaptureFile(anon_path);
-  if (!records) {
-    std::fprintf(stderr, "reload failed\n");
+  capture::CaptureBuffer records;
+  if (auto status = capture::ReadCaptureFileStatus(anon_path, records);
+      !status.ok()) {
+    std::fprintf(stderr, "reload failed: %s\n", status.ToString().c_str());
     return 1;
   }
 
@@ -66,7 +76,7 @@ int main() {
     for (const auto& block : network.public_dns_blocks) announce(block);
   }
 
-  auto by_as = entrada::CountBy(*records, entrada::KeySrcAs(anonymized_asdb));
+  auto by_as = entrada::CountBy(records, entrada::KeySrcAs(anonymized_asdb));
   std::uint64_t cloud_queries = 0;
   for (const auto& [key, count] : by_as.counts) {
     if (key != "AS?") cloud_queries += count;
@@ -74,12 +84,12 @@ int main() {
   std::printf(
       "\ncloud share measured on ANONYMIZED data: %s (5 CPs)\n",
       analysis::Percent(static_cast<double>(cloud_queries) /
-                        static_cast<double>(records->size()))
+                        static_cast<double>(records.size()))
           .c_str());
 
   // Aggregations that never needed addresses at all work unchanged.
   analysis::TextTable table({"qtype", "share"});
-  auto qtypes = entrada::CountBy(*records, entrada::KeyQtype());
+  auto qtypes = entrada::CountBy(records, entrada::KeyQtype());
   for (const auto& [qtype, count] : qtypes.counts) {
     if (qtypes.Share(qtype) > 0.02) {
       table.AddRow({qtype, analysis::Percent(qtypes.Share(qtype))});
@@ -88,7 +98,7 @@ int main() {
   std::printf("\n%s", table.Render().c_str());
 
   std::printf("\nRSSAC002-style daily summary (first day):\n");
-  auto days = analysis::Rssac002Report(*records);
+  auto days = analysis::Rssac002Report(records);
   if (!days.empty()) {
     std::printf("%s", analysis::RenderRssac002Yaml(days.front(),
                                                    "nl-anonymized")

@@ -58,13 +58,15 @@ int main(int argc, char** argv) {
   analysis::PrintBanner("Behaviour", "Table 5 / Fig. 2 / Fig. 4 per provider");
   analysis::TextTable behaviour({"provider", "IPv6", "TCP", "junk", "NS", "DS",
                                  "DNSKEY"});
+  auto mixes = analysis::ComputeTransportMixes(result);
+  auto rr_mixes = analysis::ComputeRrTypeMixes(result);
+  auto junk = analysis::ComputeJunkRatios(result);
   for (cloud::Provider provider : cloud::MeasuredProviders()) {
-    auto mix = analysis::ComputeTransportMix(result, provider);
-    auto rr = analysis::ComputeRrTypeMix(result, provider);
+    const auto& mix = mixes[provider];
+    auto& rr = rr_mixes[provider];
     behaviour.AddRow({std::string(cloud::ToString(provider)),
                       analysis::Percent(mix.ipv6), analysis::Percent(mix.tcp),
-                      analysis::Percent(
-                          analysis::ComputeJunkRatio(result, provider)),
+                      analysis::Percent(junk.per_provider[provider]),
                       analysis::Percent(rr["NS"]), analysis::Percent(rr["DS"]),
                       analysis::Percent(rr["DNSKEY"])});
   }

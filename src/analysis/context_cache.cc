@@ -88,11 +88,6 @@ base::io::IoStatus SaveScenarioContextStatus(
   return base::io::WriteFramedFile(path, base::io::kTagContext, payload);
 }
 
-bool SaveScenarioContext(const std::string& path,
-                         const cloud::ScenarioResult& result) {
-  return SaveScenarioContextStatus(path, result).ok();
-}
-
 base::io::IoStatus LoadScenarioContextStatus(const std::string& path,
                                              cloud::ScenarioResult& result) {
   std::vector<std::uint8_t> payload;
@@ -104,11 +99,6 @@ base::io::IoStatus LoadScenarioContextStatus(const std::string& path,
   return base::io::IoStatus::Error(
       base::io::IoCode::kPayloadCorrupt,
       "context sidecar text malformed or version-mismatched");
-}
-
-bool LoadScenarioContext(const std::string& path,
-                         cloud::ScenarioResult& result) {
-  return LoadScenarioContextStatus(path, result).ok();
 }
 
 namespace {

@@ -8,12 +8,12 @@
 // is a pure read: capture + context, no simulation at all.
 //
 // The format is a version-tagged text file; loading a file with a
-// different version or any malformed section fails cleanly, and callers
-// fall back to the dry-rebuild path (which re-writes the sidecar).
+// different version or any malformed section fails cleanly, and the
+// dataset cache rebuilds the whole dataset (which re-writes the sidecar).
 //
 // On disk the text payload rides inside the base::io checksummed frame
 // (tag kTagContext) and is landed with write-to-temp + fsync + atomic
-// rename; legacy unframed text sidecars still load.
+// rename; an unframed file is rejected like any other corruption.
 #pragma once
 
 #include <string>
@@ -33,11 +33,5 @@ namespace clouddns::analysis {
 /// frame or the text payload is damaged or version-mismatched.
 [[nodiscard]] base::io::IoStatus LoadScenarioContextStatus(
     const std::string& path, cloud::ScenarioResult& result);
-
-/// Untyped wrappers kept for callers that only need success/failure.
-bool SaveScenarioContext(const std::string& path,
-                         const cloud::ScenarioResult& result);
-bool LoadScenarioContext(const std::string& path,
-                         cloud::ScenarioResult& result);
 
 }  // namespace clouddns::analysis

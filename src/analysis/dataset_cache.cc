@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "analysis/context_cache.h"
 #include "capture/columnar.h"
@@ -86,29 +87,33 @@ bool IsCorruption(const base::io::IoStatus& status) {
   return !status.ok() && status.code != base::io::IoCode::kNotFound;
 }
 
-/// Structured recovery event, one line per integrity failure. Content is
-/// a pure function of the artifact state (no timestamps — the wall-clock
-/// determinism contract holds even for diagnostics).
-void LogRecoveryEvent(const char* artifact, const std::string& path,
-                      const base::io::IoStatus& status,
-                      const std::string& quarantined_to) {
-  std::fprintf(stderr,
-               "[storage-recovery] artifact=%s path=%s error=%s "
-               "quarantined=%s action=rebuild-from-simulation\n",
-               artifact, path.c_str(), status.ToString().c_str(),
-               quarantined_to.empty() ? "(removed)" : quarantined_to.c_str());
-}
+/// One persisted piece of a dataset: the columnar capture, the context
+/// sidecar, or the shard-index sidecar.
+struct Artifact {
+  const char* name;
+  std::string path;
+  std::uint32_t tag;
+  base::io::IoStatus read;     ///< Outcome of the strict warm read.
+  base::io::IoStatus written;  ///< Outcome of the rebuild's write.
+};
 
-/// Quarantines a corrupt artifact and updates the counters.
-void QuarantineCorrupt(const char* artifact, const std::string& path,
-                       const base::io::IoStatus& status,
+/// Quarantines a corrupt artifact, updates the counters, and logs one
+/// structured recovery line. The line is a pure function of the artifact
+/// state (no timestamps — the wall-clock determinism contract holds even
+/// for diagnostics).
+void QuarantineCorrupt(const Artifact& artifact,
                        base::io::StorageCounters& storage) {
   ++storage.detected;
   const std::string moved = base::io::QuarantineFile(
-      path, std::string(artifact) + " failed integrity check: " +
-                status.ToString());
+      artifact.path, std::string(artifact.name) + " failed integrity check: " +
+                         artifact.read.ToString());
   if (!moved.empty()) ++storage.quarantined;
-  LogRecoveryEvent(artifact, path, status, moved);
+  std::fprintf(stderr,
+               "[storage-recovery] artifact=%s path=%s error=%s "
+               "quarantined=%s action=rebuild-from-simulation\n",
+               artifact.name, artifact.path.c_str(),
+               artifact.read.ToString().c_str(),
+               moved.empty() ? "(removed)" : moved.c_str());
 }
 
 }  // namespace
@@ -127,99 +132,70 @@ cloud::ScenarioResult LoadOrRun(cloud::ScenarioConfig config,
   storage.tmp_cleaned = static_cast<std::uint64_t>(
       base::io::RemoveStrandedTmpFiles(cache_dir));
 
-  const std::string key = CacheKey(config);
-  const std::string path = cache_dir + "/" + key + ".cdns";
-  const std::string context_path = cache_dir + "/" + key + ".ctx";
+  // A dataset is three artifacts: the flat, merge-ordered `.cdns` capture,
+  // the `.ctx` context (AS database, PTR records, server metadata, query
+  // accounting), and the `.shards` index that restores the simulation's
+  // shard structure from the flat stream. Only all three together are a
+  // warm hit; anything less is rebuilt from simulation as a whole.
+  const std::string stem = cache_dir + "/" + CacheKey(config);
+  Artifact capture{"capture", stem + ".cdns", base::io::kTagCapture, {}, {}};
+  Artifact context{"context", stem + ".ctx", base::io::kTagContext, {}, {}};
+  Artifact shards{"shard-index", stem + ".shards", base::io::kTagShards, {},
+                  {}};
 
-  // Shard-structure sidecar: the `.cdns` capture stays the flat,
-  // merge-ordered stream it always was (byte-identical across versions);
-  // the `.shards` file records each record's shard in merge order so a
-  // warm load can rebuild the exact sharded view the simulation produced
-  // and analytics can keep scanning shard-wise. Missing sidecar (older
-  // caches) degrades to a single-shard view with identical results.
-  const std::string shard_path = cache_dir + "/" + key + ".shards";
-
-  // ---- Load phase: verify every artifact, quarantine what fails. ------
-  capture::CaptureBuffer cached;
-  base::io::IoStatus capture_status =
-      capture::ReadCaptureFileStatus(path, cached);
-  if (IsCorruption(capture_status)) {
-    QuarantineCorrupt("capture", path, capture_status, storage);
-  }
-
-  bool capture_rebuilt = false;
-  bool shards_rebuilt = false;
-  if (capture_status.ok()) {
-    base::io::IoStatus shard_status;
-    capture::ShardedCapture records =
-        capture::ReshardFromIndex(shard_path, std::move(cached),
-                                  &shard_status);
-    if (IsCorruption(shard_status)) {
-      // The shard structure is only reproducible from simulation, so a
-      // corrupt sidecar forces the full cold rebuild below. The capture
-      // file itself is intact — it is rewritten (not counted as rebuilt)
-      // purely as a side effect of the uniform cold path.
-      QuarantineCorrupt("shard-index", shard_path, shard_status, storage);
-      shards_rebuilt = true;
+  // ---- Verify: strict reads of every artifact. ------------------------
+  {
+    cloud::ScenarioResult warm;
+    capture::CaptureBuffer flat;
+    capture.read = capture::ReadCaptureFileStatus(capture.path, flat);
+    if (capture.read.ok()) {
+      warm.records =
+          capture::ReshardFromIndex(shards.path, std::move(flat), &shards.read);
     } else {
-      // Warm path: the context sidecar restores the AS database, PTR
-      // records and server metadata directly — no simulation at all.
-      cloud::ScenarioResult result;
-      base::io::IoStatus context_status =
-          LoadScenarioContextStatus(context_path, result);
-      if (!context_status.ok()) {
-        if (IsCorruption(context_status)) {
-          QuarantineCorrupt("context", context_path, context_status, storage);
-        }
-        // Missing or quarantined sidecar: rebuild the deterministic
-        // context with a zero-query run, then persist it so the next
-        // load skips this.
-        cloud::ScenarioConfig dry = config;
-        dry.client_queries = 0;
-        result = cloud::RunScenario(dry);
-        if (SaveScenarioContextStatus(context_path, result).ok() &&
-            IsCorruption(context_status)) {
-          ++storage.rebuilt;
-          cloud::ScenarioResult reread;
-          if (LoadScenarioContextStatus(context_path, reread).ok()) {
-            ++storage.reverified;
-          }
-        }
-      }
-      result.config = config;
-      result.records = std::move(records);
-      result.storage = storage;
-      return result;
+      // Without the capture the index cannot be matched, only its frame.
+      std::vector<std::uint8_t> payload;
+      shards.read = base::io::ReadFramedFile(shards.path, shards.tag, payload);
+    }
+    context.read = LoadScenarioContextStatus(context.path, warm);
+    if (capture.read.ok() && shards.read.ok() && context.read.ok()) {
+      warm.config = config;
+      warm.storage = storage;
+      return warm;
     }
   }
-  capture_rebuilt = IsCorruption(capture_status);
 
-  // ---- Cold rebuild: run the simulation and rewrite every artifact. ---
+  // ---- Rebuild: quarantine what is corrupt, simulate, write all three.
+  const Artifact* const artifacts[] = {&capture, &context, &shards};
+  for (const Artifact* artifact : artifacts) {
+    if (IsCorruption(artifact->read)) QuarantineCorrupt(*artifact, storage);
+  }
   cloud::ScenarioResult result = cloud::RunScenario(config);
   result.config = config;
   // FlattenCopy: write the merge-ordered stream without leaving a second
-  // full copy memoized inside the sharded view.
-  if (capture::WriteCaptureFileStatus(path, result.records.FlattenCopy())
-          .ok()) {
-    if (capture_rebuilt) {
-      ++storage.rebuilt;
-      std::vector<std::uint8_t> payload;
-      if (base::io::ReadFramedFile(path, base::io::kTagCapture, payload)
-              .ok()) {
-        ++storage.reverified;
-      }
+  // full copy memoized inside the sharded view. Its own statement, so the
+  // copy is freed before the sidecars are written.
+  capture.written = capture::WriteCaptureFileStatus(
+      capture.path, result.records.FlattenCopy());
+  context.written = SaveScenarioContextStatus(context.path, result);
+  shards.written = capture::WriteShardIndexStatus(shards.path, result.records);
+  for (const Artifact* artifact : artifacts) {
+    if (!artifact->written.ok()) {
+      // The result is still correct; the next load finds the artifact
+      // missing and rebuilds again.
+      std::fprintf(stderr,
+                   "[storage-recovery] artifact=%s path=%s error=%s "
+                   "action=write-failed\n",
+                   artifact->name, artifact->path.c_str(),
+                   artifact->written.ToString().c_str());
+      continue;
     }
-    (void)SaveScenarioContextStatus(context_path, result);
-    if (capture::WriteShardIndexStatus(shard_path, result.records).ok()) {
-      if (shards_rebuilt) {
-        ++storage.rebuilt;
-        std::vector<std::uint8_t> payload;
-        if (base::io::ReadFramedFile(shard_path, base::io::kTagShards,
-                                     payload)
-                .ok()) {
-          ++storage.reverified;
-        }
-      }
+    if (!IsCorruption(artifact->read)) continue;
+    // Re-read only what replaced a quarantined artifact.
+    ++storage.rebuilt;
+    std::vector<std::uint8_t> payload;
+    if (base::io::ReadFramedFile(artifact->path, artifact->tag, payload)
+            .ok()) {
+      ++storage.reverified;
     }
   }
   result.storage = storage;

@@ -1,7 +1,8 @@
 // Scenario result caching for the bench harness: simulating a capture week
-// takes seconds, and most benches share datasets. The capture stream is
-// persisted in the columnar format; everything else in a ScenarioResult is
-// deterministic from the config and is rebuilt with a traffic-free run.
+// takes seconds, and most benches share datasets. A dataset persists as
+// three checksummed artifacts — the columnar capture, the context sidecar
+// and the shard index (DESIGN.md §14) — and is served warm only when all
+// three verify; otherwise it is rebuilt from simulation.
 #pragma once
 
 #include <string>
@@ -21,9 +22,10 @@ namespace clouddns::analysis {
 /// Deterministic cache key for a scenario configuration.
 [[nodiscard]] std::string CacheKey(const cloud::ScenarioConfig& config);
 
-/// Runs the scenario, reusing the cached capture stream when one exists
-/// for this exact configuration. Pass an empty `cache_dir` to disable
-/// caching entirely.
+/// Runs the scenario, reusing the cached dataset when all of its
+/// artifacts exist and verify for this exact configuration. Corrupt
+/// artifacts are quarantined and every artifact is rewritten from one cold
+/// simulation. Pass an empty `cache_dir` to disable caching entirely.
 [[nodiscard]] cloud::ScenarioResult LoadOrRun(cloud::ScenarioConfig config,
                                               const std::string& cache_dir =
                                                   DefaultCacheDir());

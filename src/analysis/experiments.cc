@@ -22,29 +22,6 @@ cloud::Provider ProviderOfRecord(const cloud::ScenarioResult& result,
   return asn ? cloud::ProviderOfAsn(*asn) : cloud::Provider::kOther;
 }
 
-entrada::Filter FilterProvider(const cloud::ScenarioResult& result,
-                               cloud::Provider provider) {
-  return [&result, provider](const capture::CaptureRecord& record) {
-    return ProviderOfRecord(result, record) == provider;
-  };
-}
-
-entrada::TagFn ProviderTag(const cloud::ScenarioResult& result) {
-  std::unordered_map<net::Asn, std::uint16_t> by_asn;
-  for (cloud::Provider provider : cloud::MeasuredProviders()) {
-    for (net::Asn asn : cloud::NetworkOf(provider).ases) {
-      by_asn.emplace(asn, TagOf(provider));
-    }
-  }
-  return [&asdb = result.asdb,
-          by_asn = std::move(by_asn)](const capture::CaptureRecord& record) {
-    auto asn = asdb.OriginAs(record.src);
-    if (!asn) return TagOf(cloud::Provider::kOther);
-    auto it = by_asn.find(*asn);
-    return it == by_asn.end() ? TagOf(cloud::Provider::kOther) : it->second;
-  };
-}
-
 entrada::AsnTagFn ProviderAsnTag() {
   std::unordered_map<net::Asn, std::uint16_t> by_asn;
   for (cloud::Provider provider : cloud::MeasuredProviders()) {
@@ -172,13 +149,6 @@ std::map<std::string, double> MixFromAggregation(
 
 }  // namespace
 
-std::map<std::string, double> ComputeRrTypeMix(
-    const cloud::ScenarioResult& result, cloud::Provider provider) {
-  auto agg = entrada::CountBy(result.records, entrada::KeyQtype(),
-                              FilterProvider(result, provider));
-  return MixFromAggregation(agg);
-}
-
 std::map<cloud::Provider, std::map<std::string, double>> ComputeRrTypeMixes(
     const cloud::ScenarioResult& result) {
   entrada::AnalysisPlan plan;
@@ -222,16 +192,6 @@ std::vector<MonthlyQtypeRow> ComputeMonthlyQtypes(
   return rows;
 }
 
-double ComputeJunkRatio(const cloud::ScenarioResult& result,
-                        std::optional<cloud::Provider> provider) {
-  entrada::Filter filter =
-      provider ? FilterProvider(result, *provider) : entrada::Filter{};
-  std::uint64_t total = entrada::CountIf(result.records, filter);
-  std::uint64_t junk = entrada::CountIf(
-      result.records, entrada::And(filter, entrada::FilterJunk()));
-  return total == 0 ? 0 : static_cast<double>(junk) / static_cast<double>(total);
-}
-
 JunkRatios ComputeJunkRatios(const cloud::ScenarioResult& result) {
   // Two tag-grouped aggregates in one pass replace 2 scans per provider
   // plus 2 for the overall ratio.
@@ -259,33 +219,6 @@ JunkRatios ComputeJunkRatios(const cloud::ScenarioResult& result) {
                          static_cast<double>(total);
   }
   return ratios;
-}
-
-TransportMix ComputeTransportMix(const cloud::ScenarioResult& result,
-                                 cloud::Provider provider) {
-  TransportMix mix;
-  for (const auto& record : result.records) {
-    if (ProviderOfRecord(result, record) != provider) continue;
-    ++mix.total;
-    if (record.src.is_v6()) {
-      mix.ipv6 += 1;
-    } else {
-      mix.ipv4 += 1;
-    }
-    if (record.transport == dns::Transport::kTcp) {
-      mix.tcp += 1;
-    } else {
-      mix.udp += 1;
-    }
-  }
-  if (mix.total > 0) {
-    double total = static_cast<double>(mix.total);
-    mix.ipv4 /= total;
-    mix.ipv6 /= total;
-    mix.udp /= total;
-    mix.tcp /= total;
-  }
-  return mix;
 }
 
 std::map<cloud::Provider, TransportMix> ComputeTransportMixes(
@@ -355,7 +288,7 @@ std::vector<FacebookSiteStats> ComputeFacebookSites(
   std::map<std::string, SiteAccumulator> sites;
   std::vector<net::IpAddress> facebook_sources;
 
-  for (const auto& record : result.records) {
+  for (const auto& record : result.records.Flatten()) {
     if (record.server_id != server_id) continue;
     if (ProviderOfRecord(result, record) != cloud::Provider::kFacebook) {
       continue;

@@ -18,18 +18,11 @@ namespace clouddns::analysis {
 [[nodiscard]] cloud::Provider ProviderOfRecord(
     const cloud::ScenarioResult& result, const capture::CaptureRecord& record);
 
-/// Filter for one provider's records.
-[[nodiscard]] entrada::Filter FilterProvider(const cloud::ScenarioResult& result,
-                                             cloud::Provider provider);
-
-/// Per-record provider tag for AnalysisPlan: the record's source AS mapped
-/// through Table 1 (value = static_cast of cloud::Provider). Flattens the
-/// AS->provider table once instead of walking it per record. The result
-/// must outlive the returned functor.
-[[nodiscard]] entrada::TagFn ProviderTag(const cloud::ScenarioResult& result);
-/// AS-pure variant for AnalysisPlan::SetAsnTag: the plan resolves the
-/// source AS itself (via SetAsDatabase) and memoizes per source address,
-/// so the Table 1 lookup runs once per distinct resolver, not per query.
+/// Per-record provider tag for AnalysisPlan::SetAsnTag: the record's
+/// source AS mapped through Table 1 (value = static_cast of
+/// cloud::Provider). The plan resolves the source AS itself (via
+/// SetAsDatabase) and memoizes per source address, so the Table 1 lookup
+/// runs once per distinct resolver, not per query.
 [[nodiscard]] entrada::AsnTagFn ProviderAsnTag();
 /// Renders provider tags for report keys ("GOOGLE", ...).
 [[nodiscard]] entrada::TagNamer ProviderTagNamer();
@@ -80,9 +73,11 @@ struct GoogleSplit {
     const cloud::ScenarioResult& result);
 
 // ---- Figure 2 / Figure 7: RR-type mix per provider ----
-/// Keyed by the Fig. 2 categories: A, AAAA, NS, DS, DNSKEY, MX, OTHER.
-[[nodiscard]] std::map<std::string, double> ComputeRrTypeMix(
-    const cloud::ScenarioResult& result, cloud::Provider provider);
+/// Every measured provider's RR-type mix from ONE fused pass (the
+/// Fig. 2 / Fig. 7 driver), keyed by the Fig. 2 categories: A, AAAA, NS,
+/// DS, DNSKEY, MX, OTHER.
+[[nodiscard]] std::map<cloud::Provider, std::map<std::string, double>>
+ComputeRrTypeMixes(const cloud::ScenarioResult& result);
 
 // ---- Figure 3: monthly qtype series (for the Google longitudinal run) --
 struct MonthlyQtypeRow {
@@ -94,9 +89,6 @@ struct MonthlyQtypeRow {
     const cloud::ScenarioResult& result, cloud::Provider provider);
 
 // ---- Figure 4: junk ratio per provider ----
-[[nodiscard]] double ComputeJunkRatio(const cloud::ScenarioResult& result,
-                                      std::optional<cloud::Provider> provider);
-
 /// Every provider's junk ratio plus the dataset-wide ratio, from ONE
 /// fused pass over the capture (the Fig. 4 driver).
 struct JunkRatios {
@@ -110,18 +102,10 @@ struct TransportMix {
   double ipv4 = 0, ipv6 = 0, udp = 0, tcp = 0;
   std::uint64_t total = 0;
 };
-[[nodiscard]] TransportMix ComputeTransportMix(
-    const cloud::ScenarioResult& result, cloud::Provider provider);
-
 /// Every measured provider's transport mix from ONE fused pass (the
-/// Table 5 driver; the per-provider function above re-scans per call).
+/// Table 5 driver).
 [[nodiscard]] std::map<cloud::Provider, TransportMix> ComputeTransportMixes(
     const cloud::ScenarioResult& result);
-
-/// Every measured provider's RR-type mix from ONE fused pass (the
-/// Fig. 2 / Fig. 7 driver).
-[[nodiscard]] std::map<cloud::Provider, std::map<std::string, double>>
-ComputeRrTypeMixes(const cloud::ScenarioResult& result);
 
 // ---- Table 6: resolver source counts per family ----
 struct ResolverFamilyCount {

@@ -408,7 +408,7 @@ IoStatus UnwrapFrame(const std::vector<std::uint8_t>& bytes,
   if (bytes.size() < sizeof(kFrameMagic) ||
       !std::equal(std::begin(kFrameMagic), std::end(kFrameMagic),
                   bytes.begin())) {
-    return IoStatus::Ok();  // legacy unframed payload
+    return IoStatus::Ok();  // no frame magic: the caller decides
   }
   framed = true;
   std::size_t pos = sizeof(kFrameMagic);
@@ -760,14 +760,15 @@ IoStatus WriteFramedFile(const std::string& path, std::uint32_t content_tag,
 }
 
 IoStatus ReadFramedFile(const std::string& path, std::uint32_t expected_tag,
-                        std::vector<std::uint8_t>& payload, bool* framed_out) {
+                        std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> bytes;
   IoStatus status = ReadFileBytes(path, bytes);
   if (!status.ok()) return status;
   bool framed = false;
   status = UnwrapFrame(bytes, expected_tag, payload, framed);
-  if (status.ok() && !framed) payload = std::move(bytes);
-  if (framed_out != nullptr) *framed_out = framed;
+  if (status.ok() && !framed) {
+    return IoStatus::Error(IoCode::kBadFrame, "unframed file " + path);
+  }
   return status;
 }
 

@@ -13,8 +13,8 @@
 //                  wrapped around the payload codecs. Readers detect
 //                  truncation, bit flips, and cross-artifact mixups
 //                  (content tags) before a payload decoder ever runs.
-//                  Legacy unframed files pass through byte-identically,
-//                  so caches written before the framing change still load.
+//                  Unframed bytes are rejected; the cache is regenerable,
+//                  so no reader keeps a path for pre-framing files.
 //   Fault shim     a deterministic StorageFaultInjector the tests install
 //                  to produce short writes, ENOSPC, EINTR, failed fsync /
 //                  rename, and post-commit bit flips / truncation at
@@ -54,8 +54,8 @@ enum class IoCode : std::uint8_t {
   kBlockCorrupt,    ///< A block's CRC32C does not match its bytes.
   kTruncated,       ///< Frame ends before the declared payload length.
   kTrailerCorrupt,  ///< Whole-payload CRC or trailer magic mismatch.
-  kPayloadCorrupt,  ///< Framing verified (or legacy) but the payload
-                    ///< decoder rejected the bytes.
+  kPayloadCorrupt,  ///< Framing verified but the payload decoder
+                    ///< rejected the bytes.
 };
 
 [[nodiscard]] const char* ToString(IoCode code);
@@ -142,8 +142,9 @@ inline constexpr std::size_t kFrameBlockSize = 64 * 1024;
 ///     `payload` with the verified bytes (`tag_out`, if given, gets the
 ///     frame's content tag).
 ///   - Not framed (no magic): returns kOk with `framed` = false and
-///     leaves `payload` untouched — the caller treats `bytes` itself as a
-///     legacy unframed payload.
+///     leaves `payload` untouched. Only callers that accept foreign files
+///     act on this (raw libpcap import, `cdnstool verify`); ReadFramedFile
+///     turns it into kBadFrame.
 ///   - Framed but damaged or tag-mismatched: the specific error code.
 /// `expected_tag` of kTagAny accepts any content tag.
 [[nodiscard]] IoStatus UnwrapFrame(const std::vector<std::uint8_t>& bytes,
@@ -273,12 +274,11 @@ class FileWriter {
                                        std::uint32_t content_tag,
                                        const std::vector<std::uint8_t>& payload);
 
-/// Reads `path` and unwraps framing. Legacy unframed files land in
-/// `payload` byte-identically with `*framed_out` = false (when given).
+/// Reads `path` and unwraps framing. A file without the frame magic
+/// fails with kBadFrame.
 [[nodiscard]] IoStatus ReadFramedFile(const std::string& path,
                                       std::uint32_t expected_tag,
-                                      std::vector<std::uint8_t>& payload,
-                                      bool* framed_out = nullptr);
+                                      std::vector<std::uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
 // Quarantine & recovery accounting

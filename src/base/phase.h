@@ -1,20 +1,23 @@
 // Process-wide pipeline-phase accounting (the BENCH `phase_*_seconds`
-// substrate). Library layers that do attributable cold-path work — the
-// scenario setup (zone build + signing), the framed/columnar codecs, and
-// raw file I/O — book their wall time into one of three monotonically
-// increasing counters. The bench harness snapshots the counters around a
-// pipeline stage and turns the deltas into phase fields, so
-// `wall ≈ Σ phase_*_seconds` can be asserted instead of hoped for.
+// substrate). Library layers that do attributable work — the scenario
+// setup (zone build + signing), the framed/columnar codecs, raw file I/O,
+// and the capture shard merge — book their wall time into one of four
+// monotonically increasing counters. The bench harness snapshots the
+// counters around a pipeline stage and turns the deltas into phase
+// fields, so `wall ≈ Σ phase_*_seconds` can be asserted instead of hoped
+// for.
 //
-// The counters mirror capture::MergeNanos(): pure telemetry, never read by
-// simulation or analysis code, and excluded from every rendered artifact —
-// the wall-clock determinism contract is untouched.
+// The counters are pure telemetry, never read by simulation or analysis
+// code, and excluded from every rendered artifact — the wall-clock
+// determinism contract is untouched.
 //
 // Attribution rule: only the ORCHESTRATING thread's time is booked.
 // Parallel helpers (frame CRC workers, zone-signing workers) run inside a
 // timed region of their caller, so a phase delta is wall time of that
 // stage, not CPU time summed over workers. A thread-local guard makes
 // nested timers no-ops: whichever timer is outermost owns the interval.
+// A merge therefore only shows in kMerge when it runs outside the other
+// phases' timed regions (the dataset cache flattens before it encodes).
 #pragma once
 
 #include <atomic>
@@ -28,8 +31,9 @@ enum class Phase : unsigned {
   kEncode = 1,  ///< Codec work: columnar/sidecar encode+decode, frame
                 ///< wrap/unwrap incl. CRC32C.
   kIo = 2,      ///< Raw file bytes: reads, atomic writes, fsync, rename.
+  kMerge = 3,   ///< Capture shard merges (MergeShards/MergeShardsHeap).
 };
-inline constexpr unsigned kPhaseCount = 3;
+inline constexpr unsigned kPhaseCount = 4;
 
 namespace detail {
 inline std::atomic<std::uint64_t> g_phase_nanos[kPhaseCount];

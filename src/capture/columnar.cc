@@ -63,29 +63,6 @@ void PutAddress(std::vector<std::uint8_t>& out, const net::IpAddress& addr) {
   }
 }
 
-std::optional<net::IpAddress> GetAddress(const std::vector<std::uint8_t>& in,
-                                         std::size_t& pos) {
-  if (pos >= in.size()) return std::nullopt;
-  std::uint8_t family = in[pos++];
-  if (family == 4) {
-    if (pos + 4 > in.size()) return std::nullopt;
-    std::array<std::uint8_t, 4> bytes{in[pos], in[pos + 1], in[pos + 2],
-                                      in[pos + 3]};
-    pos += 4;
-    return net::IpAddress(net::Ipv4Address::FromBytes(bytes));
-  }
-  if (family == 6) {
-    if (pos + 16 > in.size()) return std::nullopt;
-    net::Ipv6Address::Bytes bytes;
-    std::copy(in.begin() + static_cast<std::ptrdiff_t>(pos),
-              in.begin() + static_cast<std::ptrdiff_t>(pos + 16),
-              bytes.begin());
-    pos += 16;
-    return net::IpAddress(net::Ipv6Address(bytes));
-  }
-  return std::nullopt;
-}
-
 /// A borrowed view of one column's bytes with a read cursor. Decoding
 /// walks raw pointers over the loaded file image instead of copying every
 /// column into its own vector first.
@@ -147,18 +124,6 @@ std::optional<std::string_view> GetStringView(Cursor& c
 void PutString(std::vector<std::uint8_t>& out, const std::string& s) {
   PutVarint(out, s.size());
   out.insert(out.end(), s.begin(), s.end());
-}
-
-// lint:allow(hot-alloc): row-wise legacy codec, off the columnar path.
-std::optional<std::string> GetString(const std::vector<std::uint8_t>& in,
-                                     std::size_t& pos) {
-  auto len = GetVarint(in, pos);
-  if (!len || pos + *len > in.size()) return std::nullopt;
-  // lint:allow(hot-alloc): see above — legacy codec only.
-  std::string s(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                in.begin() + static_cast<std::ptrdiff_t>(pos + *len));
-  pos += *len;
-  return s;
 }
 
 std::uint8_t PackFlags(const CaptureRecord& r) {
@@ -340,83 +305,6 @@ std::optional<CaptureBuffer> DecodeColumnar(
   return records;
 }
 
-std::vector<std::uint8_t> EncodeRowWise(const CaptureBuffer& records) {
-  std::vector<std::uint8_t> out;
-  PutU32(out, kMagic);
-  PutU32(out, kVersion + 0x100);  // distinct row-wise version tag
-  PutVarint(out, records.size());
-  for (const CaptureRecord& r : records) {
-    PutVarint(out, r.time_us);
-    PutVarint(out, r.server_id);
-    PutVarint(out, r.site_id);
-    PutAddress(out, r.src);
-    PutVarint(out, r.src_port);
-    out.push_back(PackFlags(r));
-    // lint:allow(hot-alloc): row-wise legacy codec, off the hot path.
-    PutString(out, r.qname.ToString());
-    PutVarint(out, static_cast<std::uint16_t>(r.qtype));
-    PutVarint(out, static_cast<std::uint8_t>(r.rcode));
-    PutVarint(out, r.edns_udp_size);
-    PutVarint(out, r.query_size);
-    PutVarint(out, r.response_size);
-    PutVarint(out, r.tcp_handshake_rtt_us);
-  }
-  return out;
-}
-
-std::optional<CaptureBuffer> DecodeRowWise(
-    const std::vector<std::uint8_t>& bytes) {
-  std::size_t pos = 0;
-  auto magic = GetU32(bytes, pos);
-  auto version = GetU32(bytes, pos);
-  if (!magic || *magic != kMagic || !version || *version != kVersion + 0x100) {
-    return std::nullopt;
-  }
-  auto count = GetVarint(bytes, pos);
-  if (!count) return std::nullopt;
-  CaptureBuffer records;
-  records.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    CaptureRecord r;
-    auto time = GetVarint(bytes, pos);
-    auto server = GetVarint(bytes, pos);
-    auto site = GetVarint(bytes, pos);
-    if (!time || !server || !site) return std::nullopt;
-    auto src = GetAddress(bytes, pos);
-    auto port = GetVarint(bytes, pos);
-    if (!src || !port || pos >= bytes.size()) return std::nullopt;
-    std::uint8_t flags = bytes[pos++];
-    auto qname_text = GetString(bytes, pos);
-    if (!qname_text) return std::nullopt;
-    auto qname = dns::Name::Parse(*qname_text);
-    if (!qname) return std::nullopt;
-    auto qtype = GetVarint(bytes, pos);
-    auto rcode = GetVarint(bytes, pos);
-    auto edns = GetVarint(bytes, pos);
-    auto qsize = GetVarint(bytes, pos);
-    auto rsize = GetVarint(bytes, pos);
-    auto rtt = GetVarint(bytes, pos);
-    if (!qtype || !rcode || !edns || !qsize || !rsize || !rtt) {
-      return std::nullopt;
-    }
-    r.time_us = *time;
-    r.server_id = static_cast<std::uint32_t>(*server);
-    r.site_id = static_cast<std::uint32_t>(*site);
-    r.src = *src;
-    r.src_port = static_cast<std::uint16_t>(*port);
-    UnpackFlags(flags, r);
-    r.qname = std::move(*qname);
-    r.qtype = static_cast<dns::RrType>(*qtype);
-    r.rcode = static_cast<dns::Rcode>(*rcode);
-    r.edns_udp_size = static_cast<std::uint16_t>(*edns);
-    r.query_size = static_cast<std::uint16_t>(*qsize);
-    r.response_size = static_cast<std::uint16_t>(*rsize);
-    r.tcp_handshake_rtt_us = static_cast<std::uint32_t>(*rtt);
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
 // lint:allow(hot-alloc): file path, once per capture file.
 base::io::IoStatus WriteCaptureFileStatus(const std::string& path,
                                           const CaptureBuffer& records) {
@@ -425,34 +313,20 @@ base::io::IoStatus WriteCaptureFileStatus(const std::string& path,
 }
 
 // lint:allow(hot-alloc): file path, once per capture file.
-bool WriteCaptureFile(const std::string& path, const CaptureBuffer& records) {
-  return WriteCaptureFileStatus(path, records).ok();
-}
-
-// lint:allow(hot-alloc): file path, once per capture file.
 base::io::IoStatus ReadCaptureFileStatus(const std::string& path,
                                          CaptureBuffer& out) {
   std::vector<std::uint8_t> payload;
-  bool framed = false;
   base::io::IoStatus status =
-      base::io::ReadFramedFile(path, base::io::kTagCapture, payload, &framed);
+      base::io::ReadFramedFile(path, base::io::kTagCapture, payload);
   if (!status.ok()) return status;
   std::optional<CaptureBuffer> decoded = DecodeColumnar(payload);
   if (!decoded) {
     return base::io::IoStatus::Error(
         base::io::IoCode::kPayloadCorrupt,
-        framed ? "columnar payload rejected inside an intact frame"
-               : "legacy unframed columnar file rejected by the decoder");
+        "columnar payload rejected inside an intact frame");
   }
   out = std::move(*decoded);
   return base::io::IoStatus::Ok();
-}
-
-// lint:allow(hot-alloc): file path, once per capture file.
-std::optional<CaptureBuffer> ReadCaptureFile(const std::string& path) {
-  CaptureBuffer records;
-  if (!ReadCaptureFileStatus(path, records).ok()) return std::nullopt;
-  return records;
 }
 
 }  // namespace clouddns::capture

@@ -26,26 +26,13 @@ namespace clouddns::capture {
 [[nodiscard]] std::optional<CaptureBuffer> DecodeColumnar(
     const std::vector<std::uint8_t>& bytes);
 
-/// Row-oriented encoding of the same records, kept for the ablation bench
-/// (bench_micro_capture): columnar should win on size for realistic traces.
-[[nodiscard]] std::vector<std::uint8_t> EncodeRowWise(
-    const CaptureBuffer& records);
-[[nodiscard]] std::optional<CaptureBuffer> DecodeRowWise(
-    const std::vector<std::uint8_t>& bytes);
-
 /// File helpers. Writes go through base::io: the columnar payload is
 /// wrapped in the checksummed frame (tag kTagCapture) and landed with
 /// write-to-temp + fsync + atomic rename. Reads verify the frame before
-/// the columnar decoder runs; legacy unframed files (pre-framing caches)
-/// still load byte-identically.
+/// the columnar decoder runs; an unframed file fails with kBadFrame.
 [[nodiscard]] base::io::IoStatus WriteCaptureFileStatus(
     const std::string& path, const CaptureBuffer& records);
 [[nodiscard]] base::io::IoStatus ReadCaptureFileStatus(const std::string& path,
                                                        CaptureBuffer& out);
-
-/// Untyped wrappers kept for callers that only need success/failure.
-bool WriteCaptureFile(const std::string& path, const CaptureBuffer& records);
-[[nodiscard]] std::optional<CaptureBuffer> ReadCaptureFile(
-    const std::string& path);
 
 }  // namespace clouddns::capture

@@ -6,45 +6,15 @@
 // of per-record allocation — runs move wholesale via move iterators.
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <iterator>
 #include <queue>
 #include <utility>
 
+#include "base/phase.h"
 #include "base/threads.h"
 
 namespace clouddns::capture {
 namespace {
-
-std::atomic<std::uint64_t> g_merge_nanos{0};
-
-/// Accumulates the wall time spent inside a merge into the process-wide
-/// counter behind MergeNanos(). Pure telemetry: the measured duration
-/// feeds BENCH_scaling.json phase fields and never influences merge
-/// output, simulation state, or report bytes.
-class MergeTimer {
- public:
-  // lint:allow(wall-clock): merge-phase bench telemetry only; the reading never reaches simulation state or rendered output
-  MergeTimer() : start_(std::chrono::steady_clock::now()) {}
-
-  ~MergeTimer() {
-    // lint:allow(wall-clock): merge-phase bench telemetry only; see constructor
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    g_merge_nanos.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()),
-        std::memory_order_relaxed);
-  }
-
-  MergeTimer(const MergeTimer&) = delete;
-  MergeTimer& operator=(const MergeTimer&) = delete;
-
- private:
-  // lint:allow(wall-clock): telemetry start timestamp for the counter above
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Merges two time-sorted buffers, `a` owning the lower shard indices, so
 /// ties go to `a` (and within `a`, existing order is kept). Instead of
@@ -144,7 +114,7 @@ void SortByTimeStable(CaptureBuffer& buffer) {
 CaptureBuffer MergeShards(std::vector<CaptureBuffer>&& shards) {
   if (shards.empty()) return {};
   if (shards.size() == 1) return std::move(shards.front());
-  MergeTimer timer;
+  base::ScopedPhaseTimer phase(base::Phase::kMerge);
   // Ladder (tournament) merge: each round pairs adjacent buffers and
   // merges the pairs concurrently; an odd trailing buffer carries over
   // unmerged. Pairing adjacents keeps lower shard indices on the left of
@@ -181,12 +151,8 @@ CaptureBuffer MergeShardsCopy(const std::vector<CaptureBuffer>& shards) {
 }
 
 CaptureBuffer MergeShardsHeap(std::vector<CaptureBuffer>&& shards) {
-  MergeTimer timer;
+  base::ScopedPhaseTimer phase(base::Phase::kMerge);
   return HeapMergeCore(std::move(shards));
-}
-
-std::uint64_t MergeNanos() {
-  return g_merge_nanos.load(std::memory_order_relaxed);
 }
 
 }  // namespace clouddns::capture

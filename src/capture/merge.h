@@ -15,10 +15,10 @@
 // The strategy adapts to the hardware: the ladder moves every record
 // ceil(lg k) times, which only pays off when its rounds overlap on real
 // cores, so a >2-way merge with a single execution lane takes the
-// single-pass cursor merge instead — same output either way.
+// single-pass cursor merge instead — same output either way. Merge time is
+// booked into base::Phase::kMerge.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "capture/record.h"
@@ -47,11 +47,5 @@ void SortByTimeStable(CaptureBuffer& buffer);
 /// equivalence tests and as the "old" side of bench_micro_merge.
 [[nodiscard]] CaptureBuffer MergeShardsHeap(
     std::vector<CaptureBuffer>&& shards);
-
-/// Cumulative wall time (nanoseconds) this process has spent inside
-/// MergeShards/MergeShardsHeap. Phase telemetry for the bench harness:
-/// a sweep point's merge cost is the delta across its analyze loop —
-/// which the sharded pipeline drives to zero.
-[[nodiscard]] std::uint64_t MergeNanos();
 
 }  // namespace clouddns::capture

@@ -269,18 +269,16 @@ base::io::IoStatus WritePcapFileStatus(const std::string& path,
   return base::io::WriteFileAtomic(path, bytes);
 }
 
-bool WritePcapFile(const std::string& path, const CaptureBuffer& records) {
-  return WritePcapFileStatus(path, records).ok();
-}
-
 base::io::IoStatus ReadPcapFileStatus(const std::string& path,
                                       CaptureBuffer& out) {
+  std::vector<std::uint8_t> bytes;
+  base::io::IoStatus status = base::io::ReadFileBytes(path, bytes);
+  if (!status.ok()) return status;
   std::vector<std::uint8_t> payload;
   bool framed = false;
-  base::io::IoStatus status =
-      base::io::ReadFramedFile(path, base::io::kTagPcap, payload, &framed);
+  status = base::io::UnwrapFrame(bytes, base::io::kTagPcap, payload, framed);
   if (!status.ok()) return status;
-  std::optional<CaptureBuffer> decoded = DecodePcap(payload);
+  std::optional<CaptureBuffer> decoded = DecodePcap(framed ? payload : bytes);
   if (!decoded) {
     return base::io::IoStatus::Error(
         base::io::IoCode::kPayloadCorrupt,
@@ -289,12 +287,6 @@ base::io::IoStatus ReadPcapFileStatus(const std::string& path,
   }
   out = std::move(*decoded);
   return base::io::IoStatus::Ok();
-}
-
-std::optional<CaptureBuffer> ReadPcapFile(const std::string& path) {
-  CaptureBuffer records;
-  if (!ReadPcapFileStatus(path, records).ok()) return std::nullopt;
-  return records;
 }
 
 }  // namespace clouddns::capture

@@ -41,14 +41,11 @@ namespace clouddns::capture {
 [[nodiscard]] base::io::IoStatus WritePcapFileStatus(
     const std::string& path, const CaptureBuffer& records, bool framed = true);
 
-/// Reads either shape: framed files are verified then unwrapped, raw
-/// libpcap files pass through as legacy payloads.
+/// Reads either shape: framed files are verified then unwrapped; an
+/// unframed file is decoded as raw libpcap (tcpdump captures for
+/// `cdnstool import-pcap`). This is the only reader that accepts
+/// unframed bytes.
 [[nodiscard]] base::io::IoStatus ReadPcapFileStatus(const std::string& path,
                                                     CaptureBuffer& out);
-
-/// Untyped wrappers kept for callers that only need success/failure.
-bool WritePcapFile(const std::string& path, const CaptureBuffer& records);
-[[nodiscard]] std::optional<CaptureBuffer> ReadPcapFile(
-    const std::string& path);
 
 }  // namespace clouddns::capture

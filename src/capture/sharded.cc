@@ -84,22 +84,6 @@ CaptureBuffer ShardedCapture::TakeFlat() && {
   return out;
 }
 
-void ShardedCapture::push_back(CaptureRecord record) {
-  if (shards_.size() > 1) {
-    // Collapse to the flattened stream first: appending to a multi-shard
-    // view must behave exactly like appending to its Flatten() result.
-    CaptureBuffer flat =
-        flat_valid_ ? std::move(flat_) : MergeShards(std::move(shards_));
-    shards_.clear();
-    shards_.push_back(std::move(flat));
-  }
-  if (shards_.empty()) shards_.emplace_back();
-  shards_.front().push_back(std::move(record));
-  size_ = shards_.front().size();
-  flat_valid_ = false;
-  CaptureBuffer().swap(flat_);
-}
-
 std::vector<std::uint32_t> ShardedCapture::MergeOrderShardIds() const {
   std::vector<std::uint32_t> ids;
   ids.reserve(size_);
@@ -160,11 +144,6 @@ base::io::IoStatus WriteShardIndexStatus(const std::string& path,
 }
 
 // lint:allow(hot-alloc): cache sidecar path string — cold I/O, not the scan loop
-bool WriteShardIndex(const std::string& path, const ShardedCapture& capture) {
-  return WriteShardIndexStatus(path, capture).ok();
-}
-
-// lint:allow(hot-alloc): cache sidecar path string — cold I/O, not the scan loop
 ShardedCapture ReshardFromIndex(const std::string& path, CaptureBuffer flat,
                                 base::io::IoStatus* status_out) {
   base::io::IoStatus local_status;
@@ -176,8 +155,8 @@ ShardedCapture ReshardFromIndex(const std::string& path, CaptureBuffer flat,
   if (!status.ok()) return ShardedCapture(std::move(flat));
 
   // From here down every malformation is payload-level corruption: the
-  // frame (if any) verified, but the shard-index bytes inside do not
-  // describe `flat`.
+  // frame verified, but the shard-index bytes inside do not describe
+  // `flat`.
   status = base::io::IoStatus::Error(
       base::io::IoCode::kPayloadCorrupt,
       "shard index payload malformed or mismatched against the capture");

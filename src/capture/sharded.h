@@ -4,10 +4,11 @@
 // day-bucketing) only need per-record access in any deterministic order,
 // so they scan the shard buffers in place and never pay the K-way merge or
 // the merged-buffer allocation. Consumers that genuinely need the single
-// time-ordered stream — pcap/columnar export, row-wise encode, rank
-// sketches — ask for Flatten(), which merges once under the existing
-// (time, shard index, within-shard order) contract and memoizes the
-// result.
+// time-ordered stream — pcap/columnar export, rank sketches, per-record
+// loops over the whole capture — ask for Flatten() by name, which merges
+// once under the (time, shard index, within-shard order) contract and
+// memoizes the result. There is no implicit conversion or vector-style
+// accessor: every merge is visible at its call site.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,8 @@ class ShardedCapture {
   ShardedCapture() = default;
 
   /// Wraps an already-flat (merged or externally loaded) buffer as a
-  /// single-shard view. Implicit on purpose: a plain CaptureBuffer is a
-  /// valid degenerate sharding, which keeps file loads and hand-built
-  /// test fixtures source-compatible.
-  ShardedCapture(CaptureBuffer flat);  // NOLINT(google-explicit-constructor)
+  /// single-shard view — a valid degenerate sharding.
+  explicit ShardedCapture(CaptureBuffer flat);
 
   /// Adopts per-shard buffers from the scenario engine. Each buffer must
   /// already be time-sorted (the engine's per-shard harvest contract);
@@ -56,30 +55,6 @@ class ShardedCapture {
   /// Destructively extracts the flattened stream (moves records out).
   [[nodiscard]] CaptureBuffer TakeFlat() &&;
 
-  /// Compatibility bridge for APIs taking `const CaptureBuffer&`
-  /// (CountBy, WriteCaptureFile, ...). Flattens — prefer shard-wise
-  /// iteration in anything hot.
-  operator const CaptureBuffer&() const {  // NOLINT
-    return Flatten();
-  }
-
-  // Vector-style access in flattened (time, shard) order.
-  [[nodiscard]] CaptureBuffer::const_iterator begin() const {
-    return Flatten().begin();
-  }
-  [[nodiscard]] CaptureBuffer::const_iterator end() const {
-    return Flatten().end();
-  }
-  [[nodiscard]] const CaptureRecord& operator[](std::size_t index) const {
-    return Flatten()[index];
-  }
-  [[nodiscard]] const CaptureRecord& front() const { return Flatten().front(); }
-  [[nodiscard]] const CaptureRecord& back() const { return Flatten().back(); }
-
-  /// Appends a record, collapsing to a single-shard view first if needed.
-  /// Fixture-building convenience; the engine never appends post-merge.
-  void push_back(CaptureRecord record);
-
   /// Streams compare in flattened order: two captures are equal when they
   /// yield the same time-ordered record sequence, regardless of how the
   /// records are distributed across shards.
@@ -105,16 +80,15 @@ class ShardedCapture {
 /// rebuild the exact shard structure.
 [[nodiscard]] base::io::IoStatus WriteShardIndexStatus(
     const std::string& path, const ShardedCapture& capture);
-bool WriteShardIndex(const std::string& path, const ShardedCapture& capture);
 
 /// Re-partitions a flat, merge-ordered buffer into the shard structure
 /// recorded at `path`. Each shard subsequence of the sorted stream is
 /// itself sorted, so re-merging reproduces `flat` byte-for-byte. Returns a
-/// single-shard view when the sidecar is missing, malformed, or does not
-/// match `flat` (older caches keep working, just without scan parallelism).
-/// Legacy unframed sidecars still parse. When `status_out` is given it
-/// reports WHY a fallback happened — kNotFound (no sidecar; benign) vs a
-/// corruption code (the dataset cache quarantines on those).
+/// single-shard view when the sidecar is missing, unframed, malformed, or
+/// does not match `flat`. When `status_out` is given it reports WHY a
+/// fallback happened — kNotFound (no sidecar) vs a corruption code (the
+/// dataset cache quarantines on those). Either way the dataset cache
+/// rebuilds the dataset rather than serve the single-shard view.
 [[nodiscard]] ShardedCapture ReshardFromIndex(
     const std::string& path, CaptureBuffer flat,
     base::io::IoStatus* status_out = nullptr);

@@ -155,8 +155,9 @@ TEST(DatasetCacheTest, QueryBudgetEnvOverride) {
 TEST(ExperimentsTest, EdnsStatsOnSyntheticRecords) {
   cloud::ScenarioResult result;
   cloud::RegisterProviderAses(result.asdb);
-  auto add = [&result](const char* src, std::uint16_t edns, bool tc,
-                       dns::Transport transport) {
+  capture::CaptureBuffer records;
+  auto add = [&records](const char* src, std::uint16_t edns, bool tc,
+                        dns::Transport transport) {
     capture::CaptureRecord r;
     r.src = *net::IpAddress::Parse(src);
     r.qname = *dns::Name::Parse("x.nl");
@@ -164,13 +165,14 @@ TEST(ExperimentsTest, EdnsStatsOnSyntheticRecords) {
     r.has_edns = edns > 0;
     r.edns_udp_size = edns;
     r.tc = tc;
-    result.records.push_back(std::move(r));
+    records.push_back(std::move(r));
   };
   // Facebook: 2 x 512 (one truncated), 1 x 4096, 1 TCP.
   add("66.220.144.1", 512, true, dns::Transport::kUdp);
   add("66.220.144.2", 512, false, dns::Transport::kUdp);
   add("66.220.144.3", 4096, false, dns::Transport::kUdp);
   add("66.220.144.3", 4096, false, dns::Transport::kTcp);
+  result.records = capture::ShardedCapture(std::move(records));
 
   auto stats = ComputeEdnsStats(result, cloud::Provider::kFacebook);
   EXPECT_NEAR(stats.fraction_at_512, 2.0 / 3.0, 1e-9);
@@ -184,12 +186,13 @@ TEST(ExperimentsTest, TransportMixOnSyntheticRecords) {
   capture::CaptureRecord r;
   r.qname = *dns::Name::Parse("x.nl");
   r.src = *net::IpAddress::Parse("8.8.8.8");
-  result.records.push_back(r);
+  capture::CaptureBuffer records = {r};
   r.src = *net::IpAddress::Parse("2001:4860:1000::1");
   r.transport = dns::Transport::kTcp;
-  result.records.push_back(r);
+  records.push_back(r);
+  result.records = capture::ShardedCapture(std::move(records));
 
-  auto mix = ComputeTransportMix(result, cloud::Provider::kGoogle);
+  auto mix = ComputeTransportMixes(result)[cloud::Provider::kGoogle];
   EXPECT_EQ(mix.total, 2u);
   EXPECT_DOUBLE_EQ(mix.ipv4, 0.5);
   EXPECT_DOUBLE_EQ(mix.ipv6, 0.5);

@@ -30,10 +30,10 @@ std::string TempPath(const char* name) {
 TEST(ContextCacheTest, RoundTripsEveryContextField) {
   auto original = cloud::RunScenario(SmallConfig());
   const std::string path = TempPath("clouddns_ctx_roundtrip.ctx");
-  ASSERT_TRUE(SaveScenarioContext(path, original));
+  ASSERT_TRUE(SaveScenarioContextStatus(path, original).ok());
 
   cloud::ScenarioResult loaded;
-  ASSERT_TRUE(LoadScenarioContext(path, loaded));
+  ASSERT_TRUE(LoadScenarioContextStatus(path, loaded).ok());
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.window_start, original.window_start);
@@ -59,8 +59,9 @@ TEST(ContextCacheTest, RoundTripsEveryContextField) {
     EXPECT_EQ(loaded_as[i].org, original_as[i].org);
   }
   // Spot-check that lookups behave identically on real capture sources.
-  for (std::size_t i = 0; i < original.records.size(); i += 997) {
-    const auto& src = original.records[i].src;
+  const capture::CaptureBuffer& records = original.records.Flatten();
+  for (std::size_t i = 0; i < records.size(); i += 997) {
+    const auto& src = records[i].src;
     EXPECT_EQ(loaded.asdb.OriginAs(src), original.asdb.OriginAs(src));
     EXPECT_EQ(loaded.google_public.Lookup(src),
               original.google_public.Lookup(src));
@@ -82,15 +83,17 @@ TEST(ContextCacheTest, RoundTripsEveryContextField) {
 
 TEST(ContextCacheTest, RejectsMissingAndTruncatedFiles) {
   cloud::ScenarioResult result;
-  EXPECT_FALSE(LoadScenarioContext(TempPath("clouddns_ctx_missing.ctx"),
-                                   result));
+  EXPECT_EQ(
+      LoadScenarioContextStatus(TempPath("clouddns_ctx_missing.ctx"), result)
+          .code,
+      base::io::IoCode::kNotFound);
 
   auto original = cloud::RunScenario(SmallConfig());
   const std::string path = TempPath("clouddns_ctx_truncated.ctx");
-  ASSERT_TRUE(SaveScenarioContext(path, original));
+  ASSERT_TRUE(SaveScenarioContextStatus(path, original).ok());
   auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
-  EXPECT_FALSE(LoadScenarioContext(path, result));
+  EXPECT_FALSE(LoadScenarioContextStatus(path, result).ok());
   std::remove(path.c_str());
 }
 
@@ -111,8 +114,9 @@ TEST(ContextCacheTest, CacheHitMatchesThePopulatingRun) {
             second.client_queries_per_provider);
   EXPECT_EQ(first.zone_domains_by_tld, second.zone_domains_by_tld);
   EXPECT_EQ(first.asdb.announcements(), second.asdb.announcements());
-  for (std::size_t i = 0; i < first.records.size(); i += 991) {
-    const auto& src = first.records[i].src;
+  const capture::CaptureBuffer& records = first.records.Flatten();
+  for (std::size_t i = 0; i < records.size(); i += 991) {
+    const auto& src = records[i].src;
     EXPECT_EQ(first.asdb.OriginAs(src), second.asdb.OriginAs(src));
   }
 }

@@ -1,14 +1,17 @@
 // End-to-end storage robustness for the self-healing dataset cache
 // (DESIGN.md §14).
 //
-// Two suites:
+// Three suites:
 //   - The corruption matrix: truncated / bit-flipped / zero-length /
-//     legacy-format damage to each cached artifact (columnar capture,
-//     `.ctx` context sidecar, `.shards` shard index), each loaded at
-//     1/2/4/8 worker threads. Every combination must either fall back
-//     (legacy) or quarantine-and-rebuild, and the analysis report
-//     rendered from the result must stay byte-identical to the
+//     unframed damage to each cached artifact (columnar capture, `.ctx`
+//     context sidecar, `.shards` shard index), each loaded at 1/2/4/8
+//     worker threads. Every combination must quarantine-and-rebuild, and
+//     the report rendered from the result — capture analytics plus the
+//     context's query accounting — must stay byte-identical to the
 //     fault-free baseline.
+//   - Lost artifacts: a deleted or corrupted `.ctx` or `.shards` must
+//     come back with cold-identical accounting and shard structure, and
+//     be written again.
 //   - The seeded fault sweep: all nine StorageFaultKind values injected
 //     across the columnar, pcap, sidecar, and cache write paths. Zero
 //     crashes, every silent corruption detected and quarantined on the
@@ -58,10 +61,9 @@ std::string ScratchDir(const char* name) {
 }
 
 /// The analysis-report view of a result: everything a paper figure would
-/// consume, rendered deterministically from the capture stream. Context
-/// counters are deliberately excluded — a quarantined `.ctx` sidecar is
-/// rebuilt with a traffic-free run, which resets query-issue accounting
-/// (the pre-framing cache had the same contract for missing sidecars).
+/// consume, rendered deterministically from the capture stream and the
+/// context's query accounting (Table 3's client-query, upstream and leaf
+/// columns).
 std::string ReportDigest(const cloud::ScenarioResult& result,
                          std::size_t threads) {
   entrada::AnalysisPlan plan;
@@ -85,17 +87,26 @@ std::string ReportDigest(const cloud::ScenarioResult& result,
   for (const auto& [key, n] : plan.GroupResult(by_rcode).counts) {
     out << "rcode " << key << " " << n << "\n";
   }
+  out << "issued " << result.client_queries_issued << "\n";
+  out << "leaf " << result.leaf_queries << "\n";
+  for (const auto& [provider, n] : result.client_queries_per_provider) {
+    out << "provider " << provider << " " << n << "\n";
+  }
+  const cloud::RobustnessCounters& robust = result.robustness;
+  out << "robust " << robust.upstream_queries << " " << robust.retransmits
+      << " " << robust.timeouts << " " << robust.failovers << " "
+      << robust.served_stale << "\n";
   return out.str();
 }
 
-enum class Damage { kTruncate, kBitFlip, kZeroLength, kLegacy };
+enum class Damage { kTruncate, kBitFlip, kZeroLength, kUnframed };
 
 const char* ToString(Damage damage) {
   switch (damage) {
     case Damage::kTruncate: return "truncate";
     case Damage::kBitFlip: return "bit-flip";
     case Damage::kZeroLength: return "zero-length";
-    case Damage::kLegacy: return "legacy-format";
+    case Damage::kUnframed: return "unframed";
   }
   return "unknown";
 }
@@ -121,7 +132,7 @@ void InflictDamage(const std::string& path, Damage damage) {
       ASSERT_FALSE(ec) << path;
       return;
     }
-    case Damage::kLegacy: {
+    case Damage::kUnframed: {
       // What a pre-framing cache looks like: the bare payload on disk.
       std::vector<std::uint8_t> payload;
       bool framed = false;
@@ -129,7 +140,7 @@ void InflictDamage(const std::string& path, Damage damage) {
           base::io::UnwrapFrame(bytes, base::io::kTagAny, payload, framed)
               .ok())
           << path;
-      ASSERT_TRUE(framed) << path << " must be framed before legacy-stripping";
+      ASSERT_TRUE(framed) << path << " must be framed before stripping";
       ASSERT_TRUE(base::io::WriteFileAtomic(path, payload).ok()) << path;
       return;
     }
@@ -175,53 +186,38 @@ TEST(StorageCorruptionMatrixTest, EveryArtifactDamageThreadComboRecovers) {
                    {"context", context_path},
                    {"shard-index", shard_path}};
   const Damage damages[] = {Damage::kTruncate, Damage::kBitFlip,
-                            Damage::kZeroLength, Damage::kLegacy};
+                            Damage::kZeroLength, Damage::kUnframed};
 
   for (const auto& artifact : artifacts) {
     for (Damage damage : damages) {
       for (std::size_t threads : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE(std::string(artifact.name) + " x " + ToString(damage) +
                      " x threads=" + std::to_string(threads));
-        // A legacy artifact is valid and is intentionally NOT rewritten
-        // by a warm load, so it stays legacy across the thread loop;
-        // every other damage kind is re-inflicted on the artifact the
-        // previous recovery rebuilt.
-        if (damage != Damage::kLegacy || threads == 1) {
-          InflictDamage(artifact.path, damage);
-          if (::testing::Test::HasFatalFailure()) return;
-        }
+        // Each recovery rewrites the artifact framed, so the damage is
+        // re-inflicted on what the previous recovery rebuilt.
+        InflictDamage(artifact.path, damage);
+        if (::testing::Test::HasFatalFailure()) return;
 
         auto run_config = SmallConfig(threads);
         const cloud::ScenarioResult result = LoadOrRun(run_config, dir);
         EXPECT_EQ(ReportDigest(result, threads), baseline);
         EXPECT_EQ(result.records.MergeOrderShardIds(), baseline_shard_ids);
-        if (damage == Damage::kLegacy) {
-          EXPECT_EQ(result.storage.detected, 0u);
-          EXPECT_EQ(result.storage.quarantined, 0u);
-        } else {
-          EXPECT_EQ(result.storage.detected, 1u);
-          EXPECT_EQ(result.storage.quarantined, 1u);
-          EXPECT_GE(result.storage.rebuilt, 1u);
-          EXPECT_GE(result.storage.reverified, 1u);
-          EXPECT_TRUE(fs::exists(dir + "/.quarantine"));
-        }
-      }
-      // Leave the tree healthy (framed) for the next damage kind: legacy
-      // artifacts load without a rewrite, so restore them explicitly.
-      if (damage == Damage::kLegacy) {
-        fs::remove(artifact.path);
-        (void)LoadOrRun(config, dir);
+        EXPECT_EQ(result.storage.detected, 1u);
+        EXPECT_EQ(result.storage.quarantined, 1u);
+        EXPECT_EQ(result.storage.rebuilt, 1u);
+        EXPECT_EQ(result.storage.reverified, 1u);
       }
     }
   }
 
-  // Quarantine holds one artifact + one reason breadcrumb per detection.
+  // Quarantine holds one artifact + one reason breadcrumb per detection:
+  // 3 artifacts x 4 damages x 4 thread counts.
   std::size_t quarantined_files = 0;
   for (const auto& entry : fs::directory_iterator(dir + "/.quarantine")) {
     (void)entry;
     ++quarantined_files;
   }
-  EXPECT_GE(quarantined_files, 2u * 3u * 3u * 4u);  // 3 artifacts x 3 damages
+  EXPECT_EQ(quarantined_files, 2u * 3u * 4u * 4u);
   fs::remove_all(dir);
 }
 
@@ -236,6 +232,74 @@ TEST(StorageCorruptionMatrixTest, StrandedTempFilesAreSweptOnOpen) {
   const cloud::ScenarioResult result = LoadOrRun(SmallConfig(), dir);
   EXPECT_EQ(result.storage.tmp_cleaned, 1u);
   EXPECT_FALSE(fs::exists(dir + "/crashed_writer.cdns.tmp"));
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Lost artifacts: a missing or corrupt sidecar means a full cold rebuild.
+
+void ExpectColdAccounting(const cloud::ScenarioResult& result,
+                          const cloud::ScenarioResult& cold) {
+  EXPECT_EQ(result.client_queries_issued, cold.client_queries_issued);
+  EXPECT_EQ(result.leaf_queries, cold.leaf_queries);
+  EXPECT_EQ(result.client_queries_per_provider,
+            cold.client_queries_per_provider);
+  EXPECT_EQ(result.robustness, cold.robustness);
+}
+
+TEST(StorageLostArtifactTest, ContextComesBackWithColdAccounting) {
+  const std::string dir = ScratchDir("clouddns_storage_lost_context");
+  fs::remove_all(dir);
+  auto config = SmallConfig();
+  config.client_queries = EffectiveQueryBudget(config.client_queries);
+  const std::string context_path = dir + "/" + CacheKey(config) + ".ctx";
+
+  const cloud::ScenarioResult cold = LoadOrRun(config, dir);
+  ASSERT_GT(cold.client_queries_issued, 0u);
+  ASSERT_GT(cold.leaf_queries, 0u);
+  for (bool corrupt : {false, true}) {
+    SCOPED_TRACE(corrupt ? "corrupted .ctx" : "deleted .ctx");
+    if (corrupt) {
+      InflictDamage(context_path, Damage::kBitFlip);
+      if (::testing::Test::HasFatalFailure()) return;
+    } else {
+      ASSERT_TRUE(fs::remove(context_path));
+    }
+    const cloud::ScenarioResult rebuilt = LoadOrRun(config, dir);
+    ExpectColdAccounting(rebuilt, cold);
+    EXPECT_EQ(rebuilt.storage.detected, corrupt ? 1u : 0u);
+    ASSERT_TRUE(fs::exists(context_path));
+
+    // The rewritten sidecar serves the next load warm.
+    const cloud::ScenarioResult warm = LoadOrRun(config, dir);
+    ExpectColdAccounting(warm, cold);
+    EXPECT_EQ(warm.storage.detected, 0u);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(StorageLostArtifactTest, ShardIndexComesBackWithColdShardStructure) {
+  const std::string dir = ScratchDir("clouddns_storage_lost_shards");
+  fs::remove_all(dir);
+  auto config = SmallConfig();
+  config.client_queries = EffectiveQueryBudget(config.client_queries);
+  const std::string shard_path = dir + "/" + CacheKey(config) + ".shards";
+
+  const cloud::ScenarioResult cold = LoadOrRun(config, dir);
+  ASSERT_EQ(cold.records.shard_count(), config.shards);
+  ASSERT_TRUE(fs::remove(shard_path));
+
+  const cloud::ScenarioResult rebuilt = LoadOrRun(config, dir);
+  EXPECT_EQ(rebuilt.records.shard_count(), config.shards);
+  EXPECT_EQ(rebuilt.records.MergeOrderShardIds(),
+            cold.records.MergeOrderShardIds());
+  ExpectColdAccounting(rebuilt, cold);
+  EXPECT_TRUE(fs::exists(shard_path));
+
+  const cloud::ScenarioResult warm = LoadOrRun(config, dir);
+  EXPECT_EQ(warm.records.shard_count(), config.shards);
+  EXPECT_EQ(warm.records.MergeOrderShardIds(),
+            cold.records.MergeOrderShardIds());
   fs::remove_all(dir);
 }
 
@@ -275,10 +339,13 @@ TEST(StorageFaultSweepTest, AllNineFaultKindsRecoverByteIdentically) {
   EXPECT_FALSE(fs::exists(shard_path));
   EXPECT_FALSE(fs::exists(capture_path + ".tmp"));
 
-  // --- Phase 2: the missing context sidecar is re-saved on each warm
-  // load; fail that save three more distinct ways. Results stay correct.
+  // --- Phase 2: a missing artifact means a full rebuild that rewrites
+  // all three, so each load retries the context write; fail it three more
+  // distinct ways. The shard index lands on the first rebuild, and every
+  // result, accounting included, stays correct.
   injector.Add({".ctx", base::io::StorageFaultKind::kRenameFail});
   EXPECT_EQ(ReportDigest(LoadOrRun(config, dir), 2), baseline);
+  EXPECT_TRUE(fs::exists(shard_path));
   injector.Add({".ctx", base::io::StorageFaultKind::kOpenFail});
   EXPECT_EQ(ReportDigest(LoadOrRun(config, dir), 2), baseline);
   injector.Add({".ctx", base::io::StorageFaultKind::kShortWrite});

@@ -175,7 +175,8 @@ TEST(FrameTest, LegacyBytesPassThroughUntouched) {
   const IoStatus status = UnwrapFrame(legacy, kTagCapture, out, framed);
   EXPECT_TRUE(status.ok());
   EXPECT_FALSE(framed);
-  // The caller keeps using `legacy` itself; `out` must not be clobbered.
+  // The caller decides what unframed bytes mean (raw pcap import,
+  // `cdnstool verify`); `out` must not be clobbered.
   EXPECT_EQ(out, Bytes("sentinel"));
 }
 
@@ -261,10 +262,12 @@ TEST(FileWriterTest, FramedFileRoundTripsThroughDisk) {
   ASSERT_TRUE(WriteFramedFile(path, kTagContext, payload).ok());
 
   std::vector<std::uint8_t> out;
-  bool framed = false;
-  ASSERT_TRUE(ReadFramedFile(path, kTagContext, out, &framed).ok());
-  EXPECT_TRUE(framed);
+  ASSERT_TRUE(ReadFramedFile(path, kTagContext, out).ok());
   EXPECT_EQ(out, payload);
+
+  // The same payload without its frame is rejected, not passed through.
+  ASSERT_TRUE(WriteFileAtomic(path, payload).ok());
+  EXPECT_EQ(ReadFramedFile(path, kTagContext, out).code, IoCode::kBadFrame);
   fs::remove(path);
 }
 
@@ -353,13 +356,10 @@ TEST(StorageFaultTest, PostCommitFaultsAreSilentUntilTheNextRead) {
     // The read path is what must notice.
     std::vector<std::uint8_t> out;
     const IoStatus status = ReadFramedFile(path, kTagCapture, out);
+    EXPECT_FALSE(status.ok()) << ToString(c.kind);
     if (c.kind == StorageFaultKind::kZeroAfterCommit) {
-      // An emptied file has no magic: it degrades to an (empty) legacy
-      // payload; the payload decoder above this layer rejects it.
-      EXPECT_TRUE(status.ok()) << status.ToString();
-      EXPECT_TRUE(out.empty());
-    } else {
-      EXPECT_FALSE(status.ok()) << ToString(c.kind);
+      // An emptied file has no frame magic.
+      EXPECT_EQ(status.code, IoCode::kBadFrame);
     }
   }
   fs::remove(path);

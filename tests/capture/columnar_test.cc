@@ -96,16 +96,6 @@ TEST(ColumnarTest, OutOfOrderTimestampsSurvive) {
   EXPECT_EQ((*back)[1].time_us, 1'000'000u);
 }
 
-TEST(ColumnarTest, DictionaryCompressionBeatsRowWise) {
-  // Realistic skew: few resolvers, few names, many records.
-  CaptureBuffer records;
-  for (int i = 0; i < 5000; ++i) records.push_back(SampleRecord(i));
-  auto columnar = EncodeColumnar(records);
-  auto row = EncodeRowWise(records);
-  EXPECT_LT(static_cast<double>(columnar.size()),
-            static_cast<double>(row.size()) * 0.7);
-}
-
 TEST(ColumnarTest, RejectsCorruptedHeader) {
   CaptureBuffer records = {SampleRecord(0)};
   auto bytes = EncodeColumnar(records);
@@ -135,33 +125,21 @@ TEST(ColumnarTest, FuzzedInputNeverCrashes) {
   }
 }
 
-TEST(RowWiseTest, RoundTrips) {
-  CaptureBuffer records;
-  for (int i = 0; i < 100; ++i) records.push_back(SampleRecord(i));
-  auto back = DecodeRowWise(EncodeRowWise(records));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, records);
-}
-
-TEST(RowWiseTest, FormatsAreNotInterchangeable) {
-  CaptureBuffer records = {SampleRecord(0)};
-  EXPECT_FALSE(DecodeColumnar(EncodeRowWise(records)).has_value());
-  EXPECT_FALSE(DecodeRowWise(EncodeColumnar(records)).has_value());
-}
-
 TEST(CaptureFileTest, WriteAndReadBack) {
   CaptureBuffer records;
   for (int i = 0; i < 200; ++i) records.push_back(SampleRecord(i));
   std::string path = ::testing::TempDir() + "/capture_test.cdns";
-  ASSERT_TRUE(WriteCaptureFile(path, records));
-  auto back = ReadCaptureFile(path);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, records);
+  ASSERT_TRUE(WriteCaptureFileStatus(path, records).ok());
+  CaptureBuffer back;
+  ASSERT_TRUE(ReadCaptureFileStatus(path, back).ok());
+  EXPECT_EQ(back, records);
   std::remove(path.c_str());
 }
 
-TEST(CaptureFileTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(ReadCaptureFile("/nonexistent/path/x.cdns").has_value());
+TEST(CaptureFileTest, MissingFileReportsNotFound) {
+  CaptureBuffer back;
+  EXPECT_EQ(ReadCaptureFileStatus("/nonexistent/path/x.cdns", back).code,
+            base::io::IoCode::kNotFound);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "base/phase.h"
+
 namespace clouddns::capture {
 namespace {
 
@@ -139,14 +141,16 @@ TEST(MergeTest, MergeShardsCopyLeavesInputsIntact) {
 }
 
 TEST(MergeTest, MergeNanosAccumulates) {
-  const std::uint64_t before = MergeNanos();
+  // Merges book into the kMerge phase counter (run outside any other
+  // phase timer, so the nesting guard does not swallow them).
+  const std::uint64_t before = base::PhaseNanos(base::Phase::kMerge);
   std::vector<CaptureBuffer> shards(2);
   for (std::uint32_t i = 0; i < 5000; ++i) {
     shards[i % 2].push_back(At(i, i));
   }
   auto merged = MergeShards(std::move(shards));
   ASSERT_EQ(merged.size(), 5000u);
-  EXPECT_GT(MergeNanos(), before);
+  EXPECT_GT(base::PhaseNanos(base::Phase::kMerge), before);
 }
 
 TEST(MergeTest, AppendBufferMovesAll) {

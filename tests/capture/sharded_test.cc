@@ -1,6 +1,6 @@
 // ShardedCapture contract tests: flatten ordering on (time, shard) ties,
-// single-shard identity, the compat shims, and the `.shards` sidecar
-// round trip with clean fallback on every malformed-input shape.
+// single-shard identity, and the `.shards` sidecar round trip with a
+// typed status and clean fallback on every malformed-input shape.
 #include "capture/sharded.h"
 
 #include <gtest/gtest.h>
@@ -66,24 +66,6 @@ TEST(ShardedCaptureTest, SingleShardViewIsZeroCost) {
   EXPECT_EQ(capture.Flatten().data(), data);
 }
 
-TEST(ShardedCaptureTest, VectorStyleShimsIterateFlattenedOrder) {
-  std::vector<CaptureBuffer> shards(2);
-  shards[0] = {At(20, 1)};
-  shards[1] = {At(10, 0)};
-  auto capture = ShardedCapture::FromShards(std::move(shards));
-  EXPECT_EQ(capture.front().src_port, 0);
-  EXPECT_EQ(capture.back().src_port, 1);
-  EXPECT_EQ(capture[0].src_port, 0);
-  std::size_t n = 0;
-  sim::TimeUs last = 0;
-  for (const auto& record : capture) {
-    EXPECT_GE(record.time_us, last);
-    last = record.time_us;
-    ++n;
-  }
-  EXPECT_EQ(n, 2u);
-}
-
 TEST(ShardedCaptureTest, EqualityComparesFlattenedStreams) {
   std::vector<CaptureBuffer> two(2);
   two[0] = {At(1, 0)};
@@ -106,17 +88,6 @@ TEST(ShardedCaptureTest, TakeFlatMatchesFlattenAndEmptiesView) {
   EXPECT_TRUE(capture.empty());  // NOLINT(bugprone-use-after-move)
 }
 
-TEST(ShardedCaptureTest, PushBackCollapsesAndAppends) {
-  std::vector<CaptureBuffer> shards(2);
-  shards[0] = {At(1, 0)};
-  shards[1] = {At(2, 1)};
-  auto capture = ShardedCapture::FromShards(std::move(shards));
-  capture.push_back(At(3, 2));
-  EXPECT_EQ(capture.shard_count(), 1u);
-  ASSERT_EQ(capture.size(), 3u);
-  EXPECT_EQ(capture[2].src_port, 2);
-}
-
 TEST(ShardedCaptureTest, SidecarRoundTripRestoresShardStructure) {
   std::vector<CaptureBuffer> shards(4);
   shards[0] = {At(10, 0), At(40, 1)};
@@ -124,7 +95,7 @@ TEST(ShardedCaptureTest, SidecarRoundTripRestoresShardStructure) {
   shards[3] = {At(30, 30)};
   auto original = ShardedCapture::FromShards(std::move(shards));
   const std::string path = TempPath("roundtrip.shards");
-  ASSERT_TRUE(WriteShardIndex(path, original));
+  ASSERT_TRUE(WriteShardIndexStatus(path, original).ok());
 
   auto restored = ReshardFromIndex(path, original.FlattenCopy());
   ASSERT_EQ(restored.shard_count(), original.shard_count());
@@ -149,7 +120,7 @@ TEST(ShardedCaptureTest, MismatchedSidecarFallsBackToSingleShard) {
   shards[1] = {At(2, 1)};
   auto original = ShardedCapture::FromShards(std::move(shards));
   const std::string path = TempPath("mismatch.shards");
-  ASSERT_TRUE(WriteShardIndex(path, original));
+  ASSERT_TRUE(WriteShardIndexStatus(path, original).ok());
 
   // A flat buffer with a different record count must be rejected.
   CaptureBuffer wrong = {At(1, 0)};
@@ -165,7 +136,7 @@ TEST(ShardedCaptureTest, TruncatedSidecarFallsBackToSingleShard) {
   shards[1] = {At(2, 1)};
   auto original = ShardedCapture::FromShards(std::move(shards));
   const std::string path = TempPath("truncated.shards");
-  ASSERT_TRUE(WriteShardIndex(path, original));
+  ASSERT_TRUE(WriteShardIndexStatus(path, original).ok());
   // Truncate the file mid-payload.
   if (std::FILE* f = std::fopen(path.c_str(), "rb+")) {
     std::fclose(f);
@@ -184,7 +155,9 @@ TEST(ShardedCaptureTest, GarbageSidecarFallsBackToSingleShard) {
     std::fclose(f);
   }
   CaptureBuffer flat = {At(1, 0)};
-  auto restored = ReshardFromIndex(path, std::move(flat));
+  base::io::IoStatus status;
+  auto restored = ReshardFromIndex(path, std::move(flat), &status);
+  EXPECT_EQ(status.code, base::io::IoCode::kBadFrame);
   EXPECT_EQ(restored.shard_count(), 1u);
   EXPECT_EQ(restored.size(), 1u);
   std::remove(path.c_str());
@@ -204,7 +177,7 @@ TEST(ShardedCaptureTest, ReshardedShardsRemergeByteIdentically) {
   }
   auto original = ShardedCapture::FromShards(std::move(shards));
   const std::string path = TempPath("remerge.shards");
-  ASSERT_TRUE(WriteShardIndex(path, original));
+  ASSERT_TRUE(WriteShardIndexStatus(path, original).ok());
   auto restored = ReshardFromIndex(path, original.FlattenCopy());
   EXPECT_EQ(restored.Flatten(), original.Flatten());
   std::remove(path.c_str());

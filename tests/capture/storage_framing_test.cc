@@ -1,8 +1,8 @@
 // On-disk integrity contract for every capture-layer artifact (DESIGN.md
-// §14): framed writes round-trip, legacy unframed files from before the
-// framing change still load byte-identically, and cross-artifact mixups
-// (a sidecar renamed over a capture) are rejected by content tag before a
-// payload decoder ever sees the bytes.
+// §14): framed writes round-trip, unframed files are rejected with
+// kBadFrame (only the pcap reader accepts raw libpcap), and cross-artifact
+// mixups (a sidecar renamed over a capture) are rejected by content tag
+// before a payload decoder ever sees the bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,9 +56,8 @@ CaptureBuffer SampleBuffer(int n) {
 }
 
 /// Strips the base::io frame off a freshly written artifact and rewrites
-/// the bare payload in place — exactly what a cache written before the
-/// framing change looks like on disk.
-void RewriteAsLegacy(const std::string& path) {
+/// the bare payload in place.
+void RewriteUnframed(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(base::io::ReadFileBytes(path, bytes).ok());
   std::vector<std::uint8_t> payload;
@@ -93,10 +92,9 @@ TEST(StorageFramingTest, ColumnarRoundTripsFramed) {
   fs::remove(path);
 }
 
-TEST(StorageFramingTest, EmptyCaptureRoundTripsFramedAndLegacy) {
+TEST(StorageFramingTest, EmptyCaptureRoundTripsFramed) {
   // A zero-query scenario still writes its capture artifact; the framed
-  // payload is just the columnar header, and the legacy passthrough must
-  // accept the stripped form too.
+  // payload is just the columnar header.
   const std::string path = TempPath("framing_capture_empty.cdns");
   ASSERT_TRUE(WriteCaptureFileStatus(path, CaptureBuffer{}).ok());
   EXPECT_TRUE(StartsWithFrameMagic(path));
@@ -104,15 +102,10 @@ TEST(StorageFramingTest, EmptyCaptureRoundTripsFramedAndLegacy) {
   CaptureBuffer back = SampleBuffer(3);  // must be cleared by the read
   ASSERT_TRUE(ReadCaptureFileStatus(path, back).ok());
   EXPECT_TRUE(back.empty());
-
-  RewriteAsLegacy(path);
-  CaptureBuffer legacy = SampleBuffer(3);
-  ASSERT_TRUE(ReadCaptureFileStatus(path, legacy).ok());
-  EXPECT_TRUE(legacy.empty());
   fs::remove(path);
 }
 
-TEST(StorageFramingTest, SingleRecordCaptureRoundTripsFramedAndLegacy) {
+TEST(StorageFramingTest, SingleRecordCaptureRoundTripsFramed) {
   const std::string path = TempPath("framing_capture_single.cdns");
   const CaptureBuffer records = SampleBuffer(1);
   ASSERT_TRUE(WriteCaptureFileStatus(path, records).ok());
@@ -120,11 +113,6 @@ TEST(StorageFramingTest, SingleRecordCaptureRoundTripsFramedAndLegacy) {
   CaptureBuffer back;
   ASSERT_TRUE(ReadCaptureFileStatus(path, back).ok());
   EXPECT_TRUE(back == records);
-
-  RewriteAsLegacy(path);
-  CaptureBuffer legacy;
-  ASSERT_TRUE(ReadCaptureFileStatus(path, legacy).ok());
-  EXPECT_TRUE(legacy == records);
   fs::remove(path);
 }
 
@@ -163,17 +151,42 @@ TEST(StorageFramingTest, CaptureFileBytesIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(StorageFramingTest, LegacyUnframedColumnarStillLoads) {
-  const std::string path = TempPath("framing_capture_legacy.cdns");
-  const CaptureBuffer records = SampleBuffer(300);
-  ASSERT_TRUE(WriteCaptureFileStatus(path, records).ok());
-  RewriteAsLegacy(path);
-  EXPECT_FALSE(StartsWithFrameMagic(path));
-
+TEST(StorageFramingTest, UnframedArtifactsAreRejected) {
+  // Every cache artifact's bare payload — what a file written before the
+  // framing change looks like — fails with kBadFrame, so the dataset
+  // cache quarantines it instead of trusting unchecksummed bytes.
+  const std::string capture_path = TempPath("framing_unframed.cdns");
+  ASSERT_TRUE(WriteCaptureFileStatus(capture_path, SampleBuffer(300)).ok());
+  RewriteUnframed(capture_path);
+  EXPECT_FALSE(StartsWithFrameMagic(capture_path));
   CaptureBuffer back;
-  ASSERT_TRUE(ReadCaptureFileStatus(path, back).ok());
-  EXPECT_TRUE(back == records);
-  fs::remove(path);
+  EXPECT_EQ(ReadCaptureFileStatus(capture_path, back).code,
+            base::io::IoCode::kBadFrame);
+
+  std::vector<CaptureBuffer> shards(2);
+  for (int i = 0; i < 40; ++i) shards[i % 2].push_back(SampleRecord(i));
+  const ShardedCapture sharded = ShardedCapture::FromShards(std::move(shards));
+  const std::string shard_path = TempPath("framing_unframed.shards");
+  ASSERT_TRUE(WriteShardIndexStatus(shard_path, sharded).ok());
+  RewriteUnframed(shard_path);
+  base::io::IoStatus status;
+  const ShardedCapture fallback =
+      ReshardFromIndex(shard_path, sharded.FlattenCopy(), &status);
+  EXPECT_EQ(status.code, base::io::IoCode::kBadFrame);
+  EXPECT_EQ(fallback.shard_count(), 1u);
+
+  cloud::ScenarioResult context;
+  context.window_end = 42;
+  const std::string context_path = TempPath("framing_unframed.ctx");
+  ASSERT_TRUE(analysis::SaveScenarioContextStatus(context_path, context).ok());
+  RewriteUnframed(context_path);
+  cloud::ScenarioResult loaded;
+  EXPECT_EQ(analysis::LoadScenarioContextStatus(context_path, loaded).code,
+            base::io::IoCode::kBadFrame);
+
+  fs::remove(capture_path);
+  fs::remove(shard_path);
+  fs::remove(context_path);
 }
 
 TEST(StorageFramingTest, CorruptColumnarReportsATypedCode) {
@@ -224,7 +237,7 @@ TEST(StorageFramingTest, PcapRoundTripsBothFramedAndRaw) {
 // ---------------------------------------------------------------------------
 // Shard-index sidecars
 
-TEST(StorageFramingTest, ShardIndexRoundTripsFramedAndLegacy) {
+TEST(StorageFramingTest, ShardIndexRoundTripsFramed) {
   // Three time-sorted shards whose merge interleaves non-trivially.
   std::vector<CaptureBuffer> shards(3);
   for (int i = 0; i < 200; ++i) shards[i % 3].push_back(SampleRecord(i));
@@ -240,13 +253,6 @@ TEST(StorageFramingTest, ShardIndexRoundTripsFramedAndLegacy) {
   EXPECT_EQ(resharded.shard_count(), original.shard_count());
   EXPECT_EQ(resharded.MergeOrderShardIds(), original.MergeOrderShardIds());
   EXPECT_TRUE(resharded == original);
-
-  // Pre-framing sidecars parse through the legacy passthrough.
-  RewriteAsLegacy(path);
-  ShardedCapture legacy = ReshardFromIndex(path, original.FlattenCopy(),
-                                           &status);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(legacy.MergeOrderShardIds(), original.MergeOrderShardIds());
   fs::remove(path);
 }
 
@@ -262,7 +268,7 @@ TEST(StorageFramingTest, MissingShardIndexIsBenignNotCorrupt) {
 // ---------------------------------------------------------------------------
 // Context sidecars
 
-TEST(StorageFramingTest, ContextSidecarLoadsFramedAndLegacy) {
+TEST(StorageFramingTest, ContextSidecarLoadsFramed) {
   cloud::ScenarioConfig config;
   config.vantage = cloud::Vantage::kNz;
   config.year = 2019;
@@ -278,11 +284,6 @@ TEST(StorageFramingTest, ContextSidecarLoadsFramedAndLegacy) {
   ASSERT_TRUE(analysis::LoadScenarioContextStatus(path, loaded).ok());
   EXPECT_EQ(loaded.zone_domain_count, original.zone_domain_count);
   EXPECT_EQ(loaded.asdb.announcements(), original.asdb.announcements());
-
-  RewriteAsLegacy(path);
-  cloud::ScenarioResult legacy;
-  ASSERT_TRUE(analysis::LoadScenarioContextStatus(path, legacy).ok());
-  EXPECT_EQ(legacy.zone_domain_count, original.zone_domain_count);
   fs::remove(path);
 }
 

@@ -156,8 +156,8 @@ TEST(ParallelScenarioTest, ShardedAnalyticsMatchUnderFaults) {
 }
 
 TEST(ParallelScenarioTest, DryRebuildStillWorksSharded) {
-  // The cache-hit path replays a zero-query scenario to rebuild context
-  // (AS database, PTR records) — it must survive the sharded engine.
+  // A zero-query scenario still builds the full context (AS database,
+  // PTR records) — it must survive the sharded engine.
   ScenarioConfig dry = SmallConfig(4);
   dry.client_queries = 0;
   auto result = RunScenario(dry);

@@ -30,7 +30,7 @@ TEST(ScenarioTest, WeekStartMatchesPaperDates) {
 TEST(ScenarioTest, NlCapturesOnlyTheTwoMonitoredServers) {
   auto result = RunScenario(SmallConfig(Vantage::kNl, 2020));
   ASSERT_FALSE(result.records.empty());
-  for (const auto& record : result.records) {
+  for (const auto& record : result.records.Flatten()) {
     EXPECT_LT(record.server_id, 2u);
   }
   int captured = 0, cctld_servers = 0;
@@ -46,7 +46,7 @@ TEST(ScenarioTest, NlCapturesOnlyTheTwoMonitoredServers) {
 TEST(ScenarioTest, RecordsAreTimeOrderedAndInsideWindow) {
   auto result = RunScenario(SmallConfig(Vantage::kNl, 2020));
   sim::TimeUs previous = 0;
-  for (const auto& record : result.records) {
+  for (const auto& record : result.records.Flatten()) {
     EXPECT_GE(record.time_us, previous);
     EXPECT_GE(record.time_us, result.window_start);
     previous = record.time_us;
@@ -57,8 +57,8 @@ TEST(ScenarioTest, DeterministicForSameSeed) {
   auto a = RunScenario(SmallConfig(Vantage::kNl, 2020));
   auto b = RunScenario(SmallConfig(Vantage::kNl, 2020));
   ASSERT_EQ(a.records.size(), b.records.size());
-  EXPECT_EQ(a.records.front(), b.records.front());
-  EXPECT_EQ(a.records.back(), b.records.back());
+  EXPECT_EQ(a.records.Flatten().front(), b.records.Flatten().front());
+  EXPECT_EQ(a.records.Flatten().back(), b.records.Flatten().back());
 }
 
 TEST(ScenarioTest, SeedChangesTraffic) {
@@ -98,8 +98,8 @@ TEST(ScenarioTest, RootSeesFarLessCloudAndFarMoreJunk) {
   // At this reduced test budget the root's TTL-driven maintenance traffic
   // weighs more than at bench scale, so the junk threshold is looser; the
   // root-vs-ccTLD contrast is what matters.
-  double root_junk = analysis::ComputeJunkRatio(root, std::nullopt);
-  double cctld_junk = analysis::ComputeJunkRatio(cctld, std::nullopt);
+  double root_junk = analysis::ComputeJunkRatios(root).overall;
+  double cctld_junk = analysis::ComputeJunkRatios(cctld).overall;
   EXPECT_GT(root_junk, 0.40);
   EXPECT_LT(cctld_junk, 0.35);
   EXPECT_GT(root_junk, cctld_junk * 1.5);
@@ -108,7 +108,7 @@ TEST(ScenarioTest, RootSeesFarLessCloudAndFarMoreJunk) {
 TEST(ScenarioTest, MicrosoftIsPureV4UdpEveryYear) {
   for (int year : {2018, 2020}) {
     auto result = RunScenario(SmallConfig(Vantage::kNl, year));
-    auto mix = analysis::ComputeTransportMix(result, Provider::kMicrosoft);
+    auto mix = analysis::ComputeTransportMixes(result)[Provider::kMicrosoft];
     ASSERT_GT(mix.total, 100u);
     EXPECT_GT(mix.ipv4, 0.99);
     EXPECT_GT(mix.udp, 0.99);
@@ -118,13 +118,14 @@ TEST(ScenarioTest, MicrosoftIsPureV4UdpEveryYear) {
 TEST(ScenarioTest, FacebookPrefersV6From2019) {
   auto y2018 = RunScenario(SmallConfig(Vantage::kNl, 2018));
   auto y2020 = RunScenario(SmallConfig(Vantage::kNl, 2020));
-  auto mix2018 = analysis::ComputeTransportMix(y2018, Provider::kFacebook);
-  auto mix2020 = analysis::ComputeTransportMix(y2020, Provider::kFacebook);
+  auto mix2018 = analysis::ComputeTransportMixes(y2018)[Provider::kFacebook];
+  auto mixes2020 = analysis::ComputeTransportMixes(y2020);
+  auto mix2020 = mixes2020[Provider::kFacebook];
   EXPECT_NEAR(mix2018.ipv6, 0.48, 0.15);
   EXPECT_GT(mix2020.ipv6, 0.60);
   // Facebook is the only CP with a material TCP share.
   EXPECT_GT(mix2020.tcp, 0.05);
-  auto google = analysis::ComputeTransportMix(y2020, Provider::kGoogle);
+  auto google = mixes2020[Provider::kGoogle];
   EXPECT_LT(google.tcp, 0.005);
 }
 
@@ -138,8 +139,8 @@ TEST(ScenarioTest, GooglePublicSplitNearTableFour) {
 TEST(ScenarioTest, QminShowsUpOnlyIn2020NsMix) {
   auto y2019 = RunScenario(SmallConfig(Vantage::kNl, 2019));
   auto y2020 = RunScenario(SmallConfig(Vantage::kNl, 2020));
-  auto ns2019 = analysis::ComputeRrTypeMix(y2019, Provider::kGoogle)["NS"];
-  auto ns2020 = analysis::ComputeRrTypeMix(y2020, Provider::kGoogle)["NS"];
+  auto ns2019 = analysis::ComputeRrTypeMixes(y2019)[Provider::kGoogle]["NS"];
+  auto ns2020 = analysis::ComputeRrTypeMixes(y2020)[Provider::kGoogle]["NS"];
   EXPECT_LT(ns2019, 0.10);
   EXPECT_GT(ns2020, 0.40);
 }
@@ -148,15 +149,16 @@ TEST(ScenarioTest, QminOverrideKillsTheNsSurge) {
   ScenarioConfig config = SmallConfig(Vantage::kNl, 2020);
   config.qmin_override_off = true;
   auto result = RunScenario(config);
-  auto ns = analysis::ComputeRrTypeMix(result, Provider::kGoogle)["NS"];
+  auto ns = analysis::ComputeRrTypeMixes(result)[Provider::kGoogle]["NS"];
   EXPECT_LT(ns, 0.10);
 }
 
 TEST(ScenarioTest, CloudflareDsExceedsDnskey) {
   auto result = RunScenario(SmallConfig(Vantage::kNl, 2020));
-  auto mix = analysis::ComputeRrTypeMix(result, Provider::kCloudflare);
+  auto mixes = analysis::ComputeRrTypeMixes(result);
+  auto& mix = mixes[Provider::kCloudflare];
   EXPECT_GT(mix["DS"], mix["DNSKEY"] * 2);
-  auto microsoft = analysis::ComputeRrTypeMix(result, Provider::kMicrosoft);
+  auto& microsoft = mixes[Provider::kMicrosoft];
   EXPECT_LT(microsoft["DS"] + microsoft["DNSKEY"], 0.01);
 }
 
@@ -167,7 +169,7 @@ TEST(ScenarioTest, PtrRecordsCoverFacebookSources) {
     has_ptr[address] = true;
   }
   int facebook_sources = 0, with_ptr = 0;
-  for (const auto& record : result.records) {
+  for (const auto& record : result.records.Flatten()) {
     if (analysis::ProviderOfRecord(result, record) != Provider::kFacebook) {
       continue;
     }
@@ -184,7 +186,7 @@ TEST(ScenarioTest, GoogleOnlyModeSilencesOtherFleets) {
   ScenarioConfig config = SmallConfig(Vantage::kNl, 2020);
   config.google_only = true;
   auto result = RunScenario(config);
-  for (const auto& record : result.records) {
+  for (const auto& record : result.records.Flatten()) {
     EXPECT_EQ(analysis::ProviderOfRecord(result, record), Provider::kGoogle);
   }
 }

@@ -99,6 +99,17 @@ cloud::Vantage VantageFrom(const std::string& text) {
   return cloud::Vantage::kNl;
 }
 
+/// Loads a columnar capture, printing the typed storage error on failure.
+bool ReadCapture(const std::string& path, capture::CaptureBuffer& records) {
+  if (auto status = capture::ReadCaptureFileStatus(path, records);
+      !status.ok()) {
+    std::fprintf(stderr, "error: cannot read %s: %s\n", path.c_str(),
+                 status.ToString().c_str());
+    return false;
+  }
+  return true;
+}
+
 int CmdSimulate(const Args& args) {
   cloud::ScenarioConfig config;
   config.vantage = VantageFrom(args.Get("vantage", "nl"));
@@ -137,17 +148,13 @@ int CmdSimulate(const Args& args) {
 
 int CmdInspect(const Args& args) {
   if (args.positional.empty()) return Usage();
-  auto records = capture::ReadCaptureFile(args.positional[0]);
-  if (!records) {
-    std::fprintf(stderr, "error: cannot read %s\n",
-                 args.positional[0].c_str());
-    return 1;
-  }
-  std::printf("%zu records\n", records->size());
-  if (records->empty()) return 0;
+  capture::CaptureBuffer records;
+  if (!ReadCapture(args.positional[0], records)) return 1;
+  std::printf("%zu records\n", records.size());
+  if (records.empty()) return 0;
   std::printf("window: %s .. %s\n",
-              sim::DateString(records->front().time_us).c_str(),
-              sim::DateString(records->back().time_us).c_str());
+              sim::DateString(records.front().time_us).c_str(),
+              sim::DateString(records.back().time_us).c_str());
 
   std::string by = args.Get("by", "qtype");
   entrada::KeyFn key;
@@ -160,7 +167,7 @@ int CmdInspect(const Args& args) {
   } else {
     key = entrada::KeyQtype();
   }
-  auto agg = entrada::CountBy(*records, key);
+  auto agg = entrada::CountBy(records, key);
   analysis::TextTable table({by, "queries", "share"});
   for (const auto& [bucket, count] : agg.counts) {
     table.AddRow({bucket, analysis::Count(count),
@@ -171,7 +178,7 @@ int CmdInspect(const Args& args) {
   std::size_t top_n =
       std::strtoul(args.Get("top", "5").c_str(), nullptr, 10);
   entrada::SpaceSaving topk(1024);
-  for (const auto& record : *records) topk.Add(record.src.ToString());
+  for (const auto& record : records) topk.Add(record.src.ToString());
   std::printf("\ntop %zu sources:\n", top_n);
   for (const auto& entry : topk.Top(top_n)) {
     std::printf("  %-40s %s\n", entry.key.c_str(),
@@ -179,60 +186,52 @@ int CmdInspect(const Args& args) {
   }
   std::printf("\ndistinct sources: %llu (exact), %.0f (HLL)\n",
               static_cast<unsigned long long>(
-                  entrada::DistinctExact(*records, entrada::KeySrcAddress())),
-              entrada::DistinctSketch(*records, entrada::KeySrcAddress())
+                  entrada::DistinctExact(records, entrada::KeySrcAddress())),
+              entrada::DistinctSketch(records, entrada::KeySrcAddress())
                   .Estimate());
   if (args.Has("rssac002")) {
     std::printf("\nRSSAC002-style daily metrics:\n");
-    for (const auto& day : analysis::Rssac002Report(*records)) {
+    for (const auto& day : analysis::Rssac002Report(records)) {
       std::printf("%s", analysis::RenderRssac002Yaml(day, "capture").c_str());
     }
   }
   std::printf("junk ratio: %s\n",
               analysis::Percent(static_cast<double>(entrada::CountIf(
-                                    *records, entrada::FilterJunk())) /
-                                static_cast<double>(records->size()))
+                                    records, entrada::FilterJunk())) /
+                                static_cast<double>(records.size()))
                   .c_str());
   return 0;
 }
 
 int CmdAnonymize(const Args& args) {
   if (args.positional.size() != 2 || !args.Has("key")) return Usage();
-  auto records = capture::ReadCaptureFile(args.positional[0]);
-  if (!records) {
-    std::fprintf(stderr, "error: cannot read %s\n",
-                 args.positional[0].c_str());
-    return 1;
-  }
+  capture::CaptureBuffer records;
+  if (!ReadCapture(args.positional[0], records)) return 1;
   capture::Anonymizer anonymizer(
       std::strtoull(args.Get("key", "1").c_str(), nullptr, 10));
   if (auto status = capture::WriteCaptureFileStatus(
-          args.positional[1], anonymizer.AnonymizeCapture(*records));
+          args.positional[1], anonymizer.AnonymizeCapture(records));
       !status.ok()) {
     std::fprintf(stderr, "error: cannot write %s: %s\n",
                  args.positional[1].c_str(), status.ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "anonymized %zu records -> %s\n", records->size(),
+  std::fprintf(stderr, "anonymized %zu records -> %s\n", records.size(),
                args.positional[1].c_str());
   return 0;
 }
 
 int CmdReport(const Args& args) {
   if (args.positional.empty()) return Usage();
-  auto records = capture::ReadCaptureFile(args.positional[0]);
-  if (!records) {
-    std::fprintf(stderr, "error: cannot read %s\n",
-                 args.positional[0].c_str());
-    return 1;
-  }
+  capture::CaptureBuffer records;
+  if (!ReadCapture(args.positional[0], records)) return 1;
   // Attribution uses the paper's Table 1 provider networks; everything
   // else counts as "other ASes".
   net::AsDatabase asdb;
   cloud::RegisterProviderAses(asdb);
   std::map<std::string, std::uint64_t> per_provider;
   std::uint64_t cloud_total = 0;
-  for (const auto& record : *records) {
+  for (const auto& record : records) {
     auto asn = asdb.OriginAs(record.src);
     cloud::Provider provider =
         asn ? cloud::ProviderOfAsn(*asn) : cloud::Provider::kOther;
@@ -243,27 +242,21 @@ int CmdReport(const Args& args) {
   for (const auto& [provider, count] : per_provider) {
     table.AddRow({provider, analysis::Count(count),
                   analysis::Percent(static_cast<double>(count) /
-                                    static_cast<double>(records->size()))});
+                                    static_cast<double>(records.size()))});
   }
   std::printf("%s", table.Render().c_str());
   std::printf("\n5 cloud providers combined: %s of %zu queries\n",
               analysis::Percent(static_cast<double>(cloud_total) /
-                                static_cast<double>(records->size()))
+                                static_cast<double>(records.size()))
                   .c_str(),
-              records->size());
+              records.size());
   return 0;
 }
 
 int CmdExportPcap(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   capture::CaptureBuffer records;
-  if (auto status =
-          capture::ReadCaptureFileStatus(args.positional[0], records);
-      !status.ok()) {
-    std::fprintf(stderr, "error: cannot read %s: %s\n",
-                 args.positional[0].c_str(), status.ToString().c_str());
-    return 1;
-  }
+  if (!ReadCapture(args.positional[0], records)) return 1;
   // --raw writes a plain libpcap file tcpdump/wireshark open directly;
   // the default wraps the pcap bytes in the checksummed integrity frame.
   const bool framed = !args.Has("raw");
@@ -328,7 +321,8 @@ int CmdVerify(const Args& args) {
       continue;
     }
     if (!framed) {
-      std::printf("%s: OK legacy-unframed %zu bytes (no checksums)\n",
+      std::printf("%s: OK unframed (raw pcap or foreign file) %zu bytes "
+                  "(no checksums)\n",
                   path.c_str(), bytes.size());
       continue;
     }
