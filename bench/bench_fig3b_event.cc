@@ -8,8 +8,8 @@
 // the mechanism behind the paper's observation that a *broken* pair of
 // domains increased the TLD's total traffic.
 //
-// Emits BENCH_fig3b_event.json with the baseline/faulted query volumes, the
-// amplification factors and the retry breakdown.
+// Prints the baseline/faulted query volumes, the amplification factors and
+// the retry breakdown.
 #include <cstdio>
 
 #include "analysis/chaos.h"
@@ -39,7 +39,6 @@ cloud::ScenarioConfig EventConfig() {
 int main() {
   analysis::PrintBanner("Figure 3b (event mechanics)",
                         "Retry amplification during the .nz cyclic event");
-  bench::BenchRecorder recorder("fig3b_event");
 
   // Baseline: the same client demand over the same weeks, but in a normal
   // month — no broken domains, no loss. Event run: the cyclic pair enters
@@ -50,15 +49,10 @@ int main() {
   faulted_config.inject_cyclic_event = true;
   faulted_config.fault_preset = cloud::FaultPreset::kNzEventLoss;
 
-  cloud::ScenarioResult baseline = bench::WithSimulatePhase(
-      recorder, [&] { return analysis::LoadOrRun(baseline_config); });
-  cloud::ScenarioResult faulted = bench::WithSimulatePhase(
-      recorder, [&] { return analysis::LoadOrRun(faulted_config); });
-  recorder.AddQueries(baseline.records.size() + faulted.records.size());
-
-  analysis::RetryAmplification amp = bench::WithScanPhase(recorder, [&] {
-    return analysis::ComputeRetryAmplification(baseline, faulted);
-  });
+  const cloud::ScenarioResult baseline = analysis::LoadOrRun(baseline_config);
+  const cloud::ScenarioResult faulted = analysis::LoadOrRun(faulted_config);
+  const analysis::RetryAmplification amp =
+      analysis::ComputeRetryAmplification(baseline, faulted);
 
   analysis::TextTable table({"metric", "baseline", "faulted", "factor"});
   table.AddRow({"upstream queries", analysis::Count(amp.baseline_upstream),
@@ -79,16 +73,5 @@ int main() {
       "\nExpected shape: the faulted run multiplies the upstream query "
       "load\n(>= 2x) without any increase in client demand — resolution "
       "failure\ncreates traffic, which is the Fig. 3b mechanism.\n");
-
-  recorder.AddStat("baseline_upstream", amp.baseline_upstream);
-  recorder.AddStat("faulted_upstream", amp.faulted_upstream);
-  recorder.AddStat("baseline_captured", amp.baseline_captured);
-  recorder.AddStat("faulted_captured", amp.faulted_captured);
-  recorder.AddStat("upstream_amplification", amp.upstream_factor);
-  recorder.AddStat("captured_amplification", amp.captured_factor);
-  recorder.AddStat("faulted_retransmits", amp.faulted_counters.retransmits);
-  recorder.AddStat("faulted_timeouts", amp.faulted_counters.timeouts);
-  recorder.AddStat("faulted_failovers", amp.faulted_counters.failovers);
-  recorder.AddStat("faulted_served_stale", amp.faulted_counters.served_stale);
   return 0;
 }

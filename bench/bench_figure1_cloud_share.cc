@@ -44,7 +44,6 @@ void ReportRootAsRanking(const cloud::ScenarioResult& result) {
 }  // namespace
 
 int main() {
-  bench::BenchRecorder recorder("figure1_cloud_share");
   analysis::PrintBanner("Figure 1", "Clouds' query ratio per ccTLD and B-Root");
 
   for (cloud::Vantage vantage :
@@ -52,12 +51,8 @@ int main() {
     analysis::TextTable table({"year", "GOOGLE", "AMAZON", "MICROSOFT",
                                "FACEBOOK", "CLOUDFLARE", "5 CPs", "paper~"});
     for (int year : {2018, 2019, 2020}) {
-      auto result = bench::WithSimulatePhase(recorder, [&] {
-        return analysis::LoadOrRun(bench::StandardConfig(vantage, year));
-      });
-      recorder.AddQueries(result.records.size());
-      auto shares = bench::WithScanPhase(
-          recorder, [&] { return analysis::ComputeCloudShares(result); });
+      auto result = analysis::LoadOrRun(bench::StandardConfig(vantage, year));
+      auto shares = analysis::ComputeCloudShares(result);
       std::vector<std::string> row = {std::to_string(year)};
       for (std::size_t i = 0; i + 1 < shares.size(); ++i) {
         row.push_back(analysis::Percent(shares[i].share));
@@ -70,41 +65,15 @@ int main() {
     std::printf("\n[%s]\n%s", std::string(cloud::ToString(vantage)).c_str(),
                 table.Render().c_str());
     if (vantage == cloud::Vantage::kRoot) {
-      auto root = bench::WithSimulatePhase(recorder, [&] {
-        return analysis::LoadOrRun(bench::StandardConfig(vantage, 2020));
-      });
       // The rank sketch consumes records in merged order, so this is the
-      // one figure1 consumer that flattens — its merge share lands in
-      // phase_merge_seconds.
-      bench::WithScanPhase(recorder, [&] { ReportRootAsRanking(root); });
+      // one figure1 consumer that flattens the sharded capture.
+      ReportRootAsRanking(
+          analysis::LoadOrRun(bench::StandardConfig(vantage, 2020)));
     }
   }
   std::printf(
       "\nExpected shape: 5 CPs carry ~30%% of ccTLD queries (Google the\n"
       "largest, and larger at .nl than .nz), but under 10%% of B-Root's —\n"
       "the root's view is dominated by the long tail of other ASes.\n");
-
-  if (bench::ScalingSweepRequested()) {
-    bench::WithPhase(recorder, "sweep", [&] {
-      std::vector<cloud::ScenarioResult> datasets;
-      for (cloud::Vantage vantage :
-           {cloud::Vantage::kNl, cloud::Vantage::kNz, cloud::Vantage::kRoot}) {
-        for (int year : {2018, 2019, 2020}) {
-          datasets.push_back(
-              analysis::LoadOrRun(bench::StandardConfig(vantage, year)));
-        }
-      }
-      bench::RunScalingSweep(
-          "figure1_cloud_share", datasets,
-          [](const cloud::ScenarioResult& result) {
-            std::string out;
-            for (const auto& share : analysis::ComputeCloudShares(result)) {
-              out += std::string(cloud::ToString(share.provider)) + " " +
-                     std::to_string(share.queries) + "\n";
-            }
-            return out;
-          });
-    });
-  }
   return 0;
 }

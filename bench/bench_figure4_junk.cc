@@ -10,20 +10,15 @@
 using namespace clouddns;
 
 int main() {
-  bench::BenchRecorder recorder("figure4_junk");
   analysis::PrintBanner("Figure 4", "Clouds' DNS junk query ratio");
   for (cloud::Vantage vantage :
        {cloud::Vantage::kNl, cloud::Vantage::kNz, cloud::Vantage::kRoot}) {
     analysis::TextTable table({"year", "GOOGLE", "AMAZON", "MICROSOFT",
                                "FACEBOOK", "CLOUDFLARE", "ALL", "paper-ALL"});
     for (int year : {2018, 2019, 2020}) {
-      auto result = bench::WithSimulatePhase(recorder, [&] {
-        return analysis::LoadOrRun(bench::StandardConfig(vantage, year));
-      });
-      recorder.AddQueries(result.records.size());
+      auto result = analysis::LoadOrRun(bench::StandardConfig(vantage, year));
       // One fused pass yields every provider's ratio plus the overall one.
-      auto ratios = bench::WithScanPhase(
-          recorder, [&] { return analysis::ComputeJunkRatios(result); });
+      auto ratios = analysis::ComputeJunkRatios(result);
       std::vector<std::string> row = {std::to_string(year)};
       for (cloud::Provider provider : cloud::MeasuredProviders()) {
         row.push_back(analysis::Percent(ratios.per_provider[provider]));

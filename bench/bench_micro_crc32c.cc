@@ -1,8 +1,9 @@
 // CRC32C kernel microbenchmark: software table vs the dispatched hardware
 // kernel (SSE4.2 / ARMv8-CRC when the host has one), and whole-payload vs
 // per-64KiB-block + Crc32cCombine fold — the exact shapes the CLDFRAM1
-// block-parallel codec runs on every capture read/write. Emits
-// BENCH_codec.json so CI can watch the kernel throughputs per commit.
+// block-parallel codec runs on every capture read/write. Exits non-zero
+// if the kernels disagree on the payload CRC.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -58,21 +59,17 @@ std::uint32_t BlockwiseCrc(const std::vector<std::uint8_t>& payload,
 }  // namespace
 
 int main() {
-  bench::BenchRecorder recorder("codec");
   analysis::PrintBanner("CRC32C microbench",
                         "software vs hardware kernel, whole vs per-block");
 
-  std::vector<std::uint8_t> payload;
-  bench::WithPhase(recorder, "setup", [&] {
-    payload.resize(kPayloadBytes);
-    std::mt19937_64 rng(20201027);
-    for (std::size_t i = 0; i < payload.size(); i += 8) {
-      const std::uint64_t word = rng();
-      for (std::size_t b = 0; b < 8 && i + b < payload.size(); ++b) {
-        payload[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
-      }
+  std::vector<std::uint8_t> payload(kPayloadBytes);
+  std::mt19937_64 rng(20201027);
+  for (std::size_t i = 0; i < payload.size(); i += 8) {
+    const std::uint64_t word = rng();
+    for (std::size_t b = 0; b < 8 && i + b < payload.size(); ++b) {
+      payload[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
     }
-  });
+  }
 
   const auto software = [](const std::uint8_t* data, std::size_t len) {
     return base::io::Crc32cSoftware(data, len);
@@ -84,17 +81,14 @@ int main() {
   const std::uint32_t want = base::io::Crc32cSoftware(payload.data(),
                                                   payload.size());
   std::uint32_t got_hw = 0, got_sw_block = 0, got_hw_block = 0;
-  double sw_whole = 0, hw_whole = 0, sw_block = 0, hw_block = 0;
-  bench::WithPhase(recorder, "encode", [&] {
-    sw_whole = BestSeconds(
-        [&] { (void)base::io::Crc32cSoftware(payload.data(), payload.size()); });
-    hw_whole = BestSeconds(
-        [&] { got_hw = base::io::Crc32c(payload.data(), payload.size()); });
-    sw_block =
-        BestSeconds([&] { got_sw_block = BlockwiseCrc(payload, software); });
-    hw_block =
-        BestSeconds([&] { got_hw_block = BlockwiseCrc(payload, dispatched); });
-  });
+  const double sw_whole = BestSeconds(
+      [&] { (void)base::io::Crc32cSoftware(payload.data(), payload.size()); });
+  const double hw_whole = BestSeconds(
+      [&] { got_hw = base::io::Crc32c(payload.data(), payload.size()); });
+  const double sw_block =
+      BestSeconds([&] { got_sw_block = BlockwiseCrc(payload, software); });
+  const double hw_block =
+      BestSeconds([&] { got_hw_block = BlockwiseCrc(payload, dispatched); });
   if (got_hw != want || got_sw_block != want || got_hw_block != want) {
     std::fprintf(stderr,
                  "FATAL: CRC32C kernel disagreement (sw=%08x hw=%08x "
@@ -122,17 +116,5 @@ int main() {
       "(%08x), including the per-block Crc32cCombine fold the CLDFRAM1\n"
       "trailer uses.\n",
       base::io::Crc32cBackend(), want);
-
-  recorder.AddQueries(static_cast<std::uint64_t>(kPayloadBytes) *
-                      static_cast<std::uint64_t>(4 * kReps));
-  recorder.AddStat("payload_bytes", static_cast<std::uint64_t>(kPayloadBytes));
-  recorder.AddStat("hw_backend_available",
-                   static_cast<std::uint64_t>(
-                       std::string(base::io::Crc32cBackend()) != "software" ? 1
-                                                                        : 0));
-  recorder.AddStat("sw_whole_gbps", Gbps(sw_whole));
-  recorder.AddStat("hw_whole_gbps", Gbps(hw_whole));
-  recorder.AddStat("sw_block_gbps", Gbps(sw_block));
-  recorder.AddStat("hw_block_gbps", Gbps(hw_block));
   return 0;
 }

@@ -11,7 +11,6 @@
 using namespace clouddns;
 
 int main() {
-  bench::BenchRecorder recorder("table3_datasets");
   analysis::PrintBanner("Table 3", "Evaluated datasets");
   analysis::TextTable table(
       {"dataset", "queries", "valid", "valid%", "paper-valid%", "resolvers",
@@ -20,12 +19,8 @@ int main() {
   for (cloud::Vantage vantage :
        {cloud::Vantage::kNl, cloud::Vantage::kNz, cloud::Vantage::kRoot}) {
     for (int year : {2018, 2019, 2020}) {
-      auto result = bench::WithSimulatePhase(recorder, [&] {
-        return analysis::LoadOrRun(bench::StandardConfig(vantage, year));
-      });
-      recorder.AddQueries(result.records.size());
-      auto stats = bench::WithScanPhase(
-          recorder, [&] { return analysis::ComputeDatasetStats(result); });
+      auto result = analysis::LoadOrRun(bench::StandardConfig(vantage, year));
+      auto stats = analysis::ComputeDatasetStats(result);
       auto paper_row = *analysis::paper::Table3(vantage, year);
       double paper_valid =
           paper_row.queries_valid_b / paper_row.queries_total_b;
@@ -49,51 +44,5 @@ int main() {
       "\nExpected shape: ccTLD valid%% high (~71-86%%), B-Root valid%% low\n"
       "(20-35%%, Chromium junk); query volume grows every year at every\n"
       "vantage; HLL estimates track the exact distinct counts within ~1%%.\n");
-
-  if (bench::ScalingSweepRequested()) {
-    bench::WithPhase(recorder, "sweep", [&] {
-      std::vector<cloud::ScenarioResult> datasets;
-      for (cloud::Vantage vantage :
-           {cloud::Vantage::kNl, cloud::Vantage::kNz, cloud::Vantage::kRoot}) {
-        for (int year : {2018, 2019, 2020}) {
-          datasets.push_back(
-              analysis::LoadOrRun(bench::StandardConfig(vantage, year)));
-        }
-      }
-      bench::RunScalingSweep(
-          "table3_datasets", datasets,
-          [](const cloud::ScenarioResult& result) {
-            auto stats = analysis::ComputeDatasetStats(result);
-            char buf[192];
-            std::snprintf(buf, sizeof(buf), "%llu %llu %llu %.6f %llu %.6f\n",
-                          static_cast<unsigned long long>(stats.queries_total),
-                          static_cast<unsigned long long>(stats.queries_valid),
-                          static_cast<unsigned long long>(
-                              stats.resolvers_exact),
-                          stats.resolvers_hll,
-                          static_cast<unsigned long long>(stats.ases_exact),
-                          stats.ases_hll);
-            return std::string(buf);
-          });
-    });
-  }
-
-  if (bench::ColdSweepRequested()) {
-    bench::WithPhase(recorder, "cold_sweep", [&] {
-      bench::RunColdSweep("table3_datasets", [] {
-        std::uint64_t queries = 0;
-        for (cloud::Vantage vantage :
-             {cloud::Vantage::kNl, cloud::Vantage::kNz,
-              cloud::Vantage::kRoot}) {
-          for (int year : {2018, 2019, 2020}) {
-            queries +=
-                analysis::LoadOrRun(bench::StandardConfig(vantage, year))
-                    .records.size();
-          }
-        }
-        return queries;
-      });
-    });
-  }
   return 0;
 }

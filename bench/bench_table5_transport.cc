@@ -7,7 +7,6 @@
 using namespace clouddns;
 
 int main() {
-  bench::BenchRecorder recorder("table5_transport");
   analysis::PrintBanner("Table 5", "Query distribution per CP for ccTLDs");
   for (cloud::Vantage vantage : {cloud::Vantage::kNl, cloud::Vantage::kNz}) {
     analysis::TextTable table({"provider", "year", "IPv4", "(paper)", "IPv6",
@@ -15,12 +14,8 @@ int main() {
     // One fused pass per dataset covers every provider's mix.
     std::map<int, std::map<cloud::Provider, analysis::TransportMix>> by_year;
     for (int year : {2018, 2019, 2020}) {
-      auto result = bench::WithSimulatePhase(recorder, [&] {
-        return analysis::LoadOrRun(bench::StandardConfig(vantage, year));
-      });
-      recorder.AddQueries(result.records.size());
-      by_year[year] = bench::WithScanPhase(
-          recorder, [&] { return analysis::ComputeTransportMixes(result); });
+      by_year[year] = analysis::ComputeTransportMixes(
+          analysis::LoadOrRun(bench::StandardConfig(vantage, year)));
     }
     for (cloud::Provider provider : cloud::MeasuredProviders()) {
       for (int year : {2018, 2019, 2020}) {

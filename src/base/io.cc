@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "base/phase.h"
 #include "base/threads.h"
 
 #ifndef _WIN32
@@ -359,7 +358,6 @@ std::uint32_t Crc32cCombine(std::uint32_t crc_a, std::uint32_t crc_b,
 
 std::vector<std::uint8_t> WrapFrame(std::uint32_t content_tag,
                                     const std::vector<std::uint8_t>& payload) {
-  ScopedPhaseTimer phase(Phase::kEncode);
   constexpr std::size_t kHeaderSize = sizeof(kFrameMagic) + 4 + 4 + 8;
   const std::size_t blocks =
       (payload.size() + kFrameBlockSize - 1) / kFrameBlockSize;
@@ -403,7 +401,6 @@ IoStatus UnwrapFrame(const std::vector<std::uint8_t>& bytes,
                      std::uint32_t expected_tag,
                      std::vector<std::uint8_t>& payload, bool& framed,
                      std::uint32_t* tag_out) {
-  ScopedPhaseTimer phase(Phase::kEncode);
   framed = false;
   if (bytes.size() < sizeof(kFrameMagic) ||
       !std::equal(std::begin(kFrameMagic), std::end(kFrameMagic),
@@ -714,7 +711,6 @@ void FileWriter::Abort() {
 
 IoStatus ReadFileBytes(const std::string& path,
                        std::vector<std::uint8_t>& out) {
-  ScopedPhaseTimer phase(Phase::kIo);
   // The checked read primitive itself.
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
@@ -748,7 +744,6 @@ IoStatus ReadFileBytes(const std::string& path,
 
 IoStatus WriteFileAtomic(const std::string& path,
                          const std::vector<std::uint8_t>& bytes) {
-  ScopedPhaseTimer phase(Phase::kIo);
   FileWriter writer(path);
   writer.Append(bytes);
   return writer.Commit();

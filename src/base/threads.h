@@ -3,9 +3,10 @@
 // environment override and the hardware, and ThreadPool::Shared() owns the
 // one process-wide helper set that both the scenario engine
 // (cloud::Scenario::Run) and the analytics scanner
-// (entrada::AnalysisPlan::Execute) draw from — so a thread-scaling sweep
-// pays thread creation once per process instead of once per run, and the
-// two layers can never oversubscribe each other with private pools.
+// (entrada::AnalysisPlan::Execute) draw from — so a process running many
+// scenarios or scans pays thread creation once instead of once per run,
+// and the two layers can never oversubscribe each other with private
+// pools.
 //
 // Determinism: the pool only schedules; every task writes state owned by
 // its task index, and results are reduced in task order by the caller.
@@ -26,7 +27,7 @@ namespace clouddns::base {
 
 /// Worker count for a parallel stage: an explicit `configured` value wins;
 /// otherwise the CLOUDDNS_THREADS environment variable (re-read on every
-/// call — the bench sweep mutates it between runs); otherwise the
+/// call — the thread-invariance tests change it between runs); otherwise the
 /// hardware concurrency. Never returns 0.
 inline std::size_t EffectiveThreads(std::size_t configured) {
   if (configured > 0) return configured;

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "base/lifetime.h"
-#include "base/phase.h"
 #include "capture/varint.h"
 
 namespace clouddns::capture {
@@ -145,7 +144,6 @@ void UnpackFlags(std::uint8_t flags, CaptureRecord& r) {
 }  // namespace
 
 std::vector<std::uint8_t> EncodeColumnar(const CaptureBuffer& records) {
-  base::ScopedPhaseTimer phase(base::Phase::kEncode);
   std::vector<std::uint8_t> columns[kColumnCount];
 
   // Dictionaries.
@@ -207,7 +205,6 @@ std::vector<std::uint8_t> EncodeColumnar(const CaptureBuffer& records) {
 
 std::optional<CaptureBuffer> DecodeColumnar(
     const std::vector<std::uint8_t>& bytes) {
-  base::ScopedPhaseTimer phase(base::Phase::kEncode);
   std::size_t pos = 0;
   auto magic = GetU32(bytes, pos);
   auto version = GetU32(bytes, pos);

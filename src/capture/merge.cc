@@ -10,7 +10,6 @@
 #include <queue>
 #include <utility>
 
-#include "base/phase.h"
 #include "base/threads.h"
 
 namespace clouddns::capture {
@@ -114,7 +113,6 @@ void SortByTimeStable(CaptureBuffer& buffer) {
 CaptureBuffer MergeShards(std::vector<CaptureBuffer>&& shards) {
   if (shards.empty()) return {};
   if (shards.size() == 1) return std::move(shards.front());
-  base::ScopedPhaseTimer phase(base::Phase::kMerge);
   // Ladder (tournament) merge: each round pairs adjacent buffers and
   // merges the pairs concurrently; an odd trailing buffer carries over
   // unmerged. Pairing adjacents keeps lower shard indices on the left of
@@ -151,7 +149,6 @@ CaptureBuffer MergeShardsCopy(const std::vector<CaptureBuffer>& shards) {
 }
 
 CaptureBuffer MergeShardsHeap(std::vector<CaptureBuffer>&& shards) {
-  base::ScopedPhaseTimer phase(base::Phase::kMerge);
   return HeapMergeCore(std::move(shards));
 }
 

@@ -15,8 +15,7 @@
 // The strategy adapts to the hardware: the ladder moves every record
 // ceil(lg k) times, which only pays off when its rounds overlap on real
 // cores, so a >2-way merge with a single execution lane takes the
-// single-pass cursor merge instead — same output either way. Merge time is
-// booked into base::Phase::kMerge.
+// single-pass cursor merge instead — same output either way.
 #pragma once
 
 #include <vector>

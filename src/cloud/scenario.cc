@@ -687,8 +687,9 @@ void ScenarioRuntime::RunShard(std::size_t shard_index) {
 
 ScenarioResult ScenarioRuntime::Run() {
   {
-    // The whole construction pipeline is the "setup" phase (bench phase
-    // accounting); the timer only observes, simulation state never reads it.
+    // The whole construction pipeline is the "setup" phase that bench_e2e
+    // reports as setup_s; the timer only observes, simulation state never
+    // reads it.
     base::ScopedPhaseTimer setup_phase(base::Phase::kSetup);
     BuildSites();
     MaterializeFaults();

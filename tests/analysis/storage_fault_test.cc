@@ -1,7 +1,7 @@
 // End-to-end storage robustness for the self-healing dataset cache
 // (DESIGN.md §14).
 //
-// Three suites:
+// Four suites:
 //   - The corruption matrix: truncated / bit-flipped / zero-length /
 //     unframed damage to each cached artifact (columnar capture, `.ctx`
 //     context sidecar, `.shards` shard index), each loaded at 1/2/4/8
@@ -12,6 +12,8 @@
 //   - Lost artifacts: a deleted or corrupted `.ctx` or `.shards` must
 //     come back with cold-identical accounting and shard structure, and
 //     be written again.
+//   - Thread invariance: a cold build writes byte-identical `.cdns`,
+//     `.ctx` and `.shards` files at 1 and 8 worker threads.
 //   - The seeded fault sweep: all nine StorageFaultKind values injected
 //     across the columnar, pcap, sidecar, and cache write paths. Zero
 //     crashes, every silent corruption detected and quarantined on the
@@ -301,6 +303,73 @@ TEST(StorageLostArtifactTest, ShardIndexComesBackWithColdShardStructure) {
   EXPECT_EQ(warm.records.MergeOrderShardIds(),
             cold.records.MergeOrderShardIds());
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Thread invariance: the worker count never shows in the cache artifacts.
+
+/// Pins CLOUDDNS_THREADS for one scope and restores the previous value.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* threads) {
+    if (const char* prev = std::getenv("CLOUDDNS_THREADS")) {
+      had_prev_ = true;
+      prev_ = prev;
+    }
+    setenv("CLOUDDNS_THREADS", threads, 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (had_prev_) {
+      setenv("CLOUDDNS_THREADS", prev_.c_str(), 1);
+    } else {
+      unsetenv("CLOUDDNS_THREADS");
+    }
+  }
+  ScopedThreadsEnv(const ScopedThreadsEnv&) = delete;
+  ScopedThreadsEnv& operator=(const ScopedThreadsEnv&) = delete;
+
+ private:
+  bool had_prev_ = false;
+  std::string prev_;
+};
+
+TEST(StorageThreadInvarianceTest, ColdArtifactsIdenticalAtOneAndEightThreads) {
+  // threads = 0 leaves the worker count to CLOUDDNS_THREADS, which also
+  // sizes the zone-signing fan-out and the block-parallel frame codec.
+  auto config = SmallConfig(0);
+  config.client_queries = EffectiveQueryBudget(20'000);
+  const std::string key = CacheKey(config);
+  const char* const suffixes[] = {".cdns", ".ctx", ".shards"};
+  const auto dir_for = [](const char* threads) {
+    return ScratchDir(
+        (std::string("clouddns_storage_threads_") + threads).c_str());
+  };
+  std::vector<std::uint8_t> reference[3];
+  for (const char* threads : {"1", "8"}) {
+    SCOPED_TRACE(std::string("threads=") + threads);
+    const std::string dir = dir_for(threads);
+    fs::remove_all(dir);
+    {
+      ScopedThreadsEnv env(threads);
+      const cloud::ScenarioResult result = LoadOrRun(config, dir);
+      ASSERT_FALSE(result.records.empty());
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+      std::vector<std::uint8_t> bytes;
+      ASSERT_TRUE(
+          base::io::ReadFileBytes(dir + "/" + key + suffixes[i], bytes).ok())
+          << suffixes[i];
+      if (reference[i].empty()) {
+        reference[i] = std::move(bytes);
+      } else {
+        EXPECT_EQ(bytes, reference[i]) << suffixes[i] << " bytes diverge";
+      }
+    }
+  }
+  // More than one frame block, so the capture's CRC blocks were framed in
+  // parallel at 8 threads.
+  ASSERT_GT(reference[0].size(), base::io::kFrameBlockSize);
+  for (const char* threads : {"1", "8"}) fs::remove_all(dir_for(threads));
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ TEST_F(ThreadsEnvTest, ConfiguredValueWins) {
 TEST_F(ThreadsEnvTest, EnvOverridesHardware) {
   setenv("CLOUDDNS_THREADS", "5", 1);
   EXPECT_EQ(EffectiveThreads(0), 5u);
-  // Re-read on every call: the bench sweep mutates it between runs.
+  // Re-read on every call: thread-invariance tests change it between runs.
   setenv("CLOUDDNS_THREADS", "2", 1);
   EXPECT_EQ(EffectiveThreads(0), 2u);
 }

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "base/phase.h"
-
 namespace clouddns::capture {
 namespace {
 
@@ -138,19 +136,6 @@ TEST(MergeTest, MergeShardsCopyLeavesInputsIntact) {
   EXPECT_EQ(merged[0].src_port, 1);
   ASSERT_EQ(shards[0].size(), 1u);  // untouched
   ASSERT_EQ(shards[1].size(), 1u);
-}
-
-TEST(MergeTest, MergeNanosAccumulates) {
-  // Merges book into the kMerge phase counter (run outside any other
-  // phase timer, so the nesting guard does not swallow them).
-  const std::uint64_t before = base::PhaseNanos(base::Phase::kMerge);
-  std::vector<CaptureBuffer> shards(2);
-  for (std::uint32_t i = 0; i < 5000; ++i) {
-    shards[i % 2].push_back(At(i, i));
-  }
-  auto merged = MergeShards(std::move(shards));
-  ASSERT_EQ(merged.size(), 5000u);
-  EXPECT_GT(base::PhaseNanos(base::Phase::kMerge), before);
 }
 
 TEST(MergeTest, AppendBufferMovesAll) {

@@ -90,7 +90,7 @@ cloud::ScenarioConfig SmallScenario(std::size_t threads,
 
 /// One digest covering everything a run publishes: the flattened capture's
 /// columnar encoding (every record field, in merge order) plus the
-/// Table 3 / Fig. 1 report numbers.
+/// Table 3 / Fig. 1 report numbers, HyperLogLog estimates included.
 std::string ReportDigest(const cloud::ScenarioResult& result) {
   const auto wire = capture::EncodeColumnar(result.records.FlattenCopy());
   std::string blob(wire.begin(), wire.end());
@@ -98,7 +98,9 @@ std::string ReportDigest(const cloud::ScenarioResult& result) {
   blob += std::to_string(stats.queries_total) + "/" +
           std::to_string(stats.queries_valid) + "/" +
           std::to_string(stats.resolvers_exact) + "/" +
-          std::to_string(stats.ases_exact);
+          std::to_string(stats.resolvers_hll) + "/" +
+          std::to_string(stats.ases_exact) + "/" +
+          std::to_string(stats.ases_hll);
   for (const auto& share : analysis::ComputeCloudShares(result)) {
     blob += "/" + std::to_string(share.queries);
   }

@@ -1,77 +1,103 @@
-# Gate on the thread-scaling sweep: for every bench in BENCH_scaling.json,
-# 8-thread throughput must be at least 1-thread throughput. The sharded
-# pipeline has no serial merge barrier left, so adding workers must never
-# cost queries/second — a regression here means a new serial section or
-# false sharing crept into the hot path.
+# Thread-scaling gate over bench_e2e output. Two runs of the same
+# workloads, one at --threads 1 and one at --threads 8, each print
+# `<workload> <metric> <value> <unit>` lines on stdout. The gate holds two
+# conditions:
 #
-# Entries named `<bench>_cold` come from the cache-cleared cold sweep
-# (CLOUDDNS_COLD_SWEEP=1) and are gated on wall time instead: the cold
-# 8-thread rebuild must beat the cold 1-thread rebuild outright, or the
-# parallel zone build / signing / codec path has stopped pulling its
-# weight.
+#   - warm_suite throughput_qps at 8 threads >= at 1 thread. The sharded
+#     read/scan path has no serial merge barrier, so adding workers must
+#     never cost queries/second; a drop means a new serial section or
+#     false sharing crept into the hot path.
+#   - cold_table3 wall_s at 8 threads < at 1 thread. A cache-cleared
+#     rebuild must get strictly faster with workers, or the parallel zone
+#     build / signing / simulation / block-parallel codec path has stopped
+#     pulling its weight.
 #
-# Usage: cmake -DSCALING_JSON=path/to/BENCH_scaling.json -P check_scaling.cmake
-if(NOT DEFINED SCALING_JSON)
-  set(SCALING_JSON "BENCH_scaling.json")
-endif()
-if(NOT EXISTS "${SCALING_JSON}")
-  message(FATAL_ERROR "scaling results not found: ${SCALING_JSON} "
-                      "(run the benches with CLOUDDNS_SCALING=1 first)")
-endif()
+# Usage:
+#   bench_e2e --workload cold_table3 --threads 1 --seconds 1 >  e2e_1t.txt
+#   bench_e2e --workload warm_suite  --threads 1 --seconds 3 >> e2e_1t.txt
+#   (the same at --threads 8 into e2e_8t.txt)
+#   cmake -DONE_THREAD=e2e_1t.txt -DEIGHT_THREADS=e2e_8t.txt \
+#         -P tools/check_scaling.cmake
 
-# One JSON object per line; parsed with MATCHALL on the raw content because
-# cmake list semantics choke on the surrounding [ ] array brackets.
-file(READ "${SCALING_JSON}" content)
-string(REGEX MATCHALL "\\{[^\n]*\\}" entries "${content}")
-set(benches "")
-foreach(entry IN LISTS entries)
-  if(NOT entry MATCHES "\"name\": \"([^\"]+)\", \"threads\": ([0-9]+), \"wall_seconds\": ([0-9]+)\\.([0-9]+), .*\"queries_per_second\": ([0-9]+)")
-    continue()
+# Converts a printf %g value ("7.74", "1.03e+06", "0.000123") to an
+# integer count of millionths, so the comparisons stay integer arithmetic.
+function(to_micro value out)
+  if(NOT value MATCHES "^([0-9]+)(\\.([0-9]*))?([eE]([-+]?)0*([0-9]+))?$")
+    message(FATAL_ERROR "not a number: '${value}'")
   endif()
-  set(bench "${CMAKE_MATCH_1}")
-  set(threads "${CMAKE_MATCH_2}")
-  # Wall time as integer milliseconds (%.3f always prints 3 decimals), so
-  # the comparisons below stay integer arithmetic.
-  set(wall_ms "${CMAKE_MATCH_3}${CMAKE_MATCH_4}")
-  set(qps "${CMAKE_MATCH_5}")
-  list(APPEND benches "${bench}")
-  set(qps_${bench}_${threads} "${qps}")
-  set(wall_${bench}_${threads} "${wall_ms}")
+  set(digits "${CMAKE_MATCH_1}${CMAKE_MATCH_3}")
+  string(LENGTH "${CMAKE_MATCH_3}" frac_len)
+  set(exp 0)
+  if(NOT "${CMAKE_MATCH_6}" STREQUAL "")
+    set(exp "${CMAKE_MATCH_5}${CMAKE_MATCH_6}")
+  endif()
+  math(EXPR shift "${exp} - ${frac_len} + 6")
+  string(REGEX REPLACE "^0+([0-9])" "\\1" digits "${digits}")
+  if(shift GREATER_EQUAL 0)
+    string(REPEAT "0" ${shift} zeros)
+    set(result "${digits}${zeros}")
+  else()
+    math(EXPR keep "0 - ${shift}")
+    string(LENGTH "${digits}" len)
+    if(len LESS_EQUAL keep)
+      set(result 0)
+    else()
+      math(EXPR len "${len} - ${keep}")
+      string(SUBSTRING "${digits}" 0 ${len} result)
+    endif()
+  endif()
+  set(${out} "${result}" PARENT_SCOPE)
+endfunction()
+
+# Reads `<workload> <metric>` from a bench_e2e stdout file into `out`
+# (integer millionths) and the printed value into `out_text`.
+function(read_metric file workload metric out out_text)
+  if(NOT EXISTS "${file}")
+    message(FATAL_ERROR "bench_e2e output not found: ${file}")
+  endif()
+  file(STRINGS "${file}" lines REGEX "^${workload} ${metric} ")
+  list(LENGTH lines count)
+  if(NOT count EQUAL 1)
+    message(FATAL_ERROR "${file}: expected one '${workload} ${metric}' "
+                        "line, found ${count}")
+  endif()
+  string(REGEX REPLACE "^${workload} ${metric} ([^ ]+) .*$" "\\1" value
+                       "${lines}")
+  to_micro("${value}" micro)
+  set(${out} "${micro}" PARENT_SCOPE)
+  set(${out_text} "${value}" PARENT_SCOPE)
+endfunction()
+
+foreach(var ONE_THREAD EIGHT_THREADS)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "pass -D${var}=<bench_e2e stdout file>")
+  endif()
 endforeach()
-list(REMOVE_DUPLICATES benches)
-if(benches STREQUAL "")
-  message(FATAL_ERROR "no sweep entries parsed from ${SCALING_JSON}")
-endif()
 
 set(failed FALSE)
-foreach(bench IN LISTS benches)
-  if(NOT DEFINED qps_${bench}_1 OR NOT DEFINED qps_${bench}_8)
-    message(FATAL_ERROR "${bench}: sweep is missing the 1- or 8-thread point")
-  endif()
-  if(bench MATCHES "_cold$")
-    # Cold gate: a cache-cleared rebuild must get strictly faster with
-    # workers — wall time, not throughput, is what the user waits on.
-    set(one "${wall_${bench}_1}")
-    set(eight "${wall_${bench}_8}")
-    if(eight GREATER_EQUAL one)
-      message(SEND_ERROR "${bench}: cold 8-thread rebuild is no faster "
-                         "than 1-thread (${eight} ms >= ${one} ms)")
-      set(failed TRUE)
-    else()
-      message(STATUS "${bench}: cold 1T=${one} ms, 8T=${eight} ms — faster")
-    endif()
-  else()
-    set(one "${qps_${bench}_1}")
-    set(eight "${qps_${bench}_8}")
-    if(eight LESS one)
-      message(SEND_ERROR "${bench}: 8-thread throughput regressed below "
-                         "1-thread (${eight} q/s < ${one} q/s)")
-      set(failed TRUE)
-    else()
-      message(STATUS "${bench}: 1T=${one} q/s, 8T=${eight} q/s — monotonic")
-    endif()
-  endif()
-endforeach()
+
+read_metric("${ONE_THREAD}" warm_suite throughput_qps warm_1 warm_1_text)
+read_metric("${EIGHT_THREADS}" warm_suite throughput_qps warm_8 warm_8_text)
+if(warm_8 LESS warm_1)
+  message(SEND_ERROR "warm_suite: 8-thread throughput regressed below "
+                     "1-thread (${warm_8_text} q/s < ${warm_1_text} q/s)")
+  set(failed TRUE)
+else()
+  message(STATUS "warm_suite: 1T=${warm_1_text} q/s, "
+                 "8T=${warm_8_text} q/s — monotonic")
+endif()
+
+read_metric("${ONE_THREAD}" cold_table3 wall_s cold_1 cold_1_text)
+read_metric("${EIGHT_THREADS}" cold_table3 wall_s cold_8 cold_8_text)
+if(cold_8 GREATER_EQUAL cold_1)
+  message(SEND_ERROR "cold_table3: 8-thread rebuild is no faster than "
+                     "1-thread (${cold_8_text} s >= ${cold_1_text} s)")
+  set(failed TRUE)
+else()
+  message(STATUS "cold_table3: 1T=${cold_1_text} s, "
+                 "8T=${cold_8_text} s — faster")
+endif()
+
 if(failed)
-  message(FATAL_ERROR "thread scaling is no longer monotonic")
+  message(FATAL_ERROR "thread scaling gate failed")
 endif()
