@@ -40,7 +40,7 @@ Metrics Measure(const cloud::ScenarioResult& result) {
 
   // Hourly volume ratio over the week.
   std::map<std::uint64_t, std::uint64_t> hourly;
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     ++hourly[record.time_us / (sim::kMicrosPerDay / 24)];
   }
   std::uint64_t peak = 0, trough = ~0ull;

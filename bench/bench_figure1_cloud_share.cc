@@ -15,7 +15,7 @@ namespace {
 // Space-Saving sketch and report where the first cloud AS lands.
 void ReportRootAsRanking(const cloud::ScenarioResult& result) {
   entrada::SpaceSaving topk(256);
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     auto asn = result.asdb.OriginAs(record.src);
     topk.Add(asn ? "AS" + std::to_string(*asn) : "AS?");
   }

@@ -1,23 +1,20 @@
-// Old-vs-new capture merge throughput. MergeShardsHeap is the original
-// per-record priority-queue K-way merge; MergeShards is the parallel
-// ladder of galloping two-way merges that replaced it on the flatten
-// path (and that routes a serial >2-way merge back to the single-pass
-// cursor core, so on a single-lane host the two only diverge on the
-// two-shard shapes). items_per_second is merged records per second, so
-// the two families are directly comparable per (shard count, burst
-// length) shape.
+// Capture flatten throughput: ShardedCapture::FlattenCopy, the cursor walk
+// over the shard heads (MergeOrderShardIds) followed by a copy-gather of
+// the records in that order. items_per_second is flattened records per
+// second, comparable across the (shard count, records per shard, burst
+// length) shapes below.
 //
 // The `burst` arg controls run length: shard streams in real captures
 // interleave at burst granularity (a resolver's queries cluster in time),
-// which is exactly what galloping exploits. burst=1 is the adversarial
-// fully-interleaved case where runs degenerate to single records.
+// so one shard emits many records in a row. burst=1 is the fully
+// interleaved case where every record switches shard.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <random>
 #include <vector>
 
-#include "capture/merge.h"
+#include "capture/sharded.h"
 
 using namespace clouddns;
 
@@ -43,42 +40,29 @@ std::vector<capture::CaptureBuffer> MakeShards(std::size_t shard_count,
   return shards;
 }
 
-template <capture::CaptureBuffer (*MergeFn)(
-    std::vector<capture::CaptureBuffer>&&)>
-void RunMerge(benchmark::State& state) {
+void BM_FlattenCopy(benchmark::State& state) {
   const auto shard_count = static_cast<std::size_t>(state.range(0));
   const auto per_shard = static_cast<std::size_t>(state.range(1));
   const auto burst = static_cast<std::uint64_t>(state.range(2));
-  const std::vector<capture::CaptureBuffer> master =
-      MakeShards(shard_count, per_shard, burst);
+  const capture::ShardedCapture capture = capture::ShardedCapture::FromShards(
+      MakeShards(shard_count, per_shard, burst));
   for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<capture::CaptureBuffer> shards = master;
-    state.ResumeTiming();
-    capture::CaptureBuffer merged = MergeFn(std::move(shards));
+    capture::CaptureBuffer merged = capture.FlattenCopy();
     benchmark::DoNotOptimize(merged.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(shard_count * per_shard));
 }
 
-void BM_MergeGalloping(benchmark::State& state) {
-  RunMerge<capture::MergeShards>(state);
-}
-void BM_MergeHeap(benchmark::State& state) {
-  RunMerge<capture::MergeShardsHeap>(state);
-}
-
 // {shard_count, records_per_shard, burst_length}
 #define MERGE_SHAPES                                                     \
-  Args({2, 200000, 64})      /* two-shard fast path, bursty */           \
+  Args({2, 200000, 64})      /* two shards, bursty */                    \
       ->Args({2, 200000, 1}) /* two-shard, fully interleaved */          \
       ->Args({16, 25000, 64})  /* default engine sharding, bursty */     \
       ->Args({16, 25000, 1})   /* default sharding, interleaved */       \
       ->Args({16, 25000, 1024}) /* long quiet shards (skewed runs) */
 
-BENCHMARK(BM_MergeGalloping)->MERGE_SHAPES->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MergeHeap)->MERGE_SHAPES->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FlattenCopy)->MERGE_SHAPES->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

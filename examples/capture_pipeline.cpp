@@ -25,11 +25,11 @@ int main() {
   std::printf("capturing a scaled .nl week...\n");
   cloud::ScenarioResult week = cloud::RunScenario(config);
 
-  // Exports need the single time-ordered stream, so flatten explicitly
-  // (merged once, memoized; analytics would scan the shards in place).
+  // Exports need the single time-ordered stream, so flatten explicitly,
+  // once (analytics would scan the shards in place).
+  const capture::CaptureBuffer flat = week.records.FlattenCopy();
   const std::string raw_path = "/tmp/clouddns_example_raw.cdns";
-  if (auto status =
-          capture::WriteCaptureFileStatus(raw_path, week.records.Flatten());
+  if (auto status = capture::WriteCaptureFileStatus(raw_path, flat);
       !status.ok()) {
     std::fprintf(stderr, "write failed: %s\n", status.ToString().c_str());
     return 1;
@@ -41,7 +41,7 @@ int main() {
   capture::Anonymizer anonymizer(/*key=*/0x5eed);
   const std::string anon_path = "/tmp/clouddns_example_anon.cdns";
   if (auto status = capture::WriteCaptureFileStatus(
-          anon_path, anonymizer.AnonymizeCapture(week.records.Flatten()));
+          anon_path, anonymizer.AnonymizeCapture(flat));
       !status.ok()) {
     std::fprintf(stderr, "write failed: %s\n", status.ToString().c_str());
     return 1;

@@ -23,7 +23,7 @@ int main() {
 
   // Step 2-3 on a single address, to show the moving parts.
   analysis::RdnsDatabase rdns(result.ptr_records);
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     if (analysis::ProviderOfRecord(result, record) !=
         cloud::Provider::kFacebook) {
       continue;

@@ -26,7 +26,7 @@ int main() {
     auto result = cloud::RunScenario(config);
 
     auto shares = analysis::ComputeCloudShares(result);
-    auto by_as = entrada::CountBy(result.records.Flatten(),
+    auto by_as = entrada::CountBy(result.records.FlattenCopy(),
                                   entrada::KeySrcAs(result.asdb));
     std::uint64_t largest = 0;
     for (const auto& [asn, count] : by_as.counts) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/context_cache.h"
+#include "base/env.h"
 #include "capture/columnar.h"
 #include "capture/sharded.h"
 
@@ -25,12 +26,7 @@ std::string DefaultCacheDir() {
 }
 
 std::uint64_t EffectiveQueryBudget(std::uint64_t configured) {
-  if (const char* env = std::getenv("CLOUDDNS_QUERIES")) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(env, &end, 10);
-    if (end != env && value > 0) return value;
-  }
-  return configured;
+  return base::PositiveEnvInteger("CLOUDDNS_QUERIES").value_or(configured);
 }
 
 std::string CacheKey(const cloud::ScenarioConfig& config) {
@@ -171,9 +167,8 @@ cloud::ScenarioResult LoadOrRun(cloud::ScenarioConfig config,
   }
   cloud::ScenarioResult result = cloud::RunScenario(config);
   result.config = config;
-  // FlattenCopy: write the merge-ordered stream without leaving a second
-  // full copy memoized inside the sharded view. Its own statement, so the
-  // copy is freed before the sidecars are written.
+  // The merge-ordered stream is its own statement, so the flat copy is
+  // freed before the sidecars are written.
   capture.written = capture::WriteCaptureFileStatus(
       capture.path, result.records.FlattenCopy());
   context.written = SaveScenarioContextStatus(context.path, result);

@@ -16,7 +16,8 @@ namespace clouddns::analysis {
 [[nodiscard]] std::string DefaultCacheDir();
 
 /// Effective per-dataset client-query budget: the config's value unless
-/// the CLOUDDNS_QUERIES environment variable overrides it.
+/// the CLOUDDNS_QUERIES environment variable holds a positive integer,
+/// which overrides it.
 [[nodiscard]] std::uint64_t EffectiveQueryBudget(std::uint64_t configured);
 
 /// Deterministic cache key for a scenario configuration.

@@ -288,7 +288,7 @@ std::vector<FacebookSiteStats> ComputeFacebookSites(
   std::map<std::string, SiteAccumulator> sites;
   std::vector<net::IpAddress> facebook_sources;
 
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     if (record.server_id != server_id) continue;
     if (ProviderOfRecord(result, record) != cloud::Provider::kFacebook) {
       continue;

@@ -17,24 +17,24 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "base/env.h"
+
 namespace clouddns::base {
 
 /// Worker count for a parallel stage: an explicit `configured` value wins;
 /// otherwise the CLOUDDNS_THREADS environment variable (re-read on every
-/// call — the thread-invariance tests change it between runs); otherwise the
-/// hardware concurrency. Never returns 0.
+/// call — the thread-invariance tests change it between runs; a value that
+/// is not a positive integer is ignored); otherwise the hardware
+/// concurrency. Never returns 0.
 inline std::size_t EffectiveThreads(std::size_t configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("CLOUDDNS_THREADS")) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(env, &end, 10);
-    if (end != env && value > 0) return static_cast<std::size_t>(value);
+  if (auto value = PositiveEnvInteger("CLOUDDNS_THREADS")) {
+    return static_cast<std::size_t>(*value);
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

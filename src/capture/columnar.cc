@@ -70,6 +70,9 @@ struct Cursor {
   const std::uint8_t* end = nullptr;
 
   [[nodiscard]] bool empty() const { return p == end; }
+  [[nodiscard]] std::uint64_t remaining() const {
+    return static_cast<std::uint64_t>(end - p);
+  }
 
   [[nodiscard]] std::optional<std::uint64_t> Varint() {
     std::uint64_t value = 0;
@@ -110,9 +113,7 @@ std::optional<net::IpAddress> GetAddress(Cursor& c) {
 std::optional<std::string_view> GetStringView(Cursor& c
                                                   CLOUDDNS_LIFETIMEBOUND) {
   auto len = c.Varint();
-  if (!len || static_cast<std::uint64_t>(c.end - c.p) < *len) {
-    return std::nullopt;
-  }
+  if (!len || c.remaining() < *len) return std::nullopt;
   std::string_view view(reinterpret_cast<const char*>(c.p),
                         static_cast<std::size_t>(*len));
   c.p += *len;
@@ -228,13 +229,17 @@ std::optional<CaptureBuffer> DecodeColumnar(
   for (bool s : seen) {
     if (!s) return std::nullopt;
   }
+  // Every record owns exactly one flags byte, so a declared count above
+  // the flags column is forged — reject it before reserving for it.
+  if (*count > columns[kColFlags].remaining()) return std::nullopt;
 
-  // Dictionaries first.
+  // Dictionaries first. Each entry takes at least one byte, which bounds
+  // a declared dictionary size by its column's remaining bytes.
   std::vector<net::IpAddress> src_dict;
   {
     Cursor& c = columns[kColSrcDict];
     auto n = c.Varint();
-    if (!n) return std::nullopt;
+    if (!n || *n > c.remaining()) return std::nullopt;
     src_dict.reserve(*n);
     for (std::uint64_t i = 0; i < *n; ++i) {
       auto addr = GetAddress(c);
@@ -246,7 +251,7 @@ std::optional<CaptureBuffer> DecodeColumnar(
   {
     Cursor& c = columns[kColQnameDict];
     auto n = c.Varint();
-    if (!n) return std::nullopt;
+    if (!n || *n > c.remaining()) return std::nullopt;
     qname_dict.reserve(*n);
     for (std::uint64_t i = 0; i < *n; ++i) {
       auto text = GetStringView(c);
@@ -278,7 +283,6 @@ std::optional<CaptureBuffer> DecodeColumnar(
         !rtt) {
       return std::nullopt;
     }
-    if (columns[kColFlags].empty()) return std::nullopt;
     if (*src_index >= src_dict.size() || *qname_index >= qname_dict.size()) {
       return std::nullopt;
     }

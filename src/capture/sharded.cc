@@ -1,17 +1,15 @@
 #include "capture/sharded.h"
 
 // lint:hot-path
-// Flatten()/TakeFlat() are the merge boundary of the sharded pipeline
-// (DESIGN.md §13); everything else here must stay allocation-lean so that
-// wrapping a buffer in a ShardedCapture costs nothing over the raw vector.
+// FlattenCopy() is the merge boundary of the sharded pipeline (DESIGN.md
+// §13); everything else here must stay allocation-lean so that wrapping a
+// buffer in a ShardedCapture costs nothing over the raw vector.
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <queue>
 #include <utility>
-
-#include "capture/merge.h"
 
 namespace clouddns::capture {
 namespace {
@@ -41,6 +39,13 @@ bool GetVarint(const std::vector<std::uint8_t>& in, std::size_t& pos,
 
 }  // namespace
 
+void SortByTimeStable(CaptureBuffer& buffer) {
+  std::stable_sort(buffer.begin(), buffer.end(),
+                   [](const CaptureRecord& a, const CaptureRecord& b) {
+                     return a.time_us < b.time_us;
+                   });
+}
+
 ShardedCapture::ShardedCapture(CaptureBuffer flat) : size_(flat.size()) {
   shards_.push_back(std::move(flat));
 }
@@ -54,34 +59,16 @@ ShardedCapture ShardedCapture::FromShards(std::vector<CaptureBuffer> shards) {
   return result;
 }
 
-const CaptureBuffer& ShardedCapture::Flatten() const {
-  if (shards_.size() == 1) return shards_.front();
-  if (!flat_valid_) {
-    flat_ = MergeShardsCopy(shards_);
-    flat_valid_ = true;
-  }
-  return flat_;
-}
-
 CaptureBuffer ShardedCapture::FlattenCopy() const {
   if (shards_.size() == 1) return shards_.front();
-  if (flat_valid_) return flat_;
-  return MergeShardsCopy(shards_);
-}
-
-CaptureBuffer ShardedCapture::TakeFlat() && {
-  CaptureBuffer out;
-  if (flat_valid_) {
-    out = std::move(flat_);
-    flat_valid_ = false;
-  } else if (shards_.size() == 1) {
-    out = std::move(shards_.front());
-  } else {
-    out = MergeShards(std::move(shards_));
-  }
-  shards_.clear();
-  size_ = 0;
-  return out;
+  // Gather in merge order: each id names the shard whose next record
+  // comes next in the stream.
+  const std::vector<std::uint32_t> ids = MergeOrderShardIds();
+  std::vector<std::size_t> next(shards_.size(), 0);
+  CaptureBuffer flat;
+  flat.reserve(size_);
+  for (const std::uint32_t s : ids) flat.push_back(shards_[s][next[s]++]);
+  return flat;
 }
 
 std::vector<std::uint32_t> ShardedCapture::MergeOrderShardIds() const {
@@ -91,8 +78,9 @@ std::vector<std::uint32_t> ShardedCapture::MergeOrderShardIds() const {
     ids.assign(size_, 0);
     return ids;
   }
-  // Same cursor walk as the heap merge: emit the shard index instead of
-  // the record, so ids[i] names the shard of Flatten()[i].
+  // K-way cursor walk: a heap entry is (time of the shard's next record,
+  // shard); on equal times the lower shard index wins, and each shard's
+  // cursor only moves forward, so within-shard order is kept.
   struct Cursor {
     sim::TimeUs time;
     std::size_t shard;

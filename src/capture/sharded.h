@@ -5,14 +5,14 @@
 // so they scan the shard buffers in place and never pay the K-way merge or
 // the merged-buffer allocation. Consumers that genuinely need the single
 // time-ordered stream — pcap/columnar export, rank sketches, per-record
-// loops over the whole capture — ask for Flatten() by name, which merges
-// once under the (time, shard index, within-shard order) contract and
-// memoizes the result. There is no implicit conversion or vector-style
+// loops over the whole capture — ask for FlattenCopy() by name. There is
+// one merge: MergeOrderShardIds() walks the shard cursors under the (time,
+// shard index, within-shard order) contract, and FlattenCopy() gathers the
+// records in that order. There is no implicit conversion or vector-style
 // accessor: every merge is visible at its call site.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +20,10 @@
 #include "capture/record.h"
 
 namespace clouddns::capture {
+
+/// Sorts one buffer by time, keeping the existing relative order of equal
+/// timestamps — the per-shard precondition of ShardedCapture::FromShards.
+void SortByTimeStable(CaptureBuffer& buffer);
 
 class ShardedCapture {
  public:
@@ -42,35 +46,26 @@ class ShardedCapture {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// The single time-ordered stream: records sort by arrival time, ties
-  /// resolve to the lower shard index, within-shard order is kept. Merged
-  /// on first use and memoized (the shard buffers are retained untouched).
-  /// Not safe to race with other member calls on the same object.
-  const CaptureBuffer& Flatten() const;
-
-  /// Like Flatten(), but returns a fresh buffer and leaves no memo behind
-  /// — for one-shot exports that should not double the resident set.
+  /// The single time-ordered stream as a fresh buffer: records sort by
+  /// arrival time, ties resolve to the lower shard index, within-shard
+  /// order is kept. The shard buffers are left untouched.
   [[nodiscard]] CaptureBuffer FlattenCopy() const;
-
-  /// Destructively extracts the flattened stream (moves records out).
-  [[nodiscard]] CaptureBuffer TakeFlat() &&;
 
   /// Streams compare in flattened order: two captures are equal when they
   /// yield the same time-ordered record sequence, regardless of how the
   /// records are distributed across shards.
   friend bool operator==(const ShardedCapture& a, const ShardedCapture& b) {
-    return a.Flatten() == b.Flatten();
+    return a.FlattenCopy() == b.FlattenCopy();
   }
 
-  /// The shard index of every record in flattened order — the payload of
-  /// the `.shards` cache sidecar.
+  /// The shard index of every record in flattened order: ids[i] names the
+  /// shard of FlattenCopy()[i]. This cursor walk is the merge; it is also
+  /// the payload of the `.shards` cache sidecar.
   [[nodiscard]] std::vector<std::uint32_t> MergeOrderShardIds() const;
 
  private:
   std::vector<CaptureBuffer> shards_;
   std::size_t size_ = 0;
-  mutable CaptureBuffer flat_;
-  mutable bool flat_valid_ = false;
 };
 
 /// Writes the run-length-encoded shard-id stream of `capture` (in merge

@@ -7,7 +7,7 @@
 
 #include "base/phase.h"
 #include "base/threads.h"
-#include "capture/merge.h"
+#include "capture/sharded.h"
 #include "cloud/fleet.h"
 #include "sim/diurnal.h"
 #include "cloud/workload.h"

@@ -459,9 +459,10 @@ void AnalysisPlan::Execute(const capture::CaptureBuffer& records,
 void AnalysisPlan::Execute(const capture::ShardedCapture& records,
                           std::size_t threads) {
   if (records.shard_count() <= 1) {
-    // Degenerate sharding (e.g. a cache loaded without its sidecar): the
+    // Degenerate sharding (a single flat buffer, or no shards at all): the
     // contiguous-chunk path keeps intra-buffer parallelism.
-    Execute(records.Flatten(), threads);
+    const capture::CaptureBuffer none;
+    Execute(records.shard_count() == 1 ? records.shard(0) : none, threads);
     return;
   }
   std::size_t workers =

@@ -162,8 +162,8 @@ class AnalysisPlan {
   /// neither the K-way merge nor the merged-buffer allocation. Worker w
   /// owns shards s ≡ w (mod workers) in increasing shard order and
   /// partials fold in worker order, so results are byte-identical to
-  /// Execute(records.Flatten()) at every thread count (every aggregate is
-  /// order-independent or sorted downstream — see the header comment).
+  /// Execute(records.FlattenCopy()) at every thread count (every aggregate
+  /// is order-independent or sorted downstream — see the header comment).
   void Execute(const capture::ShardedCapture& records,
                std::size_t threads = 0);
 

@@ -152,6 +152,18 @@ TEST(DatasetCacheTest, QueryBudgetEnvOverride) {
   ::unsetenv("CLOUDDNS_QUERIES");
 }
 
+TEST(DatasetCacheTest, QueryBudgetEnvParsedStrictly) {
+  // "-1" must not wrap to 2^64-1 (an endless simulation), nor "8x" read
+  // as 8; 2^64 overflows. Each falls back to the configured budget.
+  for (const char* bad : {"-1", "8x", "", "18446744073709551616"}) {
+    ::setenv("CLOUDDNS_QUERIES", bad, 1);
+    EXPECT_EQ(EffectiveQueryBudget(20'000), 20'000u) << '"' << bad << '"';
+  }
+  ::setenv("CLOUDDNS_QUERIES", "123", 1);
+  EXPECT_EQ(EffectiveQueryBudget(20'000), 123u);
+  ::unsetenv("CLOUDDNS_QUERIES");
+}
+
 TEST(ExperimentsTest, EdnsStatsOnSyntheticRecords) {
   cloud::ScenarioResult result;
   cloud::RegisterProviderAses(result.asdb);

@@ -59,7 +59,7 @@ TEST(ContextCacheTest, RoundTripsEveryContextField) {
     EXPECT_EQ(loaded_as[i].org, original_as[i].org);
   }
   // Spot-check that lookups behave identically on real capture sources.
-  const capture::CaptureBuffer& records = original.records.Flatten();
+  const capture::CaptureBuffer records = original.records.FlattenCopy();
   for (std::size_t i = 0; i < records.size(); i += 997) {
     const auto& src = records[i].src;
     EXPECT_EQ(loaded.asdb.OriginAs(src), original.asdb.OriginAs(src));
@@ -114,7 +114,7 @@ TEST(ContextCacheTest, CacheHitMatchesThePopulatingRun) {
             second.client_queries_per_provider);
   EXPECT_EQ(first.zone_domains_by_tld, second.zone_domains_by_tld);
   EXPECT_EQ(first.asdb.announcements(), second.asdb.announcements());
-  const capture::CaptureBuffer& records = first.records.Flatten();
+  const capture::CaptureBuffer records = first.records.FlattenCopy();
   for (std::size_t i = 0; i < records.size(); i += 991) {
     const auto& src = records[i].src;
     EXPECT_EQ(first.asdb.OriginAs(src), second.asdb.OriginAs(src));

@@ -80,7 +80,7 @@ std::string ReportDigest(const cloud::ScenarioResult& result,
   std::ostringstream out;
   out << "records " << result.records.size() << "\n";
   out << "crc "
-      << base::io::Crc32c(capture::EncodeColumnar(result.records.Flatten()))
+      << base::io::Crc32c(capture::EncodeColumnar(result.records.FlattenCopy()))
       << "\n";
   out << "sources " << plan.DistinctResult(sources) << "\n";
   for (const auto& [key, n] : plan.GroupResult(by_qtype).counts) {

@@ -54,6 +54,17 @@ TEST_F(ThreadsEnvTest, MalformedEnvFallsThrough) {
   EXPECT_GE(EffectiveThreads(0), 1u);
 }
 
+TEST_F(ThreadsEnvTest, StrictParseIgnoresMalformedValues) {
+  const std::size_t fallback = EffectiveThreads(0);  // env unset
+  // "-1" must not wrap to 2^64-1, nor "8x" read as 8; 2^64 overflows.
+  for (const char* bad : {"-1", "8x", "", "18446744073709551616"}) {
+    setenv("CLOUDDNS_THREADS", bad, 1);
+    EXPECT_EQ(EffectiveThreads(0), fallback) << '"' << bad << '"';
+  }
+  setenv("CLOUDDNS_THREADS", "123", 1);
+  EXPECT_EQ(EffectiveThreads(0), 123u);
+}
+
 TEST_F(ThreadsEnvTest, NeverReturnsZero) {
   EXPECT_GE(EffectiveThreads(0), 1u);
 }

@@ -10,6 +10,24 @@
 namespace clouddns::capture {
 namespace {
 
+// A hand-built columnar payload: the "CDNS" magic, version 1, a declared
+// record count, then the 15 columns in id order. Every column is empty
+// except the two dictionaries (ids 3 and 7), which hold just their
+// declared entry counts and no entries.
+std::vector<std::uint8_t> ForgedPayload(std::uint64_t record_count,
+                                        std::uint64_t dict_count) {
+  std::vector<std::uint8_t> out = {'C', 'D', 'N', 'S', 0, 0, 0, 1};
+  PutVarint(out, record_count);
+  for (std::uint8_t id = 0; id < 15; ++id) {
+    std::vector<std::uint8_t> column;
+    if (id == 3 || id == 7) PutVarint(column, dict_count);
+    out.push_back(id);
+    PutVarint(out, column.size());
+    out.insert(out.end(), column.begin(), column.end());
+  }
+  return out;
+}
+
 CaptureRecord SampleRecord(int i) {
   CaptureRecord r;
   r.time_us = 1'000'000ull * static_cast<unsigned>(i);
@@ -111,6 +129,27 @@ TEST(ColumnarTest, RejectsTruncatedBody) {
   EXPECT_FALSE(DecodeColumnar(bytes).has_value());
 }
 
+TEST(ColumnarTest, ForgedCountsAreRejectedNotReserved) {
+  // The well-formed empty payload decodes; the same bytes declaring a
+  // huge record or dictionary count must be rejected, not reserved for
+  // (which throws bad_alloc or length_error).
+  ASSERT_TRUE(DecodeColumnar(ForgedPayload(0, 0)).has_value());
+  for (const std::uint64_t forged : {1ull << 34, 1ull << 62}) {
+    std::optional<CaptureBuffer> records;
+    EXPECT_NO_THROW(records = DecodeColumnar(ForgedPayload(forged, 0)));
+    EXPECT_FALSE(records.has_value()) << "record count " << forged;
+    std::optional<CaptureBuffer> dicts;
+    EXPECT_NO_THROW(dicts = DecodeColumnar(ForgedPayload(0, forged)));
+    EXPECT_FALSE(dicts.has_value()) << "dictionary count " << forged;
+  }
+  // One record more than the flags column holds is forged too.
+  CaptureBuffer one = {SampleRecord(1)};
+  auto bytes = EncodeColumnar(one);
+  ASSERT_EQ(bytes[8], 1);  // the record-count varint
+  bytes[8] = 2;
+  EXPECT_FALSE(DecodeColumnar(bytes).has_value());
+}
+
 TEST(ColumnarTest, FuzzedInputNeverCrashes) {
   CaptureBuffer records;
   for (int i = 0; i < 50; ++i) records.push_back(SampleRecord(i));
@@ -133,6 +172,20 @@ TEST(CaptureFileTest, WriteAndReadBack) {
   CaptureBuffer back;
   ASSERT_TRUE(ReadCaptureFileStatus(path, back).ok());
   EXPECT_EQ(back, records);
+  std::remove(path.c_str());
+}
+
+TEST(CaptureFileTest, ForgedCountInIntactFrameIsPayloadCorrupt) {
+  // The frame's CRC covers the forged bytes, so only the payload check
+  // stands between them and the dataset cache: it must report corruption
+  // (the cache quarantines and rebuilds) rather than throw.
+  std::string path = ::testing::TempDir() + "/forged_count.cdns";
+  ASSERT_TRUE(base::io::WriteFramedFile(path, base::io::kTagCapture,
+                                        ForgedPayload(1ull << 34, 0))
+                  .ok());
+  CaptureBuffer back;
+  EXPECT_EQ(ReadCaptureFileStatus(path, back).code,
+            base::io::IoCode::kPayloadCorrupt);
   std::remove(path.c_str());
 }
 

@@ -134,7 +134,7 @@ TEST(ParallelScenarioTest, ShardedAnalyticsMatchFlattenThenScan) {
   // count.
   auto result = RunScenario(SmallConfig(2));
   ASSERT_GT(result.records.shard_count(), 1u);
-  const PlanSnapshot baseline = SnapshotPlan(result.records.Flatten(), 1);
+  const PlanSnapshot baseline = SnapshotPlan(result.records.FlattenCopy(), 1);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     EXPECT_TRUE(SnapshotPlan(result.records, threads) == baseline)
         << "sharded scan diverges at " << threads << " threads";
@@ -148,7 +148,7 @@ TEST(ParallelScenarioTest, ShardedAnalyticsMatchUnderFaults) {
   config.fault_preset = FaultPreset::kLossyPath;
   auto result = RunScenario(config);
   ASSERT_FALSE(result.records.empty());
-  const PlanSnapshot baseline = SnapshotPlan(result.records.Flatten(), 1);
+  const PlanSnapshot baseline = SnapshotPlan(result.records.FlattenCopy(), 1);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     EXPECT_TRUE(SnapshotPlan(result.records, threads) == baseline)
         << "sharded scan diverges at " << threads << " threads";

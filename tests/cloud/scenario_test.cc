@@ -30,7 +30,7 @@ TEST(ScenarioTest, WeekStartMatchesPaperDates) {
 TEST(ScenarioTest, NlCapturesOnlyTheTwoMonitoredServers) {
   auto result = RunScenario(SmallConfig(Vantage::kNl, 2020));
   ASSERT_FALSE(result.records.empty());
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     EXPECT_LT(record.server_id, 2u);
   }
   int captured = 0, cctld_servers = 0;
@@ -46,7 +46,7 @@ TEST(ScenarioTest, NlCapturesOnlyTheTwoMonitoredServers) {
 TEST(ScenarioTest, RecordsAreTimeOrderedAndInsideWindow) {
   auto result = RunScenario(SmallConfig(Vantage::kNl, 2020));
   sim::TimeUs previous = 0;
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     EXPECT_GE(record.time_us, previous);
     EXPECT_GE(record.time_us, result.window_start);
     previous = record.time_us;
@@ -57,8 +57,10 @@ TEST(ScenarioTest, DeterministicForSameSeed) {
   auto a = RunScenario(SmallConfig(Vantage::kNl, 2020));
   auto b = RunScenario(SmallConfig(Vantage::kNl, 2020));
   ASSERT_EQ(a.records.size(), b.records.size());
-  EXPECT_EQ(a.records.Flatten().front(), b.records.Flatten().front());
-  EXPECT_EQ(a.records.Flatten().back(), b.records.Flatten().back());
+  const capture::CaptureBuffer flat_a = a.records.FlattenCopy();
+  const capture::CaptureBuffer flat_b = b.records.FlattenCopy();
+  EXPECT_EQ(flat_a.front(), flat_b.front());
+  EXPECT_EQ(flat_a.back(), flat_b.back());
 }
 
 TEST(ScenarioTest, SeedChangesTraffic) {
@@ -169,7 +171,7 @@ TEST(ScenarioTest, PtrRecordsCoverFacebookSources) {
     has_ptr[address] = true;
   }
   int facebook_sources = 0, with_ptr = 0;
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     if (analysis::ProviderOfRecord(result, record) != Provider::kFacebook) {
       continue;
     }
@@ -186,7 +188,7 @@ TEST(ScenarioTest, GoogleOnlyModeSilencesOtherFleets) {
   ScenarioConfig config = SmallConfig(Vantage::kNl, 2020);
   config.google_only = true;
   auto result = RunScenario(config);
-  for (const auto& record : result.records.Flatten()) {
+  for (const auto& record : result.records.FlattenCopy()) {
     EXPECT_EQ(analysis::ProviderOfRecord(result, record), Provider::kGoogle);
   }
 }

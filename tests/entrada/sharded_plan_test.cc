@@ -138,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ShardedPlanTest,
 TEST_P(ShardedPlanTest, ShardWiseScanMatchesFlattenThenScan) {
   const std::size_t threads = GetParam();
   // Reference: the pre-change pipeline — merge shards, scan flat.
-  PlanResults flat = RunAllOps(records_.Flatten(), threads);
+  PlanResults flat = RunAllOps(records_.FlattenCopy(), threads);
   // Under test: scan the shard buffers in place, no merge.
   PlanResults sharded = RunAllOps(records_, threads);
   ExpectSameResults(sharded, flat);
@@ -157,7 +157,7 @@ TEST(ShardedPlanTest, DegenerateShardingsAgree) {
   capture::ShardedCapture one(sixteen.FlattenCopy());
 
   std::vector<capture::CaptureBuffer> three(3);
-  const auto& flat = sixteen.Flatten();
+  const capture::CaptureBuffer flat = sixteen.FlattenCopy();
   for (std::size_t i = 0; i < flat.size(); ++i) {
     three[i % 3].push_back(flat[i]);
   }
@@ -179,9 +179,23 @@ TEST(ShardedPlanTest, EmptyAndTinyCapturesSurvive) {
   EXPECT_EQ(e.group.total, 0u);
 
   auto tiny = SyntheticSharded(16, 3);  // far below the serial cutoff
-  PlanResults flat = RunAllOps(tiny.Flatten(), 8);
+  PlanResults flat = RunAllOps(tiny.FlattenCopy(), 8);
   PlanResults sharded = RunAllOps(tiny, 8);
   ExpectSameResults(sharded, flat);
+}
+
+TEST(ShardedPlanTest, ZeroShardCaptureScansAnEmptyBuffer) {
+  // A capture with no shard buffers at all takes the degenerate path and
+  // must agree with scanning an empty flat buffer, at any thread count.
+  const auto none = capture::ShardedCapture::FromShards({});
+  ASSERT_EQ(none.shard_count(), 0u);
+  const PlanResults want = RunAllOps(capture::CaptureBuffer{}, 1);
+  for (std::size_t threads : {1u, 8u}) {
+    const PlanResults got = RunAllOps(none, threads);
+    EXPECT_EQ(got.count, 0u);
+    EXPECT_EQ(got.distinct, 0u);
+    ExpectSameResults(got, want);
+  }
 }
 
 }  // namespace

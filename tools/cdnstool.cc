@@ -125,9 +125,9 @@ int CmdSimulate(const Args& args) {
   cloud::ScenarioResult result = cloud::RunScenario(config);
   std::fprintf(stderr, "captured %zu queries\n", result.records.size());
 
-  // TakeFlat, not a plain move: the result keeps records sharded, and the
-  // export below needs the single merge-ordered stream.
-  capture::CaptureBuffer records = std::move(result.records).TakeFlat();
+  // The result keeps records sharded; the export below needs the single
+  // merge-ordered stream.
+  capture::CaptureBuffer records = result.records.FlattenCopy();
   if (args.Has("anonymize-key")) {
     capture::Anonymizer anonymizer(std::strtoull(
         args.Get("anonymize-key", "1").c_str(), nullptr, 10));
