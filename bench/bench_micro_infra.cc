@@ -1,12 +1,12 @@
 // Microbenchmarks of the analytics substrates: longest-prefix matching
 // (the per-record AS enrichment), HyperLogLog distinct counting (with an
-// accuracy report vs exact counting), resolver cache operations, and the
-// columnar-vs-rowwise capture codec ablation.
+// accuracy report vs exact counting), resolver cache operations, the
+// columnar capture codec, and the AnalysisPlan aggregation scan.
 #include <benchmark/benchmark.h>
 
 #include "capture/columnar.h"
-#include "entrada/analytics.h"
 #include "entrada/hll.h"
+#include "entrada/plan.h"
 #include "net/prefix_trie.h"
 #include "resolver/cache.h"
 #include "sim/random.h"
@@ -127,8 +127,11 @@ BENCHMARK(BM_ColumnarDecode)->Arg(100000);
 void BM_AggregationScan(benchmark::State& state) {
   auto records = MakeRecords(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        entrada::CountBy(records, entrada::KeyQtype(), entrada::FilterValid()));
+    entrada::AnalysisPlan plan;
+    const auto qtypes =
+        plan.GroupBy(entrada::FilterSpec::Valid(), entrada::KeySpec::Qtype());
+    plan.Execute(records);
+    benchmark::DoNotOptimize(plan.GroupResult(qtypes));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records.size()));

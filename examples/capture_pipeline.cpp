@@ -12,7 +12,7 @@
 #include "capture/anonymize.h"
 #include "capture/columnar.h"
 #include "cloud/scenario.h"
-#include "entrada/analytics.h"
+#include "entrada/plan.h"
 
 using namespace clouddns;
 
@@ -76,7 +76,16 @@ int main() {
     for (const auto& block : network.public_dns_blocks) announce(block);
   }
 
-  auto by_as = entrada::CountBy(records, entrada::KeySrcAs(anonymized_asdb));
+  // One pass computes both aggregations below.
+  entrada::AnalysisPlan plan;
+  plan.SetAsDatabase(anonymized_asdb);
+  const auto as_handle =
+      plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::SrcAs());
+  const auto qtype_handle =
+      plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::Qtype());
+  plan.Execute(records);
+
+  const entrada::Aggregation& by_as = plan.GroupResult(as_handle);
   std::uint64_t cloud_queries = 0;
   for (const auto& [key, count] : by_as.counts) {
     if (key != "AS?") cloud_queries += count;
@@ -89,7 +98,7 @@ int main() {
 
   // Aggregations that never needed addresses at all work unchanged.
   analysis::TextTable table({"qtype", "share"});
-  auto qtypes = entrada::CountBy(records, entrada::KeyQtype());
+  const entrada::Aggregation& qtypes = plan.GroupResult(qtype_handle);
   for (const auto& [qtype, count] : qtypes.counts) {
     if (qtypes.Share(qtype) > 0.02) {
       table.AddRow({qtype, analysis::Percent(qtypes.Share(qtype))});

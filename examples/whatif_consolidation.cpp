@@ -11,6 +11,7 @@
 #include "analysis/experiments.h"
 #include "analysis/report.h"
 #include "cloud/scenario.h"
+#include "entrada/plan.h"
 
 using namespace clouddns;
 
@@ -26,8 +27,12 @@ int main() {
     auto result = cloud::RunScenario(config);
 
     auto shares = analysis::ComputeCloudShares(result);
-    auto by_as = entrada::CountBy(result.records.FlattenCopy(),
-                                  entrada::KeySrcAs(result.asdb));
+    entrada::AnalysisPlan plan;
+    plan.SetAsDatabase(result.asdb);
+    const auto as_handle =
+        plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::SrcAs());
+    plan.Execute(result.records);
+    const entrada::Aggregation& by_as = plan.GroupResult(as_handle);
     std::uint64_t largest = 0;
     for (const auto& [asn, count] : by_as.counts) {
       largest = std::max(largest, count);

@@ -70,7 +70,7 @@ DatasetStats ComputeDatasetStats(const cloud::ScenarioResult& result) {
 
 std::vector<ProviderShare> ComputeCloudShares(
     const cloud::ScenarioResult& result) {
-  // One tag-grouped pass replaces a CountIf scan per provider.
+  // One tag-grouped pass counts every provider at once.
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
   plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());

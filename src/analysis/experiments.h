@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cloud/scenario.h"
-#include "entrada/analytics.h"
 #include "entrada/plan.h"
 
 namespace clouddns::analysis {

@@ -1,6 +1,7 @@
-// Strict parsing of the integer environment overrides (CLOUDDNS_THREADS,
-// CLOUDDNS_QUERIES). A value either reads as a positive decimal integer
-// exactly or is ignored: "-1" is not 2^64-1 and "8x" is not 8.
+// Strict parsing of positive integers: the environment overrides
+// (CLOUDDNS_THREADS, CLOUDDNS_QUERIES) and cdnstool's numeric options. A
+// value either reads as a positive decimal integer exactly or is
+// rejected: "-1" is not 2^64-1, "8x" is not 8 and "1e5" is not 1.
 #pragma once
 
 #include <charconv>
@@ -12,13 +13,11 @@
 
 namespace clouddns::base {
 
-/// The value of environment variable `name` when it is digits only, above
-/// 0 and at most 2^64-1. Unset, empty, signed, trailing characters, 0 or
-/// out of range all give nullopt, so the caller keeps its default.
-inline std::optional<std::uint64_t> PositiveEnvInteger(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return std::nullopt;
-  const std::string_view text(env);
+/// `text` as a number when it is digits only, above 0 and at most
+/// 2^64-1. Empty, signed, trailing characters, 0 or out of range all give
+/// nullopt.
+inline std::optional<std::uint64_t> ParsePositiveInteger(
+    std::string_view text) {
   std::uint64_t value = 0;
   const auto [end, error] =
       std::from_chars(text.data(), text.data() + text.size(), value);
@@ -26,6 +25,14 @@ inline std::optional<std::uint64_t> PositiveEnvInteger(const char* name) {
     return std::nullopt;
   }
   return value;
+}
+
+/// The value of environment variable `name` read by ParsePositiveInteger;
+/// unset or malformed gives nullopt, so the caller keeps its default.
+inline std::optional<std::uint64_t> PositiveEnvInteger(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return std::nullopt;
+  return ParsePositiveInteger(env);
 }
 
 }  // namespace clouddns::base

@@ -27,13 +27,6 @@ class Cdf {
   /// (x, F(x)) pairs at each distinct sample value — the plotted series.
   [[nodiscard]] std::vector<std::pair<double, double>> Curve();
 
-  /// Pools another distribution's samples into this one. Quantiles of the
-  /// merged CDF are identical no matter how the samples were partitioned.
-  void Merge(const Cdf& other) {
-    values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-    sorted_ = false;
-  }
-
  private:
   void Sort();
 

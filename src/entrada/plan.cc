@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,10 +20,6 @@ namespace clouddns::entrada {
 namespace {
 
 constexpr std::uint64_t kNoAs = ~0ull;  ///< Code for an unrouted source.
-
-[[nodiscard]] bool IsCoded(KeySpec::Kind kind) {
-  return kind != KeySpec::Kind::kSrcAddress && kind != KeySpec::Kind::kCustom;
-}
 
 /// Months coded as (year << 4) | month; rendered at merge time.
 // lint:allow(hot-alloc): runs once per distinct month at Fold time, not per record
@@ -67,13 +64,10 @@ using SrcCache =
 struct RecordCtx {
   const capture::CaptureRecord& r;
   const net::AsDatabase* asdb;
-  const TagFn* tag_fn;
   const AsnTagFn* asn_tag_fn;
   SrcCache* src_cache;
 
   const CachedSrc* cached = nullptr;
-  bool tag_done = false;
-  std::uint16_t tag = 0;
 
   const CachedSrc& Cached() {
     if (cached == nullptr) {
@@ -96,17 +90,7 @@ struct RecordCtx {
   }
 
   std::uint64_t AsnCode() { return Cached().asn_code; }
-  std::uint16_t Tag() {
-    if (!tag_done) {
-      tag_done = true;
-      if (*tag_fn) {
-        tag = (*tag_fn)(r);
-      } else if (*asn_tag_fn) {
-        tag = Cached().tag;
-      }
-    }
-    return tag;
-  }
+  std::uint16_t Tag() { return Cached().tag; }
 };
 
 [[nodiscard]] bool Pass(const FilterSpec& filter, RecordCtx& ctx) {
@@ -132,7 +116,6 @@ struct RecordCtx {
       if (r.src.is_v4()) return false;
       break;
   }
-  if (filter.server_id && r.server_id != *filter.server_id) return false;
   if (filter.tag && ctx.Tag() != *filter.tag) return false;
   if (filter.custom && !filter.custom(r)) return false;
   return true;
@@ -153,9 +136,10 @@ struct RecordCtx {
       return ctx.AsnCode();
     case KeySpec::Kind::kTag:
       return ctx.Tag();
-    default:
-      return 0;  // Unreachable for coded kinds.
+    case KeySpec::Kind::kSrcAddress:
+      break;  // Keyed by the binary address, never coded.
   }
+  return 0;
 }
 
 }  // namespace
@@ -165,21 +149,17 @@ struct RecordCtx {
 /// vector and workers mutate them concurrently, so without the padding
 /// adjacent workers' hot counters would false-share a line.
 struct alignas(64) AnalysisPlan::Partial {
-  /// Group-by state that holds integer-coded keys and a string-key
-  /// fallback; only one of the two maps sees traffic per spec.
+  /// Group-by state over integer-coded keys.
   struct Group {
     std::unordered_map<std::uint64_t, std::uint64_t> coded;
-    // lint:allow(hot-alloc): string-key fallback map — only string-keyed specs (kSrcAddress/kCustom) ever touch it
-    std::map<std::string, std::uint64_t> strings;
     std::uint64_t total = 0;
   };
+  /// Distinct state; a spec fills `addresses` (kSrcAddress) or `coded`.
   struct DistinctSet {
     std::unordered_set<std::uint64_t> coded;
     std::unordered_set<net::IpAddress, net::IpAddressHash> addresses;
-    // lint:allow(hot-alloc): string-key fallback set for kCustom distinct specs only
-    std::unordered_set<std::string> texts;
     [[nodiscard]] std::size_t Size() const {
-      return coded.size() + addresses.size() + texts.size();
+      return coded.size() + addresses.size();
     }
   };
 
@@ -195,6 +175,12 @@ struct alignas(64) AnalysisPlan::Partial {
 
 AnalysisPlan::Handle AnalysisPlan::Add(Op op, FilterSpec filter, KeySpec key,
                                        ValueFn value) {
+  // Group keys are integer-coded; an address is not.
+  if ((op == Op::kGroup || op == Op::kMonth) &&
+      key.kind == KeySpec::Kind::kSrcAddress) {
+    throw std::invalid_argument(
+        "AnalysisPlan: source addresses are not a group key");
+  }
   Spec spec{op, std::move(filter), std::move(key), std::move(value),
             slots_[static_cast<std::size_t>(op)]++};
   specs_.push_back(std::move(spec));
@@ -226,8 +212,7 @@ void AnalysisPlan::Scan(const capture::CaptureRecord* first,
                         Partial& partial) const {
   for (const capture::CaptureRecord* record = first; record != last;
        ++record) {
-    RecordCtx ctx{*record, asdb_, &tag_fn_, &asn_tag_fn_,
-                  &partial.src_cache};
+    RecordCtx ctx{*record, asdb_, &asn_tag_fn_, &partial.src_cache};
     for (const Spec& spec : specs_) {
       if (!Pass(spec.filter, ctx)) continue;
       switch (spec.op) {
@@ -236,14 +221,7 @@ void AnalysisPlan::Scan(const capture::CaptureRecord* first,
           break;
         case Op::kGroup: {
           Partial::Group& group = partial.groups[spec.slot];
-          if (IsCoded(spec.key.kind)) {
-            ++group.coded[KeyCode(spec.key, ctx)];
-          } else if (spec.key.kind == KeySpec::Kind::kSrcAddress) {
-            // lint:allow(hot-alloc): address-keyed group specs are string-keyed by design; the paper tables using them are per-address reports
-            ++group.strings[record->src.ToString()];
-          } else {
-            ++group.strings[spec.key.custom(*record)];
-          }
+          ++group.coded[KeyCode(spec.key, ctx)];
           ++group.total;
           break;
         }
@@ -251,14 +229,7 @@ void AnalysisPlan::Scan(const capture::CaptureRecord* first,
           Partial::Group& group =
               partial.months[spec.slot][partial.month_coder.Code(
                   record->time_us)];
-          if (IsCoded(spec.key.kind)) {
-            ++group.coded[KeyCode(spec.key, ctx)];
-          } else if (spec.key.kind == KeySpec::Kind::kSrcAddress) {
-            // lint:allow(hot-alloc): address-keyed group specs are string-keyed by design; the paper tables using them are per-address reports
-            ++group.strings[record->src.ToString()];
-          } else {
-            ++group.strings[spec.key.custom(*record)];
-          }
+          ++group.coded[KeyCode(spec.key, ctx)];
           ++group.total;
           break;
         }
@@ -266,25 +237,21 @@ void AnalysisPlan::Scan(const capture::CaptureRecord* first,
           Partial::DistinctSet& set = partial.distincts[spec.slot];
           if (spec.key.kind == KeySpec::Kind::kSrcAddress) {
             set.addresses.insert(record->src);
-          } else if (IsCoded(spec.key.kind)) {
-            set.coded.insert(KeyCode(spec.key, ctx));
           } else {
-            set.texts.insert(spec.key.custom(*record));
+            set.coded.insert(KeyCode(spec.key, ctx));
           }
           break;
         }
         case Op::kSketch:
           if (spec.key.kind == KeySpec::Kind::kSrcAddress) {
             partial.sketches[spec.slot].Add(record->src);
-          } else if (IsCoded(spec.key.kind)) {
+          } else {
             // Hash the code; HLL only needs a well-mixed 64-bit input.
             std::uint64_t z =
                 KeyCode(spec.key, ctx) + 0x9e3779b97f4a7c15ull;
             z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
             z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
             partial.sketches[spec.slot].AddHash(z ^ (z >> 31));
-          } else {
-            partial.sketches[spec.slot].Add(spec.key.custom(*record));
           }
           break;
         case Op::kCdf:
@@ -341,9 +308,6 @@ void AnalysisPlan::Fold(std::vector<Partial>& partials) {
       for (const auto& [code, n] : other.groups[s].coded) {
         merged.groups[s].coded[code] += n;
       }
-      for (const auto& [key, n] : other.groups[s].strings) {
-        merged.groups[s].strings[key] += n;
-      }
       merged.groups[s].total += other.groups[s].total;
     }
     for (std::size_t s = 0; s < merged.months.size(); ++s) {
@@ -351,14 +315,12 @@ void AnalysisPlan::Fold(std::vector<Partial>& partials) {
         Partial::Group& into = merged.months[s][month];
         // lint:allow(unordered-iter): commutative += merge into a keyed map — visitation order cannot change any total
         for (const auto& [code, n] : group.coded) into.coded[code] += n;
-        for (const auto& [key, n] : group.strings) into.strings[key] += n;
         into.total += group.total;
       }
     }
     for (std::size_t s = 0; s < merged.distincts.size(); ++s) {
       merged.distincts[s].coded.merge(other.distincts[s].coded);
       merged.distincts[s].addresses.merge(other.distincts[s].addresses);
-      merged.distincts[s].texts.merge(other.distincts[s].texts);
     }
     for (std::size_t s = 0; s < merged.sketches.size(); ++s) {
       merged.sketches[s].Merge(other.sketches[s]);
@@ -389,7 +351,6 @@ void AnalysisPlan::Fold(std::vector<Partial>& partials) {
     for (const auto& [code, n] : ordered) {
       agg.counts[RenderCode(spec.key.kind, code, tag_namer_)] += n;
     }
-    for (const auto& [key, n] : group.strings) agg.counts[key] += n;
     agg.total = group.total;
     return agg;
   };
@@ -431,7 +392,6 @@ void AnalysisPlan::ExecuteRanges(
       });
 
   Fold(partials);
-  executed_ = true;
 }
 
 void AnalysisPlan::Execute(const capture::CaptureBuffer& records,

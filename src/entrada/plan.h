@@ -1,15 +1,12 @@
-// Fused analysis plans: register many (filter, key, aggregate) specs and
-// execute them all in ONE pass over a capture buffer, chunked across
-// worker threads.
+// The capture query engine, ENTRADA's role: register many (filter, key,
+// aggregate) specs and execute them all in ONE pass over a capture,
+// chunked across worker threads. Every table and figure in the paper is a
+// composition of these specs.
 //
-// The drivers in src/analysis re-scan the same multi-hundred-thousand-row
-// buffer 4-10 times per table — once per statistic — and pay a std::function
-// call plus a heap-allocated key string per record per scan. A plan walks
-// the buffer once: each record is tested against every spec's filter
-// (enum-dispatched, no virtual call for the common shapes), keys are
-// computed as integer codes, and per-thread partial states merge at the
-// end. String keys materialize once per *group* at merge time instead of
-// once per record.
+// Each record is tested against every spec's filter (enum-dispatched, no
+// virtual call for the common shapes), keys are computed as integer codes,
+// and per-thread partial states merge at the end. String keys materialize
+// once per *group* at merge time, never per record.
 //
 // Determinism: partial states are merged in chunk order and every
 // aggregate is either order-independent (counts, HLL, sets) or sorted
@@ -18,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -25,17 +23,35 @@
 
 #include "capture/record.h"
 #include "capture/sharded.h"
-#include "entrada/analytics.h"
 #include "entrada/cdf.h"
 #include "entrada/hll.h"
 #include "net/asdb.h"
 
 namespace clouddns::entrada {
 
+using Filter = std::function<bool(const capture::CaptureRecord&)>;
+using ValueFn =
+    std::function<std::optional<double>(const capture::CaptureRecord&)>;
+
+/// Group-by result; ordered map for stable report rendering.
+struct Aggregation {
+  std::map<std::string, std::uint64_t> counts;
+  std::uint64_t total = 0;
+
+  [[nodiscard]] std::uint64_t Of(const std::string& key) const {
+    auto it = counts.find(key);
+    return it == counts.end() ? 0 : it->second;
+  }
+  [[nodiscard]] double Share(const std::string& key) const {
+    return total == 0 ? 0.0
+                      : static_cast<double>(Of(key)) /
+                            static_cast<double>(total);
+  }
+};
+
 /// Enum-dispatched filter. A record passes when the kind-predicate holds
-/// AND every set optional constraint (server, tag) matches AND the custom
-/// functor (if any) accepts. The common paper filters never touch a
-/// std::function.
+/// AND the optional tag constraint matches AND the custom functor (if any)
+/// accepts. The common paper filters never touch a std::function.
 struct FilterSpec {
   enum class Kind : std::uint8_t {
     kAll,    ///< Accept everything.
@@ -47,78 +63,50 @@ struct FilterSpec {
     kV6,
   };
   Kind kind = Kind::kAll;
-  std::optional<std::uint32_t> server_id;  ///< Restrict to one NS.
-  std::optional<std::uint16_t> tag;        ///< Restrict to one tag value.
-  Filter custom;                           ///< Fallback escape hatch.
+  std::optional<std::uint16_t> tag;  ///< Restrict to one tag value.
+  Filter custom;                     ///< Extra predicate; must be pure.
 
   static FilterSpec All() { return {}; }
-  static FilterSpec Valid() { return {Kind::kValid, {}, {}, nullptr}; }
-  static FilterSpec Junk() { return {Kind::kJunk, {}, {}, nullptr}; }
-  static FilterSpec Udp() { return {Kind::kUdp, {}, {}, nullptr}; }
-  static FilterSpec Tcp() { return {Kind::kTcp, {}, {}, nullptr}; }
-  static FilterSpec V4() { return {Kind::kV4, {}, {}, nullptr}; }
-  static FilterSpec V6() { return {Kind::kV6, {}, {}, nullptr}; }
-  static FilterSpec Server(std::uint32_t id) {
-    FilterSpec spec;
-    spec.server_id = id;
-    return spec;
-  }
+  static FilterSpec Valid() { return {Kind::kValid, {}, nullptr}; }
+  static FilterSpec Junk() { return {Kind::kJunk, {}, nullptr}; }
+  static FilterSpec Udp() { return {Kind::kUdp, {}, nullptr}; }
+  static FilterSpec Tcp() { return {Kind::kTcp, {}, nullptr}; }
+  static FilterSpec V4() { return {Kind::kV4, {}, nullptr}; }
+  static FilterSpec V6() { return {Kind::kV6, {}, nullptr}; }
   static FilterSpec Tagged(std::uint16_t value) {
-    FilterSpec spec;
-    spec.tag = value;
-    return spec;
-  }
-  static FilterSpec Custom(Filter filter) {
-    FilterSpec spec;
-    spec.custom = std::move(filter);
-    return spec;
-  }
-
-  [[nodiscard]] FilterSpec& WithServer(std::uint32_t id) {
-    server_id = id;
-    return *this;
-  }
-  [[nodiscard]] FilterSpec& WithTag(std::uint16_t value) {
-    tag = value;
-    return *this;
+    return {Kind::kAll, value, nullptr};
   }
 };
 
-/// Enum-dispatched key extractor. Every kind except kSrcAddress/kCustom
-/// codes the key as an integer; strings are rendered only at merge time.
+/// Enum-dispatched key extractor. Every kind codes the key as an integer,
+/// rendered to a string only at merge time, except kSrcAddress, which
+/// keys the binary address and is valid only for Distinct and Sketch.
 struct KeySpec {
   enum class Kind : std::uint8_t {
     kQtype,
     kRcode,
     kTransport,
     kFamily,      ///< "IPv4" / "IPv6"
-    kSrcAddress,  ///< Exact source address (string-keyed).
+    kSrcAddress,  ///< Exact source address (Distinct and Sketch only).
     kSrcAs,       ///< "AS15169" via the plan's AS database; "AS?" unrouted.
     kTag,         ///< The plan's per-record tag, rendered by the tag namer.
-    kCustom,
   };
   Kind kind = Kind::kQtype;
-  KeyFn custom;
 
-  static KeySpec Qtype() { return {Kind::kQtype, nullptr}; }
-  static KeySpec RcodeKey() { return {Kind::kRcode, nullptr}; }
-  static KeySpec Transport() { return {Kind::kTransport, nullptr}; }
-  static KeySpec Family() { return {Kind::kFamily, nullptr}; }
-  static KeySpec SrcAddress() { return {Kind::kSrcAddress, nullptr}; }
-  static KeySpec SrcAs() { return {Kind::kSrcAs, nullptr}; }
-  static KeySpec Tag() { return {Kind::kTag, nullptr}; }
-  static KeySpec Custom(KeyFn fn) { return {Kind::kCustom, std::move(fn)}; }
+  static KeySpec Qtype() { return {Kind::kQtype}; }
+  static KeySpec RcodeKey() { return {Kind::kRcode}; }
+  static KeySpec Transport() { return {Kind::kTransport}; }
+  static KeySpec Family() { return {Kind::kFamily}; }
+  static KeySpec SrcAddress() { return {Kind::kSrcAddress}; }
+  static KeySpec SrcAs() { return {Kind::kSrcAs}; }
+  static KeySpec Tag() { return {Kind::kTag}; }
 };
 
-/// Computes a small integer label for a record — e.g. the provider that
-/// owns its source AS. Evaluated lazily, at most once per record, and
-/// shared by every spec that filters or groups on the tag.
-using TagFn = std::function<std::uint16_t(const capture::CaptureRecord&)>;
-/// A tag that is a pure function of the record's source AS (nullopt =
-/// unrouted). Declaring that purity lets the plan memoize the AS lookup
-/// AND the tag per distinct source address — source addresses repeat
-/// thousands of times in a capture, so the per-record cost collapses to
-/// one hash probe.
+/// Computes a small integer label for a record from its source AS alone
+/// (nullopt = unrouted), e.g. the provider that owns the AS. That purity
+/// lets the plan memoize the AS lookup AND the tag per distinct source
+/// address — source addresses repeat thousands of times in a capture, so
+/// the per-record cost collapses to one hash probe.
 using AsnTagFn = std::function<std::uint16_t(std::optional<net::Asn>)>;
 /// Renders a tag value for report keys ("Google", ...).
 using TagNamer = std::function<std::string(std::uint16_t)>;
@@ -127,18 +115,11 @@ class AnalysisPlan {
  public:
   using Handle = std::size_t;
 
-  /// AS database for KeySpec::SrcAs (and anything the tag fn needs is the
-  /// tag fn's own business). Must outlive Execute().
+  /// AS database for KeySpec::SrcAs and the tag. Must outlive Execute().
   void SetAsDatabase(const net::AsDatabase& asdb) { asdb_ = &asdb; }
   /// Per-record tag + its renderer; enables FilterSpec::Tagged and
-  /// KeySpec::Tag. Must be pure — it runs concurrently on many records.
-  void SetTag(TagFn fn, TagNamer namer) {
-    tag_fn_ = std::move(fn);
-    tag_namer_ = std::move(namer);
-  }
-  /// AS-pure tag variant: the tag is derived from the source AS alone, so
-  /// the plan caches (AS, tag) per source address. Requires SetAsDatabase.
-  /// A full SetTag, if also present, takes precedence.
+  /// KeySpec::Tag. The plan caches (AS, tag) per source address. Requires
+  /// SetAsDatabase; must be pure — it runs concurrently on many records.
   void SetAsnTag(AsnTagFn fn, TagNamer namer) {
     asn_tag_fn_ = std::move(fn);
     tag_namer_ = std::move(namer);
@@ -146,6 +127,8 @@ class AnalysisPlan {
 
   // --- Spec registration (before Execute) ---
   Handle Count(FilterSpec filter);
+  /// GroupBy and GroupByMonth throw std::invalid_argument for
+  /// KeySpec::SrcAddress: per-address groups are not a paper statistic.
   Handle GroupBy(FilterSpec filter, KeySpec key);
   Handle GroupByMonth(FilterSpec filter, KeySpec key);
   Handle Distinct(FilterSpec filter, KeySpec key);
@@ -155,7 +138,7 @@ class AnalysisPlan {
   /// One fused pass over `records`, chunked over `threads` workers
   /// (0 = hardware concurrency, honoring CLOUDDNS_THREADS; workers run on
   /// the shared base::ThreadPool). Results are bit-identical for every
-  /// thread count. Custom functors must be pure.
+  /// thread count. Custom filters and value functors must be pure.
   void Execute(const capture::CaptureBuffer& records, std::size_t threads = 0);
 
   /// Shard-wise fused pass: scans the shard buffers in place, paying
@@ -212,7 +195,6 @@ class AnalysisPlan {
   void Fold(std::vector<Partial>& partials);
 
   const net::AsDatabase* asdb_ = nullptr;
-  TagFn tag_fn_;
   AsnTagFn asn_tag_fn_;
   TagNamer tag_namer_;
 
@@ -226,7 +208,6 @@ class AnalysisPlan {
   std::vector<std::uint64_t> distincts_;
   std::vector<Hll> sketches_;
   std::vector<Cdf> cdfs_;
-  bool executed_ = false;
 };
 
 }  // namespace clouddns::entrada

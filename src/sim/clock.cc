@@ -46,14 +46,6 @@ std::string MonthKey(TimeUs time) {
   return std::string(buf, static_cast<std::size_t>(n));
 }
 
-void MonthBucketer::Rebucket(TimeUs time) {
-  CivilDate date = CivilFromTime(time);
-  lo_ = TimeFromCivil({date.year, date.month, 1});
-  hi_ = date.month == 12 ? TimeFromCivil({date.year + 1, 1, 1})
-                         : TimeFromCivil({date.year, date.month + 1, 1});
-  key_ = MonthKey(time);
-}
-
 std::string DateString(TimeUs time) {
   CivilDate date = CivilFromTime(time);
   char buf[16];

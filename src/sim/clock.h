@@ -36,23 +36,6 @@ struct CivilDate {
 /// "2020-04-05" rendering.
 [[nodiscard]] std::string DateString(TimeUs time);
 
-/// Month-key lookup that memoizes the current month's [start, end) range.
-/// Capture streams are time-sorted, so consecutive records almost always
-/// land in the same month and resolve without civil-date arithmetic.
-class MonthBucketer {
- public:
-  [[nodiscard]] const std::string& Key(TimeUs time) {
-    if (time < lo_ || time >= hi_) Rebucket(time);
-    return key_;
-  }
-
- private:
-  void Rebucket(TimeUs time);
-
-  TimeUs lo_ = 0, hi_ = 0;  ///< Empty range: first call always rebuckets.
-  std::string key_;
-};
-
 /// A monotonically advancing simulated clock.
 class Clock {
  public:

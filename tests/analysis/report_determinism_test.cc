@@ -13,6 +13,7 @@
 #include "analysis/rdns.h"
 #include "capture/record.h"
 #include "entrada/plan.h"
+#include "net/asdb.h"
 #include "sim/random.h"
 #include "zone/reverse.h"
 
@@ -66,11 +67,31 @@ capture::CaptureBuffer SyntheticCapture() {
 /// into one report string — every emission boundary the repo has.
 std::string RenderReport(const capture::CaptureBuffer& records,
                          std::size_t threads) {
+  // One AS per v4 /16 and per v6 /112 the capture draws from, so the
+  // source-AS group has a key per AS plus "AS?" for the unrouted rest.
+  net::AsDatabase asdb;
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    const net::Asn v4_as = 64500u + i;
+    const net::Asn v6_as = 64600u + i;
+    asdb.AddAs(v4_as, "V4-" + std::to_string(i));
+    asdb.AddAs(v6_as, "V6-" + std::to_string(i));
+    asdb.Announce(net::Prefix(net::Ipv4Address(10, static_cast<std::uint8_t>(i),
+                                               0, 0),
+                              16),
+                  v4_as);
+    if (i % 2 == 0) {
+      asdb.Announce(net::Prefix(net::Ipv6Address::FromGroups(
+                                    {0x2001, 0xdb8, 0, 0, 0, 0, i, 0}),
+                                112),
+                    v6_as);
+    }
+  }
   entrada::AnalysisPlan plan;
+  plan.SetAsDatabase(asdb);
   auto by_qtype = plan.GroupBy(entrada::FilterSpec::All(),
                                entrada::KeySpec::Qtype());
-  auto by_src = plan.GroupBy(entrada::FilterSpec::Valid(),
-                             entrada::KeySpec::SrcAddress());
+  auto by_as = plan.GroupBy(entrada::FilterSpec::Valid(),
+                             entrada::KeySpec::SrcAs());
   auto by_month = plan.GroupByMonth(entrada::FilterSpec::All(),
                                     entrada::KeySpec::RcodeKey());
   auto v6_sources = plan.Distinct(entrada::FilterSpec::V6(),
@@ -84,8 +105,8 @@ std::string RenderReport(const capture::CaptureBuffer& records,
   for (const auto& [key, n] : plan.GroupResult(by_qtype).counts) {
     out << "qtype " << key << " " << n << "\n";
   }
-  for (const auto& [key, n] : plan.GroupResult(by_src).counts) {
-    out << "src " << key << " " << n << "\n";
+  for (const auto& [key, n] : plan.GroupResult(by_as).counts) {
+    out << "as " << key << " " << n << "\n";
   }
   for (const auto& [month, agg] : plan.MonthResult(by_month)) {
     for (const auto& [key, n] : agg.counts) {

@@ -12,7 +12,6 @@
 #include <tuple>
 
 #include "capture/sharded.h"
-#include "entrada/analytics.h"
 #include "sim/random.h"
 
 namespace clouddns::entrada {
@@ -79,12 +78,20 @@ struct PlanResults {
 /// (flat chunked scan) — the two paths under comparison.
 template <typename Capture>
 PlanResults RunAllOps(const Capture& records, std::size_t threads) {
+  // Routes part of SyntheticSharded's v4 and v6 sources; the tag is the
+  // origin AS's offset (0 for unrouted).
+  net::AsDatabase asdb;
+  asdb.AddAs(64500, "V4-NET");
+  asdb.AddAs(64501, "V6-NET");
+  asdb.Announce(*net::Prefix::Parse("10.0.0.0/22"), 64500);
+  asdb.Announce(*net::Prefix::Parse("2001:db8::/116"), 64501);
   AnalysisPlan plan;
-  plan.SetTag(
-      [](const capture::CaptureRecord& r) {
-        return static_cast<std::uint16_t>(r.server_id);
+  plan.SetAsDatabase(asdb);
+  plan.SetAsnTag(
+      [](std::optional<net::Asn> asn) {
+        return static_cast<std::uint16_t>(asn ? *asn - 64499 : 0);
       },
-      [](std::uint16_t tag) { return "server-" + std::to_string(tag); });
+      [](std::uint16_t tag) { return "tag-" + std::to_string(tag); });
   auto count = plan.Count(FilterSpec::Valid());
   auto group = plan.GroupBy(FilterSpec::All(), KeySpec::Qtype());
   auto months = plan.GroupByMonth(FilterSpec::Valid(), KeySpec::Tag());

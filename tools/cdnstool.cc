@@ -14,19 +14,23 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/experiments.h"
 #include "analysis/report.h"
 #include "analysis/rssac002.h"
+#include "base/env.h"
 #include "base/io.h"
 #include "capture/anonymize.h"
 #include "capture/columnar.h"
 #include "capture/pcap.h"
 #include "cloud/scenario.h"
-#include "entrada/analytics.h"
+#include "entrada/plan.h"
 #include "entrada/topk.h"
 #include "resolver/resolver.h"
 #include "server/auth_server.h"
@@ -39,24 +43,33 @@ using namespace clouddns;
 
 namespace {
 
+/// Options that take a value; every other `--name` is a flag.
+const std::set<std::string> kValuedOptions = {
+    "anonymize-key", "by",   "edns", "key",     "origin", "out",
+    "queries",       "seed", "top",  "vantage", "year"};
+
 struct Args {
   std::vector<std::string> positional;
   std::unordered_map<std::string, std::string> options;
   std::unordered_map<std::string, bool> flags;
 
-  static Args Parse(int argc, char** argv, int first) {
+  /// nullopt when a valued option has no value. The value is the next
+  /// argument unless that is itself an option, so `--queries -1` reads -1.
+  static std::optional<Args> Parse(int argc, char** argv, int first) {
     Args args;
     for (int i = first; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string key = arg.substr(2);
-        if (i + 1 < argc && argv[i + 1][0] != '-') {
-          args.options[key] = argv[++i];
-        } else {
-          args.flags[key] = true;
-        }
-      } else {
+      if (arg.rfind("--", 0) != 0) {
         args.positional.push_back(std::move(arg));
+        continue;
+      }
+      std::string key = arg.substr(2);
+      if (kValuedOptions.count(key) == 0) {
+        args.flags[key] = true;
+      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        args.options[key] = argv[++i];
+      } else {
+        return std::nullopt;
       }
     }
     return args;
@@ -93,10 +106,32 @@ int Usage() {
   return 2;
 }
 
-cloud::Vantage VantageFrom(const std::string& text) {
+/// `--name` as a positive integer of at most `max`, or `fallback` when
+/// absent; nullopt when the value is malformed or out of range.
+std::optional<std::uint64_t> PositiveOption(const Args& args,
+                                            const std::string& name,
+                                            std::uint64_t fallback,
+                                            std::uint64_t max = UINT64_MAX) {
+  auto it = args.options.find(name);
+  if (it == args.options.end()) return fallback;
+  auto value = base::ParsePositiveInteger(it->second);
+  if (!value || *value > max) return std::nullopt;
+  return value;
+}
+
+std::optional<cloud::Vantage> VantageFrom(const std::string& text) {
+  if (text == "nl") return cloud::Vantage::kNl;
   if (text == "nz") return cloud::Vantage::kNz;
   if (text == "root") return cloud::Vantage::kRoot;
-  return cloud::Vantage::kNl;
+  return std::nullopt;
+}
+
+/// The capture years the scenario profiles cover.
+std::optional<int> YearFrom(const std::string& text) {
+  if (text == "2018") return 2018;
+  if (text == "2019") return 2019;
+  if (text == "2020") return 2020;
+  return std::nullopt;
 }
 
 /// Loads a columnar capture, printing the typed storage error on failure.
@@ -111,11 +146,14 @@ bool ReadCapture(const std::string& path, capture::CaptureBuffer& records) {
 }
 
 int CmdSimulate(const Args& args) {
+  const auto vantage = VantageFrom(args.Get("vantage", "nl"));
+  const auto year = YearFrom(args.Get("year", "2020"));
+  const auto queries = PositiveOption(args, "queries", 100000);
+  if (!vantage || !year || !queries) return Usage();
   cloud::ScenarioConfig config;
-  config.vantage = VantageFrom(args.Get("vantage", "nl"));
-  config.year = std::atoi(args.Get("year", "2020").c_str());
-  config.client_queries =
-      std::strtoull(args.Get("queries", "100000").c_str(), nullptr, 10);
+  config.vantage = *vantage;
+  config.year = *year;
+  config.client_queries = *queries;
   config.seed = std::strtoull(args.Get("seed", "20201027").c_str(), nullptr, 10);
 
   std::fprintf(stderr, "simulating %s %d (%llu client queries)...\n",
@@ -147,7 +185,8 @@ int CmdSimulate(const Args& args) {
 }
 
 int CmdInspect(const Args& args) {
-  if (args.positional.empty()) return Usage();
+  const auto top_n = PositiveOption(args, "top", 5);
+  if (args.positional.empty() || !top_n) return Usage();
   capture::CaptureBuffer records;
   if (!ReadCapture(args.positional[0], records)) return 1;
   std::printf("%zu records\n", records.size());
@@ -157,17 +196,24 @@ int CmdInspect(const Args& args) {
               sim::DateString(records.back().time_us).c_str());
 
   std::string by = args.Get("by", "qtype");
-  entrada::KeyFn key;
+  entrada::KeySpec key = entrada::KeySpec::Qtype();
   if (by == "rcode") {
-    key = entrada::KeyRcode();
+    key = entrada::KeySpec::RcodeKey();
   } else if (by == "transport") {
-    key = entrada::KeyTransport();
+    key = entrada::KeySpec::Transport();
   } else if (by == "family") {
-    key = entrada::KeyIpFamily();
-  } else {
-    key = entrada::KeyQtype();
+    key = entrada::KeySpec::Family();
   }
-  auto agg = entrada::CountBy(records, key);
+  entrada::AnalysisPlan plan;
+  const auto grouped = plan.GroupBy(entrada::FilterSpec::All(), key);
+  const auto sources = plan.Distinct(entrada::FilterSpec::All(),
+                                     entrada::KeySpec::SrcAddress());
+  const auto sources_hll = plan.Sketch(entrada::FilterSpec::All(),
+                                       entrada::KeySpec::SrcAddress());
+  const auto junk = plan.Count(entrada::FilterSpec::Junk());
+  plan.Execute(records);
+
+  const entrada::Aggregation& agg = plan.GroupResult(grouped);
   analysis::TextTable table({by, "queries", "share"});
   for (const auto& [bucket, count] : agg.counts) {
     table.AddRow({bucket, analysis::Count(count),
@@ -175,20 +221,16 @@ int CmdInspect(const Args& args) {
   }
   std::printf("%s", table.Render().c_str());
 
-  std::size_t top_n =
-      std::strtoul(args.Get("top", "5").c_str(), nullptr, 10);
   entrada::SpaceSaving topk(1024);
   for (const auto& record : records) topk.Add(record.src.ToString());
-  std::printf("\ntop %zu sources:\n", top_n);
-  for (const auto& entry : topk.Top(top_n)) {
+  std::printf("\ntop %zu sources:\n", static_cast<std::size_t>(*top_n));
+  for (const auto& entry : topk.Top(*top_n)) {
     std::printf("  %-40s %s\n", entry.key.c_str(),
                 analysis::Count(entry.count).c_str());
   }
   std::printf("\ndistinct sources: %llu (exact), %.0f (HLL)\n",
-              static_cast<unsigned long long>(
-                  entrada::DistinctExact(records, entrada::KeySrcAddress())),
-              entrada::DistinctSketch(records, entrada::KeySrcAddress())
-                  .Estimate());
+              static_cast<unsigned long long>(plan.DistinctResult(sources)),
+              plan.SketchResult(sources_hll).Estimate());
   if (args.Has("rssac002")) {
     std::printf("\nRSSAC002-style daily metrics:\n");
     for (const auto& day : analysis::Rssac002Report(records)) {
@@ -196,8 +238,7 @@ int CmdInspect(const Args& args) {
     }
   }
   std::printf("junk ratio: %s\n",
-              analysis::Percent(static_cast<double>(entrada::CountIf(
-                                    records, entrada::FilterJunk())) /
+              analysis::Percent(static_cast<double>(plan.CountResult(junk)) /
                                 static_cast<double>(records.size()))
                   .c_str());
   return 0;
@@ -226,28 +267,31 @@ int CmdReport(const Args& args) {
   capture::CaptureBuffer records;
   if (!ReadCapture(args.positional[0], records)) return 1;
   // Attribution uses the paper's Table 1 provider networks; everything
-  // else counts as "other ASes".
+  // else counts as "other ASes". The same plan as ComputeCloudShares.
   net::AsDatabase asdb;
   cloud::RegisterProviderAses(asdb);
-  std::map<std::string, std::uint64_t> per_provider;
+  entrada::AnalysisPlan plan;
+  plan.SetAsDatabase(asdb);
+  plan.SetAsnTag(analysis::ProviderAsnTag(), analysis::ProviderTagNamer());
+  const auto by_provider =
+      plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::Tag());
+  plan.Execute(records);
+  const entrada::Aggregation& agg = plan.GroupResult(by_provider);
+
+  const std::string other(cloud::ToString(cloud::Provider::kOther));
   std::uint64_t cloud_total = 0;
-  for (const auto& record : records) {
-    auto asn = asdb.OriginAs(record.src);
-    cloud::Provider provider =
-        asn ? cloud::ProviderOfAsn(*asn) : cloud::Provider::kOther;
-    ++per_provider[std::string(cloud::ToString(provider))];
-    cloud_total += provider != cloud::Provider::kOther;
-  }
   analysis::TextTable table({"provider", "queries", "share"});
-  for (const auto& [provider, count] : per_provider) {
+  for (const auto& [provider, count] : agg.counts) {
     table.AddRow({provider, analysis::Count(count),
-                  analysis::Percent(static_cast<double>(count) /
-                                    static_cast<double>(records.size()))});
+                  analysis::Percent(agg.Share(provider))});
+    if (provider != other) cloud_total += count;
   }
   std::printf("%s", table.Render().c_str());
   std::printf("\n5 cloud providers combined: %s of %zu queries\n",
-              analysis::Percent(static_cast<double>(cloud_total) /
-                                static_cast<double>(records.size()))
+              analysis::Percent(
+                  records.empty() ? 0.0
+                                  : static_cast<double>(cloud_total) /
+                                        static_cast<double>(records.size()))
                   .c_str(),
               records.size());
   return 0;
@@ -337,7 +381,8 @@ int CmdVerify(const Args& args) {
 }
 
 int CmdDig(const Args& args) {
-  if (args.positional.empty()) return Usage();
+  const auto edns = PositiveOption(args, "edns", 1232, 65535);
+  if (args.positional.empty() || !edns) return Usage();
   auto qname = dns::Name::Parse(args.positional[0]);
   if (!qname) {
     std::fprintf(stderr, "error: bad name '%s'\n",
@@ -407,8 +452,7 @@ int CmdDig(const Args& args) {
   config.hosts = {host};
   config.qname_minimization = args.Has("qmin");
   config.validate_dnssec = args.Has("validate");
-  config.edns_udp_size =
-      static_cast<std::uint16_t>(std::atoi(args.Get("edns", "1232").c_str()));
+  config.edns_udp_size = static_cast<std::uint16_t>(*edns);
   resolver::RecursiveResolver resolver(
       network, config, {*net::IpAddress::Parse("198.41.0.4")}, {});
 
@@ -487,7 +531,9 @@ int CmdZoneSample(const Args&) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
-  Args args = Args::Parse(argc, argv, 2);
+  const std::optional<Args> parsed = Args::Parse(argc, argv, 2);
+  if (!parsed) return Usage();
+  const Args& args = *parsed;
   if (command == "simulate") return CmdSimulate(args);
   if (command == "inspect") return CmdInspect(args);
   if (command == "anonymize") return CmdAnonymize(args);
