@@ -111,8 +111,9 @@ int main() {
   zone_config.apex = *dns::Name::Parse("nl");
   zone_config.nameservers = {{*dns::Name::Parse("ns1.dns.nl"),
                               {*net::IpAddress::Parse("194.0.28.1")}}};
-  auto flood_zone = std::make_shared<const zone::Zone>(
-      zone::MakeZoneSkeleton(zone_config));
+  zone::Zone flood_image = zone::MakeZoneSkeleton(zone_config);
+  flood_image.Freeze();
+  auto flood_zone = std::make_shared<const zone::Zone>(std::move(flood_image));
   server::AuthServerConfig flood_config;
   flood_config.rrl.enabled = true;
   flood_config.rrl.responses_per_second = 400;

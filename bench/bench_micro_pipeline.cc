@@ -1,9 +1,12 @@
 // End-to-end pipeline microbenchmarks: full resolutions through the
-// resolver/network/server stack, and simulation throughput per client
-// query — the numbers that justify the scaled-down capture budgets.
+// resolver/network/server stack, zone build and signing, and simulation
+// throughput per client query — the numbers that justify the scaled-down
+// capture budgets. The zone and server benchmarks also report heap
+// allocations, counted by common.h's replacement operator new.
 #include <benchmark/benchmark.h>
 
 #include "cloud/scenario.h"
+#include "common.h"
 #include "resolver/resolver.h"
 #include "server/auth_server.h"
 #include "server/leaf_auth.h"
@@ -112,11 +115,42 @@ void BM_AuthServerRespond(benchmark::State& state) {
   dns::WireBuffer wire = query.Encode();
   sim::PacketContext ctx;
   ctx.src = {*net::IpAddress::Parse("10.1.0.1"), 40000};
+  const std::uint64_t allocs_before = bench::AllocCount();
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.nl_server->HandlePacket(ctx, wire));
   }
+  // Includes the response buffer this HandlePacket overload returns.
+  state.counters["allocs_per_op"] =
+      static_cast<double>(bench::AllocCount() - allocs_before) /
+      static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_AuthServerRespond);
+
+void BM_ZoneBuildSign(benchmark::State& state) {
+  // One signed ccTLD image at the .nl 2020 scale of the cold datasets:
+  // skeleton, 11800 delegations, then SignZone.
+  std::size_t records = 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t allocs_before = bench::AllocCount();
+    zone::ZoneBuildConfig config;
+    config.apex = *dns::Name::Parse("nl");
+    config.nameservers = {{*dns::Name::Parse("ns1.dns.nl"),
+                           {*net::IpAddress::Parse("194.0.28.1")}}};
+    zone::Zone nl = zone::MakeZoneSkeleton(config);
+    zone::PopulateDelegations(nl, 11800, "dom", 0.55,
+                              net::Ipv4Address(100, 70, 0, 0));
+    zone::SignZone(nl);
+    allocs += bench::AllocCount() - allocs_before;
+    records = nl.record_count();
+    benchmark::DoNotOptimize(nl);
+  }
+  state.counters["records"] = static_cast<double>(records);
+  state.counters["allocs_per_record"] =
+      static_cast<double>(allocs) /
+      (static_cast<double>(records) * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ZoneBuildSign)->Unit(benchmark::kMillisecond);
 
 void BM_ScenarioThroughput(benchmark::State& state) {
   // Whole-pipeline cost per client query at a tiny scale.

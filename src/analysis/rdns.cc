@@ -14,6 +14,8 @@ RdnsDatabase::RdnsDatabase(
     zone.Add(dns::MakePtr(owner, target, 3600));
     ++count_;
   }
+  v4_zone_.Freeze();
+  v6_zone_.Freeze();
 }
 
 std::optional<dns::Name> RdnsDatabase::Lookup(

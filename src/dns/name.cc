@@ -274,4 +274,25 @@ std::string Name::ToKey() const {
   return key;
 }
 
+std::uint64_t Name::PresentationHash(std::uint64_t seed) const {
+  std::uint64_t h = seed;
+  auto mix = [&h](char c) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= kFnvPrime;
+  };
+  if (label_count_ == 0) {
+    mix('.');
+    return h;
+  }
+  const std::uint8_t* p = flat();
+  for (std::size_t i = 0; i < label_count_; ++i) {
+    if (i > 0) mix('.');
+    for (std::uint8_t j = 1; j <= *p; ++j) {
+      mix(AsciiLower(static_cast<char>(p[j])));
+    }
+    p += 1 + *p;
+  }
+  return h;
+}
+
 }  // namespace clouddns::dns

@@ -128,6 +128,11 @@ class Name {
   /// Lowercased presentation form, for use as a canonical map key.
   [[nodiscard]] std::string ToKey() const;
 
+  /// FNV-1a from `seed` over the bytes of ToKey() ("www.example.nl", the
+  /// root is "."), streamed off the flat labels so no string is built.
+  [[nodiscard]] std::uint64_t PresentationHash(
+      std::uint64_t seed = kFnvOffset) const;
+
   friend bool operator==(const Name& a, const Name& b) { return a.Equals(b); }
   friend bool operator<(const Name& a, const Name& b) {
     return a.Compare(b) < 0;

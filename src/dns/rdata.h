@@ -105,8 +105,8 @@ struct NsecRdata {
 };
 
 /// RFC 5155 hashed denial of existence. The next-hashed-owner field is
-/// raw hash bytes (presentation format base32hex-encodes it; see
-/// zone/nsec3.h).
+/// raw hash bytes (presentation format base32hex-encodes them). Only the
+/// wire codec exists: the simulated servers deny with online NSEC.
 struct Nsec3Rdata {
   std::uint8_t hash_algorithm = 1;  ///< 1 = SHA-1 in the RFC; mocked here.
   std::uint8_t flags = 0;           ///< Bit 0 = opt-out.

@@ -157,7 +157,7 @@ void InfraCache::Put(ZoneEntry entry) {
       table_.Find(hash, [&](std::uint32_t index) {
         return slots_[index].entry.apex.Equals(entry.apex);
       });
-  if (existing != detail::OpenTable::kNil) {
+  if (existing != base::OpenTable::kNil) {
     // Overwrite in place: resolver code holds ZoneEntry pointers across
     // nested Puts, and the deque slot address never changes.
     slots_[existing].entry = std::move(entry);
@@ -184,7 +184,7 @@ ZoneEntry* InfraCache::GetView(std::uint64_t hash, const std::uint8_t* flat,
     return apex.FlatSize() == size &&
            dns::Name::FlatEquals(apex.FlatData(), flat, size);
   });
-  if (index == detail::OpenTable::kNil) return nullptr;
+  if (index == base::OpenTable::kNil) return nullptr;
   Slot& slot = slots_[index];
   if (slot.entry.expires_at <= now) {
     table_.Erase(hash, [&](std::uint32_t v) { return v == index; });
@@ -228,7 +228,7 @@ std::uint32_t NsecRangeCache::FindZone(const dns::Name& apex) const {
 
 void NsecRangeCache::Put(const dns::Name& zone_apex, Range range) {
   std::uint32_t index = FindZone(zone_apex);
-  if (index == detail::OpenTable::kNil) {
+  if (index == base::OpenTable::kNil) {
     index = static_cast<std::uint32_t>(zones_.size());
     zones_.push_back(ZoneRanges{zone_apex, {}});
     table_.Insert(zone_apex.CachedHash(), index);
@@ -242,7 +242,7 @@ void NsecRangeCache::Put(const dns::Name& zone_apex, Range range) {
 bool NsecRangeCache::Covers(const dns::Name& zone_apex, const dns::Name& qname,
                             sim::TimeUs now) {
   const std::uint32_t index = FindZone(zone_apex);
-  if (index == detail::OpenTable::kNil) return false;
+  if (index == base::OpenTable::kNil) return false;
   RangeMap& ranges = zones_[index].ranges;
   auto it = ranges.upper_bound(qname);  // first range with prev > qname
   if (it == ranges.begin()) return false;

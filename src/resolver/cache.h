@@ -19,101 +19,13 @@
 #include <optional>
 #include <vector>
 
+#include "base/open_table.h"
 #include "dns/record.h"
 #include "dns/types.h"
 #include "net/ip.h"
 #include "sim/clock.h"
 
 namespace clouddns::resolver {
-
-namespace detail {
-
-/// Open-addressing (linear probe, backward-shift deletion) index: maps a
-/// 64-bit hash to a caller-owned 32-bit slot index. The caller resolves
-/// hash collisions through the `eq` predicate, which receives a candidate
-/// value. Starts empty and doubles at 50% load, so the thousands of
-/// per-engine caches in a scenario stay tiny until used.
-class OpenTable {
- public:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  template <class Eq>
-  [[nodiscard]] std::uint32_t Find(std::uint64_t hash, Eq&& eq) const {
-    if (slots_.empty()) return kNil;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t idx = static_cast<std::size_t>(hash) & mask;
-         slots_[idx].value != kNil; idx = (idx + 1) & mask) {
-      if (slots_[idx].hash == hash && eq(slots_[idx].value)) {
-        return slots_[idx].value;
-      }
-    }
-    return kNil;
-  }
-
-  /// The (hash, value) pair must not already be present.
-  void Insert(std::uint64_t hash, std::uint32_t value) {
-    if ((count_ + 1) * 2 > slots_.size()) Grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t idx = static_cast<std::size_t>(hash) & mask;
-    while (slots_[idx].value != kNil) idx = (idx + 1) & mask;
-    slots_[idx] = Slot{hash, value};
-    ++count_;
-  }
-
-  /// Removes the entry whose value satisfies `eq`; false if absent.
-  template <class Eq>
-  bool Erase(std::uint64_t hash, Eq&& eq) {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t idx = static_cast<std::size_t>(hash) & mask;
-         slots_[idx].value != kNil; idx = (idx + 1) & mask) {
-      if (slots_[idx].hash != hash || !eq(slots_[idx].value)) continue;
-      // Backward-shift deletion keeps probe chains intact without
-      // tombstones: slide later entries into the hole while their ideal
-      // position is at or before it.
-      std::size_t hole = idx;
-      for (std::size_t next = (hole + 1) & mask; slots_[next].value != kNil;
-           next = (next + 1) & mask) {
-        const std::size_t ideal =
-            static_cast<std::size_t>(slots_[next].hash) & mask;
-        if (((next - ideal) & mask) >= ((next - hole) & mask)) {
-          slots_[hole] = slots_[next];
-          hole = next;
-        }
-      }
-      slots_[hole].value = kNil;
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-
- private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint32_t value = kNil;
-  };
-
-  void Grow() {
-    const std::size_t new_size = slots_.empty() ? 16 : slots_.size() * 2;
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_size, Slot{});
-    const std::size_t mask = new_size - 1;
-    for (const Slot& slot : old) {
-      if (slot.value == kNil) continue;
-      std::size_t idx = static_cast<std::size_t>(slot.hash) & mask;
-      while (slots_[idx].value != kNil) idx = (idx + 1) & mask;
-      slots_[idx] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t count_ = 0;
-};
-
-}  // namespace detail
 
 struct CachedAnswer {
   dns::Rcode rcode = dns::Rcode::kNoError;
@@ -159,7 +71,7 @@ class DnsCache {
   [[nodiscard]] std::uint64_t stale_hits() const { return stale_hits_; }
 
  private:
-  static constexpr std::uint32_t kNil = detail::OpenTable::kNil;
+  static constexpr std::uint32_t kNil = base::OpenTable::kNil;
   /// Tag for NXDOMAIN entries; outside the 16-bit qtype space so it can
   /// never collide with a real type.
   static constexpr std::uint32_t kNxTag = 0x10000;
@@ -191,7 +103,7 @@ class DnsCache {
   bool retain_expired_ = false;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> free_;
-  detail::OpenTable table_;
+  base::OpenTable table_;
   std::size_t count_ = 0;
   std::uint32_t lru_head_ = kNil;  ///< Most recently used.
   std::uint32_t lru_tail_ = kNil;  ///< Eviction victim.
@@ -243,7 +155,7 @@ class InfraCache {
 
   std::deque<Slot> slots_;  ///< Deque: stable addresses across Puts.
   std::vector<std::uint32_t> free_;
-  detail::OpenTable table_;
+  base::OpenTable table_;
   std::size_t count_ = 0;
 };
 
@@ -287,7 +199,7 @@ class NsecRangeCache {
   [[nodiscard]] std::uint32_t FindZone(const dns::Name& apex) const;
 
   std::vector<ZoneRanges> zones_;
-  detail::OpenTable table_;
+  base::OpenTable table_;
   std::uint64_t hits_ = 0;
 };
 

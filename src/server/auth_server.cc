@@ -6,22 +6,15 @@
 namespace clouddns::server {
 namespace {
 
-// NSEC TTL follows the zone's negative-caching TTL (SOA MINIMUM), as in
-// real signed zones; the root's long TTL is what makes aggressive caching
-// there so effective.
-std::uint32_t NegativeTtlOf(const zone::Zone& zone) {
-  if (const auto* soa_set = zone.Find(zone.apex(), dns::RrType::kSoa)) {
-    return std::get<dns::SoaRdata>(soa_set->front().rdata).minimum;
-  }
-  return 600;
-}
-
 void AttachNsecWithSig(const zone::Zone& zone, const dns::Name& owner,
-                       dns::Name next,
+                       const dns::Name& next,
                        std::vector<dns::ResourceRecord>& section) {
-  const std::uint32_t ttl = NegativeTtlOf(zone);
+  // NSEC TTL follows the zone's negative-caching TTL (SOA MINIMUM), as in
+  // real signed zones; the root's long TTL is what makes aggressive
+  // caching there so effective.
+  const std::uint32_t ttl = zone.NegativeTtl();
   dns::NsecRdata nsec;
-  nsec.next = std::move(next);
+  nsec.next = next;
   nsec.types = {dns::RrType::kNs, dns::RrType::kRrsig, dns::RrType::kNsec};
   section.push_back(dns::ResourceRecord{owner, dns::RrType::kNsec,
                                         dns::RrClass::kIn, ttl,
@@ -46,7 +39,7 @@ void AttachNsecWithSig(const zone::Zone& zone, const dns::Name& owner,
 // the 2020 drop in cloud junk at the root.
 void AttachRangeDenial(const zone::Zone& zone, const dns::Name& denied,
                        std::vector<dns::ResourceRecord>& section) {
-  auto range = zone.DenialNeighbors(denied);
+  const auto range = zone.DenialNeighbors(denied);
   AttachNsecWithSig(zone, range.prev, range.next, section);
 }
 
@@ -56,10 +49,11 @@ void AttachNoDataProof(const zone::Zone& zone, const dns::Name& denied,
                        std::vector<dns::ResourceRecord>& section) {
   // The "next" name is the denied name's immediate successor so the range
   // covers nothing else; fall back to the apex when at the length limit.
-  dns::Name next = denied.WireLength() + 4 <= dns::Name::kMaxWireLength
-                       ? denied.Child("000")
-                       : zone.apex();
-  AttachNsecWithSig(zone, denied, std::move(next), section);
+  if (denied.WireLength() + 4 <= dns::Name::kMaxWireLength) {
+    AttachNsecWithSig(zone, denied, denied.Child("000"), section);
+  } else {
+    AttachNsecWithSig(zone, denied, zone.apex(), section);
+  }
 }
 
 }  // namespace
@@ -85,9 +79,7 @@ const zone::Zone* AuthServer::BestZoneFor(const dns::Name& qname) const {
 void AuthServer::AttachRrsigs(const zone::Zone& zone, const dns::Name& owner,
                               dns::RrType covered,
                               std::vector<dns::ResourceRecord>& section) const {
-  const auto* sigs = zone.Find(owner, dns::RrType::kRrsig);
-  if (sigs == nullptr) return;
-  for (const auto& sig : *sigs) {
+  for (const auto& sig : zone.Find(owner, dns::RrType::kRrsig)) {
     const auto& rdata = std::get<dns::RrsigRdata>(sig.rdata);
     if (rdata.type_covered == static_cast<std::uint16_t>(covered)) {
       section.push_back(sig);
@@ -119,32 +111,38 @@ void AuthServer::RespondInto(const dns::Message& query,
     return;
   }
 
-  zone::LookupResult result = zone->Lookup(question.name, question.type);
+  // The lookup returns spans into the zone image; each section appends
+  // from them, keeping the capacity the scratch response already has.
+  const zone::LookupResult result = zone->Lookup(question.name, question.type);
+  auto append = [](std::vector<dns::ResourceRecord>& section,
+                   zone::RecordSpan records) {
+    section.insert(section.end(), records.begin(), records.end());
+  };
   switch (result.status) {
     case zone::LookupStatus::kAnswer:
       response.header.aa = true;
-      response.answers = std::move(result.records);
-      if (want_dnssec && zone->IsSigned() && !response.answers.empty()) {
-        AttachRrsigs(*zone, question.name, response.answers.front().type,
+      append(response.answers, result.records);
+      if (want_dnssec && zone->IsSigned()) {
+        AttachRrsigs(*zone, question.name, result.records.front().type,
                      response.answers);
       }
       break;
     case zone::LookupStatus::kDelegation:
       response.header.aa = false;
-      response.authorities = std::move(result.records);
+      append(response.authorities, result.records);
       if (want_dnssec) {
-        for (auto& ds : result.ds) response.authorities.push_back(ds);
+        append(response.authorities, result.ds);
         if (zone->IsSigned() && !result.ds.empty()) {
-          AttachRrsigs(*zone, result.cut, dns::RrType::kDs,
+          AttachRrsigs(*zone, result.records.front().name, dns::RrType::kDs,
                        response.authorities);
         }
       }
-      response.additionals = std::move(result.glue);
+      zone->AppendGlue(result.records, response.additionals);
       break;
     case zone::LookupStatus::kNxDomain:
       response.header.aa = true;
       response.header.rcode = dns::Rcode::kNxDomain;
-      response.authorities = std::move(result.soa);
+      append(response.authorities, result.soa);
       if (want_dnssec && zone->IsSigned()) {
         AttachRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
                      response.authorities);
@@ -153,7 +151,7 @@ void AuthServer::RespondInto(const dns::Message& query,
       break;
     case zone::LookupStatus::kNoData:
       response.header.aa = true;
-      response.authorities = std::move(result.soa);
+      append(response.authorities, result.soa);
       if (want_dnssec && zone->IsSigned()) {
         AttachRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
                      response.authorities);
@@ -164,46 +162,6 @@ void AuthServer::RespondInto(const dns::Message& query,
       response.header.rcode = dns::Rcode::kRefused;
       break;
   }
-}
-
-dns::Message AuthServer::RespondAxfr(const dns::Message& query,
-                                     const sim::PacketContext& ctx) const {
-  dns::Message response = dns::Message::MakeResponse(query);
-  const dns::Name& apex = query.questions.front().name;
-  bool allowed = false;
-  for (const auto& prefix : config_.axfr_allow) {
-    allowed |= prefix.Contains(ctx.src.address);
-  }
-  if (!allowed) {
-    response.header.rcode = dns::Rcode::kRefused;
-    return response;
-  }
-  // AXFR requires TCP; over UDP answer with TC=1 so the client retries.
-  if (ctx.transport == dns::Transport::kUdp) {
-    response.header.tc = true;
-    return response;
-  }
-  const zone::Zone* zone = BestZoneFor(apex);
-  if (zone == nullptr || !zone->apex().Equals(apex)) {
-    response.header.rcode = dns::Rcode::kRefused;  // not authoritative
-    return response;
-  }
-  const auto* soa = zone->Find(apex, dns::RrType::kSoa);
-  if (soa == nullptr || soa->empty()) {
-    response.header.rcode = dns::Rcode::kServFail;
-    return response;
-  }
-  // RFC 5936 framing: SOA, every other record, SOA.
-  response.header.aa = true;
-  response.answers.push_back(soa->front());
-  for (const auto& name : zone->Names()) {
-    for (const auto& rr : zone->RecordsAt(name)) {
-      if (rr.type == dns::RrType::kSoa) continue;
-      response.answers.push_back(rr);
-    }
-  }
-  response.answers.push_back(soa->front());
-  return response;
 }
 
 void AuthServer::HandlePacket(const sim::PacketContext& ctx,
@@ -218,10 +176,11 @@ void AuthServer::HandlePacket(const sim::PacketContext& ctx,
 
   if (query.questions.size() == 1 &&
       query.questions.front().type == dns::RrType::kAxfr) {
-    // Zone transfers bypass RRL/truncation; they are TCP bulk operations
-    // and are never part of the captured query stream the study analyzes.
-    RespondAxfr(query, ctx).EncodeInto(wire);
-    return;
+    // Zone transfers are refused (no server here allows one), bypassing
+    // RRL and capture: they are never part of the studied query stream.
+    response_scratch_.ResetAsResponseTo(query);
+    response_scratch_.header.rcode = dns::Rcode::kRefused;
+    return response_scratch_.EncodeInto(wire);
   }
 
   dns::Message& response = response_scratch_;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "capture/record.h"
-#include "net/prefix_trie.h"
 #include "dns/message.h"
 #include "server/rrl.h"
 #include "sim/network.h"
@@ -25,9 +24,6 @@ struct AuthServerConfig {
   std::uint32_t server_id = 0;       ///< Capture label ("server A" = 0).
   std::string name = "ns";           ///< Human label, for reports.
   std::size_t max_udp_response = 4096;  ///< Server-side EDNS cap.
-  /// Sources allowed to AXFR this server's zones (RFC 5936); empty = deny
-  /// all, which is how production TLD servers are configured.
-  std::vector<net::Prefix> axfr_allow;
   RrlConfig rrl;
   bool capture_enabled = true;  ///< The paper could only pcap some NSes.
 };
@@ -69,8 +65,6 @@ class AuthServer final : public sim::PacketHandler {
   [[nodiscard]] const zone::Zone* BestZoneFor(const dns::Name& qname) const;
   /// Fills `response` (reset first, section capacity kept) for `query`.
   void RespondInto(const dns::Message& query, dns::Message& response) const;
-  [[nodiscard]] dns::Message RespondAxfr(const dns::Message& query,
-                                         const sim::PacketContext& ctx) const;
   void AttachRrsigs(const zone::Zone& zone, const dns::Name& owner,
                     dns::RrType covered,
                     std::vector<dns::ResourceRecord>& section) const;

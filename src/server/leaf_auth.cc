@@ -4,45 +4,17 @@
 #include "zone/dnssec.h"
 
 namespace clouddns::server {
-namespace {
-
-std::uint64_t NameHash(const dns::Name& name) {
-  // FNV-1a over the lowercased presentation form ("www.example.nl", root
-  // is "."), streamed straight off the flat label bytes so no ToKey()
-  // string is built. The dot separators are hashed explicitly to keep the
-  // synthetic addresses identical to the original key-based hash.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](char c) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  };
-  if (name.IsRoot()) {
-    mix('.');
-    return h;
-  }
-  const std::uint8_t* p = name.FlatData();
-  for (std::size_t i = 0; i < name.LabelCount(); ++i) {
-    if (i > 0) mix('.');
-    for (std::uint8_t j = 1; j <= *p; ++j) {
-      mix(dns::AsciiLower(static_cast<char>(p[j])));
-    }
-    p += 1 + *p;
-  }
-  return h;
-}
-
-}  // namespace
 
 net::Ipv4Address LeafAuthService::SyntheticV4(const dns::Name& name) {
   // 100.96.0.0/12-ish synthetic space, never colliding with fleet or
   // authoritative service addresses.
-  std::uint64_t h = NameHash(name);
+  std::uint64_t h = name.PresentationHash();
   return net::Ipv4Address(0x64600000u | (static_cast<std::uint32_t>(h) &
                                          0x001fffffu));
 }
 
 net::Ipv6Address LeafAuthService::SyntheticV6(const dns::Name& name) {
-  std::uint64_t h = NameHash(name) * 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = name.PresentationHash() * 0x9e3779b97f4a7c15ull;
   net::Ipv6Address::Bytes bytes{};
   bytes[0] = 0x20;
   bytes[1] = 0x01;
@@ -56,7 +28,7 @@ net::Ipv6Address LeafAuthService::SyntheticV6(const dns::Name& name) {
 }
 
 bool LeafAuthService::HasV6(const dns::Name& name) const {
-  return static_cast<double>(NameHash(name) % 10000) <
+  return static_cast<double>(name.PresentationHash() % 10000) <
          config_.v6_fraction * 10000.0;
 }
 

@@ -1,7 +1,5 @@
 #include "zone/dnssec.h"
 
-#include <unordered_set>
-
 #include "base/threads.h"
 
 namespace clouddns::zone {
@@ -37,18 +35,18 @@ std::vector<std::uint8_t> HashBytes(std::uint64_t h, std::size_t n) {
 }  // namespace
 
 std::uint16_t ZskTagFor(const dns::Name& zone_apex) {
-  return static_cast<std::uint16_t>(Fnv1a(zone_apex.ToKey(), kZskSeed));
+  return static_cast<std::uint16_t>(zone_apex.PresentationHash(kZskSeed));
 }
 
 std::uint16_t KskTagFor(const dns::Name& zone_apex) {
-  return static_cast<std::uint16_t>(Fnv1a(zone_apex.ToKey(), kKskSeed));
+  return static_cast<std::uint16_t>(zone_apex.PresentationHash(kKskSeed));
 }
 
 std::vector<std::uint8_t> MockSignature(const dns::Name& signer,
                                         const dns::Name& owner,
                                         dns::RrType type) {
-  std::uint64_t h = Fnv1a(signer.ToKey(), kSigSeed);
-  h = Fnv1a(owner.ToKey(), h);
+  std::uint64_t h = signer.PresentationHash(kSigSeed);
+  h = owner.PresentationHash(h);
   h = Fnv1a(ToString(type), h);
   return HashBytes(h, 256);  // RSA-2048 signature size
 }
@@ -60,7 +58,7 @@ std::vector<dns::ResourceRecord> MakeApexDnskeys(const dns::Name& zone_apex,
     key.flags = flags;
     key.protocol = 3;
     key.algorithm = kMockAlgorithm;
-    key.public_key = HashBytes(Fnv1a(zone_apex.ToKey(), seed), 256);
+    key.public_key = HashBytes(zone_apex.PresentationHash(seed), 256);
     return dns::ResourceRecord{zone_apex, dns::RrType::kDnskey,
                                dns::RrClass::kIn, ttl, std::move(key)};
   };
@@ -72,7 +70,7 @@ dns::ResourceRecord MakeDs(const dns::Name& child_apex, std::uint32_t ttl) {
   ds.key_tag = KskTagFor(child_apex);
   ds.algorithm = kMockAlgorithm;
   ds.digest_type = 2;  // SHA-256
-  ds.digest = HashBytes(Fnv1a(child_apex.ToKey(), kKskSeed), 32);
+  ds.digest = HashBytes(child_apex.PresentationHash(kKskSeed), 32);
   return dns::ResourceRecord{child_apex, dns::RrType::kDs, dns::RrClass::kIn,
                              ttl, std::move(ds)};
 }
@@ -81,52 +79,47 @@ void SignZone(Zone& zone, std::uint32_t dnskey_ttl) {
   for (auto& key : MakeApexDnskeys(zone.apex(), dnskey_ttl)) {
     zone.Add(std::move(key));
   }
-  // Sign every RRset present after key insertion. Collect first: Add()
-  // mutates the container we'd be iterating.
-  struct Target {
-    dns::Name owner;
-    dns::RrType type;
-    std::uint32_t ttl;
-  };
-  std::vector<Target> targets;
-  std::unordered_set<std::string> seen;
-  for (const auto& name : zone.Names()) {
-    for (const auto& rr : zone.RecordsAt(name)) {
+  // One target per RRset of the frozen image, in canonical (owner, type)
+  // order, so the RRSIGs at each owner come out in type order.
+  zone.Freeze();
+  std::vector<const dns::ResourceRecord*> targets;
+  for (const Zone::Owner& owner : zone.Owners()) {
+    for (std::size_t i = 0; i < owner.records.size(); ++i) {
+      const dns::ResourceRecord& rr = owner.records[i];
       if (rr.type == dns::RrType::kRrsig) continue;
-      std::string key = rr.name.ToKey() + "/" + std::string(ToString(rr.type));
-      if (seen.insert(std::move(key)).second) {
-        targets.push_back({rr.name, rr.type, rr.ttl});
+      if (i == 0 || owner.records[i - 1].type != rr.type) {
+        targets.push_back(&rr);
       }
     }
   }
   // Signature computation is pure (a function of signer/owner/type alone),
   // so it fans out over the shared pool into slots indexed by target.
-  // Insertion stays serial and in target order below — the RRSIG vector
-  // order at each owner/type IS the Add order, and that order is part of
-  // the zone's byte image, so it must not depend on worker scheduling.
-  std::vector<dns::RrsigRdata> sigs(targets.size());
+  // Insertion stays serial and in target order below — the RRSIG order at
+  // each owner IS the Add order, and that order is part of the zone's byte
+  // image, so it must not depend on worker scheduling.
+  const dns::Name& apex = zone.apex();
+  std::vector<dns::ResourceRecord> rrsigs(targets.size());
   base::ThreadPool::Shared().ParallelFor(
       targets.size(), base::EffectiveThreads(0), [&](std::size_t i) {
-        const Target& target = targets[i];
+        const dns::ResourceRecord& target = *targets[i];
         dns::RrsigRdata sig;
         sig.type_covered = static_cast<std::uint16_t>(target.type);
         sig.algorithm = kMockAlgorithm;
-        sig.labels = static_cast<std::uint8_t>(target.owner.LabelCount());
+        sig.labels = static_cast<std::uint8_t>(target.name.LabelCount());
         sig.original_ttl = target.ttl;
         sig.expiration = kExpiration;
         sig.inception = kInception;
-        sig.key_tag = target.type == dns::RrType::kDnskey
-                          ? KskTagFor(zone.apex())
-                          : ZskTagFor(zone.apex());
-        sig.signer = zone.apex();
-        sig.signature = MockSignature(zone.apex(), target.owner, target.type);
-        sigs[i] = std::move(sig);
+        sig.key_tag = target.type == dns::RrType::kDnskey ? KskTagFor(apex)
+                                                          : ZskTagFor(apex);
+        sig.signer = apex;
+        sig.signature = MockSignature(apex, target.name, target.type);
+        rrsigs[i] = dns::ResourceRecord{target.name, dns::RrType::kRrsig,
+                                        dns::RrClass::kIn, target.ttl,
+                                        std::move(sig)};
       });
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    zone.Add(dns::ResourceRecord{targets[i].owner, dns::RrType::kRrsig,
-                                 dns::RrClass::kIn, targets[i].ttl,
-                                 std::move(sigs[i])});
-  }
+  zone.Reserve(rrsigs.size());  // reopens: `targets` dangles from here
+  for (auto& rrsig : rrsigs) zone.Add(std::move(rrsig));
+  zone.Freeze();
 }
 
 bool VerifyRrsig(const dns::RrsigRdata& sig, const dns::Name& owner,
@@ -138,7 +131,7 @@ bool VerifyRrsig(const dns::RrsigRdata& sig, const dns::Name& owner,
 
 bool VerifyDsMatchesKey(const dns::DsRdata& ds, const dns::Name& child_apex) {
   return ds.key_tag == KskTagFor(child_apex) &&
-         ds.digest == HashBytes(Fnv1a(child_apex.ToKey(), kKskSeed), 32);
+         ds.digest == HashBytes(child_apex.PresentationHash(kKskSeed), 32);
 }
 
 }  // namespace clouddns::zone

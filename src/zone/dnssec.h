@@ -38,7 +38,8 @@ inline constexpr std::uint8_t kMockAlgorithm = 8;
                                          std::uint32_t ttl);
 
 /// Signs every RRset in `zone`: attaches apex DNSKEYs and one RRSIG per
-/// (owner, type) RRset. Idempotent signing is not supported; call once.
+/// (owner, type) RRset, and leaves the zone frozen. Idempotent signing is
+/// not supported; call once, after the last other Add.
 void SignZone(Zone& zone, std::uint32_t dnskey_ttl = 172800);
 
 /// Verifies a mock RRSIG against the RRset identity it claims to cover.

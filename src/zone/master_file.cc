@@ -103,6 +103,7 @@ class Tokenizer {
   }
 
  private:
+  // lint:allow(borrow-member): a Tokenizer is a local of ParseMasterFile and dies before the text it scans
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
@@ -558,7 +559,10 @@ ParsedZone ParseMasterFile(std::string_view text,
     }
     zone.Add(std::move(record));
   }
-  if (!fatal) result.zone = std::move(zone);
+  if (!fatal) {
+    zone.Freeze();
+    result.zone = std::move(zone);
+  }
   return result;
 }
 
@@ -567,27 +571,19 @@ std::string ToMasterFile(const Zone& zone) {
   out += "$ORIGIN " + zone.apex().ToString() + (zone.apex().IsRoot() ? "" : ".") +
          "\n";
 
-  auto names = zone.Names();
-  std::sort(names.begin(), names.end());
-  // Apex (with its SOA) first.
-  std::stable_partition(names.begin(), names.end(), [&zone](const dns::Name& n) {
-    return n.Equals(zone.apex());
-  });
-
   auto render = [&out](const dns::ResourceRecord& rr) {
     if (!IsSerializableType(rr.type)) return;  // RRSIG/NSEC are derived
     out += rr.name.ToString() + ". " + std::to_string(rr.ttl) + " IN " +
            std::string(ToString(rr.type)) + " " + RenderRdata(rr) + "\n";
   };
-
-  for (const auto& name : names) {
-    auto records = zone.RecordsAt(name);
-    // SOA first at the apex.
-    std::stable_partition(records.begin(), records.end(),
-                          [](const dns::ResourceRecord& rr) {
-                            return rr.type == dns::RrType::kSoa;
-                          });
-    for (const auto& record : records) render(record);
+  // Canonical owner order puts the apex first; SOA leads its records.
+  for (const Zone::Owner& owner : zone.Owners()) {
+    for (const auto& record : owner.records) {
+      if (record.type == dns::RrType::kSoa) render(record);
+    }
+    for (const auto& record : owner.records) {
+      if (record.type != dns::RrType::kSoa) render(record);
+    }
   }
   return out;
 }

@@ -27,12 +27,13 @@ struct ParsedZone {
 
 /// Parses presentation-format text. `default_origin` seeds $ORIGIN (may be
 /// overridden by a directive). The zone apex is taken from the SOA owner;
-/// a file without a SOA is rejected.
+/// a file without a SOA is rejected. The zone comes back frozen.
 [[nodiscard]] ParsedZone ParseMasterFile(std::string_view text,
                                          const dns::Name& default_origin);
 
-/// Renders a zone in presentation format: SOA first, then the remaining
-/// records in canonical owner order. Output re-parses to an equal zone.
+/// Renders a frozen zone in presentation format: SOA first, then the
+/// remaining records in canonical owner order. Output re-parses to an
+/// equal zone.
 [[nodiscard]] std::string ToMasterFile(const Zone& zone);
 
 }  // namespace clouddns::zone

@@ -1,198 +1,129 @@
+// Zone building and freezing: the cold half of zone.h. The query half,
+// which runs per packet, lives in zone_lookup.cc.
 #include "zone/zone.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace clouddns::zone {
 
-// Moves lock the *source* zone's mutex while stealing its denial cache;
-// the destination is under construction (or exclusively owned by the
-// caller), so its own mutex needs no lock. The analysis cannot model
-// "other's mutex guards other's member", hence the escape hatch.
-Zone::Zone(Zone&& other) noexcept
-    : apex_(std::move(other.apex_)),
-      records_(std::move(other.records_)),
-      names_(std::move(other.names_)),
-      record_count_(other.record_count_) {
-  base::MutexLock lock(other.denial_mutex_);
-  sorted_names_ = std::move(other.sorted_names_);
-  other.record_count_ = 0;
-}
-
-Zone& Zone::operator=(Zone&& other) noexcept {
-  if (this == &other) return *this;
-  apex_ = std::move(other.apex_);
-  records_ = std::move(other.records_);
-  names_ = std::move(other.names_);
-  record_count_ = other.record_count_;
-  other.record_count_ = 0;
-  base::MutexLock lock(other.denial_mutex_);
-  sorted_names_ = std::move(other.sorted_names_);
-  return *this;
-}
-
 void Zone::Add(dns::ResourceRecord record) {
-  {
-    base::MutexLock lock(denial_mutex_);
-    sorted_names_.reset();
-  }
   if (!record.name.IsSubdomainOf(apex_)) {
     throw std::invalid_argument("Zone::Add: " + record.name.ToString() +
                                 " is outside zone " + apex_.ToString());
   }
-  // Register the owner and every empty non-terminal up to the apex so
-  // NXDOMAIN vs NODATA can be decided by existence checks.
-  dns::Name walker = record.name;
+  frozen_ = false;
+  log_.push_back(std::move(record));
+}
+
+void Zone::Reserve(std::size_t additional) {
+  frozen_ = false;
+  log_.reserve(log_.size() + additional);
+}
+
+std::size_t Zone::name_count() const {
+  RequireFrozen();
+  return name_count_;
+}
+
+void Zone::RequireFrozen() const {
+  if (!frozen_) {
+    throw std::logic_error("zone::Zone: query on an unfrozen zone");
+  }
+}
+
+std::uint32_t Zone::InternOwner(const dns::Name& name) {
+  const std::uint32_t found = FindOwner(name);
+  if (found != base::OpenTable::kNil) return found;
+  const auto index = static_cast<std::uint32_t>(owners_.size());
+  dns::Name walker = name;
   while (true) {
-    auto [it, inserted] = names_.try_emplace(walker.ToKey(), walker);
-    (void)it;
-    if (!inserted || walker.Equals(apex_)) break;
+    owner_table_.Insert(walker.CachedHash(),
+                        static_cast<std::uint32_t>(owners_.size()));
+    owners_.push_back(Owner{walker, {}});
+    if (walker.Equals(apex_)) break;
     walker = walker.Parent();
+    if (FindOwner(walker) != base::OpenTable::kNil) break;
   }
-  records_[record.name.ToKey()][record.type].push_back(std::move(record));
-  ++record_count_;
+  return index;
 }
 
-const std::vector<dns::ResourceRecord>* Zone::Find(const dns::Name& name,
-                                                   dns::RrType type) const {
-  auto it = records_.find(name.ToKey());
-  if (it == records_.end()) return nullptr;
-  auto type_it = it->second.find(type);
-  if (type_it == it->second.end()) return nullptr;
-  return &type_it->second;
-}
+void Zone::Freeze() {
+  if (frozen_) return;
+  const std::size_t n = log_.size();
 
-std::vector<dns::Name> Zone::Names() const {
-  std::vector<dns::Name> out;
-  out.reserve(names_.size());
-  for (const auto& [key, name] : names_) out.push_back(name);
-  return out;
-}
+  // Register owners in log order; keys[i] holds record i's owner index
+  // until it becomes the sort key below. Owners of an earlier image are
+  // already in the table, and records added since follow in Add order,
+  // so every owner keeps the spelling it was first added with.
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = InternOwner(log_[i].name);
 
-std::vector<dns::ResourceRecord> Zone::RecordsAt(const dns::Name& name) const {
-  std::vector<dns::ResourceRecord> out;
-  auto it = records_.find(name.ToKey());
-  if (it == records_.end()) return out;
-  for (const auto& [type, rrset] : it->second) {
-    out.insert(out.end(), rrset.begin(), rrset.end());
+  // Canonical owner order, then each record's key (owner rank, type).
+  std::vector<std::uint32_t> order(owners_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return owners_[a].name < owners_[b].name;
+            });
+  std::vector<std::uint32_t> rank(owners_.size());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    rank[order[r]] = static_cast<std::uint32_t>(r);
   }
-  return out;
-}
-
-bool Zone::IsSigned() const {
-  return Find(apex_, dns::RrType::kDnskey) != nullptr;
-}
-
-std::shared_ptr<const std::vector<dns::Name>> Zone::SortedNames() const {
-  base::MutexLock lock(denial_mutex_);
-  if (!sorted_names_) {
-    auto sorted = std::make_shared<std::vector<dns::Name>>();
-    sorted->reserve(names_.size());
-    for (const auto& [key, name] : names_) sorted->push_back(name);
-    std::sort(sorted->begin(), sorted->end());
-    sorted_names_ = std::move(sorted);
+  std::vector<std::uint32_t> begin(owners_.size() + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = rank[keys[i]];
+    ++begin[r + 1];
+    keys[i] = (std::uint64_t{r} << 16) |
+              static_cast<std::uint16_t>(log_[i].type);
   }
-  return sorted_names_;
-}
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
 
-Zone::DenialRange Zone::DenialNeighbors(const dns::Name& qname) const {
-  auto sorted = SortedNames();
-  DenialRange range;
-  range.prev = apex_;
-  range.next = apex_;  // wrap by default
-  if (sorted->empty()) return range;
-  auto it = std::lower_bound(sorted->begin(), sorted->end(), qname);
-  range.prev = it == sorted->begin() ? sorted->front() : *std::prev(it);
-  range.next = it == sorted->end() ? apex_ : *it;
-  return range;
-}
-
-bool Zone::NameExists(const dns::Name& name) const {
-  return names_.contains(name.ToKey());
-}
-
-std::optional<dns::Name> Zone::FindZoneCut(const dns::Name& qname) const {
-  // Walk from just below the apex towards qname; the first name with an NS
-  // RRset (other than the apex) is the enclosing cut.
-  if (qname.LabelCount() <= apex_.LabelCount()) return std::nullopt;
-  for (std::size_t labels = apex_.LabelCount() + 1;
-       labels <= qname.LabelCount(); ++labels) {
-    dns::Name candidate = qname.Suffix(labels);
-    if (Find(candidate, dns::RrType::kNs) != nullptr) return candidate;
-  }
-  return std::nullopt;
-}
-
-LookupResult Zone::Lookup(const dns::Name& qname, dns::RrType qtype) const {
-  LookupResult result;
-  if (!qname.IsSubdomainOf(apex_)) {
-    result.status = LookupStatus::kNotInZone;
-    return result;
-  }
-
-  // Zone cuts take precedence over data below them.
-  if (auto cut = FindZoneCut(qname)) {
-    // Querying the cut itself for DS stays authoritative at the parent
-    // (RFC 4035 §3.1.4.1); everything else is a referral.
-    if (!(qname.Equals(*cut) && qtype == dns::RrType::kDs)) {
-      result.status = LookupStatus::kDelegation;
-      result.cut = *cut;
-      const auto* ns_set = Find(*cut, dns::RrType::kNs);
-      result.records = *ns_set;
-      if (const auto* ds_set = Find(*cut, dns::RrType::kDs)) {
-        result.ds = *ds_set;
-      }
-      // Glue: addresses for nameservers whose names fall in/below this zone.
-      for (const auto& ns_rr : *ns_set) {
-        const auto& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
-        if (!target.IsSubdomainOf(apex_)) continue;
-        if (const auto* a = Find(target, dns::RrType::kA)) {
-          result.glue.insert(result.glue.end(), a->begin(), a->end());
-        }
-        if (const auto* aaaa = Find(target, dns::RrType::kAaaa)) {
-          result.glue.insert(result.glue.end(), aaaa->begin(), aaaa->end());
-        }
-      }
-      return result;
+  // Sort 32-bit record indices (the index breaks ties, keeping Add order
+  // inside an RRset), then move each record to its slot by following the
+  // permutation's cycles: n moves, and no second copy of the log.
+  std::vector<std::uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::sort(perm.begin(), perm.end(),
+            [&keys](std::uint32_t a, std::uint32_t b) {
+              return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+            });
+  for (std::size_t start = 0; start < n; ++start) {
+    if (perm[start] == start) continue;
+    dns::ResourceRecord held = std::move(log_[start]);
+    std::size_t slot = start;
+    while (perm[slot] != start) {
+      const std::size_t source = perm[slot];
+      log_[slot] = std::move(log_[source]);
+      perm[slot] = static_cast<std::uint32_t>(slot);
+      slot = source;
     }
+    log_[slot] = std::move(held);
+    perm[slot] = static_cast<std::uint32_t>(slot);
   }
 
-  auto attach_soa = [this, &result] {
-    if (const auto* soa = Find(apex_, dns::RrType::kSoa)) {
-      result.soa = *soa;
-    }
-  };
-
-  if (!NameExists(qname)) {
-    result.status = LookupStatus::kNxDomain;
-    attach_soa();
-    return result;
+  // Owners in canonical order, each spanning its run of the slab, and the
+  // table rebuilt over the new indices.
+  std::vector<Owner> sorted;
+  sorted.reserve(owners_.size());
+  owner_table_ = base::OpenTable();
+  name_count_ = 0;
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    Owner& owner = owners_[order[r]];
+    owner.records = RecordSpan(log_.data() + begin[r], begin[r + 1] - begin[r]);
+    if (!owner.records.empty()) ++name_count_;
+    owner_table_.Insert(owner.name.CachedHash(), static_cast<std::uint32_t>(r));
+    sorted.push_back(std::move(owner));
   }
+  owners_ = std::move(sorted);
+  frozen_ = true;
 
-  if (qtype == dns::RrType::kAny) {
-    result.records = RecordsAt(qname);
-    result.status = result.records.empty() ? LookupStatus::kNoData
-                                           : LookupStatus::kAnswer;
-    if (result.records.empty()) attach_soa();
-    return result;
-  }
-
-  if (const auto* rrset = Find(qname, qtype)) {
-    result.status = LookupStatus::kAnswer;
-    result.records = *rrset;
-    return result;
-  }
-  // CNAME at the name answers any type (we only chase one level; our zones
-  // never chain CNAMEs).
-  if (const auto* cname = Find(qname, dns::RrType::kCname)) {
-    result.status = LookupStatus::kAnswer;
-    result.records = *cname;
-    return result;
-  }
-
-  result.status = LookupStatus::kNoData;
-  attach_soa();
-  return result;
+  signed_ = !Find(apex_, dns::RrType::kDnskey).empty();
+  const RecordSpan soa = Find(apex_, dns::RrType::kSoa);
+  negative_ttl_ =
+      soa.empty() ? 600 : std::get<dns::SoaRdata>(soa.front().rdata).minimum;
 }
 
 }  // namespace clouddns::zone

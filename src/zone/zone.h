@@ -1,23 +1,34 @@
 // An authoritative DNS zone: the record database one authoritative server
 // answers from, with the lookup semantics RFC 1034 §4.3.2 requires —
 // answers, referrals at zone cuts, NXDOMAIN, and NODATA.
+//
+// A zone is built, then frozen (DESIGN.md §10). Add() appends to a record
+// log; Freeze() compiles the log, in place, into the image every query
+// reads:
+//   - one record slab sorted by (canonical owner, type, Add order), so an
+//     RRset, and every RRset at one owner, is a single span of it;
+//   - the canonical owner array, empty non-terminals (ENTs) included,
+//     each owner holding the span of its records (empty for an ENT);
+//   - a Name-hash table from owner name to its index in that array.
+// Queries read the image without locks or allocation and return spans
+// into it. A query on an unfrozen zone throws std::logic_error, and any
+// mutation of a frozen zone reopens it, so a `const Zone` never changes.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
-#include <string>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
-#include "base/mutex.h"
-#include "base/thread_annotations.h"
+#include "base/lifetime.h"
+#include "base/open_table.h"
 #include "dns/name.h"
 #include "dns/record.h"
 #include "dns/types.h"
 
 namespace clouddns::zone {
+
+/// A run of records borrowed from a frozen zone's slab.
+using RecordSpan = std::span<const dns::ResourceRecord>;
 
 /// What a lookup found; drives how the server builds its response.
 enum class LookupStatus {
@@ -28,61 +39,78 @@ enum class LookupStatus {
   kNotInZone,   ///< The name is not under this zone's apex at all.
 };
 
+/// Spans into the zone's image; valid while the zone is alive and frozen.
 struct LookupResult {
   LookupStatus status = LookupStatus::kNotInZone;
-  /// kAnswer: the matching RRset. kDelegation: the cut's NS RRset.
-  std::vector<dns::ResourceRecord> records;
-  /// kDelegation: glue A/AAAA for in-zone nameservers; kAnswer for NS at a
-  /// cut is never produced (cuts take precedence below the apex).
-  std::vector<dns::ResourceRecord> glue;
+  /// kAnswer: the matching RRset (ANY: every record at the name, by type).
+  /// kDelegation: the cut's NS RRset, whose owner is the cut.
+  RecordSpan records;
   /// kDelegation: DS records of the child, for DO=1 referrals.
-  std::vector<dns::ResourceRecord> ds;
+  RecordSpan ds;
   /// kNxDomain / kNoData: the zone SOA for the negative response.
-  std::vector<dns::ResourceRecord> soa;
-  /// Name of the zone cut for delegations.
-  dns::Name cut;
+  RecordSpan soa;
 };
 
 class Zone {
  public:
   explicit Zone(dns::Name apex) : apex_(std::move(apex)) {}
 
-  // Movable (builders return zones by value) but not copyable: the
-  // denial cache's mutex is held directly, so the moves are spelled out
-  // in zone.cc — they lock the source while stealing its cache.
-  Zone(Zone&& other) noexcept NO_THREAD_SAFETY_ANALYSIS;
-  Zone& operator=(Zone&& other) noexcept NO_THREAD_SAFETY_ANALYSIS;
+  // Move-only: owner spans point into the slab, which a move carries
+  // along but a copy would not.
+  Zone(Zone&&) noexcept = default;
+  Zone& operator=(Zone&&) noexcept = default;
   Zone(const Zone&) = delete;
   Zone& operator=(const Zone&) = delete;
 
   [[nodiscard]] const dns::Name& apex() const { return apex_; }
 
-  /// Adds one record. The record's name must be at or under the apex.
-  /// Throws std::invalid_argument otherwise.
+  /// Appends one record to the log, reopening a frozen zone. The record's
+  /// name must be at or under the apex; throws std::invalid_argument
+  /// otherwise.
   void Add(dns::ResourceRecord record);
 
-  /// Convenience: number of distinct owner names (the "zone size" the
-  /// paper's Table 2 reports counts registered domains; see builders).
-  [[nodiscard]] std::size_t name_count() const { return records_.size(); }
-  [[nodiscard]] std::size_t record_count() const { return record_count_; }
+  /// Makes room for `additional` more records, so a builder that knows its
+  /// count appends without regrowing the log. Reopens a frozen zone.
+  void Reserve(std::size_t additional);
+
+  /// Compiles the log into the image (see the file comment). Sorts the log
+  /// in place: no second copy of the records is made. A no-op when frozen.
+  void Freeze();
+
+  /// Number of owner names that hold records (the "zone size" the paper's
+  /// Table 2 reports counts registered domains; see builders). Frozen only.
+  [[nodiscard]] std::size_t name_count() const;
+  [[nodiscard]] std::size_t record_count() const { return log_.size(); }
 
   /// Performs the RFC 1034 lookup algorithm for qname/qtype.
   [[nodiscard]] LookupResult Lookup(const dns::Name& qname,
-                                    dns::RrType qtype) const;
+                                    dns::RrType qtype) const
+      CLOUDDNS_LIFETIMEBOUND;
 
-  /// Direct RRset access (exact name + type), no cut processing.
-  [[nodiscard]] const std::vector<dns::ResourceRecord>* Find(
-      const dns::Name& name, dns::RrType type) const;
+  /// Direct RRset access (exact name + type), no cut processing; empty
+  /// when the name or the type is absent.
+  [[nodiscard]] RecordSpan Find(const dns::Name& name, dns::RrType type) const
+      CLOUDDNS_LIFETIMEBOUND;
 
-  /// All names in the zone, unordered. Used by the mock signer.
-  [[nodiscard]] std::vector<dns::Name> Names() const;
+  /// Appends the glue for a referral's NS RRset to `out`: for each NS in
+  /// RRset order whose target is in this zone, its A then its AAAA records.
+  void AppendGlue(RecordSpan ns_set,
+                  std::vector<dns::ResourceRecord>& out) const;
 
-  /// All records at a name, across types.
-  [[nodiscard]] std::vector<dns::ResourceRecord> RecordsAt(
-      const dns::Name& name) const;
+  /// One owner name of the image and every record at it, by type then Add
+  /// order; empty for an empty non-terminal.
+  struct Owner {
+    dns::Name name;
+    RecordSpan records;
+  };
+  /// The image's owners in canonical order (RFC 4034 §6.1), ENTs included:
+  /// the walk the signer and the master-file writer take.
+  [[nodiscard]] std::span<const Owner> Owners() const CLOUDDNS_LIFETIMEBOUND;
 
   /// True when the zone has an apex DNSKEY (i.e. it was signed).
   [[nodiscard]] bool IsSigned() const;
+  /// The apex SOA MINIMUM (negative-caching TTL), 600 without a SOA.
+  [[nodiscard]] std::uint32_t NegativeTtl() const;
 
   /// The NSEC neighbours of a nonexistent name: the greatest existing name
   /// canonically before `qname` and the least one after (wrapping to the
@@ -90,34 +118,35 @@ class Zone {
   /// the server to serve *range* denials, which is what makes aggressive
   /// NSEC caching (RFC 8198) possible at resolvers.
   struct DenialRange {
-    dns::Name prev;
-    dns::Name next;
+    const dns::Name& prev;
+    const dns::Name& next;
   };
-  [[nodiscard]] DenialRange DenialNeighbors(const dns::Name& qname) const;
+  [[nodiscard]] DenialRange DenialNeighbors(const dns::Name& qname) const
+      CLOUDDNS_LIFETIMEBOUND;
 
  private:
-  using TypeMap = std::map<dns::RrType, std::vector<dns::ResourceRecord>>;
+  /// Throws std::logic_error unless frozen.
+  void RequireFrozen() const;
+  /// Index of the owner whose flat label bytes are [flat, flat + size), or
+  /// base::OpenTable::kNil.
+  [[nodiscard]] std::uint32_t FindOwner(std::uint64_t hash,
+                                        const std::uint8_t* flat,
+                                        std::size_t size) const;
+  [[nodiscard]] std::uint32_t FindOwner(const dns::Name& name) const;
+  /// Registers `name` and any missing ancestor up to the apex (the ENTs)
+  /// as owners; returns the index of `name`.
+  std::uint32_t InternOwner(const dns::Name& name);
 
   dns::Name apex_;
-  std::unordered_map<std::string, TypeMap> records_;  // key: Name::ToKey()
-  // Owner-name keys that exist (including empty non-terminals' children),
-  // for NXDOMAIN vs NODATA decisions.
-  std::unordered_map<std::string, dns::Name> names_;
-  std::size_t record_count_ = 0;
-  // Canonically sorted owner names, built lazily for DenialNeighbors and
-  // invalidated by Add. Zones are shared read-only across parallel scenario
-  // shards, so the cache is handed out as an immutable snapshot under a
-  // lock; the search itself runs lock-free on the snapshot.
-  [[nodiscard]] std::shared_ptr<const std::vector<dns::Name>> SortedNames()
-      const EXCLUDES(denial_mutex_);
-  mutable base::Mutex denial_mutex_;
-  mutable std::shared_ptr<const std::vector<dns::Name>> sorted_names_
-      GUARDED_BY(denial_mutex_);
-
-  /// Finds the closest enclosing zone cut strictly below the apex, if any.
-  [[nodiscard]] std::optional<dns::Name> FindZoneCut(
-      const dns::Name& qname) const;
-  [[nodiscard]] bool NameExists(const dns::Name& name) const;
+  /// The record log; once frozen, the sorted slab the owner spans cover.
+  std::vector<dns::ResourceRecord> log_;
+  /// Canonical once frozen; between Add and Freeze, new owners append.
+  std::vector<Owner> owners_;
+  base::OpenTable owner_table_;  // Name hash -> index into owners_
+  bool frozen_ = false;
+  std::size_t name_count_ = 0;
+  bool signed_ = false;
+  std::uint32_t negative_ttl_ = 600;
 };
 
 }  // namespace clouddns::zone

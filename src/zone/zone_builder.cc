@@ -1,5 +1,9 @@
 #include "zone/zone_builder.h"
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+
 #include "zone/dnssec.h"
 
 namespace clouddns::zone {
@@ -32,9 +36,11 @@ Zone MakeZoneSkeleton(const ZoneBuildConfig& config) {
   return zone;
 }
 
-void AddDelegation(Zone& zone, const dns::Name& child,
-                   const std::vector<NameserverSpec>& nameservers,
-                   bool with_ds, std::uint32_t ttl) {
+namespace {
+
+void AddDelegationRecords(Zone& zone, const dns::Name& child,
+                          std::span<const NameserverSpec> nameservers,
+                          bool with_ds, std::uint32_t ttl) {
   for (const auto& ns : nameservers) {
     zone.Add(dns::MakeNs(child, ns.name, ttl));
     if (!ns.name.IsSubdomainOf(zone.apex())) continue;
@@ -51,6 +57,21 @@ void AddDelegation(Zone& zone, const dns::Name& child,
   }
 }
 
+// Registrants run 2-4 nameservers; the larger NS sets are what pushes
+// DO=1 referrals past a 512-byte EDNS buffer.
+std::size_t NameserverCount(std::size_t i) { return 2 + i % 3; }
+// Most delegations also carry AAAA glue nowadays; besides realism, the
+// extra 28 bytes per record matter for EDNS-512 truncation.
+bool HasV6Glue(std::size_t i) { return i % 5 != 0; }
+
+}  // namespace
+
+void AddDelegation(Zone& zone, const dns::Name& child,
+                   const std::vector<NameserverSpec>& nameservers,
+                   bool with_ds, std::uint32_t ttl) {
+  AddDelegationRecords(zone, child, nameservers, with_ds, ttl);
+}
+
 std::string DomainLabel(const std::string& stem, std::size_t i) {
   return stem + std::to_string(i);
 }
@@ -58,6 +79,18 @@ std::string DomainLabel(const std::string& stem, std::size_t i) {
 void PopulateDelegations(Zone& zone, std::size_t count,
                          const std::string& stem, double signed_fraction,
                          net::Ipv4Address glue_base, std::uint32_t ttl) {
+  // Reserve the log once: each NS brings an A and maybe an AAAA glue
+  // record, and at most ceil(count * fraction) children get a DS.
+  std::size_t records = static_cast<std::size_t>(std::ceil(
+      static_cast<double>(count) * std::min(signed_fraction, 1.0)));
+  for (std::size_t i = 0; i < count; ++i) {
+    records += NameserverCount(i) * (HasV6Glue(i) ? 3 : 2);
+  }
+  zone.Reserve(records);
+
+  // One NameserverSpec vector, address vectors included, serves every
+  // delegation: each iteration overwrites its first NameserverCount(i).
+  std::vector<NameserverSpec> nameservers(4);  // NameserverCount's maximum
   // Deterministic stride-based DS assignment: index i is signed when
   // i * signed_fraction crosses an integer boundary, giving exactly
   // round(count * fraction) signed children without an RNG.
@@ -68,20 +101,14 @@ void PopulateDelegations(Zone& zone, std::size_t count,
     bool with_ds = acc >= 1.0;
     if (with_ds) acc -= 1.0;
 
-    std::vector<NameserverSpec> nameservers;
-    // Registrants run 2-4 nameservers; the larger NS sets are what pushes
-    // DO=1 referrals past a 512-byte EDNS buffer.
-    int ns_count = 2 + static_cast<int>(i % 3);
-    for (int n = 1; n <= ns_count; ++n) {
-      NameserverSpec spec;
+    const std::size_t ns_count = NameserverCount(i);
+    for (std::size_t n = 1; n <= ns_count; ++n) {
+      NameserverSpec& spec = nameservers[n - 1];
       spec.name = child.Child("ns" + std::to_string(n));
-      std::uint32_t offset =
-          static_cast<std::uint32_t>(i * 4 + static_cast<std::size_t>(n));
-      spec.addresses.push_back(
-          net::Ipv4Address(glue_base.bits() + offset));
-      // Most delegations also carry AAAA glue nowadays; besides realism,
-      // the extra 28 bytes per record matter for EDNS-512 truncation.
-      if (i % 5 != 0) {
+      std::uint32_t offset = static_cast<std::uint32_t>(i * 4 + n);
+      spec.addresses.clear();
+      spec.addresses.push_back(net::Ipv4Address(glue_base.bits() + offset));
+      if (HasV6Glue(i)) {
         net::Ipv6Address::Bytes v6{};
         v6[0] = 0x20;
         v6[1] = 0x01;
@@ -95,9 +122,9 @@ void PopulateDelegations(Zone& zone, std::size_t count,
         }
         spec.addresses.push_back(net::Ipv6Address(v6));
       }
-      nameservers.push_back(std::move(spec));
     }
-    AddDelegation(zone, child, nameservers, with_ds, ttl);
+    AddDelegationRecords(
+        zone, child, std::span(nameservers).first(ns_count), with_ds, ttl);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <unordered_set>
 
 #include "dns/message.h"
@@ -128,6 +130,25 @@ TEST(NameTest, HashDistinguishesLabelBoundaries) {
   EXPECT_NE(hash(*Name::Parse("ab.c")), hash(*Name::Parse("a.bc")));
 }
 
+TEST(NameTest, PresentationHashStreamsTheKeyBytes) {
+  // FNV-1a over ToKey()'s bytes, computed without building the string.
+  auto fnv = [](const std::string& text, std::uint64_t h) {
+    for (char c : text) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  const std::uint64_t kSeed = 0x5a534b5a534b5a53ull;
+  for (const char* text :
+       {".", "nl", "NS1.Dom1234.CO.nz", "a.b.c.d.e.f.g.h.example"}) {
+    const Name name = *Name::Parse(text);
+    EXPECT_EQ(name.PresentationHash(kSeed), fnv(name.ToKey(), kSeed)) << text;
+    EXPECT_EQ(name.PresentationHash(),
+              fnv(name.ToKey(), 1469598103934665603ull))
+        << text;
+  }
+}
 
 TEST(NameTest, SmallBufferBoundaryIsExact) {
   // One 53-byte label = 54 flat bytes, the last size that fits inline.

@@ -358,7 +358,7 @@ TEST(ResolverTest, GluelessCycleFailsWithoutInfiniteLoop) {
   auto nz = zone::MakeZoneSkeleton(config);
   zone::AddDelegation(nz, N("cyca.nz"), {{N("ns.cycb.nz"), {}}}, false);
   zone::AddDelegation(nz, N("cycb.nz"), {{N("ns.cyca.nz"), {}}}, false);
-  auto nz_zone = std::make_shared<const zone::Zone>(std::move(nz));
+  auto nz_zone = testutil::Frozen(std::move(nz));
 
   server::AuthServer nz_server(server::AuthServerConfig{});
   nz_server.Serve(nz_zone);
@@ -376,7 +376,7 @@ TEST(ResolverTest, GluelessCycleFailsWithoutInfiniteLoop) {
                         {*net::IpAddress::Parse("194.0.29.53")}}},
                       false);
   server::AuthServer root_server(server::AuthServerConfig{});
-  root_server.Serve(std::make_shared<const zone::Zone>(std::move(root)));
+  root_server.Serve(testutil::Frozen(std::move(root)));
   sim::Network network(net.latency);
   network.RegisterServer(*net::IpAddress::Parse(MiniInternet::kRootV4),
                          net.auth_site, root_server);
@@ -413,7 +413,7 @@ TEST(ResolverTest, ServFailCachingSuppressesRetryStorms) {
   zone::AddDelegation(nl, N("cyca.nl"), {{N("ns.cycb.nl"), {}}}, false);
   zone::AddDelegation(nl, N("cycb.nl"), {{N("ns.cyca.nl"), {}}}, false);
   server::AuthServer nl_server(server::AuthServerConfig{});
-  nl_server.Serve(std::make_shared<const zone::Zone>(std::move(nl)));
+  nl_server.Serve(testutil::Frozen(std::move(nl)));
 
   // Fresh network with a root that delegates .nl to the broken zone's
   // server (MiniInternet's own .nl registration must not shadow it).
@@ -428,7 +428,7 @@ TEST(ResolverTest, ServFailCachingSuppressesRetryStorms) {
                         {*net::IpAddress::Parse("194.0.99.1")}}},
                       false);
   server::AuthServer root_server(server::AuthServerConfig{});
-  root_server.Serve(std::make_shared<const zone::Zone>(std::move(root)));
+  root_server.Serve(testutil::Frozen(std::move(root)));
   sim::Network network(net.latency);
   network.RegisterServer(*net::IpAddress::Parse(MiniInternet::kRootV4),
                          net.auth_site, root_server);

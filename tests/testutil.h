@@ -20,6 +20,12 @@ namespace clouddns::testutil {
 
 inline dns::Name N(const char* text) { return *dns::Name::Parse(text); }
 
+/// Freezes a hand-built (unsigned) zone and shares it for serving.
+inline std::shared_ptr<const zone::Zone> Frozen(zone::Zone zone) {
+  zone.Freeze();
+  return std::make_shared<const zone::Zone>(std::move(zone));
+}
+
 struct MiniInternet {
   static constexpr const char* kRootV4 = "199.9.14.201";
   static constexpr const char* kRootV6 = "2001:500:200::b";
@@ -45,7 +51,7 @@ struct MiniInternet {
           {*net::IpAddress::Parse(kNlV4), *net::IpAddress::Parse(kNlV6)}}},
         /*with_ds=*/true);
     if (sign_zones) zone::SignZone(root);
-    root_zone = std::make_shared<const zone::Zone>(std::move(root));
+    root_zone = Frozen(std::move(root));
 
     // .nl zone with delegations dom0..domN-1 (half signed).
     zone::ZoneBuildConfig nl_config;
@@ -57,7 +63,7 @@ struct MiniInternet {
     zone::PopulateDelegations(nl, nl_domains, "dom", 0.5,
                               net::Ipv4Address(100, 70, 0, 0));
     if (sign_zones) zone::SignZone(nl);
-    nl_zone = std::make_shared<const zone::Zone>(std::move(nl));
+    nl_zone = Frozen(std::move(nl));
 
     server::AuthServerConfig root_server_config;
     root_server_config.server_id = 0;

@@ -45,10 +45,10 @@ TEST(DnssecTest, SignZoneAttachesRrsigsToEveryRrset) {
 
   EXPECT_TRUE(zone.IsSigned());
   // SOA, NS, the glue A, and DNSKEY itself must all carry signatures.
-  const auto* soa_sigs = zone.Find(N("nl"), dns::RrType::kRrsig);
-  ASSERT_NE(soa_sigs, nullptr);
+  const RecordSpan soa_sigs = zone.Find(N("nl"), dns::RrType::kRrsig);
+  ASSERT_FALSE(soa_sigs.empty());
   bool covers_soa = false, covers_ns = false, covers_dnskey = false;
-  for (const auto& rr : *soa_sigs) {
+  for (const auto& rr : soa_sigs) {
     auto covered = static_cast<dns::RrType>(
         std::get<dns::RrsigRdata>(rr.rdata).type_covered);
     covers_soa |= covered == dns::RrType::kSoa;
@@ -58,7 +58,7 @@ TEST(DnssecTest, SignZoneAttachesRrsigsToEveryRrset) {
   EXPECT_TRUE(covers_soa);
   EXPECT_TRUE(covers_ns);
   EXPECT_TRUE(covers_dnskey);
-  EXPECT_NE(zone.Find(N("ns1.dns.nl"), dns::RrType::kRrsig), nullptr);
+  EXPECT_FALSE(zone.Find(N("ns1.dns.nl"), dns::RrType::kRrsig).empty());
 }
 
 TEST(DnssecTest, RrsigVerifiesOnlyMatchingIdentity) {
@@ -69,9 +69,9 @@ TEST(DnssecTest, RrsigVerifiesOnlyMatchingIdentity) {
   Zone zone = MakeZoneSkeleton(config);
   SignZone(zone);
 
-  const auto* sigs = zone.Find(N("nl"), dns::RrType::kRrsig);
-  ASSERT_NE(sigs, nullptr);
-  for (const auto& rr : *sigs) {
+  const RecordSpan sigs = zone.Find(N("nl"), dns::RrType::kRrsig);
+  ASSERT_FALSE(sigs.empty());
+  for (const auto& rr : sigs) {
     const auto& sig = std::get<dns::RrsigRdata>(rr.rdata);
     auto covered = static_cast<dns::RrType>(sig.type_covered);
     EXPECT_TRUE(VerifyRrsig(sig, N("nl"), covered));
@@ -87,9 +87,9 @@ TEST(DnssecTest, DnskeySigKeyTagIsKskOthersZsk) {
   Zone zone = MakeZoneSkeleton(config);
   SignZone(zone);
 
-  const auto* sigs = zone.Find(N("nz"), dns::RrType::kRrsig);
-  ASSERT_NE(sigs, nullptr);
-  for (const auto& rr : *sigs) {
+  const RecordSpan sigs = zone.Find(N("nz"), dns::RrType::kRrsig);
+  ASSERT_FALSE(sigs.empty());
+  for (const auto& rr : sigs) {
     const auto& sig = std::get<dns::RrsigRdata>(rr.rdata);
     if (static_cast<dns::RrType>(sig.type_covered) == dns::RrType::kDnskey) {
       EXPECT_EQ(sig.key_tag, KskTagFor(N("nz")));

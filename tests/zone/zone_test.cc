@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "zone/zone_builder.h"
 
 namespace clouddns::zone {
@@ -24,7 +27,15 @@ Zone MakeNlZone() {
   AddDelegation(zone, N("unsigned.nl"),
                 {{N("ns1.unsigned.nl"), {*net::IpAddress::Parse("198.51.100.9")}}},
                 /*with_ds=*/false);
+  zone.Freeze();
   return zone;
+}
+
+std::vector<dns::ResourceRecord> GlueOf(const Zone& zone,
+                                        const LookupResult& referral) {
+  std::vector<dns::ResourceRecord> glue;
+  zone.AppendGlue(referral.records, glue);
+  return glue;
 }
 
 TEST(ZoneTest, RejectsOutOfZoneRecords) {
@@ -49,9 +60,9 @@ TEST(ZoneTest, DelegationReturnsReferralWithGlue) {
   Zone zone = MakeNlZone();
   auto result = zone.Lookup(N("www.example.nl"), dns::RrType::kA);
   EXPECT_EQ(result.status, LookupStatus::kDelegation);
-  EXPECT_EQ(result.cut, N("example.nl"));
-  EXPECT_EQ(result.records.size(), 2u);  // the NS set
-  EXPECT_EQ(result.glue.size(), 2u);     // in-zone glue A records
+  EXPECT_EQ(result.records.front().name, N("example.nl"));  // the cut
+  EXPECT_EQ(result.records.size(), 2u);          // the NS set
+  EXPECT_EQ(GlueOf(zone, result).size(), 2u);    // in-zone glue A records
   EXPECT_EQ(result.ds.size(), 1u);       // signed child
 }
 
@@ -59,7 +70,7 @@ TEST(ZoneTest, DelegationAtCutItself) {
   Zone zone = MakeNlZone();
   auto result = zone.Lookup(N("example.nl"), dns::RrType::kA);
   EXPECT_EQ(result.status, LookupStatus::kDelegation);
-  EXPECT_EQ(result.cut, N("example.nl"));
+  EXPECT_EQ(result.records.front().name, N("example.nl"));
 }
 
 TEST(ZoneTest, DsQueryAtCutIsAnsweredByParent) {
@@ -119,32 +130,78 @@ TEST(ZoneTest, AnyQueryReturnsAllRecords) {
   EXPECT_GE(result.records.size(), 3u);  // SOA + 2 NS at least
 }
 
-TEST(ZoneTest, MoveTransfersContentAndDenialCache) {
-  // Zone holds a directly-embedded mutex guarding the lazy denial cache;
-  // the explicit move operations must carry the zone's content (and any
-  // already-built cache snapshot) across without touching the mutex.
+TEST(ZoneTest, AnyQueryKeepsTypeThenAddOrder) {
+  Zone zone = MakeNlZone();
+  auto result = zone.Lookup(N("nl"), dns::RrType::kAny);
+  ASSERT_EQ(result.records.size(), 3u);
+  EXPECT_EQ(result.records[0].type, dns::RrType::kNs);
+  EXPECT_EQ(std::get<dns::NsRdata>(result.records[0].rdata).nameserver,
+            N("ns1.dns.nl"));
+  EXPECT_EQ(std::get<dns::NsRdata>(result.records[1].rdata).nameserver,
+            N("ns2.dns.nl"));
+  EXPECT_EQ(result.records[2].type, dns::RrType::kSoa);
+}
+
+TEST(ZoneTest, QueriesOnAnUnfrozenZoneThrow) {
+  Zone zone(N("nl"));
+  zone.Add(dns::MakeA(N("www.nl"), net::Ipv4Address(192, 0, 2, 1), 60));
+  EXPECT_THROW((void)zone.Lookup(N("www.nl"), dns::RrType::kA),
+               std::logic_error);
+  EXPECT_THROW((void)zone.Find(N("www.nl"), dns::RrType::kA),
+               std::logic_error);
+  EXPECT_THROW((void)zone.DenialNeighbors(N("a.nl")), std::logic_error);
+  EXPECT_THROW((void)zone.Owners(), std::logic_error);
+  zone.Freeze();
+  EXPECT_EQ(zone.Find(N("www.nl"), dns::RrType::kA).size(), 1u);
+}
+
+TEST(ZoneTest, AddReopensAndFreezeRecompiles) {
+  Zone zone = MakeNlZone();
+  EXPECT_EQ(zone.Lookup(N("ccc.nl"), dns::RrType::kA).status,
+            LookupStatus::kNxDomain);
+  AddDelegation(zone, N("ccc.nl"),
+                {{N("ns1.ccc.nl"), {*net::IpAddress::Parse("198.51.100.77")}}},
+                /*with_ds=*/false);
+  EXPECT_THROW((void)zone.Lookup(N("ccc.nl"), dns::RrType::kA),
+               std::logic_error);
+  zone.Freeze();
+  EXPECT_EQ(zone.Lookup(N("ccc.nl"), dns::RrType::kA).status,
+            LookupStatus::kDelegation);
+}
+
+TEST(ZoneTest, EmptyNonTerminalsAreOwnersWithoutRecords) {
+  Zone zone = MakeNlZone();
+  // Owners: nl, dns.nl (an ENT), ns1/ns2.dns.nl, example.nl with its
+  // ns1/ns2 glue, unsigned.nl with its ns1 glue.
+  std::size_t empty = 0;
+  for (const Zone::Owner& owner : zone.Owners()) {
+    if (owner.records.empty()) {
+      EXPECT_EQ(owner.name, N("dns.nl"));
+      ++empty;
+    }
+  }
+  EXPECT_EQ(empty, 1u);
+  EXPECT_EQ(zone.Owners().size(), 9u);
+  EXPECT_EQ(zone.name_count(), 8u);
+}
+
+TEST(ZoneTest, MoveCarriesTheFrozenImage) {
+  // Owner spans point into the slab; moving the zone must keep them valid.
   Zone source = MakeNlZone();
   const std::size_t names = source.name_count();
   const std::size_t records = source.record_count();
-  auto warm = source.DenialNeighbors(N("bbb.nl"));  // build the cache
+  const dns::Name next = source.DenialNeighbors(N("bbb.nl")).next;
 
   Zone moved(std::move(source));
   EXPECT_EQ(moved.name_count(), names);
   EXPECT_EQ(moved.record_count(), records);
-  auto after_move = moved.DenialNeighbors(N("bbb.nl"));
-  EXPECT_EQ(after_move.prev, warm.prev);
-  EXPECT_EQ(after_move.next, warm.next);
+  EXPECT_EQ(moved.DenialNeighbors(N("bbb.nl")).next, next);
 
   Zone assigned(N("nl"));
   assigned = std::move(moved);
   EXPECT_EQ(assigned.name_count(), names);
   EXPECT_EQ(assigned.Lookup(N("nl"), dns::RrType::kSoa).status,
             LookupStatus::kAnswer);
-  // The moved-into zone still accepts writes and invalidates its cache.
-  AddDelegation(assigned, N("ccc.nl"),
-                {{N("ns1.ccc.nl"), {*net::IpAddress::Parse("198.51.100.77")}}},
-                /*with_ds=*/false);
-  EXPECT_EQ(assigned.DenialNeighbors(N("cca.nl")).next, N("ccc.nl"));
 }
 
 TEST(ZoneTest, RootZoneDelegatesTlds) {
@@ -156,10 +213,11 @@ TEST(ZoneTest, RootZoneDelegatesTlds) {
   AddDelegation(root, N("nl"),
                 {{N("ns1.dns.nl"), {*net::IpAddress::Parse("192.0.2.53")}}},
                 true);
+  root.Freeze();
 
   auto result = root.Lookup(N("www.example.nl"), dns::RrType::kA);
   EXPECT_EQ(result.status, LookupStatus::kDelegation);
-  EXPECT_EQ(result.cut, N("nl"));
+  EXPECT_EQ(result.records.front().name, N("nl"));
 
   auto junk = root.Lookup(N("hjkdfs"), dns::RrType::kA);
   EXPECT_EQ(junk.status, LookupStatus::kNxDomain);
@@ -172,6 +230,7 @@ TEST(ZoneBuilderTest, PopulateDelegationsCounts) {
       {N("ns1.dns.nz"), {*net::IpAddress::Parse("192.0.2.60")}}};
   Zone zone = MakeZoneSkeleton(config);
   PopulateDelegations(zone, 100, "dom", 0.5, net::Ipv4Address(10, 50, 0, 0));
+  zone.Freeze();
 
   // Every domain is a delegation with 2-4 NS records plus glue; all have
   // IPv4 glue and most carry AAAA glue too.
@@ -183,8 +242,9 @@ TEST(ZoneBuilderTest, PopulateDelegationsCounts) {
     ASSERT_EQ(result.status, LookupStatus::kDelegation) << i;
     EXPECT_GE(result.records.size(), 2u);
     EXPECT_LE(result.records.size(), 4u);
-    EXPECT_GE(result.glue.size(), result.records.size());
-    for (const auto& rr : result.glue) {
+    const auto glue = GlueOf(zone, result);
+    EXPECT_GE(glue.size(), result.records.size());
+    for (const auto& rr : glue) {
       aaaa_glue += rr.type == dns::RrType::kAaaa;
     }
     ds_count += static_cast<int>(result.ds.size());

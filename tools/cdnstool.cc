@@ -522,6 +522,7 @@ int CmdZoneSample(const Args&) {
   auto zone = zone::MakeZoneSkeleton(config);
   zone::PopulateDelegations(zone, 5, "dom", 0.5,
                             net::Ipv4Address(100, 70, 0, 0));
+  zone.Freeze();
   std::printf("%s", zone::ToMasterFile(zone).c_str());
   return 0;
 }

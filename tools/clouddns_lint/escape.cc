@@ -315,7 +315,8 @@ class EscapeScanner {
 
 void RunEscapePass(SourceFile& file, Reporter& reporter) {
   const bool watched = file.module == "capture" || file.module == "net" ||
-                       file.module == "resolver";
+                       file.module == "resolver" || file.module == "zone" ||
+                       file.module == "server";
   if (!watched) return;
   EscapeScanner(file, reporter).Run();
 }

@@ -12,9 +12,9 @@
 //                  view by value) and escapes the call — returned,
 //                  assigned to a member, or stored in a std::function.
 //
-// Scoped to the modules that traffic in pooled scratch: src/capture,
-// src/net, src/resolver. Lifetime-correct exceptions carry a reasoned
-// `lint:allow(<rule>)`.
+// Scoped to the modules that traffic in pooled scratch or borrowed zone
+// image spans: src/capture, src/net, src/resolver, src/zone, src/server.
+// Lifetime-correct exceptions carry a reasoned `lint:allow(<rule>)`.
 #pragma once
 
 #include "report.h"

@@ -18,8 +18,9 @@
 //                   (include-cycle). Diagnostics carry the shortest
 //                   offending path.
 //   escape pass     borrowed std::span/std::string_view lifetime rules
-//                   over the pooled-scratch modules (borrow-member,
-//                   borrow-return, lambda-borrow; see escape.h).
+//                   over the pooled-scratch and zone-image modules
+//                   (borrow-member, borrow-return, lambda-borrow; see
+//                   escape.h).
 //
 // Suppression: `// lint:allow(<rule>): <reason>` on the offending line,
 // or on a comment line directly above it. The reason is mandatory

@@ -180,6 +180,34 @@ if(diagnostics MATCHES "io_base_scratch.cc")
 endif()
 file(REMOVE "${io_scratch}" "${io_base_scratch}")
 
+# The escape pass watches the zone image's borrowers too: a Zone::Find
+# span kept in a server member outlives the image it borrows from, so
+# line 8 must be flagged borrow-member.
+set(span_scratch "${WORK}/src/server/span_member.h")
+file(WRITE "${span_scratch}" "#pragma once
+#include <span>
+#include \"zone/zone.h\"
+class GlueMemo {
+ public:
+  void Remember(const Zone& zone, const Name& cut) { ns_ = zone.Find(cut, kNs); }
+ private:
+  std::span<const ResourceRecord> ns_;
+};
+")
+execute_process(
+  COMMAND "${LINT}" "${WORK}/src"
+  RESULT_VARIABLE status
+  ERROR_VARIABLE diagnostics
+  OUTPUT_VARIABLE stdout_text)
+if(status EQUAL 0)
+  message(FATAL_ERROR "linter passed a stored Zone::Find span")
+endif()
+if(NOT diagnostics MATCHES "span_member.h:8: error: .borrow-member.")
+  message(FATAL_ERROR
+    "missing borrow-member diagnostic for line 8 in:\n${diagnostics}")
+endif()
+file(REMOVE "${span_scratch}")
+
 # A suppression without a reason must itself be flagged.
 file(WRITE "${scratch}" "#include <cstdlib>
 void NoReason() {
