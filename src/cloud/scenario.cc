@@ -62,7 +62,7 @@ struct ShardWorld {
   std::vector<std::unique_ptr<server::AuthServer>> servers;
   std::unique_ptr<server::LeafAuthService> leaf;
   /// One generator per fleet, seeded from SubstreamSeed(seed, shard).
-  std::vector<std::unique_ptr<WorkloadGenerator>> workloads;
+  std::vector<WorkloadGenerator> workloads;
   capture::CaptureBuffer records;
   std::uint64_t issued = 0;
   std::vector<std::uint64_t> issued_per_fleet;
@@ -604,13 +604,19 @@ void ScenarioRuntime::PartitionEngines() {
     }
   }
 
+  // One read-only model per fleet; each shard's generator adds only its
+  // own RNG stream.
+  std::vector<std::shared_ptr<const WorkloadModel>> models;
+  for (const WorkloadSpec& spec : fleet_specs_) {
+    models.push_back(std::make_shared<const WorkloadModel>(spec));
+  }
   for (std::size_t s = 0; s < shard_count_; ++s) {
     ShardWorld& shard = shards_[s];
     shard.issued_per_fleet.assign(fleets_.size(), 0);
-    for (std::size_t f = 0; f < fleet_specs_.size(); ++f) {
-      shard.workloads.push_back(std::make_unique<WorkloadGenerator>(
-          fleet_specs_[f],
-          sim::SubstreamSeed(config_.seed ^ (0xabcdull + f), s)));
+    shard.workloads.reserve(models.size());
+    for (std::size_t f = 0; f < models.size(); ++f) {
+      shard.workloads.emplace_back(
+          models[f], sim::SubstreamSeed(config_.seed ^ (0xabcdull + f), s));
     }
   }
 }
@@ -642,6 +648,7 @@ void ScenarioRuntime::RunShard(std::size_t shard_index) {
   // The Fig. 3b event window (only meaningful for longitudinal .nz runs).
   const sim::TimeUs event_start = NzEventStart();
   const sim::TimeUs event_end = NzEventEnd();
+  std::vector<bool> injecting(fleets_.size(), false);
 
   for (std::uint64_t i = 0; i < total + warmup; ++i) {
     // Warmup queries run in the day before the window; captured records
@@ -655,13 +662,19 @@ void ScenarioRuntime::RunShard(std::size_t shard_index) {
     if (engine_owner_[f][e] != shard_index) continue;
 
     Fleet& fleet = fleets_[f];
-    WorkloadGenerator& workload = *shard.workloads[f];
+    WorkloadGenerator& workload = shard.workloads[f];
     if (config_.inject_cyclic_event && !cyclic_domains_.empty() &&
         fleet.provider == Provider::kGoogle) {
-      if (t >= event_start && t < event_end) {
-        workload.InjectTargets(cyclic_domains_, 0.14);
-      } else {
-        workload.ClearInjection();
+      // Only crossing the window's edge changes the generator, so the
+      // target list is copied once per entry, not once per query.
+      const bool in_event = t >= event_start && t < event_end;
+      if (in_event != injecting[f]) {
+        injecting[f] = in_event;
+        if (in_event) {
+          workload.InjectTargets(cyclic_domains_, 0.14);
+        } else {
+          workload.ClearInjection();
+        }
       }
     }
 

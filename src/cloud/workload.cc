@@ -23,20 +23,27 @@ std::vector<double> QtypeWeights(const WorkloadSpec& spec) {
 
 }  // namespace
 
-WorkloadGenerator::WorkloadGenerator(WorkloadSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)),
-      rng_(seed),
-      suffix_sampler_(SuffixWeights(spec_)),
-      qtype_sampler_(QtypeWeights(spec_)) {
-  if (spec_.suffixes.empty()) {
-    throw std::invalid_argument("WorkloadGenerator: no suffixes");
+WorkloadModel::WorkloadModel(WorkloadSpec spec_in)
+    : spec(std::move(spec_in)),
+      suffix_sampler(SuffixWeights(spec)),
+      qtype_sampler(QtypeWeights(spec)) {
+  if (spec.suffixes.empty()) {
+    throw std::invalid_argument("WorkloadModel: no suffixes");
   }
-  for (const auto& suffix : spec_.suffixes) {
-    domain_samplers_.emplace_back(std::max<std::size_t>(1, suffix.domain_count),
-                                  spec_.zipf_exponent);
+  for (const auto& suffix : spec.suffixes) {
+    domain_samplers.emplace_back(std::max<std::size_t>(1, suffix.domain_count),
+                                 spec.zipf_exponent);
   }
-  for (const auto& [type, weight] : spec_.qtype_mix) qtypes_.push_back(type);
+  for (const auto& [type, weight] : spec.qtype_mix) qtypes.push_back(type);
 }
+
+WorkloadGenerator::WorkloadGenerator(
+    std::shared_ptr<const WorkloadModel> model, std::uint64_t seed)
+    : model_(std::move(model)), rng_(seed) {}
+
+WorkloadGenerator::WorkloadGenerator(WorkloadSpec spec, std::uint64_t seed)
+    : WorkloadGenerator(std::make_shared<const WorkloadModel>(std::move(spec)),
+                        seed) {}
 
 dns::Name WorkloadGenerator::RandomLabelName(std::size_t min_len,
                                              std::size_t max_len,
@@ -62,6 +69,7 @@ void WorkloadGenerator::ClearInjection() {
 }
 
 ClientQuery WorkloadGenerator::Next() {
+  const WorkloadModel& model = *model_;
   ClientQuery query;
 
   if (!injected_.empty() && rng_.Bernoulli(injected_probability_)) {
@@ -72,8 +80,8 @@ ClientQuery WorkloadGenerator::Next() {
     return query;
   }
 
-  if (spec_.chromium_fraction > 0 &&
-      rng_.Bernoulli(spec_.chromium_fraction)) {
+  if (model.spec.chromium_fraction > 0 &&
+      rng_.Bernoulli(model.spec.chromium_fraction)) {
     // Chromium's network probes: random 7-15 character single labels that
     // cannot exist, hammering the root with NXDOMAIN [19][42].
     query.qname = RandomLabelName(7, 15, dns::Name{});
@@ -81,18 +89,18 @@ ClientQuery WorkloadGenerator::Next() {
     return query;
   }
 
-  std::size_t suffix_index = suffix_sampler_.Sample(rng_);
-  const SuffixPopulation& population = spec_.suffixes[suffix_index];
+  std::size_t suffix_index = model.suffix_sampler.Sample(rng_);
+  const SuffixPopulation& population = model.spec.suffixes[suffix_index];
 
-  if (rng_.Bernoulli(spec_.junk_fraction)) {
+  if (rng_.Bernoulli(model.spec.junk_fraction)) {
     // Typos / stale names: unregistered under a real suffix -> NXDOMAIN at
     // the TLD. Random labels never collide with "<stem><i>".
     query.qname = RandomLabelName(6, 12, population.suffix);
-    query.qtype = qtypes_[qtype_sampler_.Sample(rng_)];
+    query.qtype = model.qtypes[model.qtype_sampler.Sample(rng_)];
     return query;
   }
 
-  std::size_t rank = domain_samplers_[suffix_index].Sample(rng_);
+  std::size_t rank = model.domain_samplers[suffix_index].Sample(rng_);
   dns::Name domain = population.suffix.Child(
       zone::DomainLabel(population.stem, rank));
 
@@ -112,7 +120,7 @@ ClientQuery WorkloadGenerator::Next() {
   } else {
     query.qname = RandomLabelName(4, 10, domain);
   }
-  query.qtype = qtypes_[qtype_sampler_.Sample(rng_)];
+  query.qtype = model.qtypes[model.qtype_sampler.Sample(rng_)];
   return query;
 }
 

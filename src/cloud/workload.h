@@ -4,6 +4,7 @@
 // workloads add Chromium-style random-TLD probes (§3, [19][42]).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,30 +44,44 @@ struct ClientQuery {
   dns::RrType qtype = dns::RrType::kA;
 };
 
+/// The immutable part of a workload: the spec and the alias tables built
+/// from it. Building the Zipf tables is the costly step, so one model is
+/// shared, read-only, by every generator that draws from the same spec.
+struct WorkloadModel {
+  /// Throws std::invalid_argument when the spec has no suffixes.
+  explicit WorkloadModel(WorkloadSpec spec);
+
+  WorkloadSpec spec;
+  sim::DiscreteSampler suffix_sampler;
+  std::vector<sim::ZipfSampler> domain_samplers;  // one per suffix
+  sim::DiscreteSampler qtype_sampler;
+  std::vector<dns::RrType> qtypes;  // qtype_mix's types, by sampler index
+};
+
+/// One client query stream: a seeded RNG and the injection state over a
+/// shared WorkloadModel.
 class WorkloadGenerator {
  public:
+  WorkloadGenerator(std::shared_ptr<const WorkloadModel> model,
+                    std::uint64_t seed);
+  /// Builds a private model from `spec`.
   WorkloadGenerator(WorkloadSpec spec, std::uint64_t seed);
 
   [[nodiscard]] ClientQuery Next();
 
-  /// Forces the next `count` calls to draw from an override domain list
-  /// (used to inject the Feb-2020 cyclic-dependency event of Fig. 3b).
+  /// Until ClearInjection(), each query draws from `targets` with the
+  /// given probability (used to inject the Feb-2020 cyclic-dependency
+  /// event of Fig. 3b).
   void InjectTargets(std::vector<dns::Name> targets, double probability);
   void ClearInjection();
-
-  [[nodiscard]] const WorkloadSpec& spec() const { return spec_; }
 
  private:
   [[nodiscard]] dns::Name RandomLabelName(std::size_t min_len,
                                           std::size_t max_len,
                                           const dns::Name& suffix);
 
-  WorkloadSpec spec_;
+  std::shared_ptr<const WorkloadModel> model_;
   sim::Rng rng_;
-  sim::DiscreteSampler suffix_sampler_;
-  std::vector<sim::ZipfSampler> domain_samplers_;  // one per suffix
-  sim::DiscreteSampler qtype_sampler_;
-  std::vector<dns::RrType> qtypes_;
   std::vector<dns::Name> injected_;
   double injected_probability_ = 0.0;
 };

@@ -255,6 +255,24 @@ int Name::Compare(const Name& other) const {
   return 0;
 }
 
+void Name::AppendCanonicalKey(std::string& out) const {
+  // Lowercased bytes map to units 1..256, so the 0 unit after each label
+  // sorts a label before every longer label it prefixes, \000 bytes
+  // included, and a key that runs out first (fewer labels) sorts first.
+  std::uint8_t offsets[128];
+  LabelOffsets(offsets);
+  const std::uint8_t* base = flat();
+  for (std::size_t i = label_count_; i > 0; --i) {
+    const std::uint8_t* label = base + offsets[i - 1];
+    for (std::size_t j = 1; j <= *label; ++j) {
+      const unsigned unit = LowerByte(label[j]) + 1u;
+      out.push_back(static_cast<char>(unit >> 8));
+      out.push_back(static_cast<char>(unit & 0xffu));
+    }
+    out.append(2, '\0');
+  }
+}
+
 std::string Name::ToString() const {
   if (label_count_ == 0) return ".";
   std::string out;

@@ -122,6 +122,14 @@ class Name {
   [[nodiscard]] bool Equals(const Name& other) const;
   [[nodiscard]] int Compare(const Name& other) const;
 
+  /// Appends this name's canonical sort key to `out`: its labels right to
+  /// left, each byte lowercased plus one as a big-endian 16-bit unit, and
+  /// a 0 unit closing each label; 2 * FlatSize() bytes in all. Keys
+  /// compare bytewise (std::string's compare, i.e. memcmp) exactly as
+  /// Compare() orders their names, so a sort of many names builds each
+  /// key once instead of re-walking both names' labels per comparison.
+  void AppendCanonicalKey(std::string& out) const;
+
   /// Presentation format without trailing dot ("example.nl"); root is ".".
   [[nodiscard]] std::string ToString() const;
 

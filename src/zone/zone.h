@@ -73,8 +73,9 @@ class Zone {
   /// count appends without regrowing the log. Reopens a frozen zone.
   void Reserve(std::size_t additional);
 
-  /// Compiles the log into the image (see the file comment). Sorts the log
-  /// in place: no second copy of the records is made. A no-op when frozen.
+  /// Compiles the log into the image (see the file comment). Sorts the
+  /// records added since the last image and merges them into its slab in
+  /// place: no second copy of the records is made. A no-op when frozen.
   void Freeze();
 
   /// Number of owner names that hold records (the "zone size" the paper's
@@ -140,7 +141,10 @@ class Zone {
   dns::Name apex_;
   /// The record log; once frozen, the sorted slab the owner spans cover.
   std::vector<dns::ResourceRecord> log_;
-  /// Canonical once frozen; between Add and Freeze, new owners append.
+  /// log_[0, image_size_) is the last image's slab; later records are the
+  /// ones added since, which the next Freeze merges in.
+  std::size_t image_size_ = 0;
+  /// The last image's owners, in canonical order.
   std::vector<Owner> owners_;
   base::OpenTable owner_table_;  // Name hash -> index into owners_
   bool frozen_ = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 namespace clouddns::cloud {
 namespace {
@@ -126,6 +127,24 @@ TEST(WorkloadTest, DeterministicForSameSeed) {
     ClientQuery qb = b.Next();
     EXPECT_EQ(qa.qname, qb.qname);
     EXPECT_EQ(qa.qtype, qb.qtype);
+  }
+}
+
+TEST(WorkloadTest, SharedModelMatchesOwnedSpec) {
+  WorkloadSpec spec = NlSpec();
+  spec.chromium_fraction = 0.1;
+  const auto model = std::make_shared<const WorkloadModel>(spec);
+  WorkloadGenerator owned(spec, 42);
+  WorkloadGenerator shared(model, 42);
+  // Same model and seed, but injecting: `shared` must not notice.
+  WorkloadGenerator injected(model, 42);
+  injected.InjectTargets({N("cyca.nz")}, 1.0);
+  for (int i = 0; i < 500; ++i) {
+    const ClientQuery want = owned.Next();
+    const ClientQuery got = shared.Next();
+    EXPECT_EQ(got.qname.ToString(), want.qname.ToString()) << i;
+    EXPECT_EQ(got.qtype, want.qtype) << i;
+    EXPECT_TRUE(injected.Next().qname.IsSubdomainOf(N("cyca.nz")));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "dns/message.h"
 
@@ -113,6 +114,42 @@ TEST(NameTest, CanonicalOrdering) {
   EXPECT_LT(*Name::Parse("yljkjljk.a.example"), *Name::Parse("z.a.example"));
   EXPECT_LT(*Name::Parse("z.example"), *Name::Parse("b.z.example"));
   EXPECT_EQ(Name::Parse("A.EXAMPLE")->Compare(*Name::Parse("a.example")), 0);
+}
+
+TEST(NameTest, CanonicalKeyOrdersAsCompare) {
+  std::vector<Name> names = {
+      Name(),
+      *Name::Parse("example"),
+      *Name::Parse("EXAMPLE"),
+      *Name::Parse("a.example"),
+      *Name::Parse("A.Example"),
+      *Name::Parse("ab.example"),
+      *Name::Parse("abc.example"),
+      *Name::Parse("AbC.example"),
+      *Name::Parse("b.a.example"),
+      *Name::Parse("z.a.example"),
+      *Name::Parse("ab.c"),
+      *Name::Parse("a.bc"),
+      *Name::Parse("a_b.example"),  // '_' sits between 'Z' and 'a'
+      *Name::Parse("a-b.example"),
+      Name::FromLabels({"a", "example"}),
+      Name::FromLabels({std::string("a\0", 2), "example"}),
+      Name::FromLabels({std::string("\0", 1), "example"}),
+      Name::FromLabels({std::string("a\0b", 3), "example"}),
+      Name::FromLabels({"a\xff", "example"}),
+  };
+  const auto sign = [](int v) { return (v > 0) - (v < 0); };
+  for (const Name& a : names) {
+    std::string key_a;
+    a.AppendCanonicalKey(key_a);
+    EXPECT_EQ(key_a.size(), 2 * a.FlatSize());
+    for (const Name& b : names) {
+      std::string key_b;
+      b.AppendCanonicalKey(key_b);
+      EXPECT_EQ(sign(key_a.compare(key_b)), sign(a.Compare(b)))
+          << a.ToString() << " vs " << b.ToString();
+    }
+  }
 }
 
 TEST(NameTest, FromLabelsValidates) {
