@@ -344,8 +344,8 @@ void ScenarioRuntime::BuildZonesAndServers() {
 
   // --- Stage B: serial signing and assembly, in the exact order of the
   // serial builder — zones_/service_specs_ ordering and every zone's Add
-  // sequence (skeleton, delegations, DNSKEYs, RRSIGs) are unchanged.
-  // SignZone fans its signature computation over the pool internally.
+  // sequence (skeleton, delegations, DNSKEYs) are unchanged. SignZone
+  // fans its RRSIG construction over the pool internally.
   zone::Zone root = std::move(*images[kRootSlot]);
   zone::SignZone(root);
   auto root_zone = std::make_shared<const zone::Zone>(std::move(root));

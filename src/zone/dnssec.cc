@@ -1,6 +1,6 @@
 #include "zone/dnssec.h"
 
-#include "base/threads.h"
+#include <stdexcept>
 
 namespace clouddns::zone {
 namespace {
@@ -17,11 +17,6 @@ std::uint64_t Fnv1a(std::string_view text, std::uint64_t seed) {
 constexpr std::uint64_t kZskSeed = 0x5a534b5a534b5a53ull;
 constexpr std::uint64_t kKskSeed = 0x4b534b4b534b4b53ull;
 constexpr std::uint64_t kSigSeed = 0x5349475349475349ull;
-
-// Fixed validity window: the simulation clock always falls inside it, so
-// mock signatures never "expire" mid-run.
-constexpr std::uint32_t kInception = 1514764800;   // 2018-01-01
-constexpr std::uint32_t kExpiration = 1735689600;  // 2025-01-01
 
 std::vector<std::uint8_t> HashBytes(std::uint64_t h, std::size_t n) {
   std::vector<std::uint8_t> out(n);
@@ -76,50 +71,34 @@ dns::ResourceRecord MakeDs(const dns::Name& child_apex, std::uint32_t ttl) {
 }
 
 void SignZone(Zone& zone, std::uint32_t dnskey_ttl) {
+  if (zone.HasApexDnskey()) {
+    throw std::logic_error("zone::SignZone: " + zone.apex().ToString() +
+                           " is already signed");
+  }
   for (auto& key : MakeApexDnskeys(zone.apex(), dnskey_ttl)) {
     zone.Add(std::move(key));
   }
-  // One target per RRset of the frozen image, in canonical (owner, type)
-  // order, so the RRSIGs at each owner come out in type order.
   zone.Freeze();
-  std::vector<const dns::ResourceRecord*> targets;
-  for (const Zone::Owner& owner : zone.Owners()) {
-    for (std::size_t i = 0; i < owner.records.size(); ++i) {
-      const dns::ResourceRecord& rr = owner.records[i];
-      if (rr.type == dns::RrType::kRrsig) continue;
-      if (i == 0 || owner.records[i - 1].type != rr.type) {
-        targets.push_back(&rr);
-      }
-    }
-  }
-  // Signature computation is pure (a function of signer/owner/type alone),
-  // so it fans out over the shared pool into slots indexed by target.
-  // Insertion stays serial and in target order below — the RRSIG order at
-  // each owner IS the Add order, and that order is part of the zone's byte
-  // image, so it must not depend on worker scheduling.
+  // An RRSIG is a pure function of the apex and the RRset it covers, so
+  // the pool may build them in any order: each lands in the slot the
+  // image fixes for it.
   const dns::Name& apex = zone.apex();
-  std::vector<dns::ResourceRecord> rrsigs(targets.size());
-  base::ThreadPool::Shared().ParallelFor(
-      targets.size(), base::EffectiveThreads(0), [&](std::size_t i) {
-        const dns::ResourceRecord& target = *targets[i];
-        dns::RrsigRdata sig;
-        sig.type_covered = static_cast<std::uint16_t>(target.type);
-        sig.algorithm = kMockAlgorithm;
-        sig.labels = static_cast<std::uint8_t>(target.name.LabelCount());
-        sig.original_ttl = target.ttl;
-        sig.expiration = kExpiration;
-        sig.inception = kInception;
-        sig.key_tag = target.type == dns::RrType::kDnskey ? KskTagFor(apex)
-                                                          : ZskTagFor(apex);
-        sig.signer = apex;
-        sig.signature = MockSignature(apex, target.name, target.type);
-        rrsigs[i] = dns::ResourceRecord{target.name, dns::RrType::kRrsig,
-                                        dns::RrClass::kIn, target.ttl,
-                                        std::move(sig)};
-      });
-  zone.Reserve(rrsigs.size());  // reopens: `targets` dangles from here
-  for (auto& rrsig : rrsigs) zone.Add(std::move(rrsig));
-  zone.Freeze();
+  const std::uint16_t ksk_tag = KskTagFor(apex);
+  const std::uint16_t zsk_tag = ZskTagFor(apex);
+  zone.InsertRrsigs([&](const dns::ResourceRecord& target) {
+    dns::RrsigRdata sig;
+    sig.type_covered = static_cast<std::uint16_t>(target.type);
+    sig.algorithm = kMockAlgorithm;
+    sig.labels = static_cast<std::uint8_t>(target.name.LabelCount());
+    sig.original_ttl = target.ttl;
+    sig.expiration = kMockExpiration;
+    sig.inception = kMockInception;
+    sig.key_tag = target.type == dns::RrType::kDnskey ? ksk_tag : zsk_tag;
+    sig.signer = apex;
+    sig.signature = MockSignature(apex, target.name, target.type);
+    return dns::ResourceRecord{target.name, dns::RrType::kRrsig,
+                               dns::RrClass::kIn, target.ttl, std::move(sig)};
+  });
 }
 
 bool VerifyRrsig(const dns::RrsigRdata& sig, const dns::Name& owner,

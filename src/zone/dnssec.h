@@ -21,6 +21,11 @@ namespace clouddns::zone {
 /// signatures matter because they drive truncation at small EDNS sizes).
 inline constexpr std::uint8_t kMockAlgorithm = 8;
 
+/// Every RRSIG's validity window: the simulation clock always falls inside
+/// it, so mock signatures never "expire" mid-run.
+inline constexpr std::uint32_t kMockInception = 1514764800;   // 2018-01-01
+inline constexpr std::uint32_t kMockExpiration = 1735689600;  // 2025-01-01
+
 /// Deterministic key tag for a zone's ZSK/KSK.
 [[nodiscard]] std::uint16_t ZskTagFor(const dns::Name& zone_apex);
 [[nodiscard]] std::uint16_t KskTagFor(const dns::Name& zone_apex);
@@ -38,8 +43,9 @@ inline constexpr std::uint8_t kMockAlgorithm = 8;
                                          std::uint32_t ttl);
 
 /// Signs every RRset in `zone`: attaches apex DNSKEYs and one RRSIG per
-/// (owner, type) RRset, and leaves the zone frozen. Idempotent signing is
-/// not supported; call once, after the last other Add.
+/// (owner, type) RRset, and leaves the zone frozen. Call once, after the
+/// last other Add; throws std::logic_error, leaving the zone untouched,
+/// when it already has an apex DNSKEY.
 void SignZone(Zone& zone, std::uint32_t dnskey_ttl = 172800);
 
 /// Verifies a mock RRSIG against the RRset identity it claims to cover.

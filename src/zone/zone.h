@@ -13,9 +13,12 @@
 // Queries read the image without locks or allocation and return spans
 // into it. A query on an unfrozen zone throws std::logic_error, and any
 // mutation of a frozen zone reopens it, so a `const Zone` never changes.
+// Signing (zone/dnssec.h) is the one edit of a frozen image that keeps it
+// frozen: it opens a gap at each owner and builds the RRSIGs in place.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -126,6 +129,19 @@ class Zone {
       CLOUDDNS_LIFETIMEBOUND;
 
  private:
+  friend void SignZone(Zone& zone, std::uint32_t dnskey_ttl);
+
+  /// IsSigned() for a zone frozen or not.
+  [[nodiscard]] bool HasApexDnskey() const { return signed_; }
+  /// Builds a frozen image's RRSIGs in place: `make_rrsig(first record of
+  /// the RRset)` for every RRset of a type other than RRSIG, placed after
+  /// its owner's records of type <= RRSIG, in type order. The image is the
+  /// one Add-ing those RRSIGs in canonical order and refreezing would give,
+  /// but the log grows once and no owner is re-sorted or re-interned.
+  /// `make_rrsig` runs on the shared pool, so it must be pure.
+  void InsertRrsigs(
+      const std::function<dns::ResourceRecord(const dns::ResourceRecord&)>&
+          make_rrsig);
   /// Throws std::logic_error unless frozen.
   void RequireFrozen() const;
   /// Index of the owner whose flat label bytes are [flat, flat + size), or
@@ -149,6 +165,7 @@ class Zone {
   base::OpenTable owner_table_;  // Name hash -> index into owners_
   bool frozen_ = false;
   std::size_t name_count_ = 0;
+  /// An apex DNSKEY has been added; Add keeps it, as nothing is removed.
   bool signed_ = false;
   std::uint32_t negative_ttl_ = 600;
 };

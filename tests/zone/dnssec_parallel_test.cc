@@ -1,10 +1,11 @@
-// Determinism contract of the parallel zone signer (DESIGN.md §14): the
-// fan-out only computes signatures; the RRSIG records are appended serially
-// in target order, so the signed zone's wire image must be byte-for-byte
+// Determinism contract of the parallel zone signer (DESIGN.md §14): each
+// RRSIG is built into a slot fixed by per-owner prefix sums, never by
+// worker scheduling, so the signed zone's wire image must be byte-for-byte
 // identical at every worker count — fingerprinted here with SHA-256 over
-// the master-file rendering. The same contract is pinned end-to-end on
-// scenario reports, including under a fault preset that skews the capture,
-// and each 1-thread digest is also checked against a fixed reference.
+// the master-file rendering and over every record's wire bytes. The same
+// contract is pinned end-to-end on scenario reports, including under a
+// fault preset that skews the capture, and each 1-thread digest is also
+// checked against a fixed reference.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -45,10 +46,9 @@ class SignThreadsTest : public ::testing::Test {
   std::string saved_;
 };
 
-/// A ccTLD-shaped zone large enough that SignZone's fan-out runs many
-/// signing tasks per worker: apex NS set plus 400 delegations, half with
-/// DS records.
-Zone BuildSampleZone() {
+/// A ccTLD-shaped zone: apex NS set plus `delegations` delegations, half
+/// with DS records, each bringing about four owners.
+Zone BuildSampleZone(std::size_t delegations = 400) {
   ZoneBuildConfig config;
   config.apex = *dns::Name::Parse("nl");
   config.nameservers = {
@@ -57,7 +57,7 @@ Zone BuildSampleZone() {
       {*dns::Name::Parse("ns2.dns.nl"),
        {*net::IpAddress::Parse("194.0.29.53")}}};
   Zone zone = MakeZoneSkeleton(config);
-  PopulateDelegations(zone, 400, "dom", 0.5,
+  PopulateDelegations(zone, delegations, "dom", 0.5,
                       *net::Ipv4Address::Parse("100.70.0.0"));
   return zone;
 }
@@ -104,6 +104,25 @@ TEST(SignedZoneImageTest, EveryRecordMatchesPinnedDigest) {
   SignZone(zone);
   EXPECT_EQ(testutil::Sha256Hex(SignedImageBlob(zone)),
             "0d18ec735c7c225dc41cac053b37f925e6def13aafa8a0e91e47e0a79bf6c8aa");
+}
+
+TEST_F(SignThreadsTest, LargeZoneImageIdenticalAtEveryThreadCount) {
+  // About 16k owners, so the RRSIG fill spans several pool tasks whose
+  // workers write neighbouring owners' slots concurrently.
+  std::string reference;
+  for (const char* threads : {"1", "2", "4", "8"}) {
+    setenv("CLOUDDNS_THREADS", threads, 1);
+    Zone zone = BuildSampleZone(4000);
+    SignZone(zone);
+    ASSERT_GT(zone.Owners().size(), 15000u);
+    const std::string digest = testutil::Sha256Hex(SignedImageBlob(zone));
+    if (reference.empty()) {
+      reference = digest;
+    } else {
+      EXPECT_EQ(digest, reference)
+          << "signed zone image diverges at " << threads << " threads";
+    }
+  }
 }
 
 cloud::ScenarioConfig SmallScenario(std::size_t threads,
