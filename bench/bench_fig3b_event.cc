@@ -64,11 +64,10 @@ int main() {
   std::printf("%s", table.Render().c_str());
   std::printf(
       "\nFaulted-run retry breakdown: %llu retransmits, %llu timeouts, "
-      "%llu failovers, %llu stale answers\n",
+      "%llu failovers\n",
       static_cast<unsigned long long>(amp.faulted_counters.retransmits),
       static_cast<unsigned long long>(amp.faulted_counters.timeouts),
-      static_cast<unsigned long long>(amp.faulted_counters.failovers),
-      static_cast<unsigned long long>(amp.faulted_counters.served_stale));
+      static_cast<unsigned long long>(amp.faulted_counters.failovers));
   std::printf(
       "\nExpected shape: the faulted run multiplies the upstream query "
       "load\n(>= 2x) without any increase in client demand — resolution "

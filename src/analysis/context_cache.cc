@@ -1,5 +1,6 @@
 #include "analysis/context_cache.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace clouddns::analysis {
@@ -7,7 +8,11 @@ namespace {
 
 constexpr const char* kMagic = "CLOUDDNSCTX";
 // v2: adds the "robust" line (fleet-wide retry/timeout/failover totals).
-constexpr int kVersion = 2;
+// v3: the "robust" line drops its fifth (served-stale) field.
+constexpr int kVersion = 3;
+// Shortest possible PTR line: "r", an address and a name, each at least one
+// byte, two separators and the newline.
+constexpr std::streamsize kMinPtrLineBytes = 6;
 
 // Reads one line and splits off the leading tag; returns false on EOF or
 // tag mismatch. The payload (everything after the tag and one space) lands
@@ -79,8 +84,7 @@ base::io::IoStatus SaveScenarioContextStatus(
   }
   out << "robust " << result.robustness.upstream_queries << " "
       << result.robustness.retransmits << " " << result.robustness.timeouts
-      << " " << result.robustness.failovers << " "
-      << result.robustness.served_stale << "\n";
+      << " " << result.robustness.failovers << "\n";
   out << "end\n";
 
   const std::string text = out.str();
@@ -194,6 +198,13 @@ bool ParseScenarioContext(std::istream& in, cloud::ScenarioResult& result) {
   std::size_t ptr_count = 0;
   if (!ReadTagged(in, "ptr", rest)) return false;
   if (!(std::istringstream(rest) >> ptr_count)) return false;
+  // The count comes from the file: one the rest of the payload cannot hold
+  // is corrupt, and must be rejected before it sizes an allocation.
+  const std::streamsize remaining =
+      std::max<std::streamsize>(0, in.rdbuf()->in_avail());
+  if (ptr_count > static_cast<std::size_t>(remaining / kMinPtrLineBytes)) {
+    return false;
+  }
   result.ptr_records.clear();
   result.ptr_records.reserve(ptr_count);
   for (std::size_t i = 0; i < ptr_count; ++i) {
@@ -234,7 +245,7 @@ bool ParseScenarioContext(std::istream& in, cloud::ScenarioResult& result) {
     std::istringstream fields(rest);
     if (!(fields >> result.robustness.upstream_queries >>
           result.robustness.retransmits >> result.robustness.timeouts >>
-          result.robustness.failovers >> result.robustness.served_stale)) {
+          result.robustness.failovers)) {
       return false;
     }
   }

@@ -55,14 +55,12 @@ std::string CacheKey(const cloud::ScenarioConfig& config) {
                             (config.inject_cyclic_event ? 2u : 0u) |
                             (config.qmin_override_off ? 4u : 0u) |
                             (config.rrl_override_off ? 8u : 0u));
-  // Fault schedules change the traffic realization, so they are part of
-  // the key — but only when actually present, which keeps every fault-free
-  // key (and all previously cached fault-free captures) unchanged.
-  if (config.fault_preset != cloud::FaultPreset::kNone ||
-      !config.faults.empty()) {
+  // The fault preset changes the traffic realization, so it is part of
+  // the key — but only when set, which keeps every fault-free key (and all
+  // previously cached fault-free captures) unchanged.
+  if (config.fault_preset != cloud::FaultPreset::kNone) {
     hash = MixField(hash, 0x4641554c54ull);  // "FAULT"
     hash = MixField(hash, static_cast<std::uint64_t>(config.fault_preset));
-    hash = MixField(hash, sim::HashFaultPlan(config.faults));
   }
 
   std::string vantage = config.vantage == cloud::Vantage::kNl

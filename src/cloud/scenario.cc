@@ -107,10 +107,9 @@ class ScenarioRuntime {
 
   std::vector<ShardWorld> shards_;
 
-  /// Materialized fault schedule and its injector. The injector is
-  /// stateless/const after construction, so all shards share one instance;
-  /// decisions key on (site, transport, time, source), never on shard.
-  sim::FaultPlan fault_plan_;
+  /// Injector of the preset's fault schedule. It is stateless/const after
+  /// construction, so all shards share one instance; decisions key on
+  /// (site, transport, time, source), never on shard.
   std::unique_ptr<sim::FaultInjector> injector_;
 
   std::size_t zone_domain_count_ = 0;
@@ -138,36 +137,17 @@ void ScenarioRuntime::BuildSites() {
 }
 
 void ScenarioRuntime::MaterializeFaults() {
-  fault_plan_ = config_.faults;
-  const sim::FaultWindow whole{start_, end_};
+  sim::FaultPlan plan;
   switch (config_.fault_preset) {
     case FaultPreset::kNone:
       break;
-    case FaultPreset::kProviderSiteOutage: {
-      // Withdraw the four busiest (first) sites for the middle third of
-      // the window; anycast re-routes their catchments elsewhere.
-      const sim::TimeUs third = (end_ - start_) / 3;
-      const sim::FaultWindow middle{start_ + third, end_ - third};
-      for (std::size_t s = 0; s < 4 && s < city_sites_.size(); ++s) {
-        fault_plan_.outages.push_back({city_sites_[s], middle});
-      }
-      break;
-    }
     case FaultPreset::kLossyPath: {
       sim::LossRule rule;
       rule.transport = dns::Transport::kUdp;
-      rule.window = whole;
+      rule.window = {start_, end_};
       rule.query_loss = 0.25;
       rule.response_loss = 0.15;
-      fault_plan_.loss.push_back(rule);
-      break;
-    }
-    case FaultPreset::kRootBrownout: {
-      sim::Brownout rule;
-      rule.window = whole;
-      rule.servfail_fraction = 0.5;
-      rule.extra_rtt_us = 300'000;
-      fault_plan_.brownouts.push_back(rule);
+      plan.loss.push_back(rule);
       break;
     }
     case FaultPreset::kNzEventLoss: {
@@ -182,15 +162,13 @@ void ScenarioRuntime::MaterializeFaults() {
                      std::min(end_, NzEventEnd())};
       rule.query_loss = 0.05;
       rule.response_loss = 0.60;
-      if (rule.window.start < rule.window.end) {
-        fault_plan_.loss.push_back(rule);
-      }
+      if (rule.window.start < rule.window.end) plan.loss.push_back(rule);
       break;
     }
   }
-  if (!fault_plan_.empty()) {
+  if (!plan.empty()) {
     injector_ = std::make_unique<sim::FaultInjector>(
-        fault_plan_, sim::SubstreamSeed(config_.seed, 0xfa17ull));
+        std::move(plan), sim::SubstreamSeed(config_.seed, 0xfa17ull));
   }
 }
 
@@ -763,7 +741,6 @@ ScenarioResult ScenarioRuntime::Run() {
       result.robustness.retransmits += engine->retransmit_count();
       result.robustness.timeouts += engine->timeout_count();
       result.robustness.failovers += engine->failover_count();
-      result.robustness.served_stale += engine->served_stale_count();
     }
   }
   result.asdb = std::move(asdb_);

@@ -18,27 +18,18 @@
 #include "net/asdb.h"
 #include "net/prefix_trie.h"
 #include "sim/clock.h"
-#include "sim/fault.h"
 
 namespace clouddns::cloud {
 
 enum class Vantage { kNl, kNz, kRoot };
 
-/// Canned fault schedules, materialized against the scenario's site list
-/// and capture window in MaterializeFaults(). `faults` in ScenarioConfig
-/// can extend or replace them with hand-built rules.
+/// Canned packet-loss schedules, materialized against the scenario's
+/// capture window in MaterializeFaults().
 enum class FaultPreset {
   kNone,
-  /// The vantage provider loses its four busiest anycast sites for the
-  /// middle third of the window (withdrawal, BGP-style: traffic re-routes
-  /// to surviving sites).
-  kProviderSiteOutage,
   /// Persistent lossy transit: 25% query / 15% response loss on every UDP
   /// path for the whole window.
   kLossyPath,
-  /// All sites browned out: half of all queries answered SERVFAIL with
-  /// +300 ms of added latency, whole window.
-  kRootBrownout,
   /// The Feb 3-27 2020 .nz event as a load problem: response-heavy loss
   /// during the cyclic-dependency weeks. Queries still reach (and are
   /// captured by) the .nz servers; the lost answers drive the resolver
@@ -104,11 +95,9 @@ struct ScenarioConfig {
   /// Ablation: disable response rate limiting on the TLD servers.
   bool rrl_override_off = false;
 
-  /// Hand-built fault schedule (loss, outages, spikes, brownouts). Applied
-  /// on top of `fault_preset`. Faults change the traffic realization, so
-  /// both fields participate in the dataset cache key — but only when
-  /// non-empty, keeping every fault-free key (and cache) unchanged.
-  sim::FaultPlan faults;
+  /// Packet-loss schedule. Faults change the traffic realization, so a
+  /// preset other than kNone participates in the dataset cache key; every
+  /// fault-free key (and cache) is unaffected.
   FaultPreset fault_preset = FaultPreset::kNone;
 };
 
@@ -119,7 +108,6 @@ struct RobustnessCounters {
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t failovers = 0;
-  std::uint64_t served_stale = 0;
   friend bool operator==(const RobustnessCounters&,
                          const RobustnessCounters&) = default;
 };

@@ -49,14 +49,12 @@ void DnsCache::PutTagged(const dns::Name& qname, std::uint32_t tag,
 
 DnsCache::Entry* DnsCache::GetTagged(const dns::Name& qname, std::uint32_t tag,
                                      sim::TimeUs now) {
-  // Expired entries count as misses; without retain_expired they are
-  // erased on sight. The expired-but-retained case deliberately does not
-  // touch the LRU: only a real (or stale) hit refreshes recency.
+  // Expired entries count as misses and are erased on sight.
   const std::uint32_t index = Find(qname, tag);
   if (index == kNil) return nullptr;
   Entry& entry = entries_[index];
   if (entry.answer.expires_at <= now) {
-    if (!retain_expired_) EraseEntry(index);
+    EraseEntry(index);
     return nullptr;
   }
   Touch(index);
@@ -88,19 +86,6 @@ const CachedAnswer* DnsCache::Get(const dns::Name& qname, dns::RrType qtype,
 
 bool DnsCache::IsNxDomain(const dns::Name& qname, sim::TimeUs now) {
   return GetTagged(qname, kNxTag, now) != nullptr;
-}
-
-const CachedAnswer* DnsCache::GetStale(const dns::Name& qname,
-                                       dns::RrType qtype, sim::TimeUs now,
-                                       sim::TimeUs max_stale) {
-  const std::uint32_t index = Find(qname, static_cast<std::uint32_t>(qtype));
-  if (index == kNil) return nullptr;
-  Entry& entry = entries_[index];
-  const sim::TimeUs expires_at = entry.answer.expires_at;
-  if (expires_at <= now && expires_at + max_stale <= now) return nullptr;
-  ++stale_hits_;
-  Touch(index);
-  return &entry.answer;
 }
 
 void DnsCache::LruUnlink(std::uint32_t index) {

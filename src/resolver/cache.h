@@ -33,21 +33,15 @@ struct CachedAnswer {
   sim::TimeUs expires_at = 0;
 };
 
-/// Positive/negative answer cache with TTL expiry and LRU eviction.
-///
-/// `retain_expired` keeps TTL-expired entries in place (still reported as
-/// misses) instead of erasing them on lookup, so a serve-stale resolver
-/// (RFC 8767) can fall back to them via GetStale() after live resolution
-/// fails. Stale entries remain subject to LRU eviction, so the cache stays
-/// bounded either way.
+/// Positive/negative answer cache with TTL expiry and LRU eviction. A
+/// lookup that finds a TTL-expired entry erases it and reports a miss.
 ///
 /// Returned CachedAnswer pointers are invalidated by the next mutating
 /// call (Put/PutNxDomain, or a Get that erases an expired entry) — copy
 /// out what you need before touching the cache again.
 class DnsCache {
  public:
-  explicit DnsCache(std::size_t max_entries, bool retain_expired = false)
-      : max_entries_(max_entries), retain_expired_(retain_expired) {}
+  explicit DnsCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
   void Put(const dns::Name& qname, dns::RrType qtype, CachedAnswer answer);
   /// NXDOMAIN entries are stored under the qname alone and match any type.
@@ -57,18 +51,9 @@ class DnsCache {
                                         dns::RrType qtype, sim::TimeUs now);
   [[nodiscard]] bool IsNxDomain(const dns::Name& qname, sim::TimeUs now);
 
-  /// Serve-stale lookup: returns the entry for qname/qtype even when its
-  /// TTL has lapsed, as long as it expired no more than `max_stale` ago.
-  /// Only meaningful with retain_expired; a fresh entry is returned too.
-  [[nodiscard]] const CachedAnswer* GetStale(const dns::Name& qname,
-                                             dns::RrType qtype,
-                                             sim::TimeUs now,
-                                             sim::TimeUs max_stale);
-
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t stale_hits() const { return stale_hits_; }
 
  private:
   static constexpr std::uint32_t kNil = base::OpenTable::kNil;
@@ -100,7 +85,6 @@ class DnsCache {
   void EvictIfNeeded();
 
   std::size_t max_entries_;
-  bool retain_expired_ = false;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> free_;
   base::OpenTable table_;
@@ -109,7 +93,6 @@ class DnsCache {
   std::uint32_t lru_tail_ = kNil;  ///< Eviction victim.
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t stale_hits_ = 0;
 };
 
 /// What the resolver knows about one delegated zone.

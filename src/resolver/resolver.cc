@@ -11,6 +11,12 @@ constexpr double kDefaultSrttUs = 50'000.0;  // optimistic prior: 50 ms
 constexpr sim::TimeUs kMaxPositiveTtl = 86'400ull * sim::kMicrosPerSecond;
 constexpr sim::TimeUs kDefaultNegativeTtl = 600ull * sim::kMicrosPerSecond;
 constexpr sim::TimeUs kMaxInfraTtl = 172'800ull * sim::kMicrosPerSecond;
+/// Retransmission-timeout band (resolver-style floor and ceiling).
+constexpr sim::TimeUs kRtoMinUs = 300'000;
+constexpr sim::TimeUs kRtoMaxUs = 5'000'000;
+/// Sharpness of the dual-stack preference: P(v6) is proportional to
+/// (1/rtt6)^sharpness. Higher = stronger preference for the faster family.
+constexpr double kFamilyPreferenceSharpness = 4.0;
 
 sim::TimeUs NegativeTtlFrom(const dns::Message& response) {
   for (const auto& rr : response.authorities) {
@@ -52,8 +58,7 @@ RecursiveResolver::RecursiveResolver(sim::Network& network,
                                      std::vector<net::IpAddress> root_v6)
     : network_(&network),
       config_(std::move(config)),
-      cache_(config_.max_cache_entries,
-             /*retain_expired=*/config_.retry.serve_stale_ttl_us > 0),
+      cache_(config_.max_cache_entries),
       rng_(config_.seed) {
   root_.apex = dns::Name{};
   root_.v4_addresses = std::move(root_v4);
@@ -79,33 +84,6 @@ RecursiveResolver::Result RecursiveResolver::Resolve(const dns::Name& qname,
   result.retransmits = static_cast<int>(retransmit_total_ - retransmits_before);
   result.timeouts = static_cast<int>(timeout_total_ - timeouts_before);
   result.failovers = static_cast<int>(failover_total_ - failovers_before);
-  if (result.rcode == dns::Rcode::kServFail && !result.from_cache &&
-      config_.retry.serve_stale_ttl_us > 0) {
-    // RFC 8767 serve-stale: live resolution failed, but a recently expired
-    // answer is better than an error. Fault-era resolvers that deployed
-    // this avoided the full .nz-style retry storms.
-    const CachedAnswer* stale =
-        cache_.GetStale(qname, qtype, now, config_.retry.serve_stale_ttl_us);
-    if (stale != nullptr && stale->rcode != dns::Rcode::kServFail) {
-      result.rcode = stale->rcode;
-      result.records = stale->records;
-      result.from_cache = true;
-      result.served_stale = true;
-      ++served_stale_total_;
-      return result;
-    }
-  }
-  if (result.rcode == dns::Rcode::kServFail && !result.from_cache &&
-      config_.servfail_cache_ttl > 0) {
-    // RFC 2308 §7: cache the failure briefly so a broken domain does not
-    // trigger a full (expensive) re-resolution per client query.
-    CachedAnswer failure;
-    failure.rcode = dns::Rcode::kServFail;
-    failure.expires_at =
-        now + std::min<sim::TimeUs>(config_.servfail_cache_ttl,
-                                    300ull * sim::kMicrosPerSecond);
-    cache_.Put(qname, qtype, failure);
-  }
   return result;
 }
 
@@ -383,8 +361,8 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
       auto m6 = estimate(*current->v6);
       double rtt4 = m4.value_or(m6.value_or(kDefaultSrttUs));
       double rtt6 = m6.value_or(m4.value_or(kDefaultSrttUs));
-      double w4 = std::pow(1.0 / rtt4, config_.family_preference_sharpness);
-      double w6 = std::pow(1.0 / rtt6, config_.family_preference_sharpness) *
+      double w4 = std::pow(1.0 / rtt4, kFamilyPreferenceSharpness);
+      double w6 = std::pow(1.0 / rtt6, kFamilyPreferenceSharpness) *
                   config_.v6_weight_multiplier;
       use_v6 = rng_.NextDouble() < w6 / (w4 + w6);
     } else {
@@ -455,9 +433,9 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
       }
       if (!sent.timed_out()) return failure;  // no route / server dropped
 
-      // Lost query, lost response, or withdrawn site: wait out the RTO,
-      // then retransmit with Karn backoff until this server's attempts or
-      // the overall budget run out.
+      // Lost query or lost response: wait out the RTO, then retransmit
+      // with Karn backoff until this server's attempts or the overall
+      // budget run out.
       ++timeout_total_;
       elapsed += RtoFor(srtt_key, attempt);
       if (attempt < config_.retry.max_retransmits && budget > 0) {
@@ -493,16 +471,16 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
 sim::TimeUs RecursiveResolver::RtoFor(std::uint64_t srtt_key,
                                       int attempt) const {
   // RFC 6298 adapted to DNS: RTO = SRTT + 4·RTTVAR, 1 s before any sample,
-  // clamped to the configured band, then doubled per retransmission.
+  // clamped to the band, then doubled per retransmission.
   double rto_us = 1'000'000.0;
   auto it = srtt_.find(srtt_key);
   if (it != srtt_.end()) {
     rto_us = it->second.srtt + 4.0 * it->second.rttvar;
   }
   auto rto = static_cast<sim::TimeUs>(rto_us);
-  rto = std::clamp(rto, config_.retry.rto_min_us, config_.retry.rto_max_us);
+  rto = std::clamp(rto, kRtoMinUs, kRtoMaxUs);
   rto <<= std::min(attempt, 10);
-  return std::min(rto, config_.retry.rto_max_us);
+  return std::min(rto, kRtoMaxUs);
 }
 
 void RecursiveResolver::PenalizeSrtt(std::uint64_t srtt_key) {
@@ -511,7 +489,7 @@ void RecursiveResolver::PenalizeSrtt(std::uint64_t srtt_key) {
                              SrttState{kDefaultSrttUs, kDefaultSrttUs / 2.0})
                 .first;
   it->second.srtt = std::min(it->second.srtt * 2.0,
-                             static_cast<double>(config_.retry.rto_max_us));
+                             static_cast<double>(kRtoMaxUs));
 }
 
 ZoneEntry RecursiveResolver::ZoneFromReferral(const dns::Message& response,

@@ -48,13 +48,6 @@ struct RetryConfig {
   /// unresponsive; each unresponsive server's SRTT is penalized so future
   /// selections deprioritize it.
   int max_failovers = 2;
-  sim::TimeUs rto_min_us = 300'000;     ///< 300 ms floor (resolver-style).
-  sim::TimeUs rto_max_us = 5'000'000;   ///< 5 s ceiling.
-  /// RFC 8767 serve-stale: when live resolution fails, answer from an
-  /// expired cache entry no older than this bound. 0 disables (the
-  /// study-era behavior: failed resolutions are retried in full, which is
-  /// exactly what amplified the .nz event).
-  sim::TimeUs serve_stale_ttl_us = 0;
 };
 
 struct ResolverConfig {
@@ -76,9 +69,6 @@ struct ResolverConfig {
   bool explicit_ds_fetch = false;
   /// EDNS(0) advertised UDP payload size; 0 disables EDNS entirely.
   std::uint16_t edns_udp_size = 4096;
-  /// Sharpness of the dual-stack preference: P(v6) is proportional to
-  /// (1/rtt6)^sharpness. Higher = stronger preference for the faster family.
-  double family_preference_sharpness = 4.0;
   /// Operator policy multiplier on the IPv6 weight: >1 prefers v6 beyond
   /// what RTT alone justifies (Facebook), <1 avoids v6 despite dual-stack
   /// frontends (Microsoft).
@@ -86,11 +76,6 @@ struct ResolverConfig {
   std::size_t max_cache_entries = 1 << 20;
   /// Upstream-query budget per client query (loop/cycle guard).
   int max_upstream_queries = 40;
-  /// SERVFAIL caching (RFC 2308 §7, capped at 5 minutes by RFC 9520's
-  /// predecessor guidance). 0 disables it — which is how the resolvers of
-  /// the study era behaved during the .nz cyclic-dependency event, where
-  /// failed resolutions were retried in full (Fig. 3b).
-  sim::TimeUs servfail_cache_ttl = 0;
   RetryConfig retry;
   std::uint64_t seed = 1;
 };
@@ -109,7 +94,6 @@ class RecursiveResolver {
     int retransmits = 0;       ///< Timeout-driven duplicate sends.
     int timeouts = 0;          ///< Upstream exchanges that got no answer.
     int failovers = 0;         ///< Servers abandoned for a sibling NS.
-    bool served_stale = false;  ///< Answered from an expired entry (8767).
     std::vector<dns::ResourceRecord> records;
   };
 
@@ -136,9 +120,6 @@ class RecursiveResolver {
   [[nodiscard]] std::uint64_t timeout_count() const { return timeout_total_; }
   [[nodiscard]] std::uint64_t failover_count() const {
     return failover_total_;
-  }
-  [[nodiscard]] std::uint64_t served_stale_count() const {
-    return served_stale_total_;
   }
   [[nodiscard]] const NsecRangeCache& nsec_cache() const
       CLOUDDNS_LIFETIMEBOUND {
@@ -190,7 +171,7 @@ class RecursiveResolver {
 
   /// Retransmission timeout for one server at the given attempt index
   /// (Karn backoff: doubles per retransmission), clamped to the
-  /// configured [rto_min, rto_max] band.
+  /// [300 ms, 5 s] band.
   [[nodiscard]] sim::TimeUs RtoFor(std::uint64_t srtt_key, int attempt) const;
 
   /// Marks a server unresponsive: doubles its SRTT (capped) so failover
@@ -242,7 +223,6 @@ class RecursiveResolver {
   std::uint64_t retransmit_total_ = 0;
   std::uint64_t timeout_total_ = 0;
   std::uint64_t failover_total_ = 0;
-  std::uint64_t served_stale_total_ = 0;
 };
 
 }  // namespace clouddns::resolver

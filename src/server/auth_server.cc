@@ -185,14 +185,7 @@ void AuthServer::HandlePacket(const sim::PacketContext& ctx,
 
   dns::Message& response = response_scratch_;
   bool slipped = false;
-  if (ctx.brownout_servfail) {
-    // Browned-out site: answer SERVFAIL without the lookup work, bypassing
-    // RRL (the failure is ours, not the client's). The exchange is still
-    // captured below — overload responses are part of the observed stream.
-    response.ResetAsResponseTo(query);
-    response.header.rcode = dns::Rcode::kServFail;
-    ++brownout_servfails_;
-  } else if (!rrl_.Allow(ctx.src.address, ctx.time_us)) {
+  if (!rrl_.Allow(ctx.src.address, ctx.time_us)) {
     // RRL slip: minimal truncated response; resolver should retry via TCP.
     // TCP queries are never rate-limited (the handshake proves the source).
     if (ctx.transport == dns::Transport::kUdp) {

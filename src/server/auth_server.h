@@ -55,11 +55,6 @@ class AuthServer final : public sim::PacketHandler {
   capture::CaptureBuffer TakeCaptured() { return std::move(capture_); }
   [[nodiscard]] const AuthServerConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t rrl_slips() const { return rrl_.slip_count(); }
-  /// Queries answered SERVFAIL because fault injection browned the site
-  /// out (PacketContext::brownout_servfail).
-  [[nodiscard]] std::uint64_t brownout_servfails() const {
-    return brownout_servfails_;
-  }
 
  private:
   [[nodiscard]] const zone::Zone* BestZoneFor(const dns::Name& qname) const;
@@ -73,7 +68,6 @@ class AuthServer final : public sim::PacketHandler {
   std::vector<std::shared_ptr<const zone::Zone>> zones_;
   ResponseRateLimiter rrl_;
   capture::CaptureBuffer capture_;
-  std::uint64_t brownout_servfails_ = 0;
   /// Per-packet scratch reused across HandlePacket calls; their section
   /// vectors keep capacity, so decode/respond stop allocating once warm.
   dns::Message query_scratch_;

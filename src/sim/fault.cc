@@ -5,20 +5,6 @@ namespace {
 
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
-std::uint64_t MixField(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
-  return hash;
-}
-
-std::uint64_t HashWindow(std::uint64_t hash, const FaultWindow& window) {
-  hash = MixField(hash, window.start);
-  return MixField(hash, window.end);
-}
-
-std::uint64_t HashProbability(std::uint64_t hash, double p) {
-  return MixField(hash, static_cast<std::uint64_t>(p * 1e9));
-}
-
 bool SiteMatches(SiteId rule_site, SiteId site) {
   return rule_site == kAnySite || rule_site == site;
 }
@@ -50,61 +36,10 @@ std::uint64_t DecisionKey(SiteId site, dns::Transport transport, TimeUs now,
 
 }  // namespace
 
-std::uint64_t HashFaultPlan(const FaultPlan& plan) {
-  std::uint64_t hash = 0x4641554c54ull;  // "FAULT"
-  hash = MixField(hash, plan.loss.size());
-  for (const LossRule& rule : plan.loss) {
-    hash = MixField(hash, rule.site);
-    hash = MixField(hash, rule.transport.has_value()
-                              ? 1 + static_cast<std::uint64_t>(*rule.transport)
-                              : 0);
-    hash = HashWindow(hash, rule.window);
-    hash = HashProbability(hash, rule.query_loss);
-    hash = HashProbability(hash, rule.response_loss);
-  }
-  hash = MixField(hash, plan.outages.size());
-  for (const SiteOutage& outage : plan.outages) {
-    hash = MixField(hash, outage.site);
-    hash = HashWindow(hash, outage.window);
-  }
-  hash = MixField(hash, plan.spikes.size());
-  for (const LatencySpike& spike : plan.spikes) {
-    hash = MixField(hash, spike.site);
-    hash = HashWindow(hash, spike.window);
-    hash = HashProbability(hash, spike.rtt_multiplier);
-    hash = MixField(hash, spike.extra_rtt_us);
-  }
-  hash = MixField(hash, plan.brownouts.size());
-  for (const Brownout& brownout : plan.brownouts) {
-    hash = MixField(hash, brownout.site);
-    hash = HashWindow(hash, brownout.window);
-    hash = HashProbability(hash, brownout.servfail_fraction);
-    hash = MixField(hash, brownout.extra_rtt_us);
-  }
-  return hash;
-}
-
-bool FaultInjector::SiteWithdrawn(SiteId site, TimeUs now) const {
-  for (const SiteOutage& outage : plan_.outages) {
-    if (outage.site == site && outage.window.Contains(now)) return true;
-  }
-  return false;
-}
-
 FaultDecision FaultInjector::Evaluate(SiteId site, dns::Transport transport,
                                       TimeUs now,
                                       const net::Endpoint& src) const {
   FaultDecision decision;
-
-  // Deterministic (coin-free) effects first.
-  for (const LatencySpike& spike : plan_.spikes) {
-    if (!SiteMatches(spike.site, site) || !spike.window.Contains(now)) {
-      continue;
-    }
-    decision.rtt_multiplier *= spike.rtt_multiplier;
-    decision.extra_rtt_us += spike.extra_rtt_us;
-  }
-
   double query_loss = 0.0;
   double response_loss = 0.0;
   for (const LossRule& rule : plan_.loss) {
@@ -116,31 +51,20 @@ FaultDecision FaultInjector::Evaluate(SiteId site, dns::Transport transport,
     CombineLoss(query_loss, rule.query_loss);
     CombineLoss(response_loss, rule.response_loss);
   }
-  double servfail = 0.0;
-  for (const Brownout& brownout : plan_.brownouts) {
-    if (!SiteMatches(brownout.site, site) ||
-        !brownout.window.Contains(now)) {
-      continue;
-    }
-    CombineLoss(servfail, brownout.servfail_fraction);
-    decision.extra_rtt_us += brownout.extra_rtt_us;
-  }
+  if (query_loss <= 0.0 && response_loss <= 0.0) return decision;
 
-  if (query_loss <= 0.0 && response_loss <= 0.0 && servfail <= 0.0) {
-    return decision;
-  }
-
-  // One private generator per decision; the three coins are always drawn
-  // in the same order so rule-set composition never re-aligns streams.
+  // One private generator per decision, three coins in a fixed order. The
+  // middle coin is unused, but it must still be drawn: it keeps the
+  // response coin at its place in the stream, which the pinned digests of
+  // every faulted scenario depend on.
   Rng rng(SubstreamSeed(seed_, DecisionKey(site, transport, now, src)));
   const double query_coin = rng.NextDouble();
-  const double servfail_coin = rng.NextDouble();
+  (void)rng.NextDouble();
   const double response_coin = rng.NextDouble();
   if (query_coin < query_loss) {
     decision.lose_query = true;
     return decision;
   }
-  decision.servfail = servfail_coin < servfail;
   decision.lose_response = response_coin < response_loss;
   return decision;
 }

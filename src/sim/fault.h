@@ -1,15 +1,14 @@
 // Deterministic fault injection for the simulated network.
 //
-// A FaultPlan is a declarative schedule of network pathologies — packet
-// loss per direction/site/transport, anycast-site outages, latency spikes
-// and server brownouts — and a FaultInjector turns it into per-packet
-// decisions. The injector is STATELESS: every decision derives a private
-// Rng from SubstreamSeed(seed, decision-key) where the key hashes the
-// packet's (site, transport, time, source), so the same packet always
-// draws the same fate regardless of which thread executes its shard, or
-// how many other packets were evaluated before it. That is what lets a
-// fault-enabled scenario keep the DESIGN.md §7 contract: byte-identical
-// output for every thread count.
+// A FaultPlan is a declarative schedule of packet loss per direction,
+// site, transport and time window, and a FaultInjector turns it into
+// per-packet decisions. The injector is STATELESS: every decision derives
+// a private Rng from SubstreamSeed(seed, decision-key) where the key
+// hashes the packet's (site, transport, time, source), so the same packet
+// always draws the same fate regardless of which thread executes its
+// shard, or how many other packets were evaluated before it. That is what
+// lets a fault-enabled scenario keep the DESIGN.md §7 contract:
+// byte-identical output for every thread count.
 //
 // Loss semantics (the part that matters for capture analysis):
 //   - query loss drops the packet BEFORE the server: no server work, no
@@ -56,58 +55,17 @@ struct LossRule {
   friend bool operator==(const LossRule&, const LossRule&) = default;
 };
 
-/// Anycast-site withdrawal: the site leaves every catchment for the
-/// window (BGP withdraw / hard outage). Traffic re-routes to surviving
-/// sites; a service with no surviving site black-holes (kTimeout).
-struct SiteOutage {
-  SiteId site = kNoSite;
-  FaultWindow window;
-  friend bool operator==(const SiteOutage&, const SiteOutage&) = default;
-};
-
-/// Congestion interval: inflates the path RTT toward a site.
-struct LatencySpike {
-  SiteId site = kAnySite;
-  FaultWindow window;
-  double rtt_multiplier = 1.0;
-  std::uint32_t extra_rtt_us = 0;
-  friend bool operator==(const LatencySpike&, const LatencySpike&) = default;
-};
-
-/// Server brownout: the site stays reachable but degrades — it answers
-/// slowly and SERVFAILs a fraction of queries. Browned-out exchanges are
-/// still captured (the server is up, just unhappy).
-struct Brownout {
-  SiteId site = kAnySite;
-  FaultWindow window;
-  double servfail_fraction = 0.0;
-  std::uint32_t extra_rtt_us = 0;
-  friend bool operator==(const Brownout&, const Brownout&) = default;
-};
-
 struct FaultPlan {
   std::vector<LossRule> loss;
-  std::vector<SiteOutage> outages;
-  std::vector<LatencySpike> spikes;
-  std::vector<Brownout> brownouts;
 
-  [[nodiscard]] bool empty() const {
-    return loss.empty() && outages.empty() && spikes.empty() &&
-           brownouts.empty();
-  }
+  [[nodiscard]] bool empty() const { return loss.empty(); }
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
-
-/// Order-sensitive 64-bit digest of a plan, for dataset-cache keys.
-[[nodiscard]] std::uint64_t HashFaultPlan(const FaultPlan& plan);
 
 /// The fate of one packet, combined over every matching rule.
 struct FaultDecision {
   bool lose_query = false;
   bool lose_response = false;
-  bool servfail = false;           ///< Brownout: answer SERVFAIL, capture.
-  double rtt_multiplier = 1.0;
-  std::uint32_t extra_rtt_us = 0;
 };
 
 class FaultInjector {
@@ -117,9 +75,6 @@ class FaultInjector {
 
   [[nodiscard]] bool enabled() const { return !plan_.empty(); }
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
-  /// True when an outage window removes `site` from catchments at `now`.
-  [[nodiscard]] bool SiteWithdrawn(SiteId site, TimeUs now) const;
 
   /// Decides the fate of one packet toward `site`. Pure function of the
   /// arguments, the plan, and the seed.

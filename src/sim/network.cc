@@ -20,36 +20,22 @@ void Network::Query(const net::Endpoint& src, SiteId src_site,
   result.response.clear();
   result.rtt_us = 0;
   result.server_site = kNoSite;
-  // Anycast catchment: the site with the lowest RTT from the source wins,
-  // among sites a fault plan has not withdrawn. The family of the
-  // *destination service address* decides which latency plane (v4 or v6)
-  // the packets traverse.
+  // Anycast catchment: the site with the lowest RTT from the source wins.
+  // The family of the *destination service address* decides which latency
+  // plane (v4 or v6) the packets traverse.
   const bool ipv6 = dst.is_v6();
   const Instance* best = nullptr;
   std::uint32_t best_rtt = 0;
   auto it = services_.find(dst);
   if (it != services_.end() && !it->second.empty()) {
     for (const Instance& instance : it->second) {
-      if (faults_ != nullptr && faults_->SiteWithdrawn(instance.site, now)) {
-        continue;
-      }
       std::uint32_t rtt = latency_.RttUs(src_site, instance.site, ipv6);
       if (best == nullptr || rtt < best_rtt) {
         best = &instance;
         best_rtt = rtt;
       }
     }
-    if (best == nullptr) {
-      // Every site of the service is withdrawn: packets black-hole.
-      result.status = SendStatus::kTimeout;
-      return;
-    }
   } else if (default_route_.handler != nullptr) {
-    if (faults_ != nullptr &&
-        faults_->SiteWithdrawn(default_route_.site, now)) {
-      result.status = SendStatus::kTimeout;
-      return;
-    }
     best = &default_route_;
     best_rtt = latency_.RttUs(src_site, default_route_.site, ipv6);
   } else {
@@ -59,9 +45,6 @@ void Network::Query(const net::Endpoint& src, SiteId src_site,
   FaultDecision fate;
   if (faults_ != nullptr) {
     fate = faults_->Evaluate(best->site, transport, now, src);
-    best_rtt = static_cast<std::uint32_t>(
-                   static_cast<double>(best_rtt) * fate.rtt_multiplier) +
-               fate.extra_rtt_us;
   }
   if (fate.lose_query) {
     result.status = SendStatus::kLostQuery;
@@ -73,7 +56,6 @@ void Network::Query(const net::Endpoint& src, SiteId src_site,
   ctx.src = src;
   ctx.transport = transport;
   ctx.server_site = best->site;
-  ctx.brownout_servfail = fate.servfail;
   std::uint32_t total_rtt = best_rtt;
   if (transport == dns::Transport::kTcp) {
     // SYN/SYN-ACK/ACK before the query: one extra round trip, and the

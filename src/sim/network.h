@@ -28,9 +28,6 @@ struct PacketContext {
   TimeUs time_us = 0;          ///< Arrival time at the server.
   std::uint32_t handshake_rtt_us = 0;  ///< TCP only: measured SYN/ACK RTT.
   SiteId server_site = kNoSite;        ///< Which anycast site caught it.
-  /// Fault injection: the site is browned out and must SERVFAIL this
-  /// query (the exchange is still real work and is still captured).
-  bool brownout_servfail = false;
 };
 
 /// Implemented by authoritative servers. The response is written into a
@@ -79,7 +76,6 @@ class Network {
     kServerDropped,  ///< Server elected not to answer (RRL, malformed).
     kLostQuery,      ///< Fault: query lost in flight; no server work done.
     kLostResponse,   ///< Fault: response lost; server worked and captured.
-    kTimeout,        ///< Fault: every anycast site withdrawn (black hole).
   };
 
   struct SendResult {
@@ -91,12 +87,11 @@ class Network {
     [[nodiscard]] bool delivered() const {
       return status == SendStatus::kDelivered;
     }
-    /// Fault outcomes look like a timeout to the sender: it learns
+    /// Lost packets look like a timeout to the sender: it learns
     /// nothing except that no answer came back.
     [[nodiscard]] bool timed_out() const {
       return status == SendStatus::kLostQuery ||
-             status == SendStatus::kLostResponse ||
-             status == SendStatus::kTimeout;
+             status == SendStatus::kLostResponse;
     }
   };
 

@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "analysis/dataset_cache.h"
 #include "cloud/scenario.h"
@@ -94,6 +96,31 @@ TEST(ContextCacheTest, RejectsMissingAndTruncatedFiles) {
   auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
   EXPECT_FALSE(LoadScenarioContextStatus(path, result).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ContextCacheTest, RejectsForgedPtrCountWithoutThrowing) {
+  // A CRC-valid frame whose text declares far more PTR records than the
+  // payload could hold: the loader must report corruption (so the dataset
+  // cache quarantines and rebuilds), not try to allocate for the count.
+  const std::string path = TempPath("clouddns_ctx_forged_ptr.ctx");
+  ASSERT_TRUE(SaveScenarioContextStatus(path, cloud::ScenarioResult{}).ok());
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(
+      base::io::ReadFramedFile(path, base::io::kTagContext, payload).ok());
+  std::string text(payload.begin(), payload.end());
+  const std::size_t at = text.find("\nptr 0\n");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 7, "\nptr 4611686018427387904\n");
+  ASSERT_TRUE(base::io::WriteFramedFile(
+                  path, base::io::kTagContext,
+                  std::vector<std::uint8_t>(text.begin(), text.end()))
+                  .ok());
+
+  cloud::ScenarioResult result;
+  base::io::IoStatus status;
+  EXPECT_NO_THROW(status = LoadScenarioContextStatus(path, result));
+  EXPECT_EQ(status.code, base::io::IoCode::kPayloadCorrupt);
   std::remove(path.c_str());
 }
 

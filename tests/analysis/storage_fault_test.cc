@@ -96,8 +96,7 @@ std::string ReportDigest(const cloud::ScenarioResult& result,
   }
   const cloud::RobustnessCounters& robust = result.robustness;
   out << "robust " << robust.upstream_queries << " " << robust.retransmits
-      << " " << robust.timeouts << " " << robust.failovers << " "
-      << robust.served_stale << "\n";
+      << " " << robust.timeouts << " " << robust.failovers << "\n";
   return out.str();
 }
 

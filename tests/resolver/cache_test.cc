@@ -145,32 +145,5 @@ TEST(DnsCacheTest, LruEvictionOrderIsExactUnderMixedTouches) {
   }
 }
 
-TEST(DnsCacheTest, ServeStaleHitRefreshesRecencyUnderLru) {
-  DnsCache cache(2, /*retain_expired=*/true);
-  cache.Put(N("a.nl"), dns::RrType::kA, Answer(1000));
-  cache.Put(N("b.nl"), dns::RrType::kA, Answer(1000));
-
-  // Both expired: a plain Get misses but retains the entry, and the
-  // expired-miss deliberately does not refresh recency.
-  EXPECT_EQ(cache.Get(N("a.nl"), dns::RrType::kA, 2000), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // A stale hit IS a use: it refreshes recency, so the untouched b.nl is
-  // the LRU victim when capacity is exceeded.
-  const CachedAnswer* stale =
-      cache.GetStale(N("a.nl"), dns::RrType::kA, 2000, 5000);
-  ASSERT_NE(stale, nullptr);
-  EXPECT_EQ(stale->rcode, dns::Rcode::kNoError);
-  EXPECT_EQ(cache.stale_hits(), 1u);
-
-  cache.Put(N("c.nl"), dns::RrType::kA, Answer(~0ull));
-  EXPECT_EQ(cache.GetStale(N("b.nl"), dns::RrType::kA, 2000, 5000), nullptr);
-  EXPECT_NE(cache.GetStale(N("a.nl"), dns::RrType::kA, 2000, 5000), nullptr);
-
-  // Outside the serve-stale window the entry is dead even when retained:
-  // expires_at=1000 + max_stale=5000 <= now=6000.
-  EXPECT_EQ(cache.GetStale(N("a.nl"), dns::RrType::kA, 6000, 5000), nullptr);
-}
-
 }  // namespace
 }  // namespace clouddns::resolver

@@ -400,63 +400,6 @@ TEST(ResolverTest, GluelessCycleFailsWithoutInfiniteLoop) {
   EXPECT_LE(result.upstream_queries, resolver_config.max_upstream_queries);
 }
 
-TEST(ResolverTest, ServFailCachingSuppressesRetryStorms) {
-  // Without the cache, every client query for a broken domain re-runs the
-  // full failing resolution (the Fig. 3b behaviour); with it, only the
-  // first query pays.
-  MiniInternet net(0);
-  zone::ZoneBuildConfig config;
-  config.apex = N("nl");
-  config.nameservers = {
-      {N("ns1.dns.nl"), {*net::IpAddress::Parse("194.0.99.1")}}};
-  auto nl = zone::MakeZoneSkeleton(config);
-  zone::AddDelegation(nl, N("cyca.nl"), {{N("ns.cycb.nl"), {}}}, false);
-  zone::AddDelegation(nl, N("cycb.nl"), {{N("ns.cyca.nl"), {}}}, false);
-  server::AuthServer nl_server(server::AuthServerConfig{});
-  nl_server.Serve(testutil::Frozen(std::move(nl)));
-
-  // Fresh network with a root that delegates .nl to the broken zone's
-  // server (MiniInternet's own .nl registration must not shadow it).
-  zone::ZoneBuildConfig root_config;
-  root_config.apex = dns::Name{};
-  root_config.nameservers = {
-      {N("b.root-servers.example"),
-       {*net::IpAddress::Parse(MiniInternet::kRootV4)}}};
-  auto root = zone::MakeZoneSkeleton(root_config);
-  zone::AddDelegation(root, N("nl"),
-                      {{N("ns1.dns.nl"),
-                        {*net::IpAddress::Parse("194.0.99.1")}}},
-                      false);
-  server::AuthServer root_server(server::AuthServerConfig{});
-  root_server.Serve(testutil::Frozen(std::move(root)));
-  sim::Network network(net.latency);
-  network.RegisterServer(*net::IpAddress::Parse(MiniInternet::kRootV4),
-                         net.auth_site, root_server);
-  network.RegisterServer(*net::IpAddress::Parse("194.0.99.1"), net.auth_site,
-                         nl_server);
-  server::LeafAuthService leaf{server::LeafAuthConfig{}};
-  network.SetDefaultRoute(net.leaf_site, leaf);
-
-  auto run = [&](sim::TimeUs ttl_us) {
-    ResolverConfig resolver_config = BasicConfig(net);
-    resolver_config.servfail_cache_ttl = ttl_us;
-    RecursiveResolver resolver(network, resolver_config, net.RootHintsV4(),
-                               {});
-    int upstream = 0;
-    for (int i = 0; i < 10; ++i) {
-      auto result = resolver.Resolve(N("www.cyca.nl"), dns::RrType::kA,
-                                     1'000'000ull * static_cast<unsigned>(i + 1));
-      EXPECT_EQ(result.rcode, dns::Rcode::kServFail);
-      upstream += result.upstream_queries;
-    }
-    return upstream;
-  };
-
-  int without_cache = run(0);
-  int with_cache = run(600ull * sim::kMicrosPerSecond);
-  EXPECT_GT(without_cache, with_cache * 4);
-}
-
 TEST(ResolverTest, AggressiveNsecAbsorbsRandomJunk) {
   MiniInternet net;
   auto config = BasicConfig(net);

@@ -1,6 +1,5 @@
 // Resolver timeout/retry/backoff engine under fault injection: retransmit
-// accounting, Karn backoff against the query budget, NS-set failover, and
-// RFC 8767 serve-stale.
+// accounting, Karn backoff against the query budget, and NS-set failover.
 #include <gtest/gtest.h>
 
 #include "../testutil.h"
@@ -42,7 +41,6 @@ TEST(RetryTest, NoFaultsMeansNoRetryActivity) {
   EXPECT_EQ(result.retransmits, 0);
   EXPECT_EQ(result.timeouts, 0);
   EXPECT_EQ(result.failovers, 0);
-  EXPECT_FALSE(result.served_stale);
   EXPECT_EQ(resolver.retransmit_count(), 0u);
   EXPECT_EQ(resolver.timeout_count(), 0u);
 }
@@ -119,28 +117,6 @@ TEST(RetryTest, FailoverMovesToHealthySibling) {
   EXPECT_GE(resolver.timeout_count(), 3u);
 }
 
-TEST(RetryTest, ServeStaleAnswersFromExpiredEntry) {
-  MiniInternet net;
-  auto config = BasicConfig(net);
-  config.retry.serve_stale_ttl_us = 30ull * 86'400 * sim::kMicrosPerSecond;
-  auto resolver = MakeResolver(net, config);
-
-  const sim::TimeUs t0 = 1'000'000;
-  auto fresh = resolver.Resolve(N("www.dom3.nl"), dns::RrType::kA, t0);
-  ASSERT_EQ(fresh.rcode, dns::Rcode::kNoError);
-
-  // Two days later every TTL has lapsed and the network is fully broken.
-  sim::FaultInjector injector(TotalUdpLoss(), 42);
-  net.network->SetFaultInjector(&injector);
-  const sim::TimeUs t1 = t0 + 2ull * sim::kMicrosPerDay;
-  auto stale = resolver.Resolve(N("www.dom3.nl"), dns::RrType::kA, t1);
-  EXPECT_EQ(stale.rcode, dns::Rcode::kNoError);
-  EXPECT_TRUE(stale.served_stale);
-  EXPECT_TRUE(stale.from_cache);
-  EXPECT_EQ(stale.records, fresh.records);
-  EXPECT_EQ(resolver.served_stale_count(), 1u);
-}
-
 TEST(RetryTest, WithoutServeStaleExpiredFailureIsServfail) {
   MiniInternet net;
   auto resolver = MakeResolver(net, BasicConfig(net));
@@ -153,8 +129,6 @@ TEST(RetryTest, WithoutServeStaleExpiredFailureIsServfail) {
   const sim::TimeUs t1 = t0 + 2ull * sim::kMicrosPerDay;
   auto result = resolver.Resolve(N("www.dom3.nl"), dns::RrType::kA, t1);
   EXPECT_EQ(result.rcode, dns::Rcode::kServFail);
-  EXPECT_FALSE(result.served_stale);
-  EXPECT_EQ(resolver.served_stale_count(), 0u);
 }
 
 TEST(RetryTest, RetransmitsChargeTheUpstreamBudget) {
