@@ -86,6 +86,14 @@ void EncodeImpl(const Message& msg, bool truncate_sections,
   audit::Audit(out, "dns::Message::Encode");
 }
 
+/// Slot `index` of `section`, appended when the section is not that long
+/// yet. Sections grow one slot per decoded entry, never by a wire count.
+template <typename T>
+T& SlotAt(std::vector<T>& section, std::size_t index) {
+  if (index == section.size()) section.emplace_back();
+  return section[index];
+}
+
 }  // namespace
 
 Message Message::MakeQuery(std::uint16_t id, const Name& qname, RrType qtype,
@@ -173,10 +181,6 @@ std::optional<Message> Message::Decode(const std::uint8_t* data,
 bool Message::DecodeInto(const std::uint8_t* data, std::size_t size,
                          Message& msg) {
   msg.header = Header{};
-  msg.questions.clear();
-  msg.answers.clear();
-  msg.authorities.clear();
-  msg.additionals.clear();
   msg.edns.reset();
 
   WireReader reader(data, size);
@@ -189,48 +193,47 @@ bool Message::DecodeInto(const std::uint8_t* data, std::size_t size,
   }
   msg.header = UnpackFlags(id, flags);
 
-  for (int i = 0; i < qdcount; ++i) {
-    Question q;
-    if (!Question::Decode(reader, q)) return false;
-    msg.questions.push_back(std::move(q));
+  for (std::size_t i = 0; i < qdcount; ++i) {
+    if (!Question::Decode(reader, SlotAt(msg.questions, i))) return false;
   }
-  auto read_records = [&reader](int count,
+  msg.questions.resize(qdcount);
+  // RFC 6891 §6.1.1: the OPT pseudo-record lives in the additional
+  // section only.
+  auto read_records = [&reader](std::size_t count,
                                 std::vector<ResourceRecord>& out) -> bool {
-    for (int i = 0; i < count; ++i) {
-      ResourceRecord rr;
-      if (!ResourceRecord::Decode(reader, rr)) return false;
-      out.push_back(std::move(rr));
+    for (std::size_t i = 0; i < count; ++i) {
+      ResourceRecord& rr = SlotAt(out, i);
+      if (!ResourceRecord::Decode(reader, rr) || rr.type == RrType::kOpt) {
+        return false;
+      }
     }
+    out.resize(count);
     return true;
   };
   if (!read_records(ancount, msg.answers) ||
       !read_records(nscount, msg.authorities)) {
     return false;
   }
-  // RFC 6891 §6.1.1: the OPT pseudo-record lives in the additional
-  // section only.
-  for (const auto* section : {&msg.answers, &msg.authorities}) {
-    for (const auto& rr : *section) {
-      if (rr.type == RrType::kOpt) return false;
-    }
-  }
+  std::size_t additional_count = 0;
   for (int i = 0; i < arcount; ++i) {
-    ResourceRecord rr;
+    ResourceRecord& rr = SlotAt(msg.additionals, additional_count);
     if (!ResourceRecord::Decode(reader, rr)) return false;
-    if (rr.type == RrType::kOpt) {
-      if (msg.edns) return false;  // duplicate OPT is FORMERR
-      if (rr.name.LabelCount() != 0) {
-        return false;  // OPT owner must be root (RFC 6891 §6.1.2)
-      }
-      EdnsInfo edns;
-      edns.udp_payload_size = static_cast<std::uint16_t>(rr.rclass);
-      edns.dnssec_ok = (rr.ttl & 0x8000u) != 0;
-      edns.version = static_cast<std::uint8_t>((rr.ttl >> 16) & 0xff);
-      msg.edns = edns;
-    } else {
-      msg.additionals.push_back(std::move(rr));
+    if (rr.type != RrType::kOpt) {
+      ++additional_count;
+      continue;
     }
+    // The OPT record is lifted into `edns`; its slot is decoded over next.
+    if (msg.edns) return false;  // duplicate OPT is FORMERR
+    if (rr.name.LabelCount() != 0) {
+      return false;  // OPT owner must be root (RFC 6891 §6.1.2)
+    }
+    EdnsInfo edns;
+    edns.udp_payload_size = static_cast<std::uint16_t>(rr.rclass);
+    edns.dnssec_ok = (rr.ttl & 0x8000u) != 0;
+    edns.version = static_cast<std::uint8_t>((rr.ttl >> 16) & 0xff);
+    msg.edns = edns;
   }
+  msg.additionals.resize(additional_count);
   // Trailing bytes after the promised record counts are a framing error
   // (and would make re-encoding lossy).
   if (!reader.AtEnd()) return false;

@@ -88,9 +88,14 @@ class Message {
   static std::optional<Message> Decode(const std::uint8_t* data,
                                        std::size_t size);
 
-  /// Reusable-message decode: resets `out` (keeping each section vector's
-  /// capacity) and fills it. Returns false on any malformation, leaving
-  /// `out` in an unspecified but destructible state.
+  /// Reusable-message decode. Each question and record is decoded over the
+  /// previous occupant of its slot in `out`: names are overwritten, and a
+  /// slot that already holds the same rdata type keeps its byte buffers
+  /// (see DecodeRdata). A section grows one slot per decoded entry, so a
+  /// forged count never sizes an allocation, and is trimmed to the decoded
+  /// count on success. Once `out` has seen messages of the shape it is
+  /// given, decoding into it does not allocate. Returns false on any
+  /// malformation, leaving `out` in an unspecified but destructible state.
   [[nodiscard]] static bool DecodeInto(const std::uint8_t* data,
                                        std::size_t size, Message& out);
 

@@ -31,15 +31,16 @@ void EncodeTypeBitmap(const std::vector<RrType>& types, WireWriter& writer) {
   }
 }
 
+/// Appends the types of the bitmap that ends at `end_offset` to `out`.
 bool DecodeTypeBitmap(WireReader& reader, std::size_t end_offset,
                       std::vector<RrType>& out) {
   while (reader.offset() < end_offset) {
     std::uint8_t window = 0, len = 0;
     if (!reader.ReadU8(window) || !reader.ReadU8(len)) return false;
     if (len == 0 || len > 32) return false;
-    std::vector<std::uint8_t> bitmap;
+    std::uint8_t bitmap[32] = {};
     if (!reader.ReadBytes(len, bitmap)) return false;
-    for (std::size_t byte = 0; byte < bitmap.size(); ++byte) {
+    for (std::size_t byte = 0; byte < len; ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
         if (bitmap[byte] & (0x80u >> bit)) {
           out.push_back(static_cast<RrType>((window << 8) |
@@ -49,6 +50,14 @@ bool DecodeTypeBitmap(WireReader& reader, std::size_t end_offset,
     }
   }
   return reader.offset() == end_offset;
+}
+
+/// The `T` alternative of `out`, decoded over in place when `out` already
+/// holds one (so its byte buffers keep their capacity), else a fresh one.
+template <typename T>
+T& SlotFor(Rdata& out) {
+  if (T* held = std::get_if<T>(&out)) return *held;
+  return out.emplace<T>();
 }
 
 std::string BytesToHex(const std::vector<std::uint8_t>& bytes) {
@@ -163,107 +172,77 @@ bool DecodeRdata(RrType type, std::uint16_t rdlength, WireReader& reader,
 
   switch (type) {
     case RrType::kA: {
-      if (rdlength != 4) return false;
-      std::vector<std::uint8_t> b;
-      if (!reader.ReadBytes(4, b)) return false;
-      out = ARdata{net::Ipv4Address::FromBytes({b[0], b[1], b[2], b[3]})};
+      std::uint32_t bits = 0;
+      if (rdlength != 4 || !reader.ReadU32(bits)) return false;
+      SlotFor<ARdata>(out).address = net::Ipv4Address(bits);
       return true;
     }
     case RrType::kAaaa: {
-      if (rdlength != 16) return false;
-      std::vector<std::uint8_t> b;
-      if (!reader.ReadBytes(16, b)) return false;
       net::Ipv6Address::Bytes bytes;
-      std::copy(b.begin(), b.end(), bytes.begin());
-      out = AaaaRdata{net::Ipv6Address(bytes)};
-      return true;
-    }
-    case RrType::kNs: {
-      NsRdata r;
-      if (!reader.ReadName(r.nameserver) || !finish()) return false;
-      out = std::move(r);
-      return true;
-    }
-    case RrType::kCname: {
-      CnameRdata r;
-      if (!reader.ReadName(r.target) || !finish()) return false;
-      out = std::move(r);
-      return true;
-    }
-    case RrType::kPtr: {
-      PtrRdata r;
-      if (!reader.ReadName(r.target) || !finish()) return false;
-      out = std::move(r);
-      return true;
-    }
-    case RrType::kMx: {
-      MxRdata r;
-      if (!reader.ReadU16(r.preference) || !reader.ReadName(r.exchange) ||
-          !finish()) {
+      if (rdlength != 16 || !reader.ReadBytes(bytes.size(), bytes.data())) {
         return false;
       }
-      out = std::move(r);
+      SlotFor<AaaaRdata>(out).address = net::Ipv6Address(bytes);
       return true;
     }
+    case RrType::kNs:
+      return reader.ReadName(SlotFor<NsRdata>(out).nameserver) && finish();
+    case RrType::kCname:
+      return reader.ReadName(SlotFor<CnameRdata>(out).target) && finish();
+    case RrType::kPtr:
+      return reader.ReadName(SlotFor<PtrRdata>(out).target) && finish();
+    case RrType::kMx: {
+      MxRdata& r = SlotFor<MxRdata>(out);
+      return reader.ReadU16(r.preference) && reader.ReadName(r.exchange) &&
+             finish();
+    }
     case RrType::kTxt: {
-      TxtRdata r;
+      TxtRdata& r = SlotFor<TxtRdata>(out);
+      std::size_t count = 0;
       while (reader.offset() < end) {
         std::uint8_t len = 0;
         if (!reader.ReadU8(len)) return false;
         if (reader.offset() + len > end) return false;
-        std::vector<std::uint8_t> bytes;
-        if (!reader.ReadBytes(len, bytes)) return false;
-        r.strings.emplace_back(bytes.begin(), bytes.end());
+        if (count == r.strings.size()) r.strings.emplace_back();
+        std::string& text = r.strings[count++];
+        text.resize(len);
+        if (!reader.ReadBytes(len, reinterpret_cast<std::uint8_t*>(
+                                       text.data()))) {
+          return false;
+        }
       }
-      if (!finish()) return false;
-      out = std::move(r);
-      return true;
+      r.strings.resize(count);
+      return finish();
     }
     case RrType::kSoa: {
-      SoaRdata r;
-      if (!reader.ReadName(r.mname) || !reader.ReadName(r.rname) ||
-          !reader.ReadU32(r.serial) || !reader.ReadU32(r.refresh) ||
-          !reader.ReadU32(r.retry) || !reader.ReadU32(r.expire) ||
-          !reader.ReadU32(r.minimum) || !finish()) {
-        return false;
-      }
-      out = std::move(r);
-      return true;
+      SoaRdata& r = SlotFor<SoaRdata>(out);
+      return reader.ReadName(r.mname) && reader.ReadName(r.rname) &&
+             reader.ReadU32(r.serial) && reader.ReadU32(r.refresh) &&
+             reader.ReadU32(r.retry) && reader.ReadU32(r.expire) &&
+             reader.ReadU32(r.minimum) && finish();
     }
     case RrType::kSrv: {
-      SrvRdata r;
-      if (!reader.ReadU16(r.priority) || !reader.ReadU16(r.weight) ||
-          !reader.ReadU16(r.port) || !reader.ReadName(r.target) || !finish()) {
-        return false;
-      }
-      out = std::move(r);
-      return true;
+      SrvRdata& r = SlotFor<SrvRdata>(out);
+      return reader.ReadU16(r.priority) && reader.ReadU16(r.weight) &&
+             reader.ReadU16(r.port) && reader.ReadName(r.target) && finish();
     }
     case RrType::kDs: {
-      DsRdata r;
       if (rdlength < 4) return false;
-      if (!reader.ReadU16(r.key_tag) || !reader.ReadU8(r.algorithm) ||
-          !reader.ReadU8(r.digest_type) ||
-          !reader.ReadBytes(end - reader.offset(), r.digest)) {
-        return false;
-      }
-      out = std::move(r);
-      return true;
+      DsRdata& r = SlotFor<DsRdata>(out);
+      return reader.ReadU16(r.key_tag) && reader.ReadU8(r.algorithm) &&
+             reader.ReadU8(r.digest_type) &&
+             reader.ReadBytes(end - reader.offset(), r.digest);
     }
     case RrType::kDnskey: {
-      DnskeyRdata r;
       if (rdlength < 4) return false;
-      if (!reader.ReadU16(r.flags) || !reader.ReadU8(r.protocol) ||
-          !reader.ReadU8(r.algorithm) ||
-          !reader.ReadBytes(end - reader.offset(), r.public_key)) {
-        return false;
-      }
-      out = std::move(r);
-      return true;
+      DnskeyRdata& r = SlotFor<DnskeyRdata>(out);
+      return reader.ReadU16(r.flags) && reader.ReadU8(r.protocol) &&
+             reader.ReadU8(r.algorithm) &&
+             reader.ReadBytes(end - reader.offset(), r.public_key);
     }
     case RrType::kRrsig: {
-      RrsigRdata r;
       if (rdlength < 18) return false;
+      RrsigRdata& r = SlotFor<RrsigRdata>(out);
       if (!reader.ReadU16(r.type_covered) || !reader.ReadU8(r.algorithm) ||
           !reader.ReadU8(r.labels) || !reader.ReadU32(r.original_ttl) ||
           !reader.ReadU32(r.expiration) || !reader.ReadU32(r.inception) ||
@@ -271,20 +250,17 @@ bool DecodeRdata(RrType type, std::uint16_t rdlength, WireReader& reader,
         return false;
       }
       if (reader.offset() > end) return false;
-      if (!reader.ReadBytes(end - reader.offset(), r.signature)) return false;
-      out = std::move(r);
-      return true;
+      return reader.ReadBytes(end - reader.offset(), r.signature);
     }
     case RrType::kNsec: {
-      NsecRdata r;
+      NsecRdata& r = SlotFor<NsecRdata>(out);
       if (!reader.ReadName(r.next)) return false;
       if (reader.offset() > end) return false;
-      if (!DecodeTypeBitmap(reader, end, r.types)) return false;
-      out = std::move(r);
-      return true;
+      r.types.clear();
+      return DecodeTypeBitmap(reader, end, r.types);
     }
     case RrType::kNsec3: {
-      Nsec3Rdata r;
+      Nsec3Rdata& r = SlotFor<Nsec3Rdata>(out);
       std::uint8_t salt_len = 0, hash_len = 0;
       if (!reader.ReadU8(r.hash_algorithm) || !reader.ReadU8(r.flags) ||
           !reader.ReadU16(r.iterations) || !reader.ReadU8(salt_len) ||
@@ -293,28 +269,18 @@ bool DecodeRdata(RrType type, std::uint16_t rdlength, WireReader& reader,
         return false;
       }
       if (reader.offset() > end) return false;
-      if (!DecodeTypeBitmap(reader, end, r.types)) return false;
-      out = std::move(r);
-      return true;
+      r.types.clear();
+      return DecodeTypeBitmap(reader, end, r.types);
     }
     case RrType::kNsec3Param: {
-      Nsec3ParamRdata r;
+      Nsec3ParamRdata& r = SlotFor<Nsec3ParamRdata>(out);
       std::uint8_t salt_len = 0;
-      if (!reader.ReadU8(r.hash_algorithm) || !reader.ReadU8(r.flags) ||
-          !reader.ReadU16(r.iterations) || !reader.ReadU8(salt_len) ||
-          !reader.ReadBytes(salt_len, r.salt) ||
-          reader.offset() != end) {
-        return false;
-      }
-      out = std::move(r);
-      return true;
+      return reader.ReadU8(r.hash_algorithm) && reader.ReadU8(r.flags) &&
+             reader.ReadU16(r.iterations) && reader.ReadU8(salt_len) &&
+             reader.ReadBytes(salt_len, r.salt) && finish();
     }
-    default: {
-      RawRdata r;
-      if (!reader.ReadBytes(rdlength, r.data)) return false;
-      out = std::move(r);
-      return true;
-    }
+    default:
+      return reader.ReadBytes(rdlength, SlotFor<RawRdata>(out).data);
   }
 }
 

@@ -143,7 +143,11 @@ using Rdata =
 void EncodeRdata(const Rdata& rdata, WireWriter& writer);
 
 /// Parses `rdlength` bytes at the reader into the typed form for `type`;
-/// unknown types land in RawRdata. Returns false on truncated/bad data.
+/// unknown types land in RawRdata. When `out` already holds that form it is
+/// decoded over in place, and its byte buffers (`signature`, `public_key`,
+/// `digest`, `types`, `salt`, raw `data`, ...) keep their capacity;
+/// otherwise `out` is replaced by a fresh one. Returns false on
+/// truncated/bad data, leaving `out` unspecified but destructible.
 [[nodiscard]] bool DecodeRdata(RrType type, std::uint16_t rdlength,
                                WireReader& reader, Rdata& out);
 

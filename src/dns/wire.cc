@@ -1,5 +1,7 @@
 #include "dns/wire.h"
 
+#include <cstring>
+
 namespace clouddns::dns {
 
 namespace {
@@ -192,6 +194,13 @@ bool WireReader::ReadU32(std::uint32_t& value) {
 bool WireReader::ReadBytes(std::size_t count, std::vector<std::uint8_t>& out) {
   if (remaining() < count) return false;
   out.assign(data_ + offset_, data_ + offset_ + count);
+  offset_ += count;
+  return true;
+}
+
+bool WireReader::ReadBytes(std::size_t count, std::uint8_t* out) {
+  if (remaining() < count) return false;
+  std::memcpy(out, data_ + offset_, count);
   offset_ += count;
   return true;
 }

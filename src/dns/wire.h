@@ -96,8 +96,12 @@ class WireReader {
   [[nodiscard]] bool ReadU8(std::uint8_t& value);
   [[nodiscard]] bool ReadU16(std::uint16_t& value);
   [[nodiscard]] bool ReadU32(std::uint32_t& value);
+  /// Replaces `out`'s contents with the next `count` bytes, reusing its
+  /// capacity.
   [[nodiscard]] bool ReadBytes(std::size_t count,
                                std::vector<std::uint8_t>& out);
+  /// Copies the next `count` bytes into caller-owned storage.
+  [[nodiscard]] bool ReadBytes(std::size_t count, std::uint8_t* out);
 
   /// Reads a (possibly compressed) name starting at the cursor. Follows
   /// pointers with a hop limit so crafted loops cannot hang the parser.

@@ -2,10 +2,10 @@
 //
 // DnsCache holds positive and negative answers (RFC 2308 semantics: NODATA
 // is cached per qname+type, NXDOMAIN per qname). InfraCache holds the
-// "infrastructure" view — delegation NS sets, their addresses, DS presence,
-// and fetched DNSKEYs — which is what makes an iterative resolver send only
-// cache-miss traffic to the authoritatives, the property §2 of the paper
-// leans on ("we only see DNS cache misses").
+// "infrastructure" view — each delegated zone's nameserver addresses, DS
+// presence, and fetched DNSKEYs — which is what makes an iterative resolver
+// send only cache-miss traffic to the authoritatives, the property §2 of
+// the paper leans on ("we only see DNS cache misses").
 //
 // All three caches are keyed on the Name's precomputed hash plus its flat
 // label bytes: lookups never build a ToKey() string. DnsCache additionally
@@ -98,7 +98,6 @@ class DnsCache {
 /// What the resolver knows about one delegated zone.
 struct ZoneEntry {
   dns::Name apex;
-  std::vector<dns::Name> ns_names;
   std::vector<net::IpAddress> v4_addresses;
   std::vector<net::IpAddress> v6_addresses;
   sim::TimeUs expires_at = 0;

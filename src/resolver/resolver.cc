@@ -91,7 +91,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
     const dns::Name& qname, dns::RrType qtype, sim::TimeUs now, int& budget,
     int depth) {
   Result result;
-  if (depth > 6) return result;  // glueless chain too deep
+  if (depth > kMaxDepth) return result;  // glueless chain too deep
 
   if (cache_.IsNxDomain(qname, now)) {
     result.rcode = dns::Rcode::kNxDomain;
@@ -150,9 +150,12 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
       return result;
     }
 
-    Upstream reply = Send(*zone, q_name, q_type, now, budget);
-    if (!reply.ok) return result;  // SERVFAIL
-    const dns::Message& response = reply.response;
+    // Valid until this frame's next Send (see `responses_`): the referral's
+    // `cut` below survives the DS fetch and the glueless chase.
+    dns::Message& response = responses_[depth];
+    if (!Send(*zone, q_name, q_type, now, budget, response)) {
+      return result;  // SERVFAIL
+    }
 
     if (response.header.rcode == dns::Rcode::kNxDomain) {
       // A minimized intermediate NXDOMAIN proves the full name cannot
@@ -204,7 +207,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
           child.ds = ZoneEntry::Ds::kAbsent;
         }
       }
-      if (!EnsureAddresses(child, now, budget, depth)) {
+      if (!EnsureAddresses(child, response, now, budget, depth)) {
         if (QminActive(now) && !qmin_fallback) {
           qmin_fallback = true;  // retry this zone with the full qname
           continue;
@@ -254,13 +257,10 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
   return result;
 }
 
-RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
-                                                    const dns::Name& qname,
-                                                    dns::RrType qtype,
-                                                    sim::TimeUs now,
-                                                    int& budget) {
-  Upstream failure;
-  if (budget <= 0) return failure;
+bool RecursiveResolver::Send(ZoneEntry& zone, const dns::Name& qname,
+                             dns::RrType qtype, sim::TimeUs now, int& budget,
+                             dns::Message& response) {
+  if (budget <= 0) return false;
 
   // Pick the egress host FIRST (uniform over the frontend pool), then let
   // the host's capabilities decide the family: single-stack hosts have no
@@ -276,7 +276,7 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
     can_v6 = candidate.v6.has_value() && !zone.v6_addresses.empty();
     if (can_v4 || can_v6) host = &candidate;
   }
-  if (host == nullptr) return failure;
+  if (host == nullptr) return false;
 
   auto estimate = [this, &host](const net::IpAddress& addr) {
     auto it = srtt_.find(SrttKey(host->site, addr));
@@ -324,14 +324,16 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
     if (rng_.NextDouble() < 0.08) {
       picked = &candidates[rng_.NextBelow(candidates.size())];
     } else {
+      // Each candidate's estimate is looked up once and kept for the band.
       double best = 1e18;
-      for (const auto& c : candidates) {
-        best = std::min(best, candidate_srtt(c));
+      for (auto& c : candidates) {
+        c.srtt = candidate_srtt(c);
+        best = std::min(best, c.srtt);
       }
       std::vector<const Candidate*>& band = band_;
       band.clear();
       for (const auto& c : candidates) {
-        if (candidate_srtt(c) <= best * 1.6) band.push_back(&c);
+        if (c.srtt <= best * 1.6) band.push_back(&c);
       }
       picked = band[rng_.NextBelow(band.size())];
     }
@@ -407,31 +409,29 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
           }
         }
 
-        Upstream ok;
         if (!dns::Message::DecodeInto(sent.response.data(),
-                                      sent.response.size(), ok.response) ||
-            ok.response.header.id != query.header.id) {
-          return failure;
+                                      sent.response.size(), response) ||
+            response.header.id != query.header.id) {
+          return false;
         }
-        if (ok.response.header.tc) {
+        if (response.header.tc) {
           // Truncated UDP answer: retry over TCP (RFC 1035 §4.2.2). This
           // is also the RRL "slip" recovery path.
-          if (budget <= 0) return failure;
+          if (budget <= 0) return false;
           --budget;
           ++upstream_total_;
           network_->Query(src, host->site, *server, dns::Transport::kTcp,
                           wire, now + elapsed, sent);
-          if (!sent.delivered()) return failure;
+          if (!sent.delivered()) return false;
           if (!dns::Message::DecodeInto(sent.response.data(),
-                                        sent.response.size(), ok.response) ||
-              ok.response.header.id != query.header.id) {
-            return failure;
+                                        sent.response.size(), response) ||
+              response.header.id != query.header.id) {
+            return false;
           }
         }
-        ok.ok = true;
-        return ok;
+        return true;
       }
-      if (!sent.timed_out()) return failure;  // no route / server dropped
+      if (!sent.timed_out()) return false;  // no route / server dropped
 
       // Lost query or lost response: wait out the RTO, then retransmit
       // with Karn backoff until this server's attempts or the overall
@@ -447,7 +447,7 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
     PenalizeSrtt(srtt_key);
 
     if (failover >= config_.retry.max_failovers || budget <= 0) {
-      return failure;
+      return false;
     }
     // NS-set failover: try the lowest-SRTT candidate not yet attempted
     // (the penalty above keeps dead servers at the back of the line for
@@ -462,7 +462,7 @@ RecursiveResolver::Upstream RecursiveResolver::Send(ZoneEntry& zone,
         next_srtt = e;
       }
     }
-    if (next == nullptr) return failure;  // whole NS set unresponsive
+    if (next == nullptr) return false;  // whole NS set unresponsive
     ++failover_total_;
     current = next;
   }
@@ -499,11 +499,16 @@ ZoneEntry RecursiveResolver::ZoneFromReferral(const dns::Message& response,
   entry.apex = cut;
   std::uint32_t ns_ttl = 3600;
   for (const auto& rr : response.authorities) {
-    if (rr.type == dns::RrType::kNs && rr.name.Equals(cut)) {
-      entry.ns_names.push_back(std::get<dns::NsRdata>(rr.rdata).nameserver);
-      ns_ttl = rr.ttl;
-    }
+    if (rr.type == dns::RrType::kNs && rr.name.Equals(cut)) ns_ttl = rr.ttl;
   }
+  // Count the glue first so each address vector is allocated once.
+  std::size_t v4_glue = 0, v6_glue = 0;
+  for (const auto& rr : response.additionals) {
+    v4_glue += rr.type == dns::RrType::kA;
+    v6_glue += rr.type == dns::RrType::kAaaa;
+  }
+  entry.v4_addresses.reserve(v4_glue);
+  entry.v6_addresses.reserve(v6_glue);
   for (const auto& rr : response.additionals) {
     if (rr.type == dns::RrType::kA) {
       entry.v4_addresses.push_back(std::get<dns::ARdata>(rr.rdata).address);
@@ -519,15 +524,20 @@ ZoneEntry RecursiveResolver::ZoneFromReferral(const dns::Message& response,
   return entry;
 }
 
-bool RecursiveResolver::EnsureAddresses(ZoneEntry& zone, sim::TimeUs now,
-                                        int& budget, int depth) {
+bool RecursiveResolver::EnsureAddresses(ZoneEntry& zone,
+                                        const dns::Message& referral,
+                                        sim::TimeUs now, int& budget,
+                                        int depth) {
   if (!zone.v4_addresses.empty() || !zone.v6_addresses.empty()) return true;
-  // Glueless delegation: resolve the nameserver names themselves. Resolvers
-  // fetch both A and AAAA for their upstream targets when dual-stack.
+  // Glueless delegation: resolve the nameserver names themselves, in the
+  // order the referral lists them. Resolvers fetch both A and AAAA for
+  // their upstream targets when dual-stack.
   bool want_v6 = false;
   for (const auto& host : config_.hosts) want_v6 |= host.v6.has_value();
 
-  for (const auto& ns_name : zone.ns_names) {
+  for (const auto& ns : referral.authorities) {
+    if (ns.type != dns::RrType::kNs || !ns.name.Equals(zone.apex)) continue;
+    const dns::Name& ns_name = std::get<dns::NsRdata>(ns.rdata).nameserver;
     Result a = ResolveInternal(ns_name, dns::RrType::kA, now, budget,
                                depth + 1);
     if (a.rcode == dns::Rcode::kNoError) {
@@ -563,10 +573,12 @@ void RecursiveResolver::FetchDsIfNeeded(ZoneEntry& parent, ZoneEntry& child,
     child.ds = ZoneEntry::Ds::kAbsent;
     return;
   }
-  Upstream reply = Send(parent, child.apex, dns::RrType::kDs, now, budget);
-  if (!reply.ok) return;  // leave unknown; retried on next descent
+  if (!Send(parent, child.apex, dns::RrType::kDs, now, budget,
+            fetch_response_)) {
+    return;  // leave unknown; retried on next descent
+  }
   bool present = false;
-  for (const auto& rr : reply.response.answers) {
+  for (const auto& rr : fetch_response_.answers) {
     if (rr.type == dns::RrType::kDs) {
       present = true;
       break;
@@ -579,10 +591,12 @@ void RecursiveResolver::FetchDnskeyIfNeeded(ZoneEntry& zone, sim::TimeUs now,
                                             int& budget) {
   if (zone.ds != ZoneEntry::Ds::kPresent) return;
   if (zone.dnskey_expires_at > now) return;
-  Upstream reply = Send(zone, zone.apex, dns::RrType::kDnskey, now, budget);
-  if (!reply.ok) return;
+  if (!Send(zone, zone.apex, dns::RrType::kDnskey, now, budget,
+            fetch_response_)) {
+    return;
+  }
   std::uint32_t ttl = 3600;
-  for (const auto& rr : reply.response.answers) {
+  for (const auto& rr : fetch_response_.answers) {
     if (rr.type == dns::RrType::kDnskey) ttl = rr.ttl;
   }
   zone.dnskey_expires_at =

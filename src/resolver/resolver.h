@@ -15,6 +15,7 @@
 //     misconfiguration event in Fig. 3b).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -127,10 +128,9 @@ class RecursiveResolver {
   }
 
  private:
-  struct Upstream {
-    bool ok = false;
-    dns::Message response;
-  };
+  /// Deepest glueless-chase recursion ResolveInternal serves; one deeper
+  /// fails without sending.
+  static constexpr int kMaxDepth = 6;
 
   [[nodiscard]] bool QminActive(sim::TimeUs now) const {
     return config_.qname_minimization && now >= config_.qmin_enabled_at;
@@ -140,14 +140,17 @@ class RecursiveResolver {
                          sim::TimeUs now, int& budget, int depth);
 
   /// Sends one upstream query to the given zone's servers (with family and
-  /// server selection, EDNS, and TCP retry on truncation).
-  Upstream Send(ZoneEntry& zone, const dns::Name& qname, dns::RrType qtype,
-                sim::TimeUs now, int& budget);
+  /// server selection, EDNS, and TCP retry on truncation) and decodes the
+  /// answer into `response`. Returns false when no usable answer arrived;
+  /// `response` is then unspecified.
+  bool Send(ZoneEntry& zone, const dns::Name& qname, dns::RrType qtype,
+            sim::TimeUs now, int& budget, dns::Message& response);
 
-  /// Ensures addresses for a zone's nameservers, chasing glueless NS
-  /// targets through full resolution (depth-limited, cycle-detected).
-  bool EnsureAddresses(ZoneEntry& zone, sim::TimeUs now, int& budget,
-                       int depth);
+  /// Ensures addresses for a zone's nameservers, chasing the NS targets
+  /// that `referral` names for the zone's apex through full resolution
+  /// (depth-limited, cycle-detected) when the referral carried no glue.
+  bool EnsureAddresses(ZoneEntry& zone, const dns::Message& referral,
+                       sim::TimeUs now, int& budget, int depth);
 
   /// Validator chain maintenance: DS fetch at the parent for a new cut,
   /// DNSKEY fetch per zone per TTL.
@@ -208,17 +211,29 @@ class RecursiveResolver {
   struct Candidate {
     const net::IpAddress* v4 = nullptr;
     const net::IpAddress* v6 = nullptr;
+    /// The lower of the two families' smoothed RTTs, filled in when the
+    /// RTT band is drawn.
+    double srtt = 0.0;
   };
   /// Scratch state reused across Send calls (Send never recurses): the
   /// query message and its encoding, the network exchange result, and the
-  /// server-selection working sets. Their capacity survives between
-  /// upstream exchanges, so the steady-state send path does not allocate.
+  /// server-selection working sets.
   dns::Message query_msg_;
   dns::WireBuffer query_wire_;
   sim::Network::SendResult send_scratch_;
   std::vector<Candidate> candidates_;
   std::vector<const Candidate*> band_;
   std::vector<const Candidate*> tried_;
+  /// Answer messages the upstream exchanges decode into. ResolveInternal
+  /// at depth d owns `responses_[d]` and reads it only until its next Send;
+  /// a nested (glueless-chase) resolution writes only deeper slots, so a
+  /// referral stays readable across the chase. The DS and DNSKEY fetches
+  /// never nest and share `fetch_response_`. Decoding reuses each message's
+  /// section slots and rdata buffers (dns::Message::DecodeInto), so an
+  /// exchange allocates only where a section outgrows its high-water mark
+  /// or a slot changes to an rdata type that owns a buffer.
+  std::array<dns::Message, kMaxDepth + 1> responses_;
+  dns::Message fetch_response_;
   std::uint64_t upstream_total_ = 0;
   std::uint64_t retransmit_total_ = 0;
   std::uint64_t timeout_total_ = 0;

@@ -205,27 +205,123 @@ TEST(MessageTest, CompressionShrinksRealResponses) {
 }
 
 
+ResourceRecord MakeRrsig(const Name& owner, RrType covered,
+                         const Name& signer, std::size_t signature_bytes,
+                         std::uint32_t ttl) {
+  RrsigRdata sig;
+  sig.type_covered = static_cast<std::uint16_t>(covered);
+  sig.algorithm = 13;
+  sig.labels = static_cast<std::uint8_t>(owner.LabelCount());
+  sig.original_ttl = ttl;
+  sig.expiration = 1'600'000'000;
+  sig.inception = 1'590'000'000;
+  sig.key_tag = 4711;
+  sig.signer = signer;
+  for (std::size_t i = 0; i < signature_bytes; ++i) {
+    sig.signature.push_back(static_cast<std::uint8_t>(i * 7 + 1));
+  }
+  return {owner, RrType::kRrsig, RrClass::kIn, ttl, std::move(sig)};
+}
+
+/// A DO=1 referral from a signed parent: NS set, DS, its RRSIG, glue.
+Message SignedReferral() {
+  Message msg = Message::MakeQuery(11, *Name::Parse("www.example.nl"),
+                                   RrType::kA, EdnsInfo{4096, true, 0});
+  msg.header.qr = true;
+  const Name cut = *Name::Parse("example.nl");
+  const Name ns1 = *Name::Parse("ns1.example.nl");
+  const Name ns2 = *Name::Parse("ns2.example.nl");
+  msg.authorities.push_back(MakeNs(cut, ns1, 3600));
+  msg.authorities.push_back(MakeNs(cut, ns2, 3600));
+  DsRdata ds;
+  ds.key_tag = 31337;
+  ds.algorithm = 13;
+  ds.digest_type = 2;
+  ds.digest.assign(32, 0xab);
+  msg.authorities.push_back({cut, RrType::kDs, RrClass::kIn, 3600, ds});
+  msg.authorities.push_back(
+      MakeRrsig(cut, RrType::kDs, *Name::Parse("nl"), 64, 3600));
+  msg.additionals.push_back(MakeA(ns1, net::Ipv4Address(192, 0, 2, 53), 3600));
+  msg.additionals.push_back(MakeAaaa(
+      ns1, *net::Ipv6Address::Parse("2001:db8::53"), 3600));
+  msg.additionals.push_back(MakeA(ns2, net::Ipv4Address(192, 0, 2, 54), 3600));
+  return msg;
+}
+
+/// A signed NXDOMAIN: SOA, an NSEC denial range, and an RRSIG over each.
+Message SignedNxDomain() {
+  Message msg = Message::MakeQuery(12, *Name::Parse("nosuch.nl"), RrType::kA,
+                                   EdnsInfo{1232, true, 0});
+  msg.header.qr = true;
+  msg.header.aa = true;
+  msg.header.rcode = Rcode::kNxDomain;
+  const Name apex = *Name::Parse("nl");
+  SoaRdata soa;
+  soa.mname = *Name::Parse("ns1.dns.nl");
+  soa.rname = *Name::Parse("hostmaster.dns.nl");
+  soa.serial = 2020102701;
+  soa.minimum = 600;
+  msg.authorities.push_back(MakeSoa(apex, soa, 600));
+  msg.authorities.push_back(MakeRrsig(apex, RrType::kSoa, apex, 64, 600));
+  const Name prev = *Name::Parse("nosotros.nl");
+  NsecRdata nsec;
+  nsec.next = *Name::Parse("nosy.nl");
+  nsec.types = {RrType::kNs, RrType::kDs, RrType::kRrsig, RrType::kNsec};
+  msg.authorities.push_back({prev, RrType::kNsec, RrClass::kIn, 600, nsec});
+  msg.authorities.push_back(MakeRrsig(prev, RrType::kNsec, apex, 64, 600));
+  return msg;
+}
+
+/// A DNSKEY answer: KSK and ZSK with the RRSIG over the set.
+Message DnskeyAnswer() {
+  const Name apex = *Name::Parse("example.nl");
+  Message msg = Message::MakeQuery(13, apex, RrType::kDnskey,
+                                   EdnsInfo{4096, true, 0});
+  msg.header.qr = true;
+  msg.header.aa = true;
+  for (std::uint16_t flags : {257, 256}) {
+    DnskeyRdata key;
+    key.flags = flags;
+    key.algorithm = 13;
+    key.public_key.assign(flags == 257 ? 64 : 48,
+                          static_cast<std::uint8_t>(flags));
+    msg.answers.push_back({apex, RrType::kDnskey, RrClass::kIn, 3600, key});
+  }
+  msg.answers.push_back(MakeRrsig(apex, RrType::kDnskey, apex, 64, 3600));
+  return msg;
+}
+
+/// A short unsigned A answer.
+Message ShortAnswer() {
+  Message msg = Message::MakeQuery(14, *Name::Parse("www.example.nl"),
+                                   RrType::kA);
+  msg.header.qr = true;
+  msg.header.aa = true;
+  msg.answers.push_back(MakeA(*Name::Parse("www.example.nl"),
+                              net::Ipv4Address(192, 0, 2, 1), 300));
+  return msg;
+}
+
 TEST(MessageTest, MutatedSurvivorsReencodeStablyAndReuseMatchesFresh) {
   // Two regressions for the pooled decode path. (1) Mutants that Decode
   // accepts must reach a re-encode fixed point: Encode(Decode(Encode(m)))
   // is bit-identical to Encode(m) — the encoder is a canonicalizer, so one
   // round trip must normalize fully. (2) DecodeInto into a reused (dirty)
   // message must agree exactly with a fresh Decode, including after the
-  // reused message was left in the unspecified post-failure state.
-  Message resp = Message::MakeQuery(77, *Name::Parse("www.example.nl"),
-                                    RrType::kA, EdnsInfo{1232, true, 0});
-  resp.header.qr = true;
-  resp.answers.push_back(MakeA(*Name::Parse("www.example.nl"),
-                               net::Ipv4Address(192, 0, 2, 1), 300));
-  resp.authorities.push_back(
-      MakeNs(*Name::Parse("example.nl"), *Name::Parse("ns1.example.nl"), 3600));
-  WireBuffer base = resp.Encode();
+  // reused message was left in the unspecified post-failure state. The
+  // base message rotates through a signed referral, a signed NXDOMAIN, a
+  // DNSKEY answer and a short A answer, so reused slots change rdata type,
+  // shrink and grow between decodes.
+  const std::vector<WireBuffer> bases = {
+      SignedReferral().Encode(), SignedNxDomain().Encode(),
+      DnskeyAnswer().Encode(), ShortAnswer().Encode()};
 
   Message reused;  // deliberately carries state across iterations
   std::mt19937_64 rng(8767);
-  int survivors = 0;
-  for (int i = 0; i < 2000; ++i) {
-    WireBuffer mutated = base;
+  std::vector<int> survivors(bases.size(), 0);
+  for (int i = 0; i < 4000; ++i) {
+    const std::size_t which = static_cast<std::size_t>(i) % bases.size();
+    WireBuffer mutated = bases[which];
     int flips = 1 + static_cast<int>(rng() % 4);
     for (int f = 0; f < flips; ++f) {
       mutated[rng() % mutated.size()] = static_cast<std::uint8_t>(rng());
@@ -235,7 +331,7 @@ TEST(MessageTest, MutatedSurvivorsReencodeStablyAndReuseMatchesFresh) {
         Message::DecodeInto(mutated.data(), mutated.size(), reused);
     ASSERT_EQ(reused_ok, fresh.has_value());
     if (!fresh) continue;
-    ++survivors;
+    ++survivors[which];
     EXPECT_EQ(reused, *fresh);
 
     WireBuffer first = fresh->Encode();
@@ -243,9 +339,42 @@ TEST(MessageTest, MutatedSurvivorsReencodeStablyAndReuseMatchesFresh) {
     ASSERT_TRUE(redecoded.has_value());
     EXPECT_EQ(redecoded->Encode(), first);
   }
-  // The flip distribution must actually produce survivors, or the test
-  // is vacuous.
-  EXPECT_GT(survivors, 0);
+  // The flip distribution must actually produce survivors of every base,
+  // or the test is vacuous.
+  for (int count : survivors) EXPECT_GT(count, 0);
+}
+
+TEST(MessageTest, RedecodingSameShapeReusesSectionAndRdataBuffers) {
+  // Decoding a signed answer into a message that already holds one of the
+  // same shape decodes over its slots: neither the answer section nor the
+  // RRSIG's signature buffer is reallocated. The signature is given spare
+  // capacity first, so a buffer freed and allocated again (which may well
+  // land at the same address) cannot pass for a reused one.
+  const WireBuffer wire = DnskeyAnswer().Encode();
+  Message reused;
+  ASSERT_TRUE(Message::DecodeInto(wire.data(), wire.size(), reused));
+  ASSERT_EQ(reused.answers.size(), 3u);
+  const ResourceRecord* answers = reused.answers.data();
+  auto signature_of = [&reused]() -> std::vector<std::uint8_t>& {
+    return std::get<RrsigRdata>(reused.answers[2].rdata).signature;
+  };
+  signature_of().reserve(1024);
+  const std::uint8_t* signature = signature_of().data();
+
+  ASSERT_TRUE(Message::DecodeInto(wire.data(), wire.size(), reused));
+  EXPECT_EQ(reused.answers.data(), answers);
+  EXPECT_EQ(signature_of().data(), signature);
+  EXPECT_GE(signature_of().capacity(), 1024u);
+  EXPECT_EQ(reused, *Message::Decode(wire));
+
+  // Every slot decoded over one of its own type (NS, DS, RRSIG, SOA, NSEC,
+  // A, AAAA) ends up equal to a fresh decode.
+  for (const Message& shape : {SignedReferral(), SignedNxDomain()}) {
+    const WireBuffer again = shape.Encode();
+    ASSERT_TRUE(Message::DecodeInto(again.data(), again.size(), reused));
+    ASSERT_TRUE(Message::DecodeInto(again.data(), again.size(), reused));
+    EXPECT_EQ(reused, shape);
+  }
 }
 
 }  // namespace

@@ -400,6 +400,89 @@ TEST(ResolverTest, GluelessCycleFailsWithoutInfiniteLoop) {
   EXPECT_LE(result.upstream_queries, resolver_config.max_upstream_queries);
 }
 
+TEST(ResolverTest, GluelessChaseResolvesThroughAnotherZone) {
+  // A signed .nl whose "glueless.nl" delegation names two nameservers in
+  // other .nl domains, neither with glue in the .nl zone: the first
+  // target's domain does not exist, the second (in signed dom1.nl)
+  // resolves. With validation,
+  // explicit DS fetches and q-min on, the depth-0 referral is read across
+  // the DS fetch and two nested resolutions that each send queries and
+  // fetch DS records of their own.
+  MiniInternet net(0);
+  zone::ZoneBuildConfig root_config;
+  root_config.apex = dns::Name{};
+  root_config.nameservers = {
+      {N("b.root-servers.net"),
+       {*net::IpAddress::Parse(MiniInternet::kRootV4)}}};
+  auto root = zone::MakeZoneSkeleton(root_config);
+  zone::AddDelegation(
+      root, N("nl"),
+      {{N("ns1.dns.nl"), {*net::IpAddress::Parse(MiniInternet::kNlV4)}}},
+      /*with_ds=*/true);
+  zone::SignZone(root);
+  zone::ZoneBuildConfig nl_config;
+  nl_config.apex = N("nl");
+  nl_config.nameservers = {
+      {N("ns1.dns.nl"), {*net::IpAddress::Parse(MiniInternet::kNlV4)}}};
+  auto nl = zone::MakeZoneSkeleton(nl_config);
+  zone::PopulateDelegations(nl, 4, "dom", 0.5,
+                            net::Ipv4Address(100, 70, 0, 0));
+  zone::AddDelegation(nl, N("glueless.nl"),
+                      {{N("ns.aaa-missing.nl"), {}}, {N("dns.dom1.nl"), {}}},
+                      /*with_ds=*/true);
+  zone::SignZone(nl);
+
+  server::AuthServer root_server(server::AuthServerConfig{});
+  root_server.Serve(testutil::Frozen(std::move(root)));
+  server::AuthServer nl_server(server::AuthServerConfig{});
+  nl_server.Serve(testutil::Frozen(std::move(nl)));
+  sim::Network network(net.latency);
+  network.RegisterServer(*net::IpAddress::Parse(MiniInternet::kRootV4),
+                         net.auth_site, root_server);
+  network.RegisterServer(*net::IpAddress::Parse(MiniInternet::kNlV4),
+                         net.auth_site, nl_server);
+  server::LeafAuthService leaf{server::LeafAuthConfig{}};
+  network.SetDefaultRoute(net.leaf_site, leaf);
+
+  ResolverConfig config = BasicConfig(net);
+  config.validate_dnssec = true;
+  config.explicit_ds_fetch = true;
+  config.qname_minimization = true;
+  RecursiveResolver resolver(network, config, net.RootHintsV4(), {});
+
+  auto result =
+      resolver.Resolve(N("www.glueless.nl"), dns::RrType::kA, 1'000'000);
+  ASSERT_EQ(result.rcode, dns::Rcode::kNoError);
+  ASSERT_EQ(result.records.size(), 1u);
+  EXPECT_EQ(std::get<dns::ARdata>(result.records[0].rdata).address,
+            server::LeafAuthService::SyntheticV4(N("www.glueless.nl")));
+
+  using Query = std::pair<dns::Name, dns::RrType>;
+  std::vector<Query> at_tld;
+  for (const auto& record : nl_server.captured()) {
+    at_tld.emplace_back(record.qname, record.qtype);
+  }
+  const std::vector<Query> expected = {
+      {N("nl"), dns::RrType::kDnskey},
+      {N("glueless.nl"), dns::RrType::kNs},
+      {N("glueless.nl"), dns::RrType::kDs},
+      // The chase, in referral order: the first target's domain is
+      // NXDOMAIN, the second's is walked and validated.
+      {N("aaa-missing.nl"), dns::RrType::kNs},
+      {N("dom1.nl"), dns::RrType::kNs},
+      {N("dom1.nl"), dns::RrType::kDs},
+  };
+  EXPECT_EQ(at_tld, expected);
+
+  // A sibling under the cached child goes straight to its nameserver: no
+  // second chase, nothing more at the TLD.
+  auto sibling =
+      resolver.Resolve(N("mail.glueless.nl"), dns::RrType::kA, 2'000'000);
+  EXPECT_EQ(sibling.rcode, dns::Rcode::kNoError);
+  EXPECT_EQ(sibling.upstream_queries, 1);
+  EXPECT_EQ(nl_server.captured().size(), expected.size());
+}
+
 TEST(ResolverTest, AggressiveNsecAbsorbsRandomJunk) {
   MiniInternet net;
   auto config = BasicConfig(net);
