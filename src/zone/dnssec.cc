@@ -75,6 +75,7 @@ void SignZone(Zone& zone, std::uint32_t dnskey_ttl) {
     throw std::logic_error("zone::SignZone: " + zone.apex().ToString() +
                            " is already signed");
   }
+  // On a frozen zone the first Add throws before it changes anything.
   for (auto& key : MakeApexDnskeys(zone.apex(), dnskey_ttl)) {
     zone.Add(std::move(key));
   }
@@ -99,18 +100,6 @@ void SignZone(Zone& zone, std::uint32_t dnskey_ttl) {
     return dns::ResourceRecord{target.name, dns::RrType::kRrsig,
                                dns::RrClass::kIn, target.ttl, std::move(sig)};
   });
-}
-
-bool VerifyRrsig(const dns::RrsigRdata& sig, const dns::Name& owner,
-                 dns::RrType type) {
-  if (sig.algorithm != kMockAlgorithm) return false;
-  if (sig.type_covered != static_cast<std::uint16_t>(type)) return false;
-  return sig.signature == MockSignature(sig.signer, owner, type);
-}
-
-bool VerifyDsMatchesKey(const dns::DsRdata& ds, const dns::Name& child_apex) {
-  return ds.key_tag == KskTagFor(child_apex) &&
-         ds.digest == HashBytes(child_apex.PresentationHash(kKskSeed), 32);
 }
 
 }  // namespace clouddns::zone

@@ -1,11 +1,11 @@
-// Mock DNSSEC signer and verifier.
+// Mock DNSSEC signer.
 //
 // The paper measures DNSSEC *query patterns* (DS/DNSKEY fetches by
 // validating resolvers), not cryptography. We therefore substitute real
 // RSA/ECDSA with a deterministic keyed hash: signatures are reproducible
-// functions of (signer zone, owner name, type), so the resolver-side
-// verifier can check them without any crypto library while the wire format
-// stays bit-exact RFC 4034. DESIGN.md documents this substitution.
+// functions of (signer zone, owner name, type), built without any crypto
+// library while the wire format stays bit-exact RFC 4034. DESIGN.md
+// documents this substitution.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +43,9 @@ inline constexpr std::uint32_t kMockExpiration = 1735689600;  // 2025-01-01
                                          std::uint32_t ttl);
 
 /// Signs every RRset in `zone`: attaches apex DNSKEYs and one RRSIG per
-/// (owner, type) RRset, and leaves the zone frozen. Call once, after the
-/// last other Add; throws std::logic_error, leaving the zone untouched,
-/// when it already has an apex DNSKEY.
+/// (owner, type) RRset, and freezes the zone. Needs an unfrozen zone, after
+/// its last Add; throws std::logic_error, leaving the zone untouched, when
+/// it is frozen or already has an apex DNSKEY.
 void SignZone(Zone& zone, std::uint32_t dnskey_ttl = 172800);
-
-/// Verifies a mock RRSIG against the RRset identity it claims to cover.
-[[nodiscard]] bool VerifyRrsig(const dns::RrsigRdata& sig,
-                               const dns::Name& owner, dns::RrType type);
-
-/// Checks that a DS record matches the child's mock KSK.
-[[nodiscard]] bool VerifyDsMatchesKey(const dns::DsRdata& ds,
-                                      const dns::Name& child_apex);
 
 }  // namespace clouddns::zone

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 namespace clouddns::zone {
 namespace {
@@ -51,7 +52,7 @@ class Tokenizer {
         }
         continue;
       }
-      if (c == ' ' || c == '\t' || c == '\r') {
+      if (std::isspace(static_cast<unsigned char>(c))) {  // '\n' is above
         ++pos_;
         continue;
       }
@@ -89,10 +90,13 @@ class Tokenizer {
         current.tokens.push_back(std::move(token));
         continue;
       }
+      // A quote ends a bare token too, so no token holds one and a TXT
+      // string always renders back to the same tokens.
       Token token;
       while (pos_ < text_.size() && !std::isspace(
                  static_cast<unsigned char>(text_[pos_])) &&
-             text_[pos_] != ';' && text_[pos_] != '(' && text_[pos_] != ')') {
+             text_[pos_] != ';' && text_[pos_] != '(' && text_[pos_] != ')' &&
+             text_[pos_] != '"') {
         token.text += text_[pos_++];
       }
       current.tokens.push_back(std::move(token));
@@ -137,8 +141,24 @@ std::optional<std::uint32_t> ParseTtl(const std::string& text) {
     default: break;
   }
   auto value = ParseU32(digits);
-  if (!value) return std::nullopt;
+  if (!value ||
+      *value > std::numeric_limits<std::uint32_t>::max() / multiplier) {
+    return std::nullopt;
+  }
   return *value * multiplier;
+}
+
+/// An unsigned field of type T; sets `error` when it is not a number or
+/// does not fit.
+template <typename T>
+std::optional<T> ParseUint(const std::string& text, std::string& error) {
+  auto value = ParseU32(text);
+  if (!value || *value > std::numeric_limits<T>::max()) {
+    error = "bad " + std::to_string(8 * sizeof(T)) + "-bit integer '" + text +
+            "'";
+    return std::nullopt;
+  }
+  return static_cast<T>(*value);
 }
 
 std::optional<dns::Name> ParseNameField(const std::string& token,
@@ -208,10 +228,11 @@ std::optional<dns::Rdata> ParseRdata(dns::RrType type,
     if (!name) ctx.error = "bad name '" + f[i].text + "'";
     return name;
   };
-  auto u32_at = [&ctx, &f](std::size_t i) -> std::optional<std::uint32_t> {
-    auto value = ParseU32(f[i].text);
-    if (!value) ctx.error = "bad integer '" + f[i].text + "'";
-    return value;
+  auto u16_at = [&ctx, &f](std::size_t i) {
+    return ParseUint<std::uint16_t>(f[i].text, ctx.error);
+  };
+  auto u8_at = [&ctx, &f](std::size_t i) {
+    return ParseUint<std::uint8_t>(f[i].text, ctx.error);
   };
 
   switch (type) {
@@ -253,10 +274,10 @@ std::optional<dns::Rdata> ParseRdata(dns::RrType type,
     }
     case dns::RrType::kMx: {
       if (!need(2)) return std::nullopt;
-      auto pref = u32_at(0);
+      auto pref = u16_at(0);
       auto name = name_at(1);
       if (!pref || !name) return std::nullopt;
-      return dns::MxRdata{static_cast<std::uint16_t>(*pref), *name};
+      return dns::MxRdata{*pref, *name};
     }
     case dns::RrType::kTxt: {
       if (f.empty()) {
@@ -264,19 +285,23 @@ std::optional<dns::Rdata> ParseRdata(dns::RrType type,
         return std::nullopt;
       }
       dns::TxtRdata txt;
-      for (const auto& field : f) txt.strings.push_back(field.text);
+      for (const auto& field : f) {
+        if (field.text.size() > 255) {  // a character-string's length byte
+          ctx.error = "TXT string longer than 255 bytes";
+          return std::nullopt;
+        }
+        txt.strings.push_back(field.text);
+      }
       return txt;
     }
     case dns::RrType::kSrv: {
       if (!need(4)) return std::nullopt;
-      auto priority = u32_at(0);
-      auto weight = u32_at(1);
-      auto port = u32_at(2);
+      auto priority = u16_at(0);
+      auto weight = u16_at(1);
+      auto port = u16_at(2);
       auto target = name_at(3);
       if (!priority || !weight || !port || !target) return std::nullopt;
-      return dns::SrvRdata{static_cast<std::uint16_t>(*priority),
-                           static_cast<std::uint16_t>(*weight),
-                           static_cast<std::uint16_t>(*port), *target};
+      return dns::SrvRdata{*priority, *weight, *port, *target};
     }
     case dns::RrType::kSoa: {
       if (!need(7)) return std::nullopt;
@@ -304,35 +329,29 @@ std::optional<dns::Rdata> ParseRdata(dns::RrType type,
     }
     case dns::RrType::kDs: {
       if (!need(4)) return std::nullopt;
-      auto tag = u32_at(0);
-      auto algorithm = u32_at(1);
-      auto digest_type = u32_at(2);
+      auto tag = u16_at(0);
+      auto algorithm = u8_at(1);
+      auto digest_type = u8_at(2);
       auto digest = ParseHex(f[3].text);
       if (!tag || !algorithm || !digest_type) return std::nullopt;
       if (!digest) {
         ctx.error = "bad DS digest hex";
         return std::nullopt;
       }
-      return dns::DsRdata{static_cast<std::uint16_t>(*tag),
-                          static_cast<std::uint8_t>(*algorithm),
-                          static_cast<std::uint8_t>(*digest_type),
-                          std::move(*digest)};
+      return dns::DsRdata{*tag, *algorithm, *digest_type, std::move(*digest)};
     }
     case dns::RrType::kDnskey: {
       if (!need(4)) return std::nullopt;
-      auto flags = u32_at(0);
-      auto protocol = u32_at(1);
-      auto algorithm = u32_at(2);
+      auto flags = u16_at(0);
+      auto protocol = u8_at(1);
+      auto algorithm = u8_at(2);
       auto key = ParseHex(f[3].text);
       if (!flags || !protocol || !algorithm) return std::nullopt;
       if (!key) {
         ctx.error = "bad DNSKEY hex";
         return std::nullopt;
       }
-      return dns::DnskeyRdata{static_cast<std::uint16_t>(*flags),
-                              static_cast<std::uint8_t>(*protocol),
-                              static_cast<std::uint8_t>(*algorithm),
-                              std::move(*key)};
+      return dns::DnskeyRdata{*flags, *protocol, *algorithm, std::move(*key)};
     }
     default:
       ctx.error = "unsupported record type in master file";
@@ -497,16 +516,22 @@ ParsedZone ParseMasterFile(std::string_view text,
       ++cursor;
     }
 
-    std::uint32_t ttl = default_ttl;
-    // Optional TTL and class in either order.
-    for (int i = 0; i < 2 && cursor < tokens.size(); ++i) {
-      if (tokens[cursor].text == "IN" || tokens[cursor].text == "in") {
+    std::optional<std::uint32_t> ttl = default_ttl;
+    // Optional TTL and class in either order. No type name starts with a
+    // digit, so a token that does is a TTL.
+    for (int i = 0; i < 2 && ttl && cursor < tokens.size(); ++i) {
+      const std::string& text = tokens[cursor].text;
+      if (text == "IN" || text == "in") {
         ++cursor;
-      } else if (auto maybe_ttl = ParseTtl(tokens[cursor].text);
-                 maybe_ttl && !dns::RrTypeFromString(tokens[cursor].text)) {
-        ttl = *maybe_ttl;
-        ++cursor;
+      } else if (!text.empty() &&
+                 std::isdigit(static_cast<unsigned char>(text.front()))) {
+        ttl = ParseTtl(text);
+        if (ttl) ++cursor;
       }
+    }
+    if (!ttl) {
+      fail("bad TTL '" + tokens[cursor].text + "'");
+      continue;
     }
     if (cursor >= tokens.size()) {
       fail("missing record type");
@@ -539,7 +564,7 @@ ParsedZone ParseMasterFile(std::string_view text,
       apex = owner;
     }
     records.push_back(dns::ResourceRecord{owner, *type, dns::RrClass::kIn,
-                                          ttl, std::move(*rdata)});
+                                          *ttl, std::move(*rdata)});
     last_owner = owner;
   }
 

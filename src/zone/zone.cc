@@ -18,15 +18,15 @@ void Zone::Add(dns::ResourceRecord record) {
     throw std::invalid_argument("Zone::Add: " + record.name.ToString() +
                                 " is outside zone " + apex_.ToString());
   }
+  RequireUnfrozen();
   if (record.type == dns::RrType::kDnskey && record.name.Equals(apex_)) {
     signed_ = true;
   }
-  frozen_ = false;
   log_.push_back(std::move(record));
 }
 
 void Zone::Reserve(std::size_t additional) {
-  frozen_ = false;
+  RequireUnfrozen();
   log_.reserve(log_.size() + additional);
 }
 
@@ -38,6 +38,12 @@ std::size_t Zone::name_count() const {
 void Zone::RequireFrozen() const {
   if (!frozen_) {
     throw std::logic_error("zone::Zone: query on an unfrozen zone");
+  }
+}
+
+void Zone::RequireUnfrozen() const {
+  if (frozen_) {
+    throw std::logic_error("zone::Zone: edit of a frozen zone");
   }
 }
 
@@ -59,90 +65,55 @@ std::uint32_t Zone::InternOwner(const dns::Name& name) {
 
 void Zone::Freeze() {
   if (frozen_) return;
-  // log_[0, image) is the slab of the last image, already sorted, and
-  // owners_ its canonical owners; a first freeze has both empty. Only the
-  // records added since are sorted, then merged after the slab.
   const std::size_t n = log_.size();
-  const std::size_t image = image_size_;
-  const std::size_t image_owners = owners_.size();
 
-  // Register the new records' owners in Add order; keys[i] holds record
-  // i's owner index until it becomes the sort key below. Owners of the
-  // last image are already in the table, so every owner keeps the
-  // spelling it was first added with.
+  // Register the records' owners in Add order; keys[i] holds record i's
+  // owner index until it becomes the sort key below. Every owner keeps
+  // the spelling it was first added with.
   std::vector<std::uint64_t> keys(n);
-  for (std::size_t i = image; i < n; ++i) {
-    keys[i] = InternOwner(log_[i].name);
-  }
+  for (std::size_t i = 0; i < n; ++i) keys[i] = InternOwner(log_[i].name);
 
-  // Canonical owner order: sort the new owners on their canonical keys,
-  // built once each into one buffer, then merge them into the image's
-  // owners. The image's owners keep their relative order, so their ranks
-  // stay monotone.
+  // Canonical owner order: sort the owners on their canonical keys, built
+  // once each into one buffer.
   std::size_t key_size = 0;
-  for (std::size_t o = image_owners; o < owners_.size(); ++o) {
-    key_size += 2 * owners_[o].name.FlatSize();
-  }
+  for (const Owner& owner : owners_) key_size += 2 * owner.name.FlatSize();
   std::string key_bytes;
   key_bytes.reserve(key_size);  // never regrows, so the views stay valid
-  std::vector<std::pair<std::string_view, std::uint32_t>> keyed;
-  keyed.reserve(owners_.size() - image_owners);
-  for (std::size_t o = image_owners; o < owners_.size(); ++o) {
+  std::vector<std::pair<std::string_view, std::uint32_t>> order;
+  order.reserve(owners_.size());
+  for (std::size_t o = 0; o < owners_.size(); ++o) {
     const std::size_t at = key_bytes.size();
     owners_[o].name.AppendCanonicalKey(key_bytes);
-    keyed.emplace_back(std::string_view(key_bytes).substr(at),
+    order.emplace_back(std::string_view(key_bytes).substr(at),
                        static_cast<std::uint32_t>(o));
   }
-  std::sort(keyed.begin(), keyed.end());  // keys are distinct
-  std::vector<std::uint32_t> order(image_owners);
-  std::iota(order.begin(), order.end(), 0u);
-  order.reserve(owners_.size());
-  for (const auto& [key, o] : keyed) order.push_back(o);
-  std::inplace_merge(order.begin(),
-                     order.begin() + static_cast<std::ptrdiff_t>(image_owners),
-                     order.end(), [this](std::uint32_t a, std::uint32_t b) {
-                       return owners_[a].name < owners_[b].name;
-                     });
+  std::sort(order.begin(), order.end());  // keys are distinct
   std::vector<std::uint32_t> rank(owners_.size());
   for (std::size_t r = 0; r < order.size(); ++r) {
-    rank[order[r]] = static_cast<std::uint32_t>(r);
+    rank[order[r].second] = static_cast<std::uint32_t>(r);
   }
 
-  // Each record's key (owner rank, type). The slab's records are found
-  // owner by owner from the image's span sizes; an Add since may have
-  // moved the log, so those spans' pointers are never read.
+  // Each record's key (owner rank, type), and where each owner's run of
+  // the slab begins.
   std::vector<std::uint32_t> begin(owners_.size() + 1, 0);
-  const auto set_key = [&](std::size_t i, std::uint32_t r) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = rank[keys[i]];
     ++begin[r + 1];
     keys[i] = (std::uint64_t{r} << 16) |
               static_cast<std::uint16_t>(log_[i].type);
-  };
-  std::size_t i = 0;
-  for (std::size_t o = 0; o < image_owners; ++o) {
-    for (std::size_t k = owners_[o].records.size(); k > 0; --k) {
-      set_key(i++, rank[o]);
-    }
   }
-  for (; i < n; ++i) set_key(i, rank[keys[i]]);
   std::partial_sum(begin.begin(), begin.end(), begin.begin());
 
-  // Sort the new records' 32-bit indices (the index breaks ties, keeping
-  // Add order inside an RRset) and merge them after the slab, which is
-  // already in key order; on equal keys the slab's records come first,
-  // as they were added first. Then move each record to its slot by
+  // Sort the records' 32-bit indices (the index breaks ties, keeping Add
+  // order inside an RRset), then move each record to its slot by
   // following the permutation's cycles: n moves, and no second copy of
   // the log.
   std::vector<std::uint32_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0u);
-  const auto new_records = perm.begin() + static_cast<std::ptrdiff_t>(image);
-  std::sort(new_records, perm.end(),
+  std::sort(perm.begin(), perm.end(),
             [&keys](std::uint32_t a, std::uint32_t b) {
               return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
             });
-  std::inplace_merge(perm.begin(), new_records, perm.end(),
-                     [&keys](std::uint32_t a, std::uint32_t b) {
-                       return keys[a] < keys[b];
-                     });
   for (std::size_t start = 0; start < n; ++start) {
     if (perm[start] == start) continue;
     dns::ResourceRecord held = std::move(log_[start]);
@@ -164,14 +135,13 @@ void Zone::Freeze() {
   owner_table_ = base::OpenTable();
   name_count_ = 0;
   for (std::size_t r = 0; r < order.size(); ++r) {
-    Owner& owner = owners_[order[r]];
+    Owner& owner = owners_[order[r].second];
     owner.records = RecordSpan(log_.data() + begin[r], begin[r + 1] - begin[r]);
     if (!owner.records.empty()) ++name_count_;
     owner_table_.Insert(owner.name.CachedHash(), static_cast<std::uint32_t>(r));
     sorted.push_back(std::move(owner));
   }
   owners_ = std::move(sorted);
-  image_size_ = n;
   frozen_ = true;
 
   const RecordSpan soa = Find(apex_, dns::RrType::kSoa);
@@ -254,7 +224,6 @@ void Zone::InsertRrsigs(
           sign_runs(after, begin[o + 1] + shift[o + 1]);
         }
       });
-  image_size_ = log_.size();
 }
 
 }  // namespace clouddns::zone

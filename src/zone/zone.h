@@ -11,10 +11,11 @@
 //     each owner holding the span of its records (empty for an ENT);
 //   - a Name-hash table from owner name to its index in that array.
 // Queries read the image without locks or allocation and return spans
-// into it. A query on an unfrozen zone throws std::logic_error, and any
-// mutation of a frozen zone reopens it, so a `const Zone` never changes.
-// Signing (zone/dnssec.h) is the one edit of a frozen image that keeps it
-// frozen: it opens a gap at each owner and builds the RRSIGs in place.
+// into it. Freezing is final: a query on an unfrozen zone and an edit of
+// a frozen one both throw std::logic_error, so a frozen zone never
+// changes. Signing (zone/dnssec.h) takes an unfrozen zone, freezes it,
+// and before handing it back opens a gap at each owner and builds the
+// RRSIGs in place.
 #pragma once
 
 #include <cstdint>
@@ -67,18 +68,19 @@ class Zone {
 
   [[nodiscard]] const dns::Name& apex() const { return apex_; }
 
-  /// Appends one record to the log, reopening a frozen zone. The record's
-  /// name must be at or under the apex; throws std::invalid_argument
-  /// otherwise.
+  /// Appends one record to the log. The record's name must be at or under
+  /// the apex; throws std::invalid_argument otherwise, and
+  /// std::logic_error on a frozen zone.
   void Add(dns::ResourceRecord record);
 
   /// Makes room for `additional` more records, so a builder that knows its
-  /// count appends without regrowing the log. Reopens a frozen zone.
+  /// count appends without regrowing the log. Throws std::logic_error on a
+  /// frozen zone.
   void Reserve(std::size_t additional);
 
-  /// Compiles the log into the image (see the file comment). Sorts the
-  /// records added since the last image and merges them into its slab in
-  /// place: no second copy of the records is made. A no-op when frozen.
+  /// Compiles the log into the image (see the file comment), sorting the
+  /// records in place: no second copy of them is made. A no-op when
+  /// frozen.
   void Freeze();
 
   /// Number of owner names that hold records (the "zone size" the paper's
@@ -136,14 +138,16 @@ class Zone {
   /// Builds a frozen image's RRSIGs in place: `make_rrsig(first record of
   /// the RRset)` for every RRset of a type other than RRSIG, placed after
   /// its owner's records of type <= RRSIG, in type order. The image is the
-  /// one Add-ing those RRSIGs in canonical order and refreezing would give,
-  /// but the log grows once and no owner is re-sorted or re-interned.
-  /// `make_rrsig` runs on the shared pool, so it must be pure.
+  /// one a single Freeze of the log plus those RRSIGs would give, but the
+  /// log grows once and no owner is re-sorted or re-interned. `make_rrsig`
+  /// runs on the shared pool, so it must be pure.
   void InsertRrsigs(
       const std::function<dns::ResourceRecord(const dns::ResourceRecord&)>&
           make_rrsig);
   /// Throws std::logic_error unless frozen.
   void RequireFrozen() const;
+  /// Throws std::logic_error when frozen.
+  void RequireUnfrozen() const;
   /// Index of the owner whose flat label bytes are [flat, flat + size), or
   /// base::OpenTable::kNil.
   [[nodiscard]] std::uint32_t FindOwner(std::uint64_t hash,
@@ -157,10 +161,7 @@ class Zone {
   dns::Name apex_;
   /// The record log; once frozen, the sorted slab the owner spans cover.
   std::vector<dns::ResourceRecord> log_;
-  /// log_[0, image_size_) is the last image's slab; later records are the
-  /// ones added since, which the next Freeze merges in.
-  std::size_t image_size_ = 0;
-  /// The last image's owners, in canonical order.
+  /// The image's owners, in canonical order once frozen.
   std::vector<Owner> owners_;
   base::OpenTable owner_table_;  // Name hash -> index into owners_
   bool frozen_ = false;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "../testutil.h"
+
 namespace clouddns::server {
 namespace {
 
@@ -71,6 +76,49 @@ TEST(LeafAuthTest, HandlePacketTruncatesAtEdnsLimit) {
   ASSERT_TRUE(tcp.has_value());
   EXPECT_FALSE(tcp->header.tc);
   EXPECT_EQ(tcp->answers.size(), 2u);
+}
+
+// Pins the exact response bytes across query types, EDNS variants and
+// transports, so a rewrite of the leaf's answer synthesis that changes any
+// byte (a record, its order, a TTL, the TC bit) shows up as a digest diff.
+TEST(LeafAuthTest, ResponseWireBytesMatchPinnedDigest) {
+  LeafAuthService leaf{LeafAuthConfig{}};
+  struct Case {
+    const char* qname;
+    dns::RrType qtype;
+  };
+  const Case cases[] = {
+      {"www.dom5.nl", dns::RrType::kA},
+      {"ns1.dom7.com", dns::RrType::kA},
+      {"a.dom1.nl", dns::RrType::kAaaa},
+      {"www.dom5.nl", dns::RrType::kAaaa},
+      {"mail.dom2.nz", dns::RrType::kAaaa},
+      {"www.dom5.nl", dns::RrType::kNs},  // NODATA below the delegation
+      {"dom5.nl", dns::RrType::kDnskey},
+      {"dom5.nl", dns::RrType::kDs},
+  };
+  const std::optional<dns::EdnsInfo> edns_variants[] = {
+      std::nullopt, dns::EdnsInfo{512, true, 0}, dns::EdnsInfo{1232, true, 0}};
+  std::string blob;
+  std::uint16_t id = 1;
+  for (const Case& c : cases) {
+    for (const auto& edns : edns_variants) {
+      for (dns::Transport transport :
+           {dns::Transport::kUdp, dns::Transport::kTcp}) {
+        sim::PacketContext ctx;
+        ctx.src = {*net::IpAddress::Parse("192.0.2.77"), 40000};
+        ctx.transport = transport;
+        dns::Message query =
+            dns::Message::MakeQuery(id++, N(c.qname), c.qtype, edns);
+        const auto wire = leaf.HandlePacket(ctx, query.Encode());
+        ASSERT_FALSE(wire.empty()) << c.qname;
+        blob += std::to_string(wire.size()) + ":";
+        blob.append(wire.begin(), wire.end());
+      }
+    }
+  }
+  EXPECT_EQ(testutil::Sha256Hex(blob),
+            "5db21190cd44188a7195ef4028a7da2915a6773621848e1426622e30d71bb36a");
 }
 
 TEST(LeafAuthTest, SyntheticAddressesAreStableAndInRange) {

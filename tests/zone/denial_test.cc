@@ -2,6 +2,9 @@
 // resolver-side NsecRangeCache (RFC 8198 aggressive use).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "resolver/cache.h"
 #include "zone/zone.h"
 #include "zone/zone_builder.h"
@@ -11,13 +14,14 @@ namespace {
 
 dns::Name N(const char* text) { return *dns::Name::Parse(text); }
 
-Zone MakeRootLike() {
+Zone MakeRootLike(std::initializer_list<const char*> tlds = {"aaa", "mmm",
+                                                              "zzz"}) {
   ZoneBuildConfig config;
   config.apex = dns::Name{};
   config.nameservers = {
       {N("a.root-servers.example"), {*net::IpAddress::Parse("198.41.0.4")}}};
   Zone zone = MakeZoneSkeleton(config);
-  for (const char* tld : {"aaa", "mmm", "zzz"}) {
+  for (const char* tld : tlds) {
     AddDelegation(zone, N(tld),
                   {{N((std::string("ns1.nic.") + tld).c_str()),
                     {*net::IpAddress::Parse("100.80.0.1")}}},
@@ -48,15 +52,11 @@ TEST(DenialNeighborsTest, WrapsPastLastName) {
 }
 
 TEST(DenialNeighborsTest, UpdatesAfterAdd) {
-  Zone zone = MakeRootLike();
-  auto before = zone.DenialNeighbors(N("ccc"));
-  EXPECT_EQ(before.next, N("example"));
-  AddDelegation(zone, N("ddd"),
-                {{N("ns1.nic.ddd"), {*net::IpAddress::Parse("100.80.0.9")}}},
-                false);
-  zone.Freeze();  // Add reopened the zone; the new image sees "ddd"
-  auto after = zone.DenialNeighbors(N("ccc"));
-  EXPECT_EQ(after.next, N("ddd"));
+  const Zone zone = MakeRootLike();
+  EXPECT_EQ(zone.DenialNeighbors(N("ccc")).next, N("example"));
+  // A zone built with one more delegation sees it in its neighbours.
+  const Zone grown = MakeRootLike({"aaa", "mmm", "zzz", "ddd"});
+  EXPECT_EQ(grown.DenialNeighbors(N("ccc")).next, N("ddd"));
 }
 
 TEST(NsecRangeCacheTest, CoversStrictlyInsideRange) {

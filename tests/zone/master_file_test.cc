@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "zone/dnssec.h"
 #include "zone/zone_builder.h"
 
 namespace clouddns::zone {
@@ -135,6 +141,49 @@ TEST(MasterFileTest, ErrorsCarryLineNumbers) {
   ASSERT_TRUE(parsed.zone.has_value());
 }
 
+TEST(MasterFileTest, OutOfRangeFieldsAreErrorsNotTruncations) {
+  const std::string txt255(255, 'x');
+  const std::string text =
+      "$ORIGIN e.\n"
+      "@ IN SOA ns1 h 1 2 3 4 5\n"
+      "@ IN MX 70000 mx\n"
+      "mx 4294967295w IN A 192.0.2.2\n"
+      "sip IN SRV 65536 0 5060 host\n"
+      "sip IN SRV 0 65536 5060 host\n"
+      "sip IN SRV 0 0 65536 host\n"
+      "child IN DS 65536 8 2 deadbeef\n"
+      "child IN DS 1 256 2 deadbeef\n"
+      "child IN DS 1 8 256 deadbeef\n"
+      "@ IN DNSKEY 65536 3 8 0102\n"
+      "@ IN DNSKEY 257 256 8 0102\n"
+      "@ IN DNSKEY 257 3 256 0102\n"
+      "txt IN TXT \"" + txt255 + "x\"\n"
+      "$TTL 4294967296\n"
+      "@ IN SOA ns1 h 1 2 3 4 4294967296\n"
+      // The largest values that fit still parse.
+      "max 4294967295 IN MX 65535 mx\n"
+      "max IN TXT \"" + txt255 + "\"\n";
+  auto parsed = ParseMasterFile(text, dns::Name{});
+  ASSERT_EQ(parsed.errors.size(), 14u);
+  for (std::size_t i = 0; i < parsed.errors.size(); ++i) {
+    EXPECT_EQ(parsed.errors[i].line, i + 3) << parsed.errors[i].message;
+  }
+  EXPECT_NE(parsed.errors[0].message.find("16-bit"), std::string::npos);
+  EXPECT_NE(parsed.errors[1].message.find("TTL"), std::string::npos);
+  EXPECT_NE(parsed.errors[7].message.find("8-bit"), std::string::npos);
+  EXPECT_NE(parsed.errors[11].message.find("255"), std::string::npos);
+  ASSERT_TRUE(parsed.zone.has_value());
+  EXPECT_EQ(parsed.zone->record_count(), 3u);  // the SOA and the two "max"
+  const auto mx = parsed.zone->Find(N("max.e"), dns::RrType::kMx);
+  ASSERT_EQ(mx.size(), 1u);
+  EXPECT_EQ(mx.front().ttl, 4294967295u);
+  EXPECT_EQ(std::get<dns::MxRdata>(mx.front().rdata).preference, 65535);
+  const auto txt = parsed.zone->Find(N("max.e"), dns::RrType::kTxt);
+  ASSERT_EQ(txt.size(), 1u);
+  EXPECT_EQ(std::get<dns::TxtRdata>(txt.front().rdata).strings.front(),
+            txt255);
+}
+
 TEST(MasterFileTest, MissingSoaIsFatal) {
   auto parsed = ParseMasterFile("$ORIGIN q.\nwww IN A 192.0.2.1\n",
                                 dns::Name{});
@@ -214,6 +263,81 @@ TEST(MasterFileTest, RoundTripIsFixpoint) {
   auto second = ParseMasterFile(once, dns::Name{});
   ASSERT_TRUE(second.zone.has_value());
   EXPECT_EQ(ToMasterFile(*second.zone), once);
+}
+
+/// Applies one seeded edit to `text`: a byte flip (half the time to a
+/// byte the grammar gives a meaning), a truncation, or a copy of one
+/// whitespace-delimited token inserted at another token boundary.
+void Mutate(std::string& text, std::mt19937_64& rng) {
+  static constexpr std::string_view kSyntax = " \t\n;()\"$@.0123456789INSOAwd";
+  if (text.empty()) return;
+  switch (rng() % 3) {
+    case 0:
+      text[rng() % text.size()] =
+          rng() % 2 == 0 ? kSyntax[rng() % kSyntax.size()]
+                         : static_cast<char>(rng());
+      break;
+    case 1:
+      text.resize(rng() % text.size());
+      break;
+    default: {
+      const auto token_at = [&text](std::size_t pos) {
+        const std::size_t begin = text.find_last_of(" \n", pos);
+        const std::size_t first = begin == std::string::npos ? 0 : begin + 1;
+        const std::size_t end = text.find_first_of(" \n", first);
+        return std::pair{first,
+                         (end == std::string::npos ? text.size() : end) - first};
+      };
+      const auto [first, size] = token_at(rng() % text.size());
+      const std::string token = " " + text.substr(first, size);
+      const auto [at, at_size] = token_at(rng() % text.size());
+      text.insert(at + at_size, token);
+      break;
+    }
+  }
+}
+
+TEST(MasterFileTest, MutatedInputNeverThrowsAndRerendersToAFixedPoint) {
+  ZoneBuildConfig config;
+  config.apex = N("nl");
+  config.nameservers = {
+      {N("ns1.dns.nl"),
+       {*net::IpAddress::Parse("194.0.28.1"),
+        *net::IpAddress::Parse("2001:678:2c::1")}}};
+  Zone zone = MakeZoneSkeleton(config);
+  PopulateDelegations(zone, 6, "dom", 0.5, net::Ipv4Address(100, 70, 0, 0));
+  zone.Add(dns::MakeMx(N("nl"), 10, N("mx.dns.nl"), 300));
+  zone.Add(dns::MakeTxt(N("txt.nl"), "v=spf1 -all", 300));
+  zone.Add(dns::ResourceRecord{
+      N("_sip._tcp.nl"), dns::RrType::kSrv, dns::RrClass::kIn, 300,
+      dns::SrvRdata{10, 20, 5060, N("sip.dns.nl")}});
+  zone.Add(dns::ResourceRecord{N("www.nl"), dns::RrType::kCname,
+                               dns::RrClass::kIn, 300,
+                               dns::CnameRdata{N("txt.nl")}});
+  SignZone(zone);  // DNSKEY and DS records, with long hex fields
+  const std::string base = ToMasterFile(zone);
+
+  std::mt19937_64 rng(1035);
+  std::size_t zones = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::string text = base;
+    for (std::uint64_t edits = 1 + rng() % 3; edits > 0; --edits) {
+      Mutate(text, rng);
+    }
+    SCOPED_TRACE("case " + std::to_string(i));
+    ParsedZone first;
+    ASSERT_NO_THROW(first = ParseMasterFile(text, dns::Name{}));
+    if (!first.zone) continue;
+    ++zones;
+    const std::string once = ToMasterFile(*first.zone);
+    ParsedZone second;
+    ASSERT_NO_THROW(second = ParseMasterFile(once, dns::Name{}));
+    ASSERT_TRUE(second.zone.has_value()) << once;
+    EXPECT_TRUE(second.errors.empty())
+        << second.errors.front().line << ": " << second.errors.front().message;
+    ASSERT_EQ(ToMasterFile(*second.zone), once) << text;
+  }
+  EXPECT_GT(zones, 2500u);  // most edits leave a zone to re-render
 }
 
 }  // namespace
