@@ -56,8 +56,10 @@ Metrics Measure(const cloud::ScenarioResult& result) {
 }  // namespace
 
 int main() {
-  analysis::PrintBanner("Ablations",
-                        "which mechanism carries which paper signature");
+  std::fputs(analysis::Banner(
+                 "Ablations", "which mechanism carries which paper signature")
+                 .c_str(),
+             stdout);
 
   cloud::ScenarioConfig base = bench::StandardConfig(cloud::Vantage::kNl, 2020);
   base.client_queries = std::min<std::uint64_t>(base.client_queries, 250'000);

@@ -59,8 +59,11 @@ std::uint32_t BlockwiseCrc(const std::vector<std::uint8_t>& payload,
 }  // namespace
 
 int main() {
-  analysis::PrintBanner("CRC32C microbench",
-                        "software vs hardware kernel, whole vs per-block");
+  std::fputs(analysis::Banner(
+                 "CRC32C microbench",
+                 "software vs hardware kernel, whole vs per-block")
+                 .c_str(),
+             stdout);
 
   std::vector<std::uint8_t> payload(kPayloadBytes);
   std::mt19937_64 rng(20201027);

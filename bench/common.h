@@ -1,6 +1,7 @@
-// Shared scenario configurations for the bench binaries, plus the
-// allocation and peak-RSS probes bench_e2e reads. Every bench that
-// reproduces a table/figure pulls its datasets through LoadOrRun, so a
+// Shared helpers for the bench binaries: the allocation and peak-RSS
+// probes bench_e2e reads, and the standard capture-week configuration
+// (analysis::StandardConfig, defined next to the paper reports that
+// bench_paper prints). Benches pull their datasets through LoadOrRun, so a
 // capture week is simulated once and shared across binaries via the cache
 // directory (CLOUDDNS_CACHE_DIR, default ./clouddns_cache). The per-dataset
 // client-query budget can be raised with CLOUDDNS_QUERIES for smoother
@@ -21,6 +22,7 @@
 #include "base/io.h"
 #include "base/phase.h"
 #include "analysis/experiments.h"
+#include "analysis/paper_reports.h"
 #include "analysis/report.h"
 #include "cloud/scenario.h"
 
@@ -128,37 +130,9 @@ inline double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-inline cloud::ScenarioConfig StandardConfig(cloud::Vantage vantage, int year) {
-  cloud::ScenarioConfig config;
-  config.vantage = vantage;
-  config.year = year;
-  std::uint64_t base =
-      vantage == cloud::Vantage::kRoot ? 220'000 : 260'000;
-  // Client demand grows across the study years in proportion to the
-  // paper's Table 3 totals (normalized to 2018), so the year-over-year
-  // growth directions reproduce.
-  auto t3_2018 = *analysis::paper::Table3(vantage, 2018);
-  auto t3_now = *analysis::paper::Table3(vantage, year);
-  config.client_queries = static_cast<std::uint64_t>(
-      static_cast<double>(base) * t3_now.queries_total_b /
-      t3_2018.queries_total_b);
-  return config;
-}
-
-/// The Fig. 3 longitudinal window: September 2019 through April 2020,
-/// Google's fleet only, monthly buckets. The .nz variant injects the
-/// February 2020 cyclic-dependency misconfiguration.
-inline cloud::ScenarioConfig LongitudinalGoogleConfig(cloud::Vantage vantage) {
-  cloud::ScenarioConfig config;
-  config.vantage = vantage;
-  config.year = 2020;
-  config.client_queries = 500'000;
-  config.window_start = sim::TimeFromCivil({2019, 9, 1});
-  config.window_end = sim::TimeFromCivil({2020, 5, 1});
-  config.google_only = true;
-  config.inject_cyclic_event = vantage == cloud::Vantage::kNz;
-  return config;
-}
+// Lives with the paper reports; bench_e2e and bench_ablation_mechanisms
+// build their datasets from it too.
+using analysis::StandardConfig;
 
 inline std::string ProviderName(cloud::Provider provider) {
   return std::string(cloud::ToString(provider));

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.client_queries));
   cloud::ScenarioResult result = cloud::RunScenario(config);
 
-  analysis::PrintBanner("Dataset", "Table 3 style totals");
+  std::fputs(analysis::Banner("Dataset", "Table 3 style totals").c_str(),
+             stdout);
   auto stats = analysis::ComputeDatasetStats(result);
   std::printf("queries=%s valid=%s (%s) resolvers=%s ases=%s\n",
               analysis::Count(stats.queries_total).c_str(),
@@ -43,7 +44,10 @@ int main(int argc, char** argv) {
               analysis::Count(stats.resolvers_exact).c_str(),
               analysis::Count(stats.ases_exact).c_str());
 
-  analysis::PrintBanner("Centralization", "Figure 1 style provider shares");
+  std::fputs(
+      analysis::Banner("Centralization", "Figure 1 style provider shares")
+          .c_str(),
+      stdout);
   auto shares = analysis::ComputeCloudShares(result);
   analysis::TextTable share_table({"provider", "queries", "share"});
   for (const auto& share : shares) {
@@ -55,7 +59,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", share_table.Render().c_str());
 
-  analysis::PrintBanner("Behaviour", "Table 5 / Fig. 2 / Fig. 4 per provider");
+  std::fputs(
+      analysis::Banner("Behaviour", "Table 5 / Fig. 2 / Fig. 4 per provider")
+          .c_str(),
+      stdout);
   analysis::TextTable behaviour({"provider", "IPv6", "TCP", "junk", "NS", "DS",
                                  "DNSKEY"});
   auto mixes = analysis::ComputeTransportMixes(result);

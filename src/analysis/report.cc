@@ -1,6 +1,7 @@
 #include "analysis/report.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 
 namespace clouddns::analysis {
@@ -71,10 +72,30 @@ std::string Fixed(double value, int decimals) {
   return buf;
 }
 
-void PrintBanner(const std::string& experiment_id, const std::string& title) {
+void Appendf(std::string& out, const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list sizing;
+  va_copy(sizing, args);
+  const int size = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  if (size > 0) {
+    const std::size_t old_size = out.size();
+    out.resize(old_size + static_cast<std::size_t>(size));
+    // vsnprintf writes a terminating NUL, which lands on the string's own
+    // terminator slot at out[out.size()].
+    std::vsnprintf(out.data() + old_size, static_cast<std::size_t>(size) + 1,
+                   fmt, args);
+  }
+  va_end(args);
+}
+
+std::string Banner(const std::string& experiment_id, const std::string& title) {
   std::string line(72, '=');
-  std::printf("\n%s\n%s — %s\n%s\n", line.c_str(), experiment_id.c_str(),
-              title.c_str(), line.c_str());
+  std::string out;
+  Appendf(out, "\n%s\n%s — %s\n%s\n", line.c_str(), experiment_id.c_str(),
+          title.c_str(), line.c_str());
+  return out;
 }
 
 }  // namespace clouddns::analysis

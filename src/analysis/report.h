@@ -1,5 +1,5 @@
-// Plain-text table rendering for the bench harness: every reproduced table
-// and figure prints in the same aligned paper-vs-measured format.
+// Plain-text report rendering: every reproduced table and figure prints in
+// the same aligned paper-vs-measured format.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,12 @@ class TextTable {
 /// Fixed-precision double.
 [[nodiscard]] std::string Fixed(double value, int decimals);
 
-/// Prints a section banner for one experiment.
-void PrintBanner(const std::string& experiment_id, const std::string& title);
+/// printf-style append to `out`.
+void Appendf(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// The section banner that opens one experiment's report.
+[[nodiscard]] std::string Banner(const std::string& experiment_id,
+                                 const std::string& title);
 
 }  // namespace clouddns::analysis
