@@ -1,7 +1,8 @@
 // Mechanism ablations (DESIGN.md §6): rerun the .nl w2020 dataset with one
 // mechanism disabled at a time and show which measured signature each one
 // carries. If a paper signature survives its mechanism's removal, the
-// reproduction would be cosmetic — these checks prove it is not.
+// reproduction would be cosmetic — these checks prove it is not. The
+// binary exits 1 when any check fails.
 //
 //   baseline        — everything on
 //   q-min off       — the Fig. 2/3 NS surge must vanish
@@ -135,6 +136,7 @@ int main() {
     slipped += response && response->header.tc;
   }
   double slip_ratio = static_cast<double>(slipped) / kFlood;
+  bool flood_slips = slip_ratio > 0.8;
 
   std::printf("\nchecks:\n");
   std::printf("  [%s] q-min off kills the Google NS surge\n",
@@ -144,8 +146,10 @@ int main() {
               rrl_inert ? "ok" : "FAIL");
   std::printf("  [%s] ...but a 10k-qps single-source flood gets %.0f%% TC\n"
               "       slips, forcing the sender to prove itself over TCP\n",
-              slip_ratio > 0.8 ? "ok" : "FAIL", slip_ratio * 100);
+              flood_slips ? "ok" : "FAIL", slip_ratio * 100);
   std::printf("  [%s] diurnal off flattens the hourly volume profile\n",
               diurnal_flattens ? "ok" : "FAIL");
-  return 0;
+  const bool all_ok =
+      qmin_carries_ns && rrl_inert && flood_slips && diurnal_flattens;
+  return all_ok ? 0 : 1;
 }

@@ -43,8 +43,10 @@ std::string CacheKey(const cloud::ScenarioConfig& config) {
   hash = MixField(hash, static_cast<std::uint64_t>(config.year));
   hash = MixField(hash, config.client_queries);
   hash = MixField(hash, static_cast<std::uint64_t>(config.zone_scale * 1e9));
-  hash = MixField(hash, static_cast<std::uint64_t>(config.fleet_scale * 1e9));
-  hash = MixField(hash, static_cast<std::uint64_t>(config.as_scale * 1e9));
+  // The fleet and AS scales are constants; they stay in the key so that
+  // existing cache keys keep their values.
+  hash = MixField(hash, static_cast<std::uint64_t>(cloud::kFleetScale * 1e9));
+  hash = MixField(hash, static_cast<std::uint64_t>(cloud::kAsScale * 1e9));
   hash = MixField(hash, config.seed);
   hash = MixField(hash, static_cast<std::uint64_t>(config.warmup_fraction * 1e9));
   hash = MixField(hash, static_cast<std::uint64_t>(config.diurnal_amplitude * 1e9));

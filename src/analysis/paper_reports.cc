@@ -93,7 +93,7 @@ std::string Table3() {
       double paper_valid =
           paper_row.queries_valid_b / paper_row.queries_total_b;
       double scaled_ases =
-          static_cast<double>(paper_row.ases) * result.config.as_scale;
+          static_cast<double>(paper_row.ases) * cloud::kAsScale;
       table.AddRow({Name(vantage) + " " + std::to_string(year),
                     Count(stats.queries_total), Count(stats.queries_valid),
                     Percent(static_cast<double>(stats.queries_valid) /
@@ -386,7 +386,7 @@ std::string Table5() {
 }
 
 // Table 6: Amazon's and Microsoft's distinct resolver addresses by IP
-// family, w2020. Absolute counts scale with fleet_scale.
+// family, w2020. Absolute counts scale with cloud::kFleetScale.
 std::string Table6() {
   std::string out = Banner("Table 6", "Amazon and Microsoft resolvers (w2020)");
   TextTable table({"provider", "vantage", "total", "IPv4", "IPv4%", "paper%",
@@ -404,8 +404,7 @@ std::string Table6() {
            Percent(static_cast<double>(ref.v4) / ref.total), Count(count.v6),
            Percent(total == 0 ? 0 : count.v6 / total),
            Percent(static_cast<double>(ref.v6) / ref.total),
-           Fixed(static_cast<double>(ref.total) * result.config.fleet_scale,
-                 0)});
+           Fixed(static_cast<double>(ref.total) * cloud::kFleetScale, 0)});
     }
   }
   out += table.Render();

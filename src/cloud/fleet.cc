@@ -73,7 +73,6 @@ net::IpAddress MintAddress(const std::vector<net::Prefix>& blocks,
 }
 
 resolver::ResolverConfig BaseEngineConfig(const ProviderProfile& profile,
-                                          const FleetBuildContext& ctx,
                                           sim::Rng& rng) {
   resolver::ResolverConfig config;
   config.validate_dnssec = profile.validate_dnssec;
@@ -82,7 +81,6 @@ resolver::ResolverConfig BaseEngineConfig(const ProviderProfile& profile,
   config.v6_weight_multiplier = profile.v6_bias;
   config.seed = rng.Next();
   config.max_cache_entries = 1u << 18;
-  (void)ctx;
   return config;
 }
 
@@ -175,7 +173,7 @@ Fleet BuildFacebookFleet(const ProviderProfile& profile,
     site.v6_penalty_ms = (e >= 7 && e <= 9) ? 32.0 : 0.0;
     sim::SiteId site_id = ctx.latency->AddSite(site);
 
-    resolver::ResolverConfig config = BaseEngineConfig(profile, ctx, rng);
+    resolver::ResolverConfig config = BaseEngineConfig(profile, rng);
     config.edns_udp_size = edns[e];
     config.qname_minimization = profile.qname_minimization;
     config.qmin_enabled_at = profile.qmin_enabled_at;
@@ -277,7 +275,7 @@ Fleet BuildProviderFleet(const ProviderProfile& profile,
 
   for (std::size_t e = 0; e < profile.engines; ++e) {
     bool is_public = e < public_engines;
-    resolver::ResolverConfig config = BaseEngineConfig(profile, ctx, rng);
+    resolver::ResolverConfig config = BaseEngineConfig(profile, rng);
     config.edns_udp_size = edns[e];
     if (is_google) {
       // The public service validates and minimizes; the internal

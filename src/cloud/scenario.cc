@@ -469,7 +469,7 @@ void ScenarioRuntime::BuildFleets() {
   ctx.root_v4 = root_v4_;
   ctx.root_v6 = root_v6_;
   ctx.resolver_sites = city_sites_;
-  ctx.fleet_scale = config_.fleet_scale;
+  ctx.fleet_scale = kFleetScale;
   ctx.seed = config_.seed;
   ctx.qmin_off = config_.qmin_override_off;
 
@@ -501,8 +501,7 @@ void ScenarioRuntime::BuildFleets() {
 
   if (!config_.google_only) {
     std::size_t as_count = static_cast<std::size_t>(
-        (config_.vantage == Vantage::kRoot ? 46000 : 39000) *
-        config_.as_scale);
+        (config_.vantage == Vantage::kRoot ? 46000 : 39000) * kAsScale);
     fleets_.push_back(BuildOtherFleet(config_.year, as_count, asdb_, ctx));
   }
 

@@ -44,6 +44,11 @@ enum class FaultPreset {
 /// Window length: one week for the ccTLDs, one DITL day for B-Root.
 [[nodiscard]] sim::TimeUs WindowLength(Vantage vantage);
 
+/// Resolver fleet scale vs the paper's Tables 4/6 source counts.
+inline constexpr double kFleetScale = 0.01;
+/// "Other AS" population scale vs the paper's ~37-42k ASes.
+inline constexpr double kAsScale = 0.01;
+
 struct ScenarioConfig {
   Vantage vantage = Vantage::kNl;
   int year = 2020;
@@ -52,10 +57,6 @@ struct ScenarioConfig {
   std::uint64_t client_queries = 400'000;
   /// Zone size scale vs the paper's Table 2 (5.9M .nl domains, ...).
   double zone_scale = 0.002;
-  /// Resolver fleet scale vs the paper's Tables 4/6 source counts.
-  double fleet_scale = 0.01;
-  /// "Other AS" population scale vs the paper's ~37-42k ASes.
-  double as_scale = 0.01;
   std::uint64_t seed = 20201027;
   /// Worker threads executing the simulation shards (0 = use
   /// hardware_concurrency, overridable via CLOUDDNS_THREADS). Output is

@@ -1,11 +1,23 @@
 #include "cloud/workload.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "zone/zone_builder.h"
 
 namespace clouddns::cloud {
 namespace {
+
+/// Zipf exponent of domain popularity under every suffix.
+constexpr double kZipfExponent = 0.95;
+
+/// Client qtype mix for ordinary lookups (A/AAAA dominate; the rest is
+/// mail/infrastructure). Fig. 2's 2018 panels reflect this directly.
+constexpr std::pair<dns::RrType, double> kQtypeMix[] = {
+    {dns::RrType::kA, 0.58},   {dns::RrType::kAaaa, 0.27},
+    {dns::RrType::kMx, 0.06},  {dns::RrType::kTxt, 0.06},
+    {dns::RrType::kNs, 0.015}, {dns::RrType::kSoa, 0.015}};
 
 std::vector<double> SuffixWeights(const WorkloadSpec& spec) {
   std::vector<double> weights;
@@ -14,10 +26,10 @@ std::vector<double> SuffixWeights(const WorkloadSpec& spec) {
   return weights;
 }
 
-std::vector<double> QtypeWeights(const WorkloadSpec& spec) {
+std::vector<double> QtypeWeights() {
   std::vector<double> weights;
-  weights.reserve(spec.qtype_mix.size());
-  for (const auto& [type, weight] : spec.qtype_mix) weights.push_back(weight);
+  weights.reserve(std::size(kQtypeMix));
+  for (const auto& [type, weight] : kQtypeMix) weights.push_back(weight);
   return weights;
 }
 
@@ -26,15 +38,14 @@ std::vector<double> QtypeWeights(const WorkloadSpec& spec) {
 WorkloadModel::WorkloadModel(WorkloadSpec spec_in)
     : spec(std::move(spec_in)),
       suffix_sampler(SuffixWeights(spec)),
-      qtype_sampler(QtypeWeights(spec)) {
+      qtype_sampler(QtypeWeights()) {
   if (spec.suffixes.empty()) {
     throw std::invalid_argument("WorkloadModel: no suffixes");
   }
   for (const auto& suffix : spec.suffixes) {
     domain_samplers.emplace_back(std::max<std::size_t>(1, suffix.domain_count),
-                                 spec.zipf_exponent);
+                                 kZipfExponent);
   }
-  for (const auto& [type, weight] : spec.qtype_mix) qtypes.push_back(type);
 }
 
 WorkloadGenerator::WorkloadGenerator(
@@ -96,7 +107,7 @@ ClientQuery WorkloadGenerator::Next() {
     // Typos / stale names: unregistered under a real suffix -> NXDOMAIN at
     // the TLD. Random labels never collide with "<stem><i>".
     query.qname = RandomLabelName(6, 12, population.suffix);
-    query.qtype = model.qtypes[model.qtype_sampler.Sample(rng_)];
+    query.qtype = kQtypeMix[model.qtype_sampler.Sample(rng_)].first;
     return query;
   }
 
@@ -120,7 +131,7 @@ ClientQuery WorkloadGenerator::Next() {
   } else {
     query.qname = RandomLabelName(4, 10, domain);
   }
-  query.qtype = model.qtypes[model.qtype_sampler.Sample(rng_)];
+  query.qtype = kQtypeMix[model.qtype_sampler.Sample(rng_)].first;
   return query;
 }
 

@@ -26,13 +26,6 @@ struct SuffixPopulation {
 
 struct WorkloadSpec {
   std::vector<SuffixPopulation> suffixes;
-  double zipf_exponent = 0.95;
-  /// Client qtype mix for ordinary lookups (A/AAAA dominate; the rest is
-  /// mail/infrastructure). Fig. 2's 2018 panels reflect this directly.
-  std::vector<std::pair<dns::RrType, double>> qtype_mix = {
-      {dns::RrType::kA, 0.58},   {dns::RrType::kAaaa, 0.27},
-      {dns::RrType::kMx, 0.06},  {dns::RrType::kTxt, 0.06},
-      {dns::RrType::kNs, 0.015}, {dns::RrType::kSoa, 0.015}};
   /// Share of queries for names that do not exist under a real suffix.
   double junk_fraction = 0.10;
   /// Share of Chromium-style random single-label (fake TLD) probes.
@@ -54,8 +47,7 @@ struct WorkloadModel {
   WorkloadSpec spec;
   sim::DiscreteSampler suffix_sampler;
   std::vector<sim::ZipfSampler> domain_samplers;  // one per suffix
-  sim::DiscreteSampler qtype_sampler;
-  std::vector<dns::RrType> qtypes;  // qtype_mix's types, by sampler index
+  sim::DiscreteSampler qtype_sampler;  // indexes workload.cc's kQtypeMix
 };
 
 /// One client query stream: a seeded RNG and the injection state over a

@@ -1,5 +1,7 @@
 #include "dns/message.h"
 
+#include <algorithm>
+
 #include "dns/audit.h"
 
 namespace clouddns::dns {
@@ -136,8 +138,14 @@ void Message::ResetAsResponseTo(const Message& query) {
   edns.reset();
   if (query.edns) {
     // Echo EDNS with the server's own advertised size.
-    edns = EdnsInfo{4096, query.edns->dnssec_ok, 0};
+    edns = EdnsInfo{kServerUdpPayloadSize, query.edns->dnssec_ok, 0};
   }
+}
+
+std::size_t UdpResponseLimit(const Message& query) {
+  if (!query.edns) return kClassicUdpLimit;
+  return std::clamp<std::size_t>(query.edns->udp_payload_size,
+                                 kClassicUdpLimit, kServerUdpPayloadSize);
 }
 
 WireBuffer Message::Encode() const {

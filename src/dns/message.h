@@ -25,6 +25,10 @@ struct EdnsInfo {
 /// Classic pre-EDNS maximum UDP response size (RFC 1035 §4.2.1).
 inline constexpr std::size_t kClassicUdpLimit = 512;
 
+/// The UDP payload size every authoritative server advertises in its EDNS
+/// and caps its UDP responses at.
+inline constexpr std::uint16_t kServerUdpPayloadSize = 4096;
+
 struct Header {
   std::uint16_t id = 0;
   bool qr = false;  ///< Response flag.
@@ -104,5 +108,9 @@ class Message {
 
   friend bool operator==(const Message&, const Message&) = default;
 };
+
+/// The largest UDP response a server sends to `query`: 512 without EDNS,
+/// otherwise the advertised size clamped to [512, kServerUdpPayloadSize].
+[[nodiscard]] std::size_t UdpResponseLimit(const Message& query);
 
 }  // namespace clouddns::dns

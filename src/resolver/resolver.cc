@@ -69,8 +69,6 @@ RecursiveResolver::RecursiveResolver(sim::Network& network,
   root_.ds = ZoneEntry::Ds::kPresent;
 }
 
-ZoneEntry* RecursiveResolver::RootEntry(sim::TimeUs /*now*/) { return &root_; }
-
 RecursiveResolver::Result RecursiveResolver::Resolve(const dns::Name& qname,
                                                      dns::RrType qtype,
                                                      sim::TimeUs now) {
@@ -119,7 +117,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
   } pop_guard{in_flight_};
 
   ZoneEntry* zone = infra_.DeepestEnclosing(qname, now);
-  if (zone == nullptr) zone = RootEntry(now);
+  if (zone == nullptr) zone = &root_;
 
   if (config_.validate_dnssec) FetchDnskeyIfNeeded(*zone, now, budget);
 

@@ -162,8 +162,6 @@ class RecursiveResolver {
   ZoneEntry ZoneFromReferral(const dns::Message& response,
                              const dns::Name& cut, sim::TimeUs now) const;
 
-  ZoneEntry* RootEntry(sim::TimeUs now);
-
   /// Per-(egress site, server address) RTT estimator state. `srtt` drives
   /// server/family selection exactly as before; `rttvar` additionally
   /// feeds the retransmission timer (RTO = srtt + 4·rttvar).

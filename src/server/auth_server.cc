@@ -87,12 +87,6 @@ void AuthServer::AttachRrsigs(const zone::Zone& zone, const dns::Name& owner,
   }
 }
 
-dns::Message AuthServer::Respond(const dns::Message& query) const {
-  dns::Message response;
-  RespondInto(query, response);
-  return response;
-}
-
 void AuthServer::RespondInto(const dns::Message& query,
                              dns::Message& response) const {
   response.ResetAsResponseTo(query);
@@ -199,16 +193,10 @@ void AuthServer::HandlePacket(const sim::PacketContext& ctx,
     RespondInto(query, response);
   }
 
-  std::size_t udp_limit = dns::kClassicUdpLimit;
-  if (query.edns) {
-    udp_limit = std::min<std::size_t>(query.edns->udp_payload_size,
-                                      config_.max_udp_response);
-    udp_limit = std::max(udp_limit, dns::kClassicUdpLimit);
-  }
-
   bool truncated = false;
   if (ctx.transport == dns::Transport::kUdp) {
-    response.EncodeWithLimitInto(udp_limit, wire, &truncated);
+    response.EncodeWithLimitInto(dns::UdpResponseLimit(query), wire,
+                                 &truncated);
     if (slipped) truncated = true;
   } else {
     response.EncodeInto(wire);

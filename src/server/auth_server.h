@@ -23,7 +23,6 @@ namespace clouddns::server {
 struct AuthServerConfig {
   std::uint32_t server_id = 0;       ///< Capture label ("server A" = 0).
   std::string name = "ns";           ///< Human label, for reports.
-  std::size_t max_udp_response = 4096;  ///< Server-side EDNS cap.
   RrlConfig rrl;
   bool capture_enabled = true;  ///< The paper could only pcap some NSes.
 };
@@ -44,10 +43,6 @@ class AuthServer final : public sim::PacketHandler {
                     const dns::WireBuffer& query,
                     dns::WireBuffer& response) override;
   using sim::PacketHandler::HandlePacket;
-
-  /// Builds the response message for a decoded query (exposed for tests;
-  /// no truncation or capture applied here).
-  [[nodiscard]] dns::Message Respond(const dns::Message& query) const;
 
   [[nodiscard]] const capture::CaptureBuffer& captured() const {
     return capture_;

@@ -4,6 +4,12 @@
 #include "zone/dnssec.h"
 
 namespace clouddns::server {
+namespace {
+
+/// TTL of every synthesized answer, and the SOA MINIMUM of its NODATA.
+constexpr std::uint32_t kAnswerTtl = 300;
+
+}  // namespace
 
 net::Ipv4Address LeafAuthService::SyntheticV4(const dns::Name& name) {
   // 100.96.0.0/12-ish synthetic space, never colliding with fleet or
@@ -32,12 +38,6 @@ bool LeafAuthService::HasV6(const dns::Name& name) const {
          config_.v6_fraction * 10000.0;
 }
 
-dns::Message LeafAuthService::Respond(const dns::Message& query) const {
-  dns::Message response;
-  RespondInto(query, response);
-  return response;
-}
-
 void LeafAuthService::RespondInto(const dns::Message& query,
                                   dns::Message& response) const {
   response.ResetAsResponseTo(query);
@@ -47,49 +47,49 @@ void LeafAuthService::RespondInto(const dns::Message& query,
   }
   const dns::Question& question = query.questions.front();
   response.header.aa = true;
-  const std::uint32_t ttl = config_.answer_ttl;
 
-  auto nodata = [&response, &question, ttl] {
+  auto nodata = [&response, &question] {
     dns::SoaRdata soa;
     soa.mname = question.name;
     soa.rname = question.name;
     soa.serial = 1;
-    soa.minimum = ttl;
-    response.authorities.push_back(dns::MakeSoa(question.name, soa, ttl));
+    soa.minimum = kAnswerTtl;
+    response.authorities.push_back(
+        dns::MakeSoa(question.name, soa, kAnswerTtl));
   };
 
   switch (question.type) {
     case dns::RrType::kA:
       response.answers.push_back(
-          dns::MakeA(question.name, SyntheticV4(question.name), ttl));
+          dns::MakeA(question.name, SyntheticV4(question.name), kAnswerTtl));
       break;
     case dns::RrType::kAaaa:
       if (HasV6(question.name)) {
-        response.answers.push_back(
-            dns::MakeAaaa(question.name, SyntheticV6(question.name), ttl));
+        response.answers.push_back(dns::MakeAaaa(
+            question.name, SyntheticV6(question.name), kAnswerTtl));
       } else {
         nodata();
       }
       break;
     case dns::RrType::kMx:
-      response.answers.push_back(
-          dns::MakeMx(question.name, 10, question.name.Child("mail"), ttl));
+      response.answers.push_back(dns::MakeMx(
+          question.name, 10, question.name.Child("mail"), kAnswerTtl));
       break;
     case dns::RrType::kTxt:
       response.answers.push_back(
-          dns::MakeTxt(question.name, "synthetic-leaf", ttl));
+          dns::MakeTxt(question.name, "synthetic-leaf", kAnswerTtl));
       break;
     case dns::RrType::kDnskey: {
       // Validators fetching a leaf zone's keys get realistic RSA-sized
       // material; with a 512-byte EDNS buffer this truncates, which is the
       // classic "TCP is needed for DNSKEY retrieval" path (§4.4).
-      for (auto& key : zone::MakeApexDnskeys(question.name, ttl)) {
+      for (auto& key : zone::MakeApexDnskeys(question.name, kAnswerTtl)) {
         response.answers.push_back(std::move(key));
       }
       break;
     }
     case dns::RrType::kDs:
-      response.answers.push_back(zone::MakeDs(question.name, ttl));
+      response.answers.push_back(zone::MakeDs(question.name, kAnswerTtl));
       break;
     case dns::RrType::kNs:
       // Minimized NS probes below the delegation point: the name exists
@@ -115,13 +115,7 @@ void LeafAuthService::HandlePacket(const sim::PacketContext& ctx,
   dns::Message& response = response_scratch_;
   RespondInto(decoded, response);
   if (ctx.transport == dns::Transport::kUdp) {
-    std::size_t limit = dns::kClassicUdpLimit;
-    if (decoded.edns) {
-      limit = std::min<std::size_t>(decoded.edns->udp_payload_size,
-                                    config_.max_udp_response);
-      limit = std::max(limit, dns::kClassicUdpLimit);
-    }
-    response.EncodeWithLimitInto(limit, wire);
+    response.EncodeWithLimitInto(dns::UdpResponseLimit(decoded), wire);
     return;
   }
   response.EncodeInto(wire);

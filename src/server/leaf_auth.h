@@ -15,8 +15,6 @@ namespace clouddns::server {
 struct LeafAuthConfig {
   /// Fraction of names that have AAAA records (deterministic by name hash).
   double v6_fraction = 0.55;
-  std::uint32_t answer_ttl = 300;
-  std::size_t max_udp_response = 4096;
 };
 
 class LeafAuthService final : public sim::PacketHandler {
@@ -27,9 +25,6 @@ class LeafAuthService final : public sim::PacketHandler {
                     const dns::WireBuffer& query,
                     dns::WireBuffer& response) override;
   using sim::PacketHandler::HandlePacket;
-
-  /// Response construction, exposed for tests.
-  [[nodiscard]] dns::Message Respond(const dns::Message& query) const;
 
   /// The deterministic address a name resolves to (also used by tests).
   [[nodiscard]] static net::Ipv4Address SyntheticV4(const dns::Name& name);

@@ -8,6 +8,13 @@
 
 namespace clouddns::zone {
 
+namespace {
+
+constexpr std::uint32_t kSoaTtl = 3600;
+constexpr std::uint32_t kNsTtl = 3600;  ///< Apex NS set and its glue.
+
+}  // namespace
+
 Zone MakeZoneSkeleton(const ZoneBuildConfig& config) {
   Zone zone(config.apex);
 
@@ -20,16 +27,16 @@ Zone MakeZoneSkeleton(const ZoneBuildConfig& config) {
   soa.retry = 3600;
   soa.expire = 1209600;
   soa.minimum = config.negative_ttl;
-  zone.Add(dns::MakeSoa(config.apex, soa, config.soa_ttl));
+  zone.Add(dns::MakeSoa(config.apex, soa, kSoaTtl));
 
   for (const auto& ns : config.nameservers) {
-    zone.Add(dns::MakeNs(config.apex, ns.name, config.ns_ttl));
+    zone.Add(dns::MakeNs(config.apex, ns.name, kNsTtl));
     if (!ns.name.IsSubdomainOf(config.apex)) continue;
     for (const auto& addr : ns.addresses) {
       if (addr.is_v4()) {
-        zone.Add(dns::MakeA(ns.name, addr.v4(), config.ns_ttl));
+        zone.Add(dns::MakeA(ns.name, addr.v4(), kNsTtl));
       } else {
-        zone.Add(dns::MakeAaaa(ns.name, addr.v6(), config.ns_ttl));
+        zone.Add(dns::MakeAaaa(ns.name, addr.v6(), kNsTtl));
       }
     }
   }

@@ -20,9 +20,6 @@ struct NameserverSpec {
 struct ZoneBuildConfig {
   dns::Name apex;
   std::vector<NameserverSpec> nameservers;  ///< The zone's own NS set.
-  bool sign = true;
-  std::uint32_t soa_ttl = 3600;
-  std::uint32_t ns_ttl = 3600;
   std::uint32_t negative_ttl = 600;  ///< SOA MINIMUM, negative-caching TTL.
 };
 

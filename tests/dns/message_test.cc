@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 
 namespace clouddns::dns {
@@ -61,6 +62,28 @@ TEST(MessageTest, MakeResponseEchoesQuestionAndId) {
   EXPECT_EQ(resp.questions[0], query.questions[0]);
   ASSERT_TRUE(resp.edns.has_value());
   EXPECT_TRUE(resp.edns->dnssec_ok);  // DO bit echoed
+  // The server advertises its own size, not the query's.
+  EXPECT_EQ(resp.edns->udp_payload_size, kServerUdpPayloadSize);
+}
+
+TEST(MessageTest, UdpResponseLimitClampsTheAdvertisedSize) {
+  struct Case {
+    std::optional<EdnsInfo> edns;
+    std::size_t limit;
+  };
+  const Case cases[] = {
+      {std::nullopt, kClassicUdpLimit},
+      {EdnsInfo{100, false, 0}, kClassicUdpLimit},
+      {EdnsInfo{512, false, 0}, 512},
+      {EdnsInfo{1232, true, 0}, 1232},
+      {EdnsInfo{65535, true, 0}, kServerUdpPayloadSize},
+  };
+  for (const Case& c : cases) {
+    const Message query =
+        Message::MakeQuery(1, *Name::Parse("nl"), RrType::kA, c.edns);
+    EXPECT_EQ(UdpResponseLimit(query), c.limit)
+        << (c.edns ? c.edns->udp_payload_size : 0);
+  }
 }
 
 TEST(MessageTest, RcodeAndFlagsSurvive) {

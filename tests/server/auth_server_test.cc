@@ -15,8 +15,8 @@ using testutil::N;
 
 dns::Message Ask(AuthServer& server, const char* qname, dns::RrType qtype,
                  std::optional<dns::EdnsInfo> edns = std::nullopt) {
-  dns::Message query = dns::Message::MakeQuery(42, N(qname), qtype, edns);
-  return server.Respond(query);
+  return testutil::AskOverTcp(
+      server, dns::Message::MakeQuery(42, N(qname), qtype, edns));
 }
 
 TEST(AuthServerTest, AuthoritativeAnswerAtApex) {

@@ -16,7 +16,7 @@ TEST(ServerEdgeTest, MultiQuestionQueriesGetFormErr) {
   dns::Message query = dns::Message::MakeQuery(1, N("nl"), dns::RrType::kSoa);
   query.questions.push_back(
       dns::Question{N("example.nl"), dns::RrType::kA, dns::RrClass::kIn});
-  auto response = net.nl_server->Respond(query);
+  auto response = testutil::AskOverTcp(*net.nl_server, query);
   EXPECT_EQ(response.header.rcode, dns::Rcode::kNotImp);
 }
 
@@ -24,7 +24,7 @@ TEST(ServerEdgeTest, EmptyQuestionGetsFormErr) {
   MiniInternet net;
   dns::Message query;
   query.header.id = 7;
-  auto response = net.nl_server->Respond(query);
+  auto response = testutil::AskOverTcp(*net.nl_server, query);
   EXPECT_EQ(response.header.rcode, dns::Rcode::kFormErr);
 }
 
@@ -32,7 +32,7 @@ TEST(ServerEdgeTest, NonQueryOpcodeGetsNotImp) {
   MiniInternet net;
   dns::Message query = dns::Message::MakeQuery(1, N("nl"), dns::RrType::kSoa);
   query.header.opcode = dns::Opcode::kNotify;
-  auto response = net.nl_server->Respond(query);
+  auto response = testutil::AskOverTcp(*net.nl_server, query);
   EXPECT_EQ(response.header.rcode, dns::Rcode::kNotImp);
 }
 

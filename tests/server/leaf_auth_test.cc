@@ -13,7 +13,8 @@ namespace {
 dns::Name N(const char* text) { return *dns::Name::Parse(text); }
 
 dns::Message Ask(LeafAuthService& leaf, const char* qname, dns::RrType qtype) {
-  return leaf.Respond(dns::Message::MakeQuery(1, N(qname), qtype));
+  return testutil::AskOverTcp(leaf,
+                              dns::Message::MakeQuery(1, N(qname), qtype));
 }
 
 TEST(LeafAuthTest, AnswersADeterministically) {

@@ -26,6 +26,16 @@ inline std::shared_ptr<const zone::Zone> Frozen(zone::Zone zone) {
   return std::make_shared<const zone::Zone>(std::move(zone));
 }
 
+/// Sends `query` to `server` over TCP, so nothing truncates, and decodes
+/// the wire answer. Throws std::bad_optional_access when the server drops
+/// the query.
+inline dns::Message AskOverTcp(sim::PacketHandler& server,
+                               const dns::Message& query) {
+  sim::PacketContext ctx;
+  ctx.transport = dns::Transport::kTcp;
+  return dns::Message::Decode(server.HandlePacket(ctx, query.Encode())).value();
+}
+
 struct MiniInternet {
   static constexpr const char* kRootV4 = "199.9.14.201";
   static constexpr const char* kRootV6 = "2001:500:200::b";

@@ -42,7 +42,6 @@ TEST(DnssecTest, SignZoneAttachesRrsigsToEveryRrset) {
   config.apex = N("nl");
   config.nameservers = {
       {N("ns1.dns.nl"), {*net::IpAddress::Parse("192.0.2.53")}}};
-  config.sign = false;
   Zone zone = MakeZoneSkeleton(config);
   SignZone(zone);
 
