@@ -75,7 +75,7 @@ void BM_DnsCachePutGet(benchmark::State& state) {
   for (auto _ : state) {
     const dns::Name& name = names[rng.NextBelow(names.size())];
     if (rng.Bernoulli(0.2)) {
-      cache.Put(name, dns::RrType::kA, answer);
+      cache.Put(name, dns::RrType::kA, resolver::CachedAnswer(answer));
     } else {
       benchmark::DoNotOptimize(cache.Get(name, dns::RrType::kA, 1));
     }

@@ -1,8 +1,8 @@
 // End-to-end pipeline microbenchmarks: full resolutions through the
 // resolver/network/server stack, zone build and signing, and simulation
 // throughput per client query — the numbers that justify the scaled-down
-// capture budgets. The zone and server benchmarks also report heap
-// allocations, counted by common.h's replacement operator new.
+// capture budgets. The resolution, zone and server benchmarks also report
+// heap allocations, counted by common.h's replacement operator new.
 #include <benchmark/benchmark.h>
 
 #include "cloud/scenario.h"
@@ -86,13 +86,19 @@ void BM_ColdResolution(benchmark::State& state) {
   auto resolver = pipeline.MakeResolver(state.range(0) != 0, false);
   sim::Rng rng(7);
   sim::TimeUs now = 0;
+  std::uint64_t allocs = 0;
   for (auto _ : state) {
     // Unique domains defeat the cache: every iteration is a full descent.
     dns::Name qname = *dns::Name::Parse(
         "www.dom" + std::to_string(rng.NextBelow(20000)) + ".nl");
     now += 1000;
+    // Counts the resolution only, not the query name built above.
+    const std::uint64_t allocs_before = bench::AllocCount();
     benchmark::DoNotOptimize(resolver.Resolve(qname, dns::RrType::kA, now));
+    allocs += bench::AllocCount() - allocs_before;
   }
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_ColdResolution)->Arg(0)->Arg(1)->ArgNames({"qmin"});
 
@@ -101,9 +107,14 @@ void BM_WarmResolution(benchmark::State& state) {
   auto resolver = pipeline.MakeResolver(false, false);
   dns::Name qname = *dns::Name::Parse("www.dom7.nl");
   resolver.Resolve(qname, dns::RrType::kA, 1);
+  const std::uint64_t allocs_before = bench::AllocCount();
   for (auto _ : state) {
     benchmark::DoNotOptimize(resolver.Resolve(qname, dns::RrType::kA, 1000));
   }
+  // A cache hit borrows the cached answer: this reads 0.
+  state.counters["allocs_per_op"] =
+      static_cast<double>(bench::AllocCount() - allocs_before) /
+      static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_WarmResolution);
 

@@ -20,7 +20,7 @@ std::uint32_t DnsCache::Find(const dns::Name& qname, std::uint32_t tag) const {
 }
 
 void DnsCache::PutTagged(const dns::Name& qname, std::uint32_t tag,
-                         CachedAnswer answer) {
+                         CachedAnswer&& answer) {
   const std::uint32_t existing = Find(qname, tag);
   if (existing != kNil) {
     entries_[existing].answer = std::move(answer);
@@ -62,7 +62,7 @@ DnsCache::Entry* DnsCache::GetTagged(const dns::Name& qname, std::uint32_t tag,
 }
 
 void DnsCache::Put(const dns::Name& qname, dns::RrType qtype,
-                   CachedAnswer answer) {
+                   CachedAnswer&& answer) {
   PutTagged(qname, static_cast<std::uint32_t>(qtype), std::move(answer));
 }
 
@@ -136,50 +136,47 @@ void DnsCache::EvictIfNeeded() {
   }
 }
 
-void InfraCache::Put(ZoneEntry entry) {
+ZoneEntry& InfraCache::Put(const ZoneEntry& entry) {
   const std::uint64_t hash = entry.apex.CachedHash();
-  const std::uint32_t existing =
-      table_.Find(hash, [&](std::uint32_t index) {
-        return slots_[index].entry.apex.Equals(entry.apex);
-      });
-  if (existing != base::OpenTable::kNil) {
-    // Overwrite in place: resolver code holds ZoneEntry pointers across
-    // nested Puts, and the deque slot address never changes.
-    slots_[existing].entry = std::move(entry);
-    return;
+  std::uint32_t index = table_.Find(hash, [&](std::uint32_t i) {
+    return SlotAt(i).apex.Equals(entry.apex);
+  });
+  if (index == base::OpenTable::kNil) {
+    if (!free_.empty()) {
+      index = free_.back();
+      free_.pop_back();
+    } else {
+      if (slot_count_ % kChunkSlots == 0) {
+        chunks_.push_back(std::make_unique<Chunk>());
+      }
+      index = slot_count_++;
+    }
+    table_.Insert(hash, index);
   }
-  std::uint32_t index;
-  if (!free_.empty()) {
-    index = free_.back();
-    free_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[index].entry = std::move(entry);
-  slots_[index].used = true;
-  table_.Insert(hash, index);
-  ++count_;
+  // Overwrite in place: resolver code holds ZoneEntry pointers across
+  // nested Puts, and a slot's address never changes.
+  ZoneEntry& slot = SlotAt(index);
+  slot = entry;
+  return slot;
 }
 
 ZoneEntry* InfraCache::GetView(std::uint64_t hash, const std::uint8_t* flat,
                                std::size_t size, sim::TimeUs now) {
   const std::uint32_t index = table_.Find(hash, [&](std::uint32_t i) {
-    const dns::Name& apex = slots_[i].entry.apex;
+    const dns::Name& apex = SlotAt(i).apex;
     return apex.FlatSize() == size &&
            dns::Name::FlatEquals(apex.FlatData(), flat, size);
   });
   if (index == base::OpenTable::kNil) return nullptr;
-  Slot& slot = slots_[index];
-  if (slot.entry.expires_at <= now) {
+  ZoneEntry& slot = SlotAt(index);
+  if (slot.expires_at <= now) {
+    // The slot keeps its contents (and their capacity) until a Put
+    // overwrites every field; nothing reads it while it is unindexed.
     table_.Erase(hash, [&](std::uint32_t v) { return v == index; });
-    slot.entry = ZoneEntry{};
-    slot.used = false;
     free_.push_back(index);
-    --count_;
     return nullptr;
   }
-  return &slot.entry;
+  return &slot;
 }
 
 ZoneEntry* InfraCache::Get(const dns::Name& apex, sim::TimeUs now) {

@@ -13,12 +13,14 @@
 // the old std::list<std::string> whose every touch allocated.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <optional>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "base/lifetime.h"
 #include "base/open_table.h"
 #include "dns/record.h"
 #include "dns/types.h"
@@ -43,7 +45,7 @@ class DnsCache {
  public:
   explicit DnsCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
-  void Put(const dns::Name& qname, dns::RrType qtype, CachedAnswer answer);
+  void Put(const dns::Name& qname, dns::RrType qtype, CachedAnswer&& answer);
   /// NXDOMAIN entries are stored under the qname alone and match any type.
   void PutNxDomain(const dns::Name& qname, sim::TimeUs expires_at);
 
@@ -75,7 +77,7 @@ class DnsCache {
   [[nodiscard]] std::uint32_t Find(const dns::Name& qname,
                                    std::uint32_t tag) const;
   void PutTagged(const dns::Name& qname, std::uint32_t tag,
-                 CachedAnswer answer);
+                 CachedAnswer&& answer);
   [[nodiscard]] Entry* GetTagged(const dns::Name& qname, std::uint32_t tag,
                                  sim::TimeUs now);
   void LruUnlink(std::uint32_t index);
@@ -98,21 +100,40 @@ class DnsCache {
 /// What the resolver knows about one delegated zone.
 struct ZoneEntry {
   dns::Name apex;
-  std::vector<net::IpAddress> v4_addresses;
-  std::vector<net::IpAddress> v6_addresses;
-  sim::TimeUs expires_at = 0;
+  /// Nameserver addresses, the `v4_count` IPv4 ones first, then IPv6:
+  /// one buffer, so a reused entry keeps one allocation.
+  std::vector<net::IpAddress> addresses;
+  std::uint32_t v4_count = 0;
   /// DS state: unknown until fetched from the parent (validators only).
-  enum class Ds { kUnknown, kPresent, kAbsent } ds = Ds::kUnknown;
+  enum class Ds : std::uint8_t { kUnknown, kPresent, kAbsent } ds =
+      Ds::kUnknown;
+  sim::TimeUs expires_at = 0;
   /// When the zone's DNSKEY RRset was last fetched; refetch after TTL.
   sim::TimeUs dnskey_expires_at = 0;
+
+  [[nodiscard]] std::span<const net::IpAddress> v4() const
+      CLOUDDNS_LIFETIMEBOUND {
+    // lint:allow(borrow-return): `addresses` is this entry's member, not a local; the view lives as long as the entry
+    return std::span<const net::IpAddress>(addresses).first(v4_count);
+  }
+  [[nodiscard]] std::span<const net::IpAddress> v6() const
+      CLOUDDNS_LIFETIMEBOUND {
+    // lint:allow(borrow-return): `addresses` is this entry's member, not a local; the view lives as long as the entry
+    return std::span<const net::IpAddress>(addresses).subspan(v4_count);
+  }
 };
 
-/// Returned ZoneEntry pointers stay valid across later Puts (the resolver
-/// holds one across a recursive resolution that fills the cache): entries
-/// live in a deque and are overwritten in place on re-Put.
+/// Returned ZoneEntry pointers and references stay valid across later
+/// Puts (the resolver holds one across a recursive resolution that fills
+/// the cache): entries live in fixed-size chunks that never move and are
+/// overwritten in place on re-Put. An expired entry's slot keeps its
+/// buffers for the next Put to reuse.
 class InfraCache {
  public:
-  void Put(ZoneEntry entry);
+  /// Copies `entry` into the slot of its apex (or a free slot) and returns
+  /// the stored entry. The copy reuses the slot's address buffer, so it
+  /// allocates only when the new address set outgrows it.
+  ZoneEntry& Put(const ZoneEntry& entry) CLOUDDNS_LIFETIMEBOUND;
   [[nodiscard]] ZoneEntry* Get(const dns::Name& apex, sim::TimeUs now);
 
   /// Deepest cached zone at-or-above `qname` that has not expired; the
@@ -121,13 +142,15 @@ class InfraCache {
   [[nodiscard]] ZoneEntry* DeepestEnclosing(const dns::Name& qname,
                                             sim::TimeUs now);
 
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
 
  private:
-  struct Slot {
-    ZoneEntry entry;
-    bool used = false;
-  };
+  static constexpr std::uint32_t kChunkSlots = 64;
+  using Chunk = std::array<ZoneEntry, kChunkSlots>;
+
+  [[nodiscard]] ZoneEntry& SlotAt(std::uint32_t index) {
+    return (*chunks_[index / kChunkSlots])[index % kChunkSlots];
+  }
 
   /// Looks up by a flat-byte view (a suffix slice of some name), erasing
   /// the entry if expired, exactly like the old Get.
@@ -135,10 +158,10 @@ class InfraCache {
                                    const std::uint8_t* flat, std::size_t size,
                                    sim::TimeUs now);
 
-  std::deque<Slot> slots_;  ///< Deque: stable addresses across Puts.
+  std::vector<std::unique_ptr<Chunk>> chunks_;  ///< Stable slot addresses.
+  std::uint32_t slot_count_ = 0;  ///< Slots handed out so far.
   std::vector<std::uint32_t> free_;
   base::OpenTable table_;
-  std::size_t count_ = 0;
 };
 
 /// Aggressive NSEC cache (RFC 8198): validated denial *ranges* from signed

@@ -29,7 +29,7 @@ sim::TimeUs NegativeTtlFrom(const dns::Message& response) {
   return kDefaultNegativeTtl;
 }
 
-sim::TimeUs PositiveTtlFrom(const std::vector<dns::ResourceRecord>& records) {
+sim::TimeUs PositiveTtlFrom(std::span<const dns::ResourceRecord> records) {
   std::uint32_t ttl = 0xffffffffu;
   for (const auto& rr : records) ttl = std::min(ttl, rr.ttl);
   sim::TimeUs ttl_us =
@@ -61,8 +61,10 @@ RecursiveResolver::RecursiveResolver(sim::Network& network,
       cache_(config_.max_cache_entries),
       rng_(config_.seed) {
   root_.apex = dns::Name{};
-  root_.v4_addresses = std::move(root_v4);
-  root_.v6_addresses = std::move(root_v6);
+  root_.addresses = std::move(root_v4);
+  root_.v4_count = static_cast<std::uint32_t>(root_.addresses.size());
+  root_.addresses.insert(root_.addresses.end(), root_v6.begin(),
+                         root_v6.end());
   root_.expires_at = ~sim::TimeUs{0};  // hints never expire
   // The root trust anchor is configured, so from a validator's view the
   // root always "has a DS".
@@ -98,7 +100,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
   }
   if (const CachedAnswer* hit = cache_.Get(qname, qtype, now)) {
     result.rcode = hit->rcode;
-    result.records = hit->records;
+    result.records = hit->records;  // borrowed from the cache entry
     result.from_cache = true;
     return result;
   }
@@ -186,7 +188,8 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
           !qname.IsSubdomainOf(cut)) {
         return result;  // malformed referral
       }
-      ZoneEntry child = ZoneFromReferral(response, cut, now);
+      ZoneEntry& child = referral_zones_[depth];
+      ZoneFromReferral(response, cut, now, child);
       if (config_.validate_dnssec) {
         if (config_.explicit_ds_fetch) {
           FetchDsIfNeeded(*zone, child, now, budget);
@@ -212,10 +215,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
         }
         return result;  // glueless chase failed (cycle or budget)
       }
-      dns::Name child_apex = child.apex;
-      infra_.Put(std::move(child));
-      zone = infra_.Get(child_apex, now);
-      if (zone == nullptr) return result;
+      zone = &infra_.Put(child);
       if (config_.validate_dnssec && zone->ds == ZoneEntry::Ds::kPresent) {
         FetchDnskeyIfNeeded(*zone, now, budget);
       }
@@ -226,11 +226,13 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
 
     if (!response.answers.empty()) {
       if (is_final) {
+        // The cache keeps the one copy; the result borrows the response,
+        // which stays untouched until the next call into the resolver.
         CachedAnswer answer;
         answer.rcode = dns::Rcode::kNoError;
         answer.records = response.answers;
         answer.expires_at = now + PositiveTtlFrom(response.answers);
-        cache_.Put(qname, qtype, answer);
+        cache_.Put(qname, qtype, std::move(answer));
         result.rcode = dns::Rcode::kNoError;
         result.records = response.answers;
         return result;
@@ -246,7 +248,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
       CachedAnswer answer;
       answer.rcode = dns::Rcode::kNoError;
       answer.expires_at = now + NegativeTtlFrom(response);
-      cache_.Put(qname, qtype, answer);
+      cache_.Put(qname, qtype, std::move(answer));
       result.rcode = dns::Rcode::kNoError;
       return result;
     }
@@ -255,7 +257,7 @@ RecursiveResolver::Result RecursiveResolver::ResolveInternal(
   return result;
 }
 
-bool RecursiveResolver::Send(ZoneEntry& zone, const dns::Name& qname,
+bool RecursiveResolver::Send(const ZoneEntry& zone, const dns::Name& qname,
                              dns::RrType qtype, sim::TimeUs now, int& budget,
                              dns::Message& response) {
   if (budget <= 0) return false;
@@ -270,16 +272,16 @@ bool RecursiveResolver::Send(ZoneEntry& zone, const dns::Name& qname,
   for (int attempt = 0; attempt < 8 && host == nullptr; ++attempt) {
     const EgressHost& candidate =
         config_.hosts[rng_.NextBelow(config_.hosts.size())];
-    can_v4 = candidate.v4.has_value() && !zone.v4_addresses.empty();
-    can_v6 = candidate.v6.has_value() && !zone.v6_addresses.empty();
+    can_v4 = candidate.v4.has_value() && !zone.v4().empty();
+    can_v6 = candidate.v6.has_value() && !zone.v6().empty();
     if (can_v4 || can_v6) host = &candidate;
   }
   if (host == nullptr) return false;
 
   auto estimate = [this, &host](const net::IpAddress& addr) {
-    auto it = srtt_.find(SrttKey(host->site, addr));
-    return it != srtt_.end() ? std::optional<double>(it->second.srtt)
-                             : std::nullopt;
+    const SrttState* state = FindSrtt(SrttKey(host->site, addr));
+    return state != nullptr ? std::optional<double>(state->srtt)
+                            : std::nullopt;
   };
 
   // Server selection (Müller et al. [30]): resolvers favour low-RTT
@@ -291,20 +293,17 @@ bool RecursiveResolver::Send(ZoneEntry& zone, const dns::Name& qname,
   // an unbiased sample of the resolver's family mix.
   std::vector<Candidate>& candidates = candidates_;
   candidates.clear();
-  const bool paired = can_v4 && can_v6 &&
-                      zone.v4_addresses.size() == zone.v6_addresses.size();
+  const std::span<const net::IpAddress> v4 = zone.v4();
+  const std::span<const net::IpAddress> v6 = zone.v6();
+  const bool paired = can_v4 && can_v6 && v4.size() == v6.size();
   if (paired) {
-    for (std::size_t i = 0; i < zone.v4_addresses.size(); ++i) {
-      candidates.push_back({&zone.v4_addresses[i], &zone.v6_addresses[i]});
+    for (std::size_t i = 0; i < v4.size(); ++i) {
+      candidates.push_back({&v4[i], &v6[i]});
     }
   } else if (can_v4) {
-    for (const auto& addr : zone.v4_addresses) {
-      candidates.push_back({&addr, nullptr});
-    }
+    for (const auto& addr : v4) candidates.push_back({&addr, nullptr});
   } else {
-    for (const auto& addr : zone.v6_addresses) {
-      candidates.push_back({nullptr, &addr});
-    }
+    for (const auto& addr : v6) candidates.push_back({nullptr, &addr});
   }
 
   auto candidate_srtt = [&estimate](const Candidate& c) {
@@ -394,16 +393,13 @@ bool RecursiveResolver::Send(ZoneEntry& zone, const dns::Name& qname,
         if (attempt == 0) {
           // Karn's algorithm: only first-transmission exchanges feed the
           // estimator — a retransmitted exchange's RTT is ambiguous.
-          auto it = srtt_.find(srtt_key);
-          if (it == srtt_.end()) {
-            double rtt = static_cast<double>(sent.rtt_us);
-            srtt_.emplace(srtt_key, SrttState{rtt, rtt / 2.0});
+          const double rtt = static_cast<double>(sent.rtt_us);
+          if (SrttState* state = FindSrtt(srtt_key)) {
+            state->rttvar =
+                0.75 * state->rttvar + 0.25 * std::abs(state->srtt - rtt);
+            state->srtt = 0.75 * state->srtt + 0.25 * rtt;
           } else {
-            SrttState& state = it->second;
-            double rtt = static_cast<double>(sent.rtt_us);
-            state.rttvar =
-                0.75 * state.rttvar + 0.25 * std::abs(state.srtt - rtt);
-            state.srtt = 0.75 * state.srtt + 0.25 * rtt;
+            InsertSrtt(srtt_key, SrttState{rtt, rtt / 2.0});
           }
         }
 
@@ -466,14 +462,27 @@ bool RecursiveResolver::Send(ZoneEntry& zone, const dns::Name& qname,
   }
 }
 
-sim::TimeUs RecursiveResolver::RtoFor(std::uint64_t srtt_key,
-                                      int attempt) const {
+RecursiveResolver::SrttState* RecursiveResolver::FindSrtt(
+    std::uint64_t srtt_key) {
+  // The index compares the stored 64-bit hash, here the whole key, before
+  // it calls the predicate: a hash match is a key match.
+  const std::uint32_t index =
+      srtt_index_.Find(srtt_key, [](std::uint32_t) { return true; });
+  return index != base::OpenTable::kNil ? &srtt_[index] : nullptr;
+}
+
+RecursiveResolver::SrttState& RecursiveResolver::InsertSrtt(
+    std::uint64_t srtt_key, SrttState initial) {
+  srtt_index_.Insert(srtt_key, static_cast<std::uint32_t>(srtt_.size()));
+  return srtt_.emplace_back(initial);
+}
+
+sim::TimeUs RecursiveResolver::RtoFor(std::uint64_t srtt_key, int attempt) {
   // RFC 6298 adapted to DNS: RTO = SRTT + 4·RTTVAR, 1 s before any sample,
   // clamped to the band, then doubled per retransmission.
   double rto_us = 1'000'000.0;
-  auto it = srtt_.find(srtt_key);
-  if (it != srtt_.end()) {
-    rto_us = it->second.srtt + 4.0 * it->second.rttvar;
+  if (const SrttState* state = FindSrtt(srtt_key)) {
+    rto_us = state->srtt + 4.0 * state->rttvar;
   }
   auto rto = static_cast<sim::TimeUs>(rto_us);
   rto = std::clamp(rto, kRtoMinUs, kRtoMaxUs);
@@ -482,51 +491,48 @@ sim::TimeUs RecursiveResolver::RtoFor(std::uint64_t srtt_key,
 }
 
 void RecursiveResolver::PenalizeSrtt(std::uint64_t srtt_key) {
-  auto it = srtt_
-                .try_emplace(srtt_key,
-                             SrttState{kDefaultSrttUs, kDefaultSrttUs / 2.0})
-                .first;
-  it->second.srtt = std::min(it->second.srtt * 2.0,
-                             static_cast<double>(kRtoMaxUs));
+  SrttState* state = FindSrtt(srtt_key);
+  if (state == nullptr) {
+    state = &InsertSrtt(srtt_key,
+                        SrttState{kDefaultSrttUs, kDefaultSrttUs / 2.0});
+  }
+  state->srtt = std::min(state->srtt * 2.0, static_cast<double>(kRtoMaxUs));
 }
 
-ZoneEntry RecursiveResolver::ZoneFromReferral(const dns::Message& response,
-                                              const dns::Name& cut,
-                                              sim::TimeUs now) const {
-  ZoneEntry entry;
+void RecursiveResolver::ZoneFromReferral(const dns::Message& response,
+                                         const dns::Name& cut, sim::TimeUs now,
+                                         ZoneEntry& entry) {
   entry.apex = cut;
   std::uint32_t ns_ttl = 3600;
   for (const auto& rr : response.authorities) {
     if (rr.type == dns::RrType::kNs && rr.name.Equals(cut)) ns_ttl = rr.ttl;
   }
-  // Count the glue first so each address vector is allocated once.
-  std::size_t v4_glue = 0, v6_glue = 0;
-  for (const auto& rr : response.additionals) {
-    v4_glue += rr.type == dns::RrType::kA;
-    v6_glue += rr.type == dns::RrType::kAaaa;
-  }
-  entry.v4_addresses.reserve(v4_glue);
-  entry.v6_addresses.reserve(v6_glue);
+  // Glue in referral order, A before AAAA.
+  entry.addresses.clear();
   for (const auto& rr : response.additionals) {
     if (rr.type == dns::RrType::kA) {
-      entry.v4_addresses.push_back(std::get<dns::ARdata>(rr.rdata).address);
-    } else if (rr.type == dns::RrType::kAaaa) {
-      entry.v6_addresses.push_back(
-          std::get<dns::AaaaRdata>(rr.rdata).address);
+      entry.addresses.push_back(std::get<dns::ARdata>(rr.rdata).address);
+    }
+  }
+  entry.v4_count = static_cast<std::uint32_t>(entry.addresses.size());
+  for (const auto& rr : response.additionals) {
+    if (rr.type == dns::RrType::kAaaa) {
+      entry.addresses.push_back(std::get<dns::AaaaRdata>(rr.rdata).address);
     }
   }
   sim::TimeUs ttl_us = static_cast<sim::TimeUs>(std::max<std::uint32_t>(
                            ns_ttl, 60)) *
                        sim::kMicrosPerSecond;
   entry.expires_at = now + std::min(ttl_us, kMaxInfraTtl);
-  return entry;
+  entry.ds = ZoneEntry::Ds::kUnknown;
+  entry.dnskey_expires_at = 0;
 }
 
 bool RecursiveResolver::EnsureAddresses(ZoneEntry& zone,
                                         const dns::Message& referral,
                                         sim::TimeUs now, int& budget,
                                         int depth) {
-  if (!zone.v4_addresses.empty() || !zone.v6_addresses.empty()) return true;
+  if (!zone.addresses.empty()) return true;
   // Glueless delegation: resolve the nameserver names themselves, in the
   // order the referral lists them. Resolvers fetch both A and AAAA for
   // their upstream targets when dual-stack.
@@ -536,34 +542,39 @@ bool RecursiveResolver::EnsureAddresses(ZoneEntry& zone,
   for (const auto& ns : referral.authorities) {
     if (ns.type != dns::RrType::kNs || !ns.name.Equals(zone.apex)) continue;
     const dns::Name& ns_name = std::get<dns::NsRdata>(ns.rdata).nameserver;
+    // Each nested result's records are borrowed: read them before the
+    // next call. Addresses stay empty until one NS yields any, so the A
+    // answers land first and the v4/v6 split is exact.
     Result a = ResolveInternal(ns_name, dns::RrType::kA, now, budget,
                                depth + 1);
     if (a.rcode == dns::Rcode::kNoError) {
       for (const auto& rr : a.records) {
         if (rr.type == dns::RrType::kA) {
-          zone.v4_addresses.push_back(std::get<dns::ARdata>(rr.rdata).address);
+          zone.addresses.push_back(std::get<dns::ARdata>(rr.rdata).address);
         }
       }
     }
+    zone.v4_count = static_cast<std::uint32_t>(zone.addresses.size());
     if (want_v6) {
       Result aaaa = ResolveInternal(ns_name, dns::RrType::kAaaa, now, budget,
                                     depth + 1);
       if (aaaa.rcode == dns::Rcode::kNoError) {
         for (const auto& rr : aaaa.records) {
           if (rr.type == dns::RrType::kAaaa) {
-            zone.v6_addresses.push_back(
+            zone.addresses.push_back(
                 std::get<dns::AaaaRdata>(rr.rdata).address);
           }
         }
       }
     }
-    if (!zone.v4_addresses.empty() || !zone.v6_addresses.empty()) return true;
+    if (!zone.addresses.empty()) return true;
   }
   return false;
 }
 
-void RecursiveResolver::FetchDsIfNeeded(ZoneEntry& parent, ZoneEntry& child,
-                                        sim::TimeUs now, int& budget) {
+void RecursiveResolver::FetchDsIfNeeded(const ZoneEntry& parent,
+                                        ZoneEntry& child, sim::TimeUs now,
+                                        int& budget) {
   if (child.ds != ZoneEntry::Ds::kUnknown) return;
   // Only zones whose parent chain is secure need a DS; an insecure parent
   // makes the child provably insecure too.

@@ -17,10 +17,11 @@
 
 #include <array>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "base/lifetime.h"
+#include "base/open_table.h"
 #include "dns/message.h"
 #include "resolver/cache.h"
 #include "sim/network.h"
@@ -95,11 +96,17 @@ class RecursiveResolver {
     int retransmits = 0;       ///< Timeout-driven duplicate sends.
     int timeouts = 0;          ///< Upstream exchanges that got no answer.
     int failovers = 0;         ///< Servers abandoned for a sibling NS.
-    std::vector<dns::ResourceRecord> records;
+    /// The answer RRset, borrowed from the resolver: it points into the
+    /// answer cache on a hit and into the decoded upstream response on a
+    /// fresh answer, and stays valid until the next call into the
+    /// resolver. Copy it out to keep it longer.
+    std::span<const dns::ResourceRecord> records;
   };
 
-  /// Resolves a client query at simulated time `now`.
-  Result Resolve(const dns::Name& qname, dns::RrType qtype, sim::TimeUs now);
+  /// Resolves a client query at simulated time `now`. The result's
+  /// `records` borrow from this resolver (see Result).
+  Result Resolve(const dns::Name& qname, dns::RrType qtype, sim::TimeUs now)
+      CLOUDDNS_LIFETIMEBOUND;
 
   /// Repoints upstream traffic at a different network plane. The parallel
   /// scenario engine builds engines once, then attaches each to its owner
@@ -143,7 +150,7 @@ class RecursiveResolver {
   /// server selection, EDNS, and TCP retry on truncation) and decodes the
   /// answer into `response`. Returns false when no usable answer arrived;
   /// `response` is then unspecified.
-  bool Send(ZoneEntry& zone, const dns::Name& qname, dns::RrType qtype,
+  bool Send(const ZoneEntry& zone, const dns::Name& qname, dns::RrType qtype,
             sim::TimeUs now, int& budget, dns::Message& response);
 
   /// Ensures addresses for a zone's nameservers, chasing the NS targets
@@ -154,13 +161,15 @@ class RecursiveResolver {
 
   /// Validator chain maintenance: DS fetch at the parent for a new cut,
   /// DNSKEY fetch per zone per TTL.
-  void FetchDsIfNeeded(ZoneEntry& parent, ZoneEntry& child, sim::TimeUs now,
-                       int& budget);
+  void FetchDsIfNeeded(const ZoneEntry& parent, ZoneEntry& child,
+                       sim::TimeUs now, int& budget);
   void FetchDnskeyIfNeeded(ZoneEntry& zone, sim::TimeUs now, int& budget);
 
-  /// Builds a ZoneEntry from a referral response.
-  ZoneEntry ZoneFromReferral(const dns::Message& response,
-                             const dns::Name& cut, sim::TimeUs now) const;
+  /// Overwrites every field of `entry` with the zone a referral response
+  /// delegates to, reusing its address buffer.
+  static void ZoneFromReferral(const dns::Message& response,
+                               const dns::Name& cut, sim::TimeUs now,
+                               ZoneEntry& entry);
 
   /// Per-(egress site, server address) RTT estimator state. `srtt` drives
   /// server/family selection exactly as before; `rttvar` additionally
@@ -173,11 +182,16 @@ class RecursiveResolver {
   /// Retransmission timeout for one server at the given attempt index
   /// (Karn backoff: doubles per retransmission), clamped to the
   /// [300 ms, 5 s] band.
-  [[nodiscard]] sim::TimeUs RtoFor(std::uint64_t srtt_key, int attempt) const;
+  [[nodiscard]] sim::TimeUs RtoFor(std::uint64_t srtt_key, int attempt);
 
   /// Marks a server unresponsive: doubles its SRTT (capped) so failover
   /// picks and all future selections deprioritize it.
   void PenalizeSrtt(std::uint64_t srtt_key);
+
+  /// The estimator state under `srtt_key`, or null before its first sample.
+  [[nodiscard]] SrttState* FindSrtt(std::uint64_t srtt_key);
+  /// Adds state under an absent `srtt_key` and returns it.
+  SrttState& InsertSrtt(std::uint64_t srtt_key, SrttState initial);
 
   sim::Network* network_;
   ResolverConfig config_;
@@ -189,8 +203,11 @@ class RecursiveResolver {
   /// Smoothed RTT estimates (microseconds), keyed per (egress site,
   /// server address): sites see genuinely different RTTs to the same
   /// anycast service, and mixing their samples into one estimate would
-  /// make the dual-stack preference a noise amplifier.
-  std::unordered_map<std::uint64_t, SrttState> srtt_;
+  /// make the dual-stack preference a noise amplifier. A slab indexed by
+  /// the key itself, which is already a hash: the index stores it whole,
+  /// so the slab need not. Entries are never erased.
+  std::vector<SrttState> srtt_;
+  base::OpenTable srtt_index_;
   [[nodiscard]] static std::uint64_t SrttKey(sim::SiteId site,
                                              const net::IpAddress& addr) {
     return (static_cast<std::uint64_t>(site) * 0x9e3779b97f4a7c15ull) ^
@@ -232,6 +249,11 @@ class RecursiveResolver {
   /// or a slot changes to an rdata type that owns a buffer.
   std::array<dns::Message, kMaxDepth + 1> responses_;
   dns::Message fetch_response_;
+  /// The zone a referral at depth d delegates to, filled in place by
+  /// ZoneFromReferral and copied into the infra cache only once its
+  /// nameserver addresses are known. Same per-depth ownership as
+  /// `responses_`: the glueless chase fills only deeper slots.
+  std::array<ZoneEntry, kMaxDepth + 1> referral_zones_;
   std::uint64_t upstream_total_ = 0;
   std::uint64_t retransmit_total_ = 0;
   std::uint64_t timeout_total_ = 0;

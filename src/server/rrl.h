@@ -6,8 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
+#include "base/open_table.h"
 #include "net/ip.h"
 #include "sim/clock.h"
 
@@ -32,12 +33,15 @@ class ResponseRateLimiter {
 
  private:
   struct Bucket {
+    net::IpAddress source;
     double tokens = 0;
     sim::TimeUs last_refill = 0;
   };
 
   RrlConfig config_;
-  std::unordered_map<net::IpAddress, Bucket, net::IpAddressHash> buckets_;
+  /// One bucket per source ever seen, indexed by the address hash.
+  std::vector<Bucket> buckets_;
+  base::OpenTable index_;
   std::uint64_t slips_ = 0;
 };
 

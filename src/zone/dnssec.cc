@@ -57,7 +57,12 @@ std::vector<dns::ResourceRecord> MakeApexDnskeys(const dns::Name& zone_apex,
     return dns::ResourceRecord{zone_apex, dns::RrType::kDnskey,
                                dns::RrClass::kIn, ttl, std::move(key)};
   };
-  return {make_key(257, kKskSeed), make_key(256, kZskSeed)};
+  // Built in place: an initializer list would copy each 256-byte key.
+  std::vector<dns::ResourceRecord> keys;
+  keys.reserve(2);
+  keys.push_back(make_key(257, kKskSeed));
+  keys.push_back(make_key(256, kZskSeed));
+  return keys;
 }
 
 dns::ResourceRecord MakeDs(const dns::Name& child_apex, std::uint32_t ttl) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace clouddns::resolver {
 namespace {
 
@@ -121,6 +123,61 @@ TEST(InfraCacheTest, PutOverwritesByApex) {
   infra.Put(nl);
   EXPECT_EQ(infra.size(), 1u);
   EXPECT_EQ(infra.Get(N("nl"), 1)->ds, ZoneEntry::Ds::kPresent);
+}
+
+TEST(InfraCacheTest, RecycledSlotCarriesNoStaleState) {
+  InfraCache infra;
+  ZoneEntry old;
+  old.apex = N("old.nl");
+  old.addresses = {*net::IpAddress::Parse("192.0.2.1"),
+                   *net::IpAddress::Parse("192.0.2.2"),
+                   *net::IpAddress::Parse("192.0.2.3"),
+                   *net::IpAddress::Parse("2001:db8::1"),
+                   *net::IpAddress::Parse("2001:db8::2"),
+                   *net::IpAddress::Parse("2001:db8::3")};
+  old.v4_count = 3;
+  old.expires_at = 100;
+  old.ds = ZoneEntry::Ds::kPresent;
+  old.dnskey_expires_at = 90;
+  const ZoneEntry* old_slot = &infra.Put(old);
+  EXPECT_EQ(infra.Get(N("old.nl"), 100), nullptr);  // expires, frees slot
+
+  ZoneEntry fresh;
+  fresh.apex = N("fresh.nl");
+  fresh.addresses = {*net::IpAddress::Parse("198.51.100.7")};
+  fresh.v4_count = 1;
+  fresh.expires_at = 500;
+  const ZoneEntry& stored = infra.Put(fresh);
+  EXPECT_EQ(&stored, old_slot);  // the freed slot is reused
+  EXPECT_EQ(infra.size(), 1u);
+
+  const ZoneEntry* got = infra.Get(N("fresh.nl"), 200);
+  ASSERT_EQ(got, &stored);
+  EXPECT_EQ(got->apex, N("fresh.nl"));
+  EXPECT_EQ(got->addresses, fresh.addresses);
+  EXPECT_EQ(got->v4_count, 1u);
+  ASSERT_EQ(got->v4().size(), 1u);
+  EXPECT_EQ(got->v4()[0], *net::IpAddress::Parse("198.51.100.7"));
+  EXPECT_TRUE(got->v6().empty());
+  EXPECT_EQ(got->expires_at, 500u);
+  EXPECT_EQ(got->ds, ZoneEntry::Ds::kUnknown);
+  EXPECT_EQ(got->dnskey_expires_at, 0u);
+  EXPECT_EQ(infra.Get(N("old.nl"), 50), nullptr);
+}
+
+TEST(InfraCacheTest, SlotsStayPutAcrossChunks) {
+  InfraCache infra;
+  ZoneEntry zone;
+  zone.expires_at = ~0ull;
+  zone.apex = N("first.nl");
+  const ZoneEntry* first = &infra.Put(zone);
+  for (int i = 0; i < 200; ++i) {
+    zone.apex = N(("z" + std::to_string(i) + ".nl").c_str());
+    infra.Put(zone);
+  }
+  EXPECT_EQ(infra.size(), 201u);
+  EXPECT_EQ(infra.Get(N("first.nl"), 1), first);
+  EXPECT_EQ(infra.Get(N("z199.nl"), 1)->apex, N("z199.nl"));
 }
 
 

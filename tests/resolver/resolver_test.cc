@@ -51,10 +51,46 @@ TEST(ResolverTest, AnswerIsCachedAndServedLocally) {
   auto resolver = MakeResolver(net, BasicConfig(net));
   auto first = resolver.Resolve(N("www.dom3.nl"), dns::RrType::kA, 1000000);
   ASSERT_EQ(first.rcode, dns::Rcode::kNoError);
+  // The records are borrowed until the next Resolve: copy them out.
+  const std::vector<dns::ResourceRecord> first_records(first.records.begin(),
+                                                       first.records.end());
   auto second = resolver.Resolve(N("www.dom3.nl"), dns::RrType::kA, 2000000);
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.upstream_queries, 0);
-  EXPECT_EQ(second.records, first.records);
+  EXPECT_EQ(std::vector<dns::ResourceRecord>(second.records.begin(),
+                                             second.records.end()),
+            first_records);
+}
+
+TEST(ResolverTest, ResultRecordsMatchTheCachedAnswer) {
+  MiniInternet net;
+  auto resolver = MakeResolver(net, BasicConfig(net));
+  // DnsCache::Get counts hits and refreshes the LRU, hence not const.
+  auto cached = [&resolver](sim::TimeUs now) {
+    return const_cast<DnsCache&>(resolver.cache())
+        .Get(N("www.dom3.nl"), dns::RrType::kA, now);
+  };
+
+  // A fresh answer borrows the decoded response; the cache holds a copy.
+  auto fresh = resolver.Resolve(N("www.dom3.nl"), dns::RrType::kA, 1'000'000);
+  ASSERT_EQ(fresh.rcode, dns::Rcode::kNoError);
+  ASSERT_FALSE(fresh.from_cache);
+  ASSERT_FALSE(fresh.records.empty());
+  const std::vector<dns::ResourceRecord> answered(fresh.records.begin(),
+                                                  fresh.records.end());
+  const CachedAnswer* stored = cached(1'000'000);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->records, answered);
+
+  // A hit borrows the cache entry itself.
+  auto hit = resolver.Resolve(N("www.dom3.nl"), dns::RrType::kA, 2'000'000);
+  ASSERT_TRUE(hit.from_cache);
+  const std::span<const dns::ResourceRecord> served = hit.records;
+  stored = cached(2'000'000);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(served.data(), stored->records.data());
+  EXPECT_EQ(served.size(), stored->records.size());
+  EXPECT_EQ(stored->records, answered);
 }
 
 TEST(ResolverTest, InfraCacheSkipsRootAndTldForSiblingNames) {

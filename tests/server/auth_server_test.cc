@@ -296,6 +296,29 @@ TEST(RrlTest, BurstThenThrottle) {
   EXPECT_EQ(allowed, 5);  // refill is capped at burst
 }
 
+TEST(RrlTest, BurstThenThrottleFromTimeZero) {
+  // Time 0 is an ordinary instant: a source first seen then gets one
+  // burst, not a refill on every query.
+  RrlConfig config;
+  config.enabled = true;
+  config.responses_per_second = 10;
+  config.burst = 5;
+  ResponseRateLimiter rrl(config);
+  auto src = *net::IpAddress::Parse("10.0.0.1");
+
+  int allowed = 0;
+  for (int i = 0; i < 20; ++i) allowed += rrl.Allow(src, 0);
+  EXPECT_EQ(allowed, 5);
+  EXPECT_EQ(rrl.slip_count(), 15u);
+
+  // A quarter second later 2.5 tokens have refilled.
+  allowed = 0;
+  for (int i = 0; i < 20; ++i) {
+    allowed += rrl.Allow(src, sim::kMicrosPerSecond / 4);
+  }
+  EXPECT_EQ(allowed, 2);
+}
+
 TEST(RrlTest, PerSourceIsolation) {
   RrlConfig config;
   config.enabled = true;
