@@ -1,13 +1,13 @@
 // The §4.3 dual-stack methodology, step by step:
 //   1. capture a week of .nl traffic and keep Facebook's source addresses;
-//   2. reverse-lookup every address (in-addr.arpa / ip6.arpa PTR);
+//   2. reverse-lookup every address (its PTR record);
 //   3. read the site (airport code) out of the PTR name;
 //   4. match v4/v6 addresses with identical PTR names -> dual-stack hosts;
 //   5. correlate per-site median TCP-handshake RTTs with the v4/v6 split.
+#include <algorithm>
 #include <cstdio>
 
 #include "analysis/experiments.h"
-#include "analysis/rdns.h"
 #include "analysis/report.h"
 #include "cloud/scenario.h"
 
@@ -22,17 +22,18 @@ int main() {
   auto result = cloud::RunScenario(config);
 
   // Step 2-3 on a single address, to show the moving parts.
-  analysis::RdnsDatabase rdns(result.ptr_records);
   for (const auto& record : result.records.FlattenCopy()) {
     if (analysis::ProviderOfRecord(result, record) !=
         cloud::Provider::kFacebook) {
       continue;
     }
-    auto ptr = rdns.Lookup(record.src);
-    if (!ptr) continue;
+    auto ptr = std::find_if(
+        result.ptr_records.begin(), result.ptr_records.end(),
+        [&record](const auto& entry) { return entry.first == record.src; });
+    if (ptr == result.ptr_records.end()) continue;
     std::printf("\nExample reverse lookup:\n  %s -> %s (site tag: %s)\n",
-                record.src.ToString().c_str(), ptr->ToString().c_str(),
-                analysis::SiteTagFromPtr(*ptr)->c_str());
+                record.src.ToString().c_str(), ptr->second.ToString().c_str(),
+                analysis::SiteTagFromPtr(ptr->second)->c_str());
     break;
   }
 
@@ -60,7 +61,7 @@ int main() {
                   std::to_string(site.dual_stack_hosts), reading});
   }
   std::printf("\n%s", table.Render().c_str());
-  std::printf("\n%zu PTR records served from the generated arpa zones.\n",
-              rdns.record_count());
+  std::printf("\n%zu PTR records in the scenario's reverse DNS.\n",
+              result.ptr_records.size());
   return 0;
 }

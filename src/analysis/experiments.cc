@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "analysis/rdns.h"
 #include "entrada/cdf.h"
 #include "entrada/hll.h"
 
@@ -277,52 +276,47 @@ ResolverFamilyCount ComputeResolverFamilies(const cloud::ScenarioResult& result,
 
 std::vector<FacebookSiteStats> ComputeFacebookSites(
     const cloud::ScenarioResult& result, std::uint32_t server_id) {
-  RdnsDatabase rdns(result.ptr_records);
+  // The reverse lookup. An address with several PTR records keeps its
+  // first, the head of its PTR RRset.
+  std::unordered_map<net::IpAddress, const dns::Name*, net::IpAddressHash>
+      ptr_of;
+  ptr_of.reserve(result.ptr_records.size());
+  for (const auto& [address, target] : result.ptr_records) {
+    ptr_of.emplace(address, &target);
+  }
 
   struct SiteAccumulator {
     std::uint64_t queries = 0;
     std::uint64_t v6 = 0;
-    std::vector<double> tcp_rtt_v4_ms;
-    std::vector<double> tcp_rtt_v6_ms;
+    entrada::Cdf tcp_rtt_v4_ms;
+    entrada::Cdf tcp_rtt_v6_ms;
+    /// Families seen per PTR name (bit 0 = v4, bit 1 = v6). Name order is
+    /// case-insensitive, so names that differ only in case are one host.
+    std::map<dns::Name, std::uint8_t> families;
   };
   std::map<std::string, SiteAccumulator> sites;
-  std::vector<net::IpAddress> facebook_sources;
 
-  for (const auto& record : result.records.FlattenCopy()) {
-    if (record.server_id != server_id) continue;
-    if (ProviderOfRecord(result, record) != cloud::Provider::kFacebook) {
-      continue;
-    }
-    auto ptr = rdns.Lookup(record.src);
-    if (!ptr) continue;  // the paper saw 3 addresses with no PTR
-    auto site = SiteTagFromPtr(*ptr);
-    if (!site) continue;
-    SiteAccumulator& acc = sites[*site];
-    ++acc.queries;
-    acc.v6 += record.src.is_v6();
-    if (record.transport == dns::Transport::kTcp &&
-        record.tcp_handshake_rtt_us > 0) {
-      double ms = static_cast<double>(record.tcp_handshake_rtt_us) / 1000.0;
-      (record.src.is_v6() ? acc.tcp_rtt_v6_ms : acc.tcp_rtt_v4_ms)
-          .push_back(ms);
-    }
-    facebook_sources.push_back(record.src);
-  }
-
-  // Dual-stack identification: group observed sources by PTR name; a name
-  // seen from both families is one dual-stack host.
-  auto groups = rdns.GroupByPtrName(facebook_sources);
-  std::map<std::string, std::size_t> dual_per_site;
-  for (const auto& [name, addresses] : groups) {
-    bool v4 = false, v6 = false;
-    for (const auto& address : addresses) {
-      (address.is_v4() ? v4 : v6) = true;
-    }
-    if (v4 && v6) {
-      auto parsed = dns::Name::Parse(name);
-      if (parsed) {
-        if (auto site = SiteTagFromPtr(*parsed)) ++dual_per_site[*site];
+  // Every aggregate is order-free, so the shards are scanned in place.
+  for (std::size_t s = 0; s < result.records.shard_count(); ++s) {
+    for (const auto& record : result.records.shard(s)) {
+      if (record.server_id != server_id) continue;
+      if (ProviderOfRecord(result, record) != cloud::Provider::kFacebook) {
+        continue;
       }
+      auto ptr = ptr_of.find(record.src);
+      if (ptr == ptr_of.end()) continue;  // the paper saw 3 with no PTR
+      auto site = SiteTagFromPtr(*ptr->second);
+      if (!site) continue;
+      SiteAccumulator& acc = sites[*site];
+      const bool v6 = record.src.is_v6();
+      ++acc.queries;
+      acc.v6 += v6;
+      if (record.transport == dns::Transport::kTcp &&
+          record.tcp_handshake_rtt_us > 0) {
+        (v6 ? acc.tcp_rtt_v6_ms : acc.tcp_rtt_v4_ms)
+            .Add(static_cast<double>(record.tcp_handshake_rtt_us) / 1000.0);
+      }
+      acc.families[*ptr->second] |= v6 ? 2 : 1;
     }
   }
 
@@ -331,19 +325,17 @@ std::vector<FacebookSiteStats> ComputeFacebookSites(
     FacebookSiteStats row;
     row.site = site;
     row.queries = acc.queries;
-    row.v6_share = acc.queries == 0
-                       ? 0
-                       : static_cast<double>(acc.v6) /
-                             static_cast<double>(acc.queries);
-    auto median = [](std::vector<double>& values) -> std::optional<double> {
-      if (values.empty()) return std::nullopt;
-      entrada::Cdf cdf;
-      for (double v : values) cdf.Add(v);
+    row.v6_share = static_cast<double>(acc.v6) /
+                   static_cast<double>(acc.queries);
+    auto median = [](entrada::Cdf& cdf) -> std::optional<double> {
+      if (cdf.count() == 0) return std::nullopt;
       return cdf.Median();
     };
     row.median_rtt_v4_ms = median(acc.tcp_rtt_v4_ms);
     row.median_rtt_v6_ms = median(acc.tcp_rtt_v6_ms);
-    row.dual_stack_hosts = dual_per_site[site];
+    row.dual_stack_hosts = static_cast<std::size_t>(std::count_if(
+        acc.families.begin(), acc.families.end(),
+        [](const auto& entry) { return entry.second == 3; }));
     stats.push_back(std::move(row));
   }
   std::sort(stats.begin(), stats.end(),
@@ -351,6 +343,13 @@ std::vector<FacebookSiteStats> ComputeFacebookSites(
               return a.queries > b.queries;
             });
   return stats;
+}
+
+std::optional<std::string> SiteTagFromPtr(const dns::Name& ptr) {
+  // "<host>.<site>.<org>.example": the site is the label above the
+  // provider's domain.
+  if (ptr.LabelCount() < 4) return std::nullopt;
+  return std::string(ptr.Label(ptr.LabelCount() - 3));
 }
 
 EdnsStats ComputeEdnsStats(const cloud::ScenarioResult& result,

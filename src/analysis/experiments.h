@@ -124,10 +124,17 @@ struct FacebookSiteStats {
   std::optional<double> median_rtt_v6_ms;
   std::size_t dual_stack_hosts = 0;
 };
-/// Per-site stats for queries captured at one server (`server_id`),
-/// using reverse DNS to locate sites and to match dual-stack hosts.
+/// Per-site stats for Facebook's queries captured at one server
+/// (`server_id`), read through the scenario's PTR records: a source's PTR
+/// name gives its site, and a PTR name seen from both families is one
+/// dual-stack host. Sources without a PTR are skipped.
 [[nodiscard]] std::vector<FacebookSiteStats> ComputeFacebookSites(
     const cloud::ScenarioResult& result, std::uint32_t server_id);
+
+/// Extracts the site tag from a Facebook-style PTR name
+/// ("edge-dns-x-y-z-w.ams.tfbnw.example" -> "ams"): the third label from
+/// the end. Returns nullopt for names with fewer than four labels.
+[[nodiscard]] std::optional<std::string> SiteTagFromPtr(const dns::Name& ptr);
 
 // ---- Figure 6: EDNS(0) size CDF + truncation ----
 struct EdnsStats {

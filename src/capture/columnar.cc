@@ -75,16 +75,7 @@ struct Cursor {
   }
 
   [[nodiscard]] std::optional<std::uint64_t> Varint() {
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (int i = 0; i < 10; ++i) {
-      if (p == end) return std::nullopt;
-      std::uint8_t byte = *p++;
-      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return value;
-      shift += 7;
-    }
-    return std::nullopt;
+    return GetVarint(p, end);
   }
 };
 

@@ -1,5 +1,6 @@
 #include "capture/pcap.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "dns/audit.h"
@@ -162,7 +163,11 @@ bool ParseFrame(const std::uint8_t* frame, std::size_t len,
   if (ethertype == kEthertypeIpv4) {
     if (ip_len < 20 || (ip[0] >> 4) != 4) return false;
     std::size_t ihl = static_cast<std::size_t>(ip[0] & 0xf) * 4;
-    if (ip_len < ihl) return false;
+    // The total length bounds the datagram: bytes past it are an Ethernet
+    // pad or a captured FCS, not payload.
+    std::size_t total_len = GetBE16(ip + 2);
+    if (total_len < ihl || ip_len < ihl) return false;
+    ip_len = std::min(ip_len, total_len);
     proto = ip[9];
     src = net::Ipv4Address::FromBytes({ip[12], ip[13], ip[14], ip[15]});
     l4 = ip + ihl;
@@ -174,7 +179,7 @@ bool ParseFrame(const std::uint8_t* frame, std::size_t len,
     std::copy(ip + 8, ip + 24, bytes.begin());
     src = net::Ipv6Address(bytes);
     l4 = ip + 40;
-    l4_len = ip_len - 40;
+    l4_len = std::min<std::size_t>(ip_len - 40, GetBE16(ip + 4));
   } else {
     return false;
   }
@@ -184,10 +189,12 @@ bool ParseFrame(const std::uint8_t* frame, std::size_t len,
   if (proto == kProtoUdp) {
     if (l4_len < 8) return false;
     if (GetBE16(l4 + 2) != 53) return false;  // not to the DNS port
+    std::size_t udp_len = GetBE16(l4 + 4);
+    if (udp_len < 8) return false;
     out.src_port = GetBE16(l4);
     out.transport = dns::Transport::kUdp;
     dns_data = l4 + 8;
-    dns_len = l4_len - 8;
+    dns_len = std::min(l4_len, udp_len) - 8;
   } else if (proto == kProtoTcp) {
     if (l4_len < 20) return false;
     if (GetBE16(l4 + 2) != 53) return false;

@@ -11,31 +11,13 @@
 #include <queue>
 #include <utility>
 
+#include "capture/varint.h"
+
 namespace clouddns::capture {
 namespace {
 
 constexpr char kShardIndexMagic[8] = {'C', 'D', 'N', 'S', 'S', 'H', 'R', 'D'};
 constexpr std::uint64_t kShardIndexVersion = 1;
-
-void PutVarint(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
-bool GetVarint(const std::vector<std::uint8_t>& in, std::size_t& pos,
-               std::uint64_t& value) {
-  value = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    if (pos >= in.size()) return false;
-    const std::uint8_t byte = in[pos++];
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return true;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -155,13 +137,17 @@ ShardedCapture ReshardFromIndex(const std::string& path, CaptureBuffer flat,
                   bytes.begin())) {
     return ShardedCapture(std::move(flat));
   }
+  auto next_varint = [&bytes, &pos](std::uint64_t& value) {
+    const auto decoded = GetVarint(bytes, pos);
+    value = decoded.value_or(0);
+    return decoded.has_value();
+  };
   std::uint64_t version = 0;
   std::uint64_t shard_count = 0;
   std::uint64_t record_count = 0;
-  if (!GetVarint(bytes, pos, version) || version != kShardIndexVersion ||
-      !GetVarint(bytes, pos, shard_count) ||
-      !GetVarint(bytes, pos, record_count) || shard_count == 0 ||
-      record_count != flat.size()) {
+  if (!next_varint(version) || version != kShardIndexVersion ||
+      !next_varint(shard_count) || !next_varint(record_count) ||
+      shard_count == 0 || record_count != flat.size()) {
     return ShardedCapture(std::move(flat));
   }
 
@@ -174,7 +160,7 @@ ShardedCapture ReshardFromIndex(const std::string& path, CaptureBuffer flat,
   while (pos < bytes.size()) {
     std::uint64_t shard = 0;
     std::uint64_t length = 0;
-    if (!GetVarint(bytes, pos, shard) || !GetVarint(bytes, pos, length) ||
+    if (!next_varint(shard) || !next_varint(length) ||
         shard >= shard_count || length == 0 ||
         length > record_count - covered) {
       return ShardedCapture(std::move(flat));

@@ -137,23 +137,6 @@ struct EncodeVisitor {
     writer.WriteName(r.next, /*compress=*/false);
     EncodeTypeBitmap(r.types, writer);
   }
-  void operator()(const Nsec3Rdata& r) const {
-    writer.WriteU8(r.hash_algorithm);
-    writer.WriteU8(r.flags);
-    writer.WriteU16(r.iterations);
-    writer.WriteU8(static_cast<std::uint8_t>(r.salt.size()));
-    writer.WriteBytes(r.salt);
-    writer.WriteU8(static_cast<std::uint8_t>(r.next_hashed_owner.size()));
-    writer.WriteBytes(r.next_hashed_owner);
-    EncodeTypeBitmap(r.types, writer);
-  }
-  void operator()(const Nsec3ParamRdata& r) const {
-    writer.WriteU8(r.hash_algorithm);
-    writer.WriteU8(r.flags);
-    writer.WriteU16(r.iterations);
-    writer.WriteU8(static_cast<std::uint8_t>(r.salt.size()));
-    writer.WriteBytes(r.salt);
-  }
   void operator()(const RawRdata& r) const { writer.WriteBytes(r.data); }
 };
 
@@ -259,26 +242,6 @@ bool DecodeRdata(RrType type, std::uint16_t rdlength, WireReader& reader,
       r.types.clear();
       return DecodeTypeBitmap(reader, end, r.types);
     }
-    case RrType::kNsec3: {
-      Nsec3Rdata& r = SlotFor<Nsec3Rdata>(out);
-      std::uint8_t salt_len = 0, hash_len = 0;
-      if (!reader.ReadU8(r.hash_algorithm) || !reader.ReadU8(r.flags) ||
-          !reader.ReadU16(r.iterations) || !reader.ReadU8(salt_len) ||
-          !reader.ReadBytes(salt_len, r.salt) || !reader.ReadU8(hash_len) ||
-          !reader.ReadBytes(hash_len, r.next_hashed_owner)) {
-        return false;
-      }
-      if (reader.offset() > end) return false;
-      r.types.clear();
-      return DecodeTypeBitmap(reader, end, r.types);
-    }
-    case RrType::kNsec3Param: {
-      Nsec3ParamRdata& r = SlotFor<Nsec3ParamRdata>(out);
-      std::uint8_t salt_len = 0;
-      return reader.ReadU8(r.hash_algorithm) && reader.ReadU8(r.flags) &&
-             reader.ReadU16(r.iterations) && reader.ReadU8(salt_len) &&
-             reader.ReadBytes(salt_len, r.salt) && finish();
-    }
     default:
       return reader.ReadBytes(rdlength, SlotFor<RawRdata>(out).data);
   }
@@ -340,23 +303,6 @@ std::string RdataToString(const Rdata& rdata) {
         out += ToString(t);
       }
       return out;
-    }
-    std::string operator()(const Nsec3Rdata& r) const {
-      std::string out = std::to_string(r.hash_algorithm) + " " +
-                        std::to_string(r.flags) + " " +
-                        std::to_string(r.iterations) + " " +
-                        (r.salt.empty() ? "-" : BytesToHex(r.salt)) + " " +
-                        BytesToHex(r.next_hashed_owner);
-      for (RrType t : r.types) {
-        out += ' ';
-        out += ToString(t);
-      }
-      return out;
-    }
-    std::string operator()(const Nsec3ParamRdata& r) const {
-      return std::to_string(r.hash_algorithm) + " " +
-             std::to_string(r.flags) + " " + std::to_string(r.iterations) +
-             " " + (r.salt.empty() ? "-" : BytesToHex(r.salt));
     }
     std::string operator()(const RawRdata& r) const {
       return "\\# " + std::to_string(r.data.size()) + " " + BytesToHex(r.data);

@@ -104,28 +104,6 @@ struct NsecRdata {
   friend bool operator==(const NsecRdata&, const NsecRdata&) = default;
 };
 
-/// RFC 5155 hashed denial of existence. The next-hashed-owner field is
-/// raw hash bytes (presentation format base32hex-encodes them). Only the
-/// wire codec exists: the simulated servers deny with online NSEC.
-struct Nsec3Rdata {
-  std::uint8_t hash_algorithm = 1;  ///< 1 = SHA-1 in the RFC; mocked here.
-  std::uint8_t flags = 0;           ///< Bit 0 = opt-out.
-  std::uint16_t iterations = 0;
-  std::vector<std::uint8_t> salt;   ///< <= 255 bytes.
-  std::vector<std::uint8_t> next_hashed_owner;
-  std::vector<RrType> types;
-  friend bool operator==(const Nsec3Rdata&, const Nsec3Rdata&) = default;
-};
-
-struct Nsec3ParamRdata {
-  std::uint8_t hash_algorithm = 1;
-  std::uint8_t flags = 0;
-  std::uint16_t iterations = 0;
-  std::vector<std::uint8_t> salt;
-  friend bool operator==(const Nsec3ParamRdata&, const Nsec3ParamRdata&) =
-      default;
-};
-
 /// Fallback for types without a dedicated struct.
 struct RawRdata {
   std::vector<std::uint8_t> data;
@@ -135,17 +113,16 @@ struct RawRdata {
 using Rdata =
     std::variant<ARdata, AaaaRdata, NsRdata, CnameRdata, PtrRdata, MxRdata,
                  TxtRdata, SoaRdata, SrvRdata, DsRdata, DnskeyRdata,
-                 RrsigRdata, NsecRdata, Nsec3Rdata, Nsec3ParamRdata,
-                 RawRdata>;
+                 RrsigRdata, NsecRdata, RawRdata>;
 
 /// Serializes `rdata` (without the RDLENGTH prefix). Name compression is
 /// only applied where RFC 1035/3597 permit (NS/CNAME/PTR/MX/SOA targets).
 void EncodeRdata(const Rdata& rdata, WireWriter& writer);
 
 /// Parses `rdlength` bytes at the reader into the typed form for `type`;
-/// unknown types land in RawRdata. When `out` already holds that form it is
+/// types without a typed form land in RawRdata. When `out` already holds that form it is
 /// decoded over in place, and its byte buffers (`signature`, `public_key`,
-/// `digest`, `types`, `salt`, raw `data`, ...) keep their capacity;
+/// `digest`, `types`, raw `data`, ...) keep their capacity;
 /// otherwise `out` is replaced by a fresh one. Returns false on
 /// truncated/bad data, leaving `out` unspecified but destructible.
 [[nodiscard]] bool DecodeRdata(RrType type, std::uint16_t rdlength,

@@ -113,9 +113,6 @@ class RecursiveResolver {
   /// shard's network (which carries that shard's authoritative servers).
   void AttachNetwork(sim::Network& network) { network_ = &network; }
 
-  [[nodiscard]] const DnsCache& cache() const CLOUDDNS_LIFETIMEBOUND {
-    return cache_;
-  }
   [[nodiscard]] const ResolverConfig& config() const CLOUDDNS_LIFETIMEBOUND {
     return config_;
   }

@@ -419,8 +419,6 @@ std::string RenderRdata(const dns::ResourceRecord& rr) {
     }
     std::string operator()(const dns::RrsigRdata&) const { return {}; }
     std::string operator()(const dns::NsecRdata&) const { return {}; }
-    std::string operator()(const dns::Nsec3Rdata&) const { return {}; }
-    std::string operator()(const dns::Nsec3ParamRdata&) const { return {}; }
     std::string operator()(const dns::RawRdata&) const { return {}; }
   };
   return std::visit(Visitor{}, rr.rdata);

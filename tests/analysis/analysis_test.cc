@@ -6,7 +6,6 @@
 #include "analysis/calibration.h"
 #include "analysis/dataset_cache.h"
 #include "analysis/experiments.h"
-#include "analysis/rdns.h"
 #include "analysis/report.h"
 
 namespace clouddns::analysis {
@@ -33,41 +32,6 @@ TEST(ReportTest, Formatters) {
   EXPECT_EQ(Count(1000), "1,000");
   EXPECT_EQ(Count(1234567), "1,234,567");
   EXPECT_EQ(Fixed(3.14159, 2), "3.14");
-}
-
-TEST(RdnsTest, LookupThroughArpaZones) {
-  std::vector<std::pair<net::IpAddress, dns::Name>> ptrs = {
-      {*net::IpAddress::Parse("66.220.144.5"),
-       N("edge-dns-66-220-144-5.ams.tfbnw.example")},
-      {*net::IpAddress::Parse("2a03:2880::5"),
-       N("edge-dns-66-220-144-5.ams.tfbnw.example")},
-  };
-  RdnsDatabase rdns(ptrs);
-  EXPECT_EQ(rdns.record_count(), 2u);
-
-  auto v4 = rdns.Lookup(*net::IpAddress::Parse("66.220.144.5"));
-  ASSERT_TRUE(v4.has_value());
-  EXPECT_EQ(v4->ToString(), "edge-dns-66-220-144-5.ams.tfbnw.example");
-  auto v6 = rdns.Lookup(*net::IpAddress::Parse("2a03:2880::5"));
-  ASSERT_TRUE(v6.has_value());
-  EXPECT_EQ(*v4, *v6);
-  EXPECT_FALSE(rdns.Lookup(*net::IpAddress::Parse("9.9.9.9")).has_value());
-}
-
-TEST(RdnsTest, GroupByPtrNameFindsDualStackHosts) {
-  std::vector<std::pair<net::IpAddress, dns::Name>> ptrs = {
-      {*net::IpAddress::Parse("66.220.144.5"), N("host-a.ams.fb.example")},
-      {*net::IpAddress::Parse("2a03:2880::5"), N("host-a.ams.fb.example")},
-      {*net::IpAddress::Parse("66.220.144.6"), N("host-b.ams.fb.example")},
-  };
-  RdnsDatabase rdns(ptrs);
-  auto groups = rdns.GroupByPtrName({*net::IpAddress::Parse("66.220.144.5"),
-                                     *net::IpAddress::Parse("2a03:2880::5"),
-                                     *net::IpAddress::Parse("66.220.144.6"),
-                                     *net::IpAddress::Parse("8.8.8.8")});
-  EXPECT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups.at("host-a.ams.fb.example").size(), 2u);
-  EXPECT_EQ(groups.at("host-b.ams.fb.example").size(), 1u);
 }
 
 TEST(RdnsTest, SiteTagExtraction) {
@@ -190,6 +154,68 @@ TEST(ExperimentsTest, EdnsStatsOnSyntheticRecords) {
   EXPECT_NEAR(stats.fraction_at_512, 2.0 / 3.0, 1e-9);
   EXPECT_NEAR(stats.truncated_udp, 1.0 / 3.0, 1e-9);
   ASSERT_EQ(stats.cdf.size(), 2u);
+}
+
+TEST(ExperimentsTest, FacebookSitesMatchDualStackByPtrName) {
+  cloud::ScenarioResult result;
+  cloud::RegisterProviderAses(result.asdb);
+  auto ip = [](const char* text) { return *net::IpAddress::Parse(text); };
+  result.ptr_records = {
+      // ams names embed the host's v4 address; host .5 is dual-stack.
+      {ip("66.220.144.5"), N("edge-dns-66-220-144-5.ams.tfbnw.example")},
+      {ip("2a03:2880::5"), N("edge-dns-66-220-144-5.ams.tfbnw.example")},
+      {ip("66.220.144.6"), N("edge-dns-66-220-144-6.ams.tfbnw.example")},
+      // sjc names omit the address; r0 is dual-stack, matched across case.
+      {ip("157.240.0.1"), N("edge-dns-r0.sjc.tfbnw.example")},
+      {ip("2a03:2880::100"), N("EDGE-DNS-R0.sjc.tfbnw.example")},
+      {ip("2a03:2880::101"), N("edge-dns-r1.sjc.tfbnw.example")},
+      // A second PTR for .6 loses to its first; a short name has no site.
+      {ip("66.220.144.6"), N("edge-dns-other.fra.tfbnw.example")},
+      {ip("66.220.144.7"), N("short.example")},
+      // Not Facebook's address space: never a Facebook site.
+      {ip("8.8.8.8"), N("x.lhr.google.example")},
+  };
+  capture::CaptureBuffer shard0, shard1;
+  auto add = [&ip](capture::CaptureBuffer& shard, const char* src,
+                   std::uint32_t rtt_us = 0, std::uint32_t server = 0) {
+    capture::CaptureRecord r;
+    r.src = ip(src);
+    r.server_id = server;
+    r.qname = *dns::Name::Parse("x.nl");
+    if (rtt_us > 0) {
+      r.transport = dns::Transport::kTcp;
+      r.tcp_handshake_rtt_us = rtt_us;
+    }
+    shard.push_back(std::move(r));
+  };
+  add(shard0, "66.220.144.5", 10'000);
+  add(shard1, "66.220.144.5");
+  add(shard0, "2a03:2880::5", 30'000);
+  add(shard1, "66.220.144.6");
+  add(shard0, "157.240.0.1");
+  add(shard1, "2a03:2880::100");
+  add(shard0, "2a03:2880::101");
+  add(shard1, "66.220.144.9");         // no PTR: skipped
+  add(shard0, "66.220.144.7");         // no site in its PTR: skipped
+  add(shard1, "8.8.8.8");              // another provider: skipped
+  add(shard0, "66.220.144.5", 0, 1);   // another server: skipped
+  result.records =
+      capture::ShardedCapture::FromShards({std::move(shard0), std::move(shard1)});
+
+  auto sites = ComputeFacebookSites(result, 0);
+  ASSERT_EQ(sites.size(), 2u);
+  EXPECT_EQ(sites[0].site, "ams");
+  EXPECT_EQ(sites[0].queries, 4u);
+  EXPECT_DOUBLE_EQ(sites[0].v6_share, 0.25);
+  EXPECT_EQ(sites[0].median_rtt_v4_ms, 10.0);
+  EXPECT_EQ(sites[0].median_rtt_v6_ms, 30.0);
+  EXPECT_EQ(sites[0].dual_stack_hosts, 1u);
+  EXPECT_EQ(sites[1].site, "sjc");
+  EXPECT_EQ(sites[1].queries, 3u);
+  EXPECT_DOUBLE_EQ(sites[1].v6_share, 2.0 / 3.0);
+  EXPECT_FALSE(sites[1].median_rtt_v4_ms.has_value());
+  EXPECT_FALSE(sites[1].median_rtt_v6_ms.has_value());
+  EXPECT_EQ(sites[1].dual_stack_hosts, 1u);
 }
 
 TEST(ExperimentsTest, TransportMixOnSyntheticRecords) {

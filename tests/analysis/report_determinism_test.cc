@@ -10,12 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/rdns.h"
+#include "analysis/experiments.h"
 #include "capture/record.h"
+#include "capture/sharded.h"
 #include "entrada/plan.h"
 #include "net/asdb.h"
 #include "sim/random.h"
-#include "zone/reverse.h"
 
 namespace clouddns {
 namespace {
@@ -63,7 +63,7 @@ capture::CaptureBuffer SyntheticCapture() {
   return records;
 }
 
-/// Runs the full fused plan plus the rDNS grouping and renders everything
+/// Runs the full fused plan plus the Fig. 5 site rows and renders everything
 /// into one report string — every emission boundary the repo has.
 std::string RenderReport(const capture::CaptureBuffer& records,
                          std::size_t threads) {
@@ -114,23 +114,38 @@ std::string RenderReport(const capture::CaptureBuffer& records,
     }
   }
 
-  // Dual-stack matching through the ordered GroupByPtrName boundary.
-  std::vector<std::pair<net::IpAddress, dns::Name>> ptrs;
-  std::vector<net::IpAddress> addresses;
-  for (int i = 0; i < 16; ++i) {
-    dns::Name host = *dns::Name::Parse("edge-" + std::to_string(i % 5) +
-                                       ".ams.example.net");
-    net::IpAddress v4 = net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i));
-    net::IpAddress v6 = net::Ipv6Address::FromGroups(
-        {0x2001, 0xdb8, 0, 0, 0, 0, 0, static_cast<std::uint16_t>(i)});
-    ptrs.emplace_back(v4, host);
-    ptrs.emplace_back(v6, host);
-    addresses.push_back(v4);
-    addresses.push_back(v6);
+  // Fig. 5's per-site rows through the reverse DNS. The capture is
+  // Facebook's here, split into `threads` shards. A source's PTR name
+  // keys on its low address bits, so v4 and v6 sources share names
+  // (dual-stack hosts), and every seventh bucket has no PTR.
+  cloud::ScenarioResult scenario;
+  scenario.asdb.AddAs(32934, "FACEBOOK");
+  scenario.asdb.Announce(net::Prefix(net::Ipv4Address(10, 0, 0, 0), 8), 32934);
+  scenario.asdb.Announce(
+      net::Prefix(net::Ipv6Address::FromGroups({0x2001, 0xdb8, 0, 0, 0, 0, 0, 0}),
+                  32),
+      32934);
+  const char* const sites[] = {"ams", "fra", "sjc"};
+  std::vector<capture::CaptureBuffer> shards(threads);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const capture::CaptureRecord& r = records[i];
+    shards[i % threads].push_back(r);
+    const unsigned low = r.src.is_v4() ? r.src.v4().ToBytes()[3]
+                                       : r.src.v6().group(7);
+    if (low % 7 == 0) continue;
+    scenario.ptr_records.emplace_back(
+        r.src, *dns::Name::Parse("edge-" + std::to_string(low % 64) + "." +
+                                 sites[low % 3] + ".tfbnw.example"));
   }
-  analysis::RdnsDatabase rdns(ptrs);
-  for (const auto& [name, members] : rdns.GroupByPtrName(addresses)) {
-    out << "ptr-group " << name << " " << members.size() << "\n";
+  for (capture::CaptureBuffer& shard : shards) {
+    capture::SortByTimeStable(shard);
+  }
+  scenario.records = capture::ShardedCapture::FromShards(std::move(shards));
+  for (const auto& site : analysis::ComputeFacebookSites(scenario, 0)) {
+    out << "fb-site " << site.site << " " << site.queries << " "
+        << site.v6_share << " " << site.median_rtt_v4_ms.value_or(-1) << " "
+        << site.median_rtt_v6_ms.value_or(-1) << " dual "
+        << site.dual_stack_hosts << "\n";
   }
   return out.str();
 }

@@ -70,6 +70,25 @@ TEST(VarintTest, RejectsTruncated) {
   EXPECT_FALSE(GetVarint(buf, pos).has_value());
 }
 
+TEST(VarintTest, TenByteLimitAndPointerForm) {
+  // ~0 takes exactly ten bytes; an eleventh continuation byte is overlong.
+  std::vector<std::uint8_t> max;
+  PutVarint(max, ~0ull);
+  ASSERT_EQ(max.size(), 10u);
+  const std::uint8_t* p = max.data();
+  auto back = GetVarint(p, max.data() + max.size());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, ~0ull);
+  EXPECT_EQ(p, max.data() + max.size());
+
+  std::vector<std::uint8_t> overlong(10, 0x80);
+  overlong.push_back(0x00);
+  std::size_t pos = 0;
+  EXPECT_FALSE(GetVarint(overlong, pos).has_value());
+  p = overlong.data();
+  EXPECT_FALSE(GetVarint(p, overlong.data() + overlong.size()).has_value());
+}
+
 TEST(ZigzagTest, RoundTrip) {
   for (std::int64_t v :
        std::initializer_list<std::int64_t>{

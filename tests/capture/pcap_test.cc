@@ -93,6 +93,54 @@ TEST(PcapTest, SkipsNonDnsFramesAndTruncatedTail) {
   EXPECT_EQ(decoded->size(), 1u);
 }
 
+/// Encodes one record and appends `trailer` to its frame, fixing the
+/// record header's captured and original lengths, as a capture of a
+/// padded or FCS-carrying Ethernet frame would hold it.
+std::vector<std::uint8_t> PcapWithTrailer(const CaptureRecord& record,
+                                          std::size_t trailer) {
+  auto bytes = EncodePcap({record});
+  const std::size_t frame_len = bytes.size() - 24 - 16;
+  bytes.insert(bytes.end(), trailer, 0xee);
+  const auto padded = static_cast<std::uint32_t>(frame_len + trailer);
+  for (std::size_t field : {24u + 8u, 24u + 12u}) {  // incl_len, orig_len
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[field + i] = static_cast<std::uint8_t>(padded >> (8 * i));
+    }
+  }
+  return bytes;
+}
+
+TEST(PcapTest, EthernetPaddedQueryIsKept) {
+  // A ". NS" query without EDNS is a 59-byte frame; Ethernet pads it to 60.
+  CaptureRecord r = QueryRecord("198.51.100.7", dns::Transport::kUdp);
+  r.qname = dns::Name();
+  r.qtype = dns::RrType::kNs;
+  r.has_edns = false;
+  r.edns_udp_size = 0;
+  r.do_bit = false;
+  ASSERT_EQ(EncodePcap({r}).size(), 24u + 16u + 59u);
+  auto decoded = DecodePcap(PcapWithTrailer(r, 1));
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->size(), 1u);
+  EXPECT_TRUE((*decoded)[0].qname.IsRoot());
+  EXPECT_EQ((*decoded)[0].qtype, dns::RrType::kNs);
+  EXPECT_EQ((*decoded)[0].query_size, 17);  // 12-byte header + question
+}
+
+TEST(PcapTest, FcsTrailerIsNotPayload) {
+  for (const char* src : {"198.51.100.7", "2001:db8::7"}) {
+    CaptureRecord r = QueryRecord(src, dns::Transport::kUdp);
+    auto plain = DecodePcap(EncodePcap({r}));
+    ASSERT_TRUE(plain.has_value());
+    ASSERT_EQ(plain->size(), 1u);
+    auto decoded = DecodePcap(PcapWithTrailer(r, 4));
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->size(), 1u) << src;
+    EXPECT_EQ((*decoded)[0].qname, r.qname);
+    EXPECT_EQ((*decoded)[0].query_size, (*plain)[0].query_size);
+  }
+}
+
 TEST(PcapTest, FileRoundTrip) {
   CaptureBuffer records = {QueryRecord("198.51.100.7", dns::Transport::kUdp)};
   std::string path = ::testing::TempDir() + "/clouddns_test.pcap";

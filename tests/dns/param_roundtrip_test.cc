@@ -109,27 +109,7 @@ class RdataRoundTripTest : public ::testing::TestWithParam<RrType> {
                          nsec.types.end());
         return nsec;
       }
-      case RrType::kNsec3: {
-        Nsec3Rdata nsec3;
-        nsec3.hash_algorithm = 1;
-        nsec3.flags = static_cast<std::uint8_t>(rng_() % 2);
-        nsec3.iterations = static_cast<std::uint16_t>(rng_() % 100);
-        nsec3.salt = RandomBytes(8);
-        nsec3.next_hashed_owner = RandomBytes(20);
-        std::size_t types = 1 + rng_() % 4;
-        for (std::size_t i = 0; i < types; ++i) {
-          nsec3.types.push_back(static_cast<RrType>(1 + rng_() % 255));
-        }
-        std::sort(nsec3.types.begin(), nsec3.types.end());
-        nsec3.types.erase(
-            std::unique(nsec3.types.begin(), nsec3.types.end()),
-            nsec3.types.end());
-        return nsec3;
-      }
-      case RrType::kNsec3Param:
-        return Nsec3ParamRdata{1, 0, static_cast<std::uint16_t>(rng_() % 100),
-                               RandomBytes(8)};
-      default:
+      default:  // NSEC3, NSEC3PARAM: no typed form, raw bytes round-trip
         return RawRdata{RandomBytes(64)};
     }
   }
