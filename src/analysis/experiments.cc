@@ -338,10 +338,12 @@ std::vector<FacebookSiteStats> ComputeFacebookSites(
         [](const auto& entry) { return entry.second == 3; }));
     stats.push_back(std::move(row));
   }
-  std::sort(stats.begin(), stats.end(),
-            [](const FacebookSiteStats& a, const FacebookSiteStats& b) {
-              return a.queries > b.queries;
-            });
+  // `sites` is in site-name order, so a stable sort breaks query-count ties
+  // by site name, for any site count and any standard library.
+  std::stable_sort(stats.begin(), stats.end(),
+                   [](const FacebookSiteStats& a, const FacebookSiteStats& b) {
+                     return a.queries > b.queries;
+                   });
   return stats;
 }
 

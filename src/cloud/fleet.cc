@@ -180,8 +180,12 @@ Fleet BuildFacebookFleet(const ProviderProfile& profile,
     MintHosts(config, network, profile, hosts, {site_id}, v4_counter,
               v6_counter, rng, /*public_blocks=*/false);
 
-    // PTR records: airport code + embedded IPv4 (12 of 13 sites; the last
-    // site's names omit the address, defeating dual-stack matching there).
+    // PTR records: one name per host, shared by its v4 and v6 addresses,
+    // so a host seen from both families matches as dual-stack. The name is
+    // the host's dashed IPv4 under the site's airport code, except at the
+    // last site, where it is a per-site host index ("edge-dns-r<h>"). That
+    // still matches across families: the facebook_dualstack example finds
+    // a dual-stack host there.
     std::size_t h = 0;
     for (const auto& host : config.hosts) {
       std::string label =

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dns/audit.h"
+#include "dns/response_writer.h"
 
 namespace clouddns::dns {
 namespace {
@@ -13,17 +14,12 @@ constexpr std::uint16_t kFlagTc = 0x0200;
 constexpr std::uint16_t kFlagRd = 0x0100;
 constexpr std::uint16_t kFlagRa = 0x0080;
 
-std::uint16_t PackFlags(const Header& h) {
-  std::uint16_t flags = 0;
-  if (h.qr) flags |= kFlagQr;
-  flags |= static_cast<std::uint16_t>((static_cast<unsigned>(h.opcode) & 0xf)
-                                      << 11);
-  if (h.aa) flags |= kFlagAa;
-  if (h.tc) flags |= kFlagTc;
-  if (h.rd) flags |= kFlagRd;
-  if (h.ra) flags |= kFlagRa;
-  flags |= static_cast<std::uint16_t>(static_cast<unsigned>(h.rcode) & 0xf);
-  return flags;
+/// Slot `index` of `section`, appended when the section is not that long
+/// yet. Sections grow one slot per decoded entry, never by a wire count.
+template <typename T>
+T& SlotAt(std::vector<T>& section, std::size_t index) {
+  if (index == section.size()) section.emplace_back();
+  return section[index];
 }
 
 Header UnpackFlags(std::uint16_t id, std::uint16_t flags) {
@@ -39,64 +35,20 @@ Header UnpackFlags(std::uint16_t id, std::uint16_t flags) {
   return h;
 }
 
-ResourceRecord MakeOptRecord(const EdnsInfo& edns) {
-  ResourceRecord opt;
-  opt.name = Name{};  // root
-  opt.type = RrType::kOpt;
-  // OPT reuses CLASS for the UDP payload size.
-  opt.rclass = static_cast<RrClass>(edns.udp_payload_size);
-  // TTL packs extended-rcode / version / DO.
-  opt.ttl = (static_cast<std::uint32_t>(edns.version) << 16) |
-            (edns.dnssec_ok ? 0x8000u : 0u);
-  opt.rdata = RawRdata{};
-  return opt;
-}
-
-void EncodeSections(const Message& msg, WireWriter& writer,
-                    bool sections_truncated) {
-  for (const auto& q : msg.questions) q.Encode(writer);
-  if (!sections_truncated) {
-    for (const auto& rr : msg.answers) rr.Encode(writer);
-    for (const auto& rr : msg.authorities) rr.Encode(writer);
-    for (const auto& rr : msg.additionals) rr.Encode(writer);
-  }
-  if (msg.edns) MakeOptRecord(*msg.edns).Encode(writer);
-}
-
-void EncodeImpl(const Message& msg, bool truncate_sections,
-                WireBuffer& out) {
-  out.clear();
-  out.reserve(512);
-  WireWriter writer(out);
-  writer.WriteU16(msg.header.id);
-  Header header = msg.header;
-  if (truncate_sections) header.tc = true;
-  writer.WriteU16(PackFlags(header));
-  writer.WriteU16(static_cast<std::uint16_t>(msg.questions.size()));
-  std::size_t opt_count = msg.edns ? 1 : 0;
-  if (truncate_sections) {
-    writer.WriteU16(0);
-    writer.WriteU16(0);
-    writer.WriteU16(static_cast<std::uint16_t>(opt_count));
-  } else {
-    writer.WriteU16(static_cast<std::uint16_t>(msg.answers.size()));
-    writer.WriteU16(static_cast<std::uint16_t>(msg.authorities.size()));
-    writer.WriteU16(
-        static_cast<std::uint16_t>(msg.additionals.size() + opt_count));
-  }
-  EncodeSections(msg, writer, truncate_sections);
-  audit::Audit(out, "dns::Message::Encode");
-}
-
-/// Slot `index` of `section`, appended when the section is not that long
-/// yet. Sections grow one slot per decoded entry, never by a wire count.
-template <typename T>
-T& SlotAt(std::vector<T>& section, std::size_t index) {
-  if (index == section.size()) section.emplace_back();
-  return section[index];
-}
-
 }  // namespace
+
+std::uint16_t PackFlags(const Header& h) {
+  std::uint16_t flags = 0;
+  if (h.qr) flags |= kFlagQr;
+  flags |= static_cast<std::uint16_t>((static_cast<unsigned>(h.opcode) & 0xf)
+                                      << 11);
+  if (h.aa) flags |= kFlagAa;
+  if (h.tc) flags |= kFlagTc;
+  if (h.rd) flags |= kFlagRd;
+  if (h.ra) flags |= kFlagRa;
+  flags |= static_cast<std::uint16_t>(static_cast<unsigned>(h.rcode) & 0xf);
+  return flags;
+}
 
 Message Message::MakeQuery(std::uint16_t id, const Name& qname, RrType qtype,
                            std::optional<EdnsInfo> edns) {
@@ -121,25 +73,25 @@ void Message::ResetAsQueryFor(std::uint16_t id, const Name& qname,
 
 Message Message::MakeResponse(const Message& query) {
   Message msg;
-  msg.ResetAsResponseTo(query);
+  msg.header = ResponseHeader(query.header);
+  msg.questions = query.questions;
+  msg.edns = ResponseEdns(query);
   return msg;
 }
 
-void Message::ResetAsResponseTo(const Message& query) {
-  header = Header{};
-  header.id = query.header.id;
+Header ResponseHeader(const Header& query) {
+  Header header;
+  header.id = query.id;
   header.qr = true;
-  header.opcode = query.header.opcode;
-  header.rd = query.header.rd;
-  questions = query.questions;
-  answers.clear();
-  authorities.clear();
-  additionals.clear();
-  edns.reset();
-  if (query.edns) {
-    // Echo EDNS with the server's own advertised size.
-    edns = EdnsInfo{kServerUdpPayloadSize, query.edns->dnssec_ok, 0};
-  }
+  header.opcode = query.opcode;
+  header.rd = query.rd;
+  return header;
+}
+
+std::optional<EdnsInfo> ResponseEdns(const Message& query) {
+  if (!query.edns) return std::nullopt;
+  // Echo EDNS with the server's own advertised size.
+  return EdnsInfo{kServerUdpPayloadSize, query.edns->dnssec_ok, 0};
 }
 
 std::size_t UdpResponseLimit(const Message& query) {
@@ -150,12 +102,12 @@ std::size_t UdpResponseLimit(const Message& query) {
 
 WireBuffer Message::Encode() const {
   WireBuffer out;
-  EncodeImpl(*this, false, out);
+  EncodeInto(out);
   return out;
 }
 
 void Message::EncodeInto(WireBuffer& out) const {
-  EncodeImpl(*this, false, out);
+  EncodeWithLimitInto(ResponseWriter::kNoLimit, out);
 }
 
 WireBuffer Message::EncodeWithLimit(std::size_t limit, bool* truncated) const {
@@ -166,13 +118,12 @@ WireBuffer Message::EncodeWithLimit(std::size_t limit, bool* truncated) const {
 
 void Message::EncodeWithLimitInto(std::size_t limit, WireBuffer& out,
                                   bool* truncated) const {
-  EncodeImpl(*this, false, out);
-  if (out.size() <= limit) {
-    if (truncated) *truncated = false;
-    return;
-  }
-  if (truncated) *truncated = true;
-  EncodeImpl(*this, true, out);
+  ResponseWriter writer(out, header, questions, edns);
+  writer.Add(Section::kAnswer, answers);
+  writer.Add(Section::kAuthority, authorities);
+  writer.Add(Section::kAdditional, additionals);
+  const bool cut = writer.Finish(limit);
+  if (truncated) *truncated = cut;
 }
 
 std::optional<Message> Message::Decode(const WireBuffer& wire) {

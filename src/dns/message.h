@@ -63,13 +63,9 @@ class Message {
   void ResetAsQueryFor(std::uint16_t id, const Name& qname, RrType qtype,
                        const std::optional<EdnsInfo>& edns = std::nullopt);
 
-  /// Resets this message in place to the MakeResponse skeleton for `query`,
-  /// keeping each section vector's capacity so a reused response message
-  /// stops allocating once warm.
-  void ResetAsResponseTo(const Message& query);
-
-  /// Encodes to wire format with name compression. The OPT record is
-  /// synthesized from `edns` into the additional section.
+  /// Encodes to wire format with name compression, through a
+  /// ResponseWriter (dns/response_writer.h). The OPT record is synthesized
+  /// from `edns` into the additional section.
   [[nodiscard]] WireBuffer Encode() const;
 
   /// Reusable-buffer encode: clears `out` (keeping its capacity) and fills
@@ -108,6 +104,17 @@ class Message {
 
   friend bool operator==(const Message&, const Message&) = default;
 };
+
+/// The header's flags word on the wire (RFC 1035 §4.1.1).
+[[nodiscard]] std::uint16_t PackFlags(const Header& header);
+
+/// The header of a response to a query with header `query`: its id,
+/// opcode and RD, with QR set.
+[[nodiscard]] Header ResponseHeader(const Header& query);
+
+/// The EDNS a response to `query` carries: none when the query has none,
+/// otherwise the server's own payload size with the query's DO bit.
+[[nodiscard]] std::optional<EdnsInfo> ResponseEdns(const Message& query);
 
 /// The largest UDP response a server sends to `query`: 512 without EDNS,
 /// otherwise the advertised size clamped to [512, kServerUdpPayloadSize].

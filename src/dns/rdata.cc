@@ -5,32 +5,6 @@
 namespace clouddns::dns {
 namespace {
 
-void EncodeTypeBitmap(const std::vector<RrType>& types, WireWriter& writer) {
-  // RFC 4034 §4.1.2: window blocks of 256 types, each with a bitmap of up to
-  // 32 bytes. Types must be emitted in ascending order.
-  std::vector<std::uint16_t> sorted;
-  sorted.reserve(types.size());
-  for (RrType t : types) sorted.push_back(static_cast<std::uint16_t>(t));
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    std::uint8_t window = static_cast<std::uint8_t>(sorted[i] >> 8);
-    std::uint8_t bitmap[32] = {};
-    int max_byte = -1;
-    while (i < sorted.size() && (sorted[i] >> 8) == window) {
-      std::uint8_t low = static_cast<std::uint8_t>(sorted[i] & 0xff);
-      bitmap[low / 8] |= static_cast<std::uint8_t>(0x80 >> (low % 8));
-      max_byte = std::max(max_byte, low / 8);
-      ++i;
-    }
-    writer.WriteU8(window);
-    writer.WriteU8(static_cast<std::uint8_t>(max_byte + 1));
-    writer.WriteBytes(bitmap, static_cast<std::size_t>(max_byte + 1));
-  }
-}
-
 /// Appends the types of the bitmap that ends at `end_offset` to `out`.
 bool DecodeTypeBitmap(WireReader& reader, std::size_t end_offset,
                       std::vector<RrType>& out) {
@@ -141,6 +115,35 @@ struct EncodeVisitor {
 };
 
 }  // namespace
+
+void EncodeTypeBitmap(std::span<const RrType> types, WireWriter& writer) {
+  // RFC 4034 §4.1.2: window blocks of 256 types in ascending order, each a
+  // bitmap of up to 32 bytes. Each block takes one pass over `types` to
+  // find the next window and one to fill it, so nothing is sorted or
+  // allocated.
+  int window = -1;
+  for (;;) {
+    int next = 256;
+    for (RrType t : types) {
+      const int w = static_cast<std::uint16_t>(t) >> 8;
+      if (w > window && w < next) next = w;
+    }
+    if (next == 256) return;
+    window = next;
+    std::uint8_t bitmap[32] = {};
+    int max_byte = -1;
+    for (RrType t : types) {
+      const auto value = static_cast<std::uint16_t>(t);
+      if ((value >> 8) != window) continue;
+      const int low = value & 0xff;
+      bitmap[low / 8] |= static_cast<std::uint8_t>(0x80 >> (low % 8));
+      max_byte = std::max(max_byte, low / 8);
+    }
+    writer.WriteU8(static_cast<std::uint8_t>(window));
+    writer.WriteU8(static_cast<std::uint8_t>(max_byte + 1));
+    writer.WriteBytes(bitmap, static_cast<std::size_t>(max_byte + 1));
+  }
+}
 
 void EncodeRdata(const Rdata& rdata, WireWriter& writer) {
   std::visit(EncodeVisitor{writer}, rdata);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -118,6 +119,10 @@ using Rdata =
 /// Serializes `rdata` (without the RDLENGTH prefix). Name compression is
 /// only applied where RFC 1035/3597 permit (NS/CNAME/PTR/MX/SOA targets).
 void EncodeRdata(const Rdata& rdata, WireWriter& writer);
+
+/// Writes the NSEC type bitmap of `types` (RFC 4034 §4.1.2). `types` may
+/// come in any order and repeat; nothing is allocated.
+void EncodeTypeBitmap(std::span<const RrType> types, WireWriter& writer);
 
 /// Parses `rdlength` bytes at the reader into the typed form for `type`;
 /// types without a typed form land in RawRdata. When `out` already holds that form it is

@@ -24,16 +24,26 @@ std::string Question::ToString() const {
 }
 
 void ResourceRecord::Encode(WireWriter& writer) const {
-  writer.WriteName(name);
+  const std::size_t rdlength_at = EncodeHead(writer, name, type, rclass, ttl);
+  EncodeRdata(rdata, writer);
+  EncodeTail(writer, rdlength_at);
+}
+
+std::size_t ResourceRecord::EncodeHead(WireWriter& writer, const Name& owner,
+                                       RrType type, RrClass rclass,
+                                       std::uint32_t ttl) {
+  writer.WriteName(owner);
   writer.WriteU16(static_cast<std::uint16_t>(type));
   writer.WriteU16(static_cast<std::uint16_t>(rclass));
   writer.WriteU32(ttl);
-  std::size_t rdlength_at = writer.size();
+  const std::size_t rdlength_at = writer.size();
   writer.WriteU16(0);  // RDLENGTH placeholder
-  std::size_t rdata_start = writer.size();
-  EncodeRdata(rdata, writer);
+  return rdlength_at;
+}
+
+void ResourceRecord::EncodeTail(WireWriter& writer, std::size_t rdlength_at) {
   writer.PatchU16(rdlength_at,
-                  static_cast<std::uint16_t>(writer.size() - rdata_start));
+                  static_cast<std::uint16_t>(writer.size() - rdlength_at - 2));
 }
 
 bool ResourceRecord::Decode(WireReader& reader, ResourceRecord& out) {

@@ -31,6 +31,15 @@ struct ResourceRecord {
   Rdata rdata;
 
   void Encode(WireWriter& writer) const;
+  /// The two halves of Encode, around RDATA a caller writes in place:
+  /// EncodeHead writes the owner, type, class, TTL and a zero RDLENGTH and
+  /// returns the RDLENGTH's offset, which EncodeTail back-fills once the
+  /// RDATA is written.
+  [[nodiscard]] static std::size_t EncodeHead(WireWriter& writer,
+                                              const Name& owner, RrType type,
+                                              RrClass rclass,
+                                              std::uint32_t ttl);
+  static void EncodeTail(WireWriter& writer, std::size_t rdlength_at);
   [[nodiscard]] static bool Decode(WireReader& reader, ResourceRecord& out);
   [[nodiscard]] std::string ToString() const;
 

@@ -32,9 +32,13 @@ namespace {
     if (suffix == suffix_end) return false;
     if (*suffix != len) return false;
     if (cursor + 1 + len > wire.size()) return false;
-    for (std::size_t j = 0; j < len; ++j) {
-      if (LowerByte(wire[cursor + 1 + j]) != LowerByte(suffix[1 + j])) {
-        return false;
+    // Names repeat with the same spelling far more often than in another
+    // case, so an exact compare settles most labels.
+    if (std::memcmp(wire.data() + cursor + 1, suffix + 1, len) != 0) {
+      for (std::size_t j = 0; j < len; ++j) {
+        if (LowerByte(wire[cursor + 1 + j]) != LowerByte(suffix[1 + j])) {
+          return false;
+        }
       }
     }
     suffix += 1 + len;
@@ -119,20 +123,30 @@ WireWriter::~WireWriter() {
   if (table_ == &tls_suffix_table) tls_suffix_table.busy = false;
 }
 
+// One append per field: byte-wise push_backs each reload the vector's end
+// pointer behind the byte just stored, which costs more than the copy.
 void WireWriter::WriteU16(std::uint16_t value) {
-  out_.push_back(static_cast<std::uint8_t>(value >> 8));
-  out_.push_back(static_cast<std::uint8_t>(value & 0xff));
+  const std::uint8_t bytes[2] = {static_cast<std::uint8_t>(value >> 8),
+                                 static_cast<std::uint8_t>(value & 0xff)};
+  WriteBytes(bytes, sizeof(bytes));
 }
 
 void WireWriter::WriteU32(std::uint32_t value) {
-  out_.push_back(static_cast<std::uint8_t>(value >> 24));
-  out_.push_back(static_cast<std::uint8_t>(value >> 16));
-  out_.push_back(static_cast<std::uint8_t>(value >> 8));
-  out_.push_back(static_cast<std::uint8_t>(value & 0xff));
+  const std::uint8_t bytes[4] = {static_cast<std::uint8_t>(value >> 24),
+                                 static_cast<std::uint8_t>(value >> 16),
+                                 static_cast<std::uint8_t>(value >> 8),
+                                 static_cast<std::uint8_t>(value & 0xff)};
+  WriteBytes(bytes, sizeof(bytes));
 }
 
 void WireWriter::WriteBytes(const std::uint8_t* data, std::size_t size) {
   out_.insert(out_.end(), data, data + size);
+}
+
+std::span<std::uint8_t> WireWriter::Extend(std::size_t size) {
+  const std::size_t at = out_.size();
+  out_.resize(at + size);
+  return {out_.data() + at, size};
 }
 
 void WireWriter::WriteName(const Name& name, bool compress) {
@@ -144,8 +158,10 @@ void WireWriter::WriteName(const Name& name, bool compress) {
   const std::size_t label_count = name.LabelCount();
   for (std::size_t i = 0; i < label_count; ++i) {
     if (compress) {
+      // The whole name's hash is the one Name caches.
       const std::uint64_t hash =
-          Name::HashFlat(p, static_cast<std::size_t>(end - p));
+          i == 0 ? name.CachedHash()
+                 : Name::HashFlat(p, static_cast<std::size_t>(end - p));
       std::uint16_t target = 0;
       if (table_->Find(hash, out_, p, end, target)) {
         WriteU16(static_cast<std::uint16_t>(0xc000u | target));
@@ -155,8 +171,7 @@ void WireWriter::WriteName(const Name& name, bool compress) {
         table_->Insert(hash, static_cast<std::uint16_t>(out_.size()));
       }
     }
-    WriteU8(*p);
-    WriteBytes(p + 1, *p);
+    WriteBytes(p, 1u + *p);  // a flat label is its wire form
     p += 1 + *p;
   }
   WriteU8(0);  // root

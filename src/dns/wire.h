@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dns/name.h"
@@ -66,6 +67,10 @@ class WireWriter {
   void WriteBytes(const std::vector<std::uint8_t>& data) {
     WriteBytes(data.data(), data.size());
   }
+
+  /// Appends `size` zero bytes and returns them, for a caller that fills
+  /// them in place. The span is valid until the next write.
+  [[nodiscard]] std::span<std::uint8_t> Extend(std::size_t size);
 
   /// Writes `name`, emitting a compression pointer to an earlier occurrence
   /// of any suffix already written through this writer. Set `compress` to

@@ -1,35 +1,68 @@
 #include "server/auth_server.h"
 // lint:hot-path — on the per-query serve/capture path (DESIGN.md §10).
 
+#include <string_view>
+
 #include "zone/dnssec.h"
 
 namespace clouddns::server {
 namespace {
 
-void AttachNsecWithSig(const zone::Zone& zone, const dns::Name& owner,
-                       const dns::Name& next,
-                       std::vector<dns::ResourceRecord>& section) {
+using dns::Section;
+
+/// The types every denial NSEC lists.
+constexpr dns::RrType kProofTypes[] = {dns::RrType::kNs, dns::RrType::kRrsig,
+                                       dns::RrType::kNsec};
+
+/// Writes the RRSIGs at `owner` that cover `covered`, straight from the
+/// zone image.
+void WriteRrsigs(const zone::Zone& zone, const dns::Name& owner,
+                 dns::RrType covered, Section section,
+                 dns::ResponseWriter& out) {
+  for (const auto& sig : zone.Find(owner, dns::RrType::kRrsig)) {
+    const auto& rdata = std::get<dns::RrsigRdata>(sig.rdata);
+    if (rdata.type_covered == static_cast<std::uint16_t>(covered)) {
+      out.Add(section, sig);
+    }
+  }
+}
+
+/// Writes an NSEC at `owner` and its RRSIG into the authority section, the
+/// type bitmap and the mock signature in place. The NSEC's next name is
+/// `next`, under the label `next_label` when that is not empty.
+void WriteNsecWithSig(const zone::Zone& zone, const dns::Name& owner,
+                      std::string_view next_label, const dns::Name& next,
+                      dns::ResponseWriter& out) {
   // NSEC TTL follows the zone's negative-caching TTL (SOA MINIMUM), as in
   // real signed zones; the root's long TTL is what makes aggressive
   // caching there so effective.
   const std::uint32_t ttl = zone.NegativeTtl();
-  dns::NsecRdata nsec;
-  nsec.next = next;
-  nsec.types = {dns::RrType::kNs, dns::RrType::kRrsig, dns::RrType::kNsec};
-  section.push_back(dns::ResourceRecord{owner, dns::RrType::kNsec,
-                                        dns::RrClass::kIn, ttl,
-                                        std::move(nsec)});
-  dns::RrsigRdata sig;
-  sig.type_covered = static_cast<std::uint16_t>(dns::RrType::kNsec);
-  sig.algorithm = zone::kMockAlgorithm;
-  sig.labels = static_cast<std::uint8_t>(owner.LabelCount());
-  sig.original_ttl = ttl;
-  sig.key_tag = zone::ZskTagFor(zone.apex());
-  sig.signer = zone.apex();
-  sig.signature = zone::MockSignature(zone.apex(), owner, dns::RrType::kNsec);
-  section.push_back(dns::ResourceRecord{owner, dns::RrType::kRrsig,
-                                        dns::RrClass::kIn, ttl,
-                                        std::move(sig)});
+  dns::WireWriter& nsec =
+      out.BeginRecord(Section::kAuthority, owner, dns::RrType::kNsec, ttl);
+  if (!next_label.empty()) {
+    nsec.WriteU8(static_cast<std::uint8_t>(next_label.size()));
+    nsec.WriteBytes(reinterpret_cast<const std::uint8_t*>(next_label.data()),
+                    next_label.size());
+  }
+  nsec.WriteName(next, /*compress=*/false);
+  dns::EncodeTypeBitmap(kProofTypes, nsec);
+  out.EndRecord();
+
+  // The RRSIG's fields in dns::RrsigRdata order. Unlike SignZone's, the
+  // proof's signature carries no validity window (both times are 0).
+  dns::WireWriter& sig =
+      out.BeginRecord(Section::kAuthority, owner, dns::RrType::kRrsig, ttl);
+  sig.WriteU16(static_cast<std::uint16_t>(dns::RrType::kNsec));
+  sig.WriteU8(zone::kMockAlgorithm);
+  sig.WriteU8(static_cast<std::uint8_t>(owner.LabelCount()));
+  sig.WriteU32(ttl);
+  sig.WriteU32(0);  // expiration
+  sig.WriteU32(0);  // inception
+  sig.WriteU16(zone::ZskTagFor(zone.apex()));
+  sig.WriteName(zone.apex(), /*compress=*/false);
+  zone::FillMockSignature(zone.apex(), owner, dns::RrType::kNsec,
+                          sig.Extend(zone::kMockSignatureSize));
+  out.EndRecord();
 }
 
 // NXDOMAIN denial: a real *range* NSEC between the denied name's existing
@@ -37,22 +70,23 @@ void AttachNsecWithSig(const zone::Zone& zone, const dns::Name& owner,
 // negatives past small EDNS buffers, the range is what lets resolvers do
 // aggressive NSEC caching (RFC 8198) — the mechanism §4.2.3 credits for
 // the 2020 drop in cloud junk at the root.
-void AttachRangeDenial(const zone::Zone& zone, const dns::Name& denied,
-                       std::vector<dns::ResourceRecord>& section) {
+void WriteRangeDenial(const zone::Zone& zone, const dns::Name& denied,
+                      dns::ResponseWriter& out) {
   const auto range = zone.DenialNeighbors(denied);
-  AttachNsecWithSig(zone, range.prev, range.next, section);
+  WriteNsecWithSig(zone, range.prev, {}, range.next, out);
 }
 
 // NODATA denial ("white lies", RFC 4470 style): an NSEC at the name itself
 // whose type bitmap omits the denied type.
-void AttachNoDataProof(const zone::Zone& zone, const dns::Name& denied,
-                       std::vector<dns::ResourceRecord>& section) {
-  // The "next" name is the denied name's immediate successor so the range
-  // covers nothing else; fall back to the apex when at the length limit.
+void WriteNoDataProof(const zone::Zone& zone, const dns::Name& denied,
+                      dns::ResponseWriter& out) {
+  // The "next" name is the denied name's immediate successor, 000.<denied>,
+  // so the range covers nothing else; fall back to the apex when at the
+  // length limit.
   if (denied.WireLength() + 4 <= dns::Name::kMaxWireLength) {
-    AttachNsecWithSig(zone, denied, denied.Child("000"), section);
+    WriteNsecWithSig(zone, denied, "000", denied, out);
   } else {
-    AttachNsecWithSig(zone, denied, zone.apex(), section);
+    WriteNsecWithSig(zone, denied, {}, zone.apex(), out);
   }
 }
 
@@ -76,24 +110,13 @@ const zone::Zone* AuthServer::BestZoneFor(const dns::Name& qname) const {
   return best;
 }
 
-void AuthServer::AttachRrsigs(const zone::Zone& zone, const dns::Name& owner,
-                              dns::RrType covered,
-                              std::vector<dns::ResourceRecord>& section) const {
-  for (const auto& sig : zone.Find(owner, dns::RrType::kRrsig)) {
-    const auto& rdata = std::get<dns::RrsigRdata>(sig.rdata);
-    if (rdata.type_covered == static_cast<std::uint16_t>(covered)) {
-      section.push_back(sig);
-    }
-  }
-}
-
-void AuthServer::RespondInto(const dns::Message& query,
-                             dns::Message& response) const {
-  response.ResetAsResponseTo(query);
+void AuthServer::Answer(const dns::Message& query,
+                        dns::ResponseWriter& out) const {
+  dns::Header& header = out.header();
   if (query.questions.size() != 1 ||
       query.header.opcode != dns::Opcode::kQuery) {
-    response.header.rcode = query.questions.empty() ? dns::Rcode::kFormErr
-                                                    : dns::Rcode::kNotImp;
+    header.rcode = query.questions.empty() ? dns::Rcode::kFormErr
+                                           : dns::Rcode::kNotImp;
     return;
   }
   const dns::Question& question = query.questions.front();
@@ -101,59 +124,57 @@ void AuthServer::RespondInto(const dns::Message& query,
 
   const zone::Zone* zone = BestZoneFor(question.name);
   if (zone == nullptr) {
-    response.header.rcode = dns::Rcode::kRefused;
+    header.rcode = dns::Rcode::kRefused;
     return;
   }
 
-  // The lookup returns spans into the zone image; each section appends
-  // from them, keeping the capacity the scratch response already has.
+  // The lookup returns spans into the zone image, written straight to the
+  // wire: no record is copied.
   const zone::LookupResult result = zone->Lookup(question.name, question.type);
-  auto append = [](std::vector<dns::ResourceRecord>& section,
-                   zone::RecordSpan records) {
-    section.insert(section.end(), records.begin(), records.end());
-  };
   switch (result.status) {
     case zone::LookupStatus::kAnswer:
-      response.header.aa = true;
-      append(response.answers, result.records);
+      header.aa = true;
+      out.Add(Section::kAnswer, result.records);
       if (want_dnssec && zone->IsSigned()) {
-        AttachRrsigs(*zone, question.name, result.records.front().type,
-                     response.answers);
+        WriteRrsigs(*zone, question.name, result.records.front().type,
+                    Section::kAnswer, out);
       }
       break;
     case zone::LookupStatus::kDelegation:
-      response.header.aa = false;
-      append(response.authorities, result.records);
+      header.aa = false;
+      out.Add(Section::kAuthority, result.records);
       if (want_dnssec) {
-        append(response.authorities, result.ds);
+        out.Add(Section::kAuthority, result.ds);
         if (zone->IsSigned() && !result.ds.empty()) {
-          AttachRrsigs(*zone, result.records.front().name, dns::RrType::kDs,
-                       response.authorities);
+          WriteRrsigs(*zone, result.records.front().name, dns::RrType::kDs,
+                      Section::kAuthority, out);
         }
       }
-      zone->AppendGlue(result.records, response.additionals);
+      zone->ForEachGlue(result.records, [&out](zone::RecordSpan glue) {
+        out.Add(Section::kAdditional, glue);
+      });
       break;
     case zone::LookupStatus::kNxDomain:
-      response.header.aa = true;
-      response.header.rcode = dns::Rcode::kNxDomain;
-      append(response.authorities, result.soa);
+      header.aa = true;
+      header.rcode = dns::Rcode::kNxDomain;
+      out.Add(Section::kAuthority, result.soa);
       if (want_dnssec && zone->IsSigned()) {
-        AttachRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
-                     response.authorities);
-        AttachRangeDenial(*zone, question.name, response.authorities);
+        WriteRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
+                    Section::kAuthority, out);
+        WriteRangeDenial(*zone, question.name, out);
       }
       break;
     case zone::LookupStatus::kNoData:
-      response.header.aa = true;
-      append(response.authorities, result.soa);
+      header.aa = true;
+      out.Add(Section::kAuthority, result.soa);
       if (want_dnssec && zone->IsSigned()) {
-        AttachRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
-                     response.authorities);
-        AttachNoDataProof(*zone, question.name, response.authorities);
+        WriteRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
+                    Section::kAuthority, out);
+        WriteNoDataProof(*zone, question.name, out);
       }
       break;
     case zone::LookupStatus::kNotInZone:
-      response.header.rcode = dns::Rcode::kRefused;
+      header.rcode = dns::Rcode::kRefused;
       break;
   }
 }
@@ -168,39 +189,30 @@ void AuthServer::HandlePacket(const sim::PacketContext& ctx,
     return;  // drop garbage silently, as real servers do
   }
 
+  dns::ResponseWriter out(wire, query);
   if (query.questions.size() == 1 &&
       query.questions.front().type == dns::RrType::kAxfr) {
     // Zone transfers are refused (no server here allows one), bypassing
     // RRL and capture: they are never part of the studied query stream.
-    response_scratch_.ResetAsResponseTo(query);
-    response_scratch_.header.rcode = dns::Rcode::kRefused;
-    return response_scratch_.EncodeInto(wire);
+    out.header().rcode = dns::Rcode::kRefused;
+    out.Finish();
+    return;
   }
 
-  dns::Message& response = response_scratch_;
-  bool slipped = false;
-  if (!rrl_.Allow(ctx.src.address, ctx.time_us)) {
-    // RRL slip: minimal truncated response; resolver should retry via TCP.
-    // TCP queries are never rate-limited (the handshake proves the source).
-    if (ctx.transport == dns::Transport::kUdp) {
-      response.ResetAsResponseTo(query);
-      response.header.tc = true;
-      slipped = true;
-    } else {
-      RespondInto(query, response);
-    }
+  // RRL slip: a minimal truncated response; the resolver should retry via
+  // TCP. TCP queries are never rate-limited (the handshake proves the
+  // source), but every query spends the source's tokens.
+  const bool udp = ctx.transport == dns::Transport::kUdp;
+  const bool slipped = !rrl_.Allow(ctx.src.address, ctx.time_us) && udp;
+  if (slipped) {
+    out.header().tc = true;
   } else {
-    RespondInto(query, response);
+    Answer(query, out);
   }
-
-  bool truncated = false;
-  if (ctx.transport == dns::Transport::kUdp) {
-    response.EncodeWithLimitInto(dns::UdpResponseLimit(query), wire,
-                                 &truncated);
-    if (slipped) truncated = true;
-  } else {
-    response.EncodeInto(wire);
-  }
+  const bool truncated =
+      out.Finish(udp ? dns::UdpResponseLimit(query)
+                     : dns::ResponseWriter::kNoLimit) ||
+      slipped;
 
   if (config_.capture_enabled) {
     capture::CaptureRecord record;
@@ -214,7 +226,7 @@ void AuthServer::HandlePacket(const sim::PacketContext& ctx,
       record.qname = query.questions.front().name;
       record.qtype = query.questions.front().type;
     }
-    record.rcode = response.header.rcode;
+    record.rcode = out.header().rcode;
     record.has_edns = query.edns.has_value();
     record.edns_udp_size = query.edns ? query.edns->udp_payload_size : 0;
     record.do_bit = query.edns && query.edns->dnssec_ok;

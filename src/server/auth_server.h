@@ -14,6 +14,7 @@
 
 #include "capture/record.h"
 #include "dns/message.h"
+#include "dns/response_writer.h"
 #include "server/rrl.h"
 #include "sim/network.h"
 #include "zone/zone.h"
@@ -37,8 +38,9 @@ class AuthServer final : public sim::PacketHandler {
   void Serve(std::shared_ptr<const zone::Zone> zone);
 
   /// sim::PacketHandler: full query->response cycle plus capture. Decodes
-  /// into and responds from member scratch messages, so serving a query at
-  /// steady state does not allocate.
+  /// into a member scratch message and writes the response from the zone
+  /// image straight into `response` (dns::ResponseWriter), so serving a
+  /// query at steady state does not allocate (ServerAllocTest).
   void HandlePacket(const sim::PacketContext& ctx,
                     const dns::WireBuffer& query,
                     dns::WireBuffer& response) override;
@@ -53,20 +55,16 @@ class AuthServer final : public sim::PacketHandler {
 
  private:
   [[nodiscard]] const zone::Zone* BestZoneFor(const dns::Name& qname) const;
-  /// Fills `response` (reset first, section capacity kept) for `query`.
-  void RespondInto(const dns::Message& query, dns::Message& response) const;
-  void AttachRrsigs(const zone::Zone& zone, const dns::Name& owner,
-                    dns::RrType covered,
-                    std::vector<dns::ResourceRecord>& section) const;
+  /// Writes the sections and rcode of the answer to `query` into `out`.
+  void Answer(const dns::Message& query, dns::ResponseWriter& out) const;
 
   AuthServerConfig config_;
   std::vector<std::shared_ptr<const zone::Zone>> zones_;
   ResponseRateLimiter rrl_;
   capture::CaptureBuffer capture_;
-  /// Per-packet scratch reused across HandlePacket calls; their section
-  /// vectors keep capacity, so decode/respond stop allocating once warm.
+  /// Per-packet scratch reused across HandlePacket calls; its section
+  /// vectors keep capacity, so decoding stops allocating once warm.
   dns::Message query_scratch_;
-  dns::Message response_scratch_;
 };
 
 }  // namespace clouddns::server

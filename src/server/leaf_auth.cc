@@ -1,10 +1,14 @@
 #include "server/leaf_auth.h"
 // lint:hot-path — on the per-query serve/capture path (DESIGN.md §10).
 
+#include <string_view>
+
 #include "zone/dnssec.h"
 
 namespace clouddns::server {
 namespace {
+
+using dns::Section;
 
 /// TTL of every synthesized answer, and the SOA MINIMUM of its NODATA.
 constexpr std::uint32_t kAnswerTtl = 300;
@@ -38,59 +42,88 @@ bool LeafAuthService::HasV6(const dns::Name& name) const {
          config_.v6_fraction * 10000.0;
 }
 
-void LeafAuthService::RespondInto(const dns::Message& query,
-                                  dns::Message& response) const {
-  response.ResetAsResponseTo(query);
+void LeafAuthService::Answer(const dns::Message& query,
+                             dns::ResponseWriter& out) const {
   if (query.questions.size() != 1) {
-    response.header.rcode = dns::Rcode::kFormErr;
+    out.header().rcode = dns::Rcode::kFormErr;
     return;
   }
-  const dns::Question& question = query.questions.front();
-  response.header.aa = true;
-
-  auto nodata = [&response, &question] {
-    dns::SoaRdata soa;
-    soa.mname = question.name;
-    soa.rname = question.name;
-    soa.serial = 1;
-    soa.minimum = kAnswerTtl;
-    response.authorities.push_back(
-        dns::MakeSoa(question.name, soa, kAnswerTtl));
+  const dns::Name& qname = query.questions.front().name;
+  out.header().aa = true;
+  // Every answer is one RRset at qname, its RDATA written in place.
+  auto begin = [&out, &qname](dns::RrType type) -> dns::WireWriter& {
+    return out.BeginRecord(Section::kAnswer, qname, type, kAnswerTtl);
+  };
+  auto nodata = [&out, &qname] {
+    dns::WireWriter& soa = out.BeginRecord(Section::kAuthority, qname,
+                                           dns::RrType::kSoa, kAnswerTtl);
+    soa.WriteName(qname);  // MNAME
+    soa.WriteName(qname);  // RNAME
+    soa.WriteU32(1);       // SERIAL
+    soa.WriteU32(0);       // REFRESH
+    soa.WriteU32(0);       // RETRY
+    soa.WriteU32(0);       // EXPIRE
+    soa.WriteU32(kAnswerTtl);  // MINIMUM
+    out.EndRecord();
   };
 
-  switch (question.type) {
-    case dns::RrType::kA:
-      response.answers.push_back(
-          dns::MakeA(question.name, SyntheticV4(question.name), kAnswerTtl));
+  switch (query.questions.front().type) {
+    case dns::RrType::kA: {
+      const auto bytes = SyntheticV4(qname).ToBytes();
+      begin(dns::RrType::kA).WriteBytes(bytes.data(), bytes.size());
+      out.EndRecord();
       break;
+    }
     case dns::RrType::kAaaa:
-      if (HasV6(question.name)) {
-        response.answers.push_back(dns::MakeAaaa(
-            question.name, SyntheticV6(question.name), kAnswerTtl));
+      if (HasV6(qname)) {
+        const net::Ipv6Address address = SyntheticV6(qname);
+        begin(dns::RrType::kAaaa)
+            .WriteBytes(address.bytes().data(), address.bytes().size());
+        out.EndRecord();
       } else {
         nodata();
       }
       break;
-    case dns::RrType::kMx:
-      response.answers.push_back(dns::MakeMx(
-          question.name, 10, question.name.Child("mail"), kAnswerTtl));
-      break;
-    case dns::RrType::kTxt:
-      response.answers.push_back(
-          dns::MakeTxt(question.name, "synthetic-leaf", kAnswerTtl));
-      break;
-    case dns::RrType::kDnskey: {
-      // Validators fetching a leaf zone's keys get realistic RSA-sized
-      // material; with a 512-byte EDNS buffer this truncates, which is the
-      // classic "TCP is needed for DNSKEY retrieval" path (§4.4).
-      for (auto& key : zone::MakeApexDnskeys(question.name, kAnswerTtl)) {
-        response.answers.push_back(std::move(key));
-      }
+    case dns::RrType::kMx: {
+      dns::WireWriter& mx = begin(dns::RrType::kMx);
+      mx.WriteU16(10);
+      mx.WriteName(qname.Child("mail"));
+      out.EndRecord();
       break;
     }
-    case dns::RrType::kDs:
-      response.answers.push_back(zone::MakeDs(question.name, kAnswerTtl));
+    case dns::RrType::kTxt: {
+      constexpr std::string_view kText = "synthetic-leaf";
+      dns::WireWriter& txt = begin(dns::RrType::kTxt);
+      txt.WriteU8(static_cast<std::uint8_t>(kText.size()));
+      txt.WriteBytes(reinterpret_cast<const std::uint8_t*>(kText.data()),
+                     kText.size());
+      out.EndRecord();
       break;
+    }
+    case dns::RrType::kDnskey:
+      // Validators fetching a leaf zone's keys get realistic RSA-sized
+      // material; with a 512-byte EDNS buffer this truncates, which is the
+      // classic "TCP is needed for DNSKEY retrieval" path (§4.4). The
+      // keys are zone::MakeApexDnskeys', KSK first.
+      for (std::uint16_t flags : {zone::kKskFlags, zone::kZskFlags}) {
+        dns::WireWriter& key = begin(dns::RrType::kDnskey);
+        key.WriteU16(flags);
+        key.WriteU8(3);  // protocol
+        key.WriteU8(zone::kMockAlgorithm);
+        zone::FillMockPublicKey(qname, flags, key.Extend(zone::kMockKeySize));
+        out.EndRecord();
+      }
+      break;
+    case dns::RrType::kDs: {
+      // zone::MakeDs for qname.
+      dns::WireWriter& ds = begin(dns::RrType::kDs);
+      ds.WriteU16(zone::KskTagFor(qname));
+      ds.WriteU8(zone::kMockAlgorithm);
+      ds.WriteU8(2);  // digest type: SHA-256
+      zone::FillMockDsDigest(qname, ds.Extend(zone::kMockDigestSize));
+      out.EndRecord();
+      break;
+    }
     case dns::RrType::kNs:
       // Minimized NS probes below the delegation point: the name exists
       // but carries no NS RRset of its own.
@@ -112,13 +145,11 @@ void LeafAuthService::HandlePacket(const sim::PacketContext& ctx,
       decoded.header.qr) {
     return;
   }
-  dns::Message& response = response_scratch_;
-  RespondInto(decoded, response);
-  if (ctx.transport == dns::Transport::kUdp) {
-    response.EncodeWithLimitInto(dns::UdpResponseLimit(decoded), wire);
-    return;
-  }
-  response.EncodeInto(wire);
+  dns::ResponseWriter out(wire, decoded);
+  Answer(decoded, out);
+  out.Finish(ctx.transport == dns::Transport::kUdp
+                 ? dns::UdpResponseLimit(decoded)
+                 : dns::ResponseWriter::kNoLimit);
 }
 
 }  // namespace clouddns::server

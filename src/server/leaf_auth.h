@@ -8,6 +8,7 @@
 #pragma once
 
 #include "dns/message.h"
+#include "dns/response_writer.h"
 #include "sim/network.h"
 
 namespace clouddns::server {
@@ -34,13 +35,13 @@ class LeafAuthService final : public sim::PacketHandler {
 
  private:
   [[nodiscard]] bool HasV6(const dns::Name& name) const;
-  void RespondInto(const dns::Message& query, dns::Message& response) const;
+  /// Writes the synthesized answer to `query` into `out`.
+  void Answer(const dns::Message& query, dns::ResponseWriter& out) const;
 
   LeafAuthConfig config_;
   std::uint64_t handled_ = 0;
   /// Per-packet scratch reused across HandlePacket calls.
   dns::Message query_scratch_;
-  dns::Message response_scratch_;
 };
 
 }  // namespace clouddns::server

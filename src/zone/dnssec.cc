@@ -18,13 +18,20 @@ constexpr std::uint64_t kZskSeed = 0x5a534b5a534b5a53ull;
 constexpr std::uint64_t kKskSeed = 0x4b534b4b534b4b53ull;
 constexpr std::uint64_t kSigSeed = 0x5349475349475349ull;
 
-std::vector<std::uint8_t> HashBytes(std::uint64_t h, std::size_t n) {
-  std::vector<std::uint8_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>(h >> (8 * (i % 8)));
-    if (i % 8 == 7) h = h * 6364136223846793005ull + 1442695040888963407ull;
+/// The one mock hash expansion: `out.size()` bytes from the seed `h`, in
+/// 8-byte blocks, each the current state little-endian, with an LCG step
+/// between blocks.
+void HashBytes(std::uint64_t h, std::span<std::uint8_t> out) {
+  std::size_t i = 0;
+  for (; i + 8 <= out.size(); i += 8) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[i + b] = static_cast<std::uint8_t>(h >> (8 * b));
+    }
+    h = h * 6364136223846793005ull + 1442695040888963407ull;
   }
-  return out;
+  for (std::size_t b = 0; i < out.size(); ++i, ++b) {
+    out[i] = static_cast<std::uint8_t>(h >> (8 * b));
+  }
 }
 
 }  // namespace
@@ -37,31 +44,51 @@ std::uint16_t KskTagFor(const dns::Name& zone_apex) {
   return static_cast<std::uint16_t>(zone_apex.PresentationHash(kKskSeed));
 }
 
-std::vector<std::uint8_t> MockSignature(const dns::Name& signer,
-                                        const dns::Name& owner,
-                                        dns::RrType type) {
+void FillMockSignature(const dns::Name& signer, const dns::Name& owner,
+                       dns::RrType type, std::span<std::uint8_t> out) {
   std::uint64_t h = signer.PresentationHash(kSigSeed);
   h = owner.PresentationHash(h);
   h = Fnv1a(ToString(type), h);
-  return HashBytes(h, 256);  // RSA-2048 signature size
+  HashBytes(h, out);
+}
+
+std::vector<std::uint8_t> MockSignature(const dns::Name& signer,
+                                        const dns::Name& owner,
+                                        dns::RrType type) {
+  std::vector<std::uint8_t> signature(kMockSignatureSize);
+  FillMockSignature(signer, owner, type, signature);
+  return signature;
+}
+
+void FillMockPublicKey(const dns::Name& zone_apex, std::uint16_t flags,
+                       std::span<std::uint8_t> out) {
+  HashBytes(zone_apex.PresentationHash(flags == kKskFlags ? kKskSeed
+                                                          : kZskSeed),
+            out);
+}
+
+void FillMockDsDigest(const dns::Name& child_apex,
+                      std::span<std::uint8_t> out) {
+  HashBytes(child_apex.PresentationHash(kKskSeed), out);
 }
 
 std::vector<dns::ResourceRecord> MakeApexDnskeys(const dns::Name& zone_apex,
                                                  std::uint32_t ttl) {
-  auto make_key = [&zone_apex, ttl](std::uint16_t flags, std::uint64_t seed) {
+  auto make_key = [&zone_apex, ttl](std::uint16_t flags) {
     dns::DnskeyRdata key;
     key.flags = flags;
     key.protocol = 3;
     key.algorithm = kMockAlgorithm;
-    key.public_key = HashBytes(zone_apex.PresentationHash(seed), 256);
+    key.public_key.resize(kMockKeySize);
+    FillMockPublicKey(zone_apex, flags, key.public_key);
     return dns::ResourceRecord{zone_apex, dns::RrType::kDnskey,
                                dns::RrClass::kIn, ttl, std::move(key)};
   };
   // Built in place: an initializer list would copy each 256-byte key.
   std::vector<dns::ResourceRecord> keys;
   keys.reserve(2);
-  keys.push_back(make_key(257, kKskSeed));
-  keys.push_back(make_key(256, kZskSeed));
+  keys.push_back(make_key(kKskFlags));
+  keys.push_back(make_key(kZskFlags));
   return keys;
 }
 
@@ -70,7 +97,8 @@ dns::ResourceRecord MakeDs(const dns::Name& child_apex, std::uint32_t ttl) {
   ds.key_tag = KskTagFor(child_apex);
   ds.algorithm = kMockAlgorithm;
   ds.digest_type = 2;  // SHA-256
-  ds.digest = HashBytes(child_apex.PresentationHash(kKskSeed), 32);
+  ds.digest.resize(kMockDigestSize);
+  FillMockDsDigest(child_apex, ds.digest);
   return dns::ResourceRecord{child_apex, dns::RrType::kDs, dns::RrClass::kIn,
                              ttl, std::move(ds)};
 }

@@ -98,10 +98,19 @@ class Zone {
   [[nodiscard]] RecordSpan Find(const dns::Name& name, dns::RrType type) const
       CLOUDDNS_LIFETIMEBOUND;
 
-  /// Appends the glue for a referral's NS RRset to `out`: for each NS in
-  /// RRset order whose target is in this zone, its A then its AAAA records.
-  void AppendGlue(RecordSpan ns_set,
-                  std::vector<dns::ResourceRecord>& out) const;
+  /// Calls `emit(RecordSpan)` with the glue for a referral's NS RRset: for
+  /// each NS in RRset order whose target is in this zone, its A records,
+  /// then its AAAA records (either span may be empty).
+  template <typename Emit>
+  void ForEachGlue(RecordSpan ns_set, Emit&& emit) const {
+    for (const auto& ns_rr : ns_set) {
+      const auto& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
+      if (!target.IsSubdomainOf(apex_)) continue;
+      const RecordSpan records = RecordsAt(target);
+      emit(TypeRun(records, dns::RrType::kA));
+      emit(TypeRun(records, dns::RrType::kAaaa));
+    }
+  }
 
   /// One owner name of the image and every record at it, by type then Add
   /// order; empty for an empty non-terminal.
@@ -144,6 +153,11 @@ class Zone {
   void InsertRrsigs(
       const std::function<dns::ResourceRecord(const dns::ResourceRecord&)>&
           make_rrsig);
+  /// Every record at `name` (Find without the type); empty when absent.
+  [[nodiscard]] RecordSpan RecordsAt(const dns::Name& name) const;
+  /// The RRset of `type` within one owner's records (sorted by type).
+  [[nodiscard]] static RecordSpan TypeRun(RecordSpan records,
+                                          dns::RrType type);
   /// Throws std::logic_error unless frozen.
   void RequireFrozen() const;
   /// Throws std::logic_error when frozen.

@@ -7,16 +7,12 @@
 #include "zone/zone.h"
 
 namespace clouddns::zone {
-namespace {
 
-/// The RRset of `type` within one owner's records (sorted by type).
-RecordSpan TypeRun(RecordSpan records, dns::RrType type) {
+RecordSpan Zone::TypeRun(RecordSpan records, dns::RrType type) {
   const auto run = std::ranges::equal_range(records, type, {},
                                             &dns::ResourceRecord::type);
   return RecordSpan(run.begin(), run.end());
 }
-
-}  // namespace
 
 std::uint32_t Zone::FindOwner(std::uint64_t hash, const std::uint8_t* flat,
                               std::size_t size) const {
@@ -31,11 +27,15 @@ std::uint32_t Zone::FindOwner(const dns::Name& name) const {
   return FindOwner(name.CachedHash(), name.FlatData(), name.FlatSize());
 }
 
-RecordSpan Zone::Find(const dns::Name& name, dns::RrType type) const {
+RecordSpan Zone::RecordsAt(const dns::Name& name) const {
   RequireFrozen();
   const std::uint32_t index = FindOwner(name);
   if (index == base::OpenTable::kNil) return {};
-  return TypeRun(owners_[index].records, type);
+  return owners_[index].records;
+}
+
+RecordSpan Zone::Find(const dns::Name& name, dns::RrType type) const {
+  return TypeRun(RecordsAt(name), type);
 }
 
 std::span<const Zone::Owner> Zone::Owners() const {
@@ -51,18 +51,6 @@ bool Zone::IsSigned() const {
 std::uint32_t Zone::NegativeTtl() const {
   RequireFrozen();
   return negative_ttl_;
-}
-
-void Zone::AppendGlue(RecordSpan ns_set,
-                      std::vector<dns::ResourceRecord>& out) const {
-  for (const auto& ns_rr : ns_set) {
-    const auto& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
-    if (!target.IsSubdomainOf(apex_)) continue;
-    const RecordSpan a = Find(target, dns::RrType::kA);
-    out.insert(out.end(), a.begin(), a.end());
-    const RecordSpan aaaa = Find(target, dns::RrType::kAaaa);
-    out.insert(out.end(), aaaa.begin(), aaaa.end());
-  }
 }
 
 Zone::DenialRange Zone::DenialNeighbors(const dns::Name& qname) const {

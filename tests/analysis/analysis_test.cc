@@ -218,6 +218,43 @@ TEST(ExperimentsTest, FacebookSitesMatchDualStackByPtrName) {
   EXPECT_EQ(sites[1].dual_stack_hosts, 1u);
 }
 
+TEST(ExperimentsTest, FacebookSitesTiedOnQueriesComeInSiteOrder) {
+  // More sites than libstdc++'s insertion-sort cutoff (16), so an unstable
+  // sort by query count could reorder the tied ones.
+  cloud::ScenarioResult result;
+  cloud::RegisterProviderAses(result.asdb);
+  capture::CaptureBuffer shard;
+  auto add = [&](const std::string& address, const std::string& site) {
+    const net::IpAddress src = *net::IpAddress::Parse(address);
+    result.ptr_records.emplace_back(
+        src, *dns::Name::Parse("edge." + site + ".tfbnw.example"));
+    capture::CaptureRecord r;
+    r.src = src;
+    r.qname = *dns::Name::Parse("x.nl");
+    shard.push_back(r);
+  };
+  // Sites are added in reverse name order; "top" has two queries.
+  for (int i = 19; i >= 0; --i) {
+    const std::string site = "s" + std::string(i < 10 ? "0" : "") +
+                             std::to_string(i);
+    add("157.240.0." + std::to_string(10 + i), site);
+  }
+  add("157.240.1.1", "top");
+  add("157.240.1.2", "top");
+  result.records = capture::ShardedCapture::FromShards({std::move(shard)});
+
+  const auto sites = ComputeFacebookSites(result, 0);
+  ASSERT_EQ(sites.size(), 21u);
+  EXPECT_EQ(sites[0].site, "top");
+  EXPECT_EQ(sites[0].queries, 2u);
+  for (std::size_t i = 1; i < sites.size(); ++i) {
+    EXPECT_EQ(sites[i].queries, 1u);
+    const std::string expected =
+        (i - 1 < 10 ? "s0" : "s") + std::to_string(i - 1);
+    EXPECT_EQ(sites[i].site, expected) << "position " << i;
+  }
+}
+
 TEST(ExperimentsTest, TransportMixOnSyntheticRecords) {
   cloud::ScenarioResult result;
   cloud::RegisterProviderAses(result.asdb);

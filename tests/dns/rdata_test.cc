@@ -129,6 +129,20 @@ TEST(RdataTest, NsecBitmapSortsAndDeduplicates) {
   EXPECT_EQ(decoded.types[1], RrType::kAaaa);
 }
 
+TEST(RdataTest, NsecBitmapWritesWindowsInAscendingOrder) {
+  // Types 1 (A) and 46 (RRSIG) in window 0, 257 in window 1, 32769 in
+  // window 0x80, given out of order.
+  const RrType types[] = {static_cast<RrType>(32769), RrType::kRrsig,
+                          static_cast<RrType>(257), RrType::kA,
+                          RrType::kRrsig};
+  WireBuffer buf;
+  WireWriter writer(buf);
+  EncodeTypeBitmap(types, writer);
+  const WireBuffer expected = {0x00, 0x06, 0x40, 0x00, 0x00, 0x00, 0x00, 0x02,
+                               0x01, 0x01, 0x40, 0x80, 0x01, 0x40};
+  EXPECT_EQ(buf, expected);
+}
+
 TEST(RdataTest, UnknownTypeFallsBackToRaw) {
   Rdata r = RawRdata{{0x11, 0x22, 0x33}};
   auto decoded = RoundTrip(static_cast<RrType>(99), r);

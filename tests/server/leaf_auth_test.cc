@@ -122,6 +122,50 @@ TEST(LeafAuthTest, ResponseWireBytesMatchPinnedDigest) {
             "5db21190cd44188a7195ef4028a7da2915a6773621848e1426622e30d71bb36a");
 }
 
+// The leaf writes each answer's RDATA in place. Every one must encode
+// exactly as the typed records it stands for (the pin above has no MX,
+// TXT or default-type query).
+TEST(LeafAuthTest, InPlaceAnswersEncodeAsTheTypedRecords) {
+  LeafAuthService leaf{LeafAuthConfig{}};
+  const dns::Name qname = N("dom5.nl");
+  constexpr std::uint32_t kTtl = 300;
+  auto expect_encodes_as = [&](dns::RrType qtype, auto fill) {
+    const dns::Message query = dns::Message::MakeQuery(
+        7, qname, qtype, dns::EdnsInfo{1232, true, 0});
+    dns::Message expected = dns::Message::MakeResponse(query);
+    expected.header.aa = true;
+    fill(expected);
+    sim::PacketContext ctx;
+    ctx.transport = dns::Transport::kTcp;
+    EXPECT_EQ(leaf.HandlePacket(ctx, query.Encode()), expected.Encode())
+        << dns::ToString(qtype);
+  };
+  expect_encodes_as(dns::RrType::kA, [&](dns::Message& m) {
+    m.answers.push_back(
+        dns::MakeA(qname, LeafAuthService::SyntheticV4(qname), kTtl));
+  });
+  expect_encodes_as(dns::RrType::kMx, [&](dns::Message& m) {
+    m.answers.push_back(dns::MakeMx(qname, 10, qname.Child("mail"), kTtl));
+  });
+  expect_encodes_as(dns::RrType::kTxt, [&](dns::Message& m) {
+    m.answers.push_back(dns::MakeTxt(qname, "synthetic-leaf", kTtl));
+  });
+  expect_encodes_as(dns::RrType::kDnskey, [&](dns::Message& m) {
+    m.answers = zone::MakeApexDnskeys(qname, kTtl);
+  });
+  expect_encodes_as(dns::RrType::kDs, [&](dns::Message& m) {
+    m.answers.push_back(zone::MakeDs(qname, kTtl));
+  });
+  expect_encodes_as(dns::RrType::kSrv, [&](dns::Message& m) {
+    dns::SoaRdata soa;
+    soa.mname = qname;
+    soa.rname = qname;
+    soa.serial = 1;
+    soa.minimum = kTtl;
+    m.authorities.push_back(dns::MakeSoa(qname, soa, kTtl));
+  });
+}
+
 TEST(LeafAuthTest, SyntheticAddressesAreStableAndInRange) {
   auto v4 = LeafAuthService::SyntheticV4(N("host.dom1.nl"));
   EXPECT_EQ(v4, LeafAuthService::SyntheticV4(N("HOST.dom1.NL")));

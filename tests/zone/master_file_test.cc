@@ -250,8 +250,12 @@ TEST(MasterFileTest, SerializeParseRoundTrip) {
     EXPECT_EQ(a.status, b.status);
     EXPECT_TRUE(std::ranges::equal(a.records, b.records));
     std::vector<dns::ResourceRecord> glue_a, glue_b;
-    original.AppendGlue(a.records, glue_a);
-    parsed.zone->AppendGlue(b.records, glue_b);
+    original.ForEachGlue(a.records, [&glue_a](RecordSpan glue) {
+      glue_a.insert(glue_a.end(), glue.begin(), glue.end());
+    });
+    parsed.zone->ForEachGlue(b.records, [&glue_b](RecordSpan glue) {
+      glue_b.insert(glue_b.end(), glue.begin(), glue.end());
+    });
     EXPECT_EQ(glue_a, glue_b);
   }
 }

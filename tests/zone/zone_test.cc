@@ -35,7 +35,9 @@ Zone MakeNlZone() {
 std::vector<dns::ResourceRecord> GlueOf(const Zone& zone,
                                         const LookupResult& referral) {
   std::vector<dns::ResourceRecord> glue;
-  zone.AppendGlue(referral.records, glue);
+  zone.ForEachGlue(referral.records, [&glue](RecordSpan records) {
+    glue.insert(glue.end(), records.begin(), records.end());
+  });
   return glue;
 }
 

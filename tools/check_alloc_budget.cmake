@@ -39,10 +39,10 @@ function(check_ceiling file workload ceiling)
   endif()
 endfunction()
 
-check_ceiling("${ONE_THREAD}" cold_table3 10)
-check_ceiling("${EIGHT_THREADS}" cold_table3 10)
-check_ceiling("${OTHER}" fault_event 12)
-check_ceiling("${OTHER}" resolver_stack 3)
+check_ceiling("${ONE_THREAD}" cold_table3 7)
+check_ceiling("${EIGHT_THREADS}" cold_table3 7)
+check_ceiling("${OTHER}" fault_event 5)
+check_ceiling("${OTHER}" resolver_stack 2)
 
 if(failed)
   message(FATAL_ERROR "allocation budget exceeded")
