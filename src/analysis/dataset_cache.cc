@@ -32,7 +32,9 @@ std::uint64_t EffectiveQueryBudget(std::uint64_t configured) {
 std::string CacheKey(const cloud::ScenarioConfig& config) {
   // Bump when simulator behaviour changes so stale captures are ignored.
   // v10: sharded parallel scenario engine (per-shard workload substreams).
-  constexpr std::uint64_t kSimulatorVersion = 10;
+  // v11: storage frame v2 (one payload CRC32C), so v1 frames are not found
+  // rather than quarantined as corrupt.
+  constexpr std::uint64_t kSimulatorVersion = 11;
   std::uint64_t hash = 0x434c4f5544444e53ull;  // "CLOUDDNS"
   hash = MixField(hash, kSimulatorVersion);
   // The shard count determines the traffic realization; the thread count

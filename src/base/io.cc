@@ -5,8 +5,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "base/threads.h"
-
 #ifndef _WIN32
 #include <unistd.h>
 #endif
@@ -24,8 +22,10 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kFrameMagic[8] = {'C', 'L', 'D', 'F', 'R', 'A', 'M', '1'};
-constexpr std::uint32_t kFrameVersion = 1;
+constexpr std::uint32_t kFrameVersion = 2;
 constexpr std::uint32_t kTrailerMagic = 0x43444e44;  // "CDND"
+constexpr std::size_t kHeaderSize = sizeof(kFrameMagic) + 4 + 4 + 8;
+constexpr std::size_t kTrailerSize = 4 + 4;
 
 void StoreU32(std::uint8_t* out, std::uint32_t v) {
   out[0] = static_cast<std::uint8_t>(v >> 24);
@@ -39,24 +39,15 @@ void StoreU64(std::uint8_t* out, std::uint64_t v) {
   StoreU32(out + 4, static_cast<std::uint32_t>(v));
 }
 
-bool GetU32(const std::vector<std::uint8_t>& in, std::size_t& pos,
-            std::uint32_t& v) {
-  if (pos + 4 > in.size()) return false;
-  v = (static_cast<std::uint32_t>(in[pos]) << 24) |
-      (static_cast<std::uint32_t>(in[pos + 1]) << 16) |
-      (static_cast<std::uint32_t>(in[pos + 2]) << 8) |
-      static_cast<std::uint32_t>(in[pos + 3]);
-  pos += 4;
-  return true;
+std::uint32_t LoadU32(const std::uint8_t* in) {
+  return (static_cast<std::uint32_t>(in[0]) << 24) |
+         (static_cast<std::uint32_t>(in[1]) << 16) |
+         (static_cast<std::uint32_t>(in[2]) << 8) |
+         static_cast<std::uint32_t>(in[3]);
 }
 
-bool GetU64(const std::vector<std::uint8_t>& in, std::size_t& pos,
-            std::uint64_t& v) {
-  std::uint32_t hi = 0;
-  std::uint32_t lo = 0;
-  if (!GetU32(in, pos, hi) || !GetU32(in, pos, lo)) return false;
-  v = (static_cast<std::uint64_t>(hi) << 32) | lo;
-  return true;
+std::uint64_t LoadU64(const std::uint8_t* in) {
+  return (static_cast<std::uint64_t>(LoadU32(in)) << 32) | LoadU32(in + 4);
 }
 
 /// Pure 64-bit mixers for seed-derived fault offsets. Not a statistical
@@ -135,7 +126,6 @@ const char* ToString(IoCode code) {
     case IoCode::kBadFrame: return "bad-frame";
     case IoCode::kBadVersion: return "bad-version";
     case IoCode::kBadTag: return "bad-tag";
-    case IoCode::kBlockCorrupt: return "block-corrupt";
     case IoCode::kTruncated: return "truncated";
     case IoCode::kTrailerCorrupt: return "trailer-corrupt";
     case IoCode::kPayloadCorrupt: return "payload-corrupt";
@@ -288,23 +278,6 @@ const Crc32cDispatch& Crc32cKernel() {
   return dispatch;
 }
 
-// GF(2) matrix helpers for Crc32cCombine: a CRC over k zero bytes is a
-// linear map on the 32-bit state, so appending len_b bytes to A is
-// "multiply crc_a by the zero-byte matrix raised to len_b" — computed in
-// O(log len_b) squarings (the zlib crc32_combine construction, re-derived
-// for the Castagnoli polynomial).
-std::uint32_t Gf2MatrixTimes(const std::uint32_t mat[32], std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  for (int i = 0; vec != 0; ++i, vec >>= 1) {
-    if (vec & 1u) sum ^= mat[i];
-  }
-  return sum;
-}
-
-void Gf2MatrixSquare(std::uint32_t square[32], const std::uint32_t mat[32]) {
-  for (int i = 0; i < 32; ++i) square[i] = Gf2MatrixTimes(mat, mat[i]);
-}
-
 }  // namespace
 
 std::uint32_t Crc32c(const std::uint8_t* data, std::size_t len,
@@ -324,76 +297,20 @@ std::uint32_t Crc32cSoftware(const std::uint8_t* data, std::size_t len,
 
 const char* Crc32cBackend() { return Crc32cKernel().name; }
 
-std::uint32_t Crc32cCombine(std::uint32_t crc_a, std::uint32_t crc_b,
-                            std::uint64_t len_b) {
-  if (len_b == 0) return crc_a;
-  std::uint32_t even[32];
-  std::uint32_t odd[32];
-  // odd := the map "advance the CRC register by one zero bit".
-  odd[0] = kCrc32cPoly;
-  std::uint32_t row = 1;
-  for (int i = 1; i < 32; ++i) {
-    odd[i] = row;
-    row <<= 1;
-  }
-  // Square twice: even = 2 zero bits, odd = 4 zero bits; the loop below
-  // then walks len_b's bits, squaring to 8, 16, 32, ... zero-BYTE shifts.
-  Gf2MatrixSquare(even, odd);
-  Gf2MatrixSquare(odd, even);
-  std::uint64_t len = len_b;
-  do {
-    Gf2MatrixSquare(even, odd);
-    if (len & 1u) crc_a = Gf2MatrixTimes(even, crc_a);
-    len >>= 1;
-    if (len == 0) break;
-    Gf2MatrixSquare(odd, even);
-    if (len & 1u) crc_a = Gf2MatrixTimes(odd, crc_a);
-    len >>= 1;
-  } while (len != 0);
-  return crc_a ^ crc_b;
-}
-
 // ---------------------------------------------------------------------------
 // Framing
 
 std::vector<std::uint8_t> WrapFrame(std::uint32_t content_tag,
                                     const std::vector<std::uint8_t>& payload) {
-  constexpr std::size_t kHeaderSize = sizeof(kFrameMagic) + 4 + 4 + 8;
-  const std::size_t blocks =
-      (payload.size() + kFrameBlockSize - 1) / kFrameBlockSize;
-  std::vector<std::uint8_t> out(kHeaderSize + payload.size() + blocks * 8 + 8);
+  std::vector<std::uint8_t> out(kHeaderSize + payload.size() + kTrailerSize);
   std::memcpy(out.data(), kFrameMagic, sizeof(kFrameMagic));
   StoreU32(out.data() + sizeof(kFrameMagic), kFrameVersion);
   StoreU32(out.data() + sizeof(kFrameMagic) + 4, content_tag);
   StoreU64(out.data() + sizeof(kFrameMagic) + 8, payload.size());
-  // Every block before the last is exactly kFrameBlockSize, so block b's
-  // source and destination offsets are pure functions of b — workers fill
-  // disjoint output regions and the assembled bytes cannot depend on
-  // scheduling (DESIGN.md §14).
-  std::vector<std::uint32_t> block_crcs(blocks);
-  ThreadPool::Shared().ParallelFor(
-      blocks, EffectiveThreads(0), [&](std::size_t b) {
-        const std::size_t src = b * kFrameBlockSize;
-        const std::size_t len = std::min(kFrameBlockSize, payload.size() - src);
-        const std::uint32_t crc = Crc32c(payload.data() + src, len);
-        std::uint8_t* dst = out.data() + kHeaderSize + src + b * 8;
-        StoreU32(dst, static_cast<std::uint32_t>(len));
-        StoreU32(dst + 4, crc);
-        std::memcpy(dst + 8, payload.data() + src, len);
-        block_crcs[b] = crc;
-      });
-  // Whole-payload trailer CRC, derived from the per-block CRCs instead of
-  // a second pass over the bytes; Crc32cCombine makes the two identical.
-  std::uint32_t payload_crc = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t src = b * kFrameBlockSize;
-    const std::size_t len = std::min(kFrameBlockSize, payload.size() - src);
-    payload_crc = Crc32cCombine(payload_crc, block_crcs[b], len);
-  }
-  std::uint8_t* trailer =
-      out.data() + kHeaderSize + payload.size() + blocks * 8;
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderSize);
+  std::uint8_t* trailer = out.data() + kHeaderSize + payload.size();
   StoreU32(trailer, kTrailerMagic);
-  StoreU32(trailer + 4, payload_crc);
+  StoreU32(trailer + 4, Crc32c(payload));
   return out;
 }
 
@@ -408,14 +325,13 @@ IoStatus UnwrapFrame(const std::vector<std::uint8_t>& bytes,
     return IoStatus::Ok();  // no frame magic: the caller decides
   }
   framed = true;
-  std::size_t pos = sizeof(kFrameMagic);
-  std::uint32_t version = 0;
-  std::uint32_t tag = 0;
-  std::uint64_t payload_len = 0;
-  if (!GetU32(bytes, pos, version) || !GetU32(bytes, pos, tag) ||
-      !GetU64(bytes, pos, payload_len)) {
+  if (bytes.size() < kHeaderSize) {
     return IoStatus::Error(IoCode::kBadFrame, "frame header truncated");
   }
+  const std::uint32_t version = LoadU32(bytes.data() + sizeof(kFrameMagic));
+  const std::uint32_t tag = LoadU32(bytes.data() + sizeof(kFrameMagic) + 4);
+  const std::uint64_t payload_len =
+      LoadU64(bytes.data() + sizeof(kFrameMagic) + 8);
   if (version != kFrameVersion) {
     return IoStatus::Error(IoCode::kBadVersion,
                            "frame version " + std::to_string(version));
@@ -426,77 +342,28 @@ IoStatus UnwrapFrame(const std::vector<std::uint8_t>& bytes,
                            "content tag mismatch: file holds a different "
                            "artifact kind");
   }
-  if (payload_len > bytes.size()) {
+  // The declared length must account for every byte after the header:
+  // fewer is a torn file, more is junk appended after the trailer.
+  const std::size_t body = bytes.size() - kHeaderSize;
+  if (payload_len > body || body - payload_len < kTrailerSize) {
     return IoStatus::Error(IoCode::kTruncated,
-                           "declared payload longer than the file");
+                           "frame ends before its declared payload and "
+                           "trailer");
   }
-  // Index pass: walk the block headers serially, bounds-checking exactly
-  // as the serial decoder did. CRC verification and payload assembly then
-  // fan out per block — the expensive work — while error reporting stays
-  // deterministic: the first failing block IN FILE ORDER is reported, not
-  // the first to be noticed by a worker (DESIGN.md §14).
-  struct BlockRef {
-    std::size_t src;
-    std::size_t dst;
-    std::uint32_t len;
-    std::uint32_t crc;
-  };
-  std::vector<BlockRef> index;
-  index.reserve(
-      static_cast<std::size_t>(payload_len / kFrameBlockSize) + 1);
-  std::uint64_t indexed = 0;
-  while (indexed < payload_len) {
-    std::uint32_t block_len = 0;
-    std::uint32_t block_crc = 0;
-    if (!GetU32(bytes, pos, block_len) || !GetU32(bytes, pos, block_crc)) {
-      return IoStatus::Error(IoCode::kTruncated, "block header truncated");
-    }
-    if (block_len == 0 || block_len > kFrameBlockSize ||
-        block_len > payload_len - indexed ||
-        pos + block_len > bytes.size()) {
-      return IoStatus::Error(IoCode::kTruncated,
-                             "block exceeds declared payload/file bounds");
-    }
-    index.push_back({pos, static_cast<std::size_t>(indexed), block_len,
-                     block_crc});
-    pos += block_len;
-    indexed += block_len;
+  if (body - payload_len > kTrailerSize) {
+    return IoStatus::Error(
+        IoCode::kBadFrame,
+        std::to_string(body - payload_len - kTrailerSize) +
+            " trailing bytes after the frame trailer");
   }
-  std::vector<std::uint8_t> assembled(static_cast<std::size_t>(payload_len));
-  std::vector<std::uint8_t> bad(index.size(), 0);
-  ThreadPool::Shared().ParallelFor(
-      index.size(), EffectiveThreads(0), [&](std::size_t b) {
-        const BlockRef& ref = index[b];
-        if (Crc32c(bytes.data() + ref.src, ref.len) != ref.crc) {
-          bad[b] = 1;
-          return;
-        }
-        std::memcpy(assembled.data() + ref.dst, bytes.data() + ref.src,
-                    ref.len);
-      });
-  for (std::size_t b = 0; b < index.size(); ++b) {
-    if (bad[b]) {
-      return IoStatus::Error(IoCode::kBlockCorrupt,
-                             "block CRC mismatch at payload offset " +
-                                 std::to_string(index[b].dst));
-    }
-  }
-  std::uint32_t trailer_magic = 0;
-  std::uint32_t payload_crc = 0;
-  if (!GetU32(bytes, pos, trailer_magic) || !GetU32(bytes, pos, payload_crc)) {
-    return IoStatus::Error(IoCode::kTruncated, "trailer truncated");
-  }
-  // Every block already matched its stored CRC, so combining the stored
-  // block CRCs is exactly Crc32c(assembled) — no second pass needed.
-  std::uint32_t combined = 0;
-  for (const BlockRef& ref : index) {
-    combined = Crc32cCombine(combined, ref.crc, ref.len);
-  }
-  if (trailer_magic != kTrailerMagic || payload_crc != combined) {
+  const std::uint8_t* data = bytes.data() + kHeaderSize;
+  const std::size_t len = static_cast<std::size_t>(payload_len);
+  if (LoadU32(data + len) != kTrailerMagic ||
+      LoadU32(data + len + 4) != Crc32c(data, len)) {
     return IoStatus::Error(IoCode::kTrailerCorrupt,
-                           "whole-payload CRC/trailer mismatch");
+                           "payload CRC/trailer mismatch");
   }
-  payload = std::move(assembled);
+  payload.assign(data, data + len);
   return IoStatus::Ok();
 }
 

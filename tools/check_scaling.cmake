@@ -9,8 +9,7 @@
 #     false sharing crept into the hot path.
 #   - cold_table3 wall_s at 8 threads < at 1 thread. A cache-cleared
 #     rebuild must get strictly faster with workers, or the parallel zone
-#     build / signing / simulation / block-parallel codec path has stopped
-#     pulling its weight.
+#     build / signing / simulation path has stopped pulling its weight.
 #
 # Usage:
 #   bench_e2e --workload cold_table3 --threads 1 --seconds 1 >  e2e_1t.txt
