@@ -269,6 +269,60 @@ TEST(AuthServerTest, ResponseWireBytesMatchPinnedDigest) {
             "91c935f37a8ac72fdfccbec5a52a29b56bf132d17deb43388d52056af3b84a7e");
 }
 
+// Fixed reference for qtype=RRSIG, which the matrix above leaves out: the
+// apex, a glue-only owner, a referral, and an owner that holds only a
+// CNAME (where a lookup of an empty type falls back to the CNAME), each
+// without EDNS, at EDNS 512 DO=1 and at EDNS 1232 DO=1, over UDP and TCP.
+// The digest was computed once and must never be edited.
+TEST(AuthServerTest, RrsigQueryWireBytesMatchPinnedDigest) {
+  MiniInternet net;
+  zone::ZoneBuildConfig config;
+  config.apex = N("example");
+  config.nameservers = {
+      {N("ns1.example"), {*net::IpAddress::Parse("192.0.2.80")}}};
+  zone::Zone example = zone::MakeZoneSkeleton(config);
+  example.Add(dns::ResourceRecord{N("alias.example"), dns::RrType::kCname,
+                                  dns::RrClass::kIn, 300,
+                                  dns::CnameRdata{N("ns1.example")}});
+  zone::SignZone(example);
+  AuthServer example_server(AuthServerConfig{});
+  example_server.Serve(
+      std::make_shared<const zone::Zone>(std::move(example)));
+
+  struct Case {
+    AuthServer* server;
+    const char* qname;
+  };
+  const Case cases[] = {
+      {net.nl_server.get(), "nl"},
+      {net.nl_server.get(), "ns1.dns.nl"},
+      {net.nl_server.get(), "www.dom1.nl"},  // referral
+      {&example_server, "alias.example"},    // CNAME only
+  };
+  const std::optional<dns::EdnsInfo> edns_variants[] = {
+      std::nullopt, dns::EdnsInfo{512, true, 0}, dns::EdnsInfo{1232, true, 0}};
+  std::string blob;
+  std::uint16_t id = 1;
+  for (const Case& c : cases) {
+    for (const auto& edns : edns_variants) {
+      for (dns::Transport transport :
+           {dns::Transport::kUdp, dns::Transport::kTcp}) {
+        sim::PacketContext ctx;
+        ctx.src = {*net::IpAddress::Parse("192.0.2.77"), 40000};
+        ctx.transport = transport;
+        dns::Message query = dns::Message::MakeQuery(
+            id++, N(c.qname), dns::RrType::kRrsig, edns);
+        const auto wire = c.server->HandlePacket(ctx, query.Encode());
+        ASSERT_FALSE(wire.empty()) << c.qname;
+        blob += std::to_string(wire.size()) + ":";
+        blob.append(wire.begin(), wire.end());
+      }
+    }
+  }
+  EXPECT_EQ(testutil::Sha256Hex(blob),
+            "05fe46ebc68d22476d21d786f6111a45bc5ad9835ecd94c621064c0545dfb36c");
+}
+
 TEST(RrlTest, DisabledAllowsEverything) {
   ResponseRateLimiter rrl(RrlConfig{});
   auto src = *net::IpAddress::Parse("10.0.0.1");
