@@ -262,17 +262,18 @@ void ScenarioRuntime::BuildZonesAndServers() {
                                                 "govt"};
   const std::size_t nz_per_subzone = nz_third / nz_subzones.size();
 
-  // --- Stage A: build every zone image in parallel. The tasks are
-  // independent — each writes only its own slot, reads only the
+  // --- Stage A: build and sign every zone image in parallel. The tasks
+  // are independent — each writes only its own slot, reads only the
   // already-final ns sets / root hints — and each image's record sequence
   // is a pure function of its parameters, so the fan-out cannot change
-  // any zone's bytes (DESIGN.md §14). Signing is deliberately NOT here:
-  // one zone (the .nl apex) dominates that cost, so SignZone parallelizes
-  // internally in the serial stage below instead.
-  auto build_apex = [this](const std::string& tld, std::size_t second_level) {
+  // any zone's bytes (DESIGN.md §14). Signing adds the apex DNSKEYs and
+  // freezes, so each task ends with its zone's final image.
+  auto build_apex = [this](const std::string& tld, std::size_t second_level,
+                           const std::vector<std::string>& subzones) {
+    const std::vector<zone::NameserverSpec>& ns_set = tld_ns_sets_.at(tld);
     zone::ZoneBuildConfig apex_config;
     apex_config.apex = N(tld);
-    apex_config.nameservers = tld_ns_sets_.at(tld);
+    apex_config.nameservers = ns_set;
     auto apex_zone = zone::MakeZoneSkeleton(apex_config);
     zone::PopulateDelegations(apex_zone, second_level, "dom", 0.55,
                               net::Ipv4Address(100, 70, 0, 0));
@@ -285,6 +286,13 @@ void ScenarioRuntime::BuildZonesAndServers() {
       zone::AddDelegation(apex_zone, N("cycb.nz"), {{N("ns.cyca.nz"), {}}},
                           false);
     }
+    // Second-level registry zones (co.nz style) are delegated from the
+    // apex and served by the same operator.
+    for (const std::string& sub : subzones) {
+      zone::AddDelegation(apex_zone, N(sub + "." + tld), ns_set,
+                          /*with_ds=*/true);
+    }
+    zone::SignZone(apex_zone);
     return apex_zone;
   };
   const std::size_t kRootSlot = 0;
@@ -293,12 +301,16 @@ void ScenarioRuntime::BuildZonesAndServers() {
   const std::size_t kNzSubBase = 3;
   std::vector<std::function<zone::Zone()>> builders(kNzSubBase +
                                                     nz_subzones.size());
-  builders[kRootSlot] = [this] { return BuildRootZone(); };
-  builders[kNlApexSlot] = [&build_apex, nl_domains] {
-    return build_apex("nl", nl_domains);
+  builders[kRootSlot] = [this] {
+    zone::Zone root = BuildRootZone();
+    zone::SignZone(root);
+    return root;
   };
-  builders[kNzApexSlot] = [&build_apex, nz_second] {
-    return build_apex("nz", nz_second);
+  builders[kNlApexSlot] = [&build_apex, nl_domains] {
+    return build_apex("nl", nl_domains, {});
+  };
+  builders[kNzApexSlot] = [&build_apex, &nz_subzones, nz_second] {
+    return build_apex("nz", nz_second, nz_subzones);
   };
   for (std::size_t sub = 0; sub < nz_subzones.size(); ++sub) {
     builders[kNzSubBase + sub] = [this, &nz_subzones, sub, nz_per_subzone] {
@@ -312,6 +324,7 @@ void ScenarioRuntime::BuildZonesAndServers() {
           sub_zone, nz_per_subzone, "dom", 0.55,
           net::Ipv4Address(0x64480000u +
                            static_cast<std::uint32_t>(sub) * 0x10000u));
+      zone::SignZone(sub_zone);
       return sub_zone;
     };
   }
@@ -320,13 +333,10 @@ void ScenarioRuntime::BuildZonesAndServers() {
       builders.size(), base::EffectiveThreads(config_.threads),
       [&](std::size_t i) { images[i].emplace(builders[i]()); });
 
-  // --- Stage B: serial signing and assembly, in the exact order of the
-  // serial builder — zones_/service_specs_ ordering and every zone's Add
-  // sequence (skeleton, delegations, DNSKEYs) are unchanged. SignZone
-  // fans its RRSIG construction over the pool internally.
-  zone::Zone root = std::move(*images[kRootSlot]);
-  zone::SignZone(root);
-  auto root_zone = std::make_shared<const zone::Zone>(std::move(root));
+  // --- Stage B: serial assembly of the signed images, in the exact order
+  // of the serial builder — zones_/service_specs_ ordering is unchanged.
+  auto root_zone =
+      std::make_shared<const zone::Zone>(std::move(*images[kRootSlot]));
   zones_.push_back(root_zone);
 
   for (std::size_t letter = 0; letter < letters; ++letter) {
@@ -353,34 +363,25 @@ void ScenarioRuntime::BuildZonesAndServers() {
     service_specs_.push_back(std::move(spec));
   }
 
-  // --- ccTLD signing, assembly, and servers.
+  // --- ccTLD assembly and servers: the operator serves its apex and its
+  // second-level registry zones.
   auto assemble_cctld = [this](const std::string& tld, zone::Zone apex_zone,
                                std::vector<zone::Zone> sub_zones,
-                               const std::vector<std::string>& subzones,
                                std::size_t second_level,
                                std::size_t per_subzone, std::size_t ns_total,
                                std::size_t ns_captured,
                                std::size_t unicast_index) {
     const std::vector<zone::NameserverSpec>& ns_set = tld_ns_sets_.at(tld);
-
-    // Second-level registry zones (co.nz style) are delegated from the
-    // apex and served by the same operator.
     std::vector<std::shared_ptr<const zone::Zone>> operator_zones;
-    for (std::size_t sub = 0; sub < subzones.size(); ++sub) {
-      zone::AddDelegation(apex_zone, N(subzones[sub] + "." + tld), ns_set,
-                          /*with_ds=*/true);
-      zone::SignZone(sub_zones[sub]);
-      operator_zones.push_back(
-          std::make_shared<const zone::Zone>(std::move(sub_zones[sub])));
-      zone_domain_count_ += per_subzone;
-      zone_domains_by_tld_[tld] += per_subzone;
-    }
-    zone_domain_count_ += second_level;
-    zone_domains_by_tld_[tld] += second_level;
-    zone::SignZone(apex_zone);
-    operator_zones.insert(
-        operator_zones.begin(),
+    operator_zones.push_back(
         std::make_shared<const zone::Zone>(std::move(apex_zone)));
+    for (zone::Zone& sub_zone : sub_zones) {
+      operator_zones.push_back(
+          std::make_shared<const zone::Zone>(std::move(sub_zone)));
+    }
+    const std::size_t domains = second_level + sub_zones.size() * per_subzone;
+    zone_domain_count_ += domains;
+    zone_domains_by_tld_[tld] += domains;
     for (const auto& zone : operator_zones) zones_.push_back(zone);
 
     bool vantage_match =
@@ -417,8 +418,8 @@ void ScenarioRuntime::BuildZonesAndServers() {
 
   // Both ccTLDs always exist (root-vantage clients also look them up);
   // only the vantage TLD captures.
-  assemble_cctld("nl", std::move(*images[kNlApexSlot]), {}, {}, nl_domains,
-                 0, nl_ns, 2, /*unicast=*/99);
+  assemble_cctld("nl", std::move(*images[kNlApexSlot]), {}, nl_domains, 0,
+                 nl_ns, 2, /*unicast=*/99);
   std::vector<zone::Zone> nz_subs;
   nz_subs.reserve(nz_subzones.size());
   for (std::size_t sub = 0; sub < nz_subzones.size(); ++sub) {
@@ -427,7 +428,7 @@ void ScenarioRuntime::BuildZonesAndServers() {
   // Table 2: 6 anycast + 1 unicast NSes; the analyzed six are five of
   // the anycast servers plus the unicast one.
   assemble_cctld("nz", std::move(*images[kNzApexSlot]), std::move(nz_subs),
-                 nz_subzones, nz_second, nz_per_subzone, 7, 6, /*unicast=*/5);
+                 nz_second, nz_per_subzone, 7, 6, /*unicast=*/5);
 
   // Fig. 3b: two .nz domains with mutually glueless (cyclic) delegations.
   if (config_.inject_cyclic_event || config_.vantage == Vantage::kNz) {

@@ -1,6 +1,7 @@
 #include "server/auth_server.h"
 // lint:hot-path — on the per-query serve/capture path (DESIGN.md §10).
 
+#include <algorithm>
 #include <string_view>
 
 #include "zone/dnssec.h"
@@ -14,17 +15,36 @@ using dns::Section;
 constexpr dns::RrType kProofTypes[] = {dns::RrType::kNs, dns::RrType::kRrsig,
                                        dns::RrType::kNsec};
 
-/// Writes the RRSIGs at `owner` that cover `covered`, straight from the
-/// zone image.
-void WriteRrsigs(const zone::Zone& zone, const dns::Name& owner,
-                 dns::RrType covered, Section section,
-                 dns::ResponseWriter& out) {
-  for (const auto& sig : zone.Find(owner, dns::RrType::kRrsig)) {
-    const auto& rdata = std::get<dns::RrsigRdata>(sig.rdata);
-    if (rdata.type_covered == static_cast<std::uint16_t>(covered)) {
-      out.Add(section, sig);
+/// Writes the RRSIG over the RRset that `rrset` starts with, from its
+/// first record; nothing when `rrset` is empty.
+void SignRrset(const zone::Zone& zone, zone::RecordSpan rrset,
+               Section section, dns::ResponseWriter& out) {
+  if (rrset.empty()) return;
+  const dns::ResourceRecord& first = rrset.front();
+  zone::WriteRrsig(zone.apex(), first.name, first.type, first.ttl,
+                   zone::kMockWindow, section, out);
+}
+
+/// Writes the answer to ANY (`with_records`) or to qtype=RRSIG at an owner
+/// of a signed zone, whose `records` are sorted by type: its records of a
+/// type below RRSIG, an RRSIG over each of its RRsets in type order, then
+/// its records of a type above RRSIG. The RRSIGs sit where RRSIG's type
+/// number sorts among the owner's types.
+void WriteOwnerWithRrsigs(const zone::Zone& zone, zone::RecordSpan records,
+                          bool with_records, dns::ResponseWriter& out) {
+  const auto below = static_cast<std::size_t>(
+      std::ranges::find_if(records,
+                           [](const dns::ResourceRecord& rr) {
+                             return rr.type > dns::RrType::kRrsig;
+                           }) -
+      records.begin());
+  if (with_records) out.Add(Section::kAnswer, records.first(below));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i == 0 || records[i - 1].type != records[i].type) {
+      SignRrset(zone, records.subspan(i), Section::kAnswer, out);
     }
   }
+  if (with_records) out.Add(Section::kAnswer, records.subspan(below));
 }
 
 /// Writes an NSEC at `owner` and its RRSIG into the authority section, the
@@ -47,22 +67,10 @@ void WriteNsecWithSig(const zone::Zone& zone, const dns::Name& owner,
   nsec.WriteName(next, /*compress=*/false);
   dns::EncodeTypeBitmap(kProofTypes, nsec);
   out.EndRecord();
-
-  // The RRSIG's fields in dns::RrsigRdata order. Unlike SignZone's, the
-  // proof's signature carries no validity window (both times are 0).
-  dns::WireWriter& sig =
-      out.BeginRecord(Section::kAuthority, owner, dns::RrType::kRrsig, ttl);
-  sig.WriteU16(static_cast<std::uint16_t>(dns::RrType::kNsec));
-  sig.WriteU8(zone::kMockAlgorithm);
-  sig.WriteU8(static_cast<std::uint8_t>(owner.LabelCount()));
-  sig.WriteU32(ttl);
-  sig.WriteU32(0);  // expiration
-  sig.WriteU32(0);  // inception
-  sig.WriteU16(zone::ZskTagFor(zone.apex()));
-  sig.WriteName(zone.apex(), /*compress=*/false);
-  zone::FillMockSignature(zone.apex(), owner, dns::RrType::kNsec,
-                          sig.Extend(zone::kMockSignatureSize));
-  out.EndRecord();
+  // Unlike an RRset's, the proof's signature carries no validity window
+  // (both times are 0).
+  zone::WriteRrsig(zone.apex(), owner, dns::RrType::kNsec, ttl,
+                   zone::SignatureWindow{}, Section::kAuthority, out);
 }
 
 // NXDOMAIN denial: a real *range* NSEC between the denied name's existing
@@ -129,15 +137,28 @@ void AuthServer::Answer(const dns::Message& query,
   }
 
   // The lookup returns spans into the zone image, written straight to the
-  // wire: no record is copied.
-  const zone::LookupResult result = zone->Lookup(question.name, question.type);
+  // wire: no record is copied. A signed zone stores no RRSIG, so
+  // qtype=RRSIG looks up every RRset at the name and signs each.
+  const bool sign = zone->IsSigned();
+  const bool rrsig_query = sign && question.type == dns::RrType::kRrsig;
+  const zone::LookupResult result = zone->Lookup(
+      question.name, rrsig_query ? dns::RrType::kAny : question.type);
   switch (result.status) {
     case zone::LookupStatus::kAnswer:
       header.aa = true;
-      out.Add(Section::kAnswer, result.records);
-      if (want_dnssec && zone->IsSigned()) {
-        WriteRrsigs(*zone, question.name, result.records.front().type,
-                    Section::kAnswer, out);
+      if (sign && (rrsig_query || question.type == dns::RrType::kAny)) {
+        WriteOwnerWithRrsigs(*zone, result.records, !rrsig_query, out);
+        // DO=1 repeats the RRSIG over an ANY answer's first RRset when its
+        // type sorts below RRSIG (ROADMAP "Deferred").
+        if (want_dnssec && !rrsig_query &&
+            result.records.front().type < dns::RrType::kRrsig) {
+          SignRrset(*zone, result.records, Section::kAnswer, out);
+        }
+      } else {
+        out.Add(Section::kAnswer, result.records);
+        if (want_dnssec && sign) {
+          SignRrset(*zone, result.records, Section::kAnswer, out);
+        }
       }
       break;
     case zone::LookupStatus::kDelegation:
@@ -145,10 +166,7 @@ void AuthServer::Answer(const dns::Message& query,
       out.Add(Section::kAuthority, result.records);
       if (want_dnssec) {
         out.Add(Section::kAuthority, result.ds);
-        if (zone->IsSigned() && !result.ds.empty()) {
-          WriteRrsigs(*zone, result.records.front().name, dns::RrType::kDs,
-                      Section::kAuthority, out);
-        }
+        if (sign) SignRrset(*zone, result.ds, Section::kAuthority, out);
       }
       zone->ForEachGlue(result.records, [&out](zone::RecordSpan glue) {
         out.Add(Section::kAdditional, glue);
@@ -158,18 +176,16 @@ void AuthServer::Answer(const dns::Message& query,
       header.aa = true;
       header.rcode = dns::Rcode::kNxDomain;
       out.Add(Section::kAuthority, result.soa);
-      if (want_dnssec && zone->IsSigned()) {
-        WriteRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
-                    Section::kAuthority, out);
+      if (want_dnssec && sign) {
+        SignRrset(*zone, result.soa, Section::kAuthority, out);
         WriteRangeDenial(*zone, question.name, out);
       }
       break;
     case zone::LookupStatus::kNoData:
       header.aa = true;
       out.Add(Section::kAuthority, result.soa);
-      if (want_dnssec && zone->IsSigned()) {
-        WriteRrsigs(*zone, zone->apex(), dns::RrType::kSoa,
-                    Section::kAuthority, out);
+      if (want_dnssec && sign) {
+        SignRrset(*zone, result.soa, Section::kAuthority, out);
         WriteNoDataProof(*zone, question.name, out);
       }
       break;

@@ -52,12 +52,23 @@ void FillMockSignature(const dns::Name& signer, const dns::Name& owner,
   HashBytes(h, out);
 }
 
-std::vector<std::uint8_t> MockSignature(const dns::Name& signer,
-                                        const dns::Name& owner,
-                                        dns::RrType type) {
-  std::vector<std::uint8_t> signature(kMockSignatureSize);
-  FillMockSignature(signer, owner, type, signature);
-  return signature;
+void WriteRrsig(const dns::Name& signer, const dns::Name& owner,
+                dns::RrType covered, std::uint32_t ttl,
+                SignatureWindow window, dns::Section section,
+                dns::ResponseWriter& out) {
+  dns::WireWriter& sig =
+      out.BeginRecord(section, owner, dns::RrType::kRrsig, ttl);
+  sig.WriteU16(static_cast<std::uint16_t>(covered));
+  sig.WriteU8(kMockAlgorithm);
+  sig.WriteU8(static_cast<std::uint8_t>(owner.LabelCount()));
+  sig.WriteU32(ttl);  // original TTL
+  sig.WriteU32(window.expiration);
+  sig.WriteU32(window.inception);
+  sig.WriteU16(covered == dns::RrType::kDnskey ? KskTagFor(signer)
+                                               : ZskTagFor(signer));
+  sig.WriteName(signer, /*compress=*/false);
+  FillMockSignature(signer, owner, covered, sig.Extend(kMockSignatureSize));
+  out.EndRecord();
 }
 
 void FillMockPublicKey(const dns::Name& zone_apex, std::uint16_t flags,
@@ -113,26 +124,6 @@ void SignZone(Zone& zone, std::uint32_t dnskey_ttl) {
     zone.Add(std::move(key));
   }
   zone.Freeze();
-  // An RRSIG is a pure function of the apex and the RRset it covers, so
-  // the pool may build them in any order: each lands in the slot the
-  // image fixes for it.
-  const dns::Name& apex = zone.apex();
-  const std::uint16_t ksk_tag = KskTagFor(apex);
-  const std::uint16_t zsk_tag = ZskTagFor(apex);
-  zone.InsertRrsigs([&](const dns::ResourceRecord& target) {
-    dns::RrsigRdata sig;
-    sig.type_covered = static_cast<std::uint16_t>(target.type);
-    sig.algorithm = kMockAlgorithm;
-    sig.labels = static_cast<std::uint8_t>(target.name.LabelCount());
-    sig.original_ttl = target.ttl;
-    sig.expiration = kMockExpiration;
-    sig.inception = kMockInception;
-    sig.key_tag = target.type == dns::RrType::kDnskey ? ksk_tag : zsk_tag;
-    sig.signer = apex;
-    sig.signature = MockSignature(apex, target.name, target.type);
-    return dns::ResourceRecord{target.name, dns::RrType::kRrsig,
-                               dns::RrClass::kIn, target.ttl, std::move(sig)};
-  });
 }
 
 }  // namespace clouddns::zone

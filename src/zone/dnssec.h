@@ -6,6 +6,10 @@
 // functions of (signer zone, owner name, type), built without any crypto
 // library while the wire format stays bit-exact RFC 4034. DESIGN.md
 // documents this substitution.
+//
+// Because a signature is a pure function of the RRset it covers, a signed
+// zone stores none: the server writes each RRSIG into the packet as it
+// answers (WriteRrsig), as online signers do (RFC 4470).
 #pragma once
 
 #include <cstddef>
@@ -15,6 +19,7 @@
 
 #include "dns/name.h"
 #include "dns/rdata.h"
+#include "dns/response_writer.h"
 #include "zone/zone.h"
 
 namespace clouddns::zone {
@@ -23,10 +28,17 @@ namespace clouddns::zone {
 /// signatures matter because they drive truncation at small EDNS sizes).
 inline constexpr std::uint8_t kMockAlgorithm = 8;
 
-/// Every RRSIG's validity window: the simulation clock always falls inside
-/// it, so mock signatures never "expire" mid-run.
+/// Every RRset's RRSIG validity window: the simulation clock always falls
+/// inside it, so mock signatures never "expire" mid-run.
 inline constexpr std::uint32_t kMockInception = 1514764800;   // 2018-01-01
 inline constexpr std::uint32_t kMockExpiration = 1735689600;  // 2025-01-01
+
+/// An RRSIG's validity window (RFC 4034 §3.1.5), in seconds of the epoch.
+struct SignatureWindow {
+  std::uint32_t expiration = 0;
+  std::uint32_t inception = 0;
+};
+inline constexpr SignatureWindow kMockWindow{kMockExpiration, kMockInception};
 
 /// DNSKEY flags of a zone's KSK and ZSK.
 inline constexpr std::uint16_t kKskFlags = 257;
@@ -43,13 +55,19 @@ inline constexpr std::size_t kMockDigestSize = 32;
 [[nodiscard]] std::uint16_t KskTagFor(const dns::Name& zone_apex);
 
 /// Fills `out` with deterministic "signature" bytes over an RRset
-/// identity. A server writes a signature in place with it; MockSignature
-/// returns the same bytes for a record in a zone image.
+/// identity.
 void FillMockSignature(const dns::Name& signer, const dns::Name& owner,
                        dns::RrType type, std::span<std::uint8_t> out);
-/// kMockSignatureSize bytes of FillMockSignature.
-[[nodiscard]] std::vector<std::uint8_t> MockSignature(
-    const dns::Name& signer, const dns::Name& owner, dns::RrType type);
+
+/// Writes into `section` of `out` the RRSIG that the zone at `signer`
+/// makes over the RRset of type `covered` at `owner` whose first record
+/// has `ttl`: the fixed fields in dns::RrsigRdata order, then
+/// kMockSignatureSize bytes of FillMockSignature in place. The DNSKEY
+/// RRset is signed with the KSK, every other one with the ZSK.
+void WriteRrsig(const dns::Name& signer, const dns::Name& owner,
+                dns::RrType covered, std::uint32_t ttl,
+                SignatureWindow window, dns::Section section,
+                dns::ResponseWriter& out);
 
 /// Fills `out` with the public key of the apex DNSKEY with `flags`
 /// (kKskFlags or kZskFlags), as MakeApexDnskeys builds it.
@@ -67,8 +85,9 @@ void FillMockDsDigest(const dns::Name& child_apex,
 [[nodiscard]] dns::ResourceRecord MakeDs(const dns::Name& child_apex,
                                          std::uint32_t ttl);
 
-/// Signs every RRset in `zone`: attaches apex DNSKEYs and one RRSIG per
-/// (owner, type) RRset, and freezes the zone. Needs an unfrozen zone, after
+/// Signs every RRset in `zone`: adds the apex DNSKEYs and freezes the
+/// zone, whose IsSigned() then tells the server to write an RRSIG over
+/// each RRset it answers with (WriteRrsig). Needs an unfrozen zone, after
 /// its last Add; throws std::logic_error, leaving the zone untouched, when
 /// it is frozen or already has an apex DNSKEY.
 void SignZone(Zone& zone, std::uint32_t dnskey_ttl = 172800);

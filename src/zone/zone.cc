@@ -9,14 +9,17 @@
 #include <string_view>
 #include <utility>
 
-#include "base/threads.h"
-
 namespace clouddns::zone {
 
 void Zone::Add(dns::ResourceRecord record) {
   if (!record.name.IsSubdomainOf(apex_)) {
     throw std::invalid_argument("Zone::Add: " + record.name.ToString() +
                                 " is outside zone " + apex_.ToString());
+  }
+  if (record.type == dns::RrType::kRrsig) {
+    throw std::invalid_argument("Zone::Add: RRSIG at " +
+                                record.name.ToString() +
+                                " (a signed zone writes its RRSIGs on demand)");
   }
   RequireUnfrozen();
   if (record.type == dns::RrType::kDnskey && record.name.Equals(apex_)) {
@@ -147,83 +150,6 @@ void Zone::Freeze() {
   const RecordSpan soa = Find(apex_, dns::RrType::kSoa);
   negative_ttl_ =
       soa.empty() ? 600 : std::get<dns::SoaRdata>(soa.front().rdata).minimum;
-}
-
-void Zone::InsertRrsigs(
-    const std::function<dns::ResourceRecord(const dns::ResourceRecord&)>&
-        make_rrsig) {
-  RequireFrozen();
-  // Per owner: where its run of the slab begins, how many of its records
-  // have a type <= RRSIG, and, as a prefix sum, how many RRSIGs the owners
-  // before it gain. Signing adds no owner, so owners_ and owner_table_
-  // stay as they are.
-  const std::size_t owners = owners_.size();
-  std::vector<std::uint32_t> begin(owners + 1, 0);
-  std::vector<std::uint32_t> below(owners, 0);
-  std::vector<std::uint32_t> shift(owners + 1, 0);
-  for (std::size_t o = 0; o < owners; ++o) {
-    const RecordSpan records = owners_[o].records;
-    std::uint32_t rrsets = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const dns::RrType type = records[i].type;
-      if (type <= dns::RrType::kRrsig) ++below[o];
-      if (type != dns::RrType::kRrsig &&
-          (i == 0 || records[i - 1].type != type)) {
-        ++rrsets;
-      }
-    }
-    begin[o + 1] = begin[o] + static_cast<std::uint32_t>(records.size());
-    shift[o + 1] = shift[o] + rrsets;
-  }
-
-  // Grow the log once, then move each owner's records back to front, the
-  // last owner first: its records of type <= RRSIG shift by the RRSIGs
-  // of the owners before it, and the rest land after its own gap. Every
-  // destination is at or past its source and past what is still unmoved.
-  log_.resize(log_.size() + shift[owners]);  // the spans dangle from here
-  const auto at = [this](std::size_t i) {
-    return log_.begin() + static_cast<std::ptrdiff_t>(i);
-  };
-  for (std::size_t o = owners; o-- > 0 && shift[o + 1] > 0;) {
-    const std::size_t split = begin[o] + below[o];
-    std::move_backward(at(split), at(begin[o + 1]),
-                       at(begin[o + 1] + shift[o + 1]));
-    if (shift[o] > 0) {
-      std::move_backward(at(begin[o]), at(split), at(split + shift[o]));
-    }
-  }
-  for (std::size_t o = 0; o < owners; ++o) {
-    owners_[o].records =
-        RecordSpan(log_.data() + begin[o] + shift[o],
-                   begin[o + 1] - begin[o] + shift[o + 1] - shift[o]);
-  }
-
-  // Fill the gaps. A task reads only its owners' records and writes only
-  // their gap slots, and a slot is fixed by the prefix sums alone, so the
-  // image does not depend on how the pool schedules the tasks.
-  constexpr std::size_t kOwnersPerTask = 2048;
-  base::ThreadPool::Shared().ParallelFor(
-      (owners + kOwnersPerTask - 1) / kOwnersPerTask,
-      base::EffectiveThreads(0), [&](std::size_t task) {
-        const std::size_t last = std::min(owners, (task + 1) * kOwnersPerTask);
-        for (std::size_t o = task * kOwnersPerTask; o < last; ++o) {
-          const std::size_t first = begin[o] + shift[o];
-          const std::size_t gap = first + below[o];
-          const std::size_t after = gap + shift[o + 1] - shift[o];
-          std::size_t slot = gap;
-          const auto sign_runs = [&](std::size_t from, std::size_t to) {
-            for (std::size_t i = from; i < to; ++i) {
-              const dns::ResourceRecord& rr = log_[i];
-              if (rr.type == dns::RrType::kRrsig) continue;
-              if (i == from || log_[i - 1].type != rr.type) {
-                log_[slot++] = make_rrsig(rr);
-              }
-            }
-          };
-          sign_runs(first, gap);
-          sign_runs(after, begin[o + 1] + shift[o + 1]);
-        }
-      });
 }
 
 }  // namespace clouddns::zone

@@ -13,13 +13,12 @@
 // Queries read the image without locks or allocation and return spans
 // into it. Freezing is final: a query on an unfrozen zone and an edit of
 // a frozen one both throw std::logic_error, so a frozen zone never
-// changes. Signing (zone/dnssec.h) takes an unfrozen zone, freezes it,
-// and before handing it back opens a gap at each owner and builds the
-// RRSIGs in place.
+// changes. Signing (zone/dnssec.h) adds the apex DNSKEYs and freezes:
+// a signed image stores no RRSIG, as every one is a pure function of the
+// RRset it covers, and the server writes it into the packet on demand.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -69,8 +68,10 @@ class Zone {
   [[nodiscard]] const dns::Name& apex() const { return apex_; }
 
   /// Appends one record to the log. The record's name must be at or under
-  /// the apex; throws std::invalid_argument otherwise, and
-  /// std::logic_error on a frozen zone.
+  /// the apex and its type not RRSIG (a signed zone's RRSIGs are written
+  /// on demand, so a stored one would be served twice); throws
+  /// std::invalid_argument otherwise, and std::logic_error on a frozen
+  /// zone.
   void Add(dns::ResourceRecord record);
 
   /// Makes room for `additional` more records, so a builder that knows its
@@ -119,10 +120,11 @@ class Zone {
     RecordSpan records;
   };
   /// The image's owners in canonical order (RFC 4034 §6.1), ENTs included:
-  /// the walk the signer and the master-file writer take.
+  /// the walk the master-file writer takes.
   [[nodiscard]] std::span<const Owner> Owners() const CLOUDDNS_LIFETIMEBOUND;
 
-  /// True when the zone has an apex DNSKEY (i.e. it was signed).
+  /// True when the zone has an apex DNSKEY (i.e. it was signed): every
+  /// RRset it serves then carries an RRSIG, written per answer.
   [[nodiscard]] bool IsSigned() const;
   /// The apex SOA MINIMUM (negative-caching TTL), 600 without a SOA.
   [[nodiscard]] std::uint32_t NegativeTtl() const;
@@ -144,15 +146,6 @@ class Zone {
 
   /// IsSigned() for a zone frozen or not.
   [[nodiscard]] bool HasApexDnskey() const { return signed_; }
-  /// Builds a frozen image's RRSIGs in place: `make_rrsig(first record of
-  /// the RRset)` for every RRset of a type other than RRSIG, placed after
-  /// its owner's records of type <= RRSIG, in type order. The image is the
-  /// one a single Freeze of the log plus those RRSIGs would give, but the
-  /// log grows once and no owner is re-sorted or re-interned. `make_rrsig`
-  /// runs on the shared pool, so it must be pure.
-  void InsertRrsigs(
-      const std::function<dns::ResourceRecord(const dns::ResourceRecord&)>&
-          make_rrsig);
   /// Every record at `name` (Find without the type); empty when absent.
   [[nodiscard]] RecordSpan RecordsAt(const dns::Name& name) const;
   /// The RRset of `type` within one owner's records (sorted by type).

@@ -24,7 +24,7 @@ struct ZoneBuildConfig {
 };
 
 /// Builds apex SOA + NS (+ in-zone glue). Signing is applied by the caller
-/// *after* all delegations are added (RRSIGs cover final content).
+/// *after* all delegations are added, as SignZone freezes the zone.
 [[nodiscard]] Zone MakeZoneSkeleton(const ZoneBuildConfig& config);
 
 /// Adds a delegation for `child` (NS records at the cut + glue for in-zone

@@ -26,6 +26,27 @@ inline std::shared_ptr<const zone::Zone> Frozen(zone::Zone zone) {
   return std::make_shared<const zone::Zone>(std::move(zone));
 }
 
+/// The RRSIG a zone at `apex` signed by zone::SignZone serves over the
+/// RRset whose first record is `first`, built as a record from the public
+/// signing primitives.
+inline dns::ResourceRecord ReferenceRrsig(const dns::Name& apex,
+                                          const dns::ResourceRecord& first) {
+  dns::RrsigRdata sig;
+  sig.type_covered = static_cast<std::uint16_t>(first.type);
+  sig.algorithm = zone::kMockAlgorithm;
+  sig.labels = static_cast<std::uint8_t>(first.name.LabelCount());
+  sig.original_ttl = first.ttl;
+  sig.expiration = zone::kMockExpiration;
+  sig.inception = zone::kMockInception;
+  sig.key_tag = first.type == dns::RrType::kDnskey ? zone::KskTagFor(apex)
+                                                   : zone::ZskTagFor(apex);
+  sig.signer = apex;
+  sig.signature.resize(zone::kMockSignatureSize);
+  zone::FillMockSignature(apex, first.name, first.type, sig.signature);
+  return dns::ResourceRecord{first.name, dns::RrType::kRrsig,
+                             dns::RrClass::kIn, first.ttl, std::move(sig)};
+}
+
 /// Sends `query` to `server` over TCP, so nothing truncates, and decodes
 /// the wire answer. Throws std::bad_optional_access when the server drops
 /// the query.

@@ -48,6 +48,19 @@ TEST(ZoneTest, RejectsOutOfZoneRecords) {
                std::invalid_argument);
 }
 
+TEST(ZoneTest, RejectsRrsigRecords) {
+  // A signed zone's RRSIGs are written on demand, so a stored one would
+  // be served twice.
+  Zone zone(N("nl"));
+  dns::RrsigRdata sig;
+  sig.type_covered = static_cast<std::uint16_t>(dns::RrType::kA);
+  sig.signer = N("nl");
+  EXPECT_THROW(zone.Add(dns::ResourceRecord{N("www.nl"), dns::RrType::kRrsig,
+                                            dns::RrClass::kIn, 60, sig}),
+               std::invalid_argument);
+  EXPECT_EQ(zone.record_count(), 0u);
+}
+
 TEST(ZoneTest, ApexSoaAndNsAnswer) {
   Zone zone = MakeNlZone();
   auto soa = zone.Lookup(N("nl"), dns::RrType::kSoa);

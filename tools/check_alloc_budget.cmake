@@ -39,9 +39,9 @@ function(check_ceiling file workload ceiling)
   endif()
 endfunction()
 
-check_ceiling("${ONE_THREAD}" cold_table3 7)
-check_ceiling("${EIGHT_THREADS}" cold_table3 7)
-check_ceiling("${OTHER}" fault_event 5)
+check_ceiling("${ONE_THREAD}" cold_table3 5)
+check_ceiling("${EIGHT_THREADS}" cold_table3 5)
+check_ceiling("${OTHER}" fault_event 4)
 check_ceiling("${OTHER}" resolver_stack 2)
 
 if(failed)
