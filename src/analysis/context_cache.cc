@@ -1,93 +1,145 @@
 #include "analysis/context_cache.h"
 
-#include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <cmath>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace clouddns::analysis {
 namespace {
 
-constexpr const char* kMagic = "CLOUDDNSCTX";
+constexpr std::string_view kMagic = "CLOUDDNSCTX";
 // v2: adds the "robust" line (fleet-wide retry/timeout/failover totals).
 // v3: the "robust" line drops its fifth (served-stale) field.
-constexpr int kVersion = 3;
-// Shortest possible PTR line: "r", an address and a name, each at least one
-// byte, two separators and the newline.
-constexpr std::streamsize kMinPtrLineBytes = 6;
+// v4: the config replaces the context it determines.
+constexpr std::string_view kVersion = "v4";
 
-// Reads one line and splits off the leading tag; returns false on EOF or
-// tag mismatch. The payload (everything after the tag and one space) lands
-// in `rest`.
-bool ReadTagged(std::istream& in, const char* tag, std::string& rest) {
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  const std::size_t tag_len = std::string(tag).size();
-  if (line.compare(0, tag_len, tag) != 0) return false;
-  if (line.size() == tag_len) {
-    rest.clear();
-    return true;
+/// Calls fn(key, field) for every stored field of `result`: each config
+/// field CacheKey hashes, in its order (never `threads`), then the run
+/// totals but the per-provider counts.
+template <typename Result, typename Fn>
+void ForEachStoredField(Result& result, Fn fn) {
+  auto& config = result.config;
+  fn("shards", config.shards);
+  fn("vantage", config.vantage);
+  fn("year", config.year);
+  fn("client_queries", config.client_queries);
+  fn("zone_scale", config.zone_scale);
+  fn("seed", config.seed);
+  fn("warmup_fraction", config.warmup_fraction);
+  fn("diurnal_amplitude", config.diurnal_amplitude);
+  fn("consolidation_factor", config.consolidation_factor);
+  fn("window_start", config.window_start);
+  fn("window_end", config.window_end);
+  fn("google_only", config.google_only);
+  fn("inject_cyclic_event", config.inject_cyclic_event);
+  fn("qmin_override_off", config.qmin_override_off);
+  fn("rrl_override_off", config.rrl_override_off);
+  fn("fault_preset", config.fault_preset);
+  fn("issued", result.client_queries_issued);
+  fn("leaf", result.leaf_queries);
+  fn("upstream", result.robustness.upstream_queries);
+  fn("retransmits", result.robustness.retransmits);
+  fn("timeouts", result.robustness.timeouts);
+  fn("failovers", result.robustness.failovers);
+}
+
+template <typename T>
+struct IsOptional : std::false_type {};
+template <typename T>
+struct IsOptional<std::optional<T>> : std::true_type {};
+
+/// A field as text: bools and enums as integers, an empty optional as
+/// "none", and doubles in to_chars' shortest form, which parses back to
+/// the same value.
+template <typename T>
+std::string ToText(const T& value) {
+  if constexpr (IsOptional<T>::value) {
+    return value ? ToText(*value) : "none";
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    return std::to_string(static_cast<int>(value));
+  } else {
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+    return std::string(buf, end);
   }
-  if (line[tag_len] != ' ') return false;
-  rest = line.substr(tag_len + 1);
+}
+
+/// Parses ToText's form of a field; false unless all of `text` is used.
+template <typename T>
+bool FromText(std::string_view text, T& out) {
+  if constexpr (std::is_same_v<T, std::string_view>) {
+    out = text;
+    return true;
+  } else if constexpr (IsOptional<T>::value) {
+    typename T::value_type value{};
+    if (text == "none") {
+      out.reset();
+    } else if (FromText(text, value)) {
+      out = value;
+    } else {
+      return false;
+    }
+    return true;
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    int value = 0;
+    const int max = std::is_same_v<T, bool> ? 1 : 255;
+    if (!FromText(text, value) || value < 0 || value > max) return false;
+    out = static_cast<T>(value);
+    return true;
+  } else {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+  }
+}
+
+/// Consumes the first line of `rest` when it reads "<key> <value>" and
+/// the value parses into `out`.
+template <typename T>
+bool ReadLine(std::string_view& rest, std::string_view key, T& out) {
+  const std::size_t eol = rest.find('\n');
+  if (eol == std::string_view::npos || eol <= key.size() ||
+      !rest.starts_with(key) || rest[key.size()] != ' ' ||
+      !FromText(rest.substr(key.size() + 1, eol - key.size() - 1), out)) {
+    return false;
+  }
+  rest.remove_prefix(eol + 1);
   return true;
 }
 
-bool ParseScenarioContext(std::istream& in, cloud::ScenarioResult& result);
+/// The config comes from a file, so what BuildScenarioContext cannot take
+/// is rejected: enums out of range, a year outside the study, and scales
+/// that are negative, not finite or (zone_scale) above the paper's zones.
+bool Accepted(const cloud::ScenarioConfig& config) {
+  for (double scale : {config.zone_scale, config.warmup_fraction,
+                       config.diurnal_amplitude,
+                       config.consolidation_factor}) {
+    if (!std::isfinite(scale) || scale < 0) return false;
+  }
+  return config.vantage <= cloud::Vantage::kRoot &&
+         config.fault_preset <= cloud::FaultPreset::kNzEventLoss &&
+         config.year >= 2018 && config.year <= 2020 &&
+         config.zone_scale <= 1;
+}
 
 }  // namespace
 
 base::io::IoStatus SaveScenarioContextStatus(
     const std::string& path, const cloud::ScenarioResult& result) {
-  std::ostringstream out;
-  out << kMagic << " v" << kVersion << "\n";
-  out << "window " << result.window_start << " " << result.window_end << "\n";
-
-  out << "zones " << result.zone_domain_count << " "
-      << result.zone_domains_by_tld.size() << "\n";
-  for (const auto& [tld, count] : result.zone_domains_by_tld) {
-    out << "tld " << count << " " << tld << "\n";
-  }
-
-  out << "servers " << result.servers.size() << "\n";
-  for (const auto& server : result.servers) {
-    out << "server " << server.id << " " << (server.captured ? 1 : 0) << " "
-        << (server.anycast ? 1 : 0) << " " << server.sites << " "
-        << server.label << "\n";
-  }
-
-  auto ases = result.asdb.AllInfo();
-  out << "as " << ases.size() << "\n";
-  for (const auto& info : ases) {
-    out << "a " << info.asn << " " << info.org << "\n";
-  }
-  const auto& announcements = result.asdb.announcements();
-  out << "announce " << announcements.size() << "\n";
-  for (const auto& [prefix, asn] : announcements) {
-    out << "p " << asn << " " << prefix.ToString() << "\n";
-  }
-
-  auto google = result.google_public.Entries();
-  out << "google " << google.size() << "\n";
-  for (const auto& [prefix, flag] : google) {
-    out << "g " << (flag ? 1 : 0) << " " << prefix.ToString() << "\n";
-  }
-
-  out << "ptr " << result.ptr_records.size() << "\n";
-  for (const auto& [address, name] : result.ptr_records) {
-    out << "r " << address.ToString() << " " << name.ToString() << "\n";
-  }
-
-  out << "issued " << result.client_queries_issued << "\n";
-  out << "leaf " << result.leaf_queries << "\n";
-  out << "perprov " << result.client_queries_per_provider.size() << "\n";
+  std::string text = std::string(kMagic) + " " + std::string(kVersion) + "\n";
+  ForEachStoredField(result, [&text](std::string_view key, const auto& value) {
+    text.append(key).append(" ").append(ToText(value)).append("\n");
+  });
+  text.append("perprov ")
+      .append(ToText(result.client_queries_per_provider.size()))
+      .append("\n");
   for (const auto& [provider, count] : result.client_queries_per_provider) {
-    out << "q " << count << " " << provider << "\n";
+    text.append("q ").append(ToText(count)).append(" ").append(provider);
+    text.append("\n");
   }
-  out << "robust " << result.robustness.upstream_queries << " "
-      << result.robustness.retransmits << " " << result.robustness.timeouts
-      << " " << result.robustness.failovers << "\n";
-  out << "end\n";
-
-  const std::string text = out.str();
   std::vector<std::uint8_t> payload(text.begin(), text.end());
   return base::io::WriteFramedFile(path, base::io::kTagContext, payload);
 }
@@ -98,161 +150,46 @@ base::io::IoStatus LoadScenarioContextStatus(const std::string& path,
   base::io::IoStatus status =
       base::io::ReadFramedFile(path, base::io::kTagContext, payload);
   if (!status.ok()) return status;
-  std::istringstream in(std::string(payload.begin(), payload.end()));
-  if (ParseScenarioContext(in, result)) return base::io::IoStatus::Ok();
-  return base::io::IoStatus::Error(
-      base::io::IoCode::kPayloadCorrupt,
-      "context sidecar text malformed or version-mismatched");
-}
 
-namespace {
-
-bool ParseScenarioContext(std::istream& in, cloud::ScenarioResult& result) {
-  std::string rest;
-  if (!ReadTagged(in, kMagic, rest)) return false;
-  if (rest != "v" + std::to_string(kVersion)) return false;
-
-  if (!ReadTagged(in, "window", rest)) return false;
-  {
-    std::istringstream fields(rest);
-    if (!(fields >> result.window_start >> result.window_end)) return false;
-  }
-
-  std::size_t tld_count = 0;
-  if (!ReadTagged(in, "zones", rest)) return false;
-  {
-    std::istringstream fields(rest);
-    if (!(fields >> result.zone_domain_count >> tld_count)) return false;
-  }
-  result.zone_domains_by_tld.clear();
-  for (std::size_t i = 0; i < tld_count; ++i) {
-    if (!ReadTagged(in, "tld", rest)) return false;
-    std::istringstream fields(rest);
-    std::size_t count = 0;
-    std::string tld;
-    if (!(fields >> count >> tld)) return false;
-    result.zone_domains_by_tld[tld] = count;
-  }
-
-  std::size_t server_count = 0;
-  if (!ReadTagged(in, "servers", rest)) return false;
-  if (!(std::istringstream(rest) >> server_count)) return false;
-  result.servers.clear();
-  for (std::size_t i = 0; i < server_count; ++i) {
-    if (!ReadTagged(in, "server", rest)) return false;
-    std::istringstream fields(rest);
-    cloud::ServerMeta meta;
-    int captured = 0, anycast = 0;
-    if (!(fields >> meta.id >> captured >> anycast >> meta.sites >>
-          meta.label)) {
-      return false;
-    }
-    meta.captured = captured != 0;
-    meta.anycast = anycast != 0;
-    result.servers.push_back(std::move(meta));
-  }
-
-  std::size_t as_count = 0;
-  if (!ReadTagged(in, "as", rest)) return false;
-  if (!(std::istringstream(rest) >> as_count)) return false;
-  result.asdb = net::AsDatabase();
-  for (std::size_t i = 0; i < as_count; ++i) {
-    if (!ReadTagged(in, "a", rest)) return false;
-    std::istringstream fields(rest);
-    net::Asn asn = 0;
-    if (!(fields >> asn)) return false;
-    std::string org;
-    std::getline(fields, org);
-    if (!org.empty() && org.front() == ' ') org.erase(0, 1);
-    result.asdb.AddAs(asn, std::move(org));
-  }
-  std::size_t announce_count = 0;
-  if (!ReadTagged(in, "announce", rest)) return false;
-  if (!(std::istringstream(rest) >> announce_count)) return false;
-  for (std::size_t i = 0; i < announce_count; ++i) {
-    if (!ReadTagged(in, "p", rest)) return false;
-    std::istringstream fields(rest);
-    net::Asn asn = 0;
-    std::string text;
-    if (!(fields >> asn >> text)) return false;
-    auto prefix = net::Prefix::Parse(text);
-    if (!prefix) return false;
-    result.asdb.Announce(*prefix, asn);
-  }
-
-  std::size_t google_count = 0;
-  if (!ReadTagged(in, "google", rest)) return false;
-  if (!(std::istringstream(rest) >> google_count)) return false;
-  result.google_public = net::PrefixMap<bool>();
-  for (std::size_t i = 0; i < google_count; ++i) {
-    if (!ReadTagged(in, "g", rest)) return false;
-    std::istringstream fields(rest);
-    int flag = 0;
-    std::string text;
-    if (!(fields >> flag >> text)) return false;
-    auto prefix = net::Prefix::Parse(text);
-    if (!prefix) return false;
-    result.google_public.Insert(*prefix, flag != 0);
-  }
-
-  std::size_t ptr_count = 0;
-  if (!ReadTagged(in, "ptr", rest)) return false;
-  if (!(std::istringstream(rest) >> ptr_count)) return false;
-  // The count comes from the file: one the rest of the payload cannot hold
-  // is corrupt, and must be rejected before it sizes an allocation.
-  const std::streamsize remaining =
-      std::max<std::streamsize>(0, in.rdbuf()->in_avail());
-  if (ptr_count > static_cast<std::size_t>(remaining / kMinPtrLineBytes)) {
-    return false;
-  }
-  result.ptr_records.clear();
-  result.ptr_records.reserve(ptr_count);
-  for (std::size_t i = 0; i < ptr_count; ++i) {
-    if (!ReadTagged(in, "r", rest)) return false;
-    std::istringstream fields(rest);
-    std::string address_text, name_text;
-    if (!(fields >> address_text >> name_text)) return false;
-    auto address = net::IpAddress::Parse(address_text);
-    auto name = dns::Name::Parse(name_text);
-    if (!address || !name) return false;
-    result.ptr_records.emplace_back(*address, std::move(*name));
-  }
-
-  if (!ReadTagged(in, "issued", rest)) return false;
-  if (!(std::istringstream(rest) >> result.client_queries_issued)) {
-    return false;
-  }
-  if (!ReadTagged(in, "leaf", rest)) return false;
-  if (!(std::istringstream(rest) >> result.leaf_queries)) return false;
-
-  std::size_t provider_count = 0;
-  if (!ReadTagged(in, "perprov", rest)) return false;
-  if (!(std::istringstream(rest) >> provider_count)) return false;
-  result.client_queries_per_provider.clear();
-  for (std::size_t i = 0; i < provider_count; ++i) {
-    if (!ReadTagged(in, "q", rest)) return false;
-    std::istringstream fields(rest);
+  std::string_view in(reinterpret_cast<const char*>(payload.data()),
+                      payload.size());
+  cloud::ScenarioResult stored;
+  std::string_view version;
+  bool ok = ReadLine(in, kMagic, version) && version == kVersion;
+  ForEachStoredField(stored, [&](std::string_view key, auto& value) {
+    ok = ok && ReadLine(in, key, value);
+  });
+  std::size_t providers = 0;
+  ok = ok && ReadLine(in, "perprov", providers);
+  for (std::size_t i = 0; ok && i < providers; ++i) {
+    std::string_view entry;  // "<count> <provider>"
     std::uint64_t count = 0;
-    if (!(fields >> count)) return false;
-    std::string provider;
-    std::getline(fields, provider);
-    if (!provider.empty() && provider.front() == ' ') provider.erase(0, 1);
-    result.client_queries_per_provider[provider] = count;
-  }
-
-  if (!ReadTagged(in, "robust", rest)) return false;
-  {
-    std::istringstream fields(rest);
-    if (!(fields >> result.robustness.upstream_queries >>
-          result.robustness.retransmits >> result.robustness.timeouts >>
-          result.robustness.failovers)) {
-      return false;
+    const std::size_t space =
+        ReadLine(in, "q", entry) ? entry.find(' ') : std::string_view::npos;
+    ok = space != std::string_view::npos &&
+         FromText(entry.substr(0, space), count);
+    if (ok) {
+      stored.client_queries_per_provider[std::string(entry.substr(space + 1))] =
+          count;
     }
   }
+  if (!ok || !in.empty() || !Accepted(stored.config)) {
+    return base::io::IoStatus::Error(
+        base::io::IoCode::kPayloadCorrupt,
+        "context sidecar text malformed or version-mismatched");
+  }
 
-  return ReadTagged(in, "end", rest);
+  cloud::ScenarioResult context = cloud::BuildScenarioContext(stored.config);
+  context.config = std::move(result.config);
+  context.records = std::move(result.records);
+  context.storage = result.storage;
+  context.client_queries_issued = stored.client_queries_issued;
+  context.leaf_queries = stored.leaf_queries;
+  context.robustness = stored.robustness;
+  context.client_queries_per_provider =
+      std::move(stored.client_queries_per_provider);
+  result = std::move(context);
+  return base::io::IoStatus::Ok();
 }
-
-}  // namespace
 
 }  // namespace clouddns::analysis

@@ -34,7 +34,9 @@ std::string CacheKey(const cloud::ScenarioConfig& config) {
   // v10: sharded parallel scenario engine (per-shard workload substreams).
   // v11: storage frame v2 (one payload CRC32C), so v1 frames are not found
   // rather than quarantined as corrupt.
-  constexpr std::uint64_t kSimulatorVersion = 11;
+  // v12: the `.ctx` sidecar holds the config and run totals (v4), so v3
+  // sidecars are not found rather than quarantined as corrupt.
+  constexpr std::uint64_t kSimulatorVersion = 12;
   std::uint64_t hash = 0x434c4f5544444e53ull;  // "CLOUDDNS"
   hash = MixField(hash, kSimulatorVersion);
   // The shard count determines the traffic realization; the thread count
@@ -131,10 +133,11 @@ cloud::ScenarioResult LoadOrRun(cloud::ScenarioConfig config,
       base::io::RemoveStrandedTmpFiles(cache_dir));
 
   // A dataset is three artifacts: the flat, merge-ordered `.cdns` capture,
-  // the `.ctx` context (AS database, PTR records, server metadata, query
-  // accounting), and the `.shards` index that restores the simulation's
-  // shard structure from the flat stream. Only all three together are a
-  // warm hit; anything less is rebuilt from simulation as a whole.
+  // the `.ctx` context (the config and the query accounting, from which a
+  // load rebuilds the AS database, PTR records and server metadata), and
+  // the `.shards` index that restores the simulation's shard structure
+  // from the flat stream. Only all three together are a warm hit;
+  // anything less is rebuilt from simulation as a whole.
   const std::string stem = cache_dir + "/" + CacheKey(config);
   Artifact capture{"capture", stem + ".cdns", base::io::kTagCapture, {}, {}};
   Artifact context{"context", stem + ".ctx", base::io::kTagContext, {}, {}};
@@ -168,7 +171,6 @@ cloud::ScenarioResult LoadOrRun(cloud::ScenarioConfig config,
     if (IsCorruption(artifact->read)) QuarantineCorrupt(*artifact, storage);
   }
   cloud::ScenarioResult result = cloud::RunScenario(config);
-  result.config = config;
   // The merge-ordered stream is its own statement, so the flat copy is
   // freed before the sidecars are written.
   capture.written = capture::WriteCaptureFileStatus(

@@ -201,8 +201,7 @@ Fleet BuildFacebookFleet(const ProviderProfile& profile,
       ++h;
     }
 
-    fleet.engines.push_back(std::make_unique<resolver::RecursiveResolver>(
-        *ctx.network, std::move(config), ctx.root_v4, ctx.root_v6));
+    fleet.engine_configs.push_back(std::move(config));
     fleet.engine_weights.push_back(weights[e]);
     fleet.engine_is_public.push_back(false);
   }
@@ -220,7 +219,7 @@ const std::vector<std::string>& FacebookSiteCodes() {
 
 std::size_t Fleet::host_count() const {
   std::size_t count = 0;
-  for (const auto& engine : engines) count += engine->config().hosts.size();
+  for (const auto& config : engine_configs) count += config.hosts.size();
   return count;
 }
 
@@ -324,8 +323,7 @@ Fleet BuildProviderFleet(const ProviderProfile& profile,
                    is_public ? "public-dns.google"
                              : std::string(ToString(profile.provider)),
                    e);
-    fleet.engines.push_back(std::make_unique<resolver::RecursiveResolver>(
-        *ctx.network, std::move(config), ctx.root_v4, ctx.root_v6));
+    fleet.engine_configs.push_back(std::move(config));
     fleet.engine_weights.push_back(weights[e]);
     fleet.engine_is_public.push_back(is_public);
   }
@@ -403,8 +401,7 @@ Fleet BuildOtherFleet(int year, std::size_t as_count, net::AsDatabase& asdb,
     }
     AddGenericPtrs(fleet, config, "isp" + std::to_string(i), i);
 
-    fleet.engines.push_back(std::make_unique<resolver::RecursiveResolver>(
-        *ctx.network, std::move(config), ctx.root_v4, ctx.root_v6));
+    fleet.engine_configs.push_back(std::move(config));
     // Zipf-ish client load so a few ISPs dominate, as the paper observes
     // at B-Root (Indian/French/Indonesian ISPs above the first CP).
     fleet.engine_weights.push_back(

@@ -1,17 +1,18 @@
-// Builds resolver fleets: the per-provider farms of resolver backends and
+// Plans resolver fleets: the per-provider farms of resolver backends and
 // egress frontends, plus the ~37k-AS "rest of the Internet" population.
 // Every frontend address is minted inside the provider's announced blocks
 // so ENTRADA-style prefix->AS enrichment attributes it correctly, and every
 // frontend gets a PTR record so the Fig. 5 reverse-DNS methodology works.
+// A fleet is a plan: engine configs, weights and PTR records. The scenario
+// builds each engine from its config on the network of the shard that
+// owns it, so planning needs no network and no root hints.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "cloud/providers.h"
 #include "resolver/resolver.h"
 #include "sim/latency.h"
-#include "sim/network.h"
 #include "sim/random.h"
 
 namespace clouddns::cloud {
@@ -22,9 +23,6 @@ namespace clouddns::cloud {
 
 struct FleetBuildContext {
   sim::LatencyModel* latency = nullptr;
-  sim::Network* network = nullptr;
-  std::vector<net::IpAddress> root_v4;
-  std::vector<net::IpAddress> root_v6;
   /// Sites resolvers may be placed at (pre-created by the scenario).
   std::vector<sim::SiteId> resolver_sites;
   double fleet_scale = 0.01;
@@ -35,7 +33,8 @@ struct FleetBuildContext {
 
 struct Fleet {
   Provider provider = Provider::kOther;
-  std::vector<std::unique_ptr<resolver::RecursiveResolver>> engines;
+  /// Configuration of each resolver engine.
+  std::vector<resolver::ResolverConfig> engine_configs;
   /// Client-load weight of each engine (drawn per client query).
   std::vector<double> engine_weights;
   /// Google only: which engines are the Public DNS service (Table 4).
@@ -50,11 +49,11 @@ struct Fleet {
   [[nodiscard]] std::size_t host_count() const;
 };
 
-/// Builds the fleet for one measured provider in one year.
+/// Plans the fleet for one measured provider in one year.
 [[nodiscard]] Fleet BuildProviderFleet(const ProviderProfile& profile,
                                        FleetBuildContext& ctx);
 
-/// Builds the "rest of the Internet": `as_count` single-AS resolver
+/// Plans the "rest of the Internet": `as_count` single-AS resolver
 /// populations with heavy-tailed client load, mixed configurations, and
 /// year-dependent validation/q-min adoption. Announces their blocks into
 /// `asdb`.

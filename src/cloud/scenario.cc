@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <optional>
 
 #include "base/phase.h"
@@ -44,16 +45,30 @@ sim::TimeUs DayStart(int year, unsigned month, unsigned day) {
 sim::TimeUs NzEventStart() { return DayStart(2020, 2, 3); }
 sim::TimeUs NzEventEnd() { return DayStart(2020, 2, 27); }
 
-/// Blueprint of one authoritative service: its config, the zones it
-/// serves, and where it is anycast. Every shard instantiates its own
-/// AuthServer from this, so mutable server state (RRL buckets, capture
+/// Blueprint of one authoritative service: its config, the operator whose
+/// zones it serves, and where it is anycast. Every shard instantiates its
+/// own AuthServer from this, so mutable server state (RRL buckets, capture
 /// buffer) stays shard-local while the zone data is shared read-only.
 struct ServiceSpec {
   server::AuthServerConfig config;
-  std::vector<std::shared_ptr<const zone::Zone>> zones;
+  /// The operator's key in ScenarioRuntime::operator_zones_: "" for a root
+  /// letter, else its ccTLD.
+  std::string tld;
   std::vector<std::pair<net::IpAddress, sim::SiteId>> registrations;
   ServerMeta meta;
 };
+
+/// Registered domains of the ccTLD images (Table 2, times zone_scale).
+/// The zone build and the workload suffixes both read these.
+struct ZoneCounts {
+  std::size_t nl = 0;
+  std::size_t nz_second = 0;       ///< Directly under .nz.
+  std::size_t nz_per_subzone = 0;  ///< Under each of kNzSubzones.
+};
+
+/// The .nz second-level registry zones (co.nz style).
+constexpr const char* kNzSubzones[] = {"co", "net", "org", "ac", "govt"};
+constexpr std::size_t kNzSubzoneCount = std::size(kNzSubzones);
 
 /// Everything one simulation shard mutates. Shards never touch each
 /// other's state, so the schedule loop runs lock-free.
@@ -69,17 +84,24 @@ struct ShardWorld {
 };
 
 /// Everything a scenario builds; kept alive for the duration of Run().
+/// Plan() reads only the config and builds no zone, network, server or
+/// resolver engine; TakeContext() hands out what it planned. A cold run
+/// and BuildScenarioContext() go through both, so they cannot disagree.
 class ScenarioRuntime {
  public:
   explicit ScenarioRuntime(const ScenarioConfig& config);
+  void Plan();
+  ScenarioResult TakeContext();
   ScenarioResult Run();
 
  private:
   void BuildSites();
+  void PlanServices();
+  void PlanFleets();
   void MaterializeFaults();
-  void BuildZonesAndServers();
+  void BuildZones();
   void BuildShardWorlds();
-  void BuildFleets();
+  void BuildWorkloads();
   void PartitionEngines();
   void RunShard(std::size_t shard);
 
@@ -93,8 +115,13 @@ class ScenarioRuntime {
   sim::LatencyModel latency_;
   std::vector<sim::SiteId> city_sites_;
 
-  std::vector<std::shared_ptr<const zone::Zone>> zones_;
+  ZoneCounts zone_counts_;
+  std::vector<net::IpAddress> root_v4_, root_v6_;
+  std::map<std::string, std::vector<zone::NameserverSpec>> tld_ns_sets_;
   std::vector<ServiceSpec> service_specs_;
+  /// Each operator's zones in serving order, keyed like ServiceSpec::tld.
+  std::map<std::string, std::vector<std::shared_ptr<const zone::Zone>>>
+      operator_zones_;
 
   net::AsDatabase asdb_;
   net::PrefixMap<bool> google_public_;
@@ -104,6 +131,9 @@ class ScenarioRuntime {
   std::vector<double> fleet_weights_;
   /// engine_owner_[fleet][engine] -> shard that executes its queries.
   std::vector<std::vector<std::size_t>> engine_owner_;
+  /// engines_[fleet][engine], built on its owner shard's network.
+  std::vector<std::vector<std::unique_ptr<resolver::RecursiveResolver>>>
+      engines_;
 
   std::vector<ShardWorld> shards_;
 
@@ -111,11 +141,6 @@ class ScenarioRuntime {
   /// construction, so all shards share one instance; decisions key on
   /// (site, transport, time, source), never on shard.
   std::unique_ptr<sim::FaultInjector> injector_;
-
-  std::size_t zone_domain_count_ = 0;
-  std::map<std::string, std::size_t> zone_domains_by_tld_;
-  std::vector<net::IpAddress> root_v4_, root_v6_;
-  std::map<std::string, std::vector<zone::NameserverSpec>> tld_ns_sets_;
 
   // Fig. 3b cyclic event: the two broken .nz domains.
   std::vector<dns::Name> cyclic_domains_;
@@ -127,6 +152,12 @@ ScenarioRuntime::ScenarioRuntime(const ScenarioConfig& config)
       WeekStart(config_.vantage, config_.year));
   end_ = config_.window_end.value_or(start_ + WindowLength(config_.vantage));
   shard_count_ = std::max<std::size_t>(1, config_.shards);
+}
+
+void ScenarioRuntime::Plan() {
+  BuildSites();
+  PlanServices();
+  PlanFleets();
 }
 
 void ScenarioRuntime::BuildSites() {
@@ -172,8 +203,7 @@ void ScenarioRuntime::MaterializeFaults() {
   }
 }
 
-/// Builds the (unsigned) root zone image; signing happens with the other
-/// zones in BuildZonesAndServers' serial stage.
+/// Builds the (unsigned) root zone image; BuildZones signs it.
 zone::Zone ScenarioRuntime::BuildRootZone() {
   zone::ZoneBuildConfig config;
   config.apex = dns::Name{};
@@ -215,14 +245,14 @@ zone::Zone ScenarioRuntime::BuildRootZone() {
   return root;
 }
 
-void ScenarioRuntime::BuildZonesAndServers() {
-  const int year_index0 = config_.year - 2018;
-  // ccTLD NS sets (Table 2) are needed up front: the root zone's
-  // delegations carry them as glue.
+void ScenarioRuntime::PlanServices() {
+  const int yi = config_.year - 2018;
+  // ccTLD NS sets (Table 2); the root zone's delegations carry them as
+  // glue.
   auto make_ns_set = [this](const std::string& tld, std::size_t ns_total,
                             const std::string& v4_stem,
                             const std::string& v6_stem) {
-    std::vector<zone::NameserverSpec> ns_set;
+    std::vector<zone::NameserverSpec>& ns_set = tld_ns_sets_[tld];
     for (std::size_t s = 0; s < ns_total; ++s) {
       zone::NameserverSpec spec;
       spec.name = N("ns" + std::to_string(s + 1) + ".dns." + tld);
@@ -231,10 +261,9 @@ void ScenarioRuntime::BuildZonesAndServers() {
           *net::IpAddress::Parse(v6_stem + std::to_string(s + 1))};
       ns_set.push_back(std::move(spec));
     }
-    tld_ns_sets_[tld] = ns_set;
-    return ns_set;
   };
-  make_ns_set("nl", year_index0 == 2 ? 3 : 4, "194.0.28.", "2001:678:2c::");
+  const std::size_t nl_ns = yi == 2 ? 3 : 4;  // Table 2
+  make_ns_set("nl", nl_ns, "194.0.28.", "2001:678:2c::");
   make_ns_set("nz", 7, "197.0.29.", "2001:dce:2c::");
 
   // --- Root service: 13 letters; letter B (index 1) is the captured
@@ -248,96 +277,13 @@ void ScenarioRuntime::BuildZonesAndServers() {
         "2001:500:" + std::to_string(letter + 1) + "::53"));
   }
 
-  // --- Sizing for the ccTLD images (Table 2), needed before the parallel
-  // build stage so every task is fully parameterized up front.
-  const int yi = config_.year - 2018;
+  // --- Sizing for the ccTLD images (Table 2).
   const double zs = config_.zone_scale;
-  const std::size_t nl_domains =
-      static_cast<std::size_t>((yi == 2 ? 5.9e6 : 5.8e6) * zs);
-  const std::size_t nl_ns = yi == 2 ? 3 : 4;  // Table 2
-  const std::size_t nz_second = static_cast<std::size_t>(140e3 * zs);
-  const std::size_t nz_third =
-      static_cast<std::size_t>((yi == 0 ? 580e3 : 570e3) * zs);
-  const std::vector<std::string> nz_subzones = {"co", "net", "org", "ac",
-                                                "govt"};
-  const std::size_t nz_per_subzone = nz_third / nz_subzones.size();
-
-  // --- Stage A: build and sign every zone image in parallel. The tasks
-  // are independent — each writes only its own slot, reads only the
-  // already-final ns sets / root hints — and each image's record sequence
-  // is a pure function of its parameters, so the fan-out cannot change
-  // any zone's bytes (DESIGN.md §14). Signing adds the apex DNSKEYs and
-  // freezes, so each task ends with its zone's final image.
-  auto build_apex = [this](const std::string& tld, std::size_t second_level,
-                           const std::vector<std::string>& subzones) {
-    const std::vector<zone::NameserverSpec>& ns_set = tld_ns_sets_.at(tld);
-    zone::ZoneBuildConfig apex_config;
-    apex_config.apex = N(tld);
-    apex_config.nameservers = ns_set;
-    auto apex_zone = zone::MakeZoneSkeleton(apex_config);
-    zone::PopulateDelegations(apex_zone, second_level, "dom", 0.55,
-                              net::Ipv4Address(100, 70, 0, 0));
-    if (tld == "nz") {
-      // The Fig. 3b misconfiguration: two domains whose NS records point
-      // into each other's zones with no glue — a cyclic dependency [31]
-      // that resolvers can never break out of.
-      zone::AddDelegation(apex_zone, N("cyca.nz"), {{N("ns.cycb.nz"), {}}},
-                          false);
-      zone::AddDelegation(apex_zone, N("cycb.nz"), {{N("ns.cyca.nz"), {}}},
-                          false);
-    }
-    // Second-level registry zones (co.nz style) are delegated from the
-    // apex and served by the same operator.
-    for (const std::string& sub : subzones) {
-      zone::AddDelegation(apex_zone, N(sub + "." + tld), ns_set,
-                          /*with_ds=*/true);
-    }
-    zone::SignZone(apex_zone);
-    return apex_zone;
-  };
-  const std::size_t kRootSlot = 0;
-  const std::size_t kNlApexSlot = 1;
-  const std::size_t kNzApexSlot = 2;
-  const std::size_t kNzSubBase = 3;
-  std::vector<std::function<zone::Zone()>> builders(kNzSubBase +
-                                                    nz_subzones.size());
-  builders[kRootSlot] = [this] {
-    zone::Zone root = BuildRootZone();
-    zone::SignZone(root);
-    return root;
-  };
-  builders[kNlApexSlot] = [&build_apex, nl_domains] {
-    return build_apex("nl", nl_domains, {});
-  };
-  builders[kNzApexSlot] = [&build_apex, &nz_subzones, nz_second] {
-    return build_apex("nz", nz_second, nz_subzones);
-  };
-  for (std::size_t sub = 0; sub < nz_subzones.size(); ++sub) {
-    builders[kNzSubBase + sub] = [this, &nz_subzones, sub, nz_per_subzone] {
-      zone::ZoneBuildConfig sub_config;
-      sub_config.apex = N(nz_subzones[sub] + ".nz");
-      sub_config.nameservers = tld_ns_sets_.at("nz");
-      auto sub_zone = zone::MakeZoneSkeleton(sub_config);
-      // Glue base 100.72.0.0 + one /16 per subzone, matching the serial
-      // builder's running increment.
-      zone::PopulateDelegations(
-          sub_zone, nz_per_subzone, "dom", 0.55,
-          net::Ipv4Address(0x64480000u +
-                           static_cast<std::uint32_t>(sub) * 0x10000u));
-      zone::SignZone(sub_zone);
-      return sub_zone;
-    };
-  }
-  std::vector<std::optional<zone::Zone>> images(builders.size());
-  base::ThreadPool::Shared().ParallelFor(
-      builders.size(), base::EffectiveThreads(config_.threads),
-      [&](std::size_t i) { images[i].emplace(builders[i]()); });
-
-  // --- Stage B: serial assembly of the signed images, in the exact order
-  // of the serial builder — zones_/service_specs_ ordering is unchanged.
-  auto root_zone =
-      std::make_shared<const zone::Zone>(std::move(*images[kRootSlot]));
-  zones_.push_back(root_zone);
+  zone_counts_.nl = static_cast<std::size_t>((yi == 2 ? 5.9e6 : 5.8e6) * zs);
+  zone_counts_.nz_second = static_cast<std::size_t>(140e3 * zs);
+  zone_counts_.nz_per_subzone =
+      static_cast<std::size_t>((yi == 0 ? 580e3 : 570e3) * zs) /
+      kNzSubzoneCount;
 
   for (std::size_t letter = 0; letter < letters; ++letter) {
     ServiceSpec spec;
@@ -346,7 +292,6 @@ void ScenarioRuntime::BuildZonesAndServers() {
         std::string(1, static_cast<char>('a' + letter)) + "-root";
     bool captured = config_.vantage == Vantage::kRoot && letter == 1;
     spec.config.capture_enabled = captured;
-    spec.zones = {root_zone};
 
     // Root letters are heavily anycast; B grows its footprint over the
     // study years (§3), which widens its catchment relative to peers.
@@ -363,27 +308,13 @@ void ScenarioRuntime::BuildZonesAndServers() {
     service_specs_.push_back(std::move(spec));
   }
 
-  // --- ccTLD assembly and servers: the operator serves its apex and its
-  // second-level registry zones.
-  auto assemble_cctld = [this](const std::string& tld, zone::Zone apex_zone,
-                               std::vector<zone::Zone> sub_zones,
-                               std::size_t second_level,
-                               std::size_t per_subzone, std::size_t ns_total,
-                               std::size_t ns_captured,
-                               std::size_t unicast_index) {
+  // --- ccTLD servers: the operator serves its apex and its second-level
+  // registry zones. Both ccTLDs always exist (root-vantage clients also
+  // look them up); only the vantage TLD captures.
+  auto plan_cctld = [this](const std::string& tld, std::size_t ns_total,
+                           std::size_t ns_captured,
+                           std::size_t unicast_index) {
     const std::vector<zone::NameserverSpec>& ns_set = tld_ns_sets_.at(tld);
-    std::vector<std::shared_ptr<const zone::Zone>> operator_zones;
-    operator_zones.push_back(
-        std::make_shared<const zone::Zone>(std::move(apex_zone)));
-    for (zone::Zone& sub_zone : sub_zones) {
-      operator_zones.push_back(
-          std::make_shared<const zone::Zone>(std::move(sub_zone)));
-    }
-    const std::size_t domains = second_level + sub_zones.size() * per_subzone;
-    zone_domain_count_ += domains;
-    zone_domains_by_tld_[tld] += domains;
-    for (const auto& zone : operator_zones) zones_.push_back(zone);
-
     bool vantage_match =
         (config_.vantage == Vantage::kNl && tld == "nl") ||
         (config_.vantage == Vantage::kNz && tld == "nz");
@@ -396,7 +327,7 @@ void ScenarioRuntime::BuildZonesAndServers() {
       spec.config.rrl.enabled = !config_.rrl_override_off;
       spec.config.rrl.responses_per_second = 400;
       spec.config.rrl.burst = 1200;
-      spec.zones = operator_zones;
+      spec.tld = tld;
 
       // The ccTLD NS sets are broadly anycast ("distributed across a
       // dozen global locations", 2.1.1); a wide footprint also keeps the
@@ -415,24 +346,96 @@ void ScenarioRuntime::BuildZonesAndServers() {
       service_specs_.push_back(std::move(spec));
     }
   };
-
-  // Both ccTLDs always exist (root-vantage clients also look them up);
-  // only the vantage TLD captures.
-  assemble_cctld("nl", std::move(*images[kNlApexSlot]), {}, nl_domains, 0,
-                 nl_ns, 2, /*unicast=*/99);
-  std::vector<zone::Zone> nz_subs;
-  nz_subs.reserve(nz_subzones.size());
-  for (std::size_t sub = 0; sub < nz_subzones.size(); ++sub) {
-    nz_subs.push_back(std::move(*images[kNzSubBase + sub]));
-  }
+  plan_cctld("nl", nl_ns, 2, /*unicast=*/99);
   // Table 2: 6 anycast + 1 unicast NSes; the analyzed six are five of
   // the anycast servers plus the unicast one.
-  assemble_cctld("nz", std::move(*images[kNzApexSlot]), std::move(nz_subs),
-                 nz_second, nz_per_subzone, 7, 6, /*unicast=*/5);
+  plan_cctld("nz", 7, 6, /*unicast=*/5);
+}
 
-  // Fig. 3b: two .nz domains with mutually glueless (cyclic) delegations.
-  if (config_.inject_cyclic_event || config_.vantage == Vantage::kNz) {
-    cyclic_domains_ = {N("cyca.nz"), N("cycb.nz")};
+void ScenarioRuntime::BuildZones() {
+  // --- Stage A: build and sign every zone image in parallel. The tasks
+  // are independent — each writes only its own slot, reads only the
+  // already-final ns sets, root hints and zone counts — and each image's
+  // record sequence is a pure function of its parameters, so the fan-out
+  // cannot change any zone's bytes (DESIGN.md §14). Signing adds the apex
+  // DNSKEYs and freezes, so each task ends with its zone's final image.
+  auto build_apex = [this](const std::string& tld, std::size_t second_level,
+                           bool with_subzones) {
+    const std::vector<zone::NameserverSpec>& ns_set = tld_ns_sets_.at(tld);
+    zone::ZoneBuildConfig apex_config;
+    apex_config.apex = N(tld);
+    apex_config.nameservers = ns_set;
+    auto apex_zone = zone::MakeZoneSkeleton(apex_config);
+    zone::PopulateDelegations(apex_zone, second_level, "dom", 0.55,
+                              net::Ipv4Address(100, 70, 0, 0));
+    if (tld == "nz") {
+      // The Fig. 3b misconfiguration: two domains whose NS records point
+      // into each other's zones with no glue — a cyclic dependency [31]
+      // that resolvers can never break out of.
+      zone::AddDelegation(apex_zone, N("cyca.nz"), {{N("ns.cycb.nz"), {}}},
+                          false);
+      zone::AddDelegation(apex_zone, N("cycb.nz"), {{N("ns.cyca.nz"), {}}},
+                          false);
+    }
+    // Second-level registry zones (co.nz style) are delegated from the
+    // apex and served by the same operator.
+    if (with_subzones) {
+      for (const char* sub : kNzSubzones) {
+        zone::AddDelegation(apex_zone, N(std::string(sub) + "." + tld),
+                            ns_set, /*with_ds=*/true);
+      }
+    }
+    zone::SignZone(apex_zone);
+    return apex_zone;
+  };
+  const std::size_t kRootSlot = 0;
+  const std::size_t kNlApexSlot = 1;
+  const std::size_t kNzApexSlot = 2;
+  const std::size_t kNzSubBase = 3;
+  std::vector<std::function<zone::Zone()>> builders(kNzSubBase +
+                                                    kNzSubzoneCount);
+  builders[kRootSlot] = [this] {
+    zone::Zone root = BuildRootZone();
+    zone::SignZone(root);
+    return root;
+  };
+  builders[kNlApexSlot] = [this, &build_apex] {
+    return build_apex("nl", zone_counts_.nl, false);
+  };
+  builders[kNzApexSlot] = [this, &build_apex] {
+    return build_apex("nz", zone_counts_.nz_second, true);
+  };
+  for (std::size_t sub = 0; sub < kNzSubzoneCount; ++sub) {
+    builders[kNzSubBase + sub] = [this, sub] {
+      zone::ZoneBuildConfig sub_config;
+      sub_config.apex = N(std::string(kNzSubzones[sub]) + ".nz");
+      sub_config.nameservers = tld_ns_sets_.at("nz");
+      auto sub_zone = zone::MakeZoneSkeleton(sub_config);
+      // Glue base 100.72.0.0 + one /16 per subzone, matching the serial
+      // builder's running increment.
+      zone::PopulateDelegations(
+          sub_zone, zone_counts_.nz_per_subzone, "dom", 0.55,
+          net::Ipv4Address(0x64480000u +
+                           static_cast<std::uint32_t>(sub) * 0x10000u));
+      zone::SignZone(sub_zone);
+      return sub_zone;
+    };
+  }
+  std::vector<std::optional<zone::Zone>> images(builders.size());
+  base::ThreadPool::Shared().ParallelFor(
+      builders.size(), base::EffectiveThreads(config_.threads),
+      [&](std::size_t i) { images[i].emplace(builders[i]()); });
+
+  // --- Stage B: hand each operator its signed images in serving order:
+  // the root zone, the .nl apex, the .nz apex and then its subzones.
+  auto share = [&images](std::size_t slot) {
+    return std::make_shared<const zone::Zone>(std::move(*images[slot]));
+  };
+  operator_zones_[""] = {share(kRootSlot)};
+  operator_zones_["nl"] = {share(kNlApexSlot)};
+  operator_zones_["nz"] = {share(kNzApexSlot)};
+  for (std::size_t sub = 0; sub < kNzSubzoneCount; ++sub) {
+    operator_zones_["nz"].push_back(share(kNzSubBase + sub));
   }
 }
 
@@ -442,7 +445,9 @@ void ScenarioRuntime::BuildShardWorlds() {
     shard.network = std::make_unique<sim::Network>(latency_);
     for (const ServiceSpec& spec : service_specs_) {
       auto server = std::make_unique<server::AuthServer>(spec.config);
-      for (const auto& zone : spec.zones) server->Serve(zone);
+      for (const auto& zone : operator_zones_.at(spec.tld)) {
+        server->Serve(zone);
+      }
       for (const auto& [address, site] : spec.registrations) {
         shard.network->RegisterServer(address, site, *server);
       }
@@ -455,7 +460,7 @@ void ScenarioRuntime::BuildShardWorlds() {
   }
 }
 
-void ScenarioRuntime::BuildFleets() {
+void ScenarioRuntime::PlanFleets() {
   RegisterProviderAses(asdb_);
   for (const auto& prefix : NetworkOf(Provider::kGoogle).public_dns_blocks) {
     google_public_.Insert(prefix, true);
@@ -463,12 +468,6 @@ void ScenarioRuntime::BuildFleets() {
 
   FleetBuildContext ctx;
   ctx.latency = &latency_;
-  // Engines are constructed against shard 0's network, then re-attached
-  // to their owner shard's plane in PartitionEngines().
-  ctx.network = shards_[0].network.get();
-  // Root hints: the captured study uses the full 13-letter set.
-  ctx.root_v4 = root_v4_;
-  ctx.root_v6 = root_v6_;
   ctx.resolver_sites = city_sites_;
   ctx.fleet_scale = kFleetScale;
   ctx.seed = config_.seed;
@@ -505,7 +504,9 @@ void ScenarioRuntime::BuildFleets() {
         (config_.vantage == Vantage::kRoot ? 46000 : 39000) * kAsScale);
     fleets_.push_back(BuildOtherFleet(config_.year, as_count, asdb_, ctx));
   }
+}
 
+void ScenarioRuntime::BuildWorkloads() {
   // Per-vantage junk level calibrated against Table 3's valid ratios:
   // .nl stays ~86-90% valid; .nz is junkier (66-81% valid, §3); B-Root's
   // junk comes from the chromium fraction below instead.
@@ -520,16 +521,10 @@ void ScenarioRuntime::BuildFleets() {
     WorkloadSpec spec;
     spec.junk_fraction = std::min(0.9, fleet.junk_fraction * vantage_junk);
     if (config_.vantage == Vantage::kNl) {
-      spec.suffixes = {{N("nl"),
-                        static_cast<std::size_t>(
-                            (config_.year == 2020 ? 5.9e6 : 5.8e6) *
-                            config_.zone_scale),
-                        1.0, "dom"}};
+      spec.suffixes = {{N("nl"), zone_counts_.nl, 1.0, "dom"}};
     } else if (config_.vantage == Vantage::kNz) {
-      std::size_t second = static_cast<std::size_t>(140e3 * config_.zone_scale);
-      std::size_t per_sub = static_cast<std::size_t>(
-          (config_.year == 2018 ? 580e3 : 570e3) * config_.zone_scale / 5);
-      spec.suffixes = {{N("nz"), second, 0.25, "dom"},
+      const std::size_t per_sub = zone_counts_.nz_per_subzone;
+      spec.suffixes = {{N("nz"), zone_counts_.nz_second, 0.25, "dom"},
                        {N("co.nz"), per_sub, 0.45, "dom"},
                        {N("net.nz"), per_sub, 0.10, "dom"},
                        {N("org.nz"), per_sub, 0.10, "dom"},
@@ -537,13 +532,12 @@ void ScenarioRuntime::BuildFleets() {
                        {N("govt.nz"), per_sub, 0.04, "dom"}};
     } else {
       // Root vantage: interest spreads over many TLDs; the ccTLDs are a
-      // small slice of the world.
+      // small slice of the world. The .nl count is the 2018-2019 size in
+      // every year, so in 2020 it falls short of the .nl zone's.
       spec.suffixes = {{N("nl"), static_cast<std::size_t>(5.8e6 *
                                                           config_.zone_scale),
                         0.04, "dom"},
-                       {N("nz"), static_cast<std::size_t>(140e3 *
-                                                          config_.zone_scale),
-                        0.01, "dom"}};
+                       {N("nz"), zone_counts_.nz_second, 0.01, "dom"}};
       for (int i = 0; i < 120; ++i) {
         spec.suffixes.push_back(
             {N("tld" + std::to_string(i)),
@@ -564,21 +558,34 @@ void ScenarioRuntime::BuildFleets() {
     fleet_specs_.push_back(std::move(spec));
     fleet_weights_.push_back(fleet.client_weight);
   }
+
+  // Fig. 3b: two .nz domains with mutually glueless (cyclic) delegations.
+  if (config_.inject_cyclic_event || config_.vantage == Vantage::kNz) {
+    cyclic_domains_ = {N("cyca.nz"), N("cycb.nz")};
+  }
 }
 
 void ScenarioRuntime::PartitionEngines() {
   // Round-robin over a global engine counter balances engine counts per
   // shard even when individual fleets are small. The owner map depends
   // only on the build (never on threads), so each engine's cache sees its
-  // queries in the same order for every thread count.
+  // queries in the same order for every thread count. Each engine is
+  // built on its owner shard's network, which carries that shard's
+  // authoritative servers; its config moves out of the fleet plan.
   std::size_t counter = 0;
   engine_owner_.resize(fleets_.size());
+  engines_.resize(fleets_.size());
   for (std::size_t f = 0; f < fleets_.size(); ++f) {
-    engine_owner_[f].resize(fleets_[f].engines.size());
-    for (std::size_t e = 0; e < fleets_[f].engines.size(); ++e) {
+    std::vector<resolver::ResolverConfig>& configs =
+        fleets_[f].engine_configs;
+    engine_owner_[f].resize(configs.size());
+    engines_[f].reserve(configs.size());
+    for (std::size_t e = 0; e < configs.size(); ++e) {
       std::size_t owner = counter++ % shard_count_;
       engine_owner_[f][e] = owner;
-      fleets_[f].engines[e]->AttachNetwork(*shards_[owner].network);
+      engines_[f].push_back(std::make_unique<resolver::RecursiveResolver>(
+          *shards_[owner].network, std::move(configs[e]), root_v4_,
+          root_v6_));
     }
   }
 
@@ -639,10 +646,9 @@ void ScenarioRuntime::RunShard(std::size_t shard_index) {
     std::size_t e = engine_samplers[f].Sample(rng);
     if (engine_owner_[f][e] != shard_index) continue;
 
-    Fleet& fleet = fleets_[f];
     WorkloadGenerator& workload = shard.workloads[f];
     if (config_.inject_cyclic_event && !cyclic_domains_.empty() &&
-        fleet.provider == Provider::kGoogle) {
+        fleets_[f].provider == Provider::kGoogle) {
       // Only crossing the window's edge changes the generator, so the
       // target list is copied once per entry, not once per query.
       const bool in_event = t >= event_start && t < event_end;
@@ -657,7 +663,7 @@ void ScenarioRuntime::RunShard(std::size_t shard_index) {
     }
 
     ClientQuery query = workload.Next();
-    fleet.engines[e]->Resolve(query.qname, query.qtype, t);
+    engines_[f][e]->Resolve(query.qname, query.qtype, t);
     if (i >= warmup) {
       ++shard.issued;
       ++shard.issued_per_fleet[f];
@@ -676,26 +682,43 @@ void ScenarioRuntime::RunShard(std::size_t shard_index) {
   capture::SortByTimeStable(shard.records);
 }
 
+ScenarioResult ScenarioRuntime::TakeContext() {
+  ScenarioResult result;
+  result.config = config_;
+  result.window_start = start_;
+  result.window_end = end_;
+  result.zone_domains_by_tld = {
+      {"nl", zone_counts_.nl},
+      {"nz", zone_counts_.nz_second +
+                 kNzSubzoneCount * zone_counts_.nz_per_subzone}};
+  result.zone_domain_count =
+      result.zone_domains_by_tld["nl"] + result.zone_domains_by_tld["nz"];
+  for (const ServiceSpec& spec : service_specs_) {
+    result.servers.push_back(spec.meta);
+  }
+  result.asdb = std::move(asdb_);
+  result.google_public = std::move(google_public_);
+  for (Fleet& fleet : fleets_) {
+    result.ptr_records.insert(result.ptr_records.end(),
+                              std::make_move_iterator(fleet.ptr_records.begin()),
+                              std::make_move_iterator(fleet.ptr_records.end()));
+  }
+  return result;
+}
+
 ScenarioResult ScenarioRuntime::Run() {
   {
     // The whole construction pipeline is the "setup" phase that bench_e2e
     // reports as setup_s; the timer only observes, simulation state never
     // reads it.
     base::ScopedPhaseTimer setup_phase(base::Phase::kSetup);
-    BuildSites();
+    Plan();
     MaterializeFaults();
-    BuildZonesAndServers();
+    BuildZones();
     BuildShardWorlds();
-    BuildFleets();
+    BuildWorkloads();
     PartitionEngines();
   }
-
-  ScenarioResult result;
-  result.config = config_;
-  result.window_start = start_;
-  result.window_end = end_;
-  result.zone_domain_count = zone_domain_count_;
-  result.zone_domains_by_tld = zone_domains_by_tld_;
 
   // Shards vary in cost (engine ownership is round-robin but per-engine
   // query mixes differ), so the pool's dynamic task draw beats a static
@@ -708,6 +731,7 @@ ScenarioResult ScenarioRuntime::Run() {
   base::ThreadPool::Shared().ParallelFor(
       shard_count_, threads, [this](std::size_t s) { RunShard(s); });
 
+  ScenarioResult result = TakeContext();
   // Hand the per-shard streams to the result unmerged: each is already
   // time-ordered, and the (time, shard) contract fixes the flattened
   // order whenever a consumer asks for it.
@@ -719,9 +743,6 @@ ScenarioResult ScenarioRuntime::Run() {
   result.records =
       capture::ShardedCapture::FromShards(std::move(shard_buffers));
 
-  for (const ServiceSpec& spec : service_specs_) {
-    result.servers.push_back(spec.meta);
-  }
   for (ShardWorld& shard : shards_) {
     result.client_queries_issued += shard.issued;
     for (std::size_t f = 0; f < fleets_.size(); ++f) {
@@ -731,20 +752,14 @@ ScenarioResult ScenarioRuntime::Run() {
     }
     result.leaf_queries += shard.leaf->handled();
   }
-
-  for (Fleet& fleet : fleets_) {
-    result.ptr_records.insert(result.ptr_records.end(),
-                              fleet.ptr_records.begin(),
-                              fleet.ptr_records.end());
-    for (const auto& engine : fleet.engines) {
+  for (const auto& fleet_engines : engines_) {
+    for (const auto& engine : fleet_engines) {
       result.robustness.upstream_queries += engine->upstream_query_count();
       result.robustness.retransmits += engine->retransmit_count();
       result.robustness.timeouts += engine->timeout_count();
       result.robustness.failovers += engine->failover_count();
     }
   }
-  result.asdb = std::move(asdb_);
-  result.google_public = std::move(google_public_);
   return result;
 }
 
@@ -787,6 +802,12 @@ Provider ProviderOfAsn(net::Asn asn) {
     }
   }
   return Provider::kOther;
+}
+
+ScenarioResult BuildScenarioContext(const ScenarioConfig& config) {
+  ScenarioRuntime runtime(config);
+  runtime.Plan();
+  return runtime.TakeContext();
 }
 
 ScenarioResult RunScenario(const ScenarioConfig& config) {

@@ -4,7 +4,9 @@
 // client workload for that vantage/year and streaming the client queries
 // through the full resolver/network/server stack. Everything the analysis
 // layer needs (captures, AS database, PTR records, the Google public-DNS
-// ranges) comes back in the ScenarioResult.
+// ranges) comes back in the ScenarioResult. All of it but the capture and
+// the run totals is a function of the config alone, which
+// BuildScenarioContext() rebuilds without simulating.
 #pragma once
 
 #include <map>
@@ -119,6 +121,7 @@ struct ServerMeta {
   bool captured = false;
   bool anycast = true;
   std::size_t sites = 1;
+  friend bool operator==(const ServerMeta&, const ServerMeta&) = default;
 };
 
 struct ScenarioResult {
@@ -155,6 +158,14 @@ struct ScenarioResult {
 };
 
 [[nodiscard]] ScenarioResult RunScenario(const ScenarioConfig& config);
+
+/// Every field of RunScenario(config)'s result except `records`, the run
+/// totals and `storage`: the window, the zone counts, the server table,
+/// the AS database, Google's public ranges and the PTR records. Builds no
+/// zone, network, server or resolver engine, and RunScenario fills those
+/// fields through the same code, so the two always agree; `threads` does
+/// not change them.
+[[nodiscard]] ScenarioResult BuildScenarioContext(const ScenarioConfig& config);
 
 /// Provider attribution used by all analyses: source address -> provider
 /// via the AS database (Table 1 ASes), everything else kOther.

@@ -1,6 +1,5 @@
 #include "net/asdb.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace clouddns::net {
@@ -26,15 +25,6 @@ std::optional<Asn> AsDatabase::OriginAs(const IpAddress& addr) const {
 const AsInfo* AsDatabase::Info(Asn asn) const {
   auto it = as_info_.find(asn);
   return it == as_info_.end() ? nullptr : &it->second;
-}
-
-std::vector<AsInfo> AsDatabase::AllInfo() const {
-  std::vector<AsInfo> out;
-  out.reserve(as_info_.size());
-  for (const auto& [asn, info] : as_info_) out.push_back(info);
-  std::sort(out.begin(), out.end(),
-            [](const AsInfo& a, const AsInfo& b) { return a.asn < b.asn; });
-  return out;
 }
 
 std::vector<Prefix> AsDatabase::PrefixesOf(Asn asn) const {

@@ -41,15 +41,6 @@ class AsDatabase {
   /// All announced prefixes for an AS, in announcement order.
   [[nodiscard]] std::vector<Prefix> PrefixesOf(Asn asn) const;
 
-  /// Every announcement in original order; replaying AddAs + Announce over
-  /// these rebuilds an identical database (dataset-cache serialization).
-  [[nodiscard]] const std::vector<std::pair<Prefix, Asn>>& announcements()
-      const {
-    return prefixes_;
-  }
-  /// All registered ASes, ascending by ASN (deterministic serialization).
-  [[nodiscard]] std::vector<AsInfo> AllInfo() const;
-
  private:
   PrefixMap<Asn> routes_;
   std::unordered_map<Asn, AsInfo> as_info_;

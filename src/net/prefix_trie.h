@@ -6,7 +6,6 @@
 // and trivially copyable/movable.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -73,32 +72,8 @@ class PrefixTrie {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Depth-first enumeration of every stored prefix, zero-branch first
-  /// (i.e. ascending addresses). `fn` receives the prefix bits packed
-  /// most-significant-first, the prefix length, and the value.
-  template <typename Fn>
-  void Visit(Fn&& fn) const {
-    std::array<std::uint8_t, 16> bits{};
-    VisitNode(0, bits, 0, fn);
-  }
-
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  template <typename Fn>
-  void VisitNode(std::size_t node, std::array<std::uint8_t, 16>& bits,
-                 int depth, Fn& fn) const {
-    const Node& n = nodes_[node];
-    if (n.value.has_value()) fn(bits, depth, *n.value);
-    if (n.zero != kNone) VisitNode(n.zero, bits, depth + 1, fn);
-    if (n.one != kNone) {
-      auto byte = static_cast<std::size_t>(depth / 8);
-      auto mask = static_cast<std::uint8_t>(1u << (7 - depth % 8));
-      bits[byte] = static_cast<std::uint8_t>(bits[byte] | mask);
-      VisitNode(n.one, bits, depth + 1, fn);
-      bits[byte] = static_cast<std::uint8_t>(bits[byte] & ~mask);
-    }
-  }
 
   struct Node {
     std::uint32_t zero = kNone;
@@ -132,24 +107,6 @@ class PrefixMap {
 
   [[nodiscard]] std::size_t size() const { return v4_.size() + v6_.size(); }
   [[nodiscard]] bool empty() const { return size() == 0; }
-
-  /// Every stored (prefix, value) pair, v4 before v6, ascending addresses
-  /// within each family. Used to serialize tries into the dataset cache.
-  [[nodiscard]] std::vector<std::pair<Prefix, Value>> Entries() const {
-    std::vector<std::pair<Prefix, Value>> out;
-    out.reserve(size());
-    v4_.Visit([&out](const std::array<std::uint8_t, 16>& bits, int length,
-                     const Value& value) {
-      std::array<std::uint8_t, 4> b4{bits[0], bits[1], bits[2], bits[3]};
-      out.emplace_back(Prefix(IpAddress(Ipv4Address::FromBytes(b4)), length),
-                       value);
-    });
-    v6_.Visit([&out](const std::array<std::uint8_t, 16>& bits, int length,
-                     const Value& value) {
-      out.emplace_back(Prefix(IpAddress(Ipv6Address(bits)), length), value);
-    });
-    return out;
-  }
 
  private:
   PrefixTrie<Value> v4_;

@@ -108,11 +108,6 @@ class RecursiveResolver {
   Result Resolve(const dns::Name& qname, dns::RrType qtype, sim::TimeUs now)
       CLOUDDNS_LIFETIMEBOUND;
 
-  /// Repoints upstream traffic at a different network plane. The parallel
-  /// scenario engine builds engines once, then attaches each to its owner
-  /// shard's network (which carries that shard's authoritative servers).
-  void AttachNetwork(sim::Network& network) { network_ = &network; }
-
   [[nodiscard]] const ResolverConfig& config() const CLOUDDNS_LIFETIMEBOUND {
     return config_;
   }

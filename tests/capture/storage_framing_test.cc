@@ -18,6 +18,7 @@
 #include "capture/pcap.h"
 #include "capture/sharded.h"
 #include "cloud/scenario.h"
+#include "../context_testutil.h"
 
 namespace clouddns::capture {
 namespace {
@@ -278,8 +279,7 @@ TEST(StorageFramingTest, ContextSidecarLoadsFramed) {
 
   cloud::ScenarioResult loaded;
   ASSERT_TRUE(analysis::LoadScenarioContextStatus(path, loaded).ok());
-  EXPECT_EQ(loaded.zone_domain_count, original.zone_domain_count);
-  EXPECT_EQ(loaded.asdb.announcements(), original.asdb.announcements());
+  testutil::ExpectSameContext(loaded, original);
   fs::remove(path);
 }
 

@@ -13,11 +13,7 @@ struct FleetFixture {
       sites.push_back(latency.AddSite(
           {"S" + std::to_string(i), 10.0 * i, 0, 1.0, 0.0}));
     }
-    network = std::make_unique<sim::Network>(latency);
     ctx.latency = &latency;
-    ctx.network = network.get();
-    ctx.root_v4 = {*net::IpAddress::Parse("198.41.0.4")};
-    ctx.root_v6 = {*net::IpAddress::Parse("2001:500:1::53")};
     ctx.resolver_sites = sites;
     ctx.fleet_scale = 0.01;
     ctx.seed = 7;
@@ -25,29 +21,28 @@ struct FleetFixture {
 
   sim::LatencyModel latency;
   std::vector<sim::SiteId> sites;
-  std::unique_ptr<sim::Network> network;
   FleetBuildContext ctx;
 };
 
 TEST(FleetTest, GoogleFleetSplitsPublicAndRest) {
   FleetFixture f;
   Fleet fleet = BuildProviderFleet(ProfileFor(Provider::kGoogle, 2020), f.ctx);
-  ASSERT_EQ(fleet.engines.size(), 10u);
+  ASSERT_EQ(fleet.engine_configs.size(), 10u);
 
   double public_weight = 0, total_weight = 0;
   int public_engines = 0;
-  for (std::size_t e = 0; e < fleet.engines.size(); ++e) {
+  for (std::size_t e = 0; e < fleet.engine_configs.size(); ++e) {
     total_weight += fleet.engine_weights[e];
     if (fleet.engine_is_public[e]) {
       public_weight += fleet.engine_weights[e];
       ++public_engines;
       // The public service validates and minimizes...
-      EXPECT_TRUE(fleet.engines[e]->config().validate_dnssec);
-      EXPECT_TRUE(fleet.engines[e]->config().qname_minimization);
+      EXPECT_TRUE(fleet.engine_configs[e].validate_dnssec);
+      EXPECT_TRUE(fleet.engine_configs[e].qname_minimization);
     } else {
       // ...the rest of the infrastructure does neither.
-      EXPECT_FALSE(fleet.engines[e]->config().validate_dnssec);
-      EXPECT_FALSE(fleet.engines[e]->config().qname_minimization);
+      EXPECT_FALSE(fleet.engine_configs[e].validate_dnssec);
+      EXPECT_FALSE(fleet.engine_configs[e].qname_minimization);
     }
   }
   EXPECT_EQ(public_engines, 5);
@@ -66,8 +61,8 @@ TEST(FleetTest, GooglePublicHostsLiveInAdvertisedRanges) {
     }
     return false;
   };
-  for (std::size_t e = 0; e < fleet.engines.size(); ++e) {
-    for (const auto& host : fleet.engines[e]->config().hosts) {
+  for (std::size_t e = 0; e < fleet.engine_configs.size(); ++e) {
+    for (const auto& host : fleet.engine_configs[e].hosts) {
       if (host.v4) {
         EXPECT_EQ(in_public(*host.v4), fleet.engine_is_public[e])
             << host.v4->ToString();
@@ -80,7 +75,7 @@ TEST(FleetTest, FacebookHasThirteenSitesWithAirportPtrs) {
   FleetFixture f;
   Fleet fleet =
       BuildProviderFleet(ProfileFor(Provider::kFacebook, 2020), f.ctx);
-  EXPECT_EQ(fleet.engines.size(), 13u);
+  EXPECT_EQ(fleet.engine_configs.size(), 13u);
   EXPECT_EQ(FacebookSiteCodes().size(), 13u);
 
   // Every host is dual-stack; most PTR names embed the v4 address.
@@ -94,7 +89,7 @@ TEST(FleetTest, FacebookHasThirteenSitesWithAirportPtrs) {
   EXPECT_GT(embedded, total_names / 2);
 
   // The dominant engine (Location 1) must be pinned to EDNS 4096.
-  EXPECT_EQ(fleet.engines[0]->config().edns_udp_size, 4096);
+  EXPECT_EQ(fleet.engine_configs[0].edns_udp_size, 4096);
   double w0 = fleet.engine_weights[0];
   for (double w : fleet.engine_weights) EXPECT_LE(w, w0);
 }
@@ -121,9 +116,9 @@ TEST(FleetTest, MicrosoftFleetIsEffectivelyV4) {
   Fleet fleet =
       BuildProviderFleet(ProfileFor(Provider::kMicrosoft, 2020), f.ctx);
   std::size_t v6_hosts = 0, hosts = 0;
-  for (const auto& engine : fleet.engines) {
-    EXPECT_FALSE(engine->config().validate_dnssec);
-    for (const auto& host : engine->config().hosts) {
+  for (const auto& config : fleet.engine_configs) {
+    EXPECT_FALSE(config.validate_dnssec);
+    for (const auto& host : config.hosts) {
       ++hosts;
       v6_hosts += host.v6.has_value();
     }
@@ -135,13 +130,13 @@ TEST(FleetTest, CloudflareUsesExplicitDsProbing) {
   FleetFixture f;
   Fleet cloudflare =
       BuildProviderFleet(ProfileFor(Provider::kCloudflare, 2020), f.ctx);
-  for (const auto& engine : cloudflare.engines) {
-    EXPECT_TRUE(engine->config().explicit_ds_fetch);
-    EXPECT_TRUE(engine->config().qname_minimization);
+  for (const auto& config : cloudflare.engine_configs) {
+    EXPECT_TRUE(config.explicit_ds_fetch);
+    EXPECT_TRUE(config.qname_minimization);
   }
   Fleet google = BuildProviderFleet(ProfileFor(Provider::kGoogle, 2020), f.ctx);
-  for (const auto& engine : google.engines) {
-    EXPECT_FALSE(engine->config().explicit_ds_fetch);
+  for (const auto& config : google.engine_configs) {
+    EXPECT_FALSE(config.explicit_ds_fetch);
   }
 }
 
@@ -149,12 +144,12 @@ TEST(FleetTest, OtherFleetAnnouncesOneAsPerEngine) {
   FleetFixture f;
   net::AsDatabase asdb;
   Fleet fleet = BuildOtherFleet(2020, 50, asdb, f.ctx);
-  EXPECT_EQ(fleet.engines.size(), 50u);
+  EXPECT_EQ(fleet.engine_configs.size(), 50u);
   EXPECT_EQ(fleet.engine_asns.size(), 50u);
   EXPECT_EQ(asdb.as_count(), 50u);
   // Every engine's hosts route back to its own AS.
-  for (std::size_t e = 0; e < fleet.engines.size(); ++e) {
-    for (const auto& host : fleet.engines[e]->config().hosts) {
+  for (std::size_t e = 0; e < fleet.engine_configs.size(); ++e) {
+    for (const auto& host : fleet.engine_configs[e].hosts) {
       if (host.v4) {
         EXPECT_EQ(asdb.OriginAs(*host.v4), fleet.engine_asns[e]);
       }
@@ -177,8 +172,8 @@ TEST(FleetTest, QminOffOverrideReachesEveryEngine) {
   f.ctx.qmin_off = true;
   net::AsDatabase asdb;
   Fleet fleet = BuildOtherFleet(2020, 80, asdb, f.ctx);
-  for (const auto& engine : fleet.engines) {
-    EXPECT_FALSE(engine->config().qname_minimization);
+  for (const auto& config : fleet.engine_configs) {
+    EXPECT_FALSE(config.qname_minimization);
   }
 }
 

@@ -9,7 +9,9 @@
 #
 # Usage, over the bench job's existing runs:
 #   bench_e2e --workload cold_table3 --threads 1 --seconds 1 >  e2e_1t.txt
+#   bench_e2e --workload warm_suite  --threads 1 --seconds 3 >> e2e_1t.txt
 #   bench_e2e --workload cold_table3 --threads 8 --seconds 1 >  e2e_8t.txt
+#   bench_e2e --workload warm_suite  --threads 8 --seconds 3 >> e2e_8t.txt
 #   bench_e2e --workload fault_event --seconds 1    >  e2e_other.txt
 #   bench_e2e --workload resolver_stack --seconds 1 >> e2e_other.txt
 #   cmake -DONE_THREAD=e2e_1t.txt -DEIGHT_THREADS=e2e_8t.txt \
@@ -41,6 +43,8 @@ endfunction()
 
 check_ceiling("${ONE_THREAD}" cold_table3 5)
 check_ceiling("${EIGHT_THREADS}" cold_table3 5)
+check_ceiling("${ONE_THREAD}" warm_suite 2)
+check_ceiling("${EIGHT_THREADS}" warm_suite 2)
 check_ceiling("${OTHER}" fault_event 4)
 check_ceiling("${OTHER}" resolver_stack 2)
 
