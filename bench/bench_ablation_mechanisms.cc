@@ -41,7 +41,7 @@ Metrics Measure(const cloud::ScenarioResult& result) {
 
   // Hourly volume ratio over the week.
   std::map<std::uint64_t, std::uint64_t> hourly;
-  for (const auto& record : result.records.FlattenCopy()) {
+  for (const auto& record : result.records.TimeOrderedCopy()) {
     ++hourly[record.time_us / (sim::kMicrosPerDay / 24)];
   }
   std::uint64_t peak = 0, trough = ~0ull;

@@ -25,9 +25,9 @@ int main() {
   std::printf("capturing a scaled .nl week...\n");
   cloud::ScenarioResult week = cloud::RunScenario(config);
 
-  // Exports need the single time-ordered stream, so flatten explicitly,
+  // Exports need the single time-ordered stream, so sort explicitly,
   // once (analytics would scan the shards in place).
-  const capture::CaptureBuffer flat = week.records.FlattenCopy();
+  const capture::CaptureBuffer flat = week.records.TimeOrderedCopy();
   const std::string raw_path = "/tmp/clouddns_example_raw.cdns";
   if (auto status = capture::WriteCaptureFileStatus(raw_path, flat);
       !status.ok()) {

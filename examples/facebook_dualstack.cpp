@@ -22,7 +22,7 @@ int main() {
   auto result = cloud::RunScenario(config);
 
   // Step 2-3 on a single address, to show the moving parts.
-  for (const auto& record : result.records.FlattenCopy()) {
+  for (const auto& record : result.records.TimeOrderedCopy()) {
     if (analysis::ProviderOfRecord(result, record) !=
         cloud::Provider::kFacebook) {
       continue;

@@ -38,8 +38,8 @@ std::vector<ChaosSeriesPoint> DailyCaptureSeries(
     series[d].day_start = start + d * sim::kMicrosPerDay;
   }
   // Scan shard-wise: day bucketing only adds counts, so visiting records
-  // in per-shard rather than merged order changes nothing — and skips the
-  // flatten entirely.
+  // in per-shard rather than time order changes nothing — and skips the
+  // flat copy entirely.
   auto accumulate = [&](const capture::ShardedCapture& records,
                         std::uint64_t ChaosSeriesPoint::* field) {
     for (std::size_t s = 0; s < records.shard_count(); ++s) {

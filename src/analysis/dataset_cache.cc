@@ -36,7 +36,10 @@ std::string CacheKey(const cloud::ScenarioConfig& config) {
   // rather than quarantined as corrupt.
   // v12: the `.ctx` sidecar holds the config and run totals (v4), so v3
   // sidecars are not found rather than quarantined as corrupt.
-  constexpr std::uint64_t kSimulatorVersion = 12;
+  // v13: `.cdns` holds the shards back to back and `.shards` one record
+  // count per shard (v2), so v1 indexes are not found rather than
+  // quarantined as corrupt.
+  constexpr std::uint64_t kSimulatorVersion = 13;
   std::uint64_t hash = 0x434c4f5544444e53ull;  // "CLOUDDNS"
   hash = MixField(hash, kSimulatorVersion);
   // The shard count determines the traffic realization; the thread count
@@ -47,10 +50,6 @@ std::string CacheKey(const cloud::ScenarioConfig& config) {
   hash = MixField(hash, static_cast<std::uint64_t>(config.year));
   hash = MixField(hash, config.client_queries);
   hash = MixField(hash, static_cast<std::uint64_t>(config.zone_scale * 1e9));
-  // The fleet and AS scales are constants; they stay in the key so that
-  // existing cache keys keep their values.
-  hash = MixField(hash, static_cast<std::uint64_t>(cloud::kFleetScale * 1e9));
-  hash = MixField(hash, static_cast<std::uint64_t>(cloud::kAsScale * 1e9));
   hash = MixField(hash, config.seed);
   hash = MixField(hash, static_cast<std::uint64_t>(config.warmup_fraction * 1e9));
   hash = MixField(hash, static_cast<std::uint64_t>(config.diurnal_amplitude * 1e9));
@@ -132,11 +131,11 @@ cloud::ScenarioResult LoadOrRun(cloud::ScenarioConfig config,
   storage.tmp_cleaned = static_cast<std::uint64_t>(
       base::io::RemoveStrandedTmpFiles(cache_dir));
 
-  // A dataset is three artifacts: the flat, merge-ordered `.cdns` capture,
-  // the `.ctx` context (the config and the query accounting, from which a
-  // load rebuilds the AS database, PTR records and server metadata), and
-  // the `.shards` index that restores the simulation's shard structure
-  // from the flat stream. Only all three together are a warm hit;
+  // A dataset is three artifacts: the `.cdns` capture (the shards back to
+  // back), the `.ctx` context (the config and the query accounting, from
+  // which a load rebuilds the AS database, PTR records and server
+  // metadata), and the `.shards` index, one record count per shard, that
+  // slices the capture back into the simulation's shards. Only all three together are a warm hit;
   // anything less is rebuilt from simulation as a whole.
   const std::string stem = cache_dir + "/" + CacheKey(config);
   Artifact capture{"capture", stem + ".cdns", base::io::kTagCapture, {}, {}};
@@ -171,8 +170,8 @@ cloud::ScenarioResult LoadOrRun(cloud::ScenarioConfig config,
     if (IsCorruption(artifact->read)) QuarantineCorrupt(*artifact, storage);
   }
   cloud::ScenarioResult result = cloud::RunScenario(config);
-  // The merge-ordered stream is its own statement, so the flat copy is
-  // freed before the sidecars are written.
+  // The flat copy is its own statement, so it is freed before the
+  // sidecars are written.
   capture.written = capture::WriteCaptureFileStatus(
       capture.path, result.records.FlattenCopy());
   context.written = SaveScenarioContextStatus(context.path, result);

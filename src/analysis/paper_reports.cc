@@ -115,12 +115,12 @@ std::string Table3() {
 // §4.1's textual claim: "in the 2020 dataset, the first CP was in a 5th
 // place rank" at B-Root, behind large ISPs. Rank source ASes with the
 // Space-Saving sketch and report where the first cloud AS lands. The
-// sketch consumes records in merged order, so this is the one Fig. 1
-// consumer that flattens the sharded capture.
+// sketch's counts depend on the order it sees records in, so this is the
+// one Fig. 1 consumer that asks for the time-ordered stream.
 void AppendRootAsRanking(std::string& out,
                          const cloud::ScenarioResult& result) {
   entrada::SpaceSaving topk(256);
-  for (const auto& record : result.records.FlattenCopy()) {
+  for (const auto& record : result.records.TimeOrderedCopy()) {
     auto asn = result.asdb.OriginAs(record.src);
     topk.Add(asn ? "AS" + std::to_string(*asn) : "AS?");
   }

@@ -2,14 +2,13 @@
 // (DESIGN.md §13). The scenario engine produces one time-sorted buffer per
 // simulation shard; most consumers (the fused AnalysisPlan, the chaos
 // day-bucketing) only need per-record access in any deterministic order,
-// so they scan the shard buffers in place and never pay the K-way merge or
-// the merged-buffer allocation. Consumers that genuinely need the single
-// time-ordered stream — pcap/columnar export, rank sketches, per-record
-// loops over the whole capture — ask for FlattenCopy() by name. There is
-// one merge: MergeOrderShardIds() walks the shard cursors under the (time,
-// shard index, within-shard order) contract, and FlattenCopy() gathers the
-// records in that order. There is no implicit conversion or vector-style
-// accessor: every merge is visible at its call site.
+// so they scan the shard buffers in place and never copy. FlattenCopy()
+// lays the shards back to back in shard order: the stream a dataset
+// stores. Consumers that genuinely need the single time-ordered stream —
+// rank sketches, exports a reader expects in time order — ask for
+// TimeOrderedCopy() by name, one stable sort of that flat copy. There is
+// no implicit conversion or vector-style accessor: every copy is visible
+// at its call site.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,7 @@ class ShardedCapture {
  public:
   ShardedCapture() = default;
 
-  /// Wraps an already-flat (merged or externally loaded) buffer as a
+  /// Wraps an already-flat (time-ordered or externally loaded) buffer as a
   /// single-shard view — a valid degenerate sharding.
   explicit ShardedCapture(CaptureBuffer flat);
 
@@ -46,44 +45,42 @@ class ShardedCapture {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// The single time-ordered stream as a fresh buffer: records sort by
-  /// arrival time, ties resolve to the lower shard index, within-shard
-  /// order is kept. The shard buffers are left untouched.
+  /// The shards back to back, in shard order, as a fresh buffer. The
+  /// shard buffers are left untouched.
   [[nodiscard]] CaptureBuffer FlattenCopy() const;
 
-  /// Streams compare in flattened order: two captures are equal when they
+  /// The single time-ordered stream: FlattenCopy() then SortByTimeStable.
+  /// Records sort by arrival time, ties resolve to the lower shard index,
+  /// within-shard order is kept.
+  [[nodiscard]] CaptureBuffer TimeOrderedCopy() const;
+
+  /// Streams compare in time order: two captures are equal when they
   /// yield the same time-ordered record sequence, regardless of how the
   /// records are distributed across shards.
   friend bool operator==(const ShardedCapture& a, const ShardedCapture& b) {
-    return a.FlattenCopy() == b.FlattenCopy();
+    return a.TimeOrderedCopy() == b.TimeOrderedCopy();
   }
-
-  /// The shard index of every record in flattened order: ids[i] names the
-  /// shard of FlattenCopy()[i]. This cursor walk is the merge; it is also
-  /// the payload of the `.shards` cache sidecar.
-  [[nodiscard]] std::vector<std::uint32_t> MergeOrderShardIds() const;
 
  private:
   std::vector<CaptureBuffer> shards_;
   std::size_t size_ = 0;
 };
 
-/// Writes the run-length-encoded shard-id stream of `capture` (in merge
-/// order) to `path`, framed/checksummed and atomically renamed into place
-/// via base::io (tag kTagShards). The main `.cdns` capture file stays
-/// byte-identical; this sidecar is purely additive, letting a later load
-/// rebuild the exact shard structure.
+/// Writes the record count of every shard of `capture` to `path`,
+/// framed/checksummed and atomically renamed into place via base::io (tag
+/// kTagShards). With the `.cdns` capture holding FlattenCopy(), these
+/// counts are all a later load needs to rebuild the shard structure.
 [[nodiscard]] base::io::IoStatus WriteShardIndexStatus(
     const std::string& path, const ShardedCapture& capture);
 
-/// Re-partitions a flat, merge-ordered buffer into the shard structure
-/// recorded at `path`. Each shard subsequence of the sorted stream is
-/// itself sorted, so re-merging reproduces `flat` byte-for-byte. Returns a
-/// single-shard view when the sidecar is missing, unframed, malformed, or
-/// does not match `flat`. When `status_out` is given it reports WHY a
-/// fallback happened — kNotFound (no sidecar) vs a corruption code (the
-/// dataset cache quarantines on those). Either way the dataset cache
-/// rebuilds the dataset rather than serve the single-shard view.
+/// Slices `flat`, the shards back to back, into the shards whose record
+/// counts are recorded at `path`. Returns a single-shard view when the
+/// index is missing, unframed or malformed, when its counts do not add up
+/// to `flat`, or when a slice is not time-sorted. When `status_out` is
+/// given it reports WHY a fallback happened — kNotFound (no index) vs a
+/// corruption code (the dataset cache quarantines on those). Either way
+/// the dataset cache rebuilds the dataset rather than serve the
+/// single-shard view.
 [[nodiscard]] ShardedCapture ReshardFromIndex(
     const std::string& path, CaptureBuffer flat,
     base::io::IoStatus* status_out = nullptr);

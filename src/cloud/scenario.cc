@@ -732,9 +732,9 @@ ScenarioResult ScenarioRuntime::Run() {
       shard_count_, threads, [this](std::size_t s) { RunShard(s); });
 
   ScenarioResult result = TakeContext();
-  // Hand the per-shard streams to the result unmerged: each is already
-  // time-ordered, and the (time, shard) contract fixes the flattened
-  // order whenever a consumer asks for it.
+  // Hand the per-shard streams to the result as they are: each is already
+  // time-ordered, and the (time, shard) contract fixes the time order
+  // whenever a consumer asks for it.
   std::vector<capture::CaptureBuffer> shard_buffers;
   shard_buffers.reserve(shard_count_);
   for (ShardWorld& shard : shards_) {

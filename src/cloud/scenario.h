@@ -131,8 +131,8 @@ struct ScenarioResult {
 
   /// Captured records from every captured server, still partitioned by
   /// simulation shard (each shard buffer time-ordered). Scan shard-wise
-  /// where possible; FlattenCopy() yields the single time-ordered stream
-  /// under the (time, shard) merge contract when an export truly needs it.
+  /// where possible; TimeOrderedCopy() yields the single stream in
+  /// (time, shard) order when a consumer truly needs time order.
   capture::ShardedCapture records;
 
   std::size_t zone_domain_count = 0;   ///< Registered domains (Table 2).

@@ -141,12 +141,12 @@ class AnalysisPlan {
   /// thread count. Custom filters and value functors must be pure.
   void Execute(const capture::CaptureBuffer& records, std::size_t threads = 0);
 
-  /// Shard-wise fused pass: scans the shard buffers in place, paying
-  /// neither the K-way merge nor the merged-buffer allocation. Worker w
-  /// owns shards s ≡ w (mod workers) in increasing shard order and
-  /// partials fold in worker order, so results are byte-identical to
-  /// Execute(records.FlattenCopy()) at every thread count (every aggregate
-  /// is order-independent or sorted downstream — see the header comment).
+  /// Shard-wise fused pass: scans the shard buffers in place, with no
+  /// flat copy. Worker w owns shards s ≡ w (mod workers) in increasing
+  /// shard order and partials fold in worker order, so results are
+  /// byte-identical to Execute(records.FlattenCopy()) at every thread
+  /// count (every aggregate is order-independent or sorted downstream —
+  /// see the header comment).
   void Execute(const capture::ShardedCapture& records,
                std::size_t threads = 0);
 

@@ -11,7 +11,7 @@
 //     fault-free baseline.
 //   - Lost artifacts: a deleted or corrupted `.ctx` or `.shards` must
 //     come back with cold-identical accounting and shard structure, and
-//     be written again.
+//     be written again; the `.cdns` holds the shards back to back.
 //   - Thread invariance: a cold build writes byte-identical `.cdns`,
 //     `.ctx` and `.shards` files at 1 and 8 worker threads.
 //   - The seeded fault sweep: all nine StorageFaultKind values injected
@@ -80,7 +80,8 @@ std::string ReportDigest(const cloud::ScenarioResult& result,
   std::ostringstream out;
   out << "records " << result.records.size() << "\n";
   out << "crc "
-      << base::io::Crc32c(capture::EncodeColumnar(result.records.FlattenCopy()))
+      << base::io::Crc32c(
+             capture::EncodeColumnar(result.records.TimeOrderedCopy()))
       << "\n";
   out << "sources " << plan.DistinctResult(sources) << "\n";
   for (const auto& [key, n] : plan.GroupResult(by_qtype).counts) {
@@ -98,6 +99,15 @@ std::string ReportDigest(const cloud::ScenarioResult& result,
   out << "robust " << robust.upstream_queries << " " << robust.retransmits
       << " " << robust.timeouts << " " << robust.failovers << "\n";
   return out.str();
+}
+
+/// Each shard buffer equal, in order: the simulation's shard structure.
+void ExpectSameShards(const capture::ShardedCapture& got,
+                      const capture::ShardedCapture& want) {
+  ASSERT_EQ(got.shard_count(), want.shard_count());
+  for (std::size_t s = 0; s < want.shard_count(); ++s) {
+    EXPECT_EQ(got.shard(s), want.shard(s)) << "shard " << s;
+  }
 }
 
 enum class Damage { kTruncate, kBitFlip, kZeroLength, kUnframed };
@@ -173,8 +183,6 @@ TEST(StorageCorruptionMatrixTest, EveryArtifactDamageThreadComboRecovers) {
 
   const cloud::ScenarioResult baseline_result = LoadOrRun(config, dir);
   const std::string baseline = ReportDigest(baseline_result, 1);
-  const std::vector<std::uint32_t> baseline_shard_ids =
-      baseline_result.records.MergeOrderShardIds();
   ASSERT_FALSE(baseline_result.records.empty());
   ASSERT_TRUE(fs::exists(capture_path));
   ASSERT_TRUE(fs::exists(context_path));
@@ -202,7 +210,7 @@ TEST(StorageCorruptionMatrixTest, EveryArtifactDamageThreadComboRecovers) {
         auto run_config = SmallConfig(threads);
         const cloud::ScenarioResult result = LoadOrRun(run_config, dir);
         EXPECT_EQ(ReportDigest(result, threads), baseline);
-        EXPECT_EQ(result.records.MergeOrderShardIds(), baseline_shard_ids);
+        ExpectSameShards(result.records, baseline_result.records);
         EXPECT_EQ(result.storage.detected, 1u);
         EXPECT_EQ(result.storage.quarantined, 1u);
         EXPECT_EQ(result.storage.rebuilt, 1u);
@@ -284,23 +292,29 @@ TEST(StorageLostArtifactTest, ShardIndexComesBackWithColdShardStructure) {
   fs::remove_all(dir);
   auto config = SmallConfig();
   config.client_queries = EffectiveQueryBudget(config.client_queries);
-  const std::string shard_path = dir + "/" + CacheKey(config) + ".shards";
+  const std::string stem = dir + "/" + CacheKey(config);
+  const std::string shard_path = stem + ".shards";
 
+  // The capture file holds the shards back to back.
   const cloud::ScenarioResult cold = LoadOrRun(config, dir);
   ASSERT_EQ(cold.records.shard_count(), config.shards);
+  capture::CaptureBuffer stored;
+  ASSERT_TRUE(capture::ReadCaptureFileStatus(stem + ".cdns", stored).ok());
+  EXPECT_EQ(stored, cold.records.FlattenCopy());
   ASSERT_TRUE(fs::remove(shard_path));
 
   const cloud::ScenarioResult rebuilt = LoadOrRun(config, dir);
   EXPECT_EQ(rebuilt.records.shard_count(), config.shards);
-  EXPECT_EQ(rebuilt.records.MergeOrderShardIds(),
-            cold.records.MergeOrderShardIds());
+  ExpectSameShards(rebuilt.records, cold.records);
   ExpectColdAccounting(rebuilt, cold);
   EXPECT_TRUE(fs::exists(shard_path));
 
+  // A warm hit writes nothing and slices the capture into the cold
+  // run's shards.
+  const auto written = fs::last_write_time(stem + ".cdns");
   const cloud::ScenarioResult warm = LoadOrRun(config, dir);
-  EXPECT_EQ(warm.records.shard_count(), config.shards);
-  EXPECT_EQ(warm.records.MergeOrderShardIds(),
-            cold.records.MergeOrderShardIds());
+  EXPECT_EQ(fs::last_write_time(stem + ".cdns"), written);
+  ExpectSameShards(warm.records, cold.records);
   fs::remove_all(dir);
 }
 

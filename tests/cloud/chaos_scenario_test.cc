@@ -104,10 +104,11 @@ TEST(ChaosScenarioTest, NzEventLossAmplifiesUpstreamQueries) {
   auto faulted = RunScenario(faulted_config);
 
   // The faulted run is pinned to fixed references: the capture's columnar
-  // encoding (every record, in merge order) and the fleet's retry totals.
+  // encoding (every record, in time order) and the fleet's retry totals.
   // Together with the kLossyPath report digest in dnssec_parallel_test,
   // this holds both presets' fault-decision streams in place.
-  const auto wire = capture::EncodeColumnar(faulted.records.FlattenCopy());
+  const auto wire =
+      capture::EncodeColumnar(faulted.records.TimeOrderedCopy());
   EXPECT_EQ(testutil::Sha256Hex(std::string(wire.begin(), wire.end())),
             "c875909d7df750e43dbe1bff0467d1e2b3e9dc5887832cd7f768d19b8a777c59");
   RobustnessCounters pinned;

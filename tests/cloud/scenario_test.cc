@@ -45,11 +45,13 @@ TEST(ScenarioTest, NlCapturesOnlyTheTwoMonitoredServers) {
 
 TEST(ScenarioTest, RecordsAreTimeOrderedAndInsideWindow) {
   auto result = RunScenario(SmallConfig(Vantage::kNl, 2020));
-  sim::TimeUs previous = 0;
-  for (const auto& record : result.records.FlattenCopy()) {
-    EXPECT_GE(record.time_us, previous);
-    EXPECT_GE(record.time_us, result.window_start);
-    previous = record.time_us;
+  for (std::size_t s = 0; s < result.records.shard_count(); ++s) {
+    sim::TimeUs previous = 0;
+    for (const auto& record : result.records.shard(s)) {
+      EXPECT_GE(record.time_us, previous);
+      EXPECT_GE(record.time_us, result.window_start);
+      previous = record.time_us;
+    }
   }
 }
 

@@ -144,9 +144,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, ShardedPlanTest,
 
 TEST_P(ShardedPlanTest, ShardWiseScanMatchesFlattenThenScan) {
   const std::size_t threads = GetParam();
-  // Reference: the pre-change pipeline — merge shards, scan flat.
+  // Reference: copy the shards into one buffer, scan it flat.
   PlanResults flat = RunAllOps(records_.FlattenCopy(), threads);
-  // Under test: scan the shard buffers in place, no merge.
+  // Under test: scan the shard buffers in place, no copy.
   PlanResults sharded = RunAllOps(records_, threads);
   ExpectSameResults(sharded, flat);
 }
@@ -158,13 +158,13 @@ TEST_P(ShardedPlanTest, ShardedResultsIdenticalToSingleThread) {
 }
 
 TEST(ShardedPlanTest, DegenerateShardingsAgree) {
-  // 1, 3, and 16 shards holding the same flattened stream must agree:
+  // 1, 3, and 16 shards holding the same records must agree:
   // the shard structure is a storage detail, never a statistics input.
   auto sixteen = SyntheticSharded(16, 1'000);
-  capture::ShardedCapture one(sixteen.FlattenCopy());
+  const capture::CaptureBuffer flat = sixteen.TimeOrderedCopy();
+  capture::ShardedCapture one(flat);
 
   std::vector<capture::CaptureBuffer> three(3);
-  const capture::CaptureBuffer flat = sixteen.FlattenCopy();
   for (std::size_t i = 0; i < flat.size(); ++i) {
     three[i % 3].push_back(flat[i]);
   }

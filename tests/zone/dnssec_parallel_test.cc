@@ -112,11 +112,12 @@ cloud::ScenarioConfig SmallScenario(std::size_t threads,
   return config;
 }
 
-/// One digest covering everything a run publishes: the flattened capture's
-/// columnar encoding (every record field, in merge order) plus the
+/// One digest covering everything a run publishes: the time-ordered
+/// capture's columnar encoding (every record field) plus the
 /// Table 3 / Fig. 1 report numbers, HyperLogLog estimates included.
 std::string ReportDigest(const cloud::ScenarioResult& result) {
-  const auto wire = capture::EncodeColumnar(result.records.FlattenCopy());
+  const auto wire =
+      capture::EncodeColumnar(result.records.TimeOrderedCopy());
   std::string blob(wire.begin(), wire.end());
   const auto stats = analysis::ComputeDatasetStats(result);
   blob += std::to_string(stats.queries_total) + "/" +

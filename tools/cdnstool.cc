@@ -29,6 +29,7 @@
 #include "capture/anonymize.h"
 #include "capture/columnar.h"
 #include "capture/pcap.h"
+#include "capture/sharded.h"
 #include "cloud/scenario.h"
 #include "entrada/plan.h"
 #include "entrada/topk.h"
@@ -134,7 +135,10 @@ std::optional<int> YearFrom(const std::string& text) {
   return std::nullopt;
 }
 
-/// Loads a columnar capture, printing the typed storage error on failure.
+/// Loads a columnar capture in time order, printing the typed storage
+/// error on failure. A dataset-cache `.cdns` holds its shards back to
+/// back, so the records are sorted here; files `simulate` writes are
+/// already in time order and come back unchanged.
 bool ReadCapture(const std::string& path, capture::CaptureBuffer& records) {
   if (auto status = capture::ReadCaptureFileStatus(path, records);
       !status.ok()) {
@@ -142,6 +146,7 @@ bool ReadCapture(const std::string& path, capture::CaptureBuffer& records) {
                  status.ToString().c_str());
     return false;
   }
+  capture::SortByTimeStable(records);
   return true;
 }
 
@@ -163,9 +168,9 @@ int CmdSimulate(const Args& args) {
   cloud::ScenarioResult result = cloud::RunScenario(config);
   std::fprintf(stderr, "captured %zu queries\n", result.records.size());
 
-  // The result keeps records sharded; the export below needs the single
-  // merge-ordered stream.
-  capture::CaptureBuffer records = result.records.FlattenCopy();
+  // The result keeps records sharded; the export below writes the single
+  // time-ordered stream.
+  capture::CaptureBuffer records = result.records.TimeOrderedCopy();
   if (args.Has("anonymize-key")) {
     capture::Anonymizer anonymizer(std::strtoull(
         args.Get("anonymize-key", "1").c_str(), nullptr, 10));
