@@ -62,7 +62,8 @@ int main() {
                  .c_str(),
              stdout);
 
-  cloud::ScenarioConfig base = bench::StandardConfig(cloud::Vantage::kNl, 2020);
+  cloud::ScenarioConfig base =
+      analysis::StandardConfig(cloud::Vantage::kNl, 2020);
   base.client_queries = std::min<std::uint64_t>(base.client_queries, 250'000);
 
   struct Variant {

@@ -130,8 +130,8 @@ inline double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-// Lives with the paper reports; bench_e2e and bench_ablation_mechanisms
-// build their datasets from it too.
+// Lives with the paper reports. Only bench_e2e still names it bench::;
+// the using goes once it calls analysis::StandardConfig.
 using analysis::StandardConfig;
 
 inline std::string ProviderName(cloud::Provider provider) {

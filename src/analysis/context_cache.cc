@@ -16,28 +16,14 @@ constexpr std::string_view kMagic = "CLOUDDNSCTX";
 // v4: the config replaces the context it determines.
 constexpr std::string_view kVersion = "v4";
 
-/// Calls fn(key, field) for every stored field of `result`: each config
-/// field CacheKey hashes, in its order (never `threads`), then the run
-/// totals but the per-provider counts.
+/// Calls fn(key, field) for every stored field of `result`: each field of
+/// the config that names the dataset, in cloud::ForEachIdentifyingField's
+/// order, then the run totals but the per-provider counts.
 template <typename Result, typename Fn>
 void ForEachStoredField(Result& result, Fn fn) {
-  auto& config = result.config;
-  fn("shards", config.shards);
-  fn("vantage", config.vantage);
-  fn("year", config.year);
-  fn("client_queries", config.client_queries);
-  fn("zone_scale", config.zone_scale);
-  fn("seed", config.seed);
-  fn("warmup_fraction", config.warmup_fraction);
-  fn("diurnal_amplitude", config.diurnal_amplitude);
-  fn("consolidation_factor", config.consolidation_factor);
-  fn("window_start", config.window_start);
-  fn("window_end", config.window_end);
-  fn("google_only", config.google_only);
-  fn("inject_cyclic_event", config.inject_cyclic_event);
-  fn("qmin_override_off", config.qmin_override_off);
-  fn("rrl_override_off", config.rrl_override_off);
-  fn("fault_preset", config.fault_preset);
+  cloud::ForEachIdentifyingField([&](std::string_view key, auto field) {
+    fn(key, result.config.*field);
+  });
   fn("issued", result.client_queries_issued);
   fn("leaf", result.leaf_queries);
   fn("upstream", result.robustness.upstream_queries);
@@ -110,10 +96,9 @@ bool ReadLine(std::string_view& rest, std::string_view key, T& out) {
   return true;
 }
 
-/// The config comes from a file, so what BuildScenarioContext cannot take
-/// is rejected: enums out of range, a year outside the study, and scales
-/// that are negative, not finite or (zone_scale) above the paper's zones.
-bool Accepted(const cloud::ScenarioConfig& config) {
+}  // namespace
+
+bool AcceptedConfig(const cloud::ScenarioConfig& config) {
   for (double scale : {config.zone_scale, config.warmup_fraction,
                        config.diurnal_amplitude,
                        config.consolidation_factor}) {
@@ -124,8 +109,6 @@ bool Accepted(const cloud::ScenarioConfig& config) {
          config.year >= 2018 && config.year <= 2020 &&
          config.zone_scale <= 1;
 }
-
-}  // namespace
 
 base::io::IoStatus SaveScenarioContextStatus(
     const std::string& path, const cloud::ScenarioResult& result) {
@@ -173,14 +156,13 @@ base::io::IoStatus LoadScenarioContextStatus(const std::string& path,
           count;
     }
   }
-  if (!ok || !in.empty() || !Accepted(stored.config)) {
+  if (!ok || !in.empty() || !AcceptedConfig(stored.config)) {
     return base::io::IoStatus::Error(
         base::io::IoCode::kPayloadCorrupt,
         "context sidecar text malformed or version-mismatched");
   }
 
   cloud::ScenarioResult context = cloud::BuildScenarioContext(stored.config);
-  context.config = std::move(result.config);
   context.records = std::move(result.records);
   context.storage = result.storage;
   context.client_queries_issued = stored.client_queries_issued;

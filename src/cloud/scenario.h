@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "capture/record.h"
@@ -98,11 +99,47 @@ struct ScenarioConfig {
   /// Ablation: disable response rate limiting on the TLD servers.
   bool rrl_override_off = false;
 
-  /// Packet-loss schedule. Faults change the traffic realization, so a
-  /// preset other than kNone participates in the dataset cache key; every
-  /// fault-free key (and cache) is unaffected.
+  /// Packet-loss schedule. Faults change the traffic realization, so the
+  /// preset is one of the fields that name a dataset (below).
   FaultPreset fault_preset = FaultPreset::kNone;
 };
+
+/// Calls fn(name, &ScenarioConfig::field) for every field that names a
+/// dataset: all of them but `threads`, which replays the same simulation.
+/// This is the one list of those fields. The dataset cache key mixes them
+/// in this order, a dataset's `.ctx` stores them one line each under these
+/// names, and a load compares them against the requested config, so a new
+/// field that changes the result must be added here.
+template <typename Fn>
+void ForEachIdentifyingField(Fn&& fn) {
+  fn("shards", &ScenarioConfig::shards);
+  fn("vantage", &ScenarioConfig::vantage);
+  fn("year", &ScenarioConfig::year);
+  fn("client_queries", &ScenarioConfig::client_queries);
+  fn("zone_scale", &ScenarioConfig::zone_scale);
+  fn("seed", &ScenarioConfig::seed);
+  fn("warmup_fraction", &ScenarioConfig::warmup_fraction);
+  fn("diurnal_amplitude", &ScenarioConfig::diurnal_amplitude);
+  fn("consolidation_factor", &ScenarioConfig::consolidation_factor);
+  fn("window_start", &ScenarioConfig::window_start);
+  fn("window_end", &ScenarioConfig::window_end);
+  fn("google_only", &ScenarioConfig::google_only);
+  fn("inject_cyclic_event", &ScenarioConfig::inject_cyclic_event);
+  fn("qmin_override_off", &ScenarioConfig::qmin_override_off);
+  fn("rrl_override_off", &ScenarioConfig::rrl_override_off);
+  fn("fault_preset", &ScenarioConfig::fault_preset);
+}
+
+/// True when `a` and `b` name the same dataset: every identifying field
+/// equal, whatever their `threads`.
+[[nodiscard]] inline bool SameDataset(const ScenarioConfig& a,
+                                      const ScenarioConfig& b) {
+  bool same = true;
+  ForEachIdentifyingField([&](std::string_view, auto field) {
+    same = same && a.*field == b.*field;
+  });
+  return same;
+}
 
 /// Resolver-side robustness totals summed over every engine in the run:
 /// how much extra upstream work the fault schedule induced.

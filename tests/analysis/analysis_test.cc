@@ -2,11 +2,16 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "analysis/calibration.h"
 #include "analysis/dataset_cache.h"
 #include "analysis/experiments.h"
 #include "analysis/report.h"
+#include "base/io.h"
+#include "capture/columnar.h"
 
 namespace clouddns::analysis {
 namespace {
@@ -73,17 +78,113 @@ TEST(CalibrationTest, RootIsJunkier) {
 }
 
 TEST(DatasetCacheTest, CacheKeyDependsOnConfig) {
-  cloud::ScenarioConfig a;
+  // Every field that names a dataset reaches the key; `threads` does not.
+  const cloud::ScenarioConfig a;
   cloud::ScenarioConfig b = a;
   EXPECT_EQ(CacheKey(a), CacheKey(b));
-  b.year = 2019;
-  EXPECT_NE(CacheKey(a), CacheKey(b));
-  b = a;
-  b.seed ^= 1;
-  EXPECT_NE(CacheKey(a), CacheKey(b));
-  b = a;
-  b.qmin_override_off = true;
-  EXPECT_NE(CacheKey(a), CacheKey(b));
+  b.threads = 7;
+  EXPECT_EQ(CacheKey(a), CacheKey(b));
+
+  using Perturb = void (*)(cloud::ScenarioConfig&);
+  const std::pair<std::string_view, Perturb> perturbations[] = {
+      {"shards", [](cloud::ScenarioConfig& c) { c.shards = 8; }},
+      {"vantage",
+       [](cloud::ScenarioConfig& c) { c.vantage = cloud::Vantage::kNz; }},
+      {"year", [](cloud::ScenarioConfig& c) { c.year = 2019; }},
+      {"client_queries", [](cloud::ScenarioConfig& c) { ++c.client_queries; }},
+      {"zone_scale", [](cloud::ScenarioConfig& c) { c.zone_scale = 0.003; }},
+      {"seed", [](cloud::ScenarioConfig& c) { c.seed ^= 1; }},
+      {"warmup_fraction",
+       [](cloud::ScenarioConfig& c) { c.warmup_fraction = 0.2; }},
+      {"diurnal_amplitude",
+       [](cloud::ScenarioConfig& c) { c.diurnal_amplitude = 0; }},
+      {"consolidation_factor",
+       [](cloud::ScenarioConfig& c) { c.consolidation_factor = 1.5; }},
+      {"window_start", [](cloud::ScenarioConfig& c) { c.window_start = 1; }},
+      {"window_end", [](cloud::ScenarioConfig& c) { c.window_end = 1; }},
+      {"google_only", [](cloud::ScenarioConfig& c) { c.google_only = true; }},
+      {"inject_cyclic_event",
+       [](cloud::ScenarioConfig& c) { c.inject_cyclic_event = true; }},
+      {"qmin_override_off",
+       [](cloud::ScenarioConfig& c) { c.qmin_override_off = true; }},
+      {"rrl_override_off",
+       [](cloud::ScenarioConfig& c) { c.rrl_override_off = true; }},
+      {"fault_preset",
+       [](cloud::ScenarioConfig& c) {
+         c.fault_preset = cloud::FaultPreset::kLossyPath;
+       }},
+  };
+  std::vector<std::string_view> perturbed;
+  for (const auto& [name, perturb] : perturbations) {
+    b = a;
+    perturb(b);
+    EXPECT_NE(CacheKey(a), CacheKey(b)) << name;
+    EXPECT_FALSE(cloud::SameDataset(a, b)) << name;
+    perturbed.push_back(name);
+  }
+  // The perturbations cover exactly the fields the key hashes.
+  std::vector<std::string_view> listed;
+  cloud::ForEachIdentifyingField(
+      [&](std::string_view name, auto) { listed.push_back(name); });
+  EXPECT_EQ(listed.size(), 16u);
+  EXPECT_EQ(perturbed, listed);
+}
+
+TEST(DatasetCacheTest, SeamTimesEveryStepAndWritesTheSameBytes) {
+  const std::string timed_dir = ::testing::TempDir() + "/clouddns_seam_timed";
+  const std::string plain_dir = ::testing::TempDir() + "/clouddns_seam_plain";
+  for (const std::string& dir : {timed_dir, plain_dir}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+  }
+  cloud::ScenarioConfig config;
+  config.vantage = cloud::Vantage::kNz;
+  config.year = 2019;
+  config.client_queries = 5'000;
+  config.zone_scale = 0.0005;
+  const cloud::ScenarioResult cold = cloud::RunScenario(config);
+  ASSERT_FALSE(cold.records.empty());
+
+  DatasetTimings timings;
+  ASSERT_TRUE(WriteDataset(timed_dir, cold, &timings).ok());
+  ASSERT_TRUE(WriteDataset(plain_dir, cold, nullptr).ok());
+  const DatasetRead warm = ReadDataset(timed_dir, config, &timings);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_TRUE(warm.result.records == cold.records);
+  EXPECT_EQ(warm.result.records.shard_count(), cold.records.shard_count());
+  EXPECT_EQ(warm.result.client_queries_issued, cold.client_queries_issued);
+
+  const std::pair<const char*, double DatasetTimings::*> steps[] = {
+      {"flatten_s", &DatasetTimings::flatten_s},
+      {"encode_s", &DatasetTimings::encode_s},
+      {"frame_s", &DatasetTimings::frame_s},
+      {"write_s", &DatasetTimings::write_s},
+      {"context_save_s", &DatasetTimings::context_save_s},
+      {"shard_index_write_s", &DatasetTimings::shard_index_write_s},
+      {"read_s", &DatasetTimings::read_s},
+      {"unwrap_s", &DatasetTimings::unwrap_s},
+      {"decode_s", &DatasetTimings::decode_s},
+      {"reshard_s", &DatasetTimings::reshard_s},
+      {"context_load_s", &DatasetTimings::context_load_s},
+  };
+  for (const auto& [name, field] : steps) EXPECT_GT(timings.*field, 0) << name;
+  EXPECT_EQ(timings.encoded_bytes,
+            capture::EncodeColumnar(cold.records.FlattenCopy()).size());
+
+  // Timing reads a clock and nothing else: the same bytes land on disk.
+  const DatasetPaths timed = DatasetFiles(timed_dir, config);
+  const DatasetPaths plain = DatasetFiles(plain_dir, config);
+  for (auto file : {&DatasetPaths::capture, &DatasetPaths::context,
+                    &DatasetPaths::shards}) {
+    std::vector<std::uint8_t> a;
+    std::vector<std::uint8_t> b;
+    ASSERT_TRUE(base::io::ReadFileBytes(timed.*file, a).ok());
+    ASSERT_TRUE(base::io::ReadFileBytes(plain.*file, b).ok());
+    EXPECT_EQ(a, b) << plain.*file;
+  }
+  for (const std::string& dir : {timed_dir, plain_dir}) {
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(DatasetCacheTest, SecondLoadReusesCapture) {

@@ -1,12 +1,16 @@
 // The context sidecar must round-trip every non-capture field of a
 // ScenarioResult, and a LoadOrRun cache hit through the sidecar must be
-// indistinguishable from the run that populated the cache.
+// indistinguishable from the run that populated the cache. The reader
+// decodes untrusted bytes, so it also gets a seeded mutation loop.
 #include "analysis/context_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -39,6 +43,8 @@ TEST(ContextCacheTest, RoundTripsEveryContextField) {
   ASSERT_TRUE(LoadScenarioContextStatus(path, loaded).ok());
   std::remove(path.c_str());
 
+  EXPECT_TRUE(cloud::SameDataset(loaded.config, original.config));
+  EXPECT_EQ(loaded.config.threads, 0u);
   testutil::ExpectSameContext(loaded, original);
   EXPECT_EQ(loaded.client_queries_issued, original.client_queries_issued);
   EXPECT_EQ(loaded.leaf_queries, original.leaf_queries);
@@ -89,6 +95,90 @@ TEST(ContextCacheTest, RejectsAMalformedConfigLine) {
     base::io::IoStatus status;
     EXPECT_NO_THROW(status = LoadScenarioContextStatus(path, result));
     EXPECT_EQ(status.code, base::io::IoCode::kPayloadCorrupt);
+  }
+  std::remove(path.c_str());
+}
+
+/// Writes `bytes` to `path` as they are: a mutant need not be durable.
+void WriteRaw(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// One seeded mutation of `bytes`: a truncation, one to four bit flips, a
+/// zeroed range or up to 16 appended bytes.
+std::vector<std::uint8_t> Mutate(std::vector<std::uint8_t> bytes,
+                                 std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0:
+      bytes.resize(rng() % bytes.size());
+      break;
+    case 1:
+      for (int f = 1 + static_cast<int>(rng() % 4); f > 0; --f) {
+        bytes[rng() % bytes.size()] ^=
+            static_cast<std::uint8_t>(1u << (rng() % 8));
+      }
+      break;
+    case 2: {
+      const std::size_t from = rng() % bytes.size();
+      const std::size_t to = from + 1 + rng() % (bytes.size() - from);
+      std::fill(bytes.begin() + from, bytes.begin() + to, 0);
+      break;
+    }
+    default:
+      for (int n = 1 + static_cast<int>(rng() % 16); n > 0; --n) {
+        bytes.push_back(static_cast<std::uint8_t>(rng()));
+      }
+      break;
+  }
+  return bytes;
+}
+
+TEST(ContextCacheTest, MutatedSidecarsFailTypedOrLoadAnAcceptedConfig) {
+  // Every mutant of the framed file, and of the text payload inside an
+  // intact frame, either fails with a typed code or loads a config that
+  // AcceptedConfig admits. Nothing throws.
+  cloud::ScenarioResult original;
+  original.config = SmallConfig();
+  original.client_queries_issued = 20'000;
+  original.client_queries_per_provider = {{"Google", 1234}, {"Other", 5}};
+  const std::string path = TempPath("clouddns_ctx_mutant.ctx");
+  ASSERT_TRUE(SaveScenarioContextStatus(path, original).ok());
+  std::vector<std::uint8_t> framed;
+  ASSERT_TRUE(base::io::ReadFileBytes(path, framed).ok());
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(
+      base::io::ReadFramedFile(path, base::io::kTagContext, payload).ok());
+
+  std::mt19937_64 rng(0x4354582000000004ull);
+  for (int round = 0; round < 1000; ++round) {
+    for (bool reframed : {false, true}) {
+      SCOPED_TRACE("round " + std::to_string(round) +
+                   (reframed ? ", re-framed payload" : ", framed file"));
+      if (reframed) {
+        ASSERT_TRUE(base::io::WriteFramedFile(path, base::io::kTagContext,
+                                              Mutate(payload, rng))
+                        .ok());
+      } else {
+        WriteRaw(path, Mutate(framed, rng));
+      }
+      cloud::ScenarioResult loaded;
+      base::io::IoStatus status;
+      EXPECT_NO_THROW(status = LoadScenarioContextStatus(path, loaded));
+      if (status.ok()) {
+        EXPECT_TRUE(AcceptedConfig(loaded.config));
+        continue;
+      }
+      const base::io::IoCode code = status.code;
+      EXPECT_TRUE(code == base::io::IoCode::kBadFrame ||
+                  code == base::io::IoCode::kBadVersion ||
+                  code == base::io::IoCode::kBadTag ||
+                  code == base::io::IoCode::kTruncated ||
+                  code == base::io::IoCode::kTrailerCorrupt ||
+                  code == base::io::IoCode::kPayloadCorrupt)
+          << status.ToString();
+    }
   }
   std::remove(path.c_str());
 }

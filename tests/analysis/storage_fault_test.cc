@@ -3,12 +3,12 @@
 //
 // Four suites:
 //   - The corruption matrix: truncated / bit-flipped / zero-length /
-//     unframed damage to each cached artifact (columnar capture, `.ctx`
-//     context sidecar, `.shards` shard index), each loaded at 1/2/4/8
-//     worker threads. Every combination must quarantine-and-rebuild, and
-//     the report rendered from the result — capture analytics plus the
-//     context's query accounting — must stay byte-identical to the
-//     fault-free baseline.
+//     unframed / foreign damage to each cached artifact (columnar capture,
+//     `.ctx` context sidecar, `.shards` shard index), each loaded at
+//     1/2/4/8 worker threads. Every combination must quarantine and
+//     rebuild, and the report rendered from the result — capture
+//     analytics plus the context's query accounting — must stay
+//     byte-identical to the fault-free baseline.
 //   - Lost artifacts: a deleted or corrupted `.ctx` or `.shards` must
 //     come back with cold-identical accounting and shard structure, and
 //     be written again; the `.cdns` holds the shards back to back.
@@ -110,7 +110,7 @@ void ExpectSameShards(const capture::ShardedCapture& got,
   }
 }
 
-enum class Damage { kTruncate, kBitFlip, kZeroLength, kUnframed };
+enum class Damage { kTruncate, kBitFlip, kZeroLength, kUnframed, kForeign };
 
 const char* ToString(Damage damage) {
   switch (damage) {
@@ -118,11 +118,15 @@ const char* ToString(Damage damage) {
     case Damage::kBitFlip: return "bit-flip";
     case Damage::kZeroLength: return "zero-length";
     case Damage::kUnframed: return "unframed";
+    case Damage::kForeign: return "foreign";
   }
   return "unknown";
 }
 
-void InflictDamage(const std::string& path, Damage damage) {
+/// Damages the artifact at `path`. kForeign replaces it with `foreign`, the
+/// same artifact of another dataset: intact bytes that belong elsewhere.
+void InflictDamage(const std::string& path, Damage damage,
+                   const std::string& foreign = "") {
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(base::io::ReadFileBytes(path, bytes).ok()) << path;
   switch (damage) {
@@ -155,6 +159,13 @@ void InflictDamage(const std::string& path, Damage damage) {
       ASSERT_TRUE(base::io::WriteFileAtomic(path, payload).ok()) << path;
       return;
     }
+    case Damage::kForeign: {
+      std::vector<std::uint8_t> other;
+      ASSERT_TRUE(base::io::ReadFileBytes(foreign, other).ok()) << foreign;
+      ASSERT_NE(other, bytes) << path;
+      ASSERT_TRUE(base::io::WriteFileAtomic(path, other).ok()) << path;
+      return;
+    }
   }
 }
 
@@ -176,26 +187,31 @@ TEST(StorageCorruptionMatrixTest, EveryArtifactDamageThreadComboRecovers) {
   // Resolve the env-driven query budget the same way LoadOrRun does, so
   // the artifact paths below match what the cache actually writes.
   config.client_queries = EffectiveQueryBudget(config.client_queries);
-  const std::string key = CacheKey(config);
-  const std::string capture_path = dir + "/" + key + ".cdns";
-  const std::string context_path = dir + "/" + key + ".ctx";
-  const std::string shard_path = dir + "/" + key + ".shards";
+  const DatasetPaths files = DatasetFiles(dir, config);
+  // The foreign damage's source: the same dataset under another seed, in
+  // the same directory. Its capture is caught by the shard index, whose
+  // counts do not slice it; its context by the config it stores.
+  cloud::ScenarioConfig other = config;
+  ++other.seed;
+  const DatasetPaths other_files = DatasetFiles(dir, other);
+  ASSERT_FALSE(LoadOrRun(other, dir).records.empty());
 
   const cloud::ScenarioResult baseline_result = LoadOrRun(config, dir);
   const std::string baseline = ReportDigest(baseline_result, 1);
   ASSERT_FALSE(baseline_result.records.empty());
-  ASSERT_TRUE(fs::exists(capture_path));
-  ASSERT_TRUE(fs::exists(context_path));
-  ASSERT_TRUE(fs::exists(shard_path));
+  ASSERT_TRUE(fs::exists(files.capture));
+  ASSERT_TRUE(fs::exists(files.context));
+  ASSERT_TRUE(fs::exists(files.shards));
 
   const struct {
     const char* name;
-    const std::string& path;
-  } artifacts[] = {{"capture", capture_path},
-                   {"context", context_path},
-                   {"shard-index", shard_path}};
+    std::string DatasetPaths::*file;
+  } artifacts[] = {{"capture", &DatasetPaths::capture},
+                   {"context", &DatasetPaths::context},
+                   {"shard-index", &DatasetPaths::shards}};
   const Damage damages[] = {Damage::kTruncate, Damage::kBitFlip,
-                            Damage::kZeroLength, Damage::kUnframed};
+                            Damage::kZeroLength, Damage::kUnframed,
+                            Damage::kForeign};
 
   for (const auto& artifact : artifacts) {
     for (Damage damage : damages) {
@@ -204,7 +220,8 @@ TEST(StorageCorruptionMatrixTest, EveryArtifactDamageThreadComboRecovers) {
                      " x threads=" + std::to_string(threads));
         // Each recovery rewrites the artifact framed, so the damage is
         // re-inflicted on what the previous recovery rebuilt.
-        InflictDamage(artifact.path, damage);
+        InflictDamage(files.*artifact.file, damage,
+                      other_files.*artifact.file);
         if (::testing::Test::HasFatalFailure()) return;
 
         auto run_config = SmallConfig(threads);
@@ -220,13 +237,13 @@ TEST(StorageCorruptionMatrixTest, EveryArtifactDamageThreadComboRecovers) {
   }
 
   // Quarantine holds one artifact + one reason breadcrumb per detection:
-  // 3 artifacts x 4 damages x 4 thread counts.
+  // 3 artifacts x 5 damages x 4 thread counts.
   std::size_t quarantined_files = 0;
   for (const auto& entry : fs::directory_iterator(dir + "/.quarantine")) {
     (void)entry;
     ++quarantined_files;
   }
-  EXPECT_EQ(quarantined_files, 2u * 3u * 4u * 4u);
+  EXPECT_EQ(quarantined_files, 2u * 3u * 5u * 4u);
   fs::remove_all(dir);
 }
 
@@ -261,7 +278,7 @@ TEST(StorageLostArtifactTest, ContextComesBackWithColdAccounting) {
   fs::remove_all(dir);
   auto config = SmallConfig();
   config.client_queries = EffectiveQueryBudget(config.client_queries);
-  const std::string context_path = dir + "/" + CacheKey(config) + ".ctx";
+  const std::string context_path = DatasetFiles(dir, config).context;
 
   const cloud::ScenarioResult cold = LoadOrRun(config, dir);
   ASSERT_GT(cold.client_queries_issued, 0u);
@@ -292,14 +309,14 @@ TEST(StorageLostArtifactTest, ShardIndexComesBackWithColdShardStructure) {
   fs::remove_all(dir);
   auto config = SmallConfig();
   config.client_queries = EffectiveQueryBudget(config.client_queries);
-  const std::string stem = dir + "/" + CacheKey(config);
-  const std::string shard_path = stem + ".shards";
+  const DatasetPaths files = DatasetFiles(dir, config);
+  const std::string& shard_path = files.shards;
 
   // The capture file holds the shards back to back.
   const cloud::ScenarioResult cold = LoadOrRun(config, dir);
   ASSERT_EQ(cold.records.shard_count(), config.shards);
   capture::CaptureBuffer stored;
-  ASSERT_TRUE(capture::ReadCaptureFileStatus(stem + ".cdns", stored).ok());
+  ASSERT_TRUE(capture::ReadCaptureFileStatus(files.capture, stored).ok());
   EXPECT_EQ(stored, cold.records.FlattenCopy());
   ASSERT_TRUE(fs::remove(shard_path));
 
@@ -311,9 +328,9 @@ TEST(StorageLostArtifactTest, ShardIndexComesBackWithColdShardStructure) {
 
   // A warm hit writes nothing and slices the capture into the cold
   // run's shards.
-  const auto written = fs::last_write_time(stem + ".cdns");
+  const auto written = fs::last_write_time(files.capture);
   const cloud::ScenarioResult warm = LoadOrRun(config, dir);
-  EXPECT_EQ(fs::last_write_time(stem + ".cdns"), written);
+  EXPECT_EQ(fs::last_write_time(files.capture), written);
   ExpectSameShards(warm.records, cold.records);
   fs::remove_all(dir);
 }
@@ -351,8 +368,6 @@ TEST(StorageThreadInvarianceTest, ColdArtifactsIdenticalAtOneAndEightThreads) {
   // sizes the zone-signing fan-out.
   auto config = SmallConfig(0);
   config.client_queries = EffectiveQueryBudget(20'000);
-  const std::string key = CacheKey(config);
-  const char* const suffixes[] = {".cdns", ".ctx", ".shards"};
   const auto dir_for = [](const char* threads) {
     return ScratchDir(
         (std::string("clouddns_storage_threads_") + threads).c_str());
@@ -367,15 +382,16 @@ TEST(StorageThreadInvarianceTest, ColdArtifactsIdenticalAtOneAndEightThreads) {
       const cloud::ScenarioResult result = LoadOrRun(config, dir);
       ASSERT_FALSE(result.records.empty());
     }
+    const DatasetPaths files = DatasetFiles(dir, config);
+    const std::string* const paths[] = {&files.capture, &files.context,
+                                        &files.shards};
     for (std::size_t i = 0; i < 3; ++i) {
       std::vector<std::uint8_t> bytes;
-      ASSERT_TRUE(
-          base::io::ReadFileBytes(dir + "/" + key + suffixes[i], bytes).ok())
-          << suffixes[i];
+      ASSERT_TRUE(base::io::ReadFileBytes(*paths[i], bytes).ok()) << *paths[i];
       if (reference[i].empty()) {
         reference[i] = std::move(bytes);
       } else {
-        EXPECT_EQ(bytes, reference[i]) << suffixes[i] << " bytes diverge";
+        EXPECT_EQ(bytes, reference[i]) << *paths[i] << " bytes diverge";
       }
     }
   }
@@ -391,10 +407,10 @@ TEST(StorageFaultSweepTest, AllNineFaultKindsRecoverByteIdentically) {
 
   auto config = SmallConfig(2);
   config.client_queries = EffectiveQueryBudget(config.client_queries);
-  const std::string key = CacheKey(config);
-  const std::string capture_path = dir + "/" + key + ".cdns";
-  const std::string context_path = dir + "/" + key + ".ctx";
-  const std::string shard_path = dir + "/" + key + ".shards";
+  const DatasetPaths files = DatasetFiles(dir, config);
+  const std::string& capture_path = files.capture;
+  const std::string& context_path = files.context;
+  const std::string& shard_path = files.shards;
 
   // Fault-free baseline, cold then warm.
   const cloud::ScenarioResult baseline_result = LoadOrRun(config, dir);
@@ -470,7 +486,7 @@ TEST(StorageFaultSweepTest, AllNineFaultKindsRecoverByteIdentically) {
   // --- Phase 4: the pcap export path under the same shim. A write-phase
   // fault fails typed and preserves the previous export; silent rot is
   // caught by the framed read.
-  const std::string pcap_path = dir + "/" + key + ".pcap";
+  const std::string pcap_path = dir + "/" + CacheKey(config) + ".pcap";
   const capture::CaptureBuffer flat = baseline_result.records.FlattenCopy();
   ASSERT_TRUE(capture::WritePcapFileStatus(pcap_path, flat).ok());
   injector.Add({".pcap", base::io::StorageFaultKind::kShortWrite});
