@@ -92,8 +92,8 @@ struct IoStatus {
                                    std::uint32_t seed = 0);
 
 /// The table-driven software path, always available. The dispatcher
-/// cross-checks the hardware kernel against this; the codec bench
-/// (bench_micro_crc32c) measures both.
+/// cross-checks the hardware kernel against this, and base_io_test checks
+/// that both agree.
 [[nodiscard]] std::uint32_t Crc32cSoftware(const std::uint8_t* data,
                                            std::size_t len,
                                            std::uint32_t seed = 0);

@@ -107,23 +107,11 @@ WireBuffer Message::Encode() const {
 }
 
 void Message::EncodeInto(WireBuffer& out) const {
-  EncodeWithLimitInto(ResponseWriter::kNoLimit, out);
-}
-
-WireBuffer Message::EncodeWithLimit(std::size_t limit, bool* truncated) const {
-  WireBuffer out;
-  EncodeWithLimitInto(limit, out, truncated);
-  return out;
-}
-
-void Message::EncodeWithLimitInto(std::size_t limit, WireBuffer& out,
-                                  bool* truncated) const {
   ResponseWriter writer(out, header, questions, edns);
   writer.Add(Section::kAnswer, answers);
   writer.Add(Section::kAuthority, authorities);
   writer.Add(Section::kAdditional, additionals);
-  const bool cut = writer.Finish(limit);
-  if (truncated) *truncated = cut;
+  writer.Finish();
 }
 
 std::optional<Message> Message::Decode(const WireBuffer& wire) {

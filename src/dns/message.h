@@ -72,17 +72,6 @@ class Message {
   /// it, so steady-state encoding into a pooled buffer never allocates.
   void EncodeInto(WireBuffer& out) const;
 
-  /// Encodes for UDP transport with a payload limit: when the full message
-  /// exceeds `limit`, answer/authority/additional sections are dropped and
-  /// TC is set, exactly what an authoritative does before the client retries
-  /// over TCP. `limit` comes from the query's EDNS size (or 512).
-  [[nodiscard]] WireBuffer EncodeWithLimit(std::size_t limit,
-                                           bool* truncated = nullptr) const;
-
-  /// Reusable-buffer variant of EncodeWithLimit.
-  void EncodeWithLimitInto(std::size_t limit, WireBuffer& out,
-                           bool* truncated = nullptr) const;
-
   /// Decodes from wire bytes. Returns nullopt on any malformation.
   static std::optional<Message> Decode(const WireBuffer& wire);
   static std::optional<Message> Decode(const std::uint8_t* data,
