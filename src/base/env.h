@@ -1,7 +1,7 @@
-// Strict parsing of positive integers: the environment overrides
+// Strict parsing of unsigned integers: the environment overrides
 // (CLOUDDNS_THREADS, CLOUDDNS_QUERIES) and cdnstool's numeric options. A
-// value either reads as a positive decimal integer exactly or is
-// rejected: "-1" is not 2^64-1, "8x" is not 8 and "1e5" is not 1.
+// value either reads as a decimal integer exactly or is rejected: "-1" is
+// not 2^64-1, "8x" is not 8 and "1e5" is not 1.
 #pragma once
 
 #include <charconv>
@@ -13,17 +13,24 @@
 
 namespace clouddns::base {
 
-/// `text` as a number when it is digits only, above 0 and at most
-/// 2^64-1. Empty, signed, trailing characters, 0 or out of range all give
-/// nullopt.
-inline std::optional<std::uint64_t> ParsePositiveInteger(
+/// `text` as a number when it is digits only and at most 2^64-1. Empty,
+/// signed, trailing characters or out of range all give nullopt.
+inline std::optional<std::uint64_t> ParseUnsignedInteger(
     std::string_view text) {
   std::uint64_t value = 0;
   const auto [end, error] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error != std::errc() || end != text.data() + text.size() || value == 0) {
+  if (error != std::errc() || end != text.data() + text.size()) {
     return std::nullopt;
   }
+  return value;
+}
+
+/// ParseUnsignedInteger, with 0 rejected too.
+inline std::optional<std::uint64_t> ParsePositiveInteger(
+    std::string_view text) {
+  const auto value = ParseUnsignedInteger(text);
+  if (value == 0u) return std::nullopt;
   return value;
 }
 

@@ -162,7 +162,10 @@ bool ParseFrame(const std::uint8_t* frame, std::size_t len,
   net::IpAddress src;
   if (ethertype == kEthertypeIpv4) {
     if (ip_len < 20 || (ip[0] >> 4) != 4) return false;
+    // An IHL below 5 words would put the transport header inside the
+    // fixed IPv4 header.
     std::size_t ihl = static_cast<std::size_t>(ip[0] & 0xf) * 4;
+    if (ihl < 20) return false;
     // The total length bounds the datagram: bytes past it are an Ethernet
     // pad or a captured FCS, not payload.
     std::size_t total_len = GetBE16(ip + 2);
@@ -198,8 +201,10 @@ bool ParseFrame(const std::uint8_t* frame, std::size_t len,
   } else if (proto == kProtoTcp) {
     if (l4_len < 20) return false;
     if (GetBE16(l4 + 2) != 53) return false;
+    // A data offset below 5 words would read the DNS length prefix from
+    // inside the fixed TCP header.
     std::size_t header = static_cast<std::size_t>(l4[12] >> 4) * 4;
-    if (l4_len < header + 2) return false;
+    if (header < 20 || l4_len < header + 2) return false;
     out.src_port = GetBE16(l4);
     out.transport = dns::Transport::kTcp;
     std::uint16_t framed = GetBE16(l4 + header);

@@ -1,10 +1,14 @@
 // Typed RDATA for the record types this study touches, plus a raw fallback
-// so unknown types round-trip losslessly (RFC 3597 spirit).
+// so unknown types round-trip losslessly (RFC 3597 spirit). Each form's
+// fields are listed once, in wire order (rdata.cc); that one list drives
+// the wire encoder and decoder and the presentation writer and parser.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -133,7 +137,32 @@ void EncodeTypeBitmap(std::span<const RrType> types, WireWriter& writer);
 [[nodiscard]] bool DecodeRdata(RrType type, std::uint16_t rdlength,
                                WireReader& reader, Rdata& out);
 
-/// Human-readable zone-file-ish rendering, for traces and debugging.
+/// RFC 1035 §5 presentation text of every field, separated by single
+/// spaces: absolute names ("ns1.nl.", the root as "."), integers in
+/// decimal, TXT strings quoted, byte fields in hex, types by mnemonic
+/// (RFC 3597 "TYPE<n>" when unnamed), and a raw form as RFC 3597's
+/// "\# <length> <hex>". ParseRdata reads it back to an equal form.
 [[nodiscard]] std::string RdataToString(const Rdata& rdata);
+
+/// Parses one `type` RDATA from its presentation fields, as RdataToString
+/// writes them: names through ParseNameField, SOA timers through ParseTtl,
+/// and types without a typed form as "\# <length> <hex>". Returns nullopt
+/// and sets `error` when a field is malformed, does not fit its wire
+/// width, or is missing or left over.
+[[nodiscard]] std::optional<Rdata> ParseRdata(
+    RrType type, std::span<const std::string> fields, const Name& origin,
+    std::string& error);
+
+/// A presentation name field: "@" is `origin`, a name ending in '.' is
+/// absolute, any other is relative to `origin`.
+[[nodiscard]] std::optional<Name> ParseNameField(std::string_view token,
+                                                 const Name& origin);
+
+/// A TTL in seconds with an optional unit suffix (300, 5m, 2h, 1d, 1w);
+/// nullopt when malformed or past 2^32 - 1 after its unit.
+[[nodiscard]] std::optional<std::uint32_t> ParseTtl(std::string_view text);
+
+/// `name` as an absolute presentation name: "example.nl.", the root ".".
+[[nodiscard]] std::string AbsoluteName(const Name& name);
 
 }  // namespace clouddns::dns

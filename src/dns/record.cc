@@ -59,7 +59,7 @@ bool ResourceRecord::Decode(WireReader& reader, ResourceRecord& out) {
 }
 
 std::string ResourceRecord::ToString() const {
-  return name.ToString() + " " + std::to_string(ttl) + " IN " +
+  return AbsoluteName(name) + " " + std::to_string(ttl) + " IN " +
          std::string(dns::ToString(type)) + " " + RdataToString(rdata);
 }
 
@@ -76,11 +76,6 @@ ResourceRecord MakeAaaa(const Name& name, net::Ipv6Address addr,
 ResourceRecord MakeNs(const Name& name, const Name& nameserver,
                       std::uint32_t ttl) {
   return {name, RrType::kNs, RrClass::kIn, ttl, NsRdata{nameserver}};
-}
-
-ResourceRecord MakePtr(const Name& name, const Name& target,
-                       std::uint32_t ttl) {
-  return {name, RrType::kPtr, RrClass::kIn, ttl, PtrRdata{target}};
 }
 
 ResourceRecord MakeMx(const Name& name, std::uint16_t pref,

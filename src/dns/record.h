@@ -41,6 +41,8 @@ struct ResourceRecord {
                                               std::uint32_t ttl);
   static void EncodeTail(WireWriter& writer, std::size_t rdlength_at);
   [[nodiscard]] static bool Decode(WireReader& reader, ResourceRecord& out);
+  /// One RFC 1035 §5 master-file line without its newline: absolute owner,
+  /// TTL, class IN, type, then RdataToString(rdata).
   [[nodiscard]] std::string ToString() const;
 
   friend bool operator==(const ResourceRecord&, const ResourceRecord&) =
@@ -54,8 +56,6 @@ struct ResourceRecord {
                                       std::uint32_t ttl);
 [[nodiscard]] ResourceRecord MakeNs(const Name& name, const Name& nameserver,
                                     std::uint32_t ttl);
-[[nodiscard]] ResourceRecord MakePtr(const Name& name, const Name& target,
-                                     std::uint32_t ttl);
 [[nodiscard]] ResourceRecord MakeMx(const Name& name, std::uint16_t pref,
                                     const Name& exchange, std::uint32_t ttl);
 [[nodiscard]] ResourceRecord MakeSoa(const Name& name, const SoaRdata& soa,

@@ -1,5 +1,8 @@
 #include "dns/types.h"
 
+#include <algorithm>
+#include <charconv>
+
 namespace clouddns::dns {
 
 std::string_view ToString(RrType type) {
@@ -42,10 +45,24 @@ std::optional<RrType> RrTypeFromString(std::string_view text) {
       {"NSEC3", RrType::kNsec3}, {"NSEC3PARAM", RrType::kNsec3Param},
       {"AXFR", RrType::kAxfr},   {"ANY", RrType::kAny},
   };
+  auto upper = [](char c) {
+    return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+  };
+  auto is = [upper](std::string_view name, std::string_view given) {
+    return std::ranges::equal(name, given, {}, {}, upper);
+  };
   for (const auto& entry : kEntries) {
-    if (entry.name == text) return entry.type;
+    if (is(entry.name, text)) return entry.type;
   }
-  return std::nullopt;
+  // RFC 3597 §5: "TYPE<n>" names any type by its decimal code.
+  if (text.size() < 5 || !is("TYPE", text.substr(0, 4))) return std::nullopt;
+  std::uint16_t code = 0;
+  const auto [end, error] =
+      std::from_chars(text.data() + 4, text.data() + text.size(), code);
+  if (error != std::errc{} || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return static_cast<RrType>(code);
 }
 
 std::string_view ToString(Rcode rcode) {

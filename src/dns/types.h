@@ -58,6 +58,8 @@ enum class Transport : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view ToString(RrType type);
+/// A type by its mnemonic in any case ("AAAA", "aaaa"), or by RFC 3597's
+/// "TYPE<n>".
 [[nodiscard]] std::optional<RrType> RrTypeFromString(std::string_view text);
 
 [[nodiscard]] std::string_view ToString(Rcode rcode);

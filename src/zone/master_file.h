@@ -2,8 +2,11 @@
 // serialization: load a Zone from the textual format every DNS operator
 // tool speaks, and dump one back out. Supports $ORIGIN/$TTL directives,
 // '@' for the origin, relative and absolute names, ';' comments, and the
-// record types this library models (A, AAAA, NS, CNAME, PTR, MX, TXT,
+// record types a zone file carries (A, AAAA, NS, CNAME, PTR, MX, TXT,
 // SRV, SOA, DS, DNSKEY). Multi-line parentheses are supported for SOA.
+// This module owns the tokenizer, the directives and the type list; each
+// record's fields are read by dns::ParseRdata and written by
+// dns::ResourceRecord::ToString, from the same field lists as the wire.
 #pragma once
 
 #include <optional>

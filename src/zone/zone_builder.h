@@ -1,6 +1,6 @@
-// Generators for the zones the study's authoritative servers serve:
-// a root zone delegating TLDs, TLD zones with many registered-domain
-// delegations, and PTR zones for resolver fleets.
+// Generators for the zones the study's authoritative servers serve: a
+// root zone delegating TLDs, and TLD zones with many registered-domain
+// delegations.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,11 @@ void AddDelegation(Zone& zone, const dns::Name& child,
                    bool with_ds, std::uint32_t ttl = 86400);
 
 /// Adds `count` registered-domain delegations named
-/// "<stem><index>.<apex>", each with two in-child nameservers and IPv4
-/// glue derived deterministically from `glue_base`. A `signed_fraction`
-/// of children (by index stride) also get DS records.
+/// "<stem><index>.<apex>", child i with 2 + i % 3 in-child nameservers.
+/// Each nameserver gets IPv4 glue derived deterministically from
+/// `glue_base`, and AAAA glue too in four of every five children (all
+/// but i % 5 == 0). A `signed_fraction` of children (by index stride)
+/// also get DS records.
 void PopulateDelegations(Zone& zone, std::size_t count,
                          const std::string& stem, double signed_fraction,
                          net::Ipv4Address glue_base,

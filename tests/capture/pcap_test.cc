@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
+#include <vector>
+
+#include "dns/message.h"
 
 namespace clouddns::capture {
 namespace {
@@ -163,6 +167,129 @@ TEST(PcapTest, Ipv4HeaderChecksumIsValid) {
   }
   while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
   EXPECT_EQ(sum, 0xffffu);  // one's-complement sum over a valid header
+}
+
+void PutBE16(std::vector<std::uint8_t>& out, std::size_t value) {
+  out.push_back(static_cast<std::uint8_t>(value >> 8));
+  out.push_back(static_cast<std::uint8_t>(value));
+}
+
+/// A pcap holding one Ethernet/IPv4 frame whose header is `ihl_words`
+/// 32-bit words long (5 is the minimum a sender may write; 4 leaves out
+/// the destination address) around the transport bytes `l4`.
+std::vector<std::uint8_t> Ipv4Pcap(std::size_t ihl_words, std::uint8_t proto,
+                                   const std::vector<std::uint8_t>& l4) {
+  std::vector<std::uint8_t> frame(12, 0x02);  // MAC addresses
+  PutBE16(frame, 0x0800);
+  const std::size_t ihl = ihl_words * 4;
+  frame.push_back(static_cast<std::uint8_t>(0x40 | ihl_words));
+  frame.push_back(0);
+  PutBE16(frame, ihl + l4.size());
+  for (int i = 0; i < 4; ++i) frame.push_back(0);  // id, fragment
+  frame.push_back(64);
+  frame.push_back(proto);
+  PutBE16(frame, 0);                                  // checksum
+  for (std::uint8_t b : {198, 51, 100, 7}) frame.push_back(b);
+  for (std::size_t i = 16; i < ihl; ++i) frame.push_back(53);  // dst, ...
+  frame.insert(frame.end(), l4.begin(), l4.end());
+
+  std::vector<std::uint8_t> bytes = EncodePcap({});
+  for (int i = 0; i < 8; ++i) bytes.push_back(0);  // timestamp
+  for (int copy = 0; copy < 2; ++copy) {           // incl_len, orig_len
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<std::uint8_t>(frame.size() >> (8 * i)));
+    }
+  }
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  return bytes;
+}
+
+dns::WireBuffer Query(std::uint16_t id) {
+  return dns::Message::MakeQuery(id, *dns::Name::Parse("a.nl"),
+                                 dns::RrType::kA, std::nullopt)
+      .Encode();
+}
+
+std::size_t Decoded(const std::vector<std::uint8_t>& bytes) {
+  auto decoded = DecodePcap(bytes);
+  return decoded ? decoded->size() : 0;
+}
+
+TEST(PcapTest, Ipv4HeaderShorterThanFiveWordsIsSkipped) {
+  const dns::WireBuffer query = Query(7);
+  std::vector<std::uint8_t> udp;
+  PutBE16(udp, 54321);
+  PutBE16(udp, 53);
+  PutBE16(udp, 8 + query.size());
+  PutBE16(udp, 0);
+  udp.insert(udp.end(), query.begin(), query.end());
+  EXPECT_EQ(Decoded(Ipv4Pcap(5, 17, udp)), 1u);
+  // With IHL 4 the UDP header would start inside the IPv4 header.
+  EXPECT_EQ(Decoded(Ipv4Pcap(4, 17, udp)), 0u);
+}
+
+TEST(PcapTest, TcpDataOffsetBelowFiveWordsIsSkipped) {
+  const dns::WireBuffer query = Query(53);
+  std::vector<std::uint8_t> tcp;
+  PutBE16(tcp, 54321);
+  PutBE16(tcp, 53);
+  for (int i = 0; i < 8; ++i) tcp.push_back(0);  // seq, ack
+  tcp.push_back(0x50);                            // data offset 5
+  tcp.push_back(0x18);
+  for (int i = 0; i < 6; ++i) tcp.push_back(0);  // window, sum, urgent
+  PutBE16(tcp, query.size());
+  tcp.insert(tcp.end(), query.begin(), query.end());
+  EXPECT_EQ(Decoded(Ipv4Pcap(5, 6, tcp)), 1u);
+
+  // A segment whose data offset is 0: read from the top of the TCP
+  // header, its source port is the query's length prefix and the query
+  // (id 53) doubles as the destination port.
+  std::vector<std::uint8_t> offset0;
+  PutBE16(offset0, query.size());
+  offset0.insert(offset0.end(), query.begin(), query.end());
+  ASSERT_EQ(offset0[12] >> 4, 0);
+  EXPECT_EQ(Decoded(Ipv4Pcap(5, 6, offset0)), 0u);
+}
+
+TEST(PcapTest, MutatedInputNeverThrowsAndReencodesToAFixedPoint) {
+  CaptureRecord no_edns = QueryRecord("10.0.0.1", dns::Transport::kUdp);
+  no_edns.has_edns = false;
+  no_edns.edns_udp_size = 0;
+  no_edns.do_bit = false;
+  const std::vector<std::uint8_t> base = EncodePcap({
+      QueryRecord("198.51.100.7", dns::Transport::kUdp),
+      QueryRecord("2001:db8::7", dns::Transport::kUdp),
+      QueryRecord("198.51.100.8", dns::Transport::kTcp),
+      QueryRecord("2001:db8::9", dns::Transport::kTcp),
+      no_edns,
+  });
+
+  std::mt19937_64 rng(1024);
+  std::size_t with_records = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::vector<std::uint8_t> bytes = base;
+    for (std::uint64_t edits = 1 + rng() % 4; edits > 0; --edits) {
+      // Mostly byte flips past the global header; now and then a cut.
+      if (rng() % 8 == 0) {
+        bytes.resize(24 + rng() % (bytes.size() - 24));
+      } else if (bytes.size() > 24) {
+        bytes[24 + rng() % (bytes.size() - 24)] =
+            static_cast<std::uint8_t>(rng());
+      }
+    }
+    SCOPED_TRACE("case " + std::to_string(i));
+    std::optional<CaptureBuffer> first;
+    ASSERT_NO_THROW(first = DecodePcap(bytes));
+    ASSERT_TRUE(first.has_value());  // the global header is intact
+    if (!first->empty()) ++with_records;
+    const auto once = DecodePcap(EncodePcap(*first));
+    ASSERT_TRUE(once.has_value());
+    ASSERT_EQ(once->size(), first->size());
+    const auto twice = DecodePcap(EncodePcap(*once));
+    ASSERT_TRUE(twice.has_value());
+    EXPECT_EQ(*twice, *once);
+  }
+  EXPECT_GT(with_records, 3000u);  // most edits leave records to re-encode
 }
 
 }  // namespace

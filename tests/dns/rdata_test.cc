@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dns/record.h"
 
 namespace clouddns::dns {
@@ -187,9 +192,136 @@ TEST(RdataTest, RejectsShortDs) {
 
 TEST(RdataTest, ToStringRendersKeyTypes) {
   EXPECT_EQ(RdataToString(ARdata{net::Ipv4Address(8, 8, 8, 8)}), "8.8.8.8");
-  EXPECT_EQ(RdataToString(NsRdata{*Name::Parse("ns1.nl")}), "ns1.nl");
-  EXPECT_EQ(RdataToString(MxRdata{5, *Name::Parse("mx.nl")}), "5 mx.nl");
+  EXPECT_EQ(RdataToString(NsRdata{*Name::Parse("ns1.nl")}), "ns1.nl.");
+  EXPECT_EQ(RdataToString(MxRdata{5, *Name::Parse("mx.nl")}), "5 mx.nl.");
   EXPECT_EQ(RdataToString(DsRdata{1, 13, 2, {0xab}}), "1 13 2 ab");
+}
+
+TEST(RdataTest, ToStringRendersEverySoaAndRrsigField) {
+  SoaRdata soa;
+  soa.mname = Name{};
+  soa.rname = *Name::Parse("hostmaster.nl");
+  soa.serial = 2020040500;
+  soa.refresh = 7200;
+  soa.retry = 3600;
+  soa.expire = 1209600;
+  soa.minimum = 600;
+  EXPECT_EQ(RdataToString(soa),
+            ". hostmaster.nl. 2020040500 7200 3600 1209600 600");
+
+  RrsigRdata sig;
+  sig.type_covered = static_cast<std::uint16_t>(RrType::kDnskey);
+  sig.algorithm = 13;
+  sig.labels = 1;
+  sig.original_ttl = 172800;
+  sig.expiration = 1590969600;
+  sig.inception = 1588291200;
+  sig.key_tag = 4242;
+  sig.signer = *Name::Parse("nl");
+  sig.signature = {0x0f, 0xa0};
+  EXPECT_EQ(RdataToString(sig),
+            "DNSKEY 13 1 172800 1590969600 1588291200 4242 nl. 0fa0");
+
+  NsecRdata nsec{*Name::Parse("b.nl"),
+                 {RrType::kNs, RrType::kDs, static_cast<RrType>(999)}};
+  EXPECT_EQ(RdataToString(nsec), "b.nl. NS DS TYPE999");
+  EXPECT_EQ(RdataToString(RawRdata{{0x11, 0x22}}), "\\# 2 1122");
+  EXPECT_EQ(RdataToString(RawRdata{}), "\\# 0");
+  EXPECT_EQ(RdataToString(TxtRdata{{"a b", ""}}), "\"a b\" \"\"");
+}
+
+/// Splits presentation text at single spaces, keeping quoted strings whole
+/// (without their quotes), as a master-file tokenizer would.
+std::vector<std::string> Tokens(const std::string& text) {
+  std::vector<std::string> tokens;
+  for (std::size_t pos = 0; pos < text.size();) {
+    if (text[pos] == '"') {
+      const std::size_t close = text.find('"', pos + 1);
+      tokens.push_back(text.substr(pos + 1, close - pos - 1));
+      pos = close + 2;
+    } else {
+      const std::size_t space = std::min(text.find(' ', pos), text.size());
+      tokens.push_back(text.substr(pos, space - pos));
+      pos = space + 1;
+    }
+  }
+  return tokens;
+}
+
+TEST(RdataTest, PresentationTextParsesBackToEveryForm) {
+  RrsigRdata sig{static_cast<std::uint16_t>(RrType::kA), 8, 2, 3600, 20, 10,
+                 77, *Name::Parse("example.nl"), {0xde, 0xad}};
+  const std::pair<RrType, Rdata> cases[] = {
+      {RrType::kA, ARdata{net::Ipv4Address(192, 0, 2, 1)}},
+      {RrType::kAaaa, AaaaRdata{*net::Ipv6Address::Parse("2001:db8::1")}},
+      {RrType::kNs, NsRdata{*Name::Parse("ns1.nl")}},
+      {RrType::kCname, CnameRdata{Name{}}},
+      {RrType::kPtr, PtrRdata{*Name::Parse("host.example")}},
+      {RrType::kMx, MxRdata{65535, *Name::Parse("mx.nl")}},
+      {RrType::kTxt, TxtRdata{{"v=spf1 -all", "", std::string(255, 'x')}}},
+      {RrType::kSoa, SoaRdata{Name{}, *Name::Parse("h.nl"), 4294967295u, 1,
+                              2, 3, 4}},
+      {RrType::kSrv, SrvRdata{1, 2, 5060, *Name::Parse("sip.nl")}},
+      {RrType::kDs, DsRdata{12345, 8, 2, {0xde, 0xad, 0xbe, 0xef}}},
+      {RrType::kDnskey, DnskeyRdata{257, 3, 13, {0x01, 0x02}}},
+      {RrType::kRrsig, sig},
+      {RrType::kNsec, NsecRdata{*Name::Parse("b.nl"),
+                                {RrType::kA, static_cast<RrType>(4000)}}},
+      {static_cast<RrType>(99), RawRdata{{0x11, 0x22, 0x33}}},
+      {static_cast<RrType>(99), RawRdata{}},
+  };
+  for (const auto& [type, rdata] : cases) {
+    const std::string text = RdataToString(rdata);
+    SCOPED_TRACE(text);
+    std::string error;
+    // Names in the text are absolute, so the origin must not matter.
+    auto parsed = ParseRdata(type, Tokens(text), *Name::Parse("other"), error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(*parsed, rdata);
+  }
+}
+
+TEST(RdataTest, ParseRdataRejectsWhatDoesNotFit) {
+  const Name origin = *Name::Parse("nl");
+  const std::pair<RrType, std::vector<std::string>> cases[] = {
+      {RrType::kMx, {"65536", "mx"}},               // 16-bit overflow
+      {RrType::kDs, {"1", "256", "2", "ab"}},       // 8-bit overflow
+      {RrType::kDs, {"1", "8", "2", "abc"}},        // odd hex
+      {RrType::kDs, {"1", "8", "2", ""}},           // empty hex
+      {RrType::kA, {"192.0.2.1", "192.0.2.2"}},     // a field left over
+      {RrType::kSrv, {"1", "2", "3"}},              // a field missing
+      {RrType::kTxt, {}},                           // no string
+      {RrType::kSoa, {"a", "b", "1", "2", "3", "4", "4294967296"}},
+      {RrType::kSoa, {"a", "b", "1d", "2", "3", "4", "5"}},  // serial
+      {RrType::kRrsig, {"BOGUS", "8", "2", "1", "2", "3", "4", "nl.", "ab"}},
+      {RrType::kNsec, {"b", "A", "TYPE65536"}},
+      {static_cast<RrType>(99), {"\\#", "2", "112233"}},  // length mismatch
+      {static_cast<RrType>(99), {"1122"}},                  // no "\#"
+  };
+  for (const auto& [type, fields] : cases) {
+    std::string error;
+    EXPECT_FALSE(ParseRdata(type, fields, origin, error).has_value())
+        << ToString(type) << " " << testing::PrintToString(fields);
+    EXPECT_FALSE(error.empty());
+  }
+  std::string error;
+  auto soa = ParseRdata(RrType::kSoa, std::vector<std::string>{
+                            "ns1", "@", "7", "2h", "30m", "1w", "1d"},
+                        origin, error);
+  ASSERT_TRUE(soa.has_value()) << error;
+  EXPECT_EQ(*soa, Rdata(SoaRdata{*Name::Parse("ns1.nl"), origin, 7, 7200,
+                                 1800, 604800, 86400}));
+}
+
+TEST(RdataTest, TypeMnemonicsParseInAnyCaseAndAsTypeCodes) {
+  EXPECT_EQ(RrTypeFromString("AAAA"), RrType::kAaaa);
+  EXPECT_EQ(RrTypeFromString("dnskey"), RrType::kDnskey);
+  EXPECT_EQ(RrTypeFromString("TYPE28"), RrType::kAaaa);
+  EXPECT_EQ(RrTypeFromString("type999"), static_cast<RrType>(999));
+  for (const char* bad : {"", "AAAAA", "TYPE", "TYPE-1", "TYPE1x",
+                          "TYPE65536", "IN"}) {
+    EXPECT_FALSE(RrTypeFromString(bad).has_value()) << bad;
+  }
 }
 
 TEST(RecordHelpersTest, BuildExpectedRecords) {

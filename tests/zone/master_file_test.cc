@@ -260,6 +260,42 @@ TEST(MasterFileTest, SerializeParseRoundTrip) {
   }
 }
 
+TEST(MasterFileTest, RootZoneRoundTripsToAnEqualZone) {
+  ZoneBuildConfig config;
+  config.apex = dns::Name{};
+  config.nameservers = {
+      {N("a.root-servers.net"),
+       {*net::IpAddress::Parse("198.41.0.4"),
+        *net::IpAddress::Parse("2001:503:ba3e::2:30")}}};
+  Zone original = MakeZoneSkeleton(config);
+  AddDelegation(original, N("nl"),
+                {{N("ns1.dns.nl"), {*net::IpAddress::Parse("194.0.28.53")}}},
+                /*with_ds=*/true);
+  PopulateDelegations(original, 4, "tld", 0.5,
+                      net::Ipv4Address(100, 70, 0, 0));
+  original.Freeze();
+
+  const std::string text = ToMasterFile(original);
+  EXPECT_EQ(text.substr(0, text.find('\n', text.find('\n') + 1)),
+            "$ORIGIN .\n"
+            ". 3600 IN SOA a.root-servers.net. hostmaster. 2020040500 7200 "
+            "3600 1209600 600");
+  const ParsedZone parsed = ParseMasterFile(text, N("example"));
+  for (const auto& error : parsed.errors) {
+    ADD_FAILURE() << "line " << error.line << ": " << error.message;
+  }
+  ASSERT_TRUE(parsed.zone.has_value()) << text;
+  EXPECT_EQ(parsed.zone->apex(), original.apex());
+  ASSERT_EQ(parsed.zone->Owners().size(), original.Owners().size());
+  for (std::size_t i = 0; i < original.Owners().size(); ++i) {
+    const Zone::Owner& want = original.Owners()[i];
+    const Zone::Owner& got = parsed.zone->Owners()[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_TRUE(std::ranges::equal(got.records, want.records))
+        << want.name.ToString();
+  }
+}
+
 TEST(MasterFileTest, RoundTripIsFixpoint) {
   auto first = ParseMasterFile(kSimpleZone, dns::Name{});
   ASSERT_TRUE(first.zone.has_value());

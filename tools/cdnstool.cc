@@ -11,7 +11,6 @@
 //
 // Every subcommand exercises the public library API only.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -120,6 +119,16 @@ std::optional<std::uint64_t> PositiveOption(const Args& args,
   return value;
 }
 
+/// `--name` as an unsigned integer (0 included), or `fallback` when
+/// absent; nullopt when the value is malformed.
+std::optional<std::uint64_t> UnsignedOption(const Args& args,
+                                            const std::string& name,
+                                            std::uint64_t fallback) {
+  auto it = args.options.find(name);
+  if (it == args.options.end()) return fallback;
+  return base::ParseUnsignedInteger(it->second);
+}
+
 std::optional<cloud::Vantage> VantageFrom(const std::string& text) {
   if (text == "nl") return cloud::Vantage::kNl;
   if (text == "nz") return cloud::Vantage::kNz;
@@ -154,12 +163,16 @@ int CmdSimulate(const Args& args) {
   const auto vantage = VantageFrom(args.Get("vantage", "nl"));
   const auto year = YearFrom(args.Get("year", "2020"));
   const auto queries = PositiveOption(args, "queries", 100000);
-  if (!vantage || !year || !queries) return Usage();
+  const auto seed = UnsignedOption(args, "seed", 20201027);
+  const auto anonymize_key = UnsignedOption(args, "anonymize-key", 1);
+  if (!vantage || !year || !queries || !seed || !anonymize_key) {
+    return Usage();
+  }
   cloud::ScenarioConfig config;
   config.vantage = *vantage;
   config.year = *year;
   config.client_queries = *queries;
-  config.seed = std::strtoull(args.Get("seed", "20201027").c_str(), nullptr, 10);
+  config.seed = *seed;
 
   std::fprintf(stderr, "simulating %s %d (%llu client queries)...\n",
                std::string(cloud::ToString(config.vantage)).c_str(),
@@ -172,8 +185,7 @@ int CmdSimulate(const Args& args) {
   // time-ordered stream.
   capture::CaptureBuffer records = result.records.TimeOrderedCopy();
   if (args.Has("anonymize-key")) {
-    capture::Anonymizer anonymizer(std::strtoull(
-        args.Get("anonymize-key", "1").c_str(), nullptr, 10));
+    capture::Anonymizer anonymizer(*anonymize_key);
     records = anonymizer.AnonymizeCapture(records);
     std::fprintf(stderr, "source addresses anonymized\n");
   }
@@ -250,11 +262,11 @@ int CmdInspect(const Args& args) {
 }
 
 int CmdAnonymize(const Args& args) {
-  if (args.positional.size() != 2 || !args.Has("key")) return Usage();
+  const auto key = UnsignedOption(args, "key", 1);
+  if (args.positional.size() != 2 || !args.Has("key") || !key) return Usage();
   capture::CaptureBuffer records;
   if (!ReadCapture(args.positional[0], records)) return 1;
-  capture::Anonymizer anonymizer(
-      std::strtoull(args.Get("key", "1").c_str(), nullptr, 10));
+  capture::Anonymizer anonymizer(*key);
   if (auto status = capture::WriteCaptureFileStatus(
           args.positional[1], anonymizer.AnonymizeCapture(records));
       !status.ok()) {
@@ -272,33 +284,30 @@ int CmdReport(const Args& args) {
   capture::CaptureBuffer records;
   if (!ReadCapture(args.positional[0], records)) return 1;
   // Attribution uses the paper's Table 1 provider networks; everything
-  // else counts as "other ASes". The same plan as ComputeCloudShares.
-  net::AsDatabase asdb;
-  cloud::RegisterProviderAses(asdb);
-  entrada::AnalysisPlan plan;
-  plan.SetAsDatabase(asdb);
-  plan.SetAsnTag(analysis::ProviderAsnTag(), analysis::ProviderTagNamer());
-  const auto by_provider =
-      plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::Tag());
-  plan.Execute(records);
-  const entrada::Aggregation& agg = plan.GroupResult(by_provider);
+  // else counts as "other ASes".
+  cloud::ScenarioResult result;
+  result.records = capture::ShardedCapture(std::move(records));
+  cloud::RegisterProviderAses(result.asdb);
+  const std::vector<analysis::ProviderShare> shares =
+      analysis::ComputeCloudShares(result);
+  const analysis::ProviderShare& combined = shares.back();  // all 5 CPs
 
-  const std::string other(cloud::ToString(cloud::Provider::kOther));
-  std::uint64_t cloud_total = 0;
   analysis::TextTable table({"provider", "queries", "share"});
-  for (const auto& [provider, count] : agg.counts) {
-    table.AddRow({provider, analysis::Count(count),
-                  analysis::Percent(agg.Share(provider))});
-    if (provider != other) cloud_total += count;
+  for (std::size_t i = 0; i + 1 < shares.size(); ++i) {
+    table.AddRow({std::string(cloud::ToString(shares[i].provider)),
+                  analysis::Count(shares[i].queries),
+                  analysis::Percent(shares[i].share)});
   }
+  const std::size_t total = result.records.size();
+  const std::uint64_t other = total - combined.queries;
+  const double other_share = total == 0 ? 0.0
+                                        : static_cast<double>(other) /
+                                              static_cast<double>(total);
+  table.AddRow({std::string(cloud::ToString(cloud::Provider::kOther)),
+                analysis::Count(other), analysis::Percent(other_share)});
   std::printf("%s", table.Render().c_str());
   std::printf("\n5 cloud providers combined: %s of %zu queries\n",
-              analysis::Percent(
-                  records.empty() ? 0.0
-                                  : static_cast<double>(cloud_total) /
-                                        static_cast<double>(records.size()))
-                  .c_str(),
-              records.size());
+              analysis::Percent(combined.share).c_str(), total);
   return 0;
 }
 

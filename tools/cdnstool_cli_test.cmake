@@ -36,6 +36,10 @@ expect_usage(simulate --queries -1 --out ${week})
 expect_usage(simulate --queries 1e5 --out ${week})
 expect_usage(simulate --out ${week} --queries)
 expect_usage(simulate --queries --out ${week})
+expect_usage(simulate --seed abc --out ${week})
+expect_usage(simulate --seed -1 --out ${week})
+expect_usage(simulate --anonymize-key 1e3 --out ${week})
+expect_usage(anonymize ${week} ${WORK}/anonymized.cdns --key x)
 expect_usage(inspect ${week} --top 0)
 expect_usage(inspect ${week} --top x)
 expect_usage(dig example.nl --edns 70000)
