@@ -6,11 +6,13 @@
 // them. Shows that the analyses still work on anonymized data when the
 // routing table is mapped through the same anonymizer.
 #include <cstdio>
+#include <utility>
 
 #include "analysis/report.h"
 #include "analysis/rssac002.h"
 #include "capture/anonymize.h"
 #include "capture/columnar.h"
+#include "capture/sharded.h"
 #include "cloud/scenario.h"
 #include "entrada/plan.h"
 
@@ -50,12 +52,14 @@ int main() {
 
   // --- analysis side (only the anonymized file + the mapped routing
   // table cross the boundary) --------------------------------------------
-  capture::CaptureBuffer records;
-  if (auto status = capture::ReadCaptureFileStatus(anon_path, records);
+  capture::CaptureBuffer reloaded_flat;
+  if (auto status = capture::ReadCaptureFileStatus(anon_path, reloaded_flat);
       !status.ok()) {
     std::fprintf(stderr, "reload failed: %s\n", status.ToString().c_str());
     return 1;
   }
+  const capture::ShardedCapture reloaded(std::move(reloaded_flat));
+  const capture::CaptureBuffer& records = reloaded.shard(0);
 
   // Map the AS database through the same anonymizer: announcements keyed
   // by anonymized prefixes attribute anonymized sources correctly because
@@ -83,7 +87,7 @@ int main() {
       plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::SrcAs());
   const auto qtype_handle =
       plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::Qtype());
-  plan.Execute(records);
+  plan.Execute(reloaded);
 
   const entrada::Aggregation& by_as = plan.GroupResult(as_handle);
   std::uint64_t cloud_queries = 0;

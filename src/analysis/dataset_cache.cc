@@ -10,16 +10,12 @@
 
 #include "analysis/context_cache.h"
 #include "base/env.h"
+#include "base/hash.h"
 #include "capture/columnar.h"
 #include "capture/sharded.h"
 
 namespace clouddns::analysis {
 namespace {
-
-std::uint64_t MixField(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
-  return hash;
-}
 
 /// A config field as one word of the cache key: a double in billionths,
 /// an unset window bound as 0, anything else as its integer value.
@@ -59,9 +55,9 @@ std::string CacheKey(const cloud::ScenarioConfig& config) {
   // too when it is kNone; the files' contents are unchanged.
   constexpr std::uint64_t kSimulatorVersion = 14;
   std::uint64_t hash = 0x434c4f5544444e53ull;  // "CLOUDDNS"
-  hash = MixField(hash, kSimulatorVersion);
+  hash = base::HashCombine(hash, kSimulatorVersion);
   cloud::ForEachIdentifyingField([&](std::string_view, auto field) {
-    hash = MixField(hash, KeyWord(config.*field));
+    hash = base::HashCombine(hash, KeyWord(config.*field));
   });
 
   std::string vantage = config.vantage == cloud::Vantage::kNl

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <filesystem>
 
+#include "base/hash.h"
+
 #ifndef _WIN32
 #include <unistd.h>
 #endif
@@ -48,25 +50,6 @@ std::uint32_t LoadU32(const std::uint8_t* in) {
 
 std::uint64_t LoadU64(const std::uint8_t* in) {
   return (static_cast<std::uint64_t>(LoadU32(in)) << 32) | LoadU32(in + 4);
-}
-
-/// Pure 64-bit mixers for seed-derived fault offsets. Not a statistical
-/// generator — every output is a function of its input alone, which is
-/// what keeps the fault sweep reproducible.
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t Fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
 }
 
 StorageFaultInjector* g_injector = nullptr;
@@ -407,7 +390,9 @@ std::uint64_t StorageFaultInjector::DeriveOffset(
     return size == 0 ? 0 : explicit_offset % size;
   }
   if (size == 0) return 0;
-  return SplitMix64(seed_ ^ Fnv1a64(path)) % size;
+  // A pure function of (seed, path), which keeps the fault sweep
+  // reproducible.
+  return Mix64((seed_ ^ Fnv1a(path, kFnvOffsetBasis)) + kGoldenGamma) % size;
 }
 
 void SetStorageFaultInjector(StorageFaultInjector* injector) {

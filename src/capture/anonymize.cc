@@ -1,22 +1,13 @@
 #include "capture/anonymize.h"
 
+#include "base/hash.h"
+
 namespace clouddns::capture {
-namespace {
 
-std::uint64_t Mix(std::uint64_t x) {
-  // splitmix64 finalizer as the keyed PRF core.
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
+// The SplitMix64 finalizer is the keyed PRF core, and it also advances
+// the prefix hash below.
 bool Anonymizer::FlipBit(std::uint64_t prefix_hash) const {
-  return (Mix(prefix_hash ^ key_) & 1u) != 0;
+  return (base::Mix64(prefix_hash ^ key_) & 1u) != 0;
 }
 
 net::IpAddress Anonymizer::Anonymize(const net::IpAddress& address) const {
@@ -34,7 +25,7 @@ net::IpAddress Anonymizer::Anonymize(const net::IpAddress& address) const {
       bool bit = address.bit(i);
       bool flipped = bit ^ FlipBit(prefix_hash);
       out = (out << 1) | (flipped ? 1u : 0u);
-      prefix_hash = Mix(prefix_hash * 2 + (bit ? 1 : 0));
+      prefix_hash = base::Mix64(prefix_hash * 2 + (bit ? 1 : 0));
     }
     return net::Ipv4Address(out);
   }
@@ -47,7 +38,7 @@ net::IpAddress Anonymizer::Anonymize(const net::IpAddress& address) const {
       bytes[static_cast<std::size_t>(i / 8)] |=
           static_cast<std::uint8_t>(0x80u >> (i % 8));
     }
-    prefix_hash = Mix(prefix_hash * 2 + (bit ? 1 : 0));
+    prefix_hash = base::Mix64(prefix_hash * 2 + (bit ? 1 : 0));
   }
   return net::Ipv6Address(bytes);
 }

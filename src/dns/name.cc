@@ -40,7 +40,7 @@ void Name::MoveFrom(Name& other) noexcept {
     SetHeapPtr(other.HeapPtr());
     other.size_ = 0;
     other.label_count_ = 0;
-    other.hash_ = kFnvOffset;
+    other.hash_ = base::kShortFnvBasis;
   } else {
     std::memcpy(storage_, other.storage_, other.size_);
   }
@@ -77,10 +77,9 @@ void Name::AppendFlatUnchecked(const std::uint8_t* bytes, std::size_t size,
 }
 
 std::uint64_t Name::HashFlat(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = base::kShortFnvBasis;
   for (std::size_t i = 0; i < size; ++i) {
-    hash ^= LowerByte(data[i]);
-    hash *= kFnvPrime;
+    hash = base::Fnv1aStep(hash, LowerByte(data[i]));
   }
   return hash;
 }
@@ -295,8 +294,7 @@ std::string Name::ToKey() const {
 std::uint64_t Name::PresentationHash(std::uint64_t seed) const {
   std::uint64_t h = seed;
   auto mix = [&h](char c) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
+    h = base::Fnv1aStep(h, static_cast<std::uint8_t>(c));
   };
   if (label_count_ == 0) {
     mix('.');

@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/lifetime.h"
 
 namespace clouddns::dns {
@@ -40,7 +41,7 @@ class Name {
   static constexpr std::size_t kInlineCapacity = 54;
 
   /// The root name ".".
-  Name() noexcept : hash_(kFnvOffset) {}
+  Name() noexcept : hash_(base::kShortFnvBasis) {}
   Name(const Name& other) { CopyFrom(other); }
   Name(Name&& other) noexcept { MoveFrom(other); }
   Name& operator=(const Name& other) {
@@ -139,7 +140,7 @@ class Name {
   /// FNV-1a from `seed` over the bytes of ToKey() ("www.example.nl", the
   /// root is "."), streamed off the flat labels so no string is built.
   [[nodiscard]] std::uint64_t PresentationHash(
-      std::uint64_t seed = kFnvOffset) const;
+      std::uint64_t seed = base::kShortFnvBasis) const;
 
   friend bool operator==(const Name& a, const Name& b) { return a.Equals(b); }
   friend bool operator<(const Name& a, const Name& b) {
@@ -147,9 +148,6 @@ class Name {
   }
 
  private:
-  static constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-  static constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
   // The heap pointer is memcpy'd into the inline byte array rather than
   // stored in a union so that its 8-byte alignment does not pad the name
   // past one cache line.
@@ -177,7 +175,7 @@ class Name {
   /// Fills `offsets` with the flat offset of each label; returns the count.
   std::size_t LabelOffsets(std::uint8_t* offsets) const;
 
-  std::uint64_t hash_ = kFnvOffset;
+  std::uint64_t hash_ = base::kShortFnvBasis;
   std::uint8_t size_ = 0;
   std::uint8_t label_count_ = 0;
   /// Inline flat bytes, or (when size_ > kInlineCapacity) the heap pointer.

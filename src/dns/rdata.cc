@@ -237,7 +237,10 @@ struct Domain {
   }
 };
 
-/// Character-strings to the end of the RDATA (TXT), each quoted in text.
+/// Character-strings to the end of the RDATA (TXT), each quoted in text
+/// with RFC 1035 §5.1 escapes: `\"` and `\\` for a quote and a
+/// backslash, `\DDD` (decimal) for a byte outside printable ASCII, and
+/// `\X` for any other non-digit X when read.
 template <typename R>
 struct CharStrings {
   using Record = R;
@@ -267,16 +270,54 @@ struct CharStrings {
     return true;
   }
   void Render(const R& r, TextOut& out) const {
-    for (const auto& s : r.*member) out.Token() += '"' + s + '"';
+    for (const auto& s : r.*member) {
+      std::string& text = out.Token();
+      text += '"';
+      for (const char c : s) {
+        const auto byte = static_cast<std::uint8_t>(c);
+        if (c == '"' || c == '\\') {
+          text += '\\';
+          text += c;
+        } else if (byte < 0x20 || byte > 0x7e) {
+          text += '\\';
+          text += static_cast<char>('0' + byte / 100);
+          text += static_cast<char>('0' + byte / 10 % 10);
+          text += static_cast<char>('0' + byte % 10);
+        } else {
+          text += c;
+        }
+      }
+      text += '"';
+    }
   }
   bool Parse(R& r, TextIn& in) const {
     do {
       const std::string* token = in.Token();
       if (!token) return false;
-      if (token->size() > 255) {  // a character-string's length byte
+      std::string text;
+      for (std::size_t i = 0; i < token->size(); ++i) {
+        char c = (*token)[i];
+        if (c == '\\') {
+          const std::string_view rest = std::string_view(*token).substr(i + 1);
+          if (rest.empty()) return in.Fail("character-string ends in '\\'");
+          if (std::isdigit(static_cast<unsigned char>(rest[0])) == 0) {
+            c = rest[0];
+            i += 1;
+          } else {
+            const auto value = ParseDecimal(rest.substr(0, 3));
+            if (rest.size() < 3 || !value || *value > 255) {
+              return in.Fail("bad \\DDD escape in character-string");
+            }
+            c = static_cast<char>(*value);
+            i += 3;
+          }
+        }
+        text += c;
+      }
+      if (text.size() > 255) {  // a character-string's length byte
         return in.Fail("character-string longer than 255 bytes");
       }
-      (r.*member).push_back(*token);
+      (r.*member).push_back(std::move(text));
     } while (!in.AtEnd());
     return true;
   }

@@ -4,23 +4,9 @@
 #include <bit>
 #include <cmath>
 
+#include "base/hash.h"
+
 namespace clouddns::entrada {
-namespace {
-
-std::uint64_t Fnv1a(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  // Final avalanche (splitmix) so low-entropy inputs still spread.
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
-}  // namespace
 
 void Hll::AddHash(std::uint64_t hash) {
   const std::size_t index = hash >> (64 - kPrecision);
@@ -33,22 +19,15 @@ void Hll::AddHash(std::uint64_t hash) {
       std::max(registers_[index], static_cast<std::uint8_t>(rank));
 }
 
+// Keys and addresses are FNV-1a hashed from the short basis (an address
+// over its family tag and bytes, as net::IpAddressHash does), then Mix64
+// spreads the result so low-entropy inputs still fill every register.
 void Hll::Add(std::string_view key) {
-  AddHash(Fnv1a(key.data(), key.size()));
+  AddHash(base::Mix64(base::Fnv1a(key, base::kShortFnvBasis)));
 }
 
 void Hll::Add(const net::IpAddress& address) {
-  if (address.is_v4()) {
-    auto bytes = address.v4().ToBytes();
-    std::uint8_t tagged[5] = {4, bytes[0], bytes[1], bytes[2], bytes[3]};
-    AddHash(Fnv1a(tagged, sizeof tagged));
-  } else {
-    const auto& bytes = address.v6().bytes();
-    std::uint8_t tagged[17];
-    tagged[0] = 6;
-    std::copy(bytes.begin(), bytes.end(), tagged + 1);
-    AddHash(Fnv1a(tagged, sizeof tagged));
-  }
+  AddHash(base::Mix64(net::IpAddressHash{}(address)));
 }
 
 double Hll::Estimate() const {

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "base/hash.h"
 #include "base/threads.h"
 #include "net/ip.h"
 #include "sim/clock.h"
@@ -247,11 +248,8 @@ void AnalysisPlan::Scan(const capture::CaptureRecord* first,
             partial.sketches[spec.slot].Add(record->src);
           } else {
             // Hash the code; HLL only needs a well-mixed 64-bit input.
-            std::uint64_t z =
-                KeyCode(spec.key, ctx) + 0x9e3779b97f4a7c15ull;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            partial.sketches[spec.slot].AddHash(z ^ (z >> 31));
+            partial.sketches[spec.slot].AddHash(
+                base::Mix64(KeyCode(spec.key, ctx) + base::kGoldenGamma));
           }
           break;
         case Op::kCdf:
@@ -367,9 +365,36 @@ void AnalysisPlan::Fold(std::vector<Partial>& partials) {
   }
 }
 
-void AnalysisPlan::ExecuteRanges(
-    const std::vector<std::vector<ScanRange>>& per_worker) {
-  const std::size_t workers = per_worker.size();
+void AnalysisPlan::Execute(const capture::ShardedCapture& records,
+                          std::size_t threads) {
+  // More workers than the pool has execution lanes cannot scan any faster;
+  // they only multiply partial-state build and fold cost. Capping is pure
+  // scheduling: results are invariant to the worker count either way.
+  std::size_t workers = std::min(base::EffectiveThreads(threads),
+                                 base::ThreadPool::Shared().lane_count());
+  // Tiny inputs are not worth fanning out.
+  if (records.size() < 4096) workers = 1;
+
+  // The partition is a pure function of the shard sizes and `workers`,
+  // never of scheduling. Shards of at most `piece` records stay whole and
+  // go round-robin; a longer one (a single flat buffer, say) is cut so it
+  // still spreads across every worker.
+  struct ScanRange {
+    const capture::CaptureRecord* first;
+    const capture::CaptureRecord* last;
+  };
+  const std::size_t piece = (records.size() + workers - 1) / workers;
+  std::vector<std::vector<ScanRange>> per_worker(workers);
+  std::size_t next = 0;
+  for (std::size_t s = 0; s < records.shard_count(); ++s) {
+    const capture::CaptureBuffer& shard = records.shard(s);
+    for (std::size_t first = 0; first < shard.size(); first += piece) {
+      const std::size_t last = std::min(shard.size(), first + piece);
+      per_worker[next++ % workers].push_back(
+          {shard.data() + first, shard.data() + last});
+    }
+  }
+
   std::vector<Partial> partials(workers);
   for (Partial& partial : partials) {
     partial.counts.assign(slots_[static_cast<std::size_t>(Op::kCount)], 0);
@@ -392,58 +417,6 @@ void AnalysisPlan::ExecuteRanges(
       });
 
   Fold(partials);
-}
-
-void AnalysisPlan::Execute(const capture::CaptureBuffer& records,
-                          std::size_t threads) {
-  std::size_t workers = base::EffectiveThreads(threads);
-  // More workers than the pool has execution lanes cannot scan any faster;
-  // they only multiply partial-state build and fold cost. Capping is pure
-  // scheduling: results are invariant to the worker count either way.
-  workers = std::min(workers, base::ThreadPool::Shared().lane_count());
-  // Tiny inputs are not worth fanning out.
-  if (records.size() < 4096) workers = 1;
-  if (workers > records.size() && !records.empty()) workers = records.size();
-  if (workers == 0) workers = 1;
-
-  const capture::CaptureRecord* base = records.data();
-  const std::size_t total = records.size();
-  std::vector<std::vector<ScanRange>> per_worker(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    per_worker[w].push_back({base + total * w / workers,
-                             base + total * (w + 1) / workers});
-  }
-  ExecuteRanges(per_worker);
-}
-
-void AnalysisPlan::Execute(const capture::ShardedCapture& records,
-                          std::size_t threads) {
-  if (records.shard_count() <= 1) {
-    // Degenerate sharding (a single flat buffer, or no shards at all): the
-    // contiguous-chunk path keeps intra-buffer parallelism.
-    const capture::CaptureBuffer none;
-    Execute(records.shard_count() == 1 ? records.shard(0) : none, threads);
-    return;
-  }
-  std::size_t workers =
-      std::min(base::EffectiveThreads(threads), records.shard_count());
-  // Same lane cap as the flat path: extra workers past the pool's real
-  // parallelism only add fold work.
-  workers = std::min(workers, base::ThreadPool::Shared().lane_count());
-  if (records.size() < 4096) workers = 1;
-
-  // Worker w owns shards s ≡ w (mod workers), scanned in increasing shard
-  // order. The partition is a pure function of (shard_count, workers) —
-  // never of scheduling — and every aggregate is order-independent, so the
-  // fold matches the flatten-then-scan result bit for bit.
-  std::vector<std::vector<ScanRange>> per_worker(workers);
-  for (std::size_t s = 0; s < records.shard_count(); ++s) {
-    const capture::CaptureBuffer& shard = records.shard(s);
-    if (shard.empty()) continue;
-    per_worker[s % workers].push_back(
-        {shard.data(), shard.data() + shard.size()});
-  }
-  ExecuteRanges(per_worker);
 }
 
 std::uint64_t AnalysisPlan::CountResult(Handle h) const {

@@ -8,7 +8,7 @@
 // and per-thread partial states merge at the end. String keys materialize
 // once per *group* at merge time, never per record.
 //
-// Determinism: partial states are merged in chunk order and every
+// Determinism: partial states are merged in worker order and every
 // aggregate is either order-independent (counts, HLL, sets) or sorted
 // downstream (CDF quantiles), so results are identical for every thread
 // count.
@@ -135,18 +135,15 @@ class AnalysisPlan {
   Handle Sketch(FilterSpec filter, KeySpec key);
   Handle Collect(FilterSpec filter, ValueFn value);
 
-  /// One fused pass over `records`, chunked over `threads` workers
-  /// (0 = hardware concurrency, honoring CLOUDDNS_THREADS; workers run on
-  /// the shared base::ThreadPool). Results are bit-identical for every
-  /// thread count. Custom filters and value functors must be pure.
-  void Execute(const capture::CaptureBuffer& records, std::size_t threads = 0);
-
-  /// Shard-wise fused pass: scans the shard buffers in place, with no
-  /// flat copy. Worker w owns shards s ≡ w (mod workers) in increasing
-  /// shard order and partials fold in worker order, so results are
-  /// byte-identical to Execute(records.FlattenCopy()) at every thread
-  /// count (every aggregate is order-independent or sorted downstream —
-  /// see the header comment).
+  /// One fused pass over `records`, scanning the shard buffers in place
+  /// on `threads` workers (0 = hardware concurrency, honoring
+  /// CLOUDDNS_THREADS; workers run on the shared base::ThreadPool). A
+  /// shard longer than ceil(size / workers) records is cut into pieces of
+  /// that size, and the pieces are dealt to the workers round-robin in
+  /// shard order; partials fold in worker order. Every aggregate is
+  /// order-independent or sorted downstream (see the header comment), so
+  /// results are bit-identical for every thread count and every sharding
+  /// of the same records. Custom filters and value functors must be pure.
   void Execute(const capture::ShardedCapture& records,
                std::size_t threads = 0);
 
@@ -178,20 +175,10 @@ class AnalysisPlan {
 
   struct Partial;  // Per-worker accumulation state (plan.cc).
 
-  /// A contiguous slice of records (one chunk of a flat buffer, or one
-  /// whole shard). A worker's unit of scan work.
-  struct ScanRange {
-    const capture::CaptureRecord* first;
-    const capture::CaptureRecord* last;
-  };
-
   [[nodiscard]] Handle Add(Op op, FilterSpec filter, KeySpec key,
                            ValueFn value);
   void Scan(const capture::CaptureRecord* first, const capture::CaptureRecord* last,
             Partial& partial) const;
-  /// Shared back end of both Execute overloads: one worker per entry,
-  /// scanning its ranges in order on the shared pool, then Fold.
-  void ExecuteRanges(const std::vector<std::vector<ScanRange>>& per_worker);
   void Fold(std::vector<Partial>& partials);
 
   const net::AsDatabase* asdb_ = nullptr;

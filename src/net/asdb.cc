@@ -15,7 +15,6 @@ void AsDatabase::Announce(const Prefix& prefix, Asn asn) {
                                 std::to_string(asn));
   }
   routes_.Insert(prefix, asn);
-  prefixes_.emplace_back(prefix, asn);
 }
 
 std::optional<Asn> AsDatabase::OriginAs(const IpAddress& addr) const {
@@ -25,14 +24,6 @@ std::optional<Asn> AsDatabase::OriginAs(const IpAddress& addr) const {
 const AsInfo* AsDatabase::Info(Asn asn) const {
   auto it = as_info_.find(asn);
   return it == as_info_.end() ? nullptr : &it->second;
-}
-
-std::vector<Prefix> AsDatabase::PrefixesOf(Asn asn) const {
-  std::vector<Prefix> out;
-  for (const auto& [prefix, owner] : prefixes_) {
-    if (owner == asn) out.push_back(prefix);
-  }
-  return out;
 }
 
 }  // namespace clouddns::net

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "net/prefix.h"
 #include "net/prefix_trie.h"
@@ -36,15 +35,10 @@ class AsDatabase {
 
   [[nodiscard]] const AsInfo* Info(Asn asn) const;
   [[nodiscard]] std::size_t as_count() const { return as_info_.size(); }
-  [[nodiscard]] std::size_t prefix_count() const { return prefixes_.size(); }
-
-  /// All announced prefixes for an AS, in announcement order.
-  [[nodiscard]] std::vector<Prefix> PrefixesOf(Asn asn) const;
 
  private:
   PrefixMap<Asn> routes_;
   std::unordered_map<Asn, AsInfo> as_info_;
-  std::vector<std::pair<Prefix, Asn>> prefixes_;
 };
 
 }  // namespace clouddns::net

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstdio>
 
+#include "base/hash.h"
+
 namespace clouddns::net {
 namespace {
 
@@ -213,11 +215,8 @@ bool IpAddress::bit(int i) const {
 
 std::size_t IpAddressHash::operator()(const IpAddress& a) const noexcept {
   // FNV-1a over the family tag and address bytes.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 1099511628211ull;
-  };
+  std::uint64_t h = base::kShortFnvBasis;
+  auto mix = [&h](std::uint8_t byte) { h = base::Fnv1aStep(h, byte); };
   if (a.is_v4()) {
     mix(4);
     for (auto byte : a.v4().ToBytes()) mix(byte);

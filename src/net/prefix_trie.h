@@ -57,18 +57,6 @@ class PrefixTrie {
     return best;
   }
 
-  /// Exact-prefix lookup (no covering-prefix fallback).
-  [[nodiscard]] std::optional<Value> LookupExact(const Prefix& prefix) const {
-    std::size_t node = 0;
-    for (int depth = 0; depth < prefix.length(); ++depth) {
-      std::uint32_t child =
-          prefix.address().bit(depth) ? nodes_[node].one : nodes_[node].zero;
-      if (child == kNone) return std::nullopt;
-      node = child;
-    }
-    return nodes_[node].value;
-  }
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -99,10 +87,6 @@ class PrefixMap {
 
   [[nodiscard]] std::optional<Value> Lookup(const IpAddress& addr) const {
     return addr.is_v4() ? v4_.Lookup(addr) : v6_.Lookup(addr);
-  }
-
-  [[nodiscard]] std::optional<Value> LookupExact(const Prefix& prefix) const {
-    return prefix.is_v4() ? v4_.LookupExact(prefix) : v6_.LookupExact(prefix);
   }
 
   [[nodiscard]] std::size_t size() const { return v4_.size() + v6_.size(); }

@@ -1,15 +1,15 @@
 #include "resolver/cache.h"
 // lint:hot-path — on the per-query serve/capture path (DESIGN.md §10).
 
+#include "base/hash.h"
+
 namespace clouddns::resolver {
 
 std::uint64_t DnsCache::TaggedHash(const dns::Name& qname,
                                    std::uint32_t tag) {
-  // Fibonacci-style mix of the cached name hash with the type tag, so
+  // Combine the cached name hash with the type tag, so
   // qname/A, qname/AAAA and qname/NXDOMAIN land in unrelated slots.
-  std::uint64_t hash = qname.CachedHash();
-  hash ^= 0x9e3779b97f4a7c15ull + tag + (hash << 6) + (hash >> 2);
-  return hash;
+  return base::HashCombine(qname.CachedHash(), tag);
 }
 
 std::uint32_t DnsCache::Find(const dns::Name& qname, std::uint32_t tag) const {

@@ -36,19 +36,4 @@ struct CivilDate {
 /// "2020-04-05" rendering.
 [[nodiscard]] std::string DateString(TimeUs time);
 
-/// A monotonically advancing simulated clock.
-class Clock {
- public:
-  explicit Clock(TimeUs start) : now_(start) {}
-
-  [[nodiscard]] TimeUs now() const { return now_; }
-  void AdvanceTo(TimeUs t) {
-    if (t > now_) now_ = t;
-  }
-  void Advance(TimeUs delta) { now_ += delta; }
-
- private:
-  TimeUs now_;
-};
-
 }  // namespace clouddns::sim

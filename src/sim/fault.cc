@@ -1,9 +1,9 @@
 #include "sim/fault.h"
 
+#include "base/hash.h"
+
 namespace clouddns::sim {
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 bool SiteMatches(SiteId rule_site, SiteId site) {
   return rule_site == kAnySite || rule_site == site;
@@ -26,6 +26,7 @@ void CombineLoss(double& accumulated, double p) {
 /// happen at later times, so each retry flips a fresh coin.
 std::uint64_t DecisionKey(SiteId site, dns::Transport transport, TimeUs now,
                           const net::Endpoint& src) {
+  using base::kFnvPrime;
   std::uint64_t key = static_cast<std::uint64_t>(site);
   key = key * kFnvPrime ^ (transport == dns::Transport::kTcp ? 0x7cbull : 0ull);
   key = key * kFnvPrime ^ now;

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/hash.h"
+
 namespace clouddns::sim {
 
 /// xoshiro256** by Blackman & Vigna (public domain reference algorithm).
@@ -18,11 +20,8 @@ class Rng {
     // SplitMix64 seeding, as the authors recommend.
     std::uint64_t x = seed;
     for (auto& word : state_) {
-      x += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      word = z ^ (z >> 31);
+      x += base::kGoldenGamma;
+      word = base::Mix64(x);
     }
   }
 
@@ -68,12 +67,9 @@ class Rng {
 /// seeds every shard's generators with SubstreamSeed(base_seed, shard_id),
 /// so shard streams are decorrelated yet fully determined by the base seed
 /// — the scheduling of shards onto threads never touches the randomness.
-[[nodiscard]] inline std::uint64_t SubstreamSeed(std::uint64_t base,
+[[nodiscard]] inline std::uint64_t SubstreamSeed(std::uint64_t base_seed,
                                                 std::uint64_t stream) {
-  std::uint64_t z = base + 0x9e3779b97f4a7c15ull * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return base::Mix64(base_seed + base::kGoldenGamma * (stream + 1));
 }
 
 /// Samples indices 0..n-1 with probability proportional to the given

@@ -2,17 +2,10 @@
 
 #include <stdexcept>
 
+#include "base/hash.h"
+
 namespace clouddns::zone {
 namespace {
-
-std::uint64_t Fnv1a(std::string_view text, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 constexpr std::uint64_t kZskSeed = 0x5a534b5a534b5a53ull;
 constexpr std::uint64_t kKskSeed = 0x4b534b4b534b4b53ull;
@@ -48,7 +41,7 @@ void FillMockSignature(const dns::Name& signer, const dns::Name& owner,
                        dns::RrType type, std::span<std::uint8_t> out) {
   std::uint64_t h = signer.PresentationHash(kSigSeed);
   h = owner.PresentationHash(h);
-  h = Fnv1a(ToString(type), h);
+  h = base::Fnv1a(ToString(type), h);
   HashBytes(h, out);
 }
 

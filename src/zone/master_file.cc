@@ -73,6 +73,12 @@ class Tokenizer {
         ++pos_;
         while (pos_ < text_.size() && text_[pos_] != '"' &&
                text_[pos_] != '\n') {
+          // An escaped character never ends the string; the token keeps
+          // the escape for the RDATA field to decode.
+          if (text_[pos_] == '\\' && pos_ + 1 < text_.size() &&
+              text_[pos_ + 1] != '\n') {
+            token += text_[pos_++];
+          }
           token += text_[pos_++];
         }
         if (pos_ >= text_.size() || text_[pos_] != '"') {

@@ -97,7 +97,7 @@ std::string RenderReport(const capture::CaptureBuffer& records,
   auto v6_sources = plan.Distinct(entrada::FilterSpec::V6(),
                                   entrada::KeySpec::SrcAddress());
   auto udp_total = plan.Count(entrada::FilterSpec::Udp());
-  plan.Execute(records, threads);
+  plan.Execute(capture::ShardedCapture(records), threads);
 
   std::ostringstream out;
   out << "udp_total " << plan.CountResult(udp_total) << "\n";

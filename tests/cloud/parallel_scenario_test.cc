@@ -107,8 +107,8 @@ struct PlanSnapshot {
   }
 };
 
-template <typename Capture>
-PlanSnapshot SnapshotPlan(const Capture& records, std::size_t threads) {
+PlanSnapshot SnapshotPlan(const capture::ShardedCapture& records,
+                          std::size_t threads) {
   entrada::AnalysisPlan plan;
   auto valid = plan.Count(entrada::FilterSpec::Valid());
   auto qtype = plan.GroupBy(entrada::FilterSpec::All(),
@@ -134,7 +134,8 @@ TEST(ParallelScenarioTest, ShardedAnalyticsMatchFlattenThenScan) {
   // count.
   auto result = RunScenario(SmallConfig(2));
   ASSERT_GT(result.records.shard_count(), 1u);
-  const PlanSnapshot baseline = SnapshotPlan(result.records.FlattenCopy(), 1);
+  const PlanSnapshot baseline = SnapshotPlan(
+      capture::ShardedCapture(result.records.FlattenCopy()), 1);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     EXPECT_TRUE(SnapshotPlan(result.records, threads) == baseline)
         << "sharded scan diverges at " << threads << " threads";
@@ -148,7 +149,8 @@ TEST(ParallelScenarioTest, ShardedAnalyticsMatchUnderFaults) {
   config.fault_preset = FaultPreset::kLossyPath;
   auto result = RunScenario(config);
   ASSERT_FALSE(result.records.empty());
-  const PlanSnapshot baseline = SnapshotPlan(result.records.FlattenCopy(), 1);
+  const PlanSnapshot baseline = SnapshotPlan(
+      capture::ShardedCapture(result.records.FlattenCopy()), 1);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     EXPECT_TRUE(SnapshotPlan(result.records, threads) == baseline)
         << "sharded scan diverges at " << threads << " threads";

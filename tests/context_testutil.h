@@ -30,7 +30,6 @@ inline void ExpectSameContext(const cloud::ScenarioResult& actual,
   EXPECT_EQ(actual.zone_domains_by_tld, expected.zone_domains_by_tld);
   EXPECT_TRUE(actual.servers == expected.servers);
   EXPECT_EQ(actual.asdb.as_count(), expected.asdb.as_count());
-  EXPECT_EQ(actual.asdb.prefix_count(), expected.asdb.prefix_count());
   EXPECT_EQ(actual.google_public.size(), expected.google_public.size());
 
   ASSERT_EQ(actual.ptr_records.size(), expected.ptr_records.size());

@@ -231,12 +231,14 @@ TEST(RdataTest, ToStringRendersEverySoaAndRrsigField) {
 }
 
 /// Splits presentation text at single spaces, keeping quoted strings whole
-/// (without their quotes), as a master-file tokenizer would.
+/// (without their quotes, with their escapes), as a master-file tokenizer
+/// would.
 std::vector<std::string> Tokens(const std::string& text) {
   std::vector<std::string> tokens;
   for (std::size_t pos = 0; pos < text.size();) {
     if (text[pos] == '"') {
-      const std::size_t close = text.find('"', pos + 1);
+      std::size_t close = pos + 1;
+      while (text[close] != '"') close += text[close] == '\\' ? 2 : 1;
       tokens.push_back(text.substr(pos + 1, close - pos - 1));
       pos = close + 2;
     } else {
@@ -259,6 +261,7 @@ TEST(RdataTest, PresentationTextParsesBackToEveryForm) {
       {RrType::kPtr, PtrRdata{*Name::Parse("host.example")}},
       {RrType::kMx, MxRdata{65535, *Name::Parse("mx.nl")}},
       {RrType::kTxt, TxtRdata{{"v=spf1 -all", "", std::string(255, 'x')}}},
+      {RrType::kTxt, TxtRdata{{std::string("say \"hi\" \\ \0!", 13)}}},
       {RrType::kSoa, SoaRdata{Name{}, *Name::Parse("h.nl"), 4294967295u, 1,
                               2, 3, 4}},
       {RrType::kSrv, SrvRdata{1, 2, 5060, *Name::Parse("sip.nl")}},

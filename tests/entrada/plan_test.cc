@@ -15,13 +15,20 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
+#include "capture/sharded.h"
 #include "sim/random.h"
 
 namespace clouddns::entrada {
 namespace {
 
 using Record = capture::CaptureRecord;
+
+/// A flat buffer as the single-shard capture Execute scans.
+capture::ShardedCapture Sharded(capture::CaptureBuffer records) {
+  return capture::ShardedCapture(std::move(records));
+}
 
 // --- The 4-record fixture --------------------------------------------------
 
@@ -56,7 +63,7 @@ capture::CaptureBuffer MakeRecords() {
 TEST(AnalyticsTest, CountByQtype) {
   AnalysisPlan plan;
   auto qtypes = plan.GroupBy(FilterSpec::All(), KeySpec::Qtype());
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   const Aggregation& agg = plan.GroupResult(qtypes);
   EXPECT_EQ(agg.total, 4u);
   EXPECT_EQ(agg.Of("A"), 2u);
@@ -69,7 +76,7 @@ TEST(AnalyticsTest, CountByQtype) {
 TEST(AnalyticsTest, CountByWithFilter) {
   AnalysisPlan plan;
   auto qtypes = plan.GroupBy(FilterSpec::Valid(), KeySpec::Qtype());
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   const Aggregation& agg = plan.GroupResult(qtypes);
   EXPECT_EQ(agg.total, 3u);
   EXPECT_EQ(agg.Of("A"), 1u);  // the NXDOMAIN A query is filtered out
@@ -80,7 +87,7 @@ TEST(AnalyticsTest, CountIfJunk) {
   auto junk = plan.Count(FilterSpec::Junk());
   auto valid = plan.Count(FilterSpec::Valid());
   auto all = plan.Count(FilterSpec::All());
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   EXPECT_EQ(plan.CountResult(junk), 1u);
   EXPECT_EQ(plan.CountResult(valid), 3u);
   EXPECT_EQ(plan.CountResult(all), 4u);
@@ -90,7 +97,7 @@ TEST(AnalyticsTest, DistinctExactAndSketchAgree) {
   AnalysisPlan plan;
   auto exact = plan.Distinct(FilterSpec::All(), KeySpec::SrcAddress());
   auto sketch = plan.Sketch(FilterSpec::All(), KeySpec::SrcAddress());
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   EXPECT_EQ(plan.DistinctResult(exact), 3u);
   EXPECT_NEAR(plan.SketchResult(sketch).Estimate(), 3.0, 0.5);
 }
@@ -98,7 +105,7 @@ TEST(AnalyticsTest, DistinctExactAndSketchAgree) {
 TEST(AnalyticsTest, KeyIpFamily) {
   AnalysisPlan plan;
   auto families = plan.GroupBy(FilterSpec::All(), KeySpec::Family());
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   const Aggregation& agg = plan.GroupResult(families);
   EXPECT_EQ(agg.Of("IPv4"), 3u);
   EXPECT_EQ(agg.Of("IPv6"), 1u);
@@ -113,7 +120,7 @@ TEST(AnalyticsTest, KeySrcAsUsesLongestPrefix) {
   AnalysisPlan plan;
   plan.SetAsDatabase(asdb);
   auto ases = plan.GroupBy(FilterSpec::All(), KeySpec::SrcAs());
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   const Aggregation& agg = plan.GroupResult(ases);
   EXPECT_EQ(agg.Of("AS15169"), 2u);  // 8.8.8.8: the /24 beats the /16
   EXPECT_EQ(agg.Of("AS64512"), 1u);  // 8.8.4.4: only the /16 covers it
@@ -130,14 +137,14 @@ TEST(AnalyticsTest, CollectCdfSkipsNullopt) {
                             }
                             return 100.0;
                           });
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   EXPECT_EQ(plan.CdfResult(cdf).count(), 3u);
 }
 
 TEST(AnalyticsTest, CountByMonthBuckets) {
   AnalysisPlan plan;
   auto months = plan.GroupByMonth(FilterSpec::All(), KeySpec::Qtype());
-  plan.Execute(MakeRecords());
+  plan.Execute(Sharded(MakeRecords()));
   const auto& result = plan.MonthResult(months);
   ASSERT_EQ(result.size(), 2u);
   EXPECT_EQ(result.at("2020-01").total, 2u);
@@ -150,7 +157,7 @@ TEST(AnalyticsTest, EmptyBufferYieldsEmptyAggregates) {
   auto qtypes = plan.GroupBy(FilterSpec::All(), KeySpec::Qtype());
   auto distinct = plan.Distinct(FilterSpec::All(), KeySpec::SrcAddress());
   auto months = plan.GroupByMonth(FilterSpec::All(), KeySpec::Qtype());
-  plan.Execute(capture::CaptureBuffer{});
+  plan.Execute(Sharded(capture::CaptureBuffer{}));
   EXPECT_EQ(plan.GroupResult(qtypes).total, 0u);
   EXPECT_DOUBLE_EQ(plan.GroupResult(qtypes).Share("A"), 0.0);
   EXPECT_EQ(plan.DistinctResult(distinct), 0u);
@@ -261,7 +268,7 @@ TEST_P(PlanTest, CountsMatchLegacyFilters) {
   FilterSpec valid_edns = FilterSpec::Valid();
   valid_edns.custom = [](const Record& r) { return r.has_edns; };
   auto custom = plan.Count(valid_edns);
-  plan.Execute(records_, GetParam());
+  plan.Execute(Sharded(records_), GetParam());
 
   EXPECT_EQ(plan.CountResult(valid), OracleCount(records_, IsValid));
   EXPECT_EQ(plan.CountResult(junk), OracleCount(records_, IsJunk));
@@ -287,7 +294,7 @@ TEST_P(PlanTest, GroupBysMatchLegacyCountBy) {
   auto rcode = plan.GroupBy(FilterSpec::Valid(), KeySpec::RcodeKey());
   auto transport = plan.GroupBy(FilterSpec::All(), KeySpec::Transport());
   auto family = plan.GroupBy(FilterSpec::Junk(), KeySpec::Family());
-  plan.Execute(records_, GetParam());
+  plan.Execute(Sharded(records_), GetParam());
 
   auto expect_eq = [this](const Aggregation& got, const Pred& pred,
                           const KeyOf& key) {
@@ -311,7 +318,7 @@ TEST_P(PlanTest, DistinctAndSketchMatchLegacy) {
   auto exact = plan.Distinct(FilterSpec::All(), KeySpec::SrcAddress());
   auto exact_udp = plan.Distinct(FilterSpec::Udp(), KeySpec::SrcAddress());
   auto sketch = plan.Sketch(FilterSpec::All(), KeySpec::SrcAddress());
-  plan.Execute(records_, GetParam());
+  plan.Execute(Sharded(records_), GetParam());
 
   auto oracle_distinct = [this](const Pred& pred) {
     std::set<std::string> seen;
@@ -335,7 +342,7 @@ TEST_P(PlanTest, CdfMatchesLegacyCollect) {
         if (!r.has_edns) return std::nullopt;
         return static_cast<double>(r.edns_udp_size);
       });
-  plan.Execute(records_, GetParam());
+  plan.Execute(Sharded(records_), GetParam());
 
   Cdf oracle;
   for (const Record& r : records_) {
@@ -353,7 +360,7 @@ TEST_P(PlanTest, CdfMatchesLegacyCollect) {
 TEST_P(PlanTest, MonthlyBucketsMatchLegacyCountByMonth) {
   AnalysisPlan plan;
   auto months = plan.GroupByMonth(FilterSpec::Valid(), KeySpec::Qtype());
-  plan.Execute(records_, GetParam());
+  plan.Execute(Sharded(records_), GetParam());
 
   std::map<std::string, std::map<std::string, std::uint64_t>> oracle;
   for (const Record& r : records_) {
@@ -386,7 +393,7 @@ TEST_P(PlanTest, TagFilterAndGrouping) {
   auto untagged = plan.Count(FilterSpec::Tagged(0));
   auto grouped = plan.GroupBy(FilterSpec::All(), KeySpec::Tag());
   auto ases = plan.GroupBy(FilterSpec::Valid(), KeySpec::SrcAs());
-  plan.Execute(records_, GetParam());
+  plan.Execute(Sharded(records_), GetParam());
 
   auto origin = [&asdb](const Record& r) { return asdb.OriginAs(r.src); };
   EXPECT_EQ(plan.CountResult(tagged), OracleCount(records_, [&](const Record& r) {
@@ -422,7 +429,7 @@ TEST(PlanDeterminismTest, IdenticalAcrossThreadCounts) {
         FilterSpec::All(), [](const Record& r) -> std::optional<double> {
           return static_cast<double>(r.query_size);
         });
-    plan.Execute(records, threads);
+    plan.Execute(Sharded(records), threads);
     return std::tuple{plan.GroupResult(group).counts,
                       plan.DistinctResult(distinct),
                       plan.SketchResult(sketch).Estimate(),

@@ -73,11 +73,15 @@ struct PlanResults {
   double cdf_p99;
 };
 
+/// The shards back to back as one single-shard capture: the
+/// flatten-then-scan reference.
+capture::ShardedCapture Flattened(const capture::ShardedCapture& records) {
+  return capture::ShardedCapture(records.FlattenCopy());
+}
+
 /// Registers one spec of every op type, executes, and snapshots results.
-/// `Capture` is either ShardedCapture (shard-wise scan) or CaptureBuffer
-/// (flat chunked scan) — the two paths under comparison.
-template <typename Capture>
-PlanResults RunAllOps(const Capture& records, std::size_t threads) {
+PlanResults RunAllOps(const capture::ShardedCapture& records,
+                      std::size_t threads) {
   // Routes part of SyntheticSharded's v4 and v6 sources; the tag is the
   // origin AS's offset (0 for unrouted).
   net::AsDatabase asdb;
@@ -145,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ShardedPlanTest,
 TEST_P(ShardedPlanTest, ShardWiseScanMatchesFlattenThenScan) {
   const std::size_t threads = GetParam();
   // Reference: copy the shards into one buffer, scan it flat.
-  PlanResults flat = RunAllOps(records_.FlattenCopy(), threads);
+  PlanResults flat = RunAllOps(Flattened(records_), threads);
   // Under test: scan the shard buffers in place, no copy.
   PlanResults sharded = RunAllOps(records_, threads);
   ExpectSameResults(sharded, flat);
@@ -186,17 +190,18 @@ TEST(ShardedPlanTest, EmptyAndTinyCapturesSurvive) {
   EXPECT_EQ(e.group.total, 0u);
 
   auto tiny = SyntheticSharded(16, 3);  // far below the serial cutoff
-  PlanResults flat = RunAllOps(tiny.FlattenCopy(), 8);
+  PlanResults flat = RunAllOps(Flattened(tiny), 8);
   PlanResults sharded = RunAllOps(tiny, 8);
   ExpectSameResults(sharded, flat);
 }
 
 TEST(ShardedPlanTest, ZeroShardCaptureScansAnEmptyBuffer) {
-  // A capture with no shard buffers at all takes the degenerate path and
-  // must agree with scanning an empty flat buffer, at any thread count.
+  // A capture with no shard buffers at all must agree with scanning one
+  // empty shard, at any thread count.
   const auto none = capture::ShardedCapture::FromShards({});
   ASSERT_EQ(none.shard_count(), 0u);
-  const PlanResults want = RunAllOps(capture::CaptureBuffer{}, 1);
+  const PlanResults want =
+      RunAllOps(capture::ShardedCapture(capture::CaptureBuffer{}), 1);
   for (std::size_t threads : {1u, 8u}) {
     const PlanResults got = RunAllOps(none, threads);
     EXPECT_EQ(got.count, 0u);

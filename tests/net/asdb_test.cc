@@ -41,12 +41,9 @@ TEST(AsDatabaseTest, InfoAndCounts) {
   db.Announce(*Prefix::Parse("1.0.0.0/24"), 13335);
 
   EXPECT_EQ(db.as_count(), 2u);
-  EXPECT_EQ(db.prefix_count(), 2u);
   ASSERT_NE(db.Info(13335), nullptr);
   EXPECT_EQ(db.Info(13335)->org, "CLOUDFLARE");
   EXPECT_EQ(db.Info(7777), nullptr);
-  EXPECT_EQ(db.PrefixesOf(13335).size(), 2u);
-  EXPECT_TRUE(db.PrefixesOf(32934).empty());
 }
 
 TEST(AsDatabaseTest, AddAsIsIdempotent) {

@@ -47,14 +47,6 @@ TEST(PrefixTrieTest, HostRoutes) {
   EXPECT_FALSE(trie.Lookup(*IpAddress::Parse("192.0.2.2")).has_value());
 }
 
-TEST(PrefixTrieTest, LookupExact) {
-  PrefixTrie<int> trie;
-  trie.Insert(*Prefix::Parse("10.0.0.0/8"), 8);
-  EXPECT_EQ(trie.LookupExact(*Prefix::Parse("10.0.0.0/8")), 8);
-  EXPECT_FALSE(trie.LookupExact(*Prefix::Parse("10.0.0.0/9")).has_value());
-  EXPECT_FALSE(trie.LookupExact(*Prefix::Parse("10.0.0.0/7")).has_value());
-}
-
 TEST(PrefixMapTest, KeepsFamiliesSeparate) {
   PrefixMap<int> map;
   map.Insert(*Prefix::Parse("0.0.0.0/0"), 4);

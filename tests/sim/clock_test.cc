@@ -47,16 +47,5 @@ TEST(CivilDateTest, MonthKeyAndDateString) {
   EXPECT_EQ(MonthKey(TimeFromCivil({2020, 2, 1})), "2020-02");
 }
 
-TEST(ClockTest, AdvancesMonotonically) {
-  Clock clock(100);
-  EXPECT_EQ(clock.now(), 100u);
-  clock.Advance(50);
-  EXPECT_EQ(clock.now(), 150u);
-  clock.AdvanceTo(120);  // backwards AdvanceTo is ignored
-  EXPECT_EQ(clock.now(), 150u);
-  clock.AdvanceTo(300);
-  EXPECT_EQ(clock.now(), 300u);
-}
-
 }  // namespace
 }  // namespace clouddns::sim

@@ -296,6 +296,30 @@ TEST(MasterFileTest, RootZoneRoundTripsToAnEqualZone) {
   }
 }
 
+TEST(MasterFileTest, CharacterStringEscapesRoundTrip) {
+  ZoneBuildConfig config;
+  config.apex = N("t");
+  config.nameservers = {{N("ns1.t"), {*net::IpAddress::Parse("192.0.2.1")}}};
+  Zone zone = MakeZoneSkeleton(config);
+  // A quote, a backslash, a zero byte and a byte past ASCII.
+  const std::string tricky("say \"hi\" \\ \0 \xff", 14);
+  zone.Add(dns::MakeTxt(N("x.t"), tricky, 60));
+  zone.Freeze();
+
+  const std::string text = ToMasterFile(zone);
+  EXPECT_NE(text.find(R"(TXT "say \"hi\" \\ \000 \255")"), std::string::npos)
+      << text;
+  const ParsedZone parsed = ParseMasterFile(text, dns::Name{});
+  for (const auto& error : parsed.errors) {
+    ADD_FAILURE() << "line " << error.line << ": " << error.message;
+  }
+  ASSERT_TRUE(parsed.zone.has_value()) << text;
+  const auto found = parsed.zone->Lookup(N("x.t"), dns::RrType::kTxt);
+  ASSERT_EQ(found.records.size(), 1u);
+  EXPECT_EQ(std::get<dns::TxtRdata>(found.records[0].rdata).strings,
+            std::vector<std::string>{tricky});
+}
+
 TEST(MasterFileTest, RoundTripIsFixpoint) {
   auto first = ParseMasterFile(kSimpleZone, dns::Name{});
   ASSERT_TRUE(first.zone.has_value());

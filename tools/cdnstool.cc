@@ -204,8 +204,10 @@ int CmdSimulate(const Args& args) {
 int CmdInspect(const Args& args) {
   const auto top_n = PositiveOption(args, "top", 5);
   if (args.positional.empty() || !top_n) return Usage();
-  capture::CaptureBuffer records;
-  if (!ReadCapture(args.positional[0], records)) return 1;
+  capture::CaptureBuffer flat;
+  if (!ReadCapture(args.positional[0], flat)) return 1;
+  const capture::ShardedCapture sharded(std::move(flat));
+  const capture::CaptureBuffer& records = sharded.shard(0);
   std::printf("%zu records\n", records.size());
   if (records.empty()) return 0;
   std::printf("window: %s .. %s\n",
@@ -228,7 +230,7 @@ int CmdInspect(const Args& args) {
   const auto sources_hll = plan.Sketch(entrada::FilterSpec::All(),
                                        entrada::KeySpec::SrcAddress());
   const auto junk = plan.Count(entrada::FilterSpec::Junk());
-  plan.Execute(records);
+  plan.Execute(sharded);
 
   const entrada::Aggregation& agg = plan.GroupResult(grouped);
   analysis::TextTable table({by, "queries", "share"});

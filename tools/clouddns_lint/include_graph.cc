@@ -120,8 +120,7 @@ void CheckLayering(std::vector<SourceFile>& files, const LayerSpec& layers,
   }
 }
 
-void CheckCycles(std::vector<SourceFile>& files, Reporter& reporter,
-                 std::size_t* edge_count) {
+void CheckCycles(std::vector<SourceFile>& files, Reporter& reporter) {
   // File-level graph over the scanned set, nodes keyed by rel path.
   std::map<std::string, std::size_t> index_of;
   for (std::size_t i = 0; i < files.size(); ++i) {
@@ -140,7 +139,6 @@ void CheckCycles(std::vector<SourceFile>& files, Reporter& reporter,
       adjacent[i].push_back(it->second);
     }
   }
-  if (edge_count != nullptr) *edge_count = edges.size();
 
   // For each edge u -> v participating in a cycle (v reaches u), report
   // at the offending #include with the shortest cycle through that edge.
@@ -237,8 +235,7 @@ std::optional<LayerSpec> LayerSpec::Load(const std::string& path,
 }
 
 void RunIncludeGraphPass(std::vector<SourceFile>& files,
-                         const LayerSpec* layers, Reporter& reporter,
-                         std::size_t* edge_count) {
+                         const LayerSpec* layers, Reporter& reporter) {
   std::set<std::string> tree_modules;
   for (const SourceFile& file : files) {
     if (!file.module.empty()) tree_modules.insert(file.module);
@@ -246,7 +243,7 @@ void RunIncludeGraphPass(std::vector<SourceFile>& files,
   if (layers != nullptr) {
     CheckLayering(files, *layers, tree_modules, reporter);
   }
-  CheckCycles(files, reporter, edge_count);
+  CheckCycles(files, reporter);
 }
 
 }  // namespace lint

@@ -33,7 +33,6 @@ struct LayerSpec {
 /// null, in which case only cycle detection runs (the layering rule is
 /// then inactive for stale-suppression accounting).
 void RunIncludeGraphPass(std::vector<SourceFile>& files,
-                         const LayerSpec* layers, Reporter& reporter,
-                         std::size_t* edge_count);
+                         const LayerSpec* layers, Reporter& reporter);
 
 }  // namespace lint

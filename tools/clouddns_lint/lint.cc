@@ -28,9 +28,10 @@
 // longer triggers its rule is itself flagged (unused-suppression) so
 // waivers cannot outlive the code they excused.
 //
-// Exit status is non-zero when any unsuppressed violation exists.
-// `--json <path>` writes a BENCH_lint.json-style summary; `--sarif
-// <path>` writes a deterministic SARIF 2.1.0 report for CI upload.
+// Exit status is non-zero when any unsuppressed violation exists. The
+// last stderr line summarizes the run (files, rules, violations,
+// suppressed, wall seconds); `--sarif <path>` writes a deterministic
+// SARIF 2.1.0 report for CI upload.
 
 #include <algorithm>
 #include <chrono>
@@ -52,11 +53,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Wall time of the pre-rewrite std::regex implementation over the same
-// tree (100 files, this container), kept in BENCH_lint.json so the
-// regex -> token-scan change stays visible in the perf trajectory.
-constexpr double kRegexBaselineWallSeconds = 0.716;
-
 bool IsSourceFile(const fs::path& path) {
   const std::string ext = path.extension().string();
   return ext == ".cc" || ext == ".h" || ext == ".cpp" || ext == ".hpp";
@@ -66,7 +62,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: clouddns_lint [--compdb <compile_commands.json>] "
                "[--src-root <dir>] [--layers <layers.txt>] "
-               "[--json <out.json>] [--sarif <out.sarif>] [<root>...]\n");
+               "[--sarif <out.sarif>] [<root>...]\n");
   return 2;
 }
 
@@ -74,7 +70,6 @@ int Usage() {
 
 int main(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
-  std::string json_path;
   std::string sarif_path;
   std::string compdb_path;
   std::string src_root;
@@ -82,9 +77,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> roots;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
+    if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
     } else if (arg == "--compdb" && i + 1 < argc) {
       compdb_path = argv[++i];
@@ -169,8 +162,7 @@ int main(int argc, char** argv) {
     lint::RunTextRules(file, reporter);
     lint::RunEscapePass(file, reporter);
   }
-  std::size_t include_edges = 0;
-  lint::RunIncludeGraphPass(files, layers, reporter, &include_edges);
+  lint::RunIncludeGraphPass(files, layers, reporter);
 
   std::set<std::string> active_rules;
   for (const lint::RuleInfo& rule : lint::kRules) {
@@ -203,29 +195,6 @@ int main(int argc, char** argv) {
     if (!lint::WriteSarif(sarif_path, reporter.violations(), uri_base)) {
       std::fprintf(stderr, "clouddns_lint: cannot write %s\n",
                    sarif_path.c_str());
-      return 2;
-    }
-  }
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fprintf(f,
-                   "{\n"
-                   "  \"name\": \"lint\",\n"
-                   "  \"files_scanned\": %zu,\n"
-                   "  \"rules\": %zu,\n"
-                   "  \"include_edges\": %zu,\n"
-                   "  \"violations\": %zu,\n"
-                   "  \"suppressed\": %zu,\n"
-                   "  \"wall_seconds\": %.3f,\n"
-                   "  \"regex_baseline_wall_seconds\": %.3f\n"
-                   "}\n",
-                   files.size(), std::size(lint::kRules), include_edges,
-                   reporter.violations().size(), reporter.suppressed(), wall,
-                   kRegexBaselineWallSeconds);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "clouddns_lint: cannot write %s\n",
-                   json_path.c_str());
       return 2;
     }
   }

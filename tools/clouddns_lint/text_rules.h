@@ -4,7 +4,7 @@
 // rule for emit paths. Matching is plain token scanning: the former
 // std::regex patterns were both the dominant lint cost and a per-call
 // compile hazard, and none of the rules needs more than word-boundary
-// lookups (BENCH_lint.json records the wall-time before/after).
+// lookups.
 #pragma once
 
 #include "report.h"
