@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace clouddns::base {
@@ -68,6 +69,14 @@ class OpenTable {
       return true;
     }
     return false;
+  }
+
+  /// Replaces every stored value v with new_value[v], each entry keeping
+  /// its slot: for a caller that reorders the array its values index.
+  void Renumber(std::span<const std::uint32_t> new_value) {
+    for (Slot& slot : slots_) {
+      if (slot.value != kNil) slot.value = new_value[slot.value];
+    }
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }

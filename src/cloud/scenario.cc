@@ -353,21 +353,22 @@ void ScenarioRuntime::PlanServices() {
 }
 
 void ScenarioRuntime::BuildZones() {
-  // --- Stage A: build and sign every zone image in parallel. The tasks
-  // are independent — each writes only its own slot, reads only the
-  // already-final ns sets, root hints and zone counts — and each image's
-  // record sequence is a pure function of its parameters, so the fan-out
-  // cannot change any zone's bytes (DESIGN.md §14). Signing adds the apex
-  // DNSKEYs and freezes, so each task ends with its zone's final image.
-  auto build_apex = [this](const std::string& tld, std::size_t second_level,
-                           bool with_subzones) {
+  // Every image's record sequence is a pure function of its parameters,
+  // and the worker count only schedules (DESIGN.md §7), so neither stage
+  // can change any zone's bytes. Signing adds the apex DNSKEYs and
+  // freezes, so each build ends with its zone's final image.
+  const std::size_t threads = base::EffectiveThreads(config_.threads);
+  auto build_apex = [this, threads](const std::string& tld,
+                                    std::size_t second_level,
+                                    bool with_subzones) {
     const std::vector<zone::NameserverSpec>& ns_set = tld_ns_sets_.at(tld);
     zone::ZoneBuildConfig apex_config;
     apex_config.apex = N(tld);
     apex_config.nameservers = ns_set;
     auto apex_zone = zone::MakeZoneSkeleton(apex_config);
     zone::PopulateDelegations(apex_zone, second_level, "dom", 0.55,
-                              net::Ipv4Address(100, 70, 0, 0));
+                              net::Ipv4Address(100, 70, 0, 0),
+                              /*ttl=*/86400, threads);
     if (tld == "nz") {
       // The Fig. 3b misconfiguration: two domains whose NS records point
       // into each other's zones with no glue — a cyclic dependency [31]
@@ -388,19 +389,20 @@ void ScenarioRuntime::BuildZones() {
     zone::SignZone(apex_zone);
     return apex_zone;
   };
+
+  // --- Stage A: the small images, one pool task each. The tasks are
+  // independent: each writes only its own slot and reads only the
+  // already-final ns sets, root hints and zone counts. A ParallelFor
+  // nested in a task runs inline, so their delegations fill serially.
   const std::size_t kRootSlot = 0;
-  const std::size_t kNlApexSlot = 1;
-  const std::size_t kNzApexSlot = 2;
-  const std::size_t kNzSubBase = 3;
+  const std::size_t kNzApexSlot = 1;
+  const std::size_t kNzSubBase = 2;
   std::vector<std::function<zone::Zone()>> builders(kNzSubBase +
                                                     kNzSubzoneCount);
   builders[kRootSlot] = [this] {
     zone::Zone root = BuildRootZone();
     zone::SignZone(root);
     return root;
-  };
-  builders[kNlApexSlot] = [this, &build_apex] {
-    return build_apex("nl", zone_counts_.nl, false);
   };
   builders[kNzApexSlot] = [this, &build_apex] {
     return build_apex("nz", zone_counts_.nz_second, true);
@@ -423,16 +425,20 @@ void ScenarioRuntime::BuildZones() {
   }
   std::vector<std::optional<zone::Zone>> images(builders.size());
   base::ThreadPool::Shared().ParallelFor(
-      builders.size(), base::EffectiveThreads(config_.threads),
+      builders.size(), threads,
       [&](std::size_t i) { images[i].emplace(builders[i]()); });
 
-  // --- Stage B: hand each operator its signed images in serving order:
-  // the root zone, the .nl apex, the .nz apex and then its subzones.
+  // --- Stage B: the .nl image, by far the largest, with its delegations
+  // filled on the whole pool.
+  zone::Zone nl = build_apex("nl", zone_counts_.nl, false);
+
+  // --- Hand each operator its signed images in serving order: the root
+  // zone, the .nl apex, the .nz apex and then its subzones.
   auto share = [&images](std::size_t slot) {
     return std::make_shared<const zone::Zone>(std::move(*images[slot]));
   };
   operator_zones_[""] = {share(kRootSlot)};
-  operator_zones_["nl"] = {share(kNlApexSlot)};
+  operator_zones_["nl"] = {std::make_shared<const zone::Zone>(std::move(nl))};
   operator_zones_["nz"] = {share(kNzApexSlot)};
   for (std::size_t sub = 0; sub < kNzSubzoneCount; ++sub) {
     operator_zones_["nz"].push_back(share(kNzSubBase + sub));

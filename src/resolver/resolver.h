@@ -236,9 +236,13 @@ class RecursiveResolver {
   /// a nested (glueless-chase) resolution writes only deeper slots, so a
   /// referral stays readable across the chase. The DS and DNSKEY fetches
   /// never nest and share `fetch_response_`. Decoding reuses each message's
-  /// section slots and rdata buffers (dns::Message::DecodeInto), so an
-  /// exchange allocates only where a section outgrows its high-water mark
-  /// or a slot changes to an rdata type that owns a buffer.
+  /// section slots and rdata buffers (dns::Message::DecodeInto), but keeps
+  /// no high-water mark: DecodeInto trims every section to the decoded
+  /// count with resize(), which destroys the slots past it and their rdata
+  /// buffers, and a slot whose rdata type changes drops its buffer too. So
+  /// an exchange allocates wherever a section is longer than in the
+  /// previous message decoded into the same slot, or where a slot changes
+  /// rdata type to one that owns a buffer.
   std::array<dns::Message, kMaxDepth + 1> responses_;
   dns::Message fetch_response_;
   /// The zone a referral at depth d delegates to, filled in place by

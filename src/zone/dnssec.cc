@@ -90,7 +90,7 @@ std::vector<dns::ResourceRecord> MakeApexDnskeys(const dns::Name& zone_apex,
   };
   // Built in place: an initializer list would copy each 256-byte key.
   std::vector<dns::ResourceRecord> keys;
-  keys.reserve(2);
+  keys.reserve(kApexDnskeyCount);
   keys.push_back(make_key(kKskFlags));
   keys.push_back(make_key(kZskFlags));
   return keys;

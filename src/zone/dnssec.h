@@ -77,6 +77,9 @@ void FillMockPublicKey(const dns::Name& zone_apex, std::uint16_t flags,
 void FillMockDsDigest(const dns::Name& child_apex,
                       std::span<std::uint8_t> out);
 
+/// Records in the apex DNSKEY RRset MakeApexDnskeys builds.
+inline constexpr std::size_t kApexDnskeyCount = 2;
+
 /// Builds the apex DNSKEY RRset (one KSK, one ZSK) for a zone.
 [[nodiscard]] std::vector<dns::ResourceRecord> MakeApexDnskeys(
     const dns::Name& zone_apex, std::uint32_t ttl);

@@ -3,7 +3,9 @@
 #include "zone/zone.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -11,7 +13,7 @@
 
 namespace clouddns::zone {
 
-void Zone::Add(dns::ResourceRecord record) {
+bool Zone::CheckRecord(const dns::ResourceRecord& record) const {
   if (!record.name.IsSubdomainOf(apex_)) {
     throw std::invalid_argument("Zone::Add: " + record.name.ToString() +
                                 " is outside zone " + apex_.ToString());
@@ -21,10 +23,13 @@ void Zone::Add(dns::ResourceRecord record) {
                                 record.name.ToString() +
                                 " (a signed zone writes its RRSIGs on demand)");
   }
+  return record.type == dns::RrType::kDnskey && record.name.Equals(apex_);
+}
+
+void Zone::Add(dns::ResourceRecord record) {
+  const bool apex_dnskey = CheckRecord(record);
   RequireUnfrozen();
-  if (record.type == dns::RrType::kDnskey && record.name.Equals(apex_)) {
-    signed_ = true;
-  }
+  signed_ |= apex_dnskey;
   log_.push_back(std::move(record));
 }
 
@@ -52,99 +57,197 @@ void Zone::RequireUnfrozen() const {
 
 std::uint32_t Zone::InternOwner(const dns::Name& name) {
   const std::uint32_t found = FindOwner(name);
-  if (found != base::OpenTable::kNil) return found;
-  const auto index = static_cast<std::uint32_t>(owners_.size());
-  dns::Name walker = name;
-  while (true) {
-    owner_table_.Insert(walker.CachedHash(),
-                        static_cast<std::uint32_t>(owners_.size()));
-    owners_.push_back(Owner{walker, {}});
-    if (walker.Equals(apex_)) break;
-    walker = walker.Parent();
-    if (FindOwner(walker) != base::OpenTable::kNil) break;
+  return found != base::OpenTable::kNil ? found : RegisterOwner(name);
+}
+
+std::uint32_t Zone::RegisterOwner(const dns::Name& name) {
+  if (!name.Equals(apex_)) {
+    // The parent's flat bytes are the name's past its first label, so it
+    // is looked up without building it; only a missing one is built.
+    const std::uint8_t* parent = name.FlatData() + 1 + name.FlatData()[0];
+    const std::size_t size =
+        name.FlatSize() - static_cast<std::size_t>(parent - name.FlatData());
+    if (FindOwner(dns::Name::HashFlat(parent, size), parent, size) ==
+        base::OpenTable::kNil) {
+      RegisterOwner(name.Parent());
+    }
   }
+  const auto index = static_cast<std::uint32_t>(owners_.size());
+  owner_table_.Insert(name.CachedHash(), index);
+  owners_.push_back(Owner{name, {}});
   return index;
+}
+
+namespace {
+
+/// The end of the run of indices from 0 that is in `less` order, given
+/// that the run reaches `from` at least.
+template <typename Less>
+std::size_t SortedRunEnd(std::size_t from, std::size_t size, Less less) {
+  std::size_t i = std::max<std::size_t>(from, 1);
+  while (i < size && !less(static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(i - 1))) {
+    ++i;
+  }
+  return std::min(i, size);
+}
+
+/// Merges `tail`, indices at or past `sorted` in `less` order, into the
+/// indices [0, sorted), which are in that order already; `less` breaks
+/// ties by index, so the run's elements stay ahead of equal ones. Returns
+/// the first position whose index changes and sets `order` to the indices
+/// that fill the positions from it on.
+template <typename Less>
+std::size_t MergeIntoRun(std::size_t sorted,
+                         const std::vector<std::uint32_t>& tail, Less less,
+                         std::vector<std::uint32_t>& order) {
+  order.clear();
+  if (tail.empty()) return sorted;
+  const auto run =
+      std::views::iota(std::uint32_t{0}, static_cast<std::uint32_t>(sorted));
+  const auto from = std::ranges::upper_bound(run, tail.front(), less);
+  order.reserve(static_cast<std::size_t>(run.end() - from) + tail.size());
+  std::ranges::merge(std::ranges::subrange(from, run.end()), tail,
+                     std::back_inserter(order), less);
+  return static_cast<std::size_t>(from - run.begin());
+}
+
+/// Moves items[order[k]] to items[first + k] for every k by following the
+/// permutation's cycles: one move per item that changes place, and no
+/// second copy of the items. Consumes `order`.
+template <typename T>
+void ApplyOrder(std::vector<T>& items, std::size_t first,
+                std::vector<std::uint32_t>& order) {
+  const auto source_of = [&](std::size_t slot) -> std::uint32_t& {
+    return order[slot - first];
+  };
+  for (std::size_t start = first; start < first + order.size(); ++start) {
+    if (source_of(start) == start) continue;
+    T held = std::move(items[start]);
+    std::size_t slot = start;
+    while (source_of(slot) != start) {
+      const std::size_t source = source_of(slot);
+      items[slot] = std::move(items[source]);
+      source_of(slot) = static_cast<std::uint32_t>(slot);
+      slot = source;
+    }
+    items[slot] = std::move(held);
+    source_of(slot) = static_cast<std::uint32_t>(slot);
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> Zone::SortOwners(std::size_t sorted) {
+  const std::size_t m = owners_.size();
+  const auto less = [this](std::uint32_t a, std::uint32_t b) {
+    return owners_[a].name < owners_[b].name;
+  };
+  sorted = SortedRunEnd(sorted, m, less);
+
+  // The owners past the run, sorted on their canonical keys, built once
+  // each into one buffer.
+  std::size_t key_size = 0;
+  for (std::size_t o = sorted; o < m; ++o) {
+    key_size += 2 * owners_[o].name.FlatSize();
+  }
+  std::string key_bytes;
+  key_bytes.reserve(key_size);  // never regrows, so the views stay valid
+  std::vector<std::pair<std::string_view, std::uint32_t>> keyed;
+  keyed.reserve(m - sorted);
+  for (std::size_t o = sorted; o < m; ++o) {
+    const std::size_t at = key_bytes.size();
+    owners_[o].name.AppendCanonicalKey(key_bytes);
+    keyed.emplace_back(std::string_view(key_bytes).substr(at),
+                       static_cast<std::uint32_t>(o));
+  }
+  std::sort(keyed.begin(), keyed.end());  // keys are distinct
+  std::vector<std::uint32_t> tail;
+  tail.reserve(keyed.size());
+  for (const auto& entry : keyed) tail.push_back(entry.second);
+
+  std::vector<std::uint32_t> order;
+  const std::size_t first = MergeIntoRun(sorted, tail, less, order);
+  std::vector<std::uint32_t> rank(m);
+  std::iota(rank.begin(), rank.end(), 0u);
+  if (order.empty()) return rank;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    rank[order[k]] = static_cast<std::uint32_t>(first + k);
+  }
+  owner_table_.Renumber(rank);
+  ApplyOrder(owners_, first, order);
+  return rank;
 }
 
 void Zone::Freeze() {
   if (frozen_) return;
   const std::size_t n = log_.size();
 
-  // Register the records' owners in Add order; keys[i] holds record i's
-  // owner index until it becomes the sort key below. Every owner keeps
-  // the spelling it was first added with.
-  std::vector<std::uint64_t> keys(n);
-  for (std::size_t i = 0; i < n; ++i) keys[i] = InternOwner(log_[i].name);
-
-  // Canonical owner order: sort the owners on their canonical keys, built
-  // once each into one buffer.
-  std::size_t key_size = 0;
-  for (const Owner& owner : owners_) key_size += 2 * owner.name.FlatSize();
-  std::string key_bytes;
-  key_bytes.reserve(key_size);  // never regrows, so the views stay valid
-  std::vector<std::pair<std::string_view, std::uint32_t>> order;
-  order.reserve(owners_.size());
-  for (std::size_t o = 0; o < owners_.size(); ++o) {
-    const std::size_t at = key_bytes.size();
-    owners_[o].name.AppendCanonicalKey(key_bytes);
-    order.emplace_back(std::string_view(key_bytes).substr(at),
-                       static_cast<std::uint32_t>(o));
-  }
-  std::sort(order.begin(), order.end());  // keys are distinct
-  std::vector<std::uint32_t> rank(owners_.size());
-  for (std::size_t r = 0; r < order.size(); ++r) {
-    rank[order[r].second] = static_cast<std::uint32_t>(r);
-  }
-
-  // Each record's key (owner rank, type), and where each owner's run of
-  // the slab begins.
-  std::vector<std::uint32_t> begin(owners_.size() + 1, 0);
+  // Register each record's owner in Add order, and find where the run of
+  // records in canonical (owner, type) order ends. A record at the owner
+  // of the one before it reuses its index. Inside the run, a record at
+  // another name follows every owner registered so far, so the name is
+  // new and needs no lookup, and the owners register in canonical order.
+  // Every owner keeps the spelling it was first added with.
+  std::vector<std::uint32_t> owner_of(n);
+  std::size_t sorted = n;
+  std::size_t sorted_owners = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t r = rank[keys[i]];
-    ++begin[r + 1];
-    keys[i] = (std::uint64_t{r} << 16) |
-              static_cast<std::uint16_t>(log_[i].type);
+    const dns::ResourceRecord& rr = log_[i];
+    if (i > 0 && rr.name.Equals(log_[i - 1].name)) {
+      owner_of[i] = owner_of[i - 1];
+      if (sorted == n && rr.type < log_[i - 1].type) sorted = i;
+      continue;
+    }
+    if (sorted == n && i > 0 && rr.name < log_[i - 1].name) sorted = i;
+    if (sorted == n) {
+      owner_of[i] = RegisterOwner(rr.name);
+      sorted_owners = owners_.size();
+    } else {
+      owner_of[i] = InternOwner(rr.name);
+    }
   }
+  const std::vector<std::uint32_t> rank = SortOwners(sorted_owners);
+
+  // Each record's key is (owner rank, type); the index breaks ties, which
+  // keeps Add order inside an RRset. The records past the run are sorted
+  // on it and merged into the run.
+  const auto key = [&](std::uint32_t i) {
+    return (std::uint64_t{rank[owner_of[i]]} << 16) |
+           static_cast<std::uint16_t>(log_[i].type);
+  };
+  const auto less = [&key](std::uint32_t a, std::uint32_t b) {
+    const std::uint64_t key_a = key(a);
+    const std::uint64_t key_b = key(b);
+    return key_a != key_b ? key_a < key_b : a < b;
+  };
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  keyed.reserve(n - sorted);
+  for (std::size_t i = sorted; i < n; ++i) {
+    keyed.emplace_back(key(static_cast<std::uint32_t>(i)),
+                       static_cast<std::uint32_t>(i));
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::uint32_t> tail;
+  tail.reserve(keyed.size());
+  for (const auto& entry : keyed) tail.push_back(entry.second);
+
+  // Where each owner's run of the slab begins.
+  std::vector<std::uint32_t> begin(owners_.size() + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++begin[rank[owner_of[i]] + 1];
   std::partial_sum(begin.begin(), begin.end(), begin.begin());
 
-  // Sort the records' 32-bit indices (the index breaks ties, keeping Add
-  // order inside an RRset), then move each record to its slot by
-  // following the permutation's cycles: n moves, and no second copy of
-  // the log.
-  std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::sort(perm.begin(), perm.end(),
-            [&keys](std::uint32_t a, std::uint32_t b) {
-              return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-            });
-  for (std::size_t start = 0; start < n; ++start) {
-    if (perm[start] == start) continue;
-    dns::ResourceRecord held = std::move(log_[start]);
-    std::size_t slot = start;
-    while (perm[slot] != start) {
-      const std::size_t source = perm[slot];
-      log_[slot] = std::move(log_[source]);
-      perm[slot] = static_cast<std::uint32_t>(slot);
-      slot = source;
-    }
-    log_[slot] = std::move(held);
-    perm[slot] = static_cast<std::uint32_t>(slot);
-  }
+  // Only the records from the first position that changes move.
+  std::vector<std::uint32_t> order;
+  const std::size_t first = MergeIntoRun(sorted, tail, less, order);
+  ApplyOrder(log_, first, order);
 
-  // Owners in canonical order, each spanning its run of the slab, and the
-  // table rebuilt over the new indices.
-  std::vector<Owner> sorted;
-  sorted.reserve(owners_.size());
-  owner_table_ = base::OpenTable();
   name_count_ = 0;
-  for (std::size_t r = 0; r < order.size(); ++r) {
-    Owner& owner = owners_[order[r].second];
+  for (std::size_t r = 0; r < owners_.size(); ++r) {
+    Owner& owner = owners_[r];
     owner.records = RecordSpan(log_.data() + begin[r], begin[r + 1] - begin[r]);
     if (!owner.records.empty()) ++name_count_;
-    owner_table_.Insert(owner.name.CachedHash(), static_cast<std::uint32_t>(r));
-    sorted.push_back(std::move(owner));
   }
-  owners_ = std::move(sorted);
   frozen_ = true;
 
   const RecordSpan soa = Find(apex_, dns::RrType::kSoa);

@@ -2,9 +2,9 @@
 // answers from, with the lookup semantics RFC 1034 §4.3.2 requires —
 // answers, referrals at zone cuts, NXDOMAIN, and NODATA.
 //
-// A zone is built, then frozen (DESIGN.md §10). Add() appends to a record
-// log; Freeze() compiles the log, in place, into the image every query
-// reads:
+// A zone is built, then frozen (DESIGN.md §10). Add() and AddInPlace()
+// append to a record log; Freeze() compiles the log, in place, into the
+// image every query reads:
 //   - one record slab sorted by (canonical owner, type, Add order), so an
 //     RRset, and every RRset at one owner, is a single span of it;
 //   - the canonical owner array, empty non-terminals (ENTs) included,
@@ -74,14 +74,41 @@ class Zone {
   /// zone.
   void Add(dns::ResourceRecord record);
 
+  /// Appends `count` records that `fill` writes in place: it is handed the
+  /// new slots, each holding a default record, and must assign every one.
+  /// It may hand disjoint parts of them to other threads, joined before it
+  /// returns. Each record is then checked as Add checks its argument; when
+  /// one fails, or `fill` throws, the log is cut back to where it was and
+  /// the exception propagates. Throws std::logic_error on a frozen zone.
+  template <typename Fill>
+  void AddInPlace(std::size_t count, Fill&& fill) {
+    RequireUnfrozen();
+    const std::size_t first = log_.size();
+    log_.resize(first + count);
+    bool apex_dnskey = false;
+    try {
+      fill(std::span<dns::ResourceRecord>(log_).subspan(first));
+      for (std::size_t i = first; i < log_.size(); ++i) {
+        apex_dnskey |= CheckRecord(log_[i]);
+      }
+    } catch (...) {
+      log_.resize(first);
+      throw;
+    }
+    signed_ |= apex_dnskey;
+  }
+
   /// Makes room for `additional` more records, so a builder that knows its
   /// count appends without regrowing the log. Throws std::logic_error on a
   /// frozen zone.
   void Reserve(std::size_t additional);
 
-  /// Compiles the log into the image (see the file comment), sorting the
-  /// records in place: no second copy of them is made. A no-op when
-  /// frozen.
+  /// Compiles the log into the image (see the file comment) in place: no
+  /// second copy of the records is made. Its cost follows the disorder of
+  /// the log: records added in canonical order (by owner, then type) are
+  /// checked in one linear pass and never move, and only the owners and
+  /// records past the first one out of order are sorted and merged in. A
+  /// no-op when frozen.
   void Freeze();
 
   /// Number of owner names that hold records (the "zone size" the paper's
@@ -151,6 +178,9 @@ class Zone {
   /// The RRset of `type` within one owner's records (sorted by type).
   [[nodiscard]] static RecordSpan TypeRun(RecordSpan records,
                                           dns::RrType type);
+  /// Throws std::invalid_argument when `record` may not be added (see
+  /// Add); true when it is an apex DNSKEY.
+  [[nodiscard]] bool CheckRecord(const dns::ResourceRecord& record) const;
   /// Throws std::logic_error unless frozen.
   void RequireFrozen() const;
   /// Throws std::logic_error when frozen.
@@ -161,9 +191,17 @@ class Zone {
                                         const std::uint8_t* flat,
                                         std::size_t size) const;
   [[nodiscard]] std::uint32_t FindOwner(const dns::Name& name) const;
-  /// Registers `name` and any missing ancestor up to the apex (the ENTs)
-  /// as owners; returns the index of `name`.
+  /// The index of owner `name`, registered by RegisterOwner if missing.
   std::uint32_t InternOwner(const dns::Name& name);
+  /// Registers any missing ancestor of `name` up to the apex (the ENTs),
+  /// then `name`, which must not be an owner yet; returns its index.
+  /// Ancestors come first, so names registered in canonical order
+  /// register their ENTs in it too.
+  std::uint32_t RegisterOwner(const dns::Name& name);
+  /// Sorts the owners, the first `sorted` of which are in canonical order
+  /// already, and returns each owner's position in canonical order,
+  /// indexed by its registered position.
+  std::vector<std::uint32_t> SortOwners(std::size_t sorted);
 
   dns::Name apex_;
   /// The record log; once frozen, the sorted slab the owner spans cover.

@@ -1,11 +1,13 @@
-// Signed-zone determinism (DESIGN.md §14): the signed image of a
+// Signed-zone determinism (DESIGN.md §7): the signed image of a
 // ccTLD-shaped zone, with every RRSIG its server writes, is pinned by a
-// SHA-256 digest, and scenario reports must be byte-for-byte identical at
-// every worker count, including under a fault preset that skews the
-// capture; each 1-thread report digest is also checked against a fixed
-// reference.
+// SHA-256 digest at every worker count of the delegation fill, a .nl-scale
+// image is byte-identical at every one, and scenario reports must be
+// byte-for-byte identical at every worker count, including under a fault
+// preset that skews the capture; each 1-thread report digest is also
+// checked against a fixed reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -43,9 +45,10 @@ class SignThreadsTest : public ::testing::Test {
   std::string saved_;
 };
 
-/// A ccTLD-shaped zone: apex NS set plus 400 delegations, half with DS
-/// records, each bringing about four owners.
-Zone BuildSampleZone() {
+/// A ccTLD-shaped zone: apex NS set plus `delegations` (400 for the
+/// pinned sample), half with DS records, each bringing about four owners,
+/// filled on `threads` workers.
+Zone BuildSampleZone(std::size_t delegations = 400, std::size_t threads = 0) {
   ZoneBuildConfig config;
   config.apex = *dns::Name::Parse("nl");
   config.nameservers = {
@@ -54,8 +57,9 @@ Zone BuildSampleZone() {
       {*dns::Name::Parse("ns2.dns.nl"),
        {*net::IpAddress::Parse("194.0.29.53")}}};
   Zone zone = MakeZoneSkeleton(config);
-  PopulateDelegations(zone, 400, "dom", 0.5,
-                      *net::Ipv4Address::Parse("100.70.0.0"));
+  PopulateDelegations(zone, delegations, "dom", 0.5,
+                      *net::Ipv4Address::Parse("100.70.0.0"),
+                      /*ttl=*/86400, threads);
   return zone;
 }
 
@@ -93,11 +97,41 @@ std::string SignedImageBlob(const Zone& zone) {
   return blob;
 }
 
+constexpr const char* kSampleDigest =
+    "0d18ec735c7c225dc41cac053b37f925e6def13aafa8a0e91e47e0a79bf6c8aa";
+
 TEST(SignedZoneImageTest, EveryRecordMatchesPinnedDigest) {
   Zone zone = BuildSampleZone();
   SignZone(zone);
-  EXPECT_EQ(testutil::Sha256Hex(SignedImageBlob(zone)),
-            "0d18ec735c7c225dc41cac053b37f925e6def13aafa8a0e91e47e0a79bf6c8aa");
+  EXPECT_EQ(testutil::Sha256Hex(SignedImageBlob(zone)), kSampleDigest);
+}
+
+TEST(SignedZoneImageTest, DelegationFillIsIdenticalAtEveryWorkerCount) {
+  // The pool fills the delegations in fixed-size chunks of the canonical
+  // walk; neither the pinned sample nor a .nl-scale image (11,800
+  // delegations, as the cold datasets build) may depend on the workers.
+  // Every RRSIG is a function of the records, so equal records and
+  // owners make equal signed images.
+  Zone nl_reference = BuildSampleZone(11800, 1);
+  SignZone(nl_reference);
+  ASSERT_GT(nl_reference.record_count(), 100'000u);
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    Zone sample = BuildSampleZone(400, threads);
+    SignZone(sample);
+    EXPECT_EQ(testutil::Sha256Hex(SignedImageBlob(sample)), kSampleDigest)
+        << threads << " workers";
+    Zone nl = BuildSampleZone(11800, threads);
+    SignZone(nl);
+    const auto want = nl_reference.Owners();
+    const auto got = nl.Owners();
+    ASSERT_EQ(got.size(), want.size()) << threads << " workers";
+    for (std::size_t o = 0; o < want.size(); ++o) {
+      ASSERT_EQ(got[o].name.ToString(), want[o].name.ToString())
+          << threads << " workers";
+      ASSERT_TRUE(std::ranges::equal(got[o].records, want[o].records))
+          << want[o].name.ToString() << " at " << threads << " workers";
+    }
+  }
 }
 
 cloud::ScenarioConfig SmallScenario(std::size_t threads,

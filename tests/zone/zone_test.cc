@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "zone/dnssec.h"
 #include "zone/zone_builder.h"
 
 namespace clouddns::zone {
@@ -186,6 +188,47 @@ TEST(ZoneTest, EditsOfAFrozenZoneThrow) {
             LookupStatus::kNxDomain);
 }
 
+TEST(ZoneTest, AddInPlaceChecksAsAddDoes) {
+  Zone zone(N("nl"));
+  const auto fill_with = [](dns::ResourceRecord bad) {
+    return [bad](std::span<dns::ResourceRecord> slots) {
+      slots[0] = dns::MakeA(N("www.nl"), net::Ipv4Address(192, 0, 2, 1), 60);
+      slots[1] = bad;
+    };
+  };
+  // A record outside the zone, or an RRSIG, cuts the log back.
+  EXPECT_THROW(zone.AddInPlace(2, fill_with(dns::MakeA(
+                                      N("www.example"),
+                                      net::Ipv4Address(192, 0, 2, 2), 60))),
+               std::invalid_argument);
+  dns::RrsigRdata sig;
+  sig.signer = N("nl");
+  EXPECT_THROW(
+      zone.AddInPlace(2, fill_with(dns::ResourceRecord{
+                             N("www.nl"), dns::RrType::kRrsig,
+                             dns::RrClass::kIn, 60, sig})),
+      std::invalid_argument);
+  EXPECT_EQ(zone.record_count(), 0u);
+  // A throwing fill cuts it back too.
+  EXPECT_THROW(zone.AddInPlace(1,
+                               [](std::span<dns::ResourceRecord>) {
+                                 throw std::runtime_error("fill failed");
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(zone.record_count(), 0u);
+
+  // An apex DNSKEY added in place signs the zone, as Add's would.
+  auto keys = MakeApexDnskeys(N("nl"), 3600);
+  zone.AddInPlace(keys.size(), [&keys](std::span<dns::ResourceRecord> slots) {
+    for (std::size_t k = 0; k < keys.size(); ++k) slots[k] = keys[k];
+  });
+  zone.Freeze();
+  EXPECT_TRUE(zone.IsSigned());
+  EXPECT_EQ(zone.Find(N("nl"), dns::RrType::kDnskey).size(), keys.size());
+  EXPECT_THROW(zone.AddInPlace(0, [](std::span<dns::ResourceRecord>) {}),
+               std::logic_error);
+}
+
 TEST(ZoneTest, EmptyNonTerminalsAreOwnersWithoutRecords) {
   Zone zone = MakeNlZone();
   // Owners: nl, dns.nl (an ENT), ns1/ns2.dns.nl, example.nl with its
@@ -268,6 +311,24 @@ TEST(ZoneBuilderTest, PopulateDelegationsCounts) {
   }
   EXPECT_EQ(ds_count, 50);  // exactly the configured signed fraction
   EXPECT_GT(aaaa_glue, 100);  // ~80% of domains ship AAAA glue
+}
+
+TEST(ZoneBuilderTest, PopulateDelegationsRejectsAnOverlongStemUpFront) {
+  // "<stem>99" is 64 bytes, one past a label's limit: the check throws
+  // before the pool fills anything, and the zone keeps its records.
+  Zone zone = MakeZoneSkeleton({N("nl"), {}, 600});
+  const std::size_t before = zone.record_count();
+  EXPECT_THROW(PopulateDelegations(zone, 100, std::string(62, 'd'), 0.5,
+                                   net::Ipv4Address(10, 50, 0, 0)),
+               std::invalid_argument);
+  EXPECT_EQ(zone.record_count(), before);
+  PopulateDelegations(zone, 10, std::string(62, 'd'), 0.5,
+                      net::Ipv4Address(10, 50, 0, 0));
+  zone.Freeze();
+  EXPECT_EQ(zone.Lookup(N((std::string(62, 'd') + "9.nl").c_str()),
+                        dns::RrType::kA)
+                .status,
+            LookupStatus::kDelegation);
 }
 
 }  // namespace

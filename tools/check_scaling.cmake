@@ -1,6 +1,6 @@
 # Thread-scaling gate over bench_e2e output. Two runs of the same
 # workloads, one at --threads 1 and one at --threads 8, each print
-# `<workload> <metric> <value> <unit>` lines on stdout. The gate holds two
+# `<workload> <metric> <value> <unit>` lines on stdout. The gate holds three
 # conditions:
 #
 #   - warm_suite throughput_qps at 8 threads >= at 1 thread. The sharded
@@ -10,6 +10,10 @@
 #   - cold_table3 wall_s at 8 threads < at 1 thread. A cache-cleared
 #     rebuild must get strictly faster with workers, or the parallel zone
 #     build / signing / simulation path has stopped pulling its weight.
+#   - cold_table3 setup_s at 8 threads < at 1 thread. Scenario set-up
+#     builds every zone image, the .nl delegations on the whole pool, so
+#     it must get strictly faster with workers too; a serial set-up path
+#     would hide here behind the simulation's speed-up.
 #
 # Usage:
 #   bench_e2e --workload cold_table3 --threads 1 --seconds 1 >  e2e_1t.txt
@@ -48,6 +52,17 @@ if(cold_8 GREATER_EQUAL cold_1)
 else()
   message(STATUS "cold_table3: 1T=${cold_1_text} s, "
                  "8T=${cold_8_text} s — faster")
+endif()
+
+read_metric("${ONE_THREAD}" cold_table3 setup_s setup_1 setup_1_text)
+read_metric("${EIGHT_THREADS}" cold_table3 setup_s setup_8 setup_8_text)
+if(setup_8 GREATER_EQUAL setup_1)
+  message(SEND_ERROR "cold_table3: 8-thread set-up is no faster than "
+                     "1-thread (${setup_8_text} s >= ${setup_1_text} s)")
+  set(failed TRUE)
+else()
+  message(STATUS "cold_table3 set-up: 1T=${setup_1_text} s, "
+                 "8T=${setup_8_text} s — faster")
 endif()
 
 if(failed)
