@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "common.h"
-#include "entrada/cdf.h"
+#include "entrada/plan.h"
 #include "server/auth_server.h"
 #include "zone/dnssec.h"
 #include "zone/zone_builder.h"
@@ -39,15 +39,13 @@ Metrics Measure(const cloud::ScenarioResult& result) {
   metrics.amazon_tcp = transport[cloud::Provider::kAmazon].tcp;
   metrics.facebook_tcp = transport[cloud::Provider::kFacebook].tcp;
 
-  // Hourly volume ratio over the week; counting needs no time order.
-  std::map<std::uint64_t, std::uint64_t> hourly;
-  for (std::size_t s = 0; s < result.records.shard_count(); ++s) {
-    for (const auto& record : result.records.shard(s)) {
-      ++hourly[record.time_us / (sim::kMicrosPerDay / 24)];
-    }
-  }
+  // Hourly volume ratio over the week.
+  entrada::AnalysisPlan plan;
+  auto hourly =
+      plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::Hour());
+  plan.Execute(result.records);
   std::uint64_t peak = 0, trough = ~0ull;
-  for (const auto& [hour, count] : hourly) {
+  for (const auto& [hour, count] : plan.GroupResult(hourly).counts) {
     peak = std::max(peak, count);
     trough = std::min(trough, count);
   }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "cloud/scenario.h"
 
@@ -30,19 +29,6 @@ struct RetryAmplification {
 };
 
 [[nodiscard]] RetryAmplification ComputeRetryAmplification(
-    const cloud::ScenarioResult& baseline,
-    const cloud::ScenarioResult& faulted);
-
-/// One day of the captured-query series, for Fig. 3b style plots of the
-/// event's daily shape at the vantage point.
-struct ChaosSeriesPoint {
-  sim::TimeUs day_start = 0;
-  std::uint64_t baseline_captured = 0;
-  std::uint64_t faulted_captured = 0;
-};
-
-/// Daily captured-query counts of both runs over the scenario window.
-[[nodiscard]] std::vector<ChaosSeriesPoint> DailyCaptureSeries(
     const cloud::ScenarioResult& baseline,
     const cloud::ScenarioResult& faulted);
 

@@ -9,34 +9,24 @@
 namespace clouddns::analysis {
 namespace {
 
-constexpr std::uint16_t TagOf(cloud::Provider provider) {
-  return static_cast<std::uint16_t>(provider);
+constexpr std::uint32_t TagOf(cloud::Provider provider) {
+  return static_cast<std::uint32_t>(provider);
+}
+
+cloud::Provider ProviderOf(std::optional<net::Asn> asn) {
+  return asn ? cloud::ProviderOfAsn(*asn) : cloud::Provider::kOther;
 }
 
 }  // namespace
 
-cloud::Provider ProviderOfRecord(const cloud::ScenarioResult& result,
-                                 const capture::CaptureRecord& record) {
-  auto asn = result.asdb.OriginAs(record.src);
-  return asn ? cloud::ProviderOfAsn(*asn) : cloud::Provider::kOther;
-}
-
-entrada::AsnTagFn ProviderAsnTag() {
-  std::unordered_map<net::Asn, std::uint16_t> by_asn;
-  for (cloud::Provider provider : cloud::MeasuredProviders()) {
-    for (net::Asn asn : cloud::NetworkOf(provider).ases) {
-      by_asn.emplace(asn, TagOf(provider));
-    }
-  }
-  return [by_asn = std::move(by_asn)](std::optional<net::Asn> asn) {
-    if (!asn) return TagOf(cloud::Provider::kOther);
-    auto it = by_asn.find(*asn);
-    return it == by_asn.end() ? TagOf(cloud::Provider::kOther) : it->second;
+entrada::SourceTagFn ProviderTag() {
+  return [](const net::IpAddress&, std::optional<net::Asn> asn) {
+    return TagOf(ProviderOf(asn));
   };
 }
 
 entrada::TagNamer ProviderTagNamer() {
-  return [](std::uint16_t tag) {
+  return [](std::uint32_t tag) {
     return std::string(ToString(static_cast<cloud::Provider>(tag)));
   };
 }
@@ -72,7 +62,7 @@ std::vector<ProviderShare> ComputeCloudShares(
   // One tag-grouped pass counts every provider at once.
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
+  plan.SetSourceTag(ProviderTag(), ProviderTagNamer());
   auto by_provider =
       plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::Tag());
   plan.Execute(result.records);
@@ -98,29 +88,36 @@ std::vector<ProviderShare> ComputeCloudShares(
 }
 
 GoogleSplit ComputeGoogleSplit(const cloud::ScenarioResult& result) {
+  // Three tags: other, Google outside its advertised public-DNS ranges,
+  // and Google inside them. Every source has exactly one tag, so the two
+  // Google tags' counts, distinct sources included, add up to Google's.
+  enum : std::uint32_t { kOther, kGooglePrivate, kGooglePublic };
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
-  auto is_public = [&result](const capture::CaptureRecord& record) {
-    return result.google_public.Lookup(record.src).value_or(false);
-  };
-  entrada::FilterSpec google =
-      entrada::FilterSpec::Tagged(TagOf(cloud::Provider::kGoogle));
-  entrada::FilterSpec google_public = google;
-  google_public.custom = is_public;
-
-  auto queries = plan.Count(google);
+  plan.SetSourceTag([&public_ranges = result.google_public](
+                        const net::IpAddress& src,
+                        std::optional<net::Asn> asn) -> std::uint32_t {
+    if (ProviderOf(asn) != cloud::Provider::kGoogle) return kOther;
+    return public_ranges.Lookup(src).value_or(false) ? kGooglePublic
+                                                     : kGooglePrivate;
+  });
+  const auto google_private = entrada::FilterSpec::Tagged(kGooglePrivate);
+  const auto google_public = entrada::FilterSpec::Tagged(kGooglePublic);
+  auto queries_private = plan.Count(google_private);
   auto queries_public = plan.Count(google_public);
-  auto resolvers = plan.Distinct(google, entrada::KeySpec::SrcAddress());
+  auto resolvers_private =
+      plan.Distinct(google_private, entrada::KeySpec::SrcAddress());
   auto resolvers_public =
       plan.Distinct(google_public, entrada::KeySpec::SrcAddress());
   plan.Execute(result.records);
 
   GoogleSplit split;
-  split.queries_total = plan.CountResult(queries);
   split.queries_public = plan.CountResult(queries_public);
-  split.resolvers_total = plan.DistinctResult(resolvers);
+  split.queries_total =
+      plan.CountResult(queries_private) + split.queries_public;
   split.resolvers_public = plan.DistinctResult(resolvers_public);
+  split.resolvers_total =
+      plan.DistinctResult(resolvers_private) + split.resolvers_public;
   return split;
 }
 
@@ -152,7 +149,7 @@ std::map<cloud::Provider, std::map<std::string, double>> ComputeRrTypeMixes(
     const cloud::ScenarioResult& result) {
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
+  plan.SetSourceTag(ProviderTag(), ProviderTagNamer());
   std::map<cloud::Provider, entrada::AnalysisPlan::Handle> handles;
   for (cloud::Provider provider : cloud::MeasuredProviders()) {
     handles[provider] = plan.GroupBy(
@@ -172,7 +169,7 @@ std::vector<MonthlyQtypeRow> ComputeMonthlyQtypes(
     const cloud::ScenarioResult& result, cloud::Provider provider) {
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
+  plan.SetSourceTag(ProviderTag(), ProviderTagNamer());
   auto months_handle = plan.GroupByMonth(
       entrada::FilterSpec::Tagged(TagOf(provider)), entrada::KeySpec::Qtype());
   plan.Execute(result.records);
@@ -196,7 +193,7 @@ JunkRatios ComputeJunkRatios(const cloud::ScenarioResult& result) {
   // plus 2 for the overall ratio.
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
+  plan.SetSourceTag(ProviderTag(), ProviderTagNamer());
   auto all = plan.GroupBy(entrada::FilterSpec::All(), entrada::KeySpec::Tag());
   auto junk =
       plan.GroupBy(entrada::FilterSpec::Junk(), entrada::KeySpec::Tag());
@@ -226,7 +223,7 @@ std::map<cloud::Provider, TransportMix> ComputeTransportMixes(
   // provider.
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
+  plan.SetSourceTag(ProviderTag(), ProviderTagNamer());
   auto v4 = plan.GroupBy(entrada::FilterSpec::V4(), entrada::KeySpec::Tag());
   auto v6 = plan.GroupBy(entrada::FilterSpec::V6(), entrada::KeySpec::Tag());
   auto udp = plan.GroupBy(entrada::FilterSpec::Udp(), entrada::KeySpec::Tag());
@@ -259,7 +256,7 @@ ResolverFamilyCount ComputeResolverFamilies(const cloud::ScenarioResult& result,
   // One pass for both families instead of two filtered distinct scans.
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
+  plan.SetSourceTag(ProviderTag(), ProviderTagNamer());
   entrada::FilterSpec tagged = entrada::FilterSpec::Tagged(TagOf(provider));
   entrada::FilterSpec tagged_v4 = tagged;
   tagged_v4.kind = entrada::FilterSpec::Kind::kV4;
@@ -276,47 +273,72 @@ ResolverFamilyCount ComputeResolverFamilies(const cloud::ScenarioResult& result,
 
 std::vector<FacebookSiteStats> ComputeFacebookSites(
     const cloud::ScenarioResult& result, std::uint32_t server_id) {
-  // The reverse lookup. An address with several PTR records keeps its
-  // first, the head of its PTR RRset.
-  std::unordered_map<net::IpAddress, const dns::Name*, net::IpAddressHash>
-      ptr_of;
-  ptr_of.reserve(result.ptr_records.size());
+  // Hosts from the reverse lookup. An address with several PTR records
+  // keeps its first, the head of its PTR RRset. A host is a (site, PTR
+  // name) pair; names compare case-insensitively, so names that differ
+  // only in case are one host. Host h has tag h + 1; tag 0 is every source
+  // that is not a Facebook address with a site in its PTR.
+  std::vector<std::string> host_sites;
+  std::map<std::pair<std::string, dns::Name>, std::uint32_t> host_ids;
+  std::unordered_map<net::IpAddress, std::uint32_t, net::IpAddressHash>
+      host_of;
+  host_of.reserve(result.ptr_records.size());
   for (const auto& [address, target] : result.ptr_records) {
-    ptr_of.emplace(address, &target);
+    if (host_of.contains(address)) continue;
+    std::uint32_t tag = 0;
+    if (auto site = SiteTagFromPtr(target)) {
+      auto [it, inserted] = host_ids.try_emplace(
+          {*site, target}, static_cast<std::uint32_t>(host_sites.size() + 1));
+      if (inserted) host_sites.push_back(std::move(*site));
+      tag = it->second;
+    }
+    host_of.emplace(address, tag);
   }
 
+  entrada::AnalysisPlan plan;
+  plan.SetAsDatabase(result.asdb);
+  plan.SetSourceTag([&host_of](const net::IpAddress& src,
+                               std::optional<net::Asn> asn) -> std::uint32_t {
+    if (ProviderOf(asn) != cloud::Provider::kFacebook) return 0;
+    auto it = host_of.find(src);
+    return it == host_of.end() ? 0 : it->second;  // the paper saw 3 with no PTR
+  });
+  entrada::FilterSpec at_server, v4 = entrada::FilterSpec::V4(),
+                                 v6 = entrada::FilterSpec::V6();
+  at_server.server = v4.server = v6.server = server_id;
+  const auto host = entrada::KeySpec::Tag();
+  auto queries = plan.GroupBy(at_server, host);
+  auto v6_queries = plan.GroupBy(v6, host);
+  auto rtt_v4 = plan.Collect(v4, entrada::ValueKind::kTcpRttMs, host);
+  auto rtt_v6 = plan.Collect(v6, entrada::ValueKind::kTcpRttMs, host);
+  plan.Execute(result.records);
+
+  // Roll the hosts up into their sites. Group keys are host tags in
+  // decimal, the plan's rendering without a namer.
   struct SiteAccumulator {
     std::uint64_t queries = 0;
     std::uint64_t v6 = 0;
     entrada::Cdf tcp_rtt_v4_ms;
     entrada::Cdf tcp_rtt_v6_ms;
-    /// Families seen per PTR name (bit 0 = v4, bit 1 = v6). Name order is
-    /// case-insensitive, so names that differ only in case are one host.
-    std::map<dns::Name, std::uint8_t> families;
+    std::size_t dual_stack_hosts = 0;
   };
   std::map<std::string, SiteAccumulator> sites;
-
-  // Every aggregate is order-free, so the shards are scanned in place.
-  for (std::size_t s = 0; s < result.records.shard_count(); ++s) {
-    for (const auto& record : result.records.shard(s)) {
-      if (record.server_id != server_id) continue;
-      if (ProviderOfRecord(result, record) != cloud::Provider::kFacebook) {
-        continue;
-      }
-      auto ptr = ptr_of.find(record.src);
-      if (ptr == ptr_of.end()) continue;  // the paper saw 3 with no PTR
-      auto site = SiteTagFromPtr(*ptr->second);
-      if (!site) continue;
-      SiteAccumulator& acc = sites[*site];
-      const bool v6 = record.src.is_v6();
-      ++acc.queries;
-      acc.v6 += v6;
-      if (record.transport == dns::Transport::kTcp &&
-          record.tcp_handshake_rtt_us > 0) {
-        (v6 ? acc.tcp_rtt_v6_ms : acc.tcp_rtt_v4_ms)
-            .Add(static_cast<double>(record.tcp_handshake_rtt_us) / 1000.0);
-      }
-      acc.families[*ptr->second] |= v6 ? 2 : 1;
+  const entrada::Aggregation& v6_by_host = plan.GroupResult(v6_queries);
+  auto& rtt_v4_by_host = plan.KeyedCdfResult(rtt_v4);
+  auto& rtt_v6_by_host = plan.KeyedCdfResult(rtt_v6);
+  for (const auto& [key, n] : plan.GroupResult(queries).counts) {
+    const std::uint32_t tag = static_cast<std::uint32_t>(std::stoul(key));
+    if (tag == 0) continue;
+    SiteAccumulator& acc = sites[host_sites[tag - 1]];
+    const std::uint64_t n_v6 = v6_by_host.Of(key);
+    acc.queries += n;
+    acc.v6 += n_v6;
+    acc.dual_stack_hosts += n_v6 > 0 && n_v6 < n;
+    if (auto it = rtt_v4_by_host.find(key); it != rtt_v4_by_host.end()) {
+      acc.tcp_rtt_v4_ms.Merge(it->second);
+    }
+    if (auto it = rtt_v6_by_host.find(key); it != rtt_v6_by_host.end()) {
+      acc.tcp_rtt_v6_ms.Merge(it->second);
     }
   }
 
@@ -333,9 +355,7 @@ std::vector<FacebookSiteStats> ComputeFacebookSites(
     };
     row.median_rtt_v4_ms = median(acc.tcp_rtt_v4_ms);
     row.median_rtt_v6_ms = median(acc.tcp_rtt_v6_ms);
-    row.dual_stack_hosts = static_cast<std::size_t>(std::count_if(
-        acc.families.begin(), acc.families.end(),
-        [](const auto& entry) { return entry.second == 3; }));
+    row.dual_stack_hosts = acc.dual_stack_hosts;
     stats.push_back(std::move(row));
   }
   // `sites` is in site-name order, so a stable sort breaks query-count ties
@@ -359,22 +379,15 @@ EdnsStats ComputeEdnsStats(const cloud::ScenarioResult& result,
   // CDF + UDP + truncation aggregates in one pass instead of three scans.
   entrada::AnalysisPlan plan;
   plan.SetAsDatabase(result.asdb);
-  plan.SetAsnTag(ProviderAsnTag(), ProviderTagNamer());
-  entrada::FilterSpec udp_tagged =
-      entrada::FilterSpec::Tagged(TagOf(provider));
-  udp_tagged.kind = entrada::FilterSpec::Kind::kUdp;
+  plan.SetSourceTag(ProviderTag(), ProviderTagNamer());
+  entrada::FilterSpec udp_tagged = entrada::FilterSpec::Udp();
+  udp_tagged.tag = TagOf(provider);
   entrada::FilterSpec udp_with_edns = udp_tagged;
-  udp_with_edns.custom = [](const capture::CaptureRecord& r) {
-    return r.has_edns;
-  };
+  udp_with_edns.flags = entrada::FilterSpec::kEdns;
   entrada::FilterSpec udp_truncated = udp_tagged;
-  udp_truncated.custom = [](const capture::CaptureRecord& r) { return r.tc; };
+  udp_truncated.flags = entrada::FilterSpec::kTc;
 
-  auto sizes = plan.Collect(
-      udp_with_edns,
-      [](const capture::CaptureRecord& r) -> std::optional<double> {
-        return static_cast<double>(r.edns_udp_size);
-      });
+  auto sizes = plan.Collect(udp_with_edns, entrada::ValueKind::kEdnsUdpSize);
   auto udp = plan.Count(udp_tagged);
   auto truncated = plan.Count(udp_truncated);
   plan.Execute(result.records);

@@ -13,16 +13,12 @@
 
 namespace clouddns::analysis {
 
-/// Attribution of a capture record to a provider via AS enrichment.
-[[nodiscard]] cloud::Provider ProviderOfRecord(
-    const cloud::ScenarioResult& result, const capture::CaptureRecord& record);
-
-/// Per-record provider tag for AnalysisPlan::SetAsnTag: the record's
-/// source AS mapped through Table 1 (value = static_cast of
-/// cloud::Provider). The plan resolves the source AS itself (via
-/// SetAsDatabase) and memoizes per source address, so the Table 1 lookup
-/// runs once per distinct resolver, not per query.
-[[nodiscard]] entrada::AsnTagFn ProviderAsnTag();
+/// Per-source provider tag for AnalysisPlan::SetSourceTag: the source's
+/// AS mapped through Table 1 (value = static_cast of cloud::Provider). The
+/// plan resolves the source AS itself (via SetAsDatabase) and memoizes per
+/// source address, so the Table 1 lookup runs once per distinct resolver,
+/// not per query.
+[[nodiscard]] entrada::SourceTagFn ProviderTag();
 /// Renders provider tags for report keys ("GOOGLE", ...).
 [[nodiscard]] entrada::TagNamer ProviderTagNamer();
 

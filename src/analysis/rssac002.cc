@@ -6,21 +6,22 @@ namespace clouddns::analysis {
 
 std::vector<Rssac002Day> Rssac002Report(
     const capture::CaptureBuffer& records) {
+  // Keys stay binary per record: days are UTC day numbers, sources are
+  // addresses and rcodes are codes. Strings render once per day.
   struct Accumulator {
     Rssac002Day day;
-    std::unordered_set<std::string> sources_v4;
-    std::unordered_set<std::string> sources_v6;
+    std::map<dns::Rcode, std::uint64_t> rcodes;
+    std::unordered_set<net::IpAddress, net::IpAddressHash> sources_v4;
+    std::unordered_set<net::IpAddress, net::IpAddressHash> sources_v6;
     double query_bytes = 0;
     double response_bytes = 0;
   };
-  std::map<std::string, Accumulator> days;
+  std::map<sim::TimeUs, Accumulator> days;
 
   for (const auto& record : records) {
-    std::string date = sim::DateString(record.time_us);
-    Accumulator& acc = days[date];
-    acc.day.date = date;
+    Accumulator& acc = days[record.time_us / sim::kMicrosPerDay];
     ++acc.day.queries;
-    ++acc.day.rcode_volume[std::string(ToString(record.rcode))];
+    ++acc.rcodes[record.rcode];
     const bool tcp = record.transport == dns::Transport::kTcp;
     const bool v4 = record.src.is_v4();
     (tcp ? acc.day.tcp_queries : acc.day.udp_queries)++;
@@ -30,14 +31,18 @@ std::vector<Rssac002Day> Rssac002Report(
     } else {
       (v4 ? acc.day.udp_ipv4 : acc.day.udp_ipv6)++;
     }
-    (v4 ? acc.sources_v4 : acc.sources_v6).insert(record.src.ToString());
+    (v4 ? acc.sources_v4 : acc.sources_v6).insert(record.src);
     acc.query_bytes += record.query_size;
     acc.response_bytes += record.response_size;
   }
 
   std::vector<Rssac002Day> report;
   report.reserve(days.size());
-  for (auto& [date, acc] : days) {
+  for (auto& [day_number, acc] : days) {
+    acc.day.date = sim::DateString(day_number * sim::kMicrosPerDay);
+    for (const auto& [rcode, count] : acc.rcodes) {
+      acc.day.rcode_volume[std::string(ToString(rcode))] += count;
+    }
     acc.day.unique_sources_ipv4 = acc.sources_v4.size();
     acc.day.unique_sources_ipv6 = acc.sources_v6.size();
     if (acc.day.queries > 0) {

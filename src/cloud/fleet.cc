@@ -184,8 +184,8 @@ Fleet BuildFacebookFleet(const ProviderProfile& profile,
     // so a host seen from both families matches as dual-stack. The name is
     // the host's dashed IPv4 under the site's airport code, except at the
     // last site, where it is a per-site host index ("edge-dns-r<h>"). That
-    // still matches across families: the facebook_dualstack example finds
-    // a dual-stack host there.
+    // still matches across families, so Fig. 5 counts dual-stack hosts
+    // there too.
     std::size_t h = 0;
     for (const auto& host : config.hosts) {
       std::string label =

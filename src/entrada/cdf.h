@@ -14,6 +14,12 @@ class Cdf {
     sorted_ = false;
   }
 
+  /// Adds every sample of `other`.
+  void Merge(const Cdf& other) {
+    values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+    sorted_ = false;
+  }
+
   [[nodiscard]] std::size_t count() const { return values_.size(); }
   [[nodiscard]] bool empty() const { return values_.empty(); }
 

@@ -33,6 +33,18 @@ constexpr std::uint64_t kNoAs = ~0ull;  ///< Code for an unrouted source.
   return std::string(buf, static_cast<std::size_t>(n));
 }
 
+/// Hours coded as hours since the epoch; rendered at merge time.
+// lint:allow(hot-alloc): runs once per distinct hour at Fold time, not per record
+[[nodiscard]] std::string RenderHour(std::uint64_t code) {
+  char buf[16];
+  int n = std::snprintf(buf, sizeof buf, "T%02u",
+                        static_cast<unsigned>(code % 24));
+  // lint:allow(hot-alloc): one string per distinct hour, merge-time only
+  std::string hour = sim::DateString(code * sim::kMicrosPerHour);
+  hour.append(buf, static_cast<std::size_t>(n));
+  return hour;
+}
+
 /// Memoized time -> month-code map; capture streams are time-sorted so
 /// the cached range almost always hits.
 struct MonthCoder {
@@ -51,11 +63,11 @@ struct MonthCoder {
 };
 
 /// Per-address memo shared by every record of a worker chunk: the origin
-/// AS and (when an AS-pure tag is installed) the tag. Both are pure
+/// AS and (when a source tag is installed) the tag. Both are pure
 /// functions of the address, so per-worker caches cannot perturb results.
 struct CachedSrc {
   std::uint64_t asn_code = kNoAs;
-  std::uint16_t tag = 0;
+  std::uint32_t tag = 0;
 };
 using SrcCache =
     std::unordered_map<net::IpAddress, CachedSrc, net::IpAddressHash>;
@@ -65,7 +77,7 @@ using SrcCache =
 struct RecordCtx {
   const capture::CaptureRecord& r;
   const net::AsDatabase* asdb;
-  const AsnTagFn* asn_tag_fn;
+  const SourceTagFn* source_tag_fn;
   SrcCache* src_cache;
 
   const CachedSrc* cached = nullptr;
@@ -77,9 +89,9 @@ struct RecordCtx {
         if (asdb != nullptr) {
           if (auto asn = asdb->OriginAs(r.src)) it->second.asn_code = *asn;
         }
-        if (*asn_tag_fn) {
-          it->second.tag = (*asn_tag_fn)(
-              it->second.asn_code == kNoAs
+        if (*source_tag_fn) {
+          it->second.tag = (*source_tag_fn)(
+              r.src, it->second.asn_code == kNoAs
                   ? std::nullopt
                   : std::optional<net::Asn>(
                         static_cast<net::Asn>(it->second.asn_code)));
@@ -91,7 +103,7 @@ struct RecordCtx {
   }
 
   std::uint64_t AsnCode() { return Cached().asn_code; }
-  std::uint16_t Tag() { return Cached().tag; }
+  std::uint32_t Tag() { return Cached().tag; }
 };
 
 [[nodiscard]] bool Pass(const FilterSpec& filter, RecordCtx& ctx) {
@@ -117,8 +129,10 @@ struct RecordCtx {
       if (r.src.is_v4()) return false;
       break;
   }
+  if ((filter.flags & FilterSpec::kEdns) != 0 && !r.has_edns) return false;
+  if ((filter.flags & FilterSpec::kTc) != 0 && !r.tc) return false;
+  if (filter.server && r.server_id != *filter.server) return false;
   if (filter.tag && ctx.Tag() != *filter.tag) return false;
-  if (filter.custom && !filter.custom(r)) return false;
   return true;
 }
 
@@ -137,10 +151,28 @@ struct RecordCtx {
       return ctx.AsnCode();
     case KeySpec::Kind::kTag:
       return ctx.Tag();
+    case KeySpec::Kind::kHour:
+      return r.time_us / sim::kMicrosPerHour;
     case KeySpec::Kind::kSrcAddress:
       break;  // Keyed by the binary address, never coded.
   }
   return 0;
+}
+
+[[nodiscard]] std::optional<double> Value(ValueKind kind,
+                                          const capture::CaptureRecord& r) {
+  switch (kind) {
+    case ValueKind::kEdnsUdpSize:
+      return static_cast<double>(r.edns_udp_size);
+    case ValueKind::kTcpRttMs:
+      if (r.transport != dns::Transport::kTcp || r.tcp_handshake_rtt_us == 0) {
+        return std::nullopt;
+      }
+      return static_cast<double>(r.tcp_handshake_rtt_us) / 1000.0;
+    case ValueKind::kQuerySize:
+      return static_cast<double>(r.query_size);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -170,42 +202,45 @@ struct alignas(64) AnalysisPlan::Partial {
   std::vector<DistinctSet> distincts;
   std::vector<Hll> sketches;
   std::vector<std::vector<double>> cdf_values;
+  std::vector<std::unordered_map<std::uint64_t, std::vector<double>>>
+      keyed_values;
   MonthCoder month_coder;
   SrcCache src_cache;
 };
 
 AnalysisPlan::Handle AnalysisPlan::Add(Op op, FilterSpec filter, KeySpec key,
-                                       ValueFn value) {
+                                       ValueKind value) {
   // Group keys are integer-coded; an address is not.
-  if ((op == Op::kGroup || op == Op::kMonth) &&
+  if ((op == Op::kGroup || op == Op::kMonth || op == Op::kKeyedCdf) &&
       key.kind == KeySpec::Kind::kSrcAddress) {
     throw std::invalid_argument(
         "AnalysisPlan: source addresses are not a group key");
   }
-  Spec spec{op, std::move(filter), std::move(key), std::move(value),
-            slots_[static_cast<std::size_t>(op)]++};
-  specs_.push_back(std::move(spec));
+  specs_.push_back(
+      {op, filter, key, value, slots_[static_cast<std::size_t>(op)]++});
   return specs_.size() - 1;
 }
 
 AnalysisPlan::Handle AnalysisPlan::Count(FilterSpec filter) {
-  return Add(Op::kCount, std::move(filter), {}, nullptr);
+  return Add(Op::kCount, filter, {});
 }
 AnalysisPlan::Handle AnalysisPlan::GroupBy(FilterSpec filter, KeySpec key) {
-  return Add(Op::kGroup, std::move(filter), std::move(key), nullptr);
+  return Add(Op::kGroup, filter, key);
 }
 AnalysisPlan::Handle AnalysisPlan::GroupByMonth(FilterSpec filter,
                                                 KeySpec key) {
-  return Add(Op::kMonth, std::move(filter), std::move(key), nullptr);
+  return Add(Op::kMonth, filter, key);
 }
 AnalysisPlan::Handle AnalysisPlan::Distinct(FilterSpec filter, KeySpec key) {
-  return Add(Op::kDistinct, std::move(filter), std::move(key), nullptr);
+  return Add(Op::kDistinct, filter, key);
 }
 AnalysisPlan::Handle AnalysisPlan::Sketch(FilterSpec filter, KeySpec key) {
-  return Add(Op::kSketch, std::move(filter), std::move(key), nullptr);
+  return Add(Op::kSketch, filter, key);
 }
-AnalysisPlan::Handle AnalysisPlan::Collect(FilterSpec filter, ValueFn value) {
-  return Add(Op::kCdf, std::move(filter), {}, std::move(value));
+AnalysisPlan::Handle AnalysisPlan::Collect(FilterSpec filter, ValueKind value,
+                                           std::optional<KeySpec> key) {
+  return key ? Add(Op::kKeyedCdf, filter, *key, value)
+             : Add(Op::kCdf, filter, {}, value);
 }
 
 void AnalysisPlan::Scan(const capture::CaptureRecord* first,
@@ -213,7 +248,7 @@ void AnalysisPlan::Scan(const capture::CaptureRecord* first,
                         Partial& partial) const {
   for (const capture::CaptureRecord* record = first; record != last;
        ++record) {
-    RecordCtx ctx{*record, asdb_, &asn_tag_fn_, &partial.src_cache};
+    RecordCtx ctx{*record, asdb_, &source_tag_fn_, &partial.src_cache};
     for (const Spec& spec : specs_) {
       if (!Pass(spec.filter, ctx)) continue;
       switch (spec.op) {
@@ -253,8 +288,14 @@ void AnalysisPlan::Scan(const capture::CaptureRecord* first,
           }
           break;
         case Op::kCdf:
-          if (auto v = spec.value(*record)) {
+          if (auto v = Value(spec.value, *record)) {
             partial.cdf_values[spec.slot].push_back(*v);
+          }
+          break;
+        case Op::kKeyedCdf:
+          if (auto v = Value(spec.value, *record)) {
+            partial.keyed_values[spec.slot][KeyCode(spec.key, ctx)].push_back(
+                *v);
           }
           break;
       }
@@ -283,8 +324,10 @@ std::string RenderCode(KeySpec::Kind kind, std::uint64_t code,
     case KeySpec::Kind::kSrcAs:
       return code == kNoAs ? "AS?" : "AS" + std::to_string(code);
     case KeySpec::Kind::kTag:
-      return namer ? namer(static_cast<std::uint16_t>(code))
+      return namer ? namer(static_cast<std::uint32_t>(code))
                    : std::to_string(code);
+    case KeySpec::Kind::kHour:
+      return RenderHour(code);
     default:
       return std::to_string(code);
   }
@@ -328,6 +371,12 @@ void AnalysisPlan::Fold(std::vector<Partial>& partials) {
       auto& from = other.cdf_values[s];
       into.insert(into.end(), from.begin(), from.end());
     }
+    for (std::size_t s = 0; s < merged.keyed_values.size(); ++s) {
+      for (auto& [code, from] : other.keyed_values[s]) {
+        auto& into = merged.keyed_values[s][code];
+        into.insert(into.end(), from.begin(), from.end());
+      }
+    }
   }
 
   counts_ = std::move(merged.counts);
@@ -352,14 +401,23 @@ void AnalysisPlan::Fold(std::vector<Partial>& partials) {
     agg.total = group.total;
     return agg;
   };
-  groups_.assign(slots_[static_cast<std::size_t>(Op::kGroup)], {});
-  months_.assign(slots_[static_cast<std::size_t>(Op::kMonth)], {});
+  groups_.assign(Slots(Op::kGroup), {});
+  months_.assign(Slots(Op::kMonth), {});
+  keyed_cdfs_.assign(Slots(Op::kKeyedCdf), {});
   for (const Spec& spec : specs_) {
     if (spec.op == Op::kGroup) {
       groups_[spec.slot] = render_group(spec, merged.groups[spec.slot]);
     } else if (spec.op == Op::kMonth) {
       for (const auto& [month, group] : merged.months[spec.slot]) {
         months_[spec.slot][RenderMonth(month)] = render_group(spec, group);
+      }
+    } else if (spec.op == Op::kKeyedCdf) {
+      // Each key's samples land under its rendered key, and a Cdf sorts
+      // its samples, so the hash map's visitation order cannot show.
+      for (const auto& [code, values] : merged.keyed_values[spec.slot]) {
+        Cdf& cdf = keyed_cdfs_[spec.slot][RenderCode(spec.key.kind, code,
+                                                     tag_namer_)];
+        for (double v : values) cdf.Add(v);
       }
     }
   }
@@ -397,13 +455,13 @@ void AnalysisPlan::Execute(const capture::ShardedCapture& records,
 
   std::vector<Partial> partials(workers);
   for (Partial& partial : partials) {
-    partial.counts.assign(slots_[static_cast<std::size_t>(Op::kCount)], 0);
-    partial.groups.resize(slots_[static_cast<std::size_t>(Op::kGroup)]);
-    partial.months.resize(slots_[static_cast<std::size_t>(Op::kMonth)]);
-    partial.distincts.resize(
-        slots_[static_cast<std::size_t>(Op::kDistinct)]);
-    partial.sketches.resize(slots_[static_cast<std::size_t>(Op::kSketch)]);
-    partial.cdf_values.resize(slots_[static_cast<std::size_t>(Op::kCdf)]);
+    partial.counts.assign(Slots(Op::kCount), 0);
+    partial.groups.resize(Slots(Op::kGroup));
+    partial.months.resize(Slots(Op::kMonth));
+    partial.distincts.resize(Slots(Op::kDistinct));
+    partial.sketches.resize(Slots(Op::kSketch));
+    partial.cdf_values.resize(Slots(Op::kCdf));
+    partial.keyed_values.resize(Slots(Op::kKeyedCdf));
   }
 
   // Worker w scans only per_worker[w] into partials[w]; which pool thread
@@ -438,6 +496,10 @@ const Hll& AnalysisPlan::SketchResult(Handle h) const {
 }
 Cdf& AnalysisPlan::CdfResult(Handle h) {
   return cdfs_[specs_[h].slot];
+}
+// lint:allow(hot-alloc): result accessor returns the already-rendered CDF map
+std::map<std::string, Cdf>& AnalysisPlan::KeyedCdfResult(Handle h) {
+  return keyed_cdfs_[specs_[h].slot];
 }
 
 }  // namespace clouddns::entrada

@@ -12,7 +12,8 @@ namespace clouddns::sim {
 using TimeUs = std::uint64_t;
 
 inline constexpr TimeUs kMicrosPerSecond = 1'000'000ull;
-inline constexpr TimeUs kMicrosPerDay = 86'400ull * kMicrosPerSecond;
+inline constexpr TimeUs kMicrosPerHour = 3'600ull * kMicrosPerSecond;
+inline constexpr TimeUs kMicrosPerDay = 24 * kMicrosPerHour;
 
 struct CivilDate {
   int year = 1970;

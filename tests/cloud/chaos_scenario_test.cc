@@ -124,16 +124,6 @@ TEST(ChaosScenarioTest, NzEventLossAmplifiesUpstreamQueries) {
   EXPECT_LE(amp.upstream_factor, 6.0);
   EXPECT_GT(amp.faulted_counters.retransmits, 0u);
   EXPECT_GT(amp.faulted_counters.timeouts, 0u);
-
-  auto series = analysis::DailyCaptureSeries(baseline, faulted);
-  ASSERT_EQ(series.size(), 7u);
-  std::uint64_t base_total = 0, fault_total = 0;
-  for (const auto& day : series) {
-    base_total += day.baseline_captured;
-    fault_total += day.faulted_captured;
-  }
-  EXPECT_EQ(base_total, baseline.records.size());
-  EXPECT_EQ(fault_total, faulted.records.size());
 }
 
 }  // namespace

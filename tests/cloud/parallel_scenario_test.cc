@@ -117,11 +117,8 @@ PlanSnapshot SnapshotPlan(const capture::ShardedCapture& records,
                                  entrada::KeySpec::SrcAddress());
   auto hll = plan.Sketch(entrada::FilterSpec::All(),
                          entrada::KeySpec::SrcAddress());
-  auto sizes = plan.Collect(
-      entrada::FilterSpec::All(),
-      [](const capture::CaptureRecord& r) -> std::optional<double> {
-        return static_cast<double>(r.query_size);
-      });
+  auto sizes = plan.Collect(entrada::FilterSpec::All(),
+                            entrada::ValueKind::kQuerySize);
   plan.Execute(records, threads);
   return {plan.CountResult(valid), plan.GroupResult(qtype),
           plan.DistinctResult(resolvers), plan.SketchResult(hll).Estimate(),

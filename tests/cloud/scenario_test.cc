@@ -19,6 +19,13 @@ ScenarioConfig SmallConfig(Vantage vantage, int year) {
   return config;
 }
 
+/// The provider whose AS originates the record's source address.
+Provider ProviderOfSource(const ScenarioResult& result,
+                          const capture::CaptureRecord& record) {
+  auto asn = result.asdb.OriginAs(record.src);
+  return asn ? ProviderOfAsn(*asn) : Provider::kOther;
+}
+
 TEST(ScenarioTest, WeekStartMatchesPaperDates) {
   EXPECT_EQ(sim::DateString(WeekStart(Vantage::kNl, 2018)), "2018-11-04");
   EXPECT_EQ(sim::DateString(WeekStart(Vantage::kNl, 2020)), "2020-04-05");
@@ -174,9 +181,7 @@ TEST(ScenarioTest, PtrRecordsCoverFacebookSources) {
   }
   int facebook_sources = 0, with_ptr = 0;
   for (const auto& record : result.records.FlattenCopy()) {
-    if (analysis::ProviderOfRecord(result, record) != Provider::kFacebook) {
-      continue;
-    }
+    if (ProviderOfSource(result, record) != Provider::kFacebook) continue;
     ++facebook_sources;
     with_ptr += has_ptr.count(record.src) > 0;
   }
@@ -191,7 +196,7 @@ TEST(ScenarioTest, GoogleOnlyModeSilencesOtherFleets) {
   config.google_only = true;
   auto result = RunScenario(config);
   for (const auto& record : result.records.FlattenCopy()) {
-    EXPECT_EQ(analysis::ProviderOfRecord(result, record), Provider::kGoogle);
+    EXPECT_EQ(ProviderOfSource(result, record), Provider::kGoogle);
   }
 }
 

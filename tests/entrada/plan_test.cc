@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <set>
@@ -24,6 +25,7 @@ namespace clouddns::entrada {
 namespace {
 
 using Record = capture::CaptureRecord;
+using Kind = FilterSpec::Kind;
 
 /// A flat buffer as the single-shard capture Execute scans.
 capture::ShardedCapture Sharded(capture::CaptureBuffer records) {
@@ -129,16 +131,16 @@ TEST(AnalyticsTest, KeySrcAsUsesLongestPrefix) {
 }
 
 TEST(AnalyticsTest, CollectCdfSkipsNullopt) {
+  capture::CaptureBuffer records = MakeRecords();
+  records[0].tcp_handshake_rtt_us = 9'000;   // UDP: no handshake to time
+  records[3].tcp_handshake_rtt_us = 12'500;  // the one TCP record
   AnalysisPlan plan;
-  auto cdf = plan.Collect(FilterSpec::All(),
-                          [](const Record& r) -> std::optional<double> {
-                            if (r.transport != dns::Transport::kUdp) {
-                              return std::nullopt;
-                            }
-                            return 100.0;
-                          });
-  plan.Execute(Sharded(MakeRecords()));
-  EXPECT_EQ(plan.CdfResult(cdf).count(), 3u);
+  auto rtt = plan.Collect(FilterSpec::All(), ValueKind::kTcpRttMs);
+  auto sizes = plan.Collect(FilterSpec::All(), ValueKind::kEdnsUdpSize);
+  plan.Execute(Sharded(std::move(records)));
+  ASSERT_EQ(plan.CdfResult(rtt).count(), 1u);
+  EXPECT_DOUBLE_EQ(plan.CdfResult(rtt).Median(), 12.5);
+  EXPECT_EQ(plan.CdfResult(sizes).count(), 4u);
 }
 
 TEST(AnalyticsTest, CountByMonthBuckets) {
@@ -171,6 +173,9 @@ TEST(PlanSpecTest, GroupBySourceAddressIsRejected) {
   EXPECT_THROW(
       (void)plan.GroupByMonth(FilterSpec::All(), KeySpec::SrcAddress()),
       std::invalid_argument);
+  EXPECT_THROW((void)plan.Collect(FilterSpec::All(), ValueKind::kQuerySize,
+                                  KeySpec::SrcAddress()),
+               std::invalid_argument);
 }
 
 // --- The oracle --------------------------------------------------------------
@@ -234,6 +239,13 @@ capture::CaptureBuffer SyntheticBuffer(std::size_t n) {
                           ? static_cast<std::uint16_t>(
                                 512u + 16u * rng.NextBelow(100))
                           : 0;
+    r.tc = rng.Bernoulli(0.1);
+    // Some TCP records carry no handshake RTT; some UDP records carry a
+    // stray one that no RTT statistic may read.
+    r.tcp_handshake_rtt_us =
+        rng.Bernoulli(0.8) ? static_cast<std::uint32_t>(rng.NextBelow(90'000))
+                           : 0;
+    r.query_size = static_cast<std::uint16_t>(30 + rng.NextBelow(200));
     records.push_back(std::move(r));
   }
   return records;
@@ -255,7 +267,7 @@ class PlanTest : public ::testing::TestWithParam<std::size_t> {
   capture::CaptureBuffer records_ = SyntheticBuffer(20'000);
 };
 
-INSTANTIATE_TEST_SUITE_P(Threads, PlanTest, ::testing::Values(1, 2, 8));
+INSTANTIATE_TEST_SUITE_P(Threads, PlanTest, ::testing::Values(1, 2, 4, 8));
 
 TEST_P(PlanTest, CountsMatchLegacyFilters) {
   AnalysisPlan plan;
@@ -265,9 +277,13 @@ TEST_P(PlanTest, CountsMatchLegacyFilters) {
   auto tcp = plan.Count(FilterSpec::Tcp());
   auto v4 = plan.Count(FilterSpec::V4());
   auto v6 = plan.Count(FilterSpec::V6());
-  FilterSpec valid_edns = FilterSpec::Valid();
-  valid_edns.custom = [](const Record& r) { return r.has_edns; };
-  auto custom = plan.Count(valid_edns);
+  // Filters as plain data: {kind, required flags, server, tag}.
+  auto valid_edns = plan.Count({Kind::kValid, FilterSpec::kEdns, {}, {}});
+  auto udp_tc = plan.Count({Kind::kUdp, FilterSpec::kTc, {}, {}});
+  auto edns_tc =
+      plan.Count({Kind::kAll, FilterSpec::kEdns | FilterSpec::kTc, {}, {}});
+  auto server1 = plan.Count({Kind::kAll, 0, 1, {}});
+  auto v6_server2 = plan.Count({Kind::kV6, 0, 2, {}});
   plan.Execute(Sharded(records_), GetParam());
 
   EXPECT_EQ(plan.CountResult(valid), OracleCount(records_, IsValid));
@@ -282,9 +298,25 @@ TEST_P(PlanTest, CountsMatchLegacyFilters) {
   EXPECT_EQ(plan.CountResult(v6), OracleCount(records_, [](const Record& r) {
               return r.src.is_v6();
             }));
-  EXPECT_EQ(plan.CountResult(custom),
+  EXPECT_EQ(plan.CountResult(valid_edns),
             OracleCount(records_, [](const Record& r) {
               return IsValid(r) && r.has_edns;
+            }));
+  EXPECT_EQ(plan.CountResult(udp_tc),
+            OracleCount(records_, [](const Record& r) {
+              return IsUdp(r) && r.tc;
+            }));
+  EXPECT_EQ(plan.CountResult(edns_tc),
+            OracleCount(records_, [](const Record& r) {
+              return r.has_edns && r.tc;
+            }));
+  EXPECT_EQ(plan.CountResult(server1),
+            OracleCount(records_, [](const Record& r) {
+              return r.server_id == 1;
+            }));
+  EXPECT_EQ(plan.CountResult(v6_server2),
+            OracleCount(records_, [](const Record& r) {
+              return r.src.is_v6() && r.server_id == 2;
             }));
 }
 
@@ -335,26 +367,88 @@ TEST_P(PlanTest, DistinctAndSketchMatchLegacy) {
   EXPECT_NEAR(estimate, exact_count, exact_count * 0.05);
 }
 
+/// The same samples, compared through the statistics the reports read.
+void ExpectSameCdf(Cdf& got, Cdf& want) {
+  ASSERT_EQ(got.count(), want.count());
+  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
+    EXPECT_DOUBLE_EQ(got.Quantile(q), want.Quantile(q));
+  }
+  EXPECT_DOUBLE_EQ(got.FractionAtOrBelow(1232), want.FractionAtOrBelow(1232));
+  EXPECT_EQ(got.Curve(), want.Curve());
+}
+
 TEST_P(PlanTest, CdfMatchesLegacyCollect) {
   AnalysisPlan plan;
-  auto sizes = plan.Collect(
-      FilterSpec::Udp(), [](const Record& r) -> std::optional<double> {
-        if (!r.has_edns) return std::nullopt;
-        return static_cast<double>(r.edns_udp_size);
-      });
+  auto sizes = plan.Collect({Kind::kUdp, FilterSpec::kEdns, {}, {}},
+                            ValueKind::kEdnsUdpSize);
+  auto rtts = plan.Collect(FilterSpec::V4(), ValueKind::kTcpRttMs);
+  auto query_sizes = plan.Collect(FilterSpec::Junk(), ValueKind::kQuerySize);
   plan.Execute(Sharded(records_), GetParam());
 
-  Cdf oracle;
+  Cdf oracle_sizes, oracle_rtts, oracle_query_sizes;
   for (const Record& r : records_) {
-    if (IsUdp(r) && r.has_edns) oracle.Add(r.edns_udp_size);
+    if (IsUdp(r) && r.has_edns) oracle_sizes.Add(r.edns_udp_size);
+    if (r.src.is_v4() && r.transport == dns::Transport::kTcp &&
+        r.tcp_handshake_rtt_us > 0) {
+      oracle_rtts.Add(r.tcp_handshake_rtt_us / 1000.0);
+    }
+    if (IsJunk(r)) oracle_query_sizes.Add(r.query_size);
   }
-  Cdf& fused = plan.CdfResult(sizes);
-  ASSERT_EQ(fused.count(), oracle.count());
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(fused.Quantile(q), oracle.Quantile(q));
+  ASSERT_GT(oracle_rtts.count(), 0u);
+  ExpectSameCdf(plan.CdfResult(sizes), oracle_sizes);
+  ExpectSameCdf(plan.CdfResult(rtts), oracle_rtts);
+  ExpectSameCdf(plan.CdfResult(query_sizes), oracle_query_sizes);
+}
+
+TEST_P(PlanTest, KeyedCollectMatchesPerKeyLoops) {
+  // One CDF per key: TCP RTTs per family at one server, and query sizes
+  // per qtype.
+  AnalysisPlan plan;
+  auto rtts = plan.Collect({Kind::kAll, 0, 1, {}}, ValueKind::kTcpRttMs,
+                           KeySpec::Family());
+  auto sizes = plan.Collect(FilterSpec::Valid(), ValueKind::kQuerySize,
+                            KeySpec::Qtype());
+  plan.Execute(Sharded(records_), GetParam());
+
+  std::map<std::string, Cdf> oracle_rtts, oracle_sizes;
+  for (const Record& r : records_) {
+    if (r.server_id == 1 && r.transport == dns::Transport::kTcp &&
+        r.tcp_handshake_rtt_us > 0) {
+      oracle_rtts[r.src.is_v4() ? "IPv4" : "IPv6"].Add(
+          r.tcp_handshake_rtt_us / 1000.0);
+    }
+    if (IsValid(r)) oracle_sizes[QtypeText(r)].Add(r.query_size);
   }
-  EXPECT_DOUBLE_EQ(fused.FractionAtOrBelow(1232),
-                   oracle.FractionAtOrBelow(1232));
+  auto expect_same = [](std::map<std::string, Cdf>& got,
+                        std::map<std::string, Cdf>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (auto& [key, cdf] : want) {
+      ASSERT_TRUE(got.contains(key)) << key;
+      ExpectSameCdf(got.at(key), cdf);
+    }
+  };
+  ASSERT_EQ(oracle_rtts.size(), 2u);
+  expect_same(plan.KeyedCdfResult(rtts), oracle_rtts);
+  expect_same(plan.KeyedCdfResult(sizes), oracle_sizes);
+}
+
+TEST_P(PlanTest, HourKeyMatchesPlainLoop) {
+  AnalysisPlan plan;
+  auto hours = plan.GroupBy(FilterSpec::Tcp(), KeySpec::Hour());
+  plan.Execute(Sharded(records_), GetParam());
+
+  auto hour_text = [](const Record& r) {
+    char hour[8];
+    std::snprintf(hour, sizeof hour, "T%02u",
+                  static_cast<unsigned>(r.time_us / 3'600'000'000ull % 24));
+    return sim::DateString(r.time_us) + hour;
+  };
+  const auto oracle = OracleGroup(
+      records_,
+      [](const Record& r) { return r.transport == dns::Transport::kTcp; },
+      hour_text);
+  EXPECT_GT(oracle.size(), 100u);
+  EXPECT_EQ(plan.GroupResult(hours).counts, oracle);
 }
 
 TEST_P(PlanTest, MonthlyBucketsMatchLegacyCountByMonth) {
@@ -384,11 +478,11 @@ TEST_P(PlanTest, TagFilterAndGrouping) {
   const net::AsDatabase asdb = SmallAsDatabase();
   AnalysisPlan plan;
   plan.SetAsDatabase(asdb);
-  plan.SetAsnTag(
-      [](std::optional<net::Asn> asn) {
-        return static_cast<std::uint16_t>(asn ? *asn - 64499 : 0);
+  plan.SetSourceTag(
+      [](const net::IpAddress&, std::optional<net::Asn> asn) {
+        return static_cast<std::uint32_t>(asn ? *asn - 64499 : 0);
       },
-      [](std::uint16_t tag) { return "tag-" + std::to_string(tag); });
+      [](std::uint32_t tag) { return "tag-" + std::to_string(tag); });
   auto tagged = plan.Count(FilterSpec::Tagged(2));
   auto untagged = plan.Count(FilterSpec::Tagged(0));
   auto grouped = plan.GroupBy(FilterSpec::All(), KeySpec::Tag());
@@ -418,6 +512,53 @@ TEST_P(PlanTest, TagFilterAndGrouping) {
   EXPECT_EQ(plan.GroupResult(grouped).counts.size(), 3u);
 }
 
+TEST_P(PlanTest, SourceTagSeesTheAddress) {
+  // The tag reads the address itself, not only its AS: routed sources
+  // split by the parity of their last address byte. Address-keyed tags
+  // (Table 4's public ranges, Fig. 5's PTR hosts) have this shape.
+  const net::AsDatabase asdb = SmallAsDatabase();
+  auto tag_of = [](const net::IpAddress& src, std::optional<net::Asn> asn) {
+    const std::uint8_t last =
+        src.is_v4() ? src.v4().ToBytes()[3]
+                    : static_cast<std::uint8_t>(src.v6().group(7));
+    return static_cast<std::uint32_t>(asn ? 1 + last % 2 : 0);
+  };
+  AnalysisPlan plan;
+  plan.SetAsDatabase(asdb);
+  plan.SetSourceTag(tag_of);
+  auto grouped = plan.GroupBy(FilterSpec::Valid(), KeySpec::Tag());
+  auto odd = plan.Distinct(FilterSpec::Tagged(2), KeySpec::SrcAddress());
+  auto even = plan.Distinct(FilterSpec::Tagged(1), KeySpec::SrcAddress());
+  auto routed = plan.Distinct(FilterSpec::All(), KeySpec::SrcAs());
+  auto rtt_by_tag =
+      plan.Collect(FilterSpec::Tcp(), ValueKind::kTcpRttMs, KeySpec::Tag());
+  plan.Execute(Sharded(records_), GetParam());
+
+  auto tag_text = [&](const Record& r) {
+    return std::to_string(tag_of(r.src, asdb.OriginAs(r.src)));
+  };
+  EXPECT_EQ(plan.GroupResult(grouped).counts,
+            OracleGroup(records_, IsValid, tag_text));
+  std::set<std::string> oracle_odd, oracle_even;
+  std::map<std::string, Cdf> oracle_rtts;
+  for (const Record& r : records_) {
+    const std::string tag = tag_text(r);
+    if (tag == "2") oracle_odd.insert(r.src.ToString());
+    if (tag == "1") oracle_even.insert(r.src.ToString());
+    if (r.transport == dns::Transport::kTcp && r.tcp_handshake_rtt_us > 0) {
+      oracle_rtts[tag].Add(r.tcp_handshake_rtt_us / 1000.0);
+    }
+  }
+  ASSERT_FALSE(oracle_odd.empty());
+  ASSERT_FALSE(oracle_even.empty());
+  EXPECT_EQ(plan.DistinctResult(odd), oracle_odd.size());
+  EXPECT_EQ(plan.DistinctResult(even), oracle_even.size());
+  EXPECT_EQ(plan.DistinctResult(routed), 3u);  // two ASes and "AS?"
+  auto& rtts = plan.KeyedCdfResult(rtt_by_tag);
+  ASSERT_EQ(rtts.size(), 3u);
+  for (auto& [tag, cdf] : oracle_rtts) ExpectSameCdf(rtts.at(tag), cdf);
+}
+
 TEST(PlanDeterminismTest, IdenticalAcrossThreadCounts) {
   auto records = SyntheticBuffer(30'000);
   auto run = [&records](std::size_t threads) {
@@ -425,10 +566,7 @@ TEST(PlanDeterminismTest, IdenticalAcrossThreadCounts) {
     auto group = plan.GroupBy(FilterSpec::All(), KeySpec::Qtype());
     auto distinct = plan.Distinct(FilterSpec::All(), KeySpec::SrcAddress());
     auto sketch = plan.Sketch(FilterSpec::All(), KeySpec::SrcAddress());
-    auto cdf = plan.Collect(
-        FilterSpec::All(), [](const Record& r) -> std::optional<double> {
-          return static_cast<double>(r.query_size);
-        });
+    auto cdf = plan.Collect(FilterSpec::All(), ValueKind::kQuerySize);
     plan.Execute(Sharded(records), threads);
     return std::tuple{plan.GroupResult(group).counts,
                       plan.DistinctResult(distinct),

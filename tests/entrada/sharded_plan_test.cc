@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "capture/sharded.h"
 #include "sim/random.h"
@@ -71,6 +73,8 @@ struct PlanResults {
   std::uint64_t cdf_count;
   double cdf_median;
   double cdf_p99;
+  /// Per tag: the keyed CDF's sample count and median.
+  std::map<std::string, std::pair<std::size_t, double>> keyed_cdfs;
 };
 
 /// The shards back to back as one single-shard capture: the
@@ -91,22 +95,21 @@ PlanResults RunAllOps(const capture::ShardedCapture& records,
   asdb.Announce(*net::Prefix::Parse("2001:db8::/116"), 64501);
   AnalysisPlan plan;
   plan.SetAsDatabase(asdb);
-  plan.SetAsnTag(
-      [](std::optional<net::Asn> asn) {
-        return static_cast<std::uint16_t>(asn ? *asn - 64499 : 0);
+  plan.SetSourceTag(
+      [](const net::IpAddress&, std::optional<net::Asn> asn) {
+        return static_cast<std::uint32_t>(asn ? *asn - 64499 : 0);
       },
-      [](std::uint16_t tag) { return "tag-" + std::to_string(tag); });
+      [](std::uint32_t tag) { return "tag-" + std::to_string(tag); });
   auto count = plan.Count(FilterSpec::Valid());
   auto group = plan.GroupBy(FilterSpec::All(), KeySpec::Qtype());
   auto months = plan.GroupByMonth(FilterSpec::Valid(), KeySpec::Tag());
   auto distinct = plan.Distinct(FilterSpec::Udp(), KeySpec::SrcAddress());
   auto sketch = plan.Sketch(FilterSpec::All(), KeySpec::SrcAddress());
   auto cdf = plan.Collect(
-      FilterSpec::All(),
-      [](const capture::CaptureRecord& r) -> std::optional<double> {
-        if (!r.has_edns) return std::nullopt;
-        return static_cast<double>(r.edns_udp_size);
-      });
+      {FilterSpec::Kind::kAll, FilterSpec::kEdns, {}, {}},
+      ValueKind::kEdnsUdpSize);
+  auto keyed =
+      plan.Collect(FilterSpec::Valid(), ValueKind::kQuerySize, KeySpec::Tag());
   plan.Execute(records, threads);
   PlanResults out;
   out.count = plan.CountResult(count);
@@ -117,6 +120,9 @@ PlanResults RunAllOps(const capture::ShardedCapture& records,
   out.cdf_count = plan.CdfResult(cdf).count();
   out.cdf_median = plan.CdfResult(cdf).Quantile(0.5);
   out.cdf_p99 = plan.CdfResult(cdf).Quantile(0.99);
+  for (auto& [tag, values] : plan.KeyedCdfResult(keyed)) {
+    out.keyed_cdfs[tag] = {values.count(), values.Median()};
+  }
   return out;
 }
 
@@ -136,6 +142,7 @@ void ExpectSameResults(const PlanResults& got, const PlanResults& want) {
   EXPECT_EQ(got.cdf_count, want.cdf_count);
   EXPECT_DOUBLE_EQ(got.cdf_median, want.cdf_median);
   EXPECT_DOUBLE_EQ(got.cdf_p99, want.cdf_p99);
+  EXPECT_EQ(got.keyed_cdfs, want.keyed_cdfs);
 }
 
 class ShardedPlanTest : public ::testing::TestWithParam<std::size_t> {
